@@ -58,6 +58,7 @@ from .roughpath import (
     SampledPath,
     canonical_lift,
     embed_geometric,
+    first_non_character,
     gamma_to_level,
     geometricity_report,
     ibp_defect,
@@ -287,11 +288,7 @@ def cmd_lift(args) -> int:
         try:
             path = SampledPath.from_csv(text, cfg.mode)
         except ValueError as e:
-            rows = [ln for ln in text.splitlines() if ln.strip()]
-            if rows and rows[0].startswith("t") and len(rows) < 3:
-                print("input error: fewer than 2 grid points", file=sys.stderr)
-            else:
-                print(f"input error: {e}", file=sys.stderr)
+            print(f"input error: {e}", file=sys.stderr)
             return BAD_INPUT
     if args.mode == "ito":
         X = ito_lift(path, cfg.N, cfg.gamma)
@@ -310,10 +307,20 @@ def cmd_lift(args) -> int:
 # -- convert ---------------------------------------------------------------
 
 
+def _read_driver(name: str):
+    """A rough path read from JSON, refused unless every adjacent increment
+    is a character: wider increments are composed from them unchecked."""
+    X = roughpath_from_json(_read_input(name))
+    k = first_non_character(X)
+    if k is not None:
+        raise ValueError(f"adjacent increment {k} is not a character")
+    return X
+
+
 def cmd_convert(args) -> int:
     cfg = _config(args)
     try:
-        X = roughpath_from_json(_read_input(args.input))
+        X = _read_driver(args.input)
     except (OSError, ValueError, KeyError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return BAD_INPUT
@@ -363,9 +370,7 @@ def _letter_fields(f: ButcherTable, letters) -> dict:
     }
 
 
-def _load_driver(args, cfg: RunConfig):
-    if args.driver is not None:
-        return roughpath_from_json(_read_input(args.driver))
+def _synth_driver(args, cfg: RunConfig):
     path = _synth_path(args.synth, args.steps, cfg.seed, args.step, args.d, cfg.mode)
     if args.lift == "ito":
         return ito_lift(path, cfg.N, cfg.gamma)
@@ -383,12 +388,12 @@ def cmd_solve(args) -> int:
         return BAD_INPUT
     if args.driver is not None:
         try:
-            X = roughpath_from_json(_read_input(args.driver))
+            X = _read_driver(args.driver)
         except (OSError, ValueError, KeyError) as e:
             print(f"input error: {e}", file=sys.stderr)
             return BAD_INPUT
     else:
-        X = _load_driver(args, cfg)
+        X = _synth_driver(args, cfg)
     discrepancy = None
     if args.side == "branched":
         traj = solve_branched(X, f, xi)

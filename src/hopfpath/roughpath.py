@@ -7,13 +7,24 @@ constructor consistency check.  Two lift constructors cover the two sides of
 the theory: `canonical_lift` takes exact iterated integrals of the piecewise
 linear interpolation, `ito_lift` realizes the left-point Riemann rule.
 
+On each interval the canonical increment is exp(sum_tau delta_tau e_tau),
+whose coefficient on a word of k letters is the product of their deltas
+over k!.  `canonical_lift` writes that closed form directly instead of
+summing the `tensor_exp` series, and its increments are bit-identical to
+`tensor_exp` of the grade-1 primitive in both scalar modes: same keys in the
+same order, same scalar types, same rounding.  Float sums downstream iterate
+the terms in insertion order, so that order is part of the contract.
+
 Exact rational scalars are the default; float mode exists for long grids and
-switches validation to tolerance comparisons.
+switches validation to tolerance comparisons.  `SampledPath.from_csv`
+refuses non-finite values, and `first_non_character` lets a loader refuse a
+rough path whose adjacent increments are not characters, in O(M).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -29,7 +40,6 @@ from .tensor import (
     enumerate_words,
     is_tensor_group_like,
     pair_tensor,
-    tensor_exp,
 )
 from .trees import EMPTY_FOREST, Forest, Tree, enumerate_forests, enumerate_trees, leaf
 
@@ -167,11 +177,22 @@ class SampledPath:
         conv = Fraction if mode == RATIONAL else float
         times = []
         values = []
-        for row in rows[1:]:
+        for r, row in enumerate(rows[1:], start=2):
             if not row:
                 continue
-            times.append(conv(row[0]))
-            values.append(tuple(conv(v) for v in row[1:]))
+            nums = []
+            for c, cell in enumerate(row, start=1):
+                try:
+                    v = conv(cell)
+                except (ValueError, ZeroDivisionError):
+                    raise ValueError(f"row {r}, column {c}: {cell!r} is not a number") from None
+                if mode == FLOAT and not math.isfinite(v):
+                    raise ValueError(f"row {r}, column {c}: non-finite value {cell!r}")
+                nums.append(v)
+            times.append(nums[0])
+            values.append(tuple(nums[1:]))
+        if len(times) < 2:
+            raise ValueError("fewer than 2 grid points")
         return cls(Grid(times), basis, values, mode)
 
 
@@ -269,8 +290,20 @@ def _default_gamma(N: int) -> Fraction:
 def canonical_lift(path: SampledPath, N: int, gamma=None) -> GeometricRoughPath:
     """Iterated integrals of the piecewise-linear interpolation.
 
-    Per interval the increment is exp of the letter-increment sum, truncated
-    at total grade N: exact, and valid for tree-letter components too.
+    Per interval the increment is exp(sum_tau delta_tau e_tau) truncated at
+    total grade N, exact and valid for tree letters too.  It is written in
+    closed form: the coefficient of a word of k letters is the product of
+    their deltas times 1/k!.  Words are built once per lift and shared by
+    all increments.
+
+    For a path whose values match its mode (Fractions or ints in rational
+    mode, floats in float mode) each increment equals tensor_exp of the
+    grade-1 primitive bit for bit: the same keys in the same insertion
+    order, the same scalar types (the empty word keeps Fraction(1)), the
+    same left-to-right products and the same scale, which in float mode is
+    float(Fraction(1, k!)), the number Fraction(1, k!) * x multiplies a
+    float x by.  As in tensor_exp, a product that reaches 0 is not extended,
+    and a coefficient that rounds to 0 is dropped (by TensorElem).
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
@@ -279,13 +312,38 @@ def canonical_lift(path: SampledPath, N: int, gamma=None) -> GeometricRoughPath:
         raise ValueError("no basis letters within the truncation level")
     d = path.d
     n = max(t.grade for t in letters)
+    columns = [(j, path.basis.index(t), t.grade) for j, t in enumerate(letters)]
+    scales = []  # 1/m! for words of m = 1 .. N letters
+    inv_fact = Fraction(1)
+    for m in range(1, N + 1):
+        inv_fact /= m
+        scales.append(float(inv_fact) if path.mode == FLOAT else inv_fact)
+    words: dict = {}  # letter-index tuple -> Word, shared by every increment
+    one = Fraction(1)
     increments = []
     for k in range(path.grid.steps):
-        delta = path.delta(k)
-        prim = TensorElem(
-            {Word((t,)): delta[t] for t in letters if delta[t] != 0}, d, n
-        )
-        increments.append(tensor_exp(prim, N))
+        lo, hi = path.values[k], path.values[k + 1]
+        live = [(j, v, g) for j, i, g in columns if (v := hi[i] - lo[i]) != 0]
+        terms = {EMPTY_WORD: one}
+        # words of m letters: (letter indices, total grade, product of deltas)
+        level = [((), 0, None)]
+        for scale in scales:
+            deeper = []
+            for key, grade, prod in level:
+                for j, v, g in live:
+                    if grade + g > N:
+                        continue
+                    p = v if prod is None else prod * v
+                    if p == 0:
+                        continue
+                    key_j = key + (j,)
+                    deeper.append((key_j, grade + g, p))
+                    w = words.get(key_j)
+                    if w is None:
+                        w = words[key_j] = Word(letters[i] for i in key_j)
+                    terms[w] = scale * p
+            level = deeper
+        increments.append(TensorElem(terms, d, n))
     return GeometricRoughPath(
         N, gamma if gamma is not None else _default_gamma(N), path.grid, increments, d, path.mode, letters
     )
@@ -401,6 +459,16 @@ def _character_ok_geometric(g: TensorElem, N: int, mode: str):
     return True
 
 
+def first_non_character(X) -> int | None:
+    """Index of the first adjacent increment that is not a character (group
+    -like, up to float tolerance in float mode), or None; O(M) in the grid."""
+    ok = _character_ok_branched if isinstance(X, BranchedRoughPath) else _character_ok_geometric
+    for k, g in enumerate(X.increments):
+        if not ok(g, X.N, X.mode):
+            return k
+    return None
+
+
 def _map_rows(fn: Callable, rows: Iterable, workers: int) -> list:
     """Apply fn to each row index, optionally on a thread pool.
 
@@ -424,12 +492,10 @@ def validate(X, workers: int = 1) -> dict:
         "chen": {"status": "pass", "witness": None, "checked_triples": 0},
         "holder": {"gamma": float(X.gamma), "per_basis": {}, "max": 0.0},
     }
-    ok = _character_ok_branched if branched else _character_ok_geometric
-    for k, g in enumerate(X.increments):
-        if not ok(g, X.N, X.mode):
-            report["character"]["status"] = "fail"
-            report["character"]["witness"] = f"adjacent increment {k}"
-            break
+    k = first_non_character(X)
+    if k is not None:
+        report["character"]["status"] = "fail"
+        report["character"]["witness"] = f"adjacent increment {k}"
 
     M = X.grid.steps
     eq = (lambda a, b: a.terms == b.terms) if X.mode == RATIONAL else (

@@ -23,7 +23,7 @@ _ZERO = Fraction(0)
 class Word:
     """Immutable word of tree letters; the empty word is the unit."""
 
-    __slots__ = ("letters", "grade", "_key", "_hash")
+    __slots__ = ("letters", "grade", "_key", "_hash", "_max_label", "_max_letter_grade")
 
     def __init__(self, letters: Iterable[Tree] = ()):
         lets = tuple(letters)
@@ -32,6 +32,10 @@ class Word:
         key = (self.grade, len(lets), tuple(t.sort_key() for t in lets))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
+        # both bounds are filled on first use: most words are hashed and
+        # compared far more often than range-checked.  Two int slots, not a
+        # tuple, keep the cached increments of a long grid small.
+        object.__setattr__(self, "_max_label", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -60,11 +64,21 @@ class Word:
     def is_empty(self) -> bool:
         return not self.letters
 
+    def bounds(self) -> tuple[int, int]:
+        """(max_label(), max_letter_grade()), computed once per word."""
+        label = self._max_label
+        if label is None:
+            label = max((t.max_label() for t in self.letters), default=0)
+            grade = max((t.grade for t in self.letters), default=0)
+            object.__setattr__(self, "_max_letter_grade", grade)
+            object.__setattr__(self, "_max_label", label)
+        return label, self._max_letter_grade
+
     def max_label(self) -> int:
-        return max((t.max_label() for t in self.letters), default=0)
+        return self.bounds()[0]
 
     def max_letter_grade(self) -> int:
-        return max((t.grade for t in self.letters), default=0)
+        return self.bounds()[1]
 
     def __repr__(self):
         if not self.letters:
@@ -93,9 +107,10 @@ class TensorElem:
         for w, c in terms.items():
             if c == 0:
                 continue
-            if w.max_label() > d:
+            label, grade = w.bounds()
+            if label > d:
                 raise ValueError(f"letter label out of range 1..{d} in {w!r}")
-            if w.max_letter_grade() > n:
+            if grade > n:
                 raise ValueError(f"letter grade above bound {n} in {w!r}")
             cleaned[w] = c
         self.terms = cleaned

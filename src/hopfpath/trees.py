@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 class Tree:
     """Immutable labelled rooted tree with canonically sorted children."""
 
-    __slots__ = ("label", "children", "grade", "_key", "_hash")
+    __slots__ = ("label", "children", "grade", "_max_label", "_key", "_hash")
 
     def __init__(self, label: int, children: Iterable["Tree"] = ()):
         if not isinstance(label, int) or label < 1:
@@ -30,6 +30,7 @@ class Tree:
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "children", kids)
         object.__setattr__(self, "grade", 1 + sum(c.grade for c in kids))
+        object.__setattr__(self, "_max_label", max([label] + [c._max_label for c in kids]))
         key = (self.grade, label, tuple(c._key for c in kids))
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
@@ -65,7 +66,7 @@ class Tree:
         return f"[{inner}]_{self.label}"
 
     def max_label(self) -> int:
-        return max([self.label] + [c.max_label() for c in self.children])
+        return self._max_label
 
 
 class Forest:

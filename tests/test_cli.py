@@ -177,6 +177,24 @@ def test_lift_csv_file_round_trip(capsys, tmp_path):
     assert all(a.terms == b.terms for a, b in zip(X.increments, want.increments))
 
 
+@pytest.mark.parametrize(
+    "flags, text, message",
+    [
+        (["--float"], "nan", "non-finite value 'nan'"),
+        (["--float"], "inf", "non-finite value 'inf'"),
+        (["--float"], "-inf", "non-finite value '-inf'"),
+        ([], "1/0", "'1/0' is not a number"),
+    ],
+)
+def test_lift_rejects_bad_csv_values_with_location(capsys, tmp_path, flags, text, message):
+    f = tmp_path / "walk.csv"
+    f.write_text(f"t,b_1\n0,0\n0.5,{text}\n1,1\n")
+    rc, out, err = run(capsys, *flags, "lift", str(f))
+    assert rc == 2
+    assert out == ""
+    assert f"row 3, column 2: {message}" in err
+
+
 def test_lift_level_gamma_consistency(capsys):
     rc, _, err = run(
         capsys, "lift", "--synth", "linear", "--steps", "2", "--gamma", "0.3", "--N", "2"
@@ -244,17 +262,22 @@ def test_convert_rejects_geometric_input(capsys, tmp_path):
     assert "branched" in err
 
 
-def test_convert_corrupted_increment_fails_certificate(capsys, tmp_path):
+def _non_character_json(capsys, tmp_path, k):
+    """An Ito driver with one product-forest coefficient of adjacent
+    increment k changed: no longer a character."""
     obj = json.loads(_ito_json(capsys))
-    for key in obj["increments"][0]:
-        if " " in key:
-            obj["increments"][0][key] = "7/3"
-            break
+    obj["increments"][k]["b_2 b_2"] = "7/3"
     src = tmp_path / "bad.json"
     src.write_text(json.dumps(obj))
-    rc, _, err = run(capsys, "convert", str(src))
-    assert rc == 4
-    assert "certificate" in err
+    return src
+
+
+def test_convert_rejects_non_character_increment(capsys, tmp_path):
+    src = _non_character_json(capsys, tmp_path, 2)
+    rc, out, err = run(capsys, "convert", str(src))
+    assert rc == 2
+    assert out == ""
+    assert "adjacent increment 2 is not a character" in err
 
 
 # -- solve -----------------------------------------------------------------
@@ -309,6 +332,18 @@ def test_solve_matches_library_solver(capsys, tmp_path):
     f = ButcherTable.parse({1: ["y1^2 + y2", "y1*y2"], 2: ["y2^2", "y1 + 1"]})
     want = solve_branched(X, f, [Fraction(1), Fraction(3, 2)])
     assert got == json.loads(want.to_json())
+
+
+def test_solve_rejects_non_character_driver(capsys, tmp_path):
+    src = _non_character_json(capsys, tmp_path, 3)
+    for side in ("branched", "both"):
+        rc, out, err = run(
+            capsys, "solve", "--driver", str(src), "--side", side,
+            "--fields", "1: y2, -y1; 2: y1, y2", "--xi", "1, -1/2",
+        )
+        assert rc == 2
+        assert out == ""
+        assert "adjacent increment 3 is not a character" in err
 
 
 def test_solve_zero_field_is_constant(capsys):

@@ -1,11 +1,13 @@
 """Lift constructors, increment composition, validation, serialization."""
 
 from fractions import Fraction as Q
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfpath.conversion import encode
 from hopfpath.hopf import HElem, convolve, is_group_like
 from hopfpath.roughpath import (
     BranchedRoughPath,
@@ -23,7 +25,7 @@ from hopfpath.roughpath import (
     roughpath_to_json,
     validate,
 )
-from hopfpath.tensor import Word, is_tensor_group_like
+from hopfpath.tensor import TensorElem, Word, is_tensor_group_like, tensor_exp
 from hopfpath.trees import Forest, Tree, chain, enumerate_forests, enumerate_trees, leaf, tree_factorial
 
 from oracles import leftpoint_oracle, tree_factorial_oracle
@@ -168,6 +170,103 @@ def test_canonical_lift_tree_letters():
 def test_canonical_lift_bad_level():
     with pytest.raises(ValueError):
         canonical_lift(two_step_path(), 0)
+
+
+def _tensor_exp_lift(path, N):
+    """The lift as tensor_exp of each interval's grade-1 primitive."""
+    letters = [t for t in path.basis if t.grade <= N]
+    n = max(t.grade for t in letters)
+    out = []
+    for k in range(path.grid.steps):
+        delta = path.delta(k)
+        prim = TensorElem({Word((t,)): delta[t] for t in letters if delta[t] != 0}, path.d, n)
+        out.append(tensor_exp(prim, N))
+    return out
+
+
+def _assert_same_as_tensor_exp(path, N):
+    # keys in insertion order, scalar types and values: later float sums
+    # iterate terms in order, so equal dicts are not enough
+    X = canonical_lift(path, N)
+    want = _tensor_exp_lift(path, N)
+    assert len(X.increments) == len(want)
+    for got, ref in zip(X.increments, want):
+        assert (got.d, got.n) == (ref.d, ref.n)
+        assert [(w, type(c), c) for w, c in got.terms.items()] == [
+            (w, type(c), c) for w, c in ref.terms.items()
+        ]
+    return X
+
+
+# a d = 2 path with a zero step and steps that move one component only
+STALLING_ROWS = [
+    [Q(0), Q(0)],
+    [Q(1, 2), Q(0)],
+    [Q(1, 2), Q(0)],
+    [Q(1, 2), Q(-1, 3)],
+    [Q(2), Q(1, 7)],
+    [Q(-3, 5), Q(1, 7)],
+]
+
+
+def test_canonical_lift_matches_tensor_exp_exactly():
+    p = SampledPath.over_labels([Q(k, 5) for k in range(6)], STALLING_ROWS, 2)
+    for N in (2, 3, 4):
+        X = _assert_same_as_tensor_exp(p, N)
+        # the all-zero step is the unit, with the unit's Fraction(1)
+        assert list(X.increments[1].terms.items()) == [(Word(()), Q(1))]
+
+    # the tree-letter path that encode builds and lifts
+    walk = SampledPath.over_labels(
+        [Q(k, 4) for k in range(5)],
+        [[Q(0), Q(0)], [Q(1, 2), Q(-1, 2)], [Q(1), Q(0)], [Q(1, 2), Q(1, 2)], [Q(1), Q(1)]],
+        2,
+    )
+    result = encode(ito_lift(walk, 3))
+    ext = result.extended_path
+    assert not ext.has_label_basis()
+    X = _assert_same_as_tensor_exp(ext, 3)
+    assert [g.terms for g in X.increments] == [g.terms for g in result.geometric.increments]
+    _assert_same_as_tensor_exp(ext, 2)
+
+
+def test_canonical_lift_matches_tensor_exp_in_float_mode():
+    # the criterion-09 walk, its encoded extension and its lift at N = 2
+    rng = Random(0)
+    M = 4096
+    vals = [0.0]
+    for _ in range(M):
+        vals.append(vals[-1] + rng.choice((1.0, -1.0)) / 64.0)
+    p = SampledPath.over_labels([k / M for k in range(M + 1)], [[v] for v in vals], 1, "float")
+    _assert_same_as_tensor_exp(p, 2)
+    ext = encode(ito_lift(p, 2), certify_result=False, check_cocycle=False).extended_path
+    X = _assert_same_as_tensor_exp(ext, 2)
+    assert all(type(c) is float for g in X.increments for w, c in g.terms.items() if w.letters)
+    # beyond N = 2 the scales 1/k! and the product order are not exact
+    rows = [[float(v) for v in row] for row in STALLING_ROWS]
+    p = SampledPath.over_labels([k / 5 for k in range(6)], rows, 2, "float")
+    for N in (3, 4):
+        _assert_same_as_tensor_exp(p, N)
+    # underflow: 2^-537 squared is the least subnormal, which 1/2 rounds to
+    # 0; a step near 1e-170 squares to 0 itself
+    tiny = 2.0**-537
+    p = SampledPath.over_labels([0.0, 0.5, 1.0], [[0.0], [tiny], [tiny + 1e-170]], 1, "float")
+    X = _assert_same_as_tensor_exp(p, 3)
+    assert [len(g.terms) for g in X.increments] == [2, 2]
+
+
+def test_tensor_elem_range_checks_survive_cached_bounds():
+    w = Word((Tree(1, (leaf(3),)),))
+    assert w.max_label() == 3 and w.max_letter_grade() == 2
+    assert TensorElem({w: Q(1)}, 3, 2).terms == {w: Q(1)}
+    with pytest.raises(ValueError, match="out of range"):
+        TensorElem({w: Q(1)}, 2, 2)
+    with pytest.raises(ValueError, match="grade above bound"):
+        TensorElem({w: Q(1)}, 3, 1)
+    # a fresh but equal word is checked the same way
+    with pytest.raises(ValueError, match="out of range"):
+        TensorElem({Word((Tree(1, (leaf(3),)),)): Q(1)}, 2, 2)
+    assert chain([1, 3, 2]).max_label() == 3
 
 
 # -- ito lift --------------------------------------------------------------
