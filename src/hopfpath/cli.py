@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .conversion import ConversionError, encode
-from .expr import ParseError, parse_h, print_h, print_tensor
+from .expr import ParseError, parse_h, parse_rational, print_h, print_tensor
 from .hopf import (
     HElem,
     antipode,
@@ -49,6 +49,7 @@ from .rde import (
     convert_rde,
     solve_branched,
     solve_geometric,
+    tree_letter_fields,
 )
 from .roughpath import (
     FLOAT,
@@ -68,7 +69,7 @@ from .roughpath import (
     validate,
 )
 from .tensor import TensorElem, Word
-from .trees import Tree, enumerate_forests, enumerate_trees, leaf, symmetry_factor
+from .trees import Tree, enumerate_forests, enumerate_trees, leaf
 
 OK = 0
 INVARIANT_FAILED = 1
@@ -83,7 +84,6 @@ class RunConfig:
     the level always agrees with gamma (largest N with N*gamma <= 1)."""
 
     mode: str
-    threads: int
     N: int
     gamma: Fraction
     seed: int = 0
@@ -93,7 +93,7 @@ def _resolve_level(N, gamma_text):
     """Level and exponent from the optional flags; either determines the
     other, both together must agree."""
     if gamma_text is not None:
-        gamma = Fraction(gamma_text)
+        gamma = parse_rational(gamma_text)
         level = gamma_to_level(gamma)
         if N is not None and N != level:
             raise ValueError(
@@ -110,6 +110,7 @@ def _resolve_level(N, gamma_text):
 
 def _config(args) -> RunConfig:
     N, gamma = _resolve_level(getattr(args, "N", None), getattr(args, "gamma", None))
+    # --threads and HOPFPATH_THREADS are validated for compatibility only
     if args.threads is not None:
         threads = args.threads
     else:
@@ -119,7 +120,6 @@ def _config(args) -> RunConfig:
         raise ValueError(f"need at least 1 thread, got {threads}")
     return RunConfig(
         mode=FLOAT if args.float else RATIONAL,
-        threads=threads,
         N=N,
         gamma=gamma,
         seed=getattr(args, "seed", 0),
@@ -155,7 +155,7 @@ def _dump_report(report: dict, stream) -> None:
 
 
 def _scalar(text: str, mode: str):
-    v = Fraction(text.strip())
+    v = parse_rational(text.strip())
     return float(v) if mode == FLOAT else v
 
 
@@ -242,10 +242,10 @@ def _synth_path(kind: str, steps: int, seed: int, step_text, d: int, mode: str) 
     if kind == "rw":
         rng = random.Random(seed)
         if mode == FLOAT:
-            h = float(Fraction(step_text)) if step_text is not None else 1.0 / math.sqrt(steps)
+            h = float(parse_rational(step_text)) if step_text is not None else 1.0 / math.sqrt(steps)
             rows = [[0.0] * d]
         else:
-            h = Fraction(step_text) if step_text is not None else Fraction(1)
+            h = parse_rational(step_text) if step_text is not None else Fraction(1)
             rows = [[Fraction(0)] * d]
         for _ in range(steps):
             rows.append([x + h * rng.choice((1, -1)) for x in rows[-1]])
@@ -269,7 +269,10 @@ def _synth_path(kind: str, steps: int, seed: int, step_text, d: int, mode: str) 
 
 
 def _read_input(name: str) -> str:
-    return sys.stdin.read() if name == "-" else open(name).read()
+    if name == "-":
+        return sys.stdin.read()
+    with open(name) as fh:
+        return fh.read()
 
 
 def cmd_lift(args) -> int:
@@ -294,7 +297,7 @@ def cmd_lift(args) -> int:
         X = ito_lift(path, cfg.N, cfg.gamma)
     else:
         X = canonical_lift(path, cfg.N, cfg.gamma)
-    report = validate(X, workers=cfg.threads)
+    report = validate(X)
     if args.mode == "ito":
         report["geometricity"] = geometricity_report(X)
     _write_out(roughpath_to_json(X), args.out)
@@ -328,7 +331,7 @@ def cmd_convert(args) -> int:
         print("input error: conversion starts from a branched rough path", file=sys.stderr)
         return BAD_INPUT
     try:
-        result = encode(X, workers=cfg.threads)
+        result = encode(X)
     except ConversionError as e:
         print(f"certificate failure: {e}", file=sys.stderr)
         return CERTIFICATE_FAILED
@@ -363,13 +366,6 @@ def _parse_fields(text: str) -> ButcherTable:
     return ButcherTable.parse(spec)
 
 
-def _letter_fields(f: ButcherTable, letters) -> dict:
-    return {
-        tau: f.field(tau).scale(Fraction(1, symmetry_factor(tau)))
-        for tau in letters
-    }
-
-
 def _synth_driver(args, cfg: RunConfig):
     path = _synth_path(args.synth, args.steps, cfg.seed, args.step, args.d, cfg.mode)
     if args.lift == "ito":
@@ -400,7 +396,7 @@ def cmd_solve(args) -> int:
     elif args.side == "geometric":
         if not isinstance(X, GeometricRoughPath):
             raise TypeError("side geometric needs a geometric driver")
-        traj = solve_geometric(X, _letter_fields(f, X.letters), xi)
+        traj = solve_geometric(X, tree_letter_fields(f, X.letters), xi)
     else:
         if not isinstance(X, BranchedRoughPath):
             raise TypeError("side both starts from a branched driver")
@@ -442,7 +438,7 @@ def _solve_ensemble(args, cfg: RunConfig, f: ButcherTable, xi) -> int:
             traj = solve_branched(X, f, xi)
         else:
             X = canonical_lift(path, cfg.N, cfg.gamma)
-            traj = solve_geometric(X, _letter_fields(f, X.letters), xi)
+            traj = solve_geometric(X, tree_letter_fields(f, X.letters), xi)
         end = traj.values[-1]
         terminals.append(list(end))
         if want_ref:
@@ -569,7 +565,7 @@ def _suite_lifts(args, cfg: RunConfig) -> dict:
     Xg = canonical_lift(path, N, gamma)
     if args.mutate:
         Xg = _tampered(Xg)
-    rep = validate(Xg, workers=cfg.threads)
+    rep = validate(Xg)
     res["checks"]["canonical_validate"] = rep
     ok = ok and rep["character"]["status"] == "pass" and rep["chen"]["status"] == "pass"
     shuffle = geometricity_report(embed_geometric(Xg))
@@ -577,7 +573,7 @@ def _suite_lifts(args, cfg: RunConfig) -> dict:
     ok = ok and shuffle["status"] == "pass"
 
     Xb = ito_lift(path, N, gamma)
-    repb = validate(Xb, workers=cfg.threads)
+    repb = validate(Xb)
     res["checks"]["leftpoint_validate"] = repb
     ok = ok and repb["character"]["status"] == "pass" and repb["chen"]["status"] == "pass"
     shufb = geometricity_report(Xb)
@@ -683,7 +679,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads for pair loops (default: HOPFPATH_THREADS or 1)",
+        help="accepted for compatibility; has no effect",
     )
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering a value parsed at the top level

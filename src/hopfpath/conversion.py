@@ -28,7 +28,6 @@ from .roughpath import (
     GeometricRoughPath,
     SampledPath,
     _close,
-    _map_rows,
     canonical_lift,
     roughpath_obj,
 )
@@ -137,10 +136,9 @@ class ConversionResult:
         return json.dumps(self.to_obj(), indent=2, sort_keys=True)
 
 
-def certify(X: BranchedRoughPath, Xbar: GeometricRoughPath, workers: int = 1) -> dict:
+def certify(X: BranchedRoughPath, Xbar: GeometricRoughPath) -> dict:
     """Check <X_st, h> = <Xbar_st, psi(h)> for all forests of grade <= N and
-    all grid pairs; first failure is recorded with a full witness.  workers
-    > 1 spreads the pair loop over a thread pool (inputs are read-only)."""
+    all grid pairs; first failure is recorded with a full witness."""
     N, d, M = X.N, X.d, X.grid.steps
     basis = enumerate_forests(N, d)
     images = {h: psi(HElem.from_forest(h, d), N).terms for h in basis}
@@ -170,7 +168,7 @@ def certify(X: BranchedRoughPath, Xbar: GeometricRoughPath, workers: int = 1) ->
                     }
         return n, None
 
-    for n, witness in _map_rows(row, range(M + 1), workers):
+    for n, witness in map(row, range(M + 1)):
         cert["checked_pairs"] += n
         if witness is not None:
             cert["status"] = "fail"
@@ -185,7 +183,7 @@ def certify(X: BranchedRoughPath, Xbar: GeometricRoughPath, workers: int = 1) ->
     return cert
 
 
-def encode(X: BranchedRoughPath, certify_result: bool = True, check_cocycle: bool = True, workers: int = 1) -> ConversionResult:
+def encode(X: BranchedRoughPath, certify_result: bool = True, check_cocycle: bool = True) -> ConversionResult:
     """Extend the underlying path tree by tree and lift it geometrically.
 
     Levels run n = 1 .. N: each pass extracts the grade-(n+1) components and
@@ -202,7 +200,7 @@ def encode(X: BranchedRoughPath, certify_result: bool = True, check_cocycle: boo
         ext = ext.extend(sorted(new), cols)
     geometric = canonical_lift(ext, N, X.gamma)
     table = MorphismTable("psi", N, d)
-    cert = certify(X, geometric, workers) if certify_result else {"status": "skipped"}
+    cert = certify(X, geometric) if certify_result else {"status": "skipped"}
     return ConversionResult(ext, geometric, table, cert)
 
 

@@ -31,6 +31,17 @@ class ParseError(ValueError):
         self.col = col
 
 
+def parse_rational(text) -> Fraction:
+    """A scalar from outside input, such as "3/4", "-2" or "0.5".
+
+    Anything Fraction cannot read, a zero denominator included, raises one
+    ValueError that names the value."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{text!r} is not a number") from None
+
+
 def tokenize(text: str) -> list:
     """Tokens: (kind, value, line, col).  Kinds: int, leaf, sub, tensor and
     the single characters + - * / [ ]."""

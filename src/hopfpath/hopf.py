@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable
 
@@ -425,17 +426,17 @@ def log_star(g: HElem, N: int) -> HElem:
     return acc
 
 
-def is_group_like(g: HElem, N: int) -> bool:
+def is_group_like(g: HElem, N: int, eq=operator.eq) -> bool:
     """Character test: <g,1> = 1 and <g, h1 h2> = <g,h1><g,h2> for all basis
-    forests with grade(h1) + grade(h2) <= N."""
-    if g.coeff(EMPTY_FOREST) != 1:
+    forests with grade(h1) + grade(h2) <= N, each equality judged by eq."""
+    if not eq(g.coeff(EMPTY_FOREST), 1):
         return False
     for g1 in range(1, N):
         for h1 in (f for f in enumerate_forests(g1, g.d) if f.grade == g1):
             for h2 in enumerate_forests(N - g1, g.d):
                 if h2.is_unit() or h2.sort_key() < h1.sort_key():
                     continue
-                if g.coeff(h1 * h2) != g.coeff(h1) * g.coeff(h2):
+                if not eq(g.coeff(h1 * h2), g.coeff(h1) * g.coeff(h2)):
                     return False
     return True
 

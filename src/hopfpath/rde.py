@@ -16,9 +16,10 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .expr import parse_rational
 from .hopf import HElem, _forest_coproduct
 from .roughpath import RATIONAL, BranchedRoughPath, GeometricRoughPath, Grid, SampledPath
-from .tensor import Word
+from .tensor import TensorElem, Word
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -156,7 +157,7 @@ def parse_poly(text: str, nvars: int) -> Poly:
                     term = term * v
             else:
                 try:
-                    term = term.scale(Fraction(factor))
+                    term = term.scale(parse_rational(factor))
                 except ValueError:
                     raise ValueError(f"bad factor {factor!r} in {text!r}") from None
         out = out + term
@@ -417,34 +418,47 @@ class Trajectory:
         return json.dumps(self.to_obj(), indent=2, sort_keys=True)
 
 
+def _euler(grid: Grid, mode: str, e: int, xi: Sequence, step_terms: Iterable) -> Trajectory:
+    """Euler iterates y <- y + sum_j w_j F_j(y), one step per adjacent pair.
+
+    Each item of step_terms yields that step's (key, w, F) terms in
+    summation order, which fixes the float rounding and the order of the
+    breakdown; a term with a non-zero contribution is named str(key) there.
+    """
+    if len(xi) != e:
+        raise ValueError(f"initial state has dimension {len(xi)}, fields have {e}")
+    y = tuple(xi)
+    values = [y]
+    breakdowns = []
+    for terms in step_terms:
+        delta = [0] * e
+        breakdown = {}
+        for key, w, F in terms:
+            contrib = tuple(w * vi for vi in F.eval(y))
+            if any(contrib):
+                breakdown[str(key)] = contrib
+            delta = [a + b for a, b in zip(delta, contrib)]
+        y = tuple(a + b for a, b in zip(y, delta))
+        values.append(y)
+        breakdowns.append(breakdown)
+    return Trajectory(grid, values, breakdowns, mode)
+
+
+def _tree_terms(g: HElem, trees: Sequence, f: ButcherTable):
+    for tau, h, sigma in trees:
+        c = g.coeff(h)
+        if c != 0:
+            yield tau, c / sigma, f.field(tau)
+
+
 def solve_branched(X: BranchedRoughPath, f: ButcherTable, xi: Sequence) -> Trajectory:
     """One Euler step per adjacent pair: the butcher_h extension of the
     increment, so each tree contributes (f_tau / sigma(tau)) <X, tau>."""
     if not isinstance(X, BranchedRoughPath):
         raise TypeError("solve_branched needs a branched driver")
-    if len(xi) != f.e:
-        raise ValueError(f"initial state has dimension {len(xi)}, fields have {f.e}")
-    trees = enumerate_trees(X.N, X.d)
-    y = tuple(xi)
-    values = [y]
-    steps = []
-    for g in X.increments:
-        delta = [0] * f.e
-        breakdown = {}
-        for tau in trees:
-            c = g.coeff(Forest((tau,)))
-            if c == 0:
-                continue
-            w = c / symmetry_factor(tau)
-            v = f.field(tau).eval(y)
-            contrib = tuple(w * vi for vi in v)
-            if any(contrib):
-                breakdown[repr(tau)] = contrib
-            delta = [a + b for a, b in zip(delta, contrib)]
-        y = tuple(a + b for a, b in zip(y, delta))
-        values.append(y)
-        steps.append(breakdown)
-    return Trajectory(X.grid, values, steps, X.mode)
+    trees = [(tau, Forest((tau,)), symmetry_factor(tau)) for tau in enumerate_trees(X.N, X.d)]
+    steps = (_tree_terms(g, trees, f) for g in X.increments)
+    return _euler(X.grid, X.mode, f.e, xi, steps)
 
 
 # -- geometric side --------------------------------------------------------
@@ -482,41 +496,30 @@ def geometric_F(letter_fields, w: Word) -> PolyVectorField:
     return table.field(w)
 
 
+def _word_terms(g: TensorElem, table: WordFieldTable):
+    for w in sorted(g.terms, key=Word.sort_key):
+        if not w.is_empty():
+            yield w, g.terms[w], table.field(w)
+
+
 def solve_geometric(Xbar: GeometricRoughPath, letter_fields, xi: Sequence) -> Trajectory:
     if not isinstance(Xbar, GeometricRoughPath):
         raise TypeError("solve_geometric needs a geometric driver")
     table = letter_fields if isinstance(letter_fields, WordFieldTable) else WordFieldTable(letter_fields)
-    if len(xi) != table.e:
-        raise ValueError(f"initial state has dimension {len(xi)}, fields have {table.e}")
-    y = tuple(xi)
-    values = [y]
-    steps = []
-    for g in Xbar.increments:
-        delta = [0] * table.e
-        breakdown = {}
-        for w in sorted(g.terms, key=Word.sort_key):
-            if w.is_empty():
-                continue
-            c = g.terms[w]
-            v = table.field(w).eval(y)
-            contrib = tuple(c * vi for vi in v)
-            if any(contrib):
-                breakdown[repr(w)] = contrib
-            delta = [a + b for a, b in zip(delta, contrib)]
-        y = tuple(a + b for a, b in zip(y, delta))
-        values.append(y)
-        steps.append(breakdown)
-    return Trajectory(Xbar.grid, values, steps, Xbar.mode)
+    steps = (_word_terms(g, table) for g in Xbar.increments)
+    return _euler(Xbar.grid, Xbar.mode, table.e, xi, steps)
+
+
+def tree_letter_fields(f: ButcherTable, letters: Iterable[Tree]) -> dict:
+    """Fields for tree letters: each letter gets its Butcher coefficient
+    field with the 1/sigma weight of butcher_h, which is what makes the
+    geometric trajectory reproduce the branched one."""
+    return {tau: f.field(tau).scale(Fraction(1, symmetry_factor(tau))) for tau in letters}
 
 
 def convert_rde(f: ButcherTable, result) -> dict:
-    """Letter fields for the encoded driver: each tree letter gets its
-    Butcher coefficient field with the 1/sigma weight of butcher_h, which
-    is what makes the geometric trajectory reproduce the branched one."""
-    return {
-        tau: f.field(tau).scale(Fraction(1, symmetry_factor(tau)))
-        for tau in result.geometric.letters
-    }
+    """Letter fields for the driver that encode produced."""
+    return tree_letter_fields(f, result.geometric.letters)
 
 
 def sym_correction_fields(f: ButcherTable, pairs: Iterable[tuple]) -> dict:
@@ -538,34 +541,16 @@ def solve_simplified(sd, f: ButcherTable, xi: Sequence) -> Trajectory:
     """Euler steps for the level-2 shortcut driver: plain-letter words of
     xhat plus the symmetric scalar components with their paired weights."""
     table = WordFieldTable({leaf(i): fi for i, fi in f.base.items()})
-    if len(xi) != f.e:
-        raise ValueError(f"initial state has dimension {len(xi)}, fields have {f.e}")
     weights = sym_correction_fields(f, sd.pairs)
-    y = tuple(xi)
-    values = [y]
-    steps = []
-    for g, sym in zip(sd.xhat.increments, sd.symmetric_increments):
-        delta = [0] * f.e
-        breakdown = {}
-        for w in sorted(g.terms, key=Word.sort_key):
-            if w.is_empty():
-                continue
-            c = g.terms[w]
-            contrib = tuple(c * vi for vi in table.field(w).eval(y))
-            if any(contrib):
-                breakdown[repr(w)] = contrib
-            delta = [a + b for a, b in zip(delta, contrib)]
-        for pair, c in sym.items():
-            if c == 0:
-                continue
-            contrib = tuple(c * vi for vi in weights[pair].eval(y))
-            if any(contrib):
-                breakdown[f"s_{pair[0]}{pair[1]}"] = contrib
-            delta = [a + b for a, b in zip(delta, contrib)]
-        y = tuple(a + b for a, b in zip(y, delta))
-        values.append(y)
-        steps.append(breakdown)
-    return Trajectory(sd.xhat.grid, values, steps, sd.xhat.mode)
+
+    def terms(g, sym):
+        yield from _word_terms(g, table)
+        for (k, l), c in sym.items():
+            if c != 0:
+                yield f"s_{k}{l}", c, weights[(k, l)]
+
+    steps = (terms(g, sym) for g, sym in zip(sd.xhat.increments, sd.symmetric_increments))
+    return _euler(sd.xhat.grid, sd.xhat.mode, f.e, xi, steps)
 
 
 # -- grafting identity verifier --------------------------------------------

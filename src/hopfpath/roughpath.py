@@ -23,13 +23,14 @@ rough path whose adjacent increments are not characters, in O(M).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .expr import ParseError, parse_h, parse_tensor, print_h, print_tensor
+from .expr import ParseError, parse_h, parse_rational, parse_tensor, print_h, print_tensor
 from .hopf import HElem, convolve, is_group_like, pair
 from .morphisms import iota_elem, phi_g
 from .tensor import (
@@ -174,7 +175,7 @@ class SampledPath:
         if not rows or not rows[0] or rows[0][0] != "t":
             raise ValueError("CSV must start with a 't' header column")
         basis = tuple(_parse_basis_name(name) for name in rows[0][1:])
-        conv = Fraction if mode == RATIONAL else float
+        conv = parse_rational if mode == RATIONAL else float
         times = []
         values = []
         for r, row in enumerate(rows[1:], start=2):
@@ -184,7 +185,7 @@ class SampledPath:
             for c, cell in enumerate(row, start=1):
                 try:
                     v = conv(cell)
-                except (ValueError, ZeroDivisionError):
+                except ValueError:
                     raise ValueError(f"row {r}, column {c}: {cell!r} is not a number") from None
                 if mode == FLOAT and not math.isfinite(v):
                     raise ValueError(f"row {r}, column {c}: non-finite value {cell!r}")
@@ -226,13 +227,15 @@ class _RoughPathBase:
             raise IndexError(f"need 0 <= {s_index} <= {t_index} <= {M}")
         if s_index == t_index:
             return self._unit()
-        if t_index == s_index + 1:
-            return self.increments[s_index]
-        key = (s_index, t_index)
-        got = self._cache.get(key)
-        if got is None:
-            got = self._compose(self.increment(s_index, t_index - 1), self.increments[t_index - 1])
-            self._cache[key] = got
+        # left fold from the widest pair (s, u) at hand, caching each (s, v)
+        cache = self._cache
+        u = t_index
+        while u > s_index + 1 and (s_index, u) not in cache:
+            u -= 1
+        got = self.increments[s_index] if u == s_index + 1 else cache[(s_index, u)]
+        for v in range(u + 1, t_index + 1):
+            got = self._compose(got, self.increments[v - 1])
+            cache[(s_index, v)] = got
         return got
 
 
@@ -420,71 +423,27 @@ def coarsen(X, stride: int):
 # -- validation ------------------------------------------------------------
 
 
-def _character_ok_branched(g: HElem, N: int, mode: str):
-    if mode == RATIONAL:
-        return is_group_like(g, N)
-    if abs(g.coeff(EMPTY_FOREST) - 1) > 1e-9:
-        return False
-    for h1 in enumerate_forests(N - 1, g.d):
-        if h1.is_unit():
-            continue
-        for h2 in enumerate_forests(N - h1.grade, g.d):
-            if h2.is_unit() or h2.sort_key() < h1.sort_key():
-                continue
-            if not _close(g.coeff(h1 * h2), g.coeff(h1) * g.coeff(h2), mode):
-                return False
-    return True
-
-
-def _character_ok_geometric(g: TensorElem, N: int, mode: str):
-    if mode == RATIONAL:
-        return is_tensor_group_like(g, N)
-    # float tolerance variant of the shuffle-character test
-    from .tensor import _shuffle_words
-
-    if abs(g.coeff(EMPTY_WORD) - 1) > 1e-9:
-        return False
-    words = [w for w in enumerate_words(N, g.d, g.n) if not w.is_empty()]
-    for i, w1 in enumerate(words):
-        for w2 in words[i:]:
-            if w1.grade + w2.grade > N:
-                continue
-            lhs = 0.0
-            for letters, cnt in _shuffle_words(w1.letters, w2.letters):
-                c = g.terms.get(Word(letters))
-                if c:
-                    lhs += cnt * c
-            if not _close(lhs, g.coeff(w1) * g.coeff(w2), mode):
-                return False
-    return True
-
-
 def first_non_character(X) -> int | None:
     """Index of the first adjacent increment that is not a character (group
-    -like, up to float tolerance in float mode), or None; O(M) in the grid."""
-    ok = _character_ok_branched if isinstance(X, BranchedRoughPath) else _character_ok_geometric
+    -like, up to float tolerance in float mode), or None; O(M) in the grid.
+
+    In float mode the unit coefficient must lie within 1e-9 of 1, absolute;
+    the products are compared with the relative tolerance of _close."""
+    branched = isinstance(X, BranchedRoughPath)
+    is_character = is_group_like if branched else is_tensor_group_like
+    unit = EMPTY_FOREST if branched else EMPTY_WORD
+    eq = operator.eq if X.mode == RATIONAL else functools.partial(_close, mode=FLOAT)
     for k, g in enumerate(X.increments):
-        if not ok(g, X.N, X.mode):
+        if X.mode == FLOAT and abs(g.coeff(unit) - 1) > 1e-9:
+            return k
+        if not is_character(g, X.N, eq):
             return k
     return None
 
 
-def _map_rows(fn: Callable, rows: Iterable, workers: int) -> list:
-    """Apply fn to each row index, optionally on a thread pool.
-
-    Rows must be independent; results come back in input order, so reports
-    stay deterministic either way."""
-    items = list(rows)
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(i) for i in items]
-
-
-def validate(X, workers: int = 1) -> dict:
+def validate(X) -> dict:
     """Character, Chen, and Hölder-diagnostic report; failures are reported,
-    never raised.  workers > 1 spreads the grid-pair loops over a thread
-    pool; the path is shared read-only."""
+    never raised."""
     branched = isinstance(X, BranchedRoughPath)
     report = {
         "kind": "branched" if branched else "geometric",
@@ -498,9 +457,8 @@ def validate(X, workers: int = 1) -> dict:
         report["character"]["witness"] = f"adjacent increment {k}"
 
     M = X.grid.steps
-    eq = (lambda a, b: a.terms == b.terms) if X.mode == RATIONAL else (
-        lambda a, b: _elems_close(a, b)
-    )
+    eq = (lambda a, b: a.terms == b.terms) if X.mode == RATIONAL else _elems_close
+
     def chen_row(s):
         n = 0
         for u in range(s + 1, M + 1):
@@ -512,7 +470,7 @@ def validate(X, workers: int = 1) -> dict:
                     return n, (s, u, t)
         return n, None
 
-    for n, witness in _map_rows(chen_row, range(M + 1), workers):
+    for n, witness in map(chen_row, range(M + 1)):
         report["chen"]["checked_triples"] += n
         if witness is not None:
             report["chen"]["status"] = "fail"
@@ -523,35 +481,25 @@ def validate(X, workers: int = 1) -> dict:
         names = [
             (Forest((t,)), repr(t), t.grade) for t in enumerate_trees(X.N, X.d)
         ]
-        get = lambda inc, key: inc.coeff(key)
     else:
         names = [
             (w, print_tensor(TensorElem.from_word(w, X.d, X.letter_bound)), w.grade)
             for w in enumerate_words(X.N, X.d, X.letter_bound)
             if not w.is_empty()
         ]
-        get = lambda inc, key: inc.coeff(key)
     gamma = float(X.gamma)
-
-    def holder_row(s):
-        row: dict = {}
+    per = {}
+    for s in range(M + 1):
         for t in range(s + 1, M + 1):
             inc = X.increment(s, t)
             dt = float(X.grid.times[t] - X.grid.times[s])
             for key, name, grade in names:
-                v = abs(float(get(inc, key)))
+                v = abs(float(inc.coeff(key)))
                 if v == 0.0:
                     continue
                 ratio = v / dt ** (gamma * grade)
-                if ratio > row.get(name, 0.0):
-                    row[name] = ratio
-        return row
-
-    per = {}
-    for row in _map_rows(holder_row, range(M + 1), workers):
-        for name, ratio in row.items():
-            if ratio > per.get(name, 0.0):
-                per[name] = ratio
+                if ratio > per.get(name, 0.0):
+                    per[name] = ratio
     report["holder"]["per_basis"] = per
     report["holder"]["max"] = max(per.values(), default=0.0)
     return report
@@ -602,7 +550,7 @@ def _scalar_to_json(v, mode):
 
 
 def _scalar_from_json(v, mode):
-    return Fraction(v) if mode == RATIONAL else float(v)
+    return parse_rational(v) if mode == RATIONAL else float(v)
 
 
 def roughpath_obj(X) -> dict:
@@ -639,7 +587,7 @@ def roughpath_from_obj(obj: dict):
     grid = Grid(_scalar_from_json(t, mode) for t in obj["times"])
     d = obj["d"]
     N = obj["level"]
-    gamma = Fraction(obj["gamma"])
+    gamma = parse_rational(obj["gamma"])
     if obj["kind"] == "branched":
         incs = []
         for row in obj["increments"]:

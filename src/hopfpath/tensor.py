@@ -12,6 +12,7 @@ indivisible, so deconcatenation splits between letters only.
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 from typing import Iterable
 
@@ -369,9 +370,10 @@ def enumerate_words(N: int, d: int, n: int = 1) -> tuple[Word, ...]:
     return tuple(sorted(out, key=Word.sort_key))
 
 
-def is_tensor_group_like(g: TensorElem, N: int) -> bool:
-    """Shuffle-character test against all basis-word pairs of total grade <= N."""
-    if g.coeff(EMPTY_WORD) != 1:
+def is_tensor_group_like(g: TensorElem, N: int, eq=operator.eq) -> bool:
+    """Shuffle-character test against all basis-word pairs of total grade <= N,
+    each equality judged by eq."""
+    if not eq(g.coeff(EMPTY_WORD), 1):
         return False
     words = [w for w in enumerate_words(N, g.d, g.n) if not w.is_empty()]
     for i, w1 in enumerate(words):
@@ -383,6 +385,6 @@ def is_tensor_group_like(g: TensorElem, N: int) -> bool:
                 c = g.terms.get(Word(letters))
                 if c:
                     lhs += cnt * c
-            if lhs != g.coeff(w1) * g.coeff(w2):
+            if not eq(lhs, g.coeff(w1) * g.coeff(w2)):
                 return False
     return True

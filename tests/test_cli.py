@@ -280,6 +280,41 @@ def test_convert_rejects_non_character_increment(capsys, tmp_path):
     assert "adjacent increment 2 is not a character" in err
 
 
+@pytest.mark.parametrize(
+    "argv, where, code",
+    [
+        (["solve", "--synth", "rw", "--steps", "2", "--fields", "1: y1", "--xi", "1/0"], None, 3),
+        (["lift", "--synth", "rw", "--steps", "2", "--gamma", "1/0"], None, 3),
+        (["lift", "--synth", "rw", "--steps", "2", "--step", "1/0"], None, 3),
+        (["--float", "lift", "--synth", "rw", "--steps", "2", "--step", "1/0"], None, 3),
+        (["solve", "--synth", "rw", "--steps", "2", "--fields", "1: 1/0*y1", "--xi", "1"], None, 3),
+        (["convert"], "time", 2),
+        (["convert"], "infinite time", 2),
+        (["convert"], "gamma", 2),
+        (["convert"], "coefficient", 2),
+    ],
+)
+def test_zero_denominator_is_refused_in_one_line(capsys, tmp_path, argv, where, code):
+    named = "'1/0'"
+    if where is not None:
+        obj = json.loads(_ito_json(capsys))
+        if where == "time":
+            obj["times"][1] = "1/0"
+        elif where == "infinite time":
+            obj["times"][1] = float("inf")  # written as the JSON token Infinity
+            named = "inf is not a number"
+        elif where == "gamma":
+            obj["gamma"] = "1/0"
+        else:
+            obj["increments"][1]["b_1"] = "1/0"
+        src = tmp_path / "driver.json"
+        src.write_text(json.dumps(obj))
+        argv = argv + [str(src)]
+    rc, out, err = run(capsys, *argv)
+    assert rc == code
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and named in err
 # -- solve -----------------------------------------------------------------
 
 

@@ -1,9 +1,11 @@
 """Exact solvers on both sides of the encoding, the grafting identity, and
 controlled-path calculus."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction as Q
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +41,7 @@ from hopfpath.rde import (
 )
 from hopfpath.roughpath import (
     FLOAT,
+    RATIONAL,
     SampledPath,
     canonical_lift,
     embed_geometric,
@@ -134,6 +137,8 @@ def test_parse_poly_rejects_garbage():
         parse_poly("y1 + + y1", 1)
     with pytest.raises(ValueError):
         parse_poly("z1", 1)
+    with pytest.raises(ValueError):
+        parse_poly("1/0*y1", 1)
 
 
 def test_poly_arithmetic_and_diff():
@@ -765,6 +770,84 @@ def test_trajectory_starts_at_xi(ito_d1_n3):
     f = ButcherTable.parse({1: ["y1^2"]})
     traj = solve_branched(ito_d1_n3, f, (Q(2, 7),))
     assert traj.values[0] == (Q(2, 7),)
+
+
+GOLDEN_FIELDS = {
+    1: {1: ["1 + y1 - 1/2*y1^2"]},
+    2: {1: ["1 + y1*y2", "y1 - 1/2*y2^2"], 2: ["y2^2 - y1", "1/3*y1^2 + 1"]},
+}
+GOLDEN_XI = {1: ("1/2",), 2: ("1", "-1/3")}
+
+# first 16 hex digits of sha256(to_json() + to_csv()) per trajectory
+GOLDEN = {
+    (1, 3, 6, RATIONAL): {
+        "branched": "e5fbf5e35a7fca2e",
+        "geometric_encoded": "cd86701e086e0af9",
+        "geometric_canonical": "ce1db0af00e95edb",
+    },
+    (1, 3, 6, FLOAT): {
+        "branched": "56963a2dc8a68f45",
+        "geometric_encoded": "1966a0c4169f4f0b",
+        "geometric_canonical": "4303df1bc4a6ef6c",
+    },
+    (2, 2, 4, RATIONAL): {
+        "branched": "124edf531f84008e",
+        "geometric_encoded": "6ec1fdd3f7abc12f",
+        "geometric_canonical": "5df5fdcef60b668d",
+        "simplified_encoded": "fc7eb2f4e225a5dd",
+        "simplified_canonical": "5df5fdcef60b668d",
+    },
+    (2, 2, 4, FLOAT): {
+        "branched": "afcdb541f8c0d2d3",
+        "geometric_encoded": "3a4b0f4e1dd5e2eb",
+        "geometric_canonical": "b7d59b22216322eb",
+        "simplified_encoded": "e85274da3df65c1d",
+        "simplified_canonical": "b7d59b22216322eb",
+    },
+    (2, 3, 4, RATIONAL): {
+        "branched": "d2e67145edbce31c",
+        "geometric_encoded": "01ba6bd539eb0cdd",
+        "geometric_canonical": "3256d69d3dcd27d9",
+    },
+    (2, 3, 4, FLOAT): {
+        "branched": "c02c7a5b93258517",
+        "geometric_encoded": "77dc37ff18483baf",
+        "geometric_canonical": "f348ab68e6c69b3b",
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN), ids=lambda c: "d{}-N{}-M{}-{}".format(*c))
+def test_solver_outputs_are_pinned(case):
+    """Every solver's values, step breakdown names and float bits, on small
+    quadratic-field walks, against digests of outputs recorded earlier."""
+    d, N, M, mode = case
+    conv = Q if mode == RATIONAL else (lambda s: float(Q(s)))
+    rng = Random(100 * d + 10 * N + M)
+    rows = [[conv(0)] * d]
+    for _ in range(M):
+        rows.append([x + conv("1/2") * rng.choice((1, -1)) for x in rows[-1]])
+    times = [conv(Q(k, M)) for k in range(M + 1)]
+    path = SampledPath.over_labels(times, rows, d, mode)
+    f = ButcherTable.parse(GOLDEN_FIELDS[d])
+    xi = tuple(conv(s) for s in GOLDEN_XI[d])
+    X = ito_lift(path, N)
+    enc = encode(X, certify_result=False)
+    Xc = canonical_lift(path, N)
+    trajs = {
+        "branched": solve_branched(X, f, xi),
+        "geometric_encoded": solve_geometric(enc.geometric, convert_rde(f, enc), xi),
+        "geometric_canonical": solve_geometric(Xc, {t: f.field(t) for t in Xc.letters}, xi),
+    }
+    if N == 2:
+        trajs["simplified_encoded"] = solve_simplified(simplify_n2(enc), f, xi)
+        canon = encode(embed_geometric(Xc), certify_result=False)
+        trajs["simplified_canonical"] = solve_simplified(simplify_n2(canon), f, xi)
+    got = {
+        name: hashlib.sha256((t.to_json() + t.to_csv()).encode()).hexdigest()[:16]
+        for name, t in trajs.items()
+    }
+    assert got == GOLDEN[case]
 
 
 # -- order check -----------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hopfpath.conversion import encode
 from hopfpath.hopf import HElem, convolve, is_group_like
 from hopfpath.roughpath import (
+    FLOAT,
     BranchedRoughPath,
     GeometricRoughPath,
     Grid,
@@ -17,6 +18,7 @@ from hopfpath.roughpath import (
     canonical_lift,
     coarsen,
     embed_geometric,
+    first_non_character,
     gamma_to_level,
     geometricity_report,
     ibp_defect,
@@ -25,8 +27,8 @@ from hopfpath.roughpath import (
     roughpath_to_json,
     validate,
 )
-from hopfpath.tensor import TensorElem, Word, is_tensor_group_like, tensor_exp
-from hopfpath.trees import Forest, Tree, chain, enumerate_forests, enumerate_trees, leaf, tree_factorial
+from hopfpath.tensor import EMPTY_WORD, TensorElem, Word, is_tensor_group_like, tensor_exp
+from hopfpath.trees import EMPTY_FOREST, Forest, Tree, chain, enumerate_forests, enumerate_trees, leaf, tree_factorial
 
 from oracles import leftpoint_oracle, tree_factorial_oracle
 
@@ -397,6 +399,41 @@ def test_character_corruption_is_detected():
     report = validate(X)
     assert report["character"]["status"] == "fail"
     assert report["character"]["witness"] == "adjacent increment 1"
+
+
+@pytest.mark.parametrize("lift", [ito_lift, canonical_lift])
+@pytest.mark.parametrize("unit, refused", [(1 + 1.5e-9, True), (1 + 5e-10, False)])
+def test_float_character_unit_tolerance_is_absolute(lift, unit, refused):
+    """A float increment's unit coefficient must lie within 1e-9 of 1; the
+    relative tolerance of the product checks would allow about 2e-9."""
+    times = [k / 4 for k in range(5)]
+    rows = [[0.0, 0.0], [0.5, -0.25], [0.25, 0.5], [1.0, 0.75], [0.5, 1.0]]
+    X = lift(SampledPath.over_labels(times, rows, 2, FLOAT), 3)
+    assert first_non_character(X) is None
+    g = X.increments[2]
+    if isinstance(X, BranchedRoughPath):
+        X.increments[2] = HElem({**g.terms, EMPTY_FOREST: unit}, g.d)
+    else:
+        X.increments[2] = TensorElem({**g.terms, EMPTY_WORD: unit}, g.d, g.n)
+    assert first_non_character(X) == (2 if refused else None)
+
+
+def test_wide_increment_on_fresh_long_path_is_left_fold():
+    M = 1500
+    rng = Random(5)
+    vals = [0.0]
+    for _ in range(M):
+        vals.append(vals[-1] + rng.choice((1.0, -1.0)) / 32)
+    path = SampledPath.over_labels([k / M for k in range(M + 1)], [[v] for v in vals], 1, FLOAT)
+    X = ito_lift(path, 2)
+    want = X.increments[0]
+    for g in X.increments[1:]:
+        want = convolve(want, g, 2)
+    assert X.increment(0, M).terms == want.terms
+    assert set(X._cache) == {(0, t) for t in range(2, M + 1)}
+    # a narrower pair is served from the cache, a wider start extends it
+    assert X.increment(0, 700) is X._cache[(0, 700)]
+    assert X.increment(5, 9) == convolve(X.increment(5, 8), X.increments[8], 2)
 
 
 def test_coarsen_composes_strides():
