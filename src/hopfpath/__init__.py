@@ -9,6 +9,8 @@ vs interpolated correction terms.  The `hopfpath` console script exposes all
 of it; see the module docstrings for the individual layers.
 """
 
+import sys
+
 from .conversion import (
     ConversionError,
     ConversionResult,
@@ -119,3 +121,20 @@ from .trees import (
 )
 
 __version__ = "0.1.0"
+
+
+def cache_sizes() -> dict:
+    """Entries held by every memoised (lru_cache) table of the package,
+    keyed 'module.function': the tree enumerations, the coproduct, antipode,
+    shuffle and morphism tables, and the forest and word contexts.  The
+    tables never evict, so the sizes show what a process has built.  Nothing
+    is printed."""
+    out = {}
+    for name, mod in sorted(sys.modules.items()):
+        if not name.startswith(__name__ + "."):
+            continue
+        for attr, fn in vars(mod).items():
+            info = getattr(fn, "cache_info", None)
+            if info is not None and getattr(fn, "__module__", None) == name:
+                out[f"{name.rsplit('.', 1)[1]}.{attr}"] = info().currsize
+    return dict(sorted(out.items()))

@@ -15,7 +15,9 @@ keeps everything rational and deterministic.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,24 +33,13 @@ from .roughpath import (
     canonical_lift,
     roughpath_obj,
 )
-from .tensor import TensorElem, Word, is_tensor_group_like
+from .scalars import numerators
+from .tensor import TensorElem, Word, is_tensor_group_like, pair_functional, word_context
 from .trees import Forest, Tree, enumerate_forests, leaf, trees_of_grade
 
 
 class ConversionError(RuntimeError):
     """Internal consistency violated; indicates a broken input precondition."""
-
-
-def _pair_words(a_terms: dict, b_terms: dict):
-    """Context-free pairing of two word-coefficient maps."""
-    if len(a_terms) > len(b_terms):
-        a_terms, b_terms = b_terms, a_terms
-    total = 0
-    for w, c in a_terms.items():
-        v = b_terms.get(w)
-        if v is not None:
-            total += c * v
-    return total
 
 
 def _cumulative(increments, zero):
@@ -81,26 +72,42 @@ def extract_extended_path(X: BranchedRoughPath, partial: GeometricRoughPath, che
     """
     n = max(t.grade for t in partial.letters)
     M = X.grid.steps
-    out = {}
-    for tau in trees_of_grade(n + 1, X.d):
+    ctx = word_context(n + 1, partial.d, partial.letter_bound)
+    # exact values are compared as integer numerators over one common
+    # denominator, float ones with the float tolerance
+    same = operator.eq if X.mode == RATIONAL else functools.partial(_close, mode=X.mode)
+    # the output only uses adjacent pairs; wider ones exist to feed the
+    # additivity check
+    if check_cocycle:
+        pairs = [(s, t) for s in range(M + 1) for t in range(s + 1, M + 1)]
+    else:
+        pairs = [(k, k + 1) for k in range(M)]
+    taus = trees_of_grade(n + 1, X.d)
+    lowers = []
+    for tau in taus:
         img = psi(HElem.from_tree(tau, X.d), n + 1)
-        lower = {w: c for w, c in img.terms.items() if w != Word((tau,))}
-        # the output only uses adjacent pairs; wider ones exist to feed the
-        # additivity check
+        lower = ctx.functional({w: c for w, c in img.terms.items() if w != Word((tau,))})
+        lowers.append((Forest((tau,)), lower))
+    values = [{} for _ in taus]
+    for s, t in pairs:
+        vec = None  # the partial increment over (s, t), shared by every tau
+        for (tree, lower), f in zip(lowers, values):
+            inc = partial.increment(s, t)  # a cache hit after the first tau
+            if vec is None:
+                vec = ctx.vector(inc.terms)
+            rhs = pair_functional(lower, vec)
+            if vec.den is not None:
+                rhs = Fraction(rhs, vec.den)
+            f[(s, t)] = X.increment(s, t).coeff(tree) - rhs
+    out = {}
+    for tau, f in zip(taus, values):
         if check_cocycle:
-            pairs = [(s, t) for s in range(M + 1) for t in range(s + 1, M + 1)]
-        else:
-            pairs = [(k, k + 1) for k in range(M)]
-        f = {}
-        for s, t in pairs:
-            f[(s, t)] = X.increment(s, t).coeff(Forest((tau,))) - _pair_words(
-                lower, partial.increment(s, t).terms
-            )
-        if check_cocycle:
+            (vals,), _ = numerators(list(f.values()))
+            g = dict(zip(f, vals))
             for s in range(M + 1):
                 for u in range(s + 1, M + 1):
                     for t in range(u + 1, M + 1):
-                        if not _close(f[(s, t)], f[(s, u)] + f[(u, t)], X.mode):
+                        if not same(g[(s, t)], g[(s, u)] + g[(u, t)]):
                             raise ConversionError(
                                 f"extracted component for {tau!r} is not additive "
                                 f"on triple ({s}, {u}, {t}); the partial lift does "
@@ -138,10 +145,15 @@ class ConversionResult:
 
 def certify(X: BranchedRoughPath, Xbar: GeometricRoughPath) -> dict:
     """Check <X_st, h> = <Xbar_st, psi(h)> for all forests of grade <= N and
-    all grid pairs; first failure is recorded with a full witness."""
+    all grid pairs; first failure is recorded with a full witness.
+
+    Exact values are compared by cross-multiplying integer numerators, float
+    ones with the float tolerance."""
     N, d, M = X.N, X.d, X.grid.steps
     basis = enumerate_forests(N, d)
-    images = {h: psi(HElem.from_forest(h, d), N).terms for h in basis}
+    ctx = word_context(N, Xbar.d, Xbar.letter_bound)
+    images = [ctx.functional(psi(HElem.from_forest(h, d), N).terms) for h in basis]
+    exact = X.mode == RATIONAL
     cert = {
         "status": "pass",
         "checked_forests": len(basis),
@@ -154,18 +166,27 @@ def certify(X: BranchedRoughPath, Xbar: GeometricRoughPath) -> dict:
         for t in range(s + 1, M + 1):
             n += 1
             lhs_inc = X.increment(s, t)
-            rhs_inc = Xbar.increment(s, t)
-            for h in basis:
+            vec = ctx.vector(Xbar.increment(s, t).terms)
+            den = vec.den
+            for h, img in zip(basis, images):
                 lhs = lhs_inc.coeff(h)
-                rhs = _pair_words(images[h], rhs_inc.terms)
-                if not _close(lhs, rhs, X.mode):
-                    return n, {
-                        "forest": repr(h),
-                        "s": str(X.grid.times[s]),
-                        "t": str(X.grid.times[t]),
-                        "branched_value": str(lhs),
-                        "geometric_value": str(rhs),
-                    }
+                rhs = pair_functional(img, vec)
+                if exact and den is not None:
+                    if lhs.numerator * den == rhs * lhs.denominator:
+                        continue
+                    rhs = Fraction(rhs, den)
+                else:
+                    if den is not None:
+                        rhs = Fraction(rhs, den)
+                    if _close(lhs, rhs, X.mode):
+                        continue
+                return n, {
+                    "forest": repr(h),
+                    "s": str(X.grid.times[s]),
+                    "t": str(X.grid.times[t]),
+                    "branched_value": str(lhs),
+                    "geometric_value": str(rhs),
+                }
         return n, None
 
     for n, witness in map(row, range(M + 1)):

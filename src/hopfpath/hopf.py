@@ -4,11 +4,16 @@ An HElem is a finite linear combination of forests.  The same container plays
 both roles: elements of the algebra H (product = forest concatenation,
 coproduct = cut sum) and, through the Kronecker pairing on the forest basis,
 truncated functionals in the graded dual H* (convolution product, exp/log,
-characters).  Coefficients are `fractions.Fraction` throughout; float
-coefficients are tolerated for large simulation grids but every algebraic
-guarantee is stated for exact mode.
+characters).  Coefficients are `fractions.Fraction` in exact mode, which is
+where every algebraic guarantee is stated; float coefficients are tolerated
+for large simulation grids.
 
 Truncation level N is always an explicit argument of dual-side operations.
+`convolve` runs on a forest context, built once per (N, d) by
+`forest_context`: the basis with integer positions and each basis forest's
+cut coproduct as position triples.  Its loop runs on integer numerators over
+one common denominator when the operands are exact (see `scalars`), and on
+the coefficients unchanged, in the same term order, when they are floats.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable
 
+from .scalars import numerators
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -346,6 +352,40 @@ def pair(f: HElem, h: HElem):
     return total
 
 
+class ForestContext:
+    """Forests of grade <= N over labels 1..d with integer positions: the
+    basis in enumerate_forests order, each forest's position in it, and per
+    basis forest its cut coproduct as (left, right, count) positions, in
+    _forest_coproduct order."""
+
+    __slots__ = ("basis", "index", "cuts")
+
+    def __init__(self, N: int, d: int):
+        self.basis = enumerate_forests(N, d)
+        self.index = index = {f: i for i, f in enumerate(self.basis)}
+        self.cuts = tuple(
+            tuple((index[a], index[b], cnt) for a, b, cnt in _forest_coproduct(h))
+            for h in self.basis
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def forest_context(N: int, d: int) -> ForestContext:
+    return ForestContext(N, d)
+
+
+def _dense(x: HElem, ctx: ForestContext) -> list:
+    """Coefficients by basis position, 0 where absent; forests outside the
+    context are dropped."""
+    out = [0] * len(ctx.basis)
+    index = ctx.index
+    for f, c in x.terms.items():
+        i = index.get(f)
+        if i is not None:
+            out[i] = c
+    return out
+
+
 def convolve(f: HElem, g: HElem, N: int) -> HElem:
     """The convolution (Grossman-Larson) product on functionals, grade <= N.
 
@@ -354,19 +394,22 @@ def convolve(f: HElem, g: HElem, N: int) -> HElem:
     if N < 0:
         raise ValueError(f"truncation level must be >= 0, got {N}")
     f._check(g)
+    ctx = forest_context(N, f.d)
+    (fv, gv), den = numerators(_dense(f, ctx), _dense(g, ctx))
+    zero = _ZERO if den is None else 0
     out: dict = {}
-    for h in enumerate_forests(N, f.d):
-        total = _ZERO
-        for a, b, cnt in _forest_coproduct(h):
-            ca = f.terms.get(a)
+    for h, cuts in zip(ctx.basis, ctx.cuts):
+        total = zero
+        for a, b, cnt in cuts:
+            ca = fv[a]
             if not ca:
                 continue
-            cb = g.terms.get(b)
+            cb = gv[b]
             if not cb:
                 continue
             total += cnt * ca * cb
         if total != 0:
-            out[h] = total
+            out[h] = total if den is None else Fraction(total, den)
     return HElem(out, f.d)
 
 

@@ -41,6 +41,7 @@ from .tensor import (
     enumerate_words,
     is_tensor_group_like,
     pair_tensor,
+    word_context,
 )
 from .trees import EMPTY_FOREST, Forest, Tree, enumerate_forests, enumerate_trees, leaf
 
@@ -49,9 +50,15 @@ FLOAT = "float"
 
 
 def _close(a, b, mode) -> bool:
-    if mode == RATIONAL:
+    """Equality in rational mode; in float mode a relative tolerance of 1e-9
+    between finite values, while a non-finite value is close only to an
+    equal one (so never to a finite value, and NaN to nothing)."""
+    if mode == RATIONAL or a == b:
         return a == b
-    return abs(a - b) <= 1e-9 * (1.0 + max(abs(a), abs(b)))
+    tol = 1e-9 * (1.0 + max(abs(a), abs(b)))
+    # tol is infinite only beside an infinite value, and an infinite value
+    # is close only to an equal one, which a == b has already accepted
+    return abs(a - b) <= tol < math.inf
 
 
 class Grid:
@@ -321,13 +328,16 @@ def canonical_lift(path: SampledPath, N: int, gamma=None) -> GeometricRoughPath:
     for m in range(1, N + 1):
         inv_fact /= m
         scales.append(float(inv_fact) if path.mode == FLOAT else inv_fact)
-    words: dict = {}  # letter-index tuple -> Word, shared by every increment
+    # letter-index tuple -> Word, shared by every increment; the words are
+    # the word context's own, so the kernels find them by identity
+    ctx = word_context(N, d, n)
+    words: dict = {}
     one = Fraction(1)
     increments = []
     for k in range(path.grid.steps):
         lo, hi = path.values[k], path.values[k + 1]
         live = [(j, v, g) for j, i, g in columns if (v := hi[i] - lo[i]) != 0]
-        terms = {EMPTY_WORD: one}
+        terms = {ctx.basis[0]: one}  # the empty word
         # words of m letters: (letter indices, total grade, product of deltas)
         level = [((), 0, None)]
         for scale in scales:
@@ -343,7 +353,8 @@ def canonical_lift(path: SampledPath, N: int, gamma=None) -> GeometricRoughPath:
                     deeper.append((key_j, grade + g, p))
                     w = words.get(key_j)
                     if w is None:
-                        w = words[key_j] = Word(letters[i] for i in key_j)
+                        w = Word(letters[i] for i in key_j)
+                        w = words[key_j] = ctx.basis[ctx.index[w]]
                     terms[w] = scale * p
             level = deeper
         increments.append(TensorElem(terms, d, n))
@@ -549,8 +560,15 @@ def _scalar_to_json(v, mode):
     return str(v) if mode == RATIONAL else float(v)
 
 
-def _scalar_from_json(v, mode):
-    return parse_rational(v) if mode == RATIONAL else float(v)
+def _scalar_from_json(v, mode, where):
+    """A JSON time or coefficient; in float mode non-finite values are
+    refused, naming where the value sits."""
+    if mode == RATIONAL:
+        return parse_rational(v)
+    x = float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"{where}: non-finite value {v!r}")
+    return x
 
 
 def roughpath_obj(X) -> dict:
@@ -584,33 +602,33 @@ def roughpath_to_json(X) -> str:
 
 def roughpath_from_obj(obj: dict):
     mode = obj["mode"]
-    grid = Grid(_scalar_from_json(t, mode) for t in obj["times"])
+    grid = Grid(_scalar_from_json(t, mode, f"time {i}") for i, t in enumerate(obj["times"]))
     d = obj["d"]
     N = obj["level"]
     gamma = parse_rational(obj["gamma"])
     if obj["kind"] == "branched":
         incs = []
-        for row in obj["increments"]:
+        for k, row in enumerate(obj["increments"]):
             terms = {}
             for name, v in row.items():
                 x = parse_h(name, d)
                 (f, c), = x.terms.items()
                 if c != 1:
                     raise ValueError(f"increment key {name!r} is not a basis forest")
-                terms[f] = _scalar_from_json(v, mode)
+                terms[f] = _scalar_from_json(v, mode, f"increment {k}, {name}")
             incs.append(HElem(terms, d))
         return BranchedRoughPath(N, gamma, grid, incs, d, mode)
     letters = tuple(_parse_basis_name(name) for name in obj["letters"])
     n = max(t.grade for t in letters)
     incs = []
-    for row in obj["increments"]:
+    for k, row in enumerate(obj["increments"]):
         terms = {}
         for name, v in row.items():
             x = parse_tensor(name, d, n)
             (w, c), = x.terms.items()
             if c != 1:
                 raise ValueError(f"increment key {name!r} is not a basis word")
-            terms[w] = _scalar_from_json(v, mode)
+            terms[w] = _scalar_from_json(v, mode, f"increment {k}, {name}")
         incs.append(TensorElem(terms, d, n))
     return GeometricRoughPath(N, gamma, grid, incs, d, mode, letters)
 

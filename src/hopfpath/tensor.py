@@ -7,6 +7,14 @@ length, and truncation always cuts by that total grade.
 
 Shuffle and deconcatenation are Hopf-dual to concatenation; letters are
 indivisible, so deconcatenation splits between letters only.
+
+`concat` and the pairing of fixed integer functionals (the psi images the
+conversion certifies against) run on a word context, built once per
+(N, d, n) by `word_context`: the basis with integer positions and a concat
+table from position pairs to the position of the product, filled one row
+at a time on first use.  Their loops run on integer numerators over one
+common denominator when the coefficients are exact (see `scalars`), and on
+the coefficients unchanged, in the same term order, when they are floats.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable
 
+from .scalars import numerators
 from .trees import Tree, enumerate_trees
 
 _ZERO = Fraction(0)
@@ -282,17 +291,139 @@ def shuffle(x: TensorElem, y: TensorElem) -> TensorElem:
     return TensorElem(out, x.d, x.n)
 
 
+class WordContext:
+    """Words of total grade <= N over tree letters of grade <= n and labels
+    1..d, with integer positions."""
+
+    __slots__ = ("N", "basis", "index", "grades", "ends", "rows")
+
+    def __init__(self, N: int, d: int, n: int):
+        self.N = N
+        self.basis = enumerate_words(N, d, n)
+        self.index = {w: i for i, w in enumerate(self.basis)}
+        self.grades = [w.grade for w in self.basis]
+        # the basis is sorted by grade first, so the words of grade <= g
+        # are the first ends[g]
+        self.ends = [sum(1 for g in self.grades if g <= b) for b in range(N + 1)]
+        self.rows: list = [None] * len(self.basis)
+
+    def row(self, i: int) -> list:
+        """Positions of basis[i] * basis[j] for every j whose grade fits,
+        built on first use."""
+        row = self.rows[i]
+        if row is None:
+            w = self.basis[i]
+            index = self.index
+            fits = self.basis[: self.ends[self.N - w.grade]]
+            row = self.rows[i] = [index[w * v] for v in fits]
+        return row
+
+    def sparse(self, terms: dict) -> tuple:
+        """(positions, coefficients) in insertion order; words outside the
+        context are dropped."""
+        index = self.index
+        pos, vals = [], []
+        for w, c in terms.items():
+            i = index.get(w)
+            if i is not None:
+                pos.append(i)
+                vals.append(c)
+        return pos, vals
+
+    def vector(self, terms: dict) -> "WordVector":
+        """A word map, such as an increment's terms, ready for pairing."""
+        index = self.index
+        values = {}
+        for w, c in terms.items():
+            i = index.get(w)
+            if i is not None:
+                values[i] = c
+        (nums,), den = numerators(list(values.values()))
+        if den is not None:
+            values = dict(zip(values, nums))
+        return WordVector(values, den, len(terms))
+
+    def functional(self, terms: dict) -> "WordFunctional":
+        """A word functional with integer coefficients, such as a psi image."""
+        pos, raw = self.sparse(terms)
+        (vals,), den = numerators(raw)
+        if den != 1:
+            raise ValueError("a prepared functional needs integer coefficients")
+        return WordFunctional(dict(zip(pos, vals)), dict(zip(pos, raw)), len(terms))
+
+
+@functools.lru_cache(maxsize=None)
+def word_context(N: int, d: int, n: int) -> WordContext:
+    return WordContext(N, d, n)
+
+
+class WordVector:
+    """Coefficients of a word map by context position, in its insertion
+    order: integer numerators over den when exact, the values unchanged with
+    den None otherwise.  size counts every term of the map."""
+
+    __slots__ = ("values", "den", "size")
+
+    def __init__(self, values: dict, den: int | None, size: int):
+        self.values = values
+        self.den = den
+        self.size = size
+
+
+class WordFunctional:
+    """An integer word functional by context position: its coefficients as
+    ints, and as given, for pairing with exact and with float vectors."""
+
+    __slots__ = ("values", "raw", "size")
+
+    def __init__(self, values: dict, raw: dict, size: int):
+        self.values = values
+        self.raw = raw
+        self.size = size
+
+
+def pair_functional(f: WordFunctional, x: WordVector):
+    """<f, x>, over x.den when x is exact.
+
+    As in `pair_tensor`, the side with fewer terms is iterated in its order
+    (f on a tie) and each common term adds c * v, c from that side; against
+    a float vector f's coefficients enter as given, so sums round and carry
+    the scalar types of the plain dict pairing."""
+    a = f.values if x.den is not None else f.raw
+    b = x.values
+    if f.size > x.size:
+        a, b = b, a
+    get = b.get
+    total = 0
+    for i, c in a.items():
+        v = get(i)
+        if v is not None:
+            total += c * v
+    return total
+
+
 def concat(x: TensorElem, y: TensorElem, N: int) -> TensorElem:
     """Bilinear word concatenation, dropping words of total grade > N."""
     x._check(y)
+    if N < 0:
+        raise ValueError(f"truncation level must be >= 0, got {N}")
+    ctx = word_context(N, x.d, x.n)
+    xi, xv = ctx.sparse(x.terms)
+    yi, yv = ctx.sparse(y.terms)
+    (xv, yv), den = numerators(xv, yv)
+    zero = _ZERO if den is None else 0
+    grades = ctx.grades
+    # fits[b]: the terms of y of grade <= b, still in y's order
+    fits = [[(j, c) for j, c in zip(yi, yv) if grades[j] <= b] for b in range(N + 1)]
     out: dict = {}
-    for w1, c1 in x.terms.items():
-        for w2, c2 in y.terms.items():
-            if w1.grade + w2.grade > N:
-                continue
-            w = w1 * w2
-            out[w] = out.get(w, _ZERO) + c1 * c2
-    return TensorElem(out, x.d, x.n)
+    for i, c1 in zip(xi, xv):
+        row = ctx.row(i)
+        for j, c2 in fits[N - grades[i]]:
+            k = row[j]
+            out[k] = out.get(k, zero) + c1 * c2
+    basis = ctx.basis
+    terms = {basis[k]: c if den is None else Fraction(c, den) for k, c in out.items() if c}
+    return TensorElem(terms, x.d, x.n)
 
 
 def deconcat(x: TensorElem) -> WordPairElem:

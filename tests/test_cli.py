@@ -381,6 +381,24 @@ def test_solve_rejects_non_character_driver(capsys, tmp_path):
         assert "adjacent increment 3 is not a character" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--float", "convert"],
+        ["--float", "solve", "--fields", "1: y2, -y1; 2: y1, y2", "--xi", "1, -1/2", "--driver"],
+    ],
+)
+def test_float_driver_with_infinite_coefficient_is_refused(capsys, tmp_path, argv):
+    obj = json.loads(_ito_json(capsys, "--float"))
+    obj["increments"][1]["b_1"] = "inf"
+    src = tmp_path / "inf.json"
+    src.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, *argv, str(src))
+    assert rc == 2
+    assert out == ""
+    assert "increment 1, b_1: non-finite value 'inf'" in err
+
+
 def test_solve_zero_field_is_constant(capsys):
     rc, out, _ = run(
         capsys,

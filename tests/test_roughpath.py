@@ -15,6 +15,7 @@ from hopfpath.roughpath import (
     GeometricRoughPath,
     Grid,
     SampledPath,
+    _close,
     canonical_lift,
     coarsen,
     embed_geometric,
@@ -416,6 +417,24 @@ def test_float_character_unit_tolerance_is_absolute(lift, unit, refused):
     else:
         X.increments[2] = TensorElem({**g.terms, EMPTY_WORD: unit}, g.d, g.n)
     assert first_non_character(X) == (2 if refused else None)
+
+
+def test_float_closeness_of_non_finite_values():
+    inf, nan = float("inf"), float("nan")
+    assert not _close(5.0, inf, FLOAT) and not _close(-inf, 5.0, FLOAT)
+    assert not _close(inf, -inf, FLOAT) and not _close(nan, nan, FLOAT)
+    assert _close(inf, inf, FLOAT) and _close(-inf, -inf, FLOAT)
+    assert _close(1.0, 1.0 + 1e-10, FLOAT) and not _close(1.0, 1.0 + 3e-9, FLOAT)
+
+
+def test_float_increment_with_infinite_coefficient_is_not_a_character():
+    """b_1 = inf with b_1 b_1 finite: the product check compares a finite
+    value with inf, which used to count as close."""
+    X = ito_lift(SampledPath.over_labels([0.0, 0.5, 1.0], [[0.0], [0.5], [1.0]], 1, FLOAT), 2)
+    assert first_non_character(X) is None
+    g = X.increments[1]
+    X.increments[1] = HElem({**g.terms, F(B1): float("inf")}, 1)
+    assert first_non_character(X) == 1
 
 
 def test_wide_increment_on_fresh_long_path_is_left_fold():
