@@ -40,6 +40,7 @@ from .hopf import (
     log_star,
     product,
 )
+from .linear import print_terms
 from .morphisms import MorphismTable, phi_g, psi, verify_hopf_morphism
 from .rde import (
     ButcherTable,
@@ -175,19 +176,6 @@ def _infer_d(texts, override):
     return best
 
 
-def _print_pairs(p) -> str:
-    """Split elements print as 'left (x) right' per term, in canonical
-    order, with the same coefficient convention as print_h."""
-    if not p.terms:
-        return "0"
-    parts = []
-    for a, b in sorted(p.terms, key=lambda ab: (ab[0].sort_key(), ab[1].sort_key())):
-        c = p.terms[(a, b)]
-        head = "" if c == 1 else f"{c} * "
-        parts.append(f"{head}{a!r} (x) {b!r}")
-    return " + ".join(parts)
-
-
 def _single_tree(x: HElem) -> Tree:
     if len(x.terms) == 1:
         ((f, c),) = x.terms.items()
@@ -205,7 +193,7 @@ def cmd_algebra(args) -> int:
     parsed = [parse_h(e, d) for e in args.expr]
     x = parsed[0]
     if args.op == "coproduct":
-        out = _print_pairs(coproduct(x))
+        out = print_terms(coproduct(x))
     elif args.op == "antipode":
         out = print_h(antipode(x))
     elif args.op == "star":

@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .hopf import HElem
+from .linear import print_terms
 from .tensor import EMPTY_WORD, TensorElem, Word
 from .trees import EMPTY_FOREST, Forest, Tree
 
@@ -266,23 +267,9 @@ def parse_tensor(text: str, d: int, n: int = 1) -> TensorElem:
 # -- printing --------------------------------------------------------------
 
 
-def _coeff_prefix(c) -> str:
-    return "" if c == 1 else f"{c} * "
-
-
 def print_h(x: HElem) -> str:
-    if not x.terms:
-        return "0"
-    parts = []
-    for f in sorted(x.terms, key=Forest.sort_key):
-        parts.append(f"{_coeff_prefix(x.terms[f])}{f!r}")
-    return " + ".join(parts)
+    return print_terms(x)
 
 
 def print_tensor(x: TensorElem) -> str:
-    if not x.terms:
-        return "0"
-    parts = []
-    for w in sorted(x.terms, key=Word.sort_key):
-        parts.append(f"{_coeff_prefix(x.terms[w])}{w!r}")
-    return " + ".join(parts)
+    return print_terms(x)

@@ -1,10 +1,16 @@
 """The Connes-Kreimer Hopf algebra on labelled forests, over exact rationals.
 
-An HElem is a finite linear combination of forests.  The same container plays
-both roles: elements of the algebra H (product = forest concatenation,
-coproduct = cut sum) and, through the Kronecker pairing on the forest basis,
-truncated functionals in the graded dual H* (convolution product, exp/log,
-characters).  Coefficients are `fractions.Fraction` in exact mode, which is
+An HElem is a finite linear combination of forests, and a PairElem one of
+forest pairs (H (x) H).  Both take their linear structure from
+`linear.Linear`, which the word, word-pair and polynomial containers share:
+sums, scaling, coefficients, equality, hashing and printing, with the
+Kronecker pairing and the exp/log series loops beside it.  HElem adds the
+alphabet check, its constructors and the forest product.
+
+The same container plays both roles: elements of the algebra H (product =
+forest concatenation, coproduct = cut sum) and, through the Kronecker
+pairing on the forest basis, truncated functionals in the graded dual H*
+(convolution product, exp/log, characters).  Coefficients are `fractions.Fraction` in exact mode, which is
 where every algebraic guarantee is stated; float coefficients are tolerated
 for large simulation grids.
 
@@ -24,6 +30,8 @@ import operator
 from fractions import Fraction
 from typing import Iterable
 
+# pair is the forest side's name for the one Kronecker pairing
+from .linear import Linear, LinearPairs, context_field, exp_series, log_series, pair
 from .scalars import numerators
 from .trees import (
     EMPTY_FOREST,
@@ -38,26 +46,19 @@ Rational = Fraction
 _ZERO = Fraction(0)
 
 
-def _prune(terms: dict) -> dict:
-    return {k: v for k, v in terms.items() if v != 0}
-
-
-class HElem:
+class HElem(Linear):
     """Linear combination of forests with alphabet-size context d."""
 
-    __slots__ = ("terms", "d")
+    __slots__ = ()
+
+    d = context_field(0, "alphabet size: labels run over 1..d")
 
     def __init__(self, terms: dict, d: int):
         if d < 1:
             raise ValueError(f"alphabet size must be >= 1, got {d}")
-        self.terms = _prune(terms)
-        self.d = d
+        super().__init__(terms, d)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, d: int) -> "HElem":
-        return cls({}, d)
 
     @classmethod
     def unit(cls, d: int) -> "HElem":
@@ -72,115 +73,22 @@ class HElem:
     def from_forest(cls, f: Forest, d: int, coeff=Fraction(1)) -> "HElem":
         return cls({f: coeff}, d)
 
-    # -- basic queries -----------------------------------------------------
-
-    def coeff(self, f: Forest):
-        return self.terms.get(f, _ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def support(self):
-        return self.terms.keys()
-
-    def max_grade(self) -> int:
-        return max((f.grade for f in self.terms), default=0)
-
-    def truncate(self, n: int) -> "HElem":
-        return HElem({f: c for f, c in self.terms.items() if f.grade <= n}, self.d)
-
     def tree_part(self) -> dict:
         """Coefficients of single-tree forests, keyed by Tree."""
         return {f.factors[0]: c for f, c in self.terms.items() if f.is_single_tree()}
-
-    # -- linear structure --------------------------------------------------
-
-    def _check(self, other: "HElem"):
-        if self.d != other.d:
-            raise ValueError(f"alphabet mismatch: d={self.d} vs d={other.d}")
-
-    def __add__(self, other: "HElem") -> "HElem":
-        self._check(other)
-        out = dict(self.terms)
-        for f, c in other.terms.items():
-            out[f] = out.get(f, _ZERO) + c
-        return HElem(out, self.d)
-
-    def __sub__(self, other: "HElem") -> "HElem":
-        self._check(other)
-        out = dict(self.terms)
-        for f, c in other.terms.items():
-            out[f] = out.get(f, _ZERO) - c
-        return HElem(out, self.d)
-
-    def __neg__(self) -> "HElem":
-        return HElem({f: -c for f, c in self.terms.items()}, self.d)
-
-    def scale(self, c) -> "HElem":
-        return HElem({f: c * v for f, v in self.terms.items()}, self.d)
-
-    def __rmul__(self, c) -> "HElem":
-        if isinstance(c, HElem):
-            return NotImplemented
-        return self.scale(c)
 
     def __mul__(self, other):
         if isinstance(other, HElem):
             return product(self, other)
         return self.scale(other)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, HElem)
-            and self.d == other.d
-            and self.terms == other.terms
-        )
 
-    def __hash__(self):
-        return hash((self.d, frozenset(self.terms.items())))
+class PairElem(LinearPairs):
+    """Linear combination of forest pairs: elements of H (x) H, context d."""
 
-    def __repr__(self):
-        if not self.terms:
-            return "<HElem 0>"
-        keys = sorted(self.terms, key=Forest.sort_key)
-        body = " + ".join(f"{self.terms[f]}*{f!r}" for f in keys)
-        return f"<HElem {body}>"
+    __slots__ = ()
 
-
-class PairElem:
-    """Linear combination of forest pairs: elements of H (x) H."""
-
-    __slots__ = ("terms", "d")
-
-    def __init__(self, terms: dict, d: int):
-        self.terms = _prune(terms)
-        self.d = d
-
-    @classmethod
-    def zero(cls, d: int) -> "PairElem":
-        return cls({}, d)
-
-    def coeff(self, left: Forest, right: Forest):
-        return self.terms.get((left, right), _ZERO)
-
-    def __add__(self, other: "PairElem") -> "PairElem":
-        if self.d != other.d:
-            raise ValueError("alphabet mismatch")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, _ZERO) + c
-        return PairElem(out, self.d)
-
-    def __sub__(self, other: "PairElem") -> "PairElem":
-        if self.d != other.d:
-            raise ValueError("alphabet mismatch")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, _ZERO) - c
-        return PairElem(out, self.d)
-
-    def scale(self, c) -> "PairElem":
-        return PairElem({k: c * v for k, v in self.terms.items()}, self.d)
+    d = context_field(0, "alphabet size: labels run over 1..d")
 
     def componentwise_product(self, other: "PairElem") -> "PairElem":
         """(a (x) b) * (c (x) e) = ac (x) be, bilinearly."""
@@ -208,23 +116,6 @@ class PairElem:
                 k = (f, b)
                 out[k] = out.get(k, _ZERO) + c * c2
         return PairElem(out, self.d)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PairElem)
-            and self.d == other.d
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        if not self.terms:
-            return "<PairElem 0>"
-        body = " + ".join(
-            f"{c}*({a!r} (x) {b!r})" for (a, b), c in sorted(
-                self.terms.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())
-            )
-        )
-        return f"<PairElem {body}>"
 
 
 # -- product and coproduct -------------------------------------------------
@@ -341,17 +232,6 @@ def antipode(x: HElem) -> HElem:
 # -- dual-side operations --------------------------------------------------
 
 
-def pair(f: HElem, h: HElem):
-    """Bilinear Kronecker pairing on the forest basis."""
-    f._check(h)
-    small, big = (f.terms, h.terms) if len(f.terms) <= len(h.terms) else (h.terms, f.terms)
-    total = _ZERO
-    for k, c in small.items():
-        if k in big:
-            total += c * big[k]
-    return total
-
-
 class ForestContext:
     """Forests of grade <= N over labels 1..d with integer positions: the
     basis in enumerate_forests order, each forest's position in it, and per
@@ -440,33 +320,12 @@ def lie_bracket(f: HElem, g: HElem, N: int) -> HElem:
 
 def exp_star(h: HElem, N: int) -> HElem:
     """exp of a functional with no unit component, truncated at grade N."""
-    if h.coeff(EMPTY_FOREST) != 0:
-        raise ValueError("exp_star needs <h, 1> = 0")
-    acc = HElem.unit(h.d)
-    power = HElem.unit(h.d)
-    fact = 1
-    for k in range(1, N + 1):
-        power = convolve(power, h, N)
-        if power.is_zero():
-            break
-        fact *= k
-        acc = acc + power.scale(Fraction(1, fact))
-    return acc
+    return exp_series(h, N, convolve, EMPTY_FOREST, "exp_star")
 
 
 def log_star(g: HElem, N: int) -> HElem:
     """log of a functional with unit component 1, truncated at grade N."""
-    if g.coeff(EMPTY_FOREST) != 1:
-        raise ValueError("log_star needs <g, 1> = 1")
-    u = g - HElem.unit(g.d)
-    acc = HElem.zero(g.d)
-    power = HElem.unit(g.d)
-    for k in range(1, N + 1):
-        power = convolve(power, u, N)
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
-    return acc
+    return log_series(g, N, convolve, EMPTY_FOREST, "log_star")
 
 
 def is_group_like(g: HElem, N: int, eq=operator.eq) -> bool:

@@ -1,0 +1,195 @@
+"""Finite linear combinations over a basis of hashable keys.
+
+`Linear` is the linear structure that the algebra containers share: forests
+(`hopf.HElem`), forest pairs (`hopf.PairElem`), words (`tensor.TensorElem`),
+word pairs (`tensor.WordPairElem`) and polynomials (`rde.Poly`).  An
+element is a dict from basis keys to non-zero coefficients, together with a
+context tuple, e.g. (d,) for forests or (d, n) for words; elements combine
+only within one context.
+
+Coefficients are kept as given: sums start from the class's `_zero` for a
+missing key (`Fraction(0)`, or `0` for polynomials) and run in insertion
+order, self's keys first, so float sums round the same way every time and
+an int unit among floats still sums to a Fraction.  A coefficient equal to
+0 is dropped on construction.
+
+The module also holds what the forest and word sides share beyond the
+container: the Kronecker pairing, the exp and log series over a truncated
+product, and the canonical term printer.
+"""
+
+from __future__ import annotations
+
+import operator
+from fractions import Fraction
+
+
+def context_field(i: int, doc: str) -> property:
+    """A read-only name for position i of the context tuple."""
+    return property(lambda self: self.ctx[i], doc=doc)
+
+
+class Linear:
+    """Linear combination of basis keys in one context.
+
+    A subclass is built as `cls(terms, *ctx)` and names its context fields
+    with `context_field`.  It may set the hooks that key-generic methods
+    use: `_grade` (grade of a key, for `max_grade` and `truncate`), `_order`
+    (canonical sort key) and `_show` (text of a key in `print_terms`)."""
+
+    __slots__ = ("terms", "ctx")
+
+    _zero = Fraction(0)
+    _grade = operator.attrgetter("grade")
+    _order = operator.methodcaller("sort_key")
+    _show = repr
+
+    def __init__(self, terms: dict, *ctx):
+        self.terms = {k: c for k, c in terms.items() if c != 0}
+        self.ctx = ctx
+
+    @classmethod
+    def zero(cls, *ctx):
+        return cls({}, *ctx)
+
+    # -- queries -----------------------------------------------------------
+
+    def coeff(self, key):
+        return self.terms.get(key, self._zero)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def support(self):
+        return self.terms.keys()
+
+    def max_grade(self) -> int:
+        return max(map(self._grade, self.terms), default=0)
+
+    def truncate(self, n: int):
+        grade = self._grade
+        return type(self)({k: c for k, c in self.terms.items() if grade(k) <= n}, *self.ctx)
+
+    # -- linear structure --------------------------------------------------
+
+    def _check(self, other: "Linear"):
+        if self.ctx != other.ctx:
+            raise ValueError(f"{type(self).__name__} context mismatch: {self.ctx} vs {other.ctx}")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        zero = self._zero
+        for k, c in other.terms.items():
+            out[k] = out.get(k, zero) + c
+        return type(self)(out, *self.ctx)
+
+    def __sub__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        zero = self._zero
+        for k, c in other.terms.items():
+            out[k] = out.get(k, zero) - c
+        return type(self)(out, *self.ctx)
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()}, *self.ctx)
+
+    def scale(self, c):
+        return type(self)({k: c * v for k, v in self.terms.items()}, *self.ctx)
+
+    def __rmul__(self, c):
+        if isinstance(c, Linear):
+            return NotImplemented
+        return self.scale(c)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.ctx == other.ctx and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(self.ctx + (frozenset(self.terms.items()),))
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {print_terms(self)}>"
+
+
+def _pair_order(key) -> tuple:
+    return key[0].sort_key(), key[1].sort_key()
+
+
+def _pair_show(key) -> str:
+    return f"{key[0]!r} (x) {key[1]!r}"
+
+
+class LinearPairs(Linear):
+    """Linear combination of (left, right) key pairs: a tensor square."""
+
+    __slots__ = ()
+
+    _order = staticmethod(_pair_order)
+    _show = staticmethod(_pair_show)
+
+    def coeff(self, left, right):
+        return self.terms.get((left, right), self._zero)
+
+
+def print_terms(x: Linear) -> str:
+    """Terms in canonical order joined by " + ", each written "c * key" with
+    a coefficient of one omitted; "0" for the zero combination."""
+    if not x.terms:
+        return "0"
+    show = x._show
+    parts = []
+    for k in sorted(x.terms, key=x._order):
+        c = x.terms[k]
+        parts.append(show(k) if c == 1 else f"{c} * {show(k)}")
+    return " + ".join(parts)
+
+
+def pair(f: Linear, h: Linear):
+    """Bilinear Kronecker pairing on the common basis: the side with fewer
+    terms (f on a tie) is iterated in its order, adding c * v per common
+    key, c from that side."""
+    f._check(h)
+    small, big = (f.terms, h.terms) if len(f.terms) <= len(h.terms) else (h.terms, f.terms)
+    total = Fraction(0)
+    for k, c in small.items():
+        if k in big:
+            total += c * big[k]
+    return total
+
+
+def exp_series(x: Linear, N: int, mul, unit_key, name: str):
+    """exp(x) = sum of x^k / k! over k <= N, powers taken by mul(a, b, N);
+    x must have no unit component.  Stops at the first zero power."""
+    if x.coeff(unit_key) != 0:
+        raise ValueError(f"{name} needs <h, 1> = 0")
+    cls = type(x)
+    acc = cls.unit(*x.ctx)
+    power = cls.unit(*x.ctx)
+    fact = 1
+    for k in range(1, N + 1):
+        power = mul(power, x, N)
+        if power.is_zero():
+            break
+        fact *= k
+        acc = acc + power.scale(Fraction(1, fact))
+    return acc
+
+
+def log_series(g: Linear, N: int, mul, unit_key, name: str):
+    """log(g) = sum of (-1)^(k+1) (g - 1)^k / k over k <= N, powers taken by
+    mul(a, b, N); g must have unit component 1.  Stops at the first zero
+    power."""
+    if g.coeff(unit_key) != 1:
+        raise ValueError(f"{name} needs <g, 1> = 1")
+    cls = type(g)
+    u = g - cls.unit(*g.ctx)
+    acc = cls.zero(*g.ctx)
+    power = cls.unit(*g.ctx)
+    for k in range(1, N + 1):
+        power = mul(power, u, N)
+        if power.is_zero():
+            break
+        acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
+    return acc

@@ -20,8 +20,9 @@ from .tensor import (
     EMPTY_WORD,
     TensorElem,
     Word,
-    _shuffle_words,
     deconcat,
+    shuffle,
+    shuffle_terms,
 )
 from .trees import (
     EMPTY_FOREST,
@@ -36,16 +37,6 @@ from .trees import (
 _ZERO = Fraction(0)
 
 
-def _shuffle_dict(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            for letters, cnt in _shuffle_words(w1.letters, w2.letters):
-                w = Word(letters)
-                out[w] = out.get(w, _ZERO) + cnt * c1 * c2
-    return out
-
-
 _UNIT_DICT = {EMPTY_WORD: Fraction(1)}
 
 
@@ -55,7 +46,7 @@ def _phi_tree(t: Tree) -> tuple:
     appended, so a tree of grade n maps to words of n single-vertex letters."""
     acc = _UNIT_DICT
     for c in t.children:
-        acc = _shuffle_dict(acc, dict(_phi_tree(c)))
+        acc = shuffle_terms(acc, dict(_phi_tree(c)))
     root = Tree(t.label)
     out = {Word(w.letters + (root,)): v for w, v in acc.items()}
     return tuple(out.items())
@@ -64,7 +55,7 @@ def _phi_tree(t: Tree) -> tuple:
 def _phi_forest(f: Forest) -> dict:
     acc = _UNIT_DICT
     for t in f.factors:
-        acc = _shuffle_dict(acc, dict(_phi_tree(t)))
+        acc = shuffle_terms(acc, dict(_phi_tree(t)))
     return acc
 
 
@@ -101,7 +92,7 @@ def _psi_tree(t: Tree) -> tuple:
 def _psi_forest(f: Forest) -> dict:
     acc = _UNIT_DICT
     for t in f.factors:
-        acc = _shuffle_dict(acc, dict(_psi_tree(t)))
+        acc = shuffle_terms(acc, dict(_psi_tree(t)))
     return acc
 
 
@@ -207,7 +198,7 @@ class MorphismTable:
             entry = self.cache.get(t)
             if entry is None:
                 raise ValueError(f"tree {t!r} outside table level {self.N}")
-            acc = _shuffle_elems(acc, entry)
+            acc = shuffle(acc, entry)
         return acc
 
     def image_elem(self, x: HElem) -> TensorElem:
@@ -216,10 +207,6 @@ class MorphismTable:
         for f, c in x.terms.items():
             out = out + self.image(f).scale(c)
         return out
-
-
-def _shuffle_elems(a: TensorElem, b: TensorElem) -> TensorElem:
-    return TensorElem(_shuffle_dict(a.terms, b.terms), a.d, a.n)
 
 
 def verify_hopf_morphism(which: str, N: int, d: int, table: MorphismTable | None = None) -> dict:
@@ -264,7 +251,7 @@ def verify_hopf_morphism(which: str, N: int, d: int, table: MorphismTable | None
         for h2 in forests:
             if h2.is_unit() or h1.grade + h2.grade > N:
                 continue
-            if _shuffle_elems(table.image(h1), table.image(h2)) != table.image(h1 * h2):
+            if shuffle(table.image(h1), table.image(h2)) != table.image(h1 * h2):
                 report["status"] = "fail"
                 report["witness"] = f"product morphism fails on {h1!r}, {h2!r}"
                 return report

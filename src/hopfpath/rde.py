@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .expr import parse_rational
 from .hopf import HElem, _forest_coproduct
+from .linear import Linear, context_field
 from .roughpath import RATIONAL, BranchedRoughPath, GeometricRoughPath, Grid, SampledPath
 from .tensor import TensorElem, Word
 from .trees import (
@@ -34,14 +35,23 @@ from .trees import (
 # -- polynomials -----------------------------------------------------------
 
 
-class Poly:
-    """Multivariate polynomial, dict of exponent tuples over Fraction."""
+def _monomial(e: tuple) -> str:
+    """y1^2*y2 for the exponents (2, 1); "" for the constant monomial."""
+    return "*".join(f"y{k + 1}" if p == 1 else f"y{k + 1}^{p}" for k, p in enumerate(e) if p)
 
-    __slots__ = ("terms", "nvars")
 
-    def __init__(self, terms: Mapping, nvars: int):
-        self.terms = {e: c for e, c in terms.items() if c != 0}
-        self.nvars = nvars
+class Poly(Linear):
+    """Multivariate polynomial, dict of exponent tuples over Fraction;
+    context is the variable count."""
+
+    __slots__ = ()
+
+    _zero = 0
+    _grade = sum
+    _order = staticmethod(lambda e: (sum(e), e))
+    _show = staticmethod(lambda e: _monomial(e) or "1")
+
+    nvars = context_field(0, "number of variables")
 
     @classmethod
     def const(cls, c, nvars: int) -> "Poly":
@@ -54,24 +64,6 @@ class Poly:
         e = tuple(1 if k == i - 1 else 0 for k in range(nvars))
         return cls({e: Fraction(1)}, nvars)
 
-    def _check(self, other: "Poly"):
-        if self.nvars != other.nvars:
-            raise ValueError("variable-count mismatch")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return Poly(out, self.nvars)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) - c
-        return Poly(out, self.nvars)
-
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         out: dict = {}
@@ -80,9 +72,6 @@ class Poly:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return Poly(out, self.nvars)
-
-    def scale(self, c) -> "Poly":
-        return Poly({e: c * v for e, v in self.terms.items()}, self.nvars)
 
     def diff(self, i: int) -> "Poly":
         """Partial derivative in variable i (1-based)."""
@@ -104,20 +93,7 @@ class Poly:
             total = total + v
         return total
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        return print_poly(self)
+    degree = Linear.max_grade
 
 
 def parse_poly(text: str, nvars: int) -> Poly:
@@ -172,18 +148,16 @@ def print_poly(p: Poly) -> str:
     if not p.terms:
         return "0"
     out = ""
-    for e in sorted(p.terms, key=lambda e: (sum(e), e)):
+    for e in sorted(p.terms, key=Poly._order):
         c = p.terms[e]
         mag = -c if c < 0 else c
-        factors = []
-        if mag != 1 or not any(e):
-            factors.append(str(mag))
-        for k, power in enumerate(e):
-            if power == 1:
-                factors.append(f"y{k + 1}")
-            elif power > 1:
-                factors.append(f"y{k + 1}^{power}")
-        term = "*".join(factors)
+        mono = _monomial(e)
+        if not mono:
+            term = str(mag)
+        elif mag == 1:
+            term = mono
+        else:
+            term = f"{mag}*{mono}"
         if not out:
             out = term if c > 0 else f"-{term}"
         else:

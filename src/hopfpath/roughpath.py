@@ -30,7 +30,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .expr import ParseError, parse_h, parse_rational, parse_tensor, print_h, print_tensor
+from .expr import ParseError, parse_h, parse_rational, parse_tensor
 from .hopf import HElem, convolve, is_group_like, pair
 from .morphisms import iota_elem, phi_g
 from .tensor import (
@@ -40,7 +40,6 @@ from .tensor import (
     concat,
     enumerate_words,
     is_tensor_group_like,
-    pair_tensor,
     word_context,
 )
 from .trees import EMPTY_FOREST, Forest, Tree, enumerate_forests, enumerate_trees, leaf
@@ -410,7 +409,7 @@ def embed_geometric(Xbar: GeometricRoughPath) -> BranchedRoughPath:
     for g in Xbar.increments:
         terms = {}
         for h, img in images.items():
-            v = pair_tensor(img, g)
+            v = pair(img, g)
             if v != 0:
                 terms[h] = v
         increments.append(HElem(terms, d))
@@ -494,7 +493,7 @@ def validate(X) -> dict:
         ]
     else:
         names = [
-            (w, print_tensor(TensorElem.from_word(w, X.d, X.letter_bound)), w.grade)
+            (w, repr(w), w.grade)
             for w in enumerate_words(X.N, X.d, X.letter_bound)
             if not w.is_empty()
         ]
@@ -561,12 +560,16 @@ def _scalar_to_json(v, mode):
 
 
 def _scalar_from_json(v, mode, where):
-    """A JSON time or coefficient; in float mode non-finite values are
-    refused, naming where the value sits."""
-    if mode == RATIONAL:
-        return parse_rational(v)
-    x = float(v)
-    if not math.isfinite(x):
+    """A JSON time or coefficient: a string or a number (a bool is not one);
+    in float mode non-finite values are refused.  Every refusal names where
+    the value sits."""
+    if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+        raise ValueError(f"{where}: expected a number or a string, got {json.dumps(v)}")
+    try:
+        x = parse_rational(v) if mode == RATIONAL else float(v)
+    except (ValueError, OverflowError) as e:
+        raise ValueError(f"{where}: {e}") from None
+    if mode == FLOAT and not math.isfinite(x):
         raise ValueError(f"{where}: non-finite value {v!r}")
     return x
 
@@ -585,14 +588,7 @@ def roughpath_obj(X) -> dict:
     if not branched:
         obj["letters"] = [repr(t) for t in X.letters]
     for g in X.increments:
-        if branched:
-            row = {print_h(HElem.from_forest(f, X.d)): _scalar_to_json(c, X.mode) for f, c in g.terms.items()}
-        else:
-            row = {
-                print_tensor(TensorElem.from_word(w, X.d, X.letter_bound)): _scalar_to_json(c, X.mode)
-                for w, c in g.terms.items()
-            }
-        obj["increments"].append(row)
+        obj["increments"].append({repr(key): _scalar_to_json(c, X.mode) for key, c in g.terms.items()})
     return obj
 
 
@@ -602,10 +598,13 @@ def roughpath_to_json(X) -> str:
 
 def roughpath_from_obj(obj: dict):
     mode = obj["mode"]
+    for field, allowed in (("mode", (RATIONAL, FLOAT)), ("kind", ("branched", "geometric"))):
+        if obj[field] not in allowed:
+            raise ValueError(f'{field}: expected "{allowed[0]}" or "{allowed[1]}", got {json.dumps(obj[field])}')
     grid = Grid(_scalar_from_json(t, mode, f"time {i}") for i, t in enumerate(obj["times"]))
     d = obj["d"]
     N = obj["level"]
-    gamma = parse_rational(obj["gamma"])
+    gamma = _scalar_from_json(obj["gamma"], RATIONAL, "gamma")
     if obj["kind"] == "branched":
         incs = []
         for k, row in enumerate(obj["increments"]):

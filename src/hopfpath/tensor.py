@@ -8,6 +8,14 @@ length, and truncation always cuts by that total grade.
 Shuffle and deconcatenation are Hopf-dual to concatenation; letters are
 indivisible, so deconcatenation splits between letters only.
 
+TensorElem (words) and WordPairElem (word pairs, T (x) T) take their linear
+structure from `linear.Linear`, shared with the forest and polynomial
+containers; TensorElem adds its constructors and the check that every
+word's letters have labels <= d and grades <= n.  `tensor_exp` and `tensor_log` run the same
+series loops as the forest side's `exp_star` and `log_star`, and
+`shuffle_terms` is the one shuffle of word maps, used by `shuffle` and by
+the morphism images in `morphisms`.
+
 `concat` and the pairing of fixed integer functionals (the psi images the
 conversion certifies against) run on a word context, built once per
 (N, d, n) by `word_context`: the basis with integer positions and a concat
@@ -24,6 +32,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable
 
+from .linear import Linear, LinearPairs, context_field, exp_series, log_series, pair
 from .scalars import numerators
 from .trees import Tree, enumerate_trees
 
@@ -104,11 +113,14 @@ def word_of_labels(labels: Iterable[int]) -> Word:
     return Word(Tree(a) for a in labels)
 
 
-class TensorElem:
+class TensorElem(Linear):
     """Linear combination of words; context is (alphabet size d, letter-grade
     bound n)."""
 
-    __slots__ = ("terms", "d", "n")
+    __slots__ = ()
+
+    d = context_field(0, "alphabet size: letter labels run over 1..d")
+    n = context_field(1, "letter-grade bound")
 
     def __init__(self, terms: dict, d: int, n: int = 1):
         if d < 1 or n < 1:
@@ -124,14 +136,9 @@ class TensorElem:
                 raise ValueError(f"letter grade above bound {n} in {w!r}")
             cleaned[w] = c
         self.terms = cleaned
-        self.d = d
-        self.n = n
+        self.ctx = (d, n)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, d: int, n: int = 1) -> "TensorElem":
-        return cls({}, d, n)
 
     @classmethod
     def unit(cls, d: int, n: int = 1) -> "TensorElem":
@@ -145,118 +152,17 @@ class TensorElem:
     def from_letter(cls, t: Tree, d: int, n: int = 1, coeff=Fraction(1)) -> "TensorElem":
         return cls({Word((t,)): coeff}, d, n)
 
-    # -- queries -----------------------------------------------------------
 
-    def coeff(self, w: Word):
-        return self.terms.get(w, _ZERO)
+class WordPairElem(LinearPairs):
+    """Linear combination of word pairs: elements of T (x) T, context (d, n)."""
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    __slots__ = ()
 
-    def support(self):
-        return self.terms.keys()
-
-    def max_grade(self) -> int:
-        return max((w.grade for w in self.terms), default=0)
-
-    def truncate(self, N: int) -> "TensorElem":
-        return TensorElem(
-            {w: c for w, c in self.terms.items() if w.grade <= N}, self.d, self.n
-        )
-
-    # -- linear structure --------------------------------------------------
-
-    def _check(self, other: "TensorElem"):
-        if (self.d, self.n) != (other.d, other.n):
-            raise ValueError(
-                f"context mismatch: (d={self.d}, n={self.n}) vs (d={other.d}, n={other.n})"
-            )
-
-    def __add__(self, other: "TensorElem") -> "TensorElem":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, _ZERO) + c
-        return TensorElem(out, self.d, self.n)
-
-    def __sub__(self, other: "TensorElem") -> "TensorElem":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, _ZERO) - c
-        return TensorElem(out, self.d, self.n)
-
-    def __neg__(self) -> "TensorElem":
-        return TensorElem({w: -c for w, c in self.terms.items()}, self.d, self.n)
-
-    def scale(self, c) -> "TensorElem":
-        return TensorElem({w: c * v for w, v in self.terms.items()}, self.d, self.n)
-
-    def __rmul__(self, c) -> "TensorElem":
-        if isinstance(c, TensorElem):
-            return NotImplemented
-        return self.scale(c)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElem)
-            and (self.d, self.n) == (other.d, other.n)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.d, self.n, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return "<TensorElem 0>"
-        keys = sorted(self.terms, key=Word.sort_key)
-        body = " + ".join(f"{self.terms[w]}*{w!r}" for w in keys)
-        return f"<TensorElem {body}>"
-
-
-class WordPairElem:
-    """Linear combination of word pairs: elements of T (x) T."""
-
-    __slots__ = ("terms", "d", "n")
+    d = context_field(0, "alphabet size: letter labels run over 1..d")
+    n = context_field(1, "letter-grade bound")
 
     def __init__(self, terms: dict, d: int, n: int = 1):
-        self.terms = {k: v for k, v in terms.items() if v != 0}
-        self.d = d
-        self.n = n
-
-    def coeff(self, left: Word, right: Word):
-        return self.terms.get((left, right), _ZERO)
-
-    def __add__(self, other: "WordPairElem") -> "WordPairElem":
-        if (self.d, self.n) != (other.d, other.n):
-            raise ValueError("context mismatch")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, _ZERO) + c
-        return WordPairElem(out, self.d, self.n)
-
-    def scale(self, c) -> "WordPairElem":
-        return WordPairElem({k: c * v for k, v in self.terms.items()}, self.d, self.n)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WordPairElem)
-            and (self.d, self.n) == (other.d, other.n)
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        if not self.terms:
-            return "<WordPairElem 0>"
-        body = " + ".join(
-            f"{c}*({a!r} , {b!r})"
-            for (a, b), c in sorted(
-                self.terms.items(),
-                key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()),
-            )
-        )
-        return f"<WordPairElem {body}>"
+        super().__init__(terms, d, n)
 
 
 # -- products --------------------------------------------------------------
@@ -279,16 +185,21 @@ def _shuffle_words(u: tuple, v: tuple) -> tuple:
     return tuple(out.items())
 
 
-def shuffle(x: TensorElem, y: TensorElem) -> TensorElem:
-    """Bilinear word shuffle; commutative, unit the empty word."""
-    x._check(y)
+def shuffle_terms(a: dict, b: dict) -> dict:
+    """Bilinear word shuffle of two word maps, in a's then b's term order."""
     out: dict = {}
-    for w1, c1 in x.terms.items():
-        for w2, c2 in y.terms.items():
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
             for letters, cnt in _shuffle_words(w1.letters, w2.letters):
                 w = Word(letters)
                 out[w] = out.get(w, _ZERO) + cnt * c1 * c2
-    return TensorElem(out, x.d, x.n)
+    return out
+
+
+def shuffle(x: TensorElem, y: TensorElem) -> TensorElem:
+    """Bilinear word shuffle; commutative, unit the empty word."""
+    x._check(y)
+    return TensorElem(shuffle_terms(x.terms, y.terms), x.d, x.n)
 
 
 class WordContext:
@@ -385,7 +296,7 @@ class WordFunctional:
 def pair_functional(f: WordFunctional, x: WordVector):
     """<f, x>, over x.den when x is exact.
 
-    As in `pair_tensor`, the side with fewer terms is iterated in its order
+    As in `pair`, the side with fewer terms is iterated in its order
     (f on a tie) and each common term adds c * v, c from that side; against
     a float vector f's coefficients enter as given, so sums round and carry
     the scalar types of the plain dict pairing."""
@@ -436,47 +347,18 @@ def deconcat(x: TensorElem) -> WordPairElem:
     return WordPairElem(out, x.d, x.n)
 
 
-def pair_tensor(f: TensorElem, h: TensorElem):
-    """Bilinear Kronecker pairing on the word basis."""
-    f._check(h)
-    small, big = (f.terms, h.terms) if len(f.terms) <= len(h.terms) else (h.terms, f.terms)
-    total = _ZERO
-    for k, c in small.items():
-        if k in big:
-            total += c * big[k]
-    return total
+pair_tensor = pair
 
 
 # -- exp / log -------------------------------------------------------------
 
 
 def tensor_exp(x: TensorElem, N: int) -> TensorElem:
-    if x.coeff(EMPTY_WORD) != 0:
-        raise ValueError("tensor_exp needs zero empty-word coefficient")
-    acc = TensorElem.unit(x.d, x.n)
-    power = TensorElem.unit(x.d, x.n)
-    fact = 1
-    for k in range(1, N + 1):
-        power = concat(power, x, N)
-        if power.is_zero():
-            break
-        fact *= k
-        acc = acc + power.scale(Fraction(1, fact))
-    return acc
+    return exp_series(x, N, concat, EMPTY_WORD, "tensor_exp")
 
 
 def tensor_log(g: TensorElem, N: int) -> TensorElem:
-    if g.coeff(EMPTY_WORD) != 1:
-        raise ValueError("tensor_log needs empty-word coefficient 1")
-    u = g - TensorElem.unit(g.d, g.n)
-    acc = TensorElem.zero(g.d, g.n)
-    power = TensorElem.unit(g.d, g.n)
-    for k in range(1, N + 1):
-        power = concat(power, u, N)
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
-    return acc
+    return log_series(g, N, concat, EMPTY_WORD, "tensor_log")
 
 
 # -- basis enumeration and predicates --------------------------------------

@@ -399,6 +399,44 @@ def test_float_driver_with_infinite_coefficient_is_refused(capsys, tmp_path, arg
     assert "increment 1, b_1: non-finite value 'inf'" in err
 
 
+_SOLVE_DRIVER = ["solve", "--fields", "1: y2, -y1; 2: y1, y2", "--xi", "1, -1/2", "--driver"]
+
+
+@pytest.mark.parametrize("argv", [["convert"], _SOLVE_DRIVER])
+@pytest.mark.parametrize(
+    "flag, field, value, message",
+    [
+        ((), "b_1", [1], "increment 1, b_1: expected a number or a string, got [1]"),
+        ((), "b_1", None, "increment 1, b_1: expected a number or a string, got null"),
+        ((), "b_1", True, "increment 1, b_1: expected a number or a string, got true"),
+        ((), "time", False, "time 1: expected a number or a string, got false"),
+        ((), "time", {"t": 1}, 'time 1: expected a number or a string, got {"t": 1}'),
+        ((), "gamma", [1], "gamma: expected a number or a string, got [1]"),
+        ((), "b_1", "abc", "increment 1, b_1: 'abc' is not a number"),
+        (("--float",), "b_1", "abc", "increment 1, b_1: could not convert string to float: 'abc'"),
+        (("--float",), "b_1", None, "increment 1, b_1: expected a number or a string, got null"),
+        (("--float",), "time", 10**400, "time 1: int too large to convert to float"),
+        ((), "mode", "xyz", 'mode: expected "rational" or "float", got "xyz"'),
+        ((), "mode", None, 'mode: expected "rational" or "float", got null'),
+        ((), "kind", "tree", 'kind: expected "branched" or "geometric", got "tree"'),
+    ],
+)
+def test_json_driver_values_of_the_wrong_type_are_refused(capsys, tmp_path, argv, flag, field, value, message):
+    obj = json.loads(_ito_json(capsys, *flag))
+    if field == "b_1":
+        obj["increments"][1]["b_1"] = value
+    elif field == "time":
+        obj["times"][1] = value
+    else:
+        obj[field] = value
+    src = tmp_path / "driver.json"
+    src.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, *flag, *argv, str(src))
+    assert rc == 2
+    assert out == ""
+    assert err == f"input error: {message}\n"
+
+
 def test_solve_zero_field_is_constant(capsys):
     rc, out, _ = run(
         capsys,

@@ -1,0 +1,45 @@
+"""The benchmark tracer still finds the layers it wraps.
+
+`bench/tracer.py` rebinds the package's public functions by identity and
+counts the HElem and TensorElem constructors through their own `__init__`.
+It rebinds the package in place, so it runs in a child interpreter.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import tracer
+t = tracer.install()
+from hopfpath import cli
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp)
+    lift = ["lift", "--synth", "rw", "--steps", "4", "--d", "2", "--N", "3", "--mode", "ito",
+            "--step", "1/2", "--out", str(out / "lift.json")]
+    codes = [cli.main(lift), cli.main(["convert", str(out / "lift.json"), "--out", str(out / "convert.json")])]
+summary = t.summary()
+print(json.dumps({"codes": codes, "counts": summary["counts"],
+                  "calls": {k: v["calls"] for k, v in summary["spans"].items()}}))
+"""
+
+
+def test_tracer_counts_the_container_and_kernel_layers():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "bench")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["codes"] == [0, 0]
+    assert report["counts"]["hopf.HElem.new"] > 0
+    assert report["counts"]["tensor.TensorElem.new"] > 0
+    assert report["calls"]["hopf.convolve"] > 0
+    assert report["calls"]["tensor.concat"] > 0
