@@ -271,11 +271,7 @@ def cmd_lift(args) -> int:
     if args.synth is not None:
         path = _synth_path(args.synth, args.steps, cfg.seed, args.step, args.d, cfg.mode)
     else:
-        try:
-            text = _read_input(args.input)
-        except OSError as e:
-            print(f"input error: {e}", file=sys.stderr)
-            return BAD_INPUT
+        text = _read_input(args.input)
         try:
             path = SampledPath.from_csv(text, cfg.mode)
         except ValueError as e:
@@ -318,11 +314,7 @@ def cmd_convert(args) -> int:
     if not isinstance(X, BranchedRoughPath):
         print("input error: conversion starts from a branched rough path", file=sys.stderr)
         return BAD_INPUT
-    try:
-        result = encode(X)
-    except ConversionError as e:
-        print(f"certificate failure: {e}", file=sys.stderr)
-        return CERTIFICATE_FAILED
+    result = encode(X)
     _write_out(result.to_json(), args.out)
     if result.certificate["status"] != "pass":
         _dump_report({"certificate": result.certificate}, sys.stderr)
@@ -388,11 +380,7 @@ def cmd_solve(args) -> int:
     else:
         if not isinstance(X, BranchedRoughPath):
             raise TypeError("side both starts from a branched driver")
-        try:
-            result = encode(X, certify_result=False)
-        except ConversionError as e:
-            print(f"certificate failure: {e}", file=sys.stderr)
-            return CERTIFICATE_FAILED
+        result = encode(X, certify_result=False)
         traj = solve_branched(X, f, xi)
         other = solve_geometric(result.geometric, convert_rde(f, result), xi)
         discrepancy = max(
@@ -458,10 +446,13 @@ def _solve_ensemble(args, cfg: RunConfig, f: ButcherTable, xi) -> int:
 # -- verify ----------------------------------------------------------------
 
 
-def _note_failure(res: dict, invariant: str, where: str) -> None:
+def _note_failure(res: dict, invariant: str, where: str) -> dict | None:
+    """Count a failure; returns its witness if it is among the first five."""
     res["failures"] = res.get("failures", 0) + 1
     if len(res["witnesses"]) < 5:
         res["witnesses"].append({"invariant": invariant, "at": where})
+        return res["witnesses"][-1]
+    return None
 
 
 def _suite_hopf(args, cfg: RunConfig) -> dict:
@@ -621,9 +612,9 @@ def _suite_lgl(args, cfg: RunConfig) -> dict:
             r = check_lgl(f, lam, h, N)
             res["checked"] += 1
             if not r:
-                _note_failure(res, "derivative rule", f"lambda={lam!r} h={h!r}")
-                if len(res["witnesses"]) <= 5:
-                    res["witnesses"][-1]["detail"] = r.witness
+                witness = _note_failure(res, "derivative rule", f"lambda={lam!r} h={h!r}")
+                if witness is not None:
+                    witness["detail"] = r.witness
     if res["witnesses"]:
         res["status"] = "fail"
     return res

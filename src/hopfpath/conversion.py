@@ -11,11 +11,17 @@ is certified exactly for every forest of grade <= N and every grid pair.
 The analytic construction behind this picks an arbitrary extension at each
 level; here the canonical lift of the interpolated path replaces it, which
 keeps everything rational and deterministic.
+
+`encode` returns a `ConversionResult`: `extended_path`, the sampled path
+with one component per tree letter; `geometric`, its canonical lift over
+those letters; and `certificate`, the report of `certify` (or
+`{"status": "skipped"}`).  Its JSON form adds each tree's psi image.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -23,7 +29,7 @@ from fractions import Fraction
 
 from .expr import print_tensor
 from .hopf import HElem
-from .morphisms import MorphismTable, psi
+from .morphisms import psi
 from .roughpath import (
     RATIONAL,
     BranchedRoughPath,
@@ -35,7 +41,7 @@ from .roughpath import (
 )
 from .scalars import numerators
 from .tensor import TensorElem, Word, is_tensor_group_like, pair_functional, word_context
-from .trees import Forest, Tree, enumerate_forests, leaf, trees_of_grade
+from .trees import Forest, Tree, enumerate_forests, enumerate_trees, leaf, trees_of_grade
 
 
 class ConversionError(RuntimeError):
@@ -79,7 +85,7 @@ def extract_extended_path(X: BranchedRoughPath, partial: GeometricRoughPath, che
     # the output only uses adjacent pairs; wider ones exist to feed the
     # additivity check
     if check_cocycle:
-        pairs = [(s, t) for s in range(M + 1) for t in range(s + 1, M + 1)]
+        pairs = list(itertools.combinations(range(M + 1), 2))
     else:
         pairs = [(k, k + 1) for k in range(M)]
     taus = trees_of_grade(n + 1, X.d)
@@ -104,15 +110,13 @@ def extract_extended_path(X: BranchedRoughPath, partial: GeometricRoughPath, che
         if check_cocycle:
             (vals,), _ = numerators(list(f.values()))
             g = dict(zip(f, vals))
-            for s in range(M + 1):
-                for u in range(s + 1, M + 1):
-                    for t in range(u + 1, M + 1):
-                        if not same(g[(s, t)], g[(s, u)] + g[(u, t)]):
-                            raise ConversionError(
-                                f"extracted component for {tau!r} is not additive "
-                                f"on triple ({s}, {u}, {t}); the partial lift does "
-                                f"not reproduce X below grade {n + 1}"
-                            )
+            for s, u, t in itertools.combinations(range(M + 1), 3):
+                if not same(g[(s, t)], g[(s, u)] + g[(u, t)]):
+                    raise ConversionError(
+                        f"extracted component for {tau!r} is not additive "
+                        f"on triple ({s}, {u}, {t}); the partial lift does "
+                        f"not reproduce X below grade {n + 1}"
+                    )
         out[tau] = [f[(k, k + 1)] for k in range(M)]
     return out
 
@@ -121,17 +125,14 @@ def extract_extended_path(X: BranchedRoughPath, partial: GeometricRoughPath, che
 class ConversionResult:
     extended_path: SampledPath
     geometric: GeometricRoughPath
-    psi_table: MorphismTable
     certificate: dict
 
     def to_obj(self) -> dict:
         d = self.geometric.d
         N = self.geometric.N
         psi_map = {}
-        for n in range(1, N + 1):
-            for tau in trees_of_grade(n, d):
-                img = self.psi_table.image_elem(HElem.from_tree(tau, d))
-                psi_map[repr(tau)] = print_tensor(img)
+        for tau in enumerate_trees(N, d):
+            psi_map[repr(tau)] = print_tensor(psi(HElem.from_tree(tau, d), N))
         return {
             "extended_path_csv": self.extended_path.to_csv(),
             "geometric": roughpath_obj(self.geometric),
@@ -161,39 +162,31 @@ def certify(X: BranchedRoughPath, Xbar: GeometricRoughPath) -> dict:
         "witness": None,
     }
 
-    def row(s):
-        n = 0
-        for t in range(s + 1, M + 1):
-            n += 1
-            lhs_inc = X.increment(s, t)
-            vec = ctx.vector(Xbar.increment(s, t).terms)
-            den = vec.den
-            for h, img in zip(basis, images):
-                lhs = lhs_inc.coeff(h)
-                rhs = pair_functional(img, vec)
-                if exact and den is not None:
-                    if lhs.numerator * den == rhs * lhs.denominator:
-                        continue
+    for s, t in itertools.combinations(range(M + 1), 2):
+        cert["checked_pairs"] += 1
+        lhs_inc = X.increment(s, t)
+        vec = ctx.vector(Xbar.increment(s, t).terms)
+        den = vec.den
+        for h, img in zip(basis, images):
+            lhs = lhs_inc.coeff(h)
+            rhs = pair_functional(img, vec)
+            if exact and den is not None:
+                if lhs.numerator * den == rhs * lhs.denominator:
+                    continue
+                rhs = Fraction(rhs, den)
+            else:
+                if den is not None:
                     rhs = Fraction(rhs, den)
-                else:
-                    if den is not None:
-                        rhs = Fraction(rhs, den)
-                    if _close(lhs, rhs, X.mode):
-                        continue
-                return n, {
-                    "forest": repr(h),
-                    "s": str(X.grid.times[s]),
-                    "t": str(X.grid.times[t]),
-                    "branched_value": str(lhs),
-                    "geometric_value": str(rhs),
-                }
-        return n, None
-
-    for n, witness in map(row, range(M + 1)):
-        cert["checked_pairs"] += n
-        if witness is not None:
+                if _close(lhs, rhs, X.mode):
+                    continue
             cert["status"] = "fail"
-            cert["witness"] = witness
+            cert["witness"] = {
+                "forest": repr(h),
+                "s": str(X.grid.times[s]),
+                "t": str(X.grid.times[t]),
+                "branched_value": str(lhs),
+                "geometric_value": str(rhs),
+            }
             return cert
     gamma = X.gamma
     if not isinstance(gamma, float) and Fraction(gamma).numerator == 1:
@@ -211,7 +204,7 @@ def encode(X: BranchedRoughPath, certify_result: bool = True, check_cocycle: boo
     rebuilds the canonical lift of the extended path, so the level-n values
     never change once set (rebuilding is deterministic in the components).
     """
-    N, d = X.N, X.d
+    N = X.N
     ext = base_path_of(X)
     for n in range(1, N):
         partial = canonical_lift(ext, n + 1, X.gamma)
@@ -220,9 +213,8 @@ def encode(X: BranchedRoughPath, certify_result: bool = True, check_cocycle: boo
         cols = [_cumulative(new[tau], zero) for tau in sorted(new)]
         ext = ext.extend(sorted(new), cols)
     geometric = canonical_lift(ext, N, X.gamma)
-    table = MorphismTable("psi", N, d)
     cert = certify(X, geometric) if certify_result else {"status": "skipped"}
-    return ConversionResult(ext, geometric, table, cert)
+    return ConversionResult(ext, geometric, cert)
 
 
 def extend_alphabet(X1: BranchedRoughPath, new_components: SampledPath) -> BranchedRoughPath:

@@ -141,8 +141,8 @@ class _Parser:
 
     # -- shared pieces ----------------------------------------------------
 
-    def label(self) -> int:
-        tok = self.expect("sub")
+    def label(self, tok) -> int:
+        """The label a leaf or subscript token carries, checked against d."""
         if not 1 <= tok[1] <= self.d:
             self.error(f"label {tok[1]} out of range 1..{self.d}", tok)
         return tok[1]
@@ -150,15 +150,13 @@ class _Parser:
     def tree(self) -> Tree:
         tok = self.next()
         if tok[0] == "leaf":
-            if not 1 <= tok[1] <= self.d:
-                self.error(f"label {tok[1]} out of range 1..{self.d}", tok)
-            return Tree(tok[1])
+            return Tree(self.label(tok))
         if tok[0] == "[":
             kids = [self.tree()]
             while self.peek()[0] in ("leaf", "["):
                 kids.append(self.tree())
             self.expect("]")
-            return Tree(self.label(), kids)
+            return Tree(self.label(self.expect("sub")), kids)
         self.error("expected a tree", tok)
 
     def rational_prefix(self) -> Fraction:
@@ -191,6 +189,23 @@ class _Parser:
             return "zero"
         self.error("expected a monomial", tok)
 
+    def terms(self, monomial, unit) -> dict:
+        """expr := term (("+" | "-") term)* to the end of input, summed per
+        monomial; monomial() reads one and unit stands for "1"."""
+        out: dict = {}
+        sign = 1
+        while True:
+            coeff = self.rational_prefix()
+            mono = monomial()
+            if mono != "zero":
+                key = unit if mono == "unit" else mono
+                out[key] = out.get(key, Fraction(0)) + sign * coeff
+            if self.peek()[0] not in ("+", "-"):
+                break
+            sign = 1 if self.next()[0] == "+" else -1
+        self.expect("end")
+        return out
+
     # -- forest expressions ------------------------------------------------
 
     def forest_monomial(self):
@@ -202,56 +217,24 @@ class _Parser:
         return Forest(trees)
 
     def h_expr(self) -> HElem:
-        terms: dict = {}
-
-        def term(sign):
-            coeff = self.rational_prefix()
-            mono = self.forest_monomial()
-            if mono == "zero":
-                return
-            f = EMPTY_FOREST if mono == "unit" else mono
-            terms[f] = terms.get(f, Fraction(0)) + sign * coeff
-
-        term(1)
-        while self.peek()[0] in ("+", "-"):
-            sign = 1 if self.next()[0] == "+" else -1
-            term(sign)
-        self.expect("end")
-        return HElem(terms, self.d)
+        return HElem(self.terms(self.forest_monomial, EMPTY_FOREST), self.d)
 
     # -- tensor expressions ------------------------------------------------
 
-    def word_monomial(self):
+    def word_monomial(self, n: int):
         if self.peek()[0] == "int":
             return self.unit_or_zero()
         letters = [self.tree()]
         while self.peek()[0] == "tensor":
             self.next()
             letters.append(self.tree())
-        return Word(letters)
+        w = Word(letters)
+        if w.max_letter_grade() > n:
+            self.error(f"letter grade {w.max_letter_grade()} above bound {n}")
+        return w
 
     def tensor_expr(self, n: int) -> TensorElem:
-        terms: dict = {}
-
-        def term(sign):
-            coeff = self.rational_prefix()
-            mono = self.word_monomial()
-            if mono == "zero":
-                return
-            if mono == "unit":
-                w = EMPTY_WORD
-            else:
-                w = mono
-                if w.max_letter_grade() > n:
-                    self.error(f"letter grade {w.max_letter_grade()} above bound {n}")
-            terms[w] = terms.get(w, Fraction(0)) + sign * coeff
-
-        term(1)
-        while self.peek()[0] in ("+", "-"):
-            sign = 1 if self.next()[0] == "+" else -1
-            term(sign)
-        self.expect("end")
-        return TensorElem(terms, self.d, n)
+        return TensorElem(self.terms(lambda: self.word_monomial(n), EMPTY_WORD), self.d, n)
 
 
 def parse_h(text: str, d: int) -> HElem:

@@ -25,10 +25,9 @@ the coefficients unchanged, in the same term order, when they are floats.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from fractions import Fraction
-from typing import Iterable
+from typing import Mapping
 
 # pair is the forest side's name for the one Kronecker pairing
 from .linear import Linear, LinearPairs, context_field, exp_series, log_series, pair
@@ -40,8 +39,6 @@ from .trees import (
     enumerate_forests,
     trees_of_grade,
 )
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 
@@ -293,14 +290,21 @@ def convolve(f: HElem, g: HElem, N: int) -> HElem:
     return HElem(out, f.d)
 
 
-def _attach_everywhere(t1: Tree, t2: Tree) -> list[Tree]:
-    """All trees obtained by growing t1 from one vertex of t2 (with
-    multiplicity: one entry per vertex of t2)."""
-    out = [Tree(t2.label, t2.children + (t1,))]
-    for i, child in enumerate(t2.children):
-        for r in _attach_everywhere(t1, child):
-            out.append(Tree(t2.label, t2.children[:i] + (r,) + t2.children[i + 1:]))
+def _vertex_addresses(t: Tree) -> list:
+    """Paths of child indices from the root to each vertex, depth first."""
+    out = [()]
+    for i, c in enumerate(t.children):
+        out.extend((i,) + a for a in _vertex_addresses(c))
     return out
+
+
+def _attach_at(t: Tree, additions: Mapping) -> Tree:
+    """Rebuild t with extra children grafted at the addressed vertices."""
+    kids = []
+    for i, c in enumerate(t.children):
+        sub = {a[1:]: v for a, v in additions.items() if a and a[0] == i}
+        kids.append(_attach_at(c, sub) if sub else c)
+    return Tree(t.label, tuple(kids) + tuple(additions.get((), ())))
 
 
 def graft_product(t1: Tree, t2: Tree, d: int | None = None) -> HElem:
@@ -308,8 +312,8 @@ def graft_product(t1: Tree, t2: Tree, d: int | None = None) -> HElem:
     if d is None:
         d = max(t1.max_label(), t2.max_label())
     out: dict = {}
-    for t in _attach_everywhere(t1, t2):
-        k = Forest((t,))
+    for a in _vertex_addresses(t2):
+        k = Forest((_attach_at(t2, {a: (t1,)}),))
         out[k] = out.get(k, _ZERO) + 1
     return HElem(out, d)
 

@@ -8,12 +8,19 @@ deconcatenation, which is what verify_hopf_morphism checks exhaustively.
 
 The adjoints pull tensor functionals back to forest functionals; they turn
 concatenation into the convolution product.
+
+A morphism is fixed by its tree images.  One fold extends it: a forest
+maps to the shuffle of its trees' images, a combination to the sum of its
+forests' images, in term order.  The functions run it over the cached
+`_phi_tree`/`_psi_tree`, `MorphismTable` over its own copies of them.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping
 
 from .hopf import HElem, _forest_coproduct, _tree_coproduct
 from .tensor import (
@@ -37,41 +44,57 @@ from .trees import (
 _ZERO = Fraction(0)
 
 
-_UNIT_DICT = {EMPTY_WORD: Fraction(1)}
+_UNIT_DICT = MappingProxyType({EMPTY_WORD: Fraction(1)})
+
+
+def _forest_image(f: Forest, tree_image) -> Mapping:
+    """Shuffle of the images of f's trees, in factor order; tree_image maps
+    a tree to its image as a word map."""
+    acc = _UNIT_DICT
+    for t in f.factors:
+        acc = shuffle_terms(acc, tree_image(t))
+    return acc
+
+
+def _linear_image(h: HElem, tree_image, n: int) -> TensorElem:
+    """The morphism fixed by tree_image, extended to h: forest images are
+    summed in h's term order, then in each image's own order."""
+    out: dict = {}
+    for f, c in h.terms.items():
+        for w, v in _forest_image(f, tree_image).items():
+            out[w] = out.get(w, _ZERO) + c * v
+    return TensorElem(out, h.d, n)
+
+
+def _adjoint(w: Word, d: int, tree_image) -> HElem:
+    """<adjoint(w), h> = <w, image(h)> over forests h of the word's grade:
+    the morphisms are graded, so no other forest can hit w."""
+    out: dict = {}
+    for h in forests_of_grade(w.grade, d):
+        c = _forest_image(h, tree_image).get(w)
+        if c:
+            out[h] = c
+    return HElem(out, d)
 
 
 @functools.lru_cache(maxsize=None)
-def _phi_tree(t: Tree) -> tuple:
-    """phi_g(t) as ((word, coeff), ...): child shuffles with the root letter
+def _phi_tree(t: Tree) -> Mapping:
+    """phi_g(t) as a read-only word map: child shuffles with the root letter
     appended, so a tree of grade n maps to words of n single-vertex letters."""
-    acc = _UNIT_DICT
-    for c in t.children:
-        acc = shuffle_terms(acc, dict(_phi_tree(c)))
     root = Tree(t.label)
-    out = {Word(w.letters + (root,)): v for w, v in acc.items()}
-    return tuple(out.items())
-
-
-def _phi_forest(f: Forest) -> dict:
-    acc = _UNIT_DICT
-    for t in f.factors:
-        acc = shuffle_terms(acc, dict(_phi_tree(t)))
-    return acc
+    acc = _forest_image(Forest(t.children), _phi_tree)
+    return MappingProxyType({Word(w.letters + (root,)): v for w, v in acc.items()})
 
 
 def phi_g(h: HElem) -> TensorElem:
     """Morphism onto words of single-vertex letters: [h]_i appends e_i,
     products shuffle."""
-    out: dict = {}
-    for f, c in h.terms.items():
-        for w, v in _phi_forest(f).items():
-            out[w] = out.get(w, _ZERO) + c * v
-    return TensorElem(out, h.d, 1)
+    return _linear_image(h, _phi_tree, 1)
 
 
 @functools.lru_cache(maxsize=None)
-def _psi_tree(t: Tree) -> tuple:
-    """psi(t) as ((word, coeff), ...).
+def _psi_tree(t: Tree) -> Mapping:
+    """psi(t) as a read-only word map.
 
     psi(t) = t (one-letter word) plus, for every nontrivial cut
     pruned (x) trunk with its multiplicity, psi(pruned) with the trunk
@@ -83,17 +106,10 @@ def _psi_tree(t: Tree) -> tuple:
         if left == whole or left.is_unit():
             continue
         trunk = right.factors[0]
-        for w, v in _psi_forest(left).items():
+        for w, v in _forest_image(left, _psi_tree).items():
             key = Word(w.letters + (trunk,))
             out[key] = out.get(key, _ZERO) + cnt * v
-    return tuple(out.items())
-
-
-def _psi_forest(f: Forest) -> dict:
-    acc = _UNIT_DICT
-    for t in f.factors:
-        acc = shuffle_terms(acc, dict(_psi_tree(t)))
-    return acc
+    return MappingProxyType(out)
 
 
 def psi(h: HElem, N: int) -> TensorElem:
@@ -101,11 +117,7 @@ def psi(h: HElem, N: int) -> TensorElem:
     of strictly smaller-grade letters."""
     if h.max_grade() > N:
         raise ValueError(f"grade {h.max_grade()} exceeds truncation level {N}")
-    out: dict = {}
-    for f, c in h.terms.items():
-        for w, v in _psi_forest(f).items():
-            out[w] = out.get(w, _ZERO) + c * v
-    return TensorElem(out, h.d, max(N, 1))
+    return _linear_image(h, _psi_tree, max(N, 1))
 
 
 # -- adjoints --------------------------------------------------------------
@@ -115,16 +127,9 @@ def psi_adjoint(w: Word, N: int, d: int | None = None) -> HElem:
     """<psi*(w), h> = <w, psi(h)> over forests h of grade <= N."""
     if d is None:
         d = max(w.max_label(), 1)
-    out: dict = {}
-    if w.is_empty():
-        out[EMPTY_FOREST] = Fraction(1)
-    elif w.grade <= N:
-        # psi is graded, so only forests of the word's grade can hit it
-        for h in forests_of_grade(w.grade, d):
-            c = _psi_forest(h).get(w)
-            if c:
-                out[h] = c
-    return HElem(out, d)
+    if w.grade > N:
+        return HElem.zero(d)
+    return _adjoint(w, d, _psi_tree)
 
 
 def phi_g_adjoint(w: Word, d: int | None = None) -> HElem:
@@ -133,15 +138,7 @@ def phi_g_adjoint(w: Word, d: int | None = None) -> HElem:
         raise ValueError("phi_g_adjoint needs single-vertex letters")
     if d is None:
         d = max(w.max_label(), 1)
-    out: dict = {}
-    if w.is_empty():
-        out[EMPTY_FOREST] = Fraction(1)
-    else:
-        for h in forests_of_grade(w.grade, d):
-            c = _phi_forest(h).get(w)
-            if c:
-                out[h] = c
-    return HElem(out, d)
+    return _adjoint(w, d, _phi_tree)
 
 
 # -- chain embedding -------------------------------------------------------
@@ -181,7 +178,7 @@ class MorphismTable:
         self.which = which
         self.N = N
         self.d = d
-        n = 1 if which == "phi_g" else max(N, 1)
+        n = self.letter_bound()
         fn = _phi_tree if which == "phi_g" else _psi_tree
         self.cache = {
             t: TensorElem(dict(fn(t)), d, n) for t in enumerate_trees(N, d)
@@ -190,23 +187,18 @@ class MorphismTable:
     def letter_bound(self) -> int:
         return 1 if self.which == "phi_g" else max(self.N, 1)
 
+    def _tree_terms(self, t: Tree) -> dict:
+        entry = self.cache.get(t)
+        if entry is None:
+            raise ValueError(f"tree {t!r} outside table level {self.N}")
+        return entry.terms
+
     def image(self, f: Forest) -> TensorElem:
         """Morphism value on a basis forest: shuffle over the factors."""
-        n = self.letter_bound()
-        acc = TensorElem.unit(self.d, n)
-        for t in f.factors:
-            entry = self.cache.get(t)
-            if entry is None:
-                raise ValueError(f"tree {t!r} outside table level {self.N}")
-            acc = shuffle(acc, entry)
-        return acc
+        return TensorElem(_forest_image(f, self._tree_terms), self.d, self.letter_bound())
 
     def image_elem(self, x: HElem) -> TensorElem:
-        n = self.letter_bound()
-        out = TensorElem.zero(self.d, n)
-        for f, c in x.terms.items():
-            out = out + self.image(f).scale(c)
-        return out
+        return _linear_image(x, self._tree_terms, self.letter_bound())
 
 
 def verify_hopf_morphism(which: str, N: int, d: int, table: MorphismTable | None = None) -> dict:

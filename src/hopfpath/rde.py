@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .expr import parse_rational
-from .hopf import HElem, _forest_coproduct
+from .hopf import HElem, _attach_at, _forest_coproduct, _vertex_addresses
 from .linear import Linear, context_field
-from .roughpath import RATIONAL, BranchedRoughPath, GeometricRoughPath, Grid, SampledPath
+from .roughpath import RATIONAL, BranchedRoughPath, GeometricRoughPath, Grid, SampledPath, _grid_csv
 from .tensor import TensorElem, Word
 from .trees import (
     EMPTY_FOREST,
@@ -240,7 +240,7 @@ def apply_derivative(f: PolyVectorField, args: Sequence[PolyVectorField]) -> Pol
     out = []
     for comp in f.components:
         acc = Poly.const(0, e)
-        for beta in _multi_indices(e, n):
+        for beta in itertools.product(range(1, e + 1), repeat=n):
             part = comp
             for b in beta:
                 part = part.diff(b)
@@ -253,38 +253,6 @@ def apply_derivative(f: PolyVectorField, args: Sequence[PolyVectorField]) -> Pol
             acc = acc + part
         out.append(acc)
     return PolyVectorField(out)
-
-
-def _multi_indices(e: int, n: int):
-    if n == 0:
-        yield ()
-        return
-    for head in range(1, e + 1):
-        for rest in _multi_indices(e, n - 1):
-            yield (head,) + rest
-
-
-def _numeric_derivative(f: PolyVectorField, point: Sequence, vectors: Sequence[Sequence]) -> tuple:
-    """D^n f(point) : (v_1, ..., v_n) with numeric arguments."""
-    e = f.e
-    n = len(vectors)
-    out = []
-    for comp in f.components:
-        total = 0
-        for beta in _multi_indices(e, n):
-            part = comp
-            for b in beta:
-                part = part.diff(b)
-                if part.is_zero():
-                    break
-            if part.is_zero():
-                continue
-            v = part.eval(point)
-            for vec, b in zip(vectors, beta):
-                v = v * vec[b - 1]
-            total = total + v
-        out.append(total)
-    return tuple(out)
 
 
 # -- Butcher coefficients --------------------------------------------------
@@ -364,16 +332,7 @@ class Trajectory:
         return len(self.values[0])
 
     def to_csv(self) -> str:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t"] + [f"y_{i + 1}" for i in range(self.e)])
-        fmt = str if self.mode == RATIONAL else repr
-        for t, row in zip(self.grid.times, self.values):
-            w.writerow([fmt(t)] + [fmt(v) for v in row])
-        return buf.getvalue()
+        return _grid_csv(self.grid, [f"y_{i + 1}" for i in range(self.e)], self.values, self.mode)
 
     def to_obj(self) -> dict:
         fmt = (lambda v: str(v)) if self.mode == RATIONAL else float
@@ -547,22 +506,6 @@ class LglResult:
         return f"LglResult(ok={self.ok}, witness={self.witness})"
 
 
-def _vertex_addresses(t: Tree) -> list:
-    out = [()]
-    for i, c in enumerate(t.children):
-        out.extend((i,) + a for a in _vertex_addresses(c))
-    return out
-
-
-def _attach_at(t: Tree, additions: Mapping) -> Tree:
-    """Rebuild t with extra children grafted at the addressed vertices."""
-    kids = []
-    for i, c in enumerate(t.children):
-        sub = {a[1:]: v for a, v in additions.items() if a and a[0] == i}
-        kids.append(_attach_at(c, sub) if sub else c)
-    return Tree(t.label, tuple(kids) + tuple(additions.get((), ())))
-
-
 def check_lgl(f: ButcherTable, lam, h, N: int) -> LglResult:
     """D^q f_h : (f_{lam_1}, ..., f_{lam_q}) = f_{lam * h} as polynomials.
 
@@ -720,12 +663,13 @@ def compose_controlled(phi: PolyVectorField, Z: ControlledPath) -> ControlledPat
         for h in _nonunit_forests(Z):
             total = None
             for n in range(1, Z.N):
-                inv = Fraction(1, math.factorial(n))
+                inv = Fraction(1, math.factorial(n)) if Z.mode == RATIONAL else 1 / math.factorial(n)
                 for split in _ordered_splits(h.factors, n):
                     vecs = [Z.coeff(k, part) for part in split]
                     if any(all(v == 0 for v in vec) for vec in vecs):
                         continue
-                    term = _numeric_derivative(phi, z, vecs)
+                    consts = [PolyVectorField([Poly.const(v, Z.e) for v in vec]) for vec in vecs]
+                    term = apply_derivative(phi, consts).eval(z)
                     term = tuple(inv * v for v in term)
                     total = term if total is None else tuple(a + b for a, b in zip(total, term))
             if total is not None and any(total):
@@ -778,36 +722,35 @@ def consistency_report(Z: ControlledPath, X: BranchedRoughPath) -> dict:
     M = X.grid.steps
     per = {repr(h): 0.0 for h in basis}
     pairs = []
-    for s in range(M + 1):
-        for t in range(s + 1, M + 1):
-            inc = X.increment(s, t)
-            residuals = {}
-            for h in basis:
-                transported = (0,) * Z.e
-                for g, left, cnt in action[h]:
-                    x = inc.coeff(left)
-                    if x == 0:
-                        continue
-                    vec = Z.coeffs[s].get(g)
-                    if vec is None:
-                        continue
-                    transported = tuple(
-                        a + cnt * x * v for a, v in zip(transported, vec)
-                    )
-                actual = Z.coeff(t, h)
-                r = max(abs(float(a - b)) for a, b in zip(actual, transported))
-                name = repr(h)
-                residuals[name] = r
-                if r > per[name]:
-                    per[name] = r
-            pairs.append(
-                {
-                    "s": s,
-                    "t": t,
-                    "span": float(X.grid.times[t] - X.grid.times[s]),
-                    "residuals": residuals,
-                }
-            )
+    for s, t in itertools.combinations(range(M + 1), 2):
+        inc = X.increment(s, t)
+        residuals = {}
+        for h in basis:
+            transported = (0,) * Z.e
+            for g, left, cnt in action[h]:
+                x = inc.coeff(left)
+                if x == 0:
+                    continue
+                vec = Z.coeffs[s].get(g)
+                if vec is None:
+                    continue
+                transported = tuple(
+                    a + cnt * x * v for a, v in zip(transported, vec)
+                )
+            actual = Z.coeff(t, h)
+            r = max(abs(float(a - b)) for a, b in zip(actual, transported))
+            name = repr(h)
+            residuals[name] = r
+            if r > per[name]:
+                per[name] = r
+        pairs.append(
+            {
+                "s": s,
+                "t": t,
+                "span": float(X.grid.times[t] - X.grid.times[s]),
+                "residuals": residuals,
+            }
+        )
     return {
         "per_forest": per,
         "pairs": pairs,

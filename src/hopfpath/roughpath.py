@@ -24,6 +24,7 @@ rough path whose adjacent increments are not characters, in O(M).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -91,6 +92,21 @@ class Grid:
 
     def __repr__(self):
         return f"Grid({self.times[0]}..{self.times[-1]}, {self.steps} steps)"
+
+
+def _grid_csv(grid: Grid, names: Sequence[str], rows: Sequence[Sequence], mode: str) -> str:
+    """A header row "t, names...", then one row per grid time; values are
+    written with str in rational mode and repr in float mode."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["t", *names])
+    fmt = str if mode == RATIONAL else repr
+    for t, row in zip(grid.times, rows):
+        w.writerow([fmt(t)] + [fmt(v) for v in row])
+    return buf.getvalue()
 
 
 def _parse_basis_name(name: str) -> Tree:
@@ -161,16 +177,7 @@ class SampledPath:
     # -- CSV ---------------------------------------------------------------
 
     def to_csv(self) -> str:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t"] + [repr(t) for t in self.basis])
-        fmt = str if self.mode == RATIONAL else repr
-        for t, row in zip(self.grid.times, self.values):
-            w.writerow([fmt(t)] + [fmt(v) for v in row])
-        return buf.getvalue()
+        return _grid_csv(self.grid, [repr(t) for t in self.basis], self.values, self.mode)
 
     @classmethod
     def from_csv(cls, text: str, mode: str = RATIONAL) -> "SampledPath":
@@ -469,22 +476,13 @@ def validate(X) -> dict:
     M = X.grid.steps
     eq = (lambda a, b: a.terms == b.terms) if X.mode == RATIONAL else _elems_close
 
-    def chen_row(s):
-        n = 0
-        for u in range(s + 1, M + 1):
-            for t in range(u + 1, M + 1):
-                n += 1
-                lhs = X.increment(s, t)
-                rhs = X._compose(X.increment(s, u), X.increment(u, t))
-                if not eq(lhs, rhs):
-                    return n, (s, u, t)
-        return n, None
-
-    for n, witness in map(chen_row, range(M + 1)):
-        report["chen"]["checked_triples"] += n
-        if witness is not None:
+    for s, u, t in itertools.combinations(range(M + 1), 3):
+        report["chen"]["checked_triples"] += 1
+        lhs = X.increment(s, t)
+        rhs = X._compose(X.increment(s, u), X.increment(u, t))
+        if not eq(lhs, rhs):
             report["chen"]["status"] = "fail"
-            report["chen"]["witness"] = witness
+            report["chen"]["witness"] = (s, u, t)
             break
 
     if branched:
@@ -499,17 +497,16 @@ def validate(X) -> dict:
         ]
     gamma = float(X.gamma)
     per = {}
-    for s in range(M + 1):
-        for t in range(s + 1, M + 1):
-            inc = X.increment(s, t)
-            dt = float(X.grid.times[t] - X.grid.times[s])
-            for key, name, grade in names:
-                v = abs(float(inc.coeff(key)))
-                if v == 0.0:
-                    continue
-                ratio = v / dt ** (gamma * grade)
-                if ratio > per.get(name, 0.0):
-                    per[name] = ratio
+    for s, t in itertools.combinations(range(M + 1), 2):
+        inc = X.increment(s, t)
+        dt = float(X.grid.times[t] - X.grid.times[s])
+        for key, name, grade in names:
+            v = abs(float(inc.coeff(key)))
+            if v == 0.0:
+                continue
+            ratio = v / dt ** (gamma * grade)
+            if ratio > per.get(name, 0.0):
+                per[name] = ratio
     report["holder"]["per_basis"] = per
     report["holder"]["max"] = max(per.values(), default=0.0)
     return report
@@ -596,39 +593,59 @@ def roughpath_to_json(X) -> str:
     return json.dumps(roughpath_obj(X), indent=2, sort_keys=True)
 
 
-def roughpath_from_obj(obj: dict):
-    mode = obj["mode"]
+def _check_shape(obj) -> None:
+    """Refuse a rough-path JSON object whose structure is wrong, naming the
+    field, before any value is read."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    for field in ("mode", "kind", "level", "gamma", "d", "times", "increments"):
+        if field not in obj:
+            raise ValueError(f"{field}: missing")
     for field, allowed in (("mode", (RATIONAL, FLOAT)), ("kind", ("branched", "geometric"))):
         if obj[field] not in allowed:
             raise ValueError(f'{field}: expected "{allowed[0]}" or "{allowed[1]}", got {json.dumps(obj[field])}')
+    for field in ("level", "d"):
+        v = obj[field]
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise ValueError(f"{field}: expected a positive integer, got {json.dumps(v)}")
+    for field in ("times", "increments"):
+        if not isinstance(obj[field], list):
+            raise ValueError(f"{field}: expected a list, got {json.dumps(obj[field])}")
+    times, rows = obj["times"], obj["increments"]
+    if len(times) != len(rows) + 1:
+        raise ValueError(f"times: expected {len(rows) + 1} entries, one more than the increments, got {len(times)}")
+    for k, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"increment {k}: expected an object, got {json.dumps(row)}")
+    letters = obj.get("letters")
+    names = isinstance(letters, list) and letters and all(isinstance(x, str) for x in letters)
+    if obj["kind"] == "geometric" and not names:
+        raise ValueError(f"letters: expected a non-empty list of tree names, got {json.dumps(letters)}")
+
+
+def roughpath_from_obj(obj: dict):
+    _check_shape(obj)
+    mode = obj["mode"]
     grid = Grid(_scalar_from_json(t, mode, f"time {i}") for i, t in enumerate(obj["times"]))
     d = obj["d"]
     N = obj["level"]
     gamma = _scalar_from_json(obj["gamma"], RATIONAL, "gamma")
-    if obj["kind"] == "branched":
-        incs = []
-        for k, row in enumerate(obj["increments"]):
-            terms = {}
-            for name, v in row.items():
-                x = parse_h(name, d)
-                (f, c), = x.terms.items()
-                if c != 1:
-                    raise ValueError(f"increment key {name!r} is not a basis forest")
-                terms[f] = _scalar_from_json(v, mode, f"increment {k}, {name}")
-            incs.append(HElem(terms, d))
-        return BranchedRoughPath(N, gamma, grid, incs, d, mode)
-    letters = tuple(_parse_basis_name(name) for name in obj["letters"])
-    n = max(t.grade for t in letters)
+    branched = obj["kind"] == "branched"
+    if not branched:
+        letters = tuple(_parse_basis_name(name) for name in obj["letters"])
+        n = max(t.grade for t in letters)
     incs = []
     for k, row in enumerate(obj["increments"]):
         terms = {}
         for name, v in row.items():
-            x = parse_tensor(name, d, n)
-            (w, c), = x.terms.items()
-            if c != 1:
-                raise ValueError(f"increment key {name!r} is not a basis word")
-            terms[w] = _scalar_from_json(v, mode, f"increment {k}, {name}")
-        incs.append(TensorElem(terms, d, n))
+            x = parse_h(name, d) if branched else parse_tensor(name, d, n)
+            if len(x.terms) != 1 or next(iter(x.terms.values())) != 1:
+                raise ValueError(f"increment key {name!r} is not a basis {'forest' if branched else 'word'}")
+            (key,) = x.terms
+            terms[key] = _scalar_from_json(v, mode, f"increment {k}, {name}")
+        incs.append(HElem(terms, d) if branched else TensorElem(terms, d, n))
+    if branched:
+        return BranchedRoughPath(N, gamma, grid, incs, d, mode)
     return GeometricRoughPath(N, gamma, grid, incs, d, mode, letters)
 
 

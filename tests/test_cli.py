@@ -8,7 +8,7 @@ import pytest
 from hopfpath.cli import main
 from hopfpath.conversion import encode
 from hopfpath.expr import parse_h, parse_tensor
-from hopfpath.rde import ButcherTable, solve_branched
+from hopfpath.rde import ButcherTable, check_lgl, solve_branched
 from hopfpath.roughpath import (
     BranchedRoughPath,
     GeometricRoughPath,
@@ -437,6 +437,70 @@ def test_json_driver_values_of_the_wrong_type_are_refused(capsys, tmp_path, argv
     assert err == f"input error: {message}\n"
 
 
+def _set(field, value):
+    def edit(obj):
+        obj[field] = value
+        return obj
+
+    return edit
+
+
+def _drop(field):
+    def edit(obj):
+        del obj[field]
+        return obj
+
+    return edit
+
+
+def _list_row(obj):
+    obj["increments"][1] = [1]
+    return obj
+
+
+def _short_times(obj):
+    obj["times"].pop()
+    return obj
+
+
+def _geometric(letters):
+    def edit(obj):
+        obj["kind"] = "geometric"
+        obj.pop("letters", None)
+        if letters is not None:
+            obj["letters"] = letters
+        return obj
+
+    return edit
+
+
+@pytest.mark.parametrize("argv", [["convert"], _SOLVE_DRIVER])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_list_row, "increment 1: expected an object, got [1]"),
+        (_set("d", "x"), 'd: expected a positive integer, got "x"'),
+        (_set("d", True), "d: expected a positive integer, got true"),
+        (_set("level", "3"), 'level: expected a positive integer, got "3"'),
+        (_set("level", 0), "level: expected a positive integer, got 0"),
+        (_set("times", 5), "times: expected a list, got 5"),
+        (_short_times, "times: expected 5 entries, one more than the increments, got 4"),
+        (lambda obj: [obj], "expected a JSON object, got list"),
+        (_drop("mode"), "mode: missing"),
+        (_geometric(None), "letters: expected a non-empty list of tree names, got null"),
+        (_geometric([1]), "letters: expected a non-empty list of tree names, got [1]"),
+    ],
+)
+def test_json_driver_of_the_wrong_shape_is_refused(capsys, tmp_path, argv, edit, message):
+    obj = edit(json.loads(_ito_json(capsys)))
+    src = tmp_path / "driver.json"
+    src.write_text(json.dumps(obj))
+    rc, out, err = run(capsys, *argv, str(src))
+    assert rc == 2
+    assert out == ""
+    assert err == f"input error: {message}\n"
+
+
 def test_solve_zero_field_is_constant(capsys):
     rc, out, _ = run(
         capsys,
@@ -546,6 +610,26 @@ def test_verify_all_with_mutation_fails_with_witness(capsys):
     ]["lgl"]["witnesses"][0]["detail"]["rhs"]
 
 
+def test_lgl_witness_details_belong_to_their_own_pair(capsys, monkeypatch):
+    import hopfpath.cli as cli
+
+    results = {}
+
+    def recording(f, lam, h, N):
+        r = check_lgl(f, lam, h, N)
+        results[f"lambda={lam!r} h={h!r}"] = r
+        return r
+
+    monkeypatch.setattr(cli, "check_lgl", recording)
+    rc, out, _ = run(capsys, "verify", "--mutate", "--suite", "lgl", "--N", "4")
+    assert rc == 1
+    suite = json.loads(out)["suites"]["lgl"]
+    # more failures than kept witnesses, so later failures must not touch them
+    assert suite["failures"] > len(suite["witnesses"]) == 5
+    for w in suite["witnesses"]:
+        assert w["detail"] == cli._json_safe(results[w["at"]].witness)
+
+
 def test_verify_lifts_defect_identity_checked(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "lifts", "--N", "2", "--steps", "6")
     assert rc == 0
@@ -609,3 +693,61 @@ def test_emitted_json_round_trips(capsys):
     ext = SampledPath.from_csv(obj["extended_path_csv"])
     assert ext.values == result.extended_path.values
     assert ext.basis == result.extended_path.basis
+
+# -- pinned outputs --------------------------------------------------------
+
+_CHAIN_FIELDS = "1: y1^2 + y2, y1*y2; 2: y2^2, y1 + 1"
+
+# one command per row; each writes at most the files it names with --out
+_PINNED_COMMANDS = {
+    "psi": ["algebra", "--op", "psi", "--N", "4", "[b_1 [b_2]_1]_1 + 2 * b_1 [b_2]_1"],
+    "phig": ["algebra", "--op", "phig", "--N", "4", "[b_1 b_2]_1 + b_1 [b_2]_1"],
+    "graft": ["algebra", "--op", "graft", "[b_1]_2", "[b_2 [b_1]_1]_1"],
+    "exp": ["algebra", "--op", "exp", "--N", "4", "b_1 + 1/2 * [b_2]_1"],
+    "log": ["algebra", "--op", "log", "--N", "3", "1 + b_1 + 1/2 * b_1 b_1 - [b_2]_1"],
+    "coproduct": ["algebra", "--op", "coproduct", "[b_1 [b_2]_1]_1 b_2"],
+    "antipode": ["algebra", "--op", "antipode", "[b_1 b_2]_1 b_1"],
+    "verify_all": ["verify", "--suite", "all", "--N", "3"],
+    "verify_lgl": ["verify", "--suite", "lgl", "--N", "4", "--seed", "5"],
+    "lift": ["lift", "--synth", "rw", "--steps", "5", "--d", "2", "--N", "3", "--mode", "ito", "--step", "1/2", "--out", "lift.json"],
+    "convert": ["convert", "lift.json", "--out", "convert.json"],
+    "solve": ["solve", "--driver", "lift.json", "--side", "both", "--fields", _CHAIN_FIELDS, "--xi", "1, 1/2", "--format", "json", "--out", "solve.json"],
+    "float_lift": ["--float", "lift", "--synth", "rw", "--steps", "6", "--d", "2", "--N", "3", "--mode", "ito", "--out", "flift.json"],
+    "float_convert": ["--float", "convert", "flift.json", "--out", "fconvert.json"],
+    "float_solve": ["--float", "solve", "--driver", "flift.json", "--side", "both", "--fields", _CHAIN_FIELDS, "--xi", "1, 1/2", "--format", "json", "--out", "fsolve.json"],
+}
+
+# first 16 hex digits of sha256 over exit code, stdout, stderr and the
+# written file, per command, recorded before the morphism, graft and grid
+# loops were each folded into one implementation
+_PINNED_DIGESTS = {
+    "psi": "c3f801ead5220158",
+    "phig": "a268bd4dfd80289c",
+    "graft": "ed95fe0ee7ecca49",
+    "exp": "de95022b259710e3",
+    "log": "05444a85cc1c68dd",
+    "coproduct": "494eeebe8ae173c0",
+    "antipode": "4fb03522df6d4839",
+    "verify_all": "f2787236862e37b9",
+    "verify_lgl": "50ad5dc76b20cb62",
+    "lift": "311d8a9b03a293b1",
+    "convert": "73bd9de919a67e56",
+    "solve": "02be04dbe18e995a",
+    "float_lift": "20787158b1c0087d",
+    "float_convert": "dfcf3b51b85611c0",
+    "float_solve": "3b0517df5afacc62",
+}
+
+
+def test_cli_outputs_are_pinned(capsys, tmp_path, monkeypatch):
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for name, argv in _PINNED_COMMANDS.items():
+        rc, out, err = run(capsys, *argv)
+        written = argv[argv.index("--out") + 1] if "--out" in argv else None
+        text = (tmp_path / written).read_text() if written else ""
+        record = json.dumps([rc, out, err, text])
+        got[name] = hashlib.sha256(record.encode()).hexdigest()[:16]
+    assert got == _PINNED_DIGESTS

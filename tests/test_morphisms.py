@@ -19,6 +19,7 @@ from hopfpath.trees import (
     Forest,
     Tree,
     chain,
+    enumerate_forests,
     enumerate_trees,
     graft,
     leaf,
@@ -196,6 +197,18 @@ def test_morphism_table_image_matches_direct():
         Forest((leaf(2), leaf(2))), 2
     ).scale(Fraction(1, 3))
     assert table.image_elem(x) == phi_g(x)
+
+
+@pytest.mark.parametrize("which, direct", [("psi", lambda x: psi(x, 4)), ("phi_g", phi_g)])
+def test_morphism_table_images_keep_the_direct_term_order(which, direct):
+    # float pairings iterate images in insertion order, so the table and the
+    # functions must agree term by term, not only as sets
+    table = MorphismTable(which, 4, 2)
+    forests = enumerate_forests(4, 2)
+    for f in forests:
+        assert list(table.image(f).terms.items()) == list(direct(HElem.from_forest(f, 2)).terms.items())
+    x = HElem({f: Fraction(k + 1, 7) for k, f in enumerate(forests)}, 2)
+    assert list(table.image_elem(x).terms.items()) == list(direct(x).terms.items())
 
 
 # -- chain embedding -------------------------------------------------------

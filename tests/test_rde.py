@@ -649,6 +649,29 @@ def test_compose_square_coefficients():
     assert out.coeff(0, Forest((B1, B1))) == (2 * z * p + a * a,)
 
 
+def test_compose_square_coefficients_in_float_mode():
+    # the same data as test_compose_square_coefficients, with float entries
+    from hopfpath.roughpath import FLOAT, Grid
+
+    exact = {
+        EMPTY_FOREST: (Q(1, 3),),
+        Forest((B1,)): (Q(2),),
+        Forest((B2,)): (Q(5),),
+        Forest((B1, B2)): (Q(7, 2),),
+        Forest((B1, B1)): (Q(11),),
+    }
+    floats = {h: tuple(float(v) for v in vec) for h, vec in exact.items()}
+    phi = PolyVectorField.parse(["y1^2"])
+    want = compose_controlled(phi, ControlledPath(Grid([Q(0), Q(1)]), [exact, exact], 3, 2))
+    got = compose_controlled(phi, ControlledPath(Grid([0.0, 1.0]), [floats, floats], 3, 2, FLOAT))
+    for k in range(2):
+        assert set(got.coeffs[k]) == set(want.coeffs[k])
+        for h, vec in want.coeffs[k].items():
+            (w,), (g,) = vec, got.coeffs[k][h]
+            assert isinstance(g, float)
+            assert abs(g - w) <= 1e-12 * abs(w)
+
+
 def test_compose_dimension_error():
     path = walk_path_d2()
     Z = path_controlled(path, 2)
