@@ -11,6 +11,7 @@ of it; see the module docstrings for the individual layers.
 
 import sys
 
+from . import hopf as _hopf, tensor as _tensor
 from .conversion import (
     ConversionError,
     ConversionResult,
@@ -126,7 +127,9 @@ __version__ = "0.1.0"
 def cache_sizes() -> dict:
     """Entries held by every memoised (lru_cache) table of the package,
     keyed 'module.function': the tree enumerations, the coproduct, antipode,
-    shuffle and morphism tables, and the forest and word contexts.  The
+    shuffle and morphism tables, and the forest and word contexts.  For each
+    live context it adds the rows its tables have filled, keyed by the call
+    that built it, e.g. 'tensor.word_context(3, 1, 3).shuffle_rows'.  The
     tables never evict, so the sizes show what a process has built.  Nothing
     is printed."""
     out = {}
@@ -137,4 +140,9 @@ def cache_sizes() -> dict:
             info = getattr(fn, "cache_info", None)
             if info is not None and getattr(fn, "__module__", None) == name:
                 out[f"{name.rsplit('.', 1)[1]}.{attr}"] = info().currsize
+    for ctx in list(_tensor.WordContext.live):
+        out[f"tensor.word_context{ctx.key}.shuffle_rows"] = len(ctx.shuffles)
+        out[f"tensor.word_context{ctx.key}.split_rows"] = len(ctx.splits)
+    for ctx in list(_hopf.ForestContext.live):
+        out[f"hopf.forest_context{ctx.key}.antipode_rows"] = len(ctx.antipodes) - ctx.antipodes.count(None)
     return dict(sorted(out.items()))

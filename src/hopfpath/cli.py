@@ -27,6 +27,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 from .conversion import ConversionError, encode
 from .expr import ParseError, parse_h, parse_rational, print_h, print_tensor
@@ -36,9 +37,9 @@ from .hopf import (
     convolve,
     coproduct,
     exp_star,
+    forest_context,
     graft_product,
     log_star,
-    product,
 )
 from .linear import print_terms
 from .morphisms import MorphismTable, phi_g, psi, verify_hopf_morphism
@@ -70,7 +71,7 @@ from .roughpath import (
     validate,
 )
 from .tensor import TensorElem, Word
-from .trees import Tree, enumerate_forests, enumerate_trees, leaf
+from .trees import Forest, Tree, enumerate_trees, leaf
 
 OK = 0
 INVARIANT_FAILED = 1
@@ -257,10 +258,14 @@ def _synth_path(kind: str, steps: int, seed: int, step_text, d: int, mode: str) 
 
 
 def _read_input(name: str) -> str:
-    if name == "-":
-        return sys.stdin.read()
-    with open(name) as fh:
-        return fh.read()
+    """The text of a file, or of stdin for "-", with universal newlines;
+    bytes that are not UTF-8 are refused, naming the file and the offset."""
+    data = sys.stdin.buffer.read() if name == "-" else Path(name).read_bytes()
+    try:
+        return data.decode().replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as e:
+        where = "stdin" if name == "-" else name
+        raise ValueError(f"{where}: not UTF-8: byte 0x{data[e.start]:02x} at offset {e.start}") from None
 
 
 def cmd_lift(args) -> int:
@@ -271,9 +276,8 @@ def cmd_lift(args) -> int:
     if args.synth is not None:
         path = _synth_path(args.synth, args.steps, cfg.seed, args.step, args.d, cfg.mode)
     else:
-        text = _read_input(args.input)
         try:
-            path = SampledPath.from_csv(text, cfg.mode)
+            path = SampledPath.from_csv(_read_input(args.input), cfg.mode)
         except ValueError as e:
             print(f"input error: {e}", file=sys.stderr)
             return BAD_INPUT
@@ -455,40 +459,50 @@ def _note_failure(res: dict, invariant: str, where: str) -> dict | None:
     return None
 
 
+def _nonzero(terms: dict) -> dict:
+    return {k: c for k, c in terms.items() if c}
+
+
 def _suite_hopf(args, cfg: RunConfig) -> dict:
+    """Grading, coassociativity and the antipode identity on every basis
+    forest, in integers over the forest context's cut and antipode rows."""
     N = args.N if args.N is not None else 4
     d = args.d
     res = {"N": N, "d": d, "status": "pass", "checked_forests": 0, "witnesses": []}
-
-    def S(y: HElem) -> HElem:
-        out = antipode(y)
-        if args.mutate:
-            # negative control: a constant shift cannot be a convolution
-            # inverse, so the sweep must report it
-            out = out + HElem.from_tree(leaf(1), d)
-        return out
-
-    for h in enumerate_forests(N, d):
-        x = HElem.from_forest(h, d)
-        cp = coproduct(x)
+    ctx = forest_context(N, d)
+    basis, cuts = ctx.basis, ctx.cuts
+    # (g, b) positions -> position of the product, or the product itself
+    # when the negative control's shift lifts it above the level
+    products: dict = {}
+    # negative control: a constant shift cannot be a convolution inverse,
+    # so the sweep must report it
+    shift = ctx.index[Forest((leaf(1),))] if args.mutate else None
+    for i, h in enumerate(basis):
         left: dict = {}
         right: dict = {}
-        for (a, b), c in cp.terms.items():
-            if a.grade + b.grade != h.grade:
+        for a, b, c in cuts[i]:
+            if basis[a].grade + basis[b].grade != h.grade:
                 _note_failure(res, "coproduct grading", repr(h))
-            for (u, v), c2 in coproduct(HElem.from_forest(a, d)).terms.items():
+            for u, v, c2 in cuts[a]:
                 key = (u, v, b)
                 left[key] = left.get(key, 0) + c * c2
-            for (u, v), c2 in coproduct(HElem.from_forest(b, d)).terms.items():
+            for u, v, c2 in cuts[b]:
                 key = (a, u, v)
                 right[key] = right.get(key, 0) + c * c2
-        if {k: v for k, v in left.items() if v} != {k: v for k, v in right.items() if v}:
+        if _nonzero(left) != _nonzero(right):
             _note_failure(res, "coassociativity", repr(h))
-        acc = HElem.zero(d)
-        for (a, b), c in cp.terms.items():
-            acc = acc + product(S(HElem.from_forest(a, d)), HElem.from_forest(b, d)).scale(c)
-        want = HElem.unit(d) if h.is_unit() else HElem.zero(d)
-        if acc != want:
+        acc: dict = {}
+        for a, b, c in cuts[i]:
+            S = dict(ctx.antipode(a))
+            if shift is not None:
+                S[shift] = S.get(shift, 0) + 1
+            for g, c2 in S.items():
+                k = products.get((g, b))
+                if k is None:
+                    f = basis[g] * basis[b]
+                    k = products[g, b] = ctx.index.get(f, f)
+                acc[k] = acc.get(k, 0) + c * c2
+        if _nonzero(acc) != ({i: 1} if h.is_unit() else {}):
             _note_failure(res, "antipode convolution inverse", repr(h))
         res["checked_forests"] += 1
     if res["witnesses"]:
@@ -752,10 +766,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error at line {e.line}, column {e.col}: {e}", file=sys.stderr)
         return BAD_INPUT
-    except json.JSONDecodeError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return BAD_INPUT
-    except OSError as e:
+    except (json.JSONDecodeError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return BAD_INPUT
     except ConversionError as e:

@@ -48,21 +48,12 @@ class ConversionError(RuntimeError):
     """Internal consistency violated; indicates a broken input precondition."""
 
 
-def _cumulative(increments, zero):
-    out = [zero]
-    acc = zero
-    for v in increments:
-        acc = acc + v
-        out.append(acc)
-    return out
-
-
 def base_path_of(X: BranchedRoughPath) -> SampledPath:
     """Grade-1 components of a branched rough path, started at 0."""
     zero = Fraction(0) if X.mode == RATIONAL else 0.0
     basis = tuple(leaf(i) for i in range(1, X.d + 1))
     cols = [
-        _cumulative([g.coeff(Forest((b,))) for g in X.increments], zero)
+        list(itertools.accumulate([g.coeff(Forest((b,))) for g in X.increments], initial=zero))
         for b in basis
     ]
     rows = [tuple(col[k] for col in cols) for k in range(len(X.grid))]
@@ -210,7 +201,7 @@ def encode(X: BranchedRoughPath, certify_result: bool = True, check_cocycle: boo
         partial = canonical_lift(ext, n + 1, X.gamma)
         new = extract_extended_path(X, partial, check_cocycle)
         zero = Fraction(0) if X.mode == RATIONAL else 0.0
-        cols = [_cumulative(new[tau], zero) for tau in sorted(new)]
+        cols = [list(itertools.accumulate(new[tau], initial=zero)) for tau in sorted(new)]
         ext = ext.extend(sorted(new), cols)
     geometric = canonical_lift(ext, N, X.gamma)
     cert = certify(X, geometric) if certify_result else {"status": "skipped"}
@@ -279,7 +270,7 @@ class SimplifiedDriver:
         if (k, l) not in self.pairs:
             raise KeyError(f"no symmetric component for pair ({k}, {l})")
         zero = Fraction(0) if self.xhat.mode == RATIONAL else 0.0
-        return _cumulative([row[(k, l)] for row in self.symmetric_increments], zero)
+        return list(itertools.accumulate([row[(k, l)] for row in self.symmetric_increments], initial=zero))
 
     def covariation(self, k: int, l: int) -> list:
         """Discrete covariation sum of delta X^k delta X^l; for a left-point

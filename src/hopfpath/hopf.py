@@ -16,16 +16,19 @@ for large simulation grids.
 
 Truncation level N is always an explicit argument of dual-side operations.
 `convolve` runs on a forest context, built once per (N, d) by
-`forest_context`: the basis with integer positions and each basis forest's
-cut coproduct as position triples.  Its loop runs on integer numerators over
-one common denominator when the operands are exact (see `scalars`), and on
-the coefficients unchanged, in the same term order, when they are floats.
+`forest_context`: the basis with integer positions, each basis forest's
+cut coproduct as position triples and, built on first use, its antipode as
+a position row, which the CLI's hopf suite checks.  The convolution loop
+runs on integer numerators over one common denominator when the operands
+are exact (see `scalars`), and on the coefficients unchanged, in the same
+term order, when they are floats.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
+import weakref
 from fractions import Fraction
 from typing import Mapping
 
@@ -69,10 +72,6 @@ class HElem(Linear):
     @classmethod
     def from_forest(cls, f: Forest, d: int, coeff=Fraction(1)) -> "HElem":
         return cls({f: coeff}, d)
-
-    def tree_part(self) -> dict:
-        """Coefficients of single-tree forests, keyed by Tree."""
-        return {f.factors[0]: c for f, c in self.terms.items() if f.is_single_tree()}
 
     def __mul__(self, other):
         if isinstance(other, HElem):
@@ -231,19 +230,33 @@ def antipode(x: HElem) -> HElem:
 
 class ForestContext:
     """Forests of grade <= N over labels 1..d with integer positions: the
-    basis in enumerate_forests order, each forest's position in it, and per
+    basis in enumerate_forests order, each forest's position in it, per
     basis forest its cut coproduct as (left, right, count) positions, in
-    _forest_coproduct order."""
+    _forest_coproduct order, and its antipode as a position row built on
+    first use."""
 
-    __slots__ = ("basis", "index", "cuts")
+    __slots__ = ("key", "basis", "index", "cuts", "antipodes", "__weakref__")
+    live = weakref.WeakSet()  # every context not yet collected, for cache_sizes
 
     def __init__(self, N: int, d: int):
+        self.key = (N, d)
         self.basis = enumerate_forests(N, d)
         self.index = index = {f: i for i, f in enumerate(self.basis)}
         self.cuts = tuple(
             tuple((index[a], index[b], cnt) for a, b, cnt in _forest_coproduct(h))
             for h in self.basis
         )
+        self.antipodes: list = [None] * len(self.basis)
+        ForestContext.live.add(self)
+
+    def antipode(self, i: int) -> tuple:
+        """S(basis[i]) as ((position, integer coefficient), ...)."""
+        row = self.antipodes[i]
+        if row is None:
+            index = self.index
+            terms = _forest_antipode(self.basis[i])
+            row = self.antipodes[i] = tuple((index[f], c) for f, c in terms if c)
+        return row
 
 
 @functools.lru_cache(maxsize=None)

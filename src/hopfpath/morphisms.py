@@ -13,6 +13,8 @@ A morphism is fixed by its tree images.  One fold extends it: a forest
 maps to the shuffle of its trees' images, a combination to the sum of its
 forests' images, in term order.  The functions run it over the cached
 `_phi_tree`/`_psi_tree`, `MorphismTable` over its own copies of them.
+verify_hopf_morphism runs the same fold on integer positions of a word
+context, with each forest image built once.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from .tensor import (
     EMPTY_WORD,
     TensorElem,
     Word,
-    deconcat,
-    shuffle,
+    WordContext,
     shuffle_terms,
+    word_context,
 )
 from .trees import (
     EMPTY_FOREST,
@@ -201,12 +203,34 @@ class MorphismTable:
         return _linear_image(x, self._tree_terms, self.letter_bound())
 
 
+def _exact(c):
+    """An integral Fraction as an int, anything else unchanged."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _shuffle_rows(ctx: WordContext, a: dict, b: dict) -> dict:
+    """Shuffle of two word maps by context position, zeros dropped."""
+    out: dict = {}
+    get, shuffles, shuffle_row = out.get, ctx.shuffles.get, ctx.shuffle
+    for i, ca in a.items():
+        for j, cb in b.items():
+            c = ca * cb
+            for k in shuffles((i, j)) or shuffle_row(i, j):
+                out[k] = get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
 def verify_hopf_morphism(which: str, N: int, d: int, table: MorphismTable | None = None) -> dict:
     """Exhaustive morphism check on all forests of grade <= N.
 
     Product check: image(h1 h2) = image(h1) shuffled with image(h2).
     Coproduct check: deconcat(image(h)) = (image (x) image)(cut coproduct h).
     Returns a report with the first counterexample if any.
+
+    Tree images are read from `table.cache` at check time, so edits to it
+    count.  Each forest image is built once, as a map from word-context
+    positions to coefficients (ints where integral); the checks compare such
+    maps, with shuffles and splits from the context's tables.
     """
     if table is None:
         table = MorphismTable(which, N, d)
@@ -219,31 +243,41 @@ def verify_hopf_morphism(which: str, N: int, d: int, table: MorphismTable | None
         "checked_pairs": 0,
         "witness": None,
     }
+    ctx = word_context(N, d, table.letter_bound())
+    images: dict = {}
+
+    def image(h: Forest) -> dict:
+        img = images.get(h)
+        if img is None:
+            if len(h.factors) > 1:
+                img = _shuffle_rows(ctx, image(Forest(h.factors[:-1])), image(Forest(h.factors[-1:])))
+            else:
+                terms = table._tree_terms(h.factors[0]) if h.factors else _UNIT_DICT
+                img = {ctx.position(w.letters): _exact(c) for w, c in terms.items()}
+            images[h] = img
+        return img
+
     forests = enumerate_forests(N, d)
     for h in forests:
-        img = table.image(h)
-        lhs = deconcat(img).terms
+        lhs = {key: c for i, c in image(h).items() for key in ctx.splits.get(i) or ctx.split(i)}
         rhs: dict = {}
         for a, b, cnt in _forest_coproduct(h):
-            ia = table.image(a)
-            ib = table.image(b)
-            for wa, ca in ia.terms.items():
-                for wb, cb in ib.terms.items():
-                    key = (wa, wb)
-                    rhs[key] = rhs.get(key, _ZERO) + cnt * ca * cb
-        rhs = {k: v for k, v in rhs.items() if v != 0}
-        if lhs != rhs:
+            ib = image(b)
+            for i, ca in image(a).items():
+                c = cnt * ca
+                for j, cb in ib.items():
+                    key = (i, j)
+                    rhs[key] = rhs.get(key, 0) + c * cb
+        if lhs != {k: v for k, v in rhs.items() if v}:
             report["status"] = "fail"
             report["witness"] = f"coproduct morphism fails on {h!r}"
             return report
         report["checked_forests"] += 1
-    for h1 in forests:
-        if h1.is_unit():
-            continue
-        for h2 in forests:
-            if h2.is_unit() or h1.grade + h2.grade > N:
-                continue
-            if shuffle(table.image(h1), table.image(h2)) != table.image(h1 * h2):
+    for h1 in forests[1:]:
+        for h2 in forests[1:]:  # the unit first, then by grade
+            if h1.grade + h2.grade > N:
+                break
+            if _shuffle_rows(ctx, image(h1), image(h2)) != image(h1 * h2):
                 report["status"] = "fail"
                 report["witness"] = f"product morphism fails on {h1!r}, {h2!r}"
                 return report

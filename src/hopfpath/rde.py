@@ -13,13 +13,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .expr import parse_rational
 from .hopf import HElem, _attach_at, _forest_coproduct, _vertex_addresses
 from .linear import Linear, context_field
-from .roughpath import RATIONAL, BranchedRoughPath, GeometricRoughPath, Grid, SampledPath, _grid_csv
+from .roughpath import FLOAT, RATIONAL, BranchedRoughPath, GeometricRoughPath, Grid, SampledPath, _grid_csv
+from .scalars import numerators
 from .tensor import TensorElem, Word
 from .trees import (
     EMPTY_FOREST,
@@ -65,12 +67,20 @@ class Poly(Linear):
         return cls({e: Fraction(1)}, nvars)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        """Bilinear product: on integer numerators (see `scalars`) when every
+        coefficient is a Fraction, else on the coefficients as given."""
         self._check(other)
+        a, b = self.terms, other.terms
+        av, bv, den = a.values(), b.values(), None
+        if all(type(c) is Fraction for c in itertools.chain(av, bv)):
+            (av, bv), den = numerators(list(av), list(bv))
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+        for e1, c1 in zip(a, av):
+            for e2, c2 in zip(b, bv):
+                e = tuple(map(operator.add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
+        if den is not None:
+            out = {e: Fraction(c, den) for e, c in out.items() if c}
         return Poly(out, self.nvars)
 
     def diff(self, i: int) -> "Poly":
@@ -218,6 +228,13 @@ class PolyVectorField:
 
     __call__ = eval
 
+    def to_float(self) -> "PolyVectorField":
+        """The field with float coefficients; `Fraction * float` is computed
+        as `float(c) * x`, so evaluating at a float point keeps every bit."""
+        return PolyVectorField(
+            [Poly({e: float(c) for e, c in p.terms.items()}, p.nvars) for p in self.components]
+        )
+
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.components)
 
@@ -363,10 +380,15 @@ def _euler(grid: Grid, mode: str, e: int, xi: Sequence, step_terms: Iterable) ->
     y = tuple(xi)
     values = [y]
     breakdowns = []
+    floats: dict = {}  # id(F) -> (F, F.to_float()), so each field is converted once
     for terms in step_terms:
         delta = [0] * e
         breakdown = {}
         for key, w, F in terms:
+            if mode == FLOAT:
+                if id(F) not in floats:
+                    floats[id(F)] = (F, F.to_float())
+                F = floats[id(F)][1]
             contrib = tuple(w * vi for vi in F.eval(y))
             if any(contrib):
                 breakdown[str(key)] = contrib
@@ -656,6 +678,8 @@ def compose_controlled(phi: PolyVectorField, Z: ControlledPath) -> ControlledPat
     expansion: coefficients sum 1/n! D^n phi over ordered factorizations."""
     if phi.e != Z.e:
         raise ValueError(f"map acts on dimension {phi.e}, path has {Z.e}")
+    if Z.mode == FLOAT:
+        phi = phi.to_float()
     coeffs = []
     for k in range(len(Z.grid)):
         z = Z.state(k)

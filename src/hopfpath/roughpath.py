@@ -296,10 +296,6 @@ def gamma_to_level(gamma) -> int:
     return N
 
 
-def _default_gamma(N: int) -> Fraction:
-    return Fraction(1, N)
-
-
 # -- lift constructors -----------------------------------------------------
 
 
@@ -365,7 +361,7 @@ def canonical_lift(path: SampledPath, N: int, gamma=None) -> GeometricRoughPath:
             level = deeper
         increments.append(TensorElem(terms, d, n))
     return GeometricRoughPath(
-        N, gamma if gamma is not None else _default_gamma(N), path.grid, increments, d, path.mode, letters
+        N, gamma if gamma is not None else Fraction(1, N), path.grid, increments, d, path.mode, letters
     )
 
 
@@ -398,7 +394,7 @@ def ito_lift(path: SampledPath, N: int, gamma=None) -> BranchedRoughPath:
                 terms[f] = v
         increments.append(HElem(terms, d))
     return BranchedRoughPath(
-        N, gamma if gamma is not None else _default_gamma(N), path.grid, increments, d, path.mode
+        N, gamma if gamma is not None else Fraction(1, N), path.grid, increments, d, path.mode
     )
 
 

@@ -23,12 +23,15 @@ table from position pairs to the position of the product, filled one row
 at a time on first use.  Their loops run on integer numerators over one
 common denominator when the coefficients are exact (see `scalars`), and on
 the coefficients unchanged, in the same term order, when they are floats.
+The context's shuffle and split tables, filled per position pair and per
+position on first use, serve the exact morphism check in `morphisms`.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
+import weakref
 from fractions import Fraction
 from typing import Iterable
 
@@ -148,10 +151,6 @@ class TensorElem(Linear):
     def from_word(cls, w: Word, d: int, n: int = 1, coeff=Fraction(1)) -> "TensorElem":
         return cls({w: coeff}, d, n)
 
-    @classmethod
-    def from_letter(cls, t: Tree, d: int, n: int = 1, coeff=Fraction(1)) -> "TensorElem":
-        return cls({Word((t,)): coeff}, d, n)
-
 
 class WordPairElem(LinearPairs):
     """Linear combination of word pairs: elements of T (x) T, context (d, n)."""
@@ -204,11 +203,16 @@ def shuffle(x: TensorElem, y: TensorElem) -> TensorElem:
 
 class WordContext:
     """Words of total grade <= N over tree letters of grade <= n and labels
-    1..d, with integer positions."""
+    1..d, with integer positions.  `position` numbers any other word past
+    the basis on first sight, such as the products of tree images of the
+    wrong grade; only the shuffle and split tables see those positions."""
 
-    __slots__ = ("N", "basis", "index", "grades", "ends", "rows")
+    __slots__ = ("key", "N", "basis", "index", "grades", "ends", "rows", "letters", "lookup",
+                 "shuffles", "splits", "__weakref__")
+    live = weakref.WeakSet()  # every context not yet collected, for cache_sizes
 
     def __init__(self, N: int, d: int, n: int):
+        self.key = (N, d, n)
         self.N = N
         self.basis = enumerate_words(N, d, n)
         self.index = {w: i for i, w in enumerate(self.basis)}
@@ -217,6 +221,36 @@ class WordContext:
         # are the first ends[g]
         self.ends = [sum(1 for g in self.grades if g <= b) for b in range(N + 1)]
         self.rows: list = [None] * len(self.basis)
+        self.letters = [w.letters for w in self.basis]
+        self.lookup = {letters: i for i, letters in enumerate(self.letters)}
+        self.shuffles: dict = {}
+        self.splits: dict = {}
+        WordContext.live.add(self)
+
+    def position(self, letters: tuple) -> int:
+        i = self.lookup.get(letters)
+        if i is None:
+            i = self.lookup[letters] = len(self.letters)
+            self.letters.append(letters)
+        return i
+
+    def shuffle(self, i: int, j: int) -> tuple:
+        """Positions of the shuffles of words i and j, a word reached c ways
+        c times, built on first use."""
+        row = self.shuffles.get((i, j))
+        if row is None:
+            at = self.position
+            pairs = _shuffle_words(self.letters[i], self.letters[j])
+            row = self.shuffles[i, j] = tuple(at(w) for w, c in pairs for _ in range(c))
+        return row
+
+    def split(self, i: int) -> tuple:
+        """(prefix, suffix) positions of word i's splits, built on first use."""
+        row = self.splits.get(i)
+        if row is None:
+            w, at = self.letters[i], self.position
+            row = self.splits[i] = tuple((at(w[:k]), at(w[k:])) for k in range(len(w) + 1))
+        return row
 
     def row(self, i: int) -> list:
         """Positions of basis[i] * basis[j] for every j whose grade fits,

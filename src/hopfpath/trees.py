@@ -156,11 +156,6 @@ def compare(x: Tree, y: Tree) -> int:
     return 0
 
 
-def _multisets(items: list, k: int) -> Iterator[tuple]:
-    """All multisets of size k drawn from items (ordered canonically)."""
-    return itertools.combinations_with_replacement(items, k)
-
-
 @functools.lru_cache(maxsize=None)
 def trees_of_grade(n: int, d: int) -> tuple[Tree, ...]:
     """All canonical trees with exactly n vertices and labels in 1..d."""
@@ -195,7 +190,7 @@ def forests_of_grade(n: int, d: int) -> tuple[Forest, ...]:
             for count in range(1, remaining // g + 1):
                 if remaining - count * g < 0:
                     break
-                for combo in _multisets(list(pool), count):
+                for combo in itertools.combinations_with_replacement(pool, count):
                     build(remaining - count * g, g - 1, acc + tuple(combo))
 
     build(n, n, ())

@@ -195,6 +195,24 @@ def test_lift_rejects_bad_csv_values_with_location(capsys, tmp_path, flags, text
     assert f"row 3, column 2: {message}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lift"],
+        ["convert"],
+        ["solve", "--fields", "1: y1", "--xi", "1", "--driver"],
+    ],
+    ids=["lift", "convert", "solve"],
+)
+def test_non_utf8_input_is_refused_with_its_file_and_offset(capsys, tmp_path, argv):
+    f = tmp_path / "bad.csv"
+    f.write_bytes(b"t,b_1\n0,0\n1,\xff\xfe\n")
+    rc, out, err = run(capsys, *argv, str(f))
+    assert rc == 2
+    assert out == ""
+    assert err == f"input error: {f}: not UTF-8: byte 0xff at offset 12\n"
+
+
 def test_lift_level_gamma_consistency(capsys):
     rc, _, err = run(
         capsys, "lift", "--synth", "linear", "--steps", "2", "--gamma", "0.3", "--N", "2"
@@ -751,3 +769,36 @@ def test_cli_outputs_are_pinned(capsys, tmp_path, monkeypatch):
         record = json.dumps([rc, out, err, text])
         got[name] = hashlib.sha256(record.encode()).hexdigest()[:16]
     assert got == _PINNED_DIGESTS
+
+
+# -- pinned verify suites ---------------------------------------------------
+
+_SUITE_COMMANDS = {
+    "hopf": ["verify", "--suite", "hopf", "--N", "4", "--d", "2", "--out", "hopf.json"],
+    "morphisms": ["verify", "--suite", "morphisms", "--N", "4", "--d", "2", "--out", "morphisms.json"],
+    "lgl": ["verify", "--suite", "lgl", "--N", "4", "--seed", "9", "--out", "lgl.json"],
+    "mutate": ["verify", "--mutate", "--suite", "all", "--N", "3", "--out", "mutate.json"],
+}
+
+# first 16 hex digits of sha256 over exit code, stdout, stderr and the
+# written report, per command, recorded from the Fraction/TensorElem loops
+# before the suites moved onto integer position tables
+_SUITE_DIGESTS = {
+    "hopf": "eafb4a7ea5d1e36e",
+    "morphisms": "0ca0c42fd60b8531",
+    "lgl": "46f5f92fa06a5f67",
+    "mutate": "21d9276a5b1a1252",
+}
+
+
+def test_verify_suite_outputs_are_pinned(capsys, tmp_path, monkeypatch):
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for name, argv in _SUITE_COMMANDS.items():
+        rc, out, err = run(capsys, *argv)
+        text = (tmp_path / argv[-1]).read_text()
+        record = json.dumps([rc, out, err, text])
+        got[name] = hashlib.sha256(record.encode()).hexdigest()[:16]
+    assert got == _SUITE_DIGESTS

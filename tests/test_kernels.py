@@ -24,7 +24,8 @@ import hopfpath
 from hopfpath import hopf, tensor
 from hopfpath.conversion import certify, encode
 from hopfpath.hopf import HElem, convolve
-from hopfpath.morphisms import psi
+from hopfpath.morphisms import psi, verify_hopf_morphism
+from hopfpath.rde import Poly
 from hopfpath.roughpath import (
     FLOAT,
     GeometricRoughPath,
@@ -214,6 +215,43 @@ def test_psi_pairing_matches_plain_reference(case):
         assert str(Q(got, vec.den)) == str(want)
 
 
+def poly_product_reference(p: Poly, q: Poly) -> dict:
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+POLY_SCALARS = {
+    "fraction": st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    "int": st.integers(-6, 6),
+    "float": st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False),
+    "mixed": st.one_of(st.integers(-6, 6), st.fractions(min_value=-5, max_value=5, max_denominator=12)),
+}
+
+
+@st.composite
+def poly_pairs(draw):
+    scalars = POLY_SCALARS[draw(st.sampled_from(sorted(POLY_SCALARS)))]
+    nvars = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 2)] * nvars)
+    p, q = (Poly(draw(st.dictionaries(exponents, scalars, max_size=6)), nvars) for _ in range(2))
+    return p, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_pairs())
+def test_poly_product_matches_plain_reference(case):
+    p, q = case
+    got = (p * q).terms
+    want = poly_product_reference(p, q)
+    assert list(got) == list(want)
+    assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+    assert list(got.values()) == list(want.values())
+
+
 def _float_walk(M, seed):
     rng = Random(seed)
     rows = [[0.0, 0.0]]
@@ -332,4 +370,26 @@ def test_cache_sizes_grow_with_new_contexts(capsys):
     after = hopfpath.cache_sizes()
     assert after["hopf.forest_context"] == 1 and after["tensor.word_context"] == 1
     assert all(after[k] >= v for k, v in before.items())
+    assert capsys.readouterr().out == ""
+
+
+def test_cache_sizes_count_filled_context_rows(capsys):
+    import gc
+    from types import SimpleNamespace
+
+    from hopfpath.cli import _suite_hopf
+
+    hopf.forest_context.cache_clear()
+    tensor.word_context.cache_clear()
+    gc.collect()  # a context is reported until it is collected
+    before = hopfpath.cache_sizes()
+    assert not any(k.startswith(("tensor.word_context(", "hopf.forest_context(")) for k in before)
+    verify_hopf_morphism("psi", 3, 1)
+    _suite_hopf(SimpleNamespace(N=3, d=1, mutate=False), None)
+    after = hopfpath.cache_sizes()
+    for kind in ("shuffle", "split"):
+        assert after[f"tensor.word_context(3, 1, 3).{kind}_rows"] > 0
+    assert after["hopf.forest_context(3, 1).antipode_rows"] == len(hopf.forest_context(3, 1).basis)
+    verify_hopf_morphism("psi", 3, 1)
+    assert hopfpath.cache_sizes() == after
     assert capsys.readouterr().out == ""

@@ -672,6 +672,15 @@ def test_compose_square_coefficients_in_float_mode():
             assert abs(g - w) <= 1e-12 * abs(w)
 
 
+def test_float_compose_of_a_constant_map_gives_float_states():
+    from hopfpath.roughpath import Grid
+
+    phi = PolyVectorField.parse(["1", "1/3 + y1"])
+    Z = compose_controlled(phi, constant_controlled(Grid([0.0, 1.0]), [0.5, 0.25], 2, 1, FLOAT))
+    assert [Z.state(k) for k in range(2)] == [(1.0, 1 / 3 + 0.5)] * 2
+    assert all(type(v) is float for k in range(2) for v in Z.state(k))
+
+
 def test_compose_dimension_error():
     path = walk_path_d2()
     Z = path_controlled(path, 2)
