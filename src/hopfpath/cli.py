@@ -645,6 +645,12 @@ _SUITES = {
 def cmd_verify(args) -> int:
     cfg = _config(args)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    if "lgl" in names and args.d != 2:  # its fields have two labels
+        print(f"error: the lgl suite runs at --d 2 only, got --d {args.d}", file=sys.stderr)
+        return BAD_REQUEST
+    if "lgl" in names and args.N is not None and args.N < 2:  # lambda and h need a vertex each
+        print(f"error: the lgl suite needs --N >= 2, got --N {args.N}", file=sys.stderr)
+        return BAD_REQUEST
     report = {"suites": {}, "status": "pass"}
     for name in names:
         res = _SUITES[name](args, cfg)

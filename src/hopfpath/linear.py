@@ -162,6 +162,8 @@ def pair(f: Linear, h: Linear):
 def exp_series(x: Linear, N: int, mul, unit_key, name: str):
     """exp(x) = sum of x^k / k! over k <= N, powers taken by mul(a, b, N);
     x must have no unit component.  Stops at the first zero power."""
+    if N < 0:
+        raise ValueError(f"truncation level must be >= 0, got {N}")
     if x.coeff(unit_key) != 0:
         raise ValueError(f"{name} needs <h, 1> = 0")
     cls = type(x)
@@ -181,6 +183,8 @@ def log_series(g: Linear, N: int, mul, unit_key, name: str):
     """log(g) = sum of (-1)^(k+1) (g - 1)^k / k over k <= N, powers taken by
     mul(a, b, N); g must have unit component 1.  Stops at the first zero
     power."""
+    if N < 0:
+        raise ValueError(f"truncation level must be >= 0, got {N}")
     if g.coeff(unit_key) != 1:
         raise ValueError(f"{name} needs <g, 1> = 1")
     cls = type(g)

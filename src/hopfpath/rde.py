@@ -6,6 +6,10 @@ recurrence on the geometric side) is checkable as an exact symbolic
 equality rather than a numerical approximation.  Trajectories are grid
 Euler iterates: one step per adjacent pair, summing tree (or word)
 coefficients against the driver's increment.
+
+`apply_derivative` (behind both recurrences) and `check_lgl` run on term
+dicts: on integer numerators over one denominator when every coefficient is
+a Fraction, else on the values as given, so float fields keep every bit.
 """
 
 from __future__ import annotations
@@ -42,6 +46,55 @@ def _monomial(e: tuple) -> str:
     return "*".join(f"y{k + 1}" if p == 1 else f"y{k + 1}^{p}" for k, p in enumerate(e) if p)
 
 
+def _diff(terms: dict, k: int) -> dict:
+    """d/dy_(k+1) of a term dict; monomials map one to one."""
+    return {e[:k] + (e[k] - 1,) + e[k + 1 :]: c * e[k] for e, c in terms.items() if e[k]}
+
+
+def _mul(a: dict, b: dict) -> dict:
+    """Product of term dicts, a's terms outer; zeros dropped at the end."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(operator.add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _add_into(acc: dict, terms: dict, m=1) -> None:
+    """acc += m * terms in place, keys in the order `Linear.__add__` gives."""
+    for e, c in terms.items():
+        v = acc[e] = acc.get(e, 0) + m * c
+        if not v:
+            del acc[e]
+
+
+def _partial(memo: dict, beta: tuple) -> list:
+    """d_beta (0-based variables) of each component, memo[()] holding them."""
+    got = memo.get(beta)
+    if got is None:
+        got = memo[beta] = [_diff(t, beta[-1]) for t in _partial(memo, beta[:-1])]
+    return got
+
+
+def _views(fields, exact: bool = True) -> tuple:
+    """(views, exact): per field (q, memo), kept with it: memo[()] its terms on
+    integer numerators over their lcm q, memo[beta] its partials (`_partial`);
+    if a field (or the caller) is not all Fractions, unkept views as given."""
+    for F in fields:
+        if F._view is None:
+            comps, q = [p.terms for p in F.components], None
+            col = [c for t in comps for c in t.values()]
+            if all(type(c) is Fraction for c in col):
+                (col,), q = numerators(col)
+                it = iter(col)
+                comps = [dict(zip(t, it)) for t in comps]
+            F._view = (q, {(): comps})
+    if exact and all(F._view[0] is not None for F in fields):
+        return [F._view for F in fields], True
+    return [(1, {(): [p.terms for p in F.components]}) for F in fields], False
+
+
 class Poly(Linear):
     """Multivariate polynomial, dict of exponent tuples over Fraction;
     context is the variable count."""
@@ -67,31 +120,12 @@ class Poly(Linear):
         return cls({e: Fraction(1)}, nvars)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        """Bilinear product: on integer numerators (see `scalars`) when every
-        coefficient is a Fraction, else on the coefficients as given."""
         self._check(other)
-        a, b = self.terms, other.terms
-        av, bv, den = a.values(), b.values(), None
-        if all(type(c) is Fraction for c in itertools.chain(av, bv)):
-            (av, bv), den = numerators(list(av), list(bv))
-        out: dict = {}
-        for e1, c1 in zip(a, av):
-            for e2, c2 in zip(b, bv):
-                e = tuple(map(operator.add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        if den is not None:
-            out = {e: Fraction(c, den) for e, c in out.items() if c}
-        return Poly(out, self.nvars)
+        return Poly(_mul(self.terms, other.terms), self.nvars)
 
     def diff(self, i: int) -> "Poly":
         """Partial derivative in variable i (1-based)."""
-        out: dict = {}
-        k = i - 1
-        for e, c in self.terms.items():
-            if e[k]:
-                e2 = e[:k] + (e[k] - 1,) + e[k + 1 :]
-                out[e2] = out.get(e2, 0) + c * e[k]
-        return Poly(out, self.nvars)
+        return Poly(_diff(self.terms, i - 1), self.nvars)
 
     def eval(self, point: Sequence):
         total = 0
@@ -178,7 +212,7 @@ def print_poly(p: Poly) -> str:
 class PolyVectorField:
     """Map R^e -> R^e with polynomial components."""
 
-    __slots__ = ("components", "e")
+    __slots__ = ("components", "e", "_view")  # _view: see _views
 
     def __init__(self, components: Sequence[Poly]):
         comps = tuple(components)
@@ -189,6 +223,7 @@ class PolyVectorField:
             raise ValueError("need e components in e variables")
         self.components = comps
         self.e = e
+        self._view = None
 
     @classmethod
     def parse(cls, texts: Sequence[str]) -> "PolyVectorField":
@@ -251,25 +286,28 @@ def apply_derivative(f: PolyVectorField, args: Sequence[PolyVectorField]) -> Pol
     for g in args:
         if g.e != e:
             raise ValueError("dimension mismatch in derivative application")
-    n = len(args)
-    if n == 0:
+    if not args:
         return f
+    views, exact = _views((f, *args))
+    den, out = math.prod(q for q, _ in views), _derivative([m for _, m in views], e)
+    return PolyVectorField([Poly({k: Fraction(c, den) for k, c in t.items()} if exact else t, e) for t in out])
+
+
+def _derivative(memos: list, e: int) -> list:
+    """D^n f : (g_1, ..., g_n) per component as term dicts, from the view
+    memos of f, g_1, ..., g_n, summed over beta as `Linear.__add__` sums."""
+    fm, *gs = memos
     out = []
-    for comp in f.components:
-        acc = Poly.const(0, e)
-        for beta in itertools.product(range(1, e + 1), repeat=n):
-            part = comp
-            for b in beta:
-                part = part.diff(b)
-                if part.is_zero():
-                    break
-            if part.is_zero():
-                continue
-            for g, b in zip(args, beta):
-                part = part * g.components[b - 1]
-            acc = acc + part
+    for a in range(e):
+        acc: dict = {}
+        for beta in itertools.product(range(e), repeat=len(gs)):
+            part = _partial(fm, beta)[a]
+            if part:
+                for g, b in zip(gs, beta):
+                    part = _mul(part, g[()][b])
+                _add_into(acc, part)
         out.append(acc)
-    return PolyVectorField(out)
+    return out
 
 
 # -- Butcher coefficients --------------------------------------------------
@@ -305,6 +343,19 @@ class ButcherTable:
             got = apply_derivative(f_i, tuple(self.field(c) for c in tau.children))
             self.cache[tau] = got
         return got
+
+
+def _weighted(ws: list, views: list, unit: int, e: int) -> dict:
+    """The memo of the sum of w * (unit // q) * F over weights and views
+    (q, memo of F); a lone view whose multiplier is the int 1 is itself."""
+    ms = [w * (unit // q) for w, (q, _) in zip(ws, views)]
+    if ms == [1] and type(ms[0]) is int:
+        return views[0][1]
+    comps: list = [{} for _ in range(e)]
+    for m, (_, memo) in zip(ms, views):
+        for acc, terms in zip(comps, memo[()]):
+            _add_into(acc, terms, m)
+    return {(): comps}
 
 
 def butcher(f: ButcherTable, tau: Tree) -> PolyVectorField:
@@ -535,6 +586,10 @@ def check_lgl(f: ButcherTable, lam, h, N: int) -> LglResult:
     forest or HElem.  The product grafts every lam factor onto a vertex of
     each tree of h, one term per assignment; disjoint-product terms vanish
     under the coefficient extension, so they are skipped.
+
+    Both sides are weighted sums of the fields in `f.cache`, summed as by
+    butcher_h and apply_derivative: on integer numerators over one
+    denominator if every weight and coefficient is a Fraction (`_views`).
     """
     factors = (lam,) if isinstance(lam, Tree) else tuple(lam.factors)
     lam_forest = Forest(factors)
@@ -543,35 +598,29 @@ def check_lgl(f: ButcherTable, lam, h, N: int) -> LglResult:
         h = HElem.from_forest(hf, max(hf.max_label(), lam_forest.max_label(), 1))
     if lam_forest.grade + h.max_grade() > N:
         raise ValueError("grade(lam) + grade(h) must stay within N")
-    lhs = apply_derivative(butcher_h(f, h), tuple(f.field(t) for t in factors))
-    rhs = PolyVectorField.zero(f.e)
     c0 = h.coeff(EMPTY_FOREST)
-    if c0 and len(factors) == 1:
-        rhs = rhs + f.field(factors[0]).scale(c0)
-    for mono, c in h.terms.items():
-        if not mono.is_single_tree():
-            continue
-        tau = mono.factors[0]
-        w = c / symmetry_factor(tau)
-        addresses = _vertex_addresses(tau)
-        for assign in itertools.product(addresses, repeat=len(factors)):
+    trees = [(m.factors[0], c / symmetry_factor(m.factors[0])) for m, c in h.terms.items() if m.is_single_tree()]
+    lhs = ([(c0, PolyVectorField.identity(f.e))] if c0 else []) + [(w, f.field(tau)) for tau, w in trees]
+    args = [f.field(t) for t in factors]
+    rhs = [(c0, f.field(factors[0]))] if c0 and len(factors) == 1 else []
+    for tau, w in trees:
+        for assign in itertools.product(_vertex_addresses(tau), repeat=len(factors)):
             additions: dict = {}
             for fac, a in zip(factors, assign):
                 additions.setdefault(a, []).append(fac)
-            rhs = rhs + f.field(_attach_at(tau, additions)).scale(w)
-    for a in range(f.e):
-        diff = lhs.components[a] - rhs.components[a]
-        if not diff.is_zero():
-            mono = next(iter(diff.terms))
-            return LglResult(
-                False,
-                {
-                    "component": a + 1,
-                    "monomial": mono,
-                    "lhs": lhs.components[a].terms.get(mono, Fraction(0)),
-                    "rhs": rhs.components[a].terms.get(mono, Fraction(0)),
-                },
-            )
+            rhs.append((w, f.field(_attach_at(tau, additions))))
+    nl, ws = len(lhs), [w for w, _ in lhs + rhs]
+    views, exact = _views([F for _, F in lhs + rhs] + args, all(type(w) is Fraction for w in ws))
+    (ws,), den = numerators(ws) if exact else ((ws,), None)
+    D, Q = math.lcm(*(q for q, _ in views[: len(ws)])), math.prod(q for q, _ in views[len(ws) :])  # den * D * Q
+    lhs = _weighted(ws[:nl], views[:nl], D, f.e)
+    rhs = _weighted([w * Q for w in ws[nl:]], views[nl : len(ws)], D, f.e)
+    for a, (got, want) in enumerate(zip(_derivative([lhs] + [m for _, m in views[len(ws) :]], f.e), rhs[()])):
+        if got != want:
+            # the first key of got - want in Linear.__sub__'s order
+            mono = next(k for k in itertools.chain(got, want) if got.get(k, 0) != want.get(k, 0))
+            lc, rc = (Fraction(d.get(mono, 0), den * D * Q) if exact else d.get(mono, Fraction(0)) for d in (got, want))
+            return LglResult(False, {"component": a + 1, "monomial": mono, "lhs": lc, "rhs": rc})
     return LglResult(True)
 
 

@@ -85,6 +85,15 @@ def test_algebra_wrong_arity(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "op, exprs", [("exp", ["b_1"]), ("log", ["1+b_1"]), ("star", ["b_1", "b_2"])]
+)
+def test_algebra_refuses_a_negative_level(capsys, op, exprs):
+    rc, out, err = run(capsys, "algebra", "--N", "-1", "--d", "2", "--op", op, *exprs)
+    assert (rc, out) == (3, "")
+    assert err == "error: truncation level must be >= 0, got -1\n"
+
+
 # -- lift ------------------------------------------------------------------
 
 
@@ -648,6 +657,26 @@ def test_lgl_witness_details_belong_to_their_own_pair(capsys, monkeypatch):
         assert w["detail"] == cli._json_safe(results[w["at"]].witness)
 
 
+@pytest.mark.parametrize("suite", ["lgl", "all"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--N", "1"], "error: the lgl suite needs --N >= 2, got --N 1\n"),
+        (["--d", "3"], "error: the lgl suite runs at --d 2 only, got --d 3\n"),
+        (["--d", "1", "--N", "3"], "error: the lgl suite runs at --d 2 only, got --d 1\n"),
+    ],
+)
+def test_verify_lgl_refuses_flags_it_cannot_honour(capsys, suite, flags, message):
+    rc, out, err = run(capsys, "verify", "--suite", suite, *flags)
+    assert (rc, out, err) == (3, "", message)
+
+
+def test_verify_lgl_takes_d_2_given_or_not(capsys):
+    outs = [run(capsys, "verify", "--suite", "lgl", "--N", "2", *flags) for flags in ([], ["--d", "2"])]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0 and json.loads(outs[0][1])["suites"]["lgl"]["d"] == 2
+
+
 def test_verify_lifts_defect_identity_checked(capsys):
     rc, out, _ = run(capsys, "verify", "--suite", "lifts", "--N", "2", "--steps", "6")
     assert rc == 0
@@ -733,6 +762,8 @@ _PINNED_COMMANDS = {
     "float_lift": ["--float", "lift", "--synth", "rw", "--steps", "6", "--d", "2", "--N", "3", "--mode", "ito", "--out", "flift.json"],
     "float_convert": ["--float", "convert", "flift.json", "--out", "fconvert.json"],
     "float_solve": ["--float", "solve", "--driver", "flift.json", "--side", "both", "--fields", _CHAIN_FIELDS, "--xi", "1, 1/2", "--format", "json", "--out", "fsolve.json"],
+    "verify_lgl_mutate": ["verify", "--mutate", "--suite", "lgl", "--N", "4"],
+    "verify_lgl_n5": ["verify", "--suite", "lgl", "--N", "5", "--seed", "11"],
 }
 
 # first 16 hex digits of sha256 over exit code, stdout, stderr and the
@@ -754,6 +785,10 @@ _PINNED_DIGESTS = {
     "float_lift": "20787158b1c0087d",
     "float_convert": "dfcf3b51b85611c0",
     "float_solve": "3b0517df5afacc62",
+    # recorded from the Fraction/Poly loops before apply_derivative and
+    # check_lgl moved onto integer numerators
+    "verify_lgl_mutate": "8c3f2405a4f99a81",
+    "verify_lgl_n5": "0977a46cf5fbfdde",
 }
 
 

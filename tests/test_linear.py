@@ -99,3 +99,19 @@ def test_tensor_context_range_errors():
         TensorElem({}, 1, 0)
     with pytest.raises(ValueError):
         HElem({}, 0)
+
+
+@pytest.mark.parametrize(
+    "series, arg",
+    [
+        ("exp_star", lambda: HElem({F1: Fraction(1)}, 2)),
+        ("log_star", lambda: HElem({EMPTY_FOREST: Fraction(1), F1: Fraction(1)}, 2)),
+        ("tensor_exp", lambda: TensorElem({W1: Fraction(1)}, 2, 1)),
+        ("tensor_log", lambda: TensorElem({EMPTY_WORD: Fraction(1), W1: Fraction(1)}, 2, 1)),
+    ],
+)
+def test_exp_and_log_refuse_a_negative_level(series, arg):
+    import hopfpath
+
+    with pytest.raises(ValueError, match=r"^truncation level must be >= 0, got -1$"):
+        getattr(hopfpath, series)(arg(), -1)
