@@ -344,6 +344,8 @@ def _parse_fields(text: str) -> ButcherTable:
             label = int(head)
         except ValueError:
             raise ValueError(f"bad field label {head.strip()!r}") from None
+        if label in spec:
+            raise ValueError(f"field label {label} given twice")
         spec[label] = [s.strip() for s in rest.split(",")]
     if not spec:
         raise ValueError("empty field table")
@@ -643,7 +645,6 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     if "lgl" in names and args.d != 2:  # its fields have two labels
         print(f"error: the lgl suite runs at --d 2 only, got --d {args.d}", file=sys.stderr)
@@ -651,6 +652,11 @@ def cmd_verify(args) -> int:
     if "lgl" in names and args.N is not None and args.N < 2:  # lambda and h need a vertex each
         print(f"error: the lgl suite needs --N >= 2, got --N {args.N}", file=sys.stderr)
         return BAD_REQUEST
+    for flag, value in (("--N", args.N), ("--d", args.d)):
+        if value is not None and value < 1:  # the other suites need a vertex and a label
+            print(f"error: the {names[0]} suite needs {flag} >= 1, got {flag} {value}", file=sys.stderr)
+            return BAD_REQUEST
+    cfg = _config(args)
     report = {"suites": {}, "status": "pass"}
     for name in names:
         res = _SUITES[name](args, cfg)
@@ -770,7 +776,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ParseError as e:
-        print(f"parse error at line {e.line}, column {e.col}: {e}", file=sys.stderr)
+        print(f"parse error: {e}", file=sys.stderr)  # e names the line and column
         return BAD_INPUT
     except (json.JSONDecodeError, OSError) as e:
         print(f"input error: {e}", file=sys.stderr)

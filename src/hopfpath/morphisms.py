@@ -9,12 +9,12 @@ deconcatenation, which is what verify_hopf_morphism checks exhaustively.
 The adjoints pull tensor functionals back to forest functionals; they turn
 concatenation into the convolution product.
 
-A morphism is fixed by its tree images.  One fold extends it: a forest
-maps to the shuffle of its trees' images, a combination to the sum of its
-forests' images, in term order.  The functions run it over the cached
-`_phi_tree`/`_psi_tree`, `MorphismTable` over its own copies of them.
-verify_hopf_morphism runs the same fold on integer positions of a word
-context, with each forest image built once.
+A morphism is fixed by its tree images, and `_fold` is the one fold that
+extends it: a forest maps to the shuffle of its trees' images, as a map
+from word-context positions to coefficients (ints where integral), and a
+combination to the sum of its forests' images, in term order.  The cached
+`_phi_tree`/`_psi_tree` fold their subforests, and everything else folds
+over them or over a `MorphismTable` on a context sized by its input's grade.
 """
 
 from __future__ import annotations
@@ -25,14 +25,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .hopf import HElem, _forest_coproduct, _tree_coproduct
-from .tensor import (
-    EMPTY_WORD,
-    TensorElem,
-    Word,
-    WordContext,
-    shuffle_terms,
-    word_context,
-)
+from .tensor import TensorElem, Word, WordContext, word_context
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -46,52 +39,63 @@ from .trees import (
 _ZERO = Fraction(0)
 
 
-_UNIT_DICT = MappingProxyType({EMPTY_WORD: Fraction(1)})
+def _exact(c):
+    """An integral Fraction as an int, anything else unchanged."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
-def _forest_image(f: Forest, tree_image) -> Mapping:
-    """Shuffle of the images of f's trees, in factor order; tree_image maps
-    a tree to its image as a word map."""
-    acc = _UNIT_DICT
-    for t in f.factors:
-        acc = shuffle_terms(acc, tree_image(t))
-    return acc
+def _fold(ctx: WordContext, tree_image, memo: dict, f: Forest) -> dict:
+    """f's image as {ctx position: coefficient}: the last tree's image
+    shuffled onto the image of the others, each forest folded once per memo.
+
+    tree_image maps a tree to its image as a word map.  Zeros are kept: a
+    word one shuffle cancels keeps its place for the next."""
+    img = memo.get(f)
+    if img is None:
+        if len(f.factors) > 1:
+            rest = _fold(ctx, tree_image, memo, Forest(f.factors[:-1]))
+            img = ctx.shuffle(rest, _fold(ctx, tree_image, memo, Forest(f.factors[-1:])))
+        elif f.factors:
+            img = {ctx.position(w.letters): _exact(c) for w, c in tree_image(f.factors[0]).items()}
+        else:
+            img = {ctx.position(()): 1}
+        memo[f] = img
+    return img
 
 
-def _linear_image(h: HElem, tree_image, n: int) -> TensorElem:
-    """The morphism fixed by tree_image, extended to h: forest images are
-    summed in h's term order, then in each image's own order."""
+def _image(terms: dict, d: int, n: int, tree_image, ctx: WordContext) -> TensorElem:
+    """The morphism fixed by tree_image on a combination of forests: forest
+    images are summed in term order, then in each image's own order."""
+    memo: dict = {}
     out: dict = {}
-    for f, c in h.terms.items():
-        for w, v in _forest_image(f, tree_image).items():
-            out[w] = out.get(w, _ZERO) + c * v
-    return TensorElem(out, h.d, n)
+    for f, c in terms.items():
+        for k, v in _fold(ctx, tree_image, memo, f).items():
+            out[k] = out.get(k, _ZERO) + c * v
+    return TensorElem({ctx.word(k): v for k, v in out.items()}, d, n)
 
 
-def _adjoint(w: Word, d: int, tree_image) -> HElem:
+def _adjoint(w: Word, d: int, tree_image, ctx: WordContext) -> HElem:
     """<adjoint(w), h> = <w, image(h)> over forests h of the word's grade:
     the morphisms are graded, so no other forest can hit w."""
-    out: dict = {}
-    for h in forests_of_grade(w.grade, d):
-        c = _forest_image(h, tree_image).get(w)
-        if c:
-            out[h] = c
-    return HElem(out, d)
+    memo, k = {}, ctx.position(w.letters)
+    images = {h: _fold(ctx, tree_image, memo, h).get(k) for h in forests_of_grade(w.grade, d)}
+    return HElem({h: _ZERO + c for h, c in images.items() if c}, d)
 
 
 @functools.lru_cache(maxsize=None)
 def _phi_tree(t: Tree) -> Mapping:
     """phi_g(t) as a read-only word map: child shuffles with the root letter
     appended, so a tree of grade n maps to words of n single-vertex letters."""
-    root = Tree(t.label)
-    acc = _forest_image(Forest(t.children), _phi_tree)
-    return MappingProxyType({Word(w.letters + (root,)): v for w, v in acc.items()})
+    ctx = word_context(t.grade, t.max_label(), 1)
+    root = (Tree(t.label),)
+    acc = _fold(ctx, _phi_tree, {}, Forest(t.children))
+    return MappingProxyType({Word(ctx.letters[k] + root): _ZERO + v for k, v in acc.items()})
 
 
 def phi_g(h: HElem) -> TensorElem:
     """Morphism onto words of single-vertex letters: [h]_i appends e_i,
     products shuffle."""
-    return _linear_image(h, _phi_tree, 1)
+    return _image(h.terms, h.d, 1, _phi_tree, word_context(h.max_grade(), h.d, 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -102,14 +106,15 @@ def _psi_tree(t: Tree) -> Mapping:
     pruned (x) trunk with its multiplicity, psi(pruned) with the trunk
     appended as a single letter.  The trunk of a tree cut is always a tree.
     """
-    whole = Forest((t,))
+    ctx = word_context(t.grade, t.max_label(), t.grade)
+    memo: dict = {}
     out: dict = {Word((t,)): Fraction(1)}
     for left, right, cnt in _tree_coproduct(t):
-        if left == whole or left.is_unit():
+        if left.is_unit() or right.is_unit():
             continue
-        trunk = right.factors[0]
-        for w, v in _forest_image(left, _psi_tree).items():
-            key = Word(w.letters + (trunk,))
+        trunk = right.factors[:1]
+        for k, v in _fold(ctx, _psi_tree, memo, left).items():
+            key = Word(ctx.letters[k] + trunk)
             out[key] = out.get(key, _ZERO) + cnt * v
     return MappingProxyType(out)
 
@@ -117,9 +122,10 @@ def _psi_tree(t: Tree) -> Mapping:
 def psi(h: HElem, N: int) -> TensorElem:
     """Morphism onto words of tree letters; a tree maps to itself plus words
     of strictly smaller-grade letters."""
-    if h.max_grade() > N:
-        raise ValueError(f"grade {h.max_grade()} exceeds truncation level {N}")
-    return _linear_image(h, _psi_tree, max(N, 1))
+    g = h.max_grade()
+    if g > N:
+        raise ValueError(f"grade {g} exceeds truncation level {N}")
+    return _image(h.terms, h.d, max(N, 1), _psi_tree, word_context(g, h.d, max(g, 1)))
 
 
 # -- adjoints --------------------------------------------------------------
@@ -131,7 +137,7 @@ def psi_adjoint(w: Word, N: int, d: int | None = None) -> HElem:
         d = max(w.max_label(), 1)
     if w.grade > N:
         return HElem.zero(d)
-    return _adjoint(w, d, _psi_tree)
+    return _adjoint(w, d, _psi_tree, word_context(w.grade, d, max(w.grade, 1)))
 
 
 def phi_g_adjoint(w: Word, d: int | None = None) -> HElem:
@@ -140,7 +146,7 @@ def phi_g_adjoint(w: Word, d: int | None = None) -> HElem:
         raise ValueError("phi_g_adjoint needs single-vertex letters")
     if d is None:
         d = max(w.max_label(), 1)
-    return _adjoint(w, d, _phi_tree)
+    return _adjoint(w, d, _phi_tree, word_context(w.grade, d, 1))
 
 
 # -- chain embedding -------------------------------------------------------
@@ -197,27 +203,17 @@ class MorphismTable:
 
     def image(self, f: Forest) -> TensorElem:
         """Morphism value on a basis forest: shuffle over the factors."""
-        return TensorElem(_forest_image(f, self._tree_terms), self.d, self.letter_bound())
+        return self.image_elem(HElem.from_forest(f, self.d))
 
     def image_elem(self, x: HElem) -> TensorElem:
-        return _linear_image(x, self._tree_terms, self.letter_bound())
+        g = x.max_grade()
+        ctx = word_context(g, self.d, 1 if self.which == "phi_g" else max(g, 1))
+        return _image(x.terms, x.d, self.letter_bound(), self._tree_terms, ctx)
 
 
-def _exact(c):
-    """An integral Fraction as an int, anything else unchanged."""
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
-
-
-def _shuffle_rows(ctx: WordContext, a: dict, b: dict) -> dict:
-    """Shuffle of two word maps by context position, zeros dropped."""
-    out: dict = {}
-    get, shuffles, shuffle_row = out.get, ctx.shuffles.get, ctx.shuffle
-    for i, ca in a.items():
-        for j, cb in b.items():
-            c = ca * cb
-            for k in shuffles((i, j)) or shuffle_row(i, j):
-                out[k] = get(k, 0) + c
-    return {k: c for k, c in out.items() if c}
+def _same(a: dict, b: dict) -> bool:
+    """Equal as maps, zero values aside."""
+    return a == b or {k: v for k, v in a.items() if v} == {k: v for k, v in b.items() if v}
 
 
 def verify_hopf_morphism(which: str, N: int, d: int, table: MorphismTable | None = None) -> dict:
@@ -228,9 +224,9 @@ def verify_hopf_morphism(which: str, N: int, d: int, table: MorphismTable | None
     Returns a report with the first counterexample if any.
 
     Tree images are read from `table.cache` at check time, so edits to it
-    count.  Each forest image is built once, as a map from word-context
-    positions to coefficients (ints where integral); the checks compare such
-    maps, with shuffles and splits from the context's tables.
+    count.  Each forest image is folded once, on the context of the table's
+    level; the checks compare the folded maps, with shuffles and splits
+    from the context's tables.
     """
     if table is None:
         table = MorphismTable(which, N, d)
@@ -244,19 +240,7 @@ def verify_hopf_morphism(which: str, N: int, d: int, table: MorphismTable | None
         "witness": None,
     }
     ctx = word_context(N, d, table.letter_bound())
-    images: dict = {}
-
-    def image(h: Forest) -> dict:
-        img = images.get(h)
-        if img is None:
-            if len(h.factors) > 1:
-                img = _shuffle_rows(ctx, image(Forest(h.factors[:-1])), image(Forest(h.factors[-1:])))
-            else:
-                terms = table._tree_terms(h.factors[0]) if h.factors else _UNIT_DICT
-                img = {ctx.position(w.letters): _exact(c) for w, c in terms.items()}
-            images[h] = img
-        return img
-
+    image = functools.partial(_fold, ctx, table._tree_terms, {})
     forests = enumerate_forests(N, d)
     for h in forests:
         lhs = {key: c for i, c in image(h).items() for key in ctx.splits.get(i) or ctx.split(i)}
@@ -268,7 +252,7 @@ def verify_hopf_morphism(which: str, N: int, d: int, table: MorphismTable | None
                 for j, cb in ib.items():
                     key = (i, j)
                     rhs[key] = rhs.get(key, 0) + c * cb
-        if lhs != {k: v for k, v in rhs.items() if v}:
+        if not _same(lhs, rhs):
             report["status"] = "fail"
             report["witness"] = f"coproduct morphism fails on {h!r}"
             return report
@@ -277,7 +261,7 @@ def verify_hopf_morphism(which: str, N: int, d: int, table: MorphismTable | None
         for h2 in forests[1:]:  # the unit first, then by grade
             if h1.grade + h2.grade > N:
                 break
-            if _shuffle_rows(ctx, image(h1), image(h2)) != image(h1 * h2):
+            if not _same(ctx.shuffle(image(h1), image(h2)), image(h1 * h2)):
                 report["status"] = "fail"
                 report["witness"] = f"product morphism fails on {h1!r}, {h2!r}"
                 return report

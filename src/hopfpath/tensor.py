@@ -12,19 +12,17 @@ TensorElem (words) and WordPairElem (word pairs, T (x) T) take their linear
 structure from `linear.Linear`, shared with the forest and polynomial
 containers; TensorElem adds its constructors and the check that every
 word's letters have labels <= d and grades <= n.  `tensor_exp` and `tensor_log` run the same
-series loops as the forest side's `exp_star` and `log_star`, and
-`shuffle_terms` is the one shuffle of word maps, used by `shuffle` and by
-the morphism images in `morphisms`.
+series loops as the forest side's `exp_star` and `log_star`.
 
-`concat` and the pairing of fixed integer functionals (the psi images the
-conversion certifies against) run on a word context, built once per
-(N, d, n) by `word_context`: the basis with integer positions and a concat
-table from position pairs to the position of the product, filled one row
-at a time on first use.  Their loops run on integer numerators over one
+Products run on a word context, built once per (N, d, n) by
+`word_context`: the basis with integer positions, other words numbered
+past it on first sight, and concat, shuffle and split rows filled on first
+use.  `concat` and the pairing of fixed integer functionals (the psi images
+the conversion certifies against) run on integer numerators over one
 common denominator when the coefficients are exact (see `scalars`), and on
 the coefficients unchanged, in the same term order, when they are floats.
-The context's shuffle and split tables, filled per position pair and per
-position on first use, serve the exact morphism check in `morphisms`.
+`WordContext.shuffle` is the one shuffle of word maps: `shuffle` and the
+forest images in `morphisms` run through it.
 """
 
 from __future__ import annotations
@@ -184,28 +182,21 @@ def _shuffle_words(u: tuple, v: tuple) -> tuple:
     return tuple(out.items())
 
 
-def shuffle_terms(a: dict, b: dict) -> dict:
-    """Bilinear word shuffle of two word maps, in a's then b's term order."""
-    out: dict = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            for letters, cnt in _shuffle_words(w1.letters, w2.letters):
-                w = Word(letters)
-                out[w] = out.get(w, _ZERO) + cnt * c1 * c2
-    return out
-
-
 def shuffle(x: TensorElem, y: TensorElem) -> TensorElem:
-    """Bilinear word shuffle; commutative, unit the empty word."""
+    """Bilinear word shuffle; commutative, unit the empty word.  A word
+    reached c ways gets the product of coefficients c times."""
     x._check(y)
-    return TensorElem(shuffle_terms(x.terms, y.terms), x.d, x.n)
+    ctx = WordContext(0, x.d, x.n)  # its own, numbering every word on sight
+    a, b = ({ctx.position(w.letters): c for w, c in z.terms.items()} for z in (x, y))
+    terms = ctx.shuffle(a, b)
+    return TensorElem({ctx.word(k): _ZERO + c for k, c in terms.items()}, x.d, x.n)
 
 
 class WordContext:
     """Words of total grade <= N over tree letters of grade <= n and labels
     1..d, with integer positions.  `position` numbers any other word past
     the basis on first sight, such as the products of tree images of the
-    wrong grade; only the shuffle and split tables see those positions."""
+    wrong grade; `word` gives any position back as a word."""
 
     __slots__ = ("key", "N", "basis", "index", "grades", "ends", "rows", "letters", "lookup",
                  "shuffles", "splits", "__weakref__")
@@ -234,7 +225,23 @@ class WordContext:
             self.letters.append(letters)
         return i
 
-    def shuffle(self, i: int, j: int) -> tuple:
+    def word(self, k: int) -> Word:
+        """The word at position k; one past the basis is built afresh."""
+        return self.basis[k] if k < len(self.basis) else Word(self.letters[k])
+
+    def shuffle(self, a: dict, b: dict) -> dict:
+        """Shuffle of two word maps keyed by position, in a's then b's term
+        order, zeros kept: a word reached c ways gets the product c times."""
+        out: dict = {}
+        get, rows, row = out.get, self.shuffles.get, self.shuffle_row
+        for i, ca in a.items():
+            for j, cb in b.items():
+                c = ca * cb
+                for k in rows((i, j)) or row(i, j):
+                    out[k] = get(k, 0) + c
+        return out
+
+    def shuffle_row(self, i: int, j: int) -> tuple:
         """Positions of the shuffles of words i and j, a word reached c ways
         c times, built on first use."""
         row = self.shuffles.get((i, j))

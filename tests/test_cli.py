@@ -74,6 +74,11 @@ def test_algebra_parse_error_reports_location(capsys):
     assert "line 1" in err and "column" in err
 
 
+def test_algebra_parse_error_names_its_location_once(capsys):
+    rc, out, err = run(capsys, "algebra", "--op", "antipode", "b_1 +")
+    assert (rc, out, err) == (2, "", "parse error: expected a tree (line 1, column 6)\n")
+
+
 def test_algebra_graft_rejects_forests(capsys):
     rc, _, err = run(capsys, "algebra", "--op", "graft", "b_1 b_2", "b_1")
     assert rc == 3
@@ -528,6 +533,13 @@ def test_json_driver_of_the_wrong_shape_is_refused(capsys, tmp_path, argv, edit,
     assert err == f"input error: {message}\n"
 
 
+def test_solve_refuses_a_repeated_field_label(capsys):
+    argv = ["solve", "--synth", "linear", "--steps", "2", "--xi", "1", "--fields"]
+    rc, out, err = run(capsys, *argv, "1: y1; 1: 2*y1")
+    assert (rc, out, err) == (3, "", "error: field label 1 given twice\n")
+    assert run(capsys, *argv, " 2 : y1 ;1: y1; 02: y1")[2] == "error: field label 2 given twice\n"
+
+
 def test_solve_zero_field_is_constant(capsys):
     rc, out, _ = run(
         capsys,
@@ -675,6 +687,21 @@ def test_verify_lgl_takes_d_2_given_or_not(capsys):
     outs = [run(capsys, "verify", "--suite", "lgl", "--N", "2", *flags) for flags in ([], ["--d", "2"])]
     assert outs[0] == outs[1]
     assert outs[0][0] == 0 and json.loads(outs[0][1])["suites"]["lgl"]["d"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--suite", "morphisms", "--d", "0", "--N", "2"], "error: the morphisms suite needs --d >= 1, got --d 0\n"),
+        (["--suite", "hopf", "--d", "-1", "--N", "2"], "error: the hopf suite needs --d >= 1, got --d -1\n"),
+        (["--suite", "hopf", "--N", "0"], "error: the hopf suite needs --N >= 1, got --N 0\n"),
+        (["--suite", "morphisms", "--N", "-2"], "error: the morphisms suite needs --N >= 1, got --N -2\n"),
+        (["--suite", "all", "--N", "0"], "error: the lgl suite needs --N >= 2, got --N 0\n"),
+    ],
+)
+def test_verify_refuses_a_level_or_alphabet_below_one(capsys, argv, message):
+    rc, out, err = run(capsys, "verify", *argv)
+    assert (rc, out, err) == (3, "", message)
 
 
 def test_verify_lifts_defect_identity_checked(capsys):
