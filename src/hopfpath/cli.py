@@ -13,7 +13,11 @@ Five subcommands drive the library end to end:
     verify    invariant sweeps emitting machine-readable JSON reports
 
 Exit codes: 0 success, 1 invariant failure, 2 parse or input error,
-3 semantic error, 4 certificate failure.
+3 semantic error, 4 certificate failure.  A command refuses by raising:
+`InputError` for a file it cannot read as its kind or inputs named in a way
+it cannot take, `ParseError` for an expression, `ValueError` for anything
+else it cannot honour.  `main` is the only place that maps a refusal to its
+exit code and the prefix of its one-line message.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .linear import print_terms
 from .morphisms import MorphismTable, phi_g, psi, verify_hopf_morphism
 from .rde import (
     ButcherTable,
+    Poly,
     PolyVectorField,
     butcher,
     check_lgl,
@@ -88,7 +93,16 @@ class RunConfig:
     mode: str
     N: int
     gamma: Fraction
-    seed: int = 0
+
+
+class InputError(ValueError):
+    """A refusal with exit 2: an input that cannot be read as its kind,
+    printed as "input error: ...", or inputs named in a combination the
+    command cannot take, printed with the prefix "error"."""
+
+    def __init__(self, message: str, prefix: str = "input error"):
+        super().__init__(message)
+        self.prefix = prefix
 
 
 def _resolve_level(N, gamma_text):
@@ -120,12 +134,7 @@ def _config(args) -> RunConfig:
         threads = int(env) if env else 1
     if threads < 1:
         raise ValueError(f"need at least 1 thread, got {threads}")
-    return RunConfig(
-        mode=FLOAT if args.float else RATIONAL,
-        N=N,
-        gamma=gamma,
-        seed=getattr(args, "seed", 0),
-    )
+    return RunConfig(mode=FLOAT if args.float else RATIONAL, N=N, gamma=gamma)
 
 
 def _write_out(text: str, out) -> None:
@@ -156,9 +165,17 @@ def _dump_report(report: dict, stream) -> None:
     print(json.dumps(_json_safe(report), indent=2, sort_keys=True), file=stream)
 
 
-def _scalar(text: str, mode: str):
-    v = parse_rational(text.strip())
-    return float(v) if mode == FLOAT else v
+def _float(v: Fraction, flag: str, text: str) -> float:
+    """v as a float, refused with its flag and text when it overflows."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{flag} {text!r}: too large for a float") from None
+
+
+def _scalar(text: str, mode: str, flag: str):
+    v = parse_rational(text)
+    return _float(v, flag, text) if mode == FLOAT else v
 
 
 # -- algebra ---------------------------------------------------------------
@@ -188,8 +205,7 @@ def _single_tree(x: HElem) -> Tree:
 def cmd_algebra(args) -> int:
     need = 2 if args.op in ("star", "graft") else 1
     if len(args.expr) != need:
-        print(f"error: --op {args.op} takes {need} expression(s)", file=sys.stderr)
-        return BAD_REQUEST
+        raise ValueError(f"--op {args.op} takes {need} expression(s)")
     d = _infer_d(args.expr, args.d)
     parsed = [parse_h(e, d) for e in args.expr]
     x = parsed[0]
@@ -231,7 +247,7 @@ def _synth_path(kind: str, steps: int, seed: int, step_text, d: int, mode: str) 
     if kind == "rw":
         rng = random.Random(seed)
         if mode == FLOAT:
-            h = float(parse_rational(step_text)) if step_text is not None else 1.0 / math.sqrt(steps)
+            h = _scalar(step_text, mode, "--step") if step_text is not None else 1.0 / math.sqrt(steps)
             rows = [[0.0] * d]
         else:
             h = parse_rational(step_text) if step_text is not None else Fraction(1)
@@ -254,37 +270,53 @@ def _synth_path(kind: str, steps: int, seed: int, step_text, d: int, mode: str) 
     return SampledPath.over_labels(times, rows, d, mode)
 
 
-# -- lift ------------------------------------------------------------------
+# -- reading inputs --------------------------------------------------------
 
 
-def _read_input(name: str) -> str:
-    """The text of a file, or of stdin for "-", with universal newlines;
-    bytes that are not UTF-8 are refused, naming the file and the offset."""
-    data = sys.stdin.buffer.read() if name == "-" else Path(name).read_bytes()
+def _load(name: str, parse):
+    """parse applied to the text of a file, or of stdin for "-", with
+    universal newlines; a file that cannot be read or parsed is one
+    InputError, and bytes that are not UTF-8 are named by offset."""
     try:
-        return data.decode().replace("\r\n", "\n").replace("\r", "\n")
-    except UnicodeDecodeError as e:
-        where = "stdin" if name == "-" else name
-        raise ValueError(f"{where}: not UTF-8: byte 0x{data[e.start]:02x} at offset {e.start}") from None
+        data = sys.stdin.buffer.read() if name == "-" else Path(name).read_bytes()
+        try:
+            text = data.decode()
+        except UnicodeDecodeError as e:
+            where = "stdin" if name == "-" else name
+            raise ValueError(f"{where}: not UTF-8: byte 0x{data[e.start]:02x} at offset {e.start}") from None
+        return parse(text.replace("\r\n", "\n").replace("\r", "\n"))
+    except (OSError, ValueError, KeyError) as e:
+        raise InputError(str(e)) from None
+
+
+def _driver(text: str):
+    """A rough path read from JSON, refused unless every adjacent increment
+    is a character: wider increments are composed from them unchecked."""
+    X = roughpath_from_json(text)
+    k = first_non_character(X)
+    if k is not None:
+        raise ValueError(f"adjacent increment {k} is not a character")
+    return X
+
+
+def _lift(path: SampledPath, kind: str, cfg: RunConfig):
+    """The left-point (ito) or canonical lift at the configured level."""
+    lift = ito_lift if kind == "ito" else canonical_lift
+    return lift(path, cfg.N, cfg.gamma)
+
+
+# -- lift ------------------------------------------------------------------
 
 
 def cmd_lift(args) -> int:
     cfg = _config(args)
     if (args.input is None) == (args.synth is None):
-        print("error: give a CSV file or --synth, not both", file=sys.stderr)
-        return BAD_INPUT
+        raise InputError("give a CSV file or --synth, not both", "error")
     if args.synth is not None:
-        path = _synth_path(args.synth, args.steps, cfg.seed, args.step, args.d, cfg.mode)
+        path = _synth_path(args.synth, args.steps, args.seed, args.step, args.d, cfg.mode)
     else:
-        try:
-            path = SampledPath.from_csv(_read_input(args.input), cfg.mode)
-        except ValueError as e:
-            print(f"input error: {e}", file=sys.stderr)
-            return BAD_INPUT
-    if args.mode == "ito":
-        X = ito_lift(path, cfg.N, cfg.gamma)
-    else:
-        X = canonical_lift(path, cfg.N, cfg.gamma)
+        path = _load(args.input, lambda text: SampledPath.from_csv(text, cfg.mode))
+    X = _lift(path, args.mode, cfg)
     report = validate(X)
     if args.mode == "ito":
         report["geometricity"] = geometricity_report(X)
@@ -298,26 +330,11 @@ def cmd_lift(args) -> int:
 # -- convert ---------------------------------------------------------------
 
 
-def _read_driver(name: str):
-    """A rough path read from JSON, refused unless every adjacent increment
-    is a character: wider increments are composed from them unchecked."""
-    X = roughpath_from_json(_read_input(name))
-    k = first_non_character(X)
-    if k is not None:
-        raise ValueError(f"adjacent increment {k} is not a character")
-    return X
-
-
 def cmd_convert(args) -> int:
-    cfg = _config(args)
-    try:
-        X = _read_driver(args.input)
-    except (OSError, ValueError, KeyError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return BAD_INPUT
+    _config(args)  # checks --threads
+    X = _load(args.input, _driver)
     if not isinstance(X, BranchedRoughPath):
-        print("input error: conversion starts from a branched rough path", file=sys.stderr)
-        return BAD_INPUT
+        raise InputError("conversion starts from a branched rough path")
     result = encode(X)
     _write_out(result.to_json(), args.out)
     if result.certificate["status"] != "pass":
@@ -329,9 +346,9 @@ def cmd_convert(args) -> int:
 # -- solve -----------------------------------------------------------------
 
 
-def _parse_fields(text: str) -> ButcherTable:
+def _parse_fields(text: str, mode: str) -> ButcherTable:
     """'label: poly, poly; label: ...' with one polynomial per state
-    component."""
+    component; in float mode every coefficient must fit in a float."""
     spec: dict = {}
     for block in text.split(";"):
         block = block.strip()
@@ -349,55 +366,54 @@ def _parse_fields(text: str) -> ButcherTable:
         spec[label] = [s.strip() for s in rest.split(",")]
     if not spec:
         raise ValueError("empty field table")
-    return ButcherTable.parse(spec)
+    f = ButcherTable.parse(spec)
+    if mode == FLOAT:
+        for label, texts in spec.items():
+            for poly_text, p in zip(texts, f.base[label].components):
+                for c in p.terms.values():
+                    _float(c, "--fields", poly_text)
+    return f
 
 
-def _synth_driver(args, cfg: RunConfig):
-    path = _synth_path(args.synth, args.steps, cfg.seed, args.step, args.d, cfg.mode)
-    if args.lift == "ito":
-        return ito_lift(path, cfg.N, cfg.gamma)
-    return canonical_lift(path, cfg.N, cfg.gamma)
+def _solve(X, f: ButcherTable, xi, side: str):
+    """The trajectory on one side, and for side both the branched one with
+    its max per-step discrepancy from the geometric solve of the encoding."""
+    for label in f.base:
+        if not 1 <= label <= X.d:
+            raise ValueError(f"field label {label} is outside the driver's alphabet 1..{X.d}")
+    if side == "branched":
+        return solve_branched(X, f, xi), None
+    if side == "geometric":
+        if not isinstance(X, GeometricRoughPath):
+            raise ValueError("side geometric needs a geometric driver")
+        return solve_geometric(X, tree_letter_fields(f, X.letters), xi), None
+    if not isinstance(X, BranchedRoughPath):
+        raise ValueError("side both starts from a branched driver")
+    result = encode(X, certify_result=False)
+    traj = solve_branched(X, f, xi)
+    other = solve_geometric(result.geometric, convert_rde(f, result), xi)
+    gaps = (abs(a - b) for ra, rb in zip(traj.values, other.values) for a, b in zip(ra, rb))
+    return traj, max(gaps, default=0)
 
 
 def cmd_solve(args) -> int:
     cfg = _config(args)
-    f = _parse_fields(args.fields)
-    xi = [_scalar(s, cfg.mode) for s in args.xi.split(",")]
+    f = _parse_fields(args.fields, cfg.mode)
+    xi = [_scalar(s.strip(), cfg.mode, "--xi") for s in args.xi.split(",")]
     if args.seeds is not None:
         return _solve_ensemble(args, cfg, f, xi)
     if (args.driver is None) == (args.synth is None):
-        print("error: give exactly one of --driver or --synth", file=sys.stderr)
-        return BAD_INPUT
+        raise InputError("give exactly one of --driver or --synth", "error")
     if args.driver is not None:
-        try:
-            X = _read_driver(args.driver)
-        except (OSError, ValueError, KeyError) as e:
-            print(f"input error: {e}", file=sys.stderr)
-            return BAD_INPUT
+        X = _load(args.driver, _driver)
     else:
-        X = _synth_driver(args, cfg)
-    discrepancy = None
-    if args.side == "branched":
-        traj = solve_branched(X, f, xi)
-    elif args.side == "geometric":
-        if not isinstance(X, GeometricRoughPath):
-            raise TypeError("side geometric needs a geometric driver")
-        traj = solve_geometric(X, tree_letter_fields(f, X.letters), xi)
-    else:
-        if not isinstance(X, BranchedRoughPath):
-            raise TypeError("side both starts from a branched driver")
-        result = encode(X, certify_result=False)
-        traj = solve_branched(X, f, xi)
-        other = solve_geometric(result.geometric, convert_rde(f, result), xi)
-        discrepancy = max(
-            (abs(a - b) for ra, rb in zip(traj.values, other.values) for a, b in zip(ra, rb)),
-            default=0,
-        )
-        print(f"max per-step discrepancy: {discrepancy}", file=sys.stderr)
+        X = _lift(_synth_path(args.synth, args.steps, args.seed, args.step, args.d, cfg.mode), args.lift, cfg)
+    traj, discrepancy = _solve(X, f, xi, args.side)
     _write_out(traj.to_csv() if args.format == "csv" else traj.to_json(), args.out)
-    if discrepancy is not None and cfg.mode == RATIONAL and discrepancy != 0:
-        return INVARIANT_FAILED
-    return OK
+    if discrepancy is None:
+        return OK
+    print(f"max per-step discrepancy: {discrepancy}", file=sys.stderr)
+    return INVARIANT_FAILED if cfg.mode == RATIONAL and discrepancy != 0 else OK
 
 
 def _solve_ensemble(args, cfg: RunConfig, f: ButcherTable, xi) -> int:
@@ -410,17 +426,11 @@ def _solve_ensemble(args, cfg: RunConfig, f: ButcherTable, xi) -> int:
     want_ref = args.reference == "exp-ito"
     if want_ref and (args.d != 1 or len(xi) != 1):
         raise ValueError("the exp-ito reference is for one driving and one state component")
-    terminals = []
-    refs = []
-    rels = []
-    for seed in range(cfg.seed, cfg.seed + args.seeds):
+    side = "branched" if args.lift == "ito" else "geometric"
+    terminals, refs, rels = [], [], []
+    for seed in range(args.seed, args.seed + args.seeds):
         path = _synth_path("rw", args.steps, seed, args.step, args.d, cfg.mode)
-        if args.lift == "ito":
-            X = ito_lift(path, cfg.N, cfg.gamma)
-            traj = solve_branched(X, f, xi)
-        else:
-            X = canonical_lift(path, cfg.N, cfg.gamma)
-            traj = solve_geometric(X, tree_letter_fields(f, X.letters), xi)
+        traj, _ = _solve(_lift(path, args.lift, cfg), f, xi, side)
         end = traj.values[-1]
         terminals.append(list(end))
         if want_ref:
@@ -435,9 +445,9 @@ def _solve_ensemble(args, cfg: RunConfig, f: ButcherTable, xi) -> int:
         "kind": "ensemble",
         "synth": args.synth,
         "steps": args.steps,
-        "first_seed": cfg.seed,
+        "first_seed": args.seed,
         "seeds": args.seeds,
-        "side": "branched" if args.lift == "ito" else "geometric",
+        "side": side,
         "terminal": terminals,
     }
     if want_ref:
@@ -545,15 +555,8 @@ def _tampered(X: GeometricRoughPath) -> GeometricRoughPath:
 def _suite_lifts(args, cfg: RunConfig) -> dict:
     N = args.N if args.N is not None else 3
     d = args.d
-    res = {
-        "N": N,
-        "d": d,
-        "steps": args.steps,
-        "seed": cfg.seed,
-        "status": "pass",
-        "checks": {},
-    }
-    path = _synth_path("rw", args.steps, cfg.seed, "1/2", d, RATIONAL)
+    res = {"N": N, "d": d, "steps": args.steps, "seed": args.seed, "status": "pass", "checks": {}}
+    path = _synth_path("rw", args.steps, args.seed, "1/2", d, RATIONAL)
     gamma = Fraction(1, N)
     ok = True
 
@@ -600,29 +603,21 @@ def _suite_lifts(args, cfg: RunConfig) -> dict:
 
 def _suite_lgl(args, cfg: RunConfig) -> dict:
     N = args.N if args.N is not None else 4
-    rng = random.Random(cfg.seed)
-    monomials = ("", "y1", "y2", "y1^2", "y1*y2", "y2^2")
+    rng = random.Random(args.seed)
+    # 1, y1, y2, y1^2, y1*y2, y2^2
+    monomials = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
-    def quadratic() -> str:
-        out = ""
-        for mono in monomials:
-            c = rng.randint(-3, 3)
-            if c == 0:
-                continue
-            term = f"{abs(c)}*{mono}" if mono else f"{abs(c)}"
-            if not out:
-                out = term if c > 0 else f"-{term}"
-            else:
-                out += f" + {term}" if c > 0 else f" - {term}"
-        return out or "0*y1"
+    def quadratic() -> Poly:
+        draws = ((e, rng.randint(-3, 3)) for e in monomials)
+        return Poly({e: Fraction(c) for e, c in draws if c}, 2)
 
-    f = ButcherTable.parse({1: [quadratic(), quadratic()], 2: [quadratic(), quadratic()]})
+    f = ButcherTable({i: PolyVectorField([quadratic(), quadratic()]) for i in (1, 2)})
     if args.mutate:
         # negative control: poison one cached coefficient field
         tau = Tree(2, (leaf(1),))
         butcher(f, tau)
         f.cache[tau] = f.cache[tau] + PolyVectorField.parse(["y1^3", "0*y1"])
-    res = {"N": N, "d": 2, "seed": cfg.seed, "status": "pass", "checked": 0, "witnesses": []}
+    res = {"N": N, "d": 2, "seed": args.seed, "status": "pass", "checked": 0, "witnesses": []}
     for lam in enumerate_trees(N - 1, 2):
         for h in enumerate_trees(N - lam.grade, 2):
             r = check_lgl(f, lam, h, N)
@@ -647,15 +642,12 @@ _SUITES = {
 def cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     if "lgl" in names and args.d != 2:  # its fields have two labels
-        print(f"error: the lgl suite runs at --d 2 only, got --d {args.d}", file=sys.stderr)
-        return BAD_REQUEST
+        raise ValueError(f"the lgl suite runs at --d 2 only, got --d {args.d}")
     if "lgl" in names and args.N is not None and args.N < 2:  # lambda and h need a vertex each
-        print(f"error: the lgl suite needs --N >= 2, got --N {args.N}", file=sys.stderr)
-        return BAD_REQUEST
+        raise ValueError(f"the lgl suite needs --N >= 2, got --N {args.N}")
     for flag, value in (("--N", args.N), ("--d", args.d)):
         if value is not None and value < 1:  # the other suites need a vertex and a label
-            print(f"error: the {names[0]} suite needs {flag} >= 1, got {flag} {value}", file=sys.stderr)
-            return BAD_REQUEST
+            raise ValueError(f"the {names[0]} suite needs {flag} >= 1, got {flag} {value}")
     cfg = _config(args)
     report = {"suites": {}, "status": "pass"}
     for name in names:
@@ -675,80 +667,53 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="hopfpath",
         description="Branched and geometric rough paths over labelled forests.",
     )
-    parser.add_argument(
-        "--float",
-        action="store_true",
-        help="floating-point scalars (default: exact rationals)",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="accepted for compatibility; has no effect",
-    )
+    parser.add_argument("--float", action="store_true", help="floating-point scalars (default: exact rationals)")
+    parser.add_argument("--threads", type=int, default=None, help="accepted for compatibility; has no effect")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering a value parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--float", action="store_true", default=argparse.SUPPRESS)
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--out", default=None, help="write to a file instead of stdout")
+    # the synthetic path and its level, for lift and solve
+    path = argparse.ArgumentParser(add_help=False)
+    path.add_argument("--synth", choices=["rw", "linear", "sine"], default=None, help="generate the path instead")
+    path.add_argument("--steps", type=int, default=8)
+    path.add_argument("--seed", type=int, default=0)
+    path.add_argument("--step", default=None, help="walk step size, e.g. 1/4")
+    path.add_argument("--d", type=int, default=1, help="components of the synthetic path")
+    path.add_argument("--gamma", default=None, help="Hölder exponent in (0,1)")
+    path.add_argument("--N", type=int, default=None, help="truncation level (default: from gamma, else 2)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("algebra", help="operate on forest expressions", parents=[common])
-    p.add_argument(
-        "--op",
-        required=True,
-        choices=["coproduct", "antipode", "star", "exp", "log", "psi", "phig", "graft"],
-    )
+    ops = ["coproduct", "antipode", "star", "exp", "log", "psi", "phig", "graft"]
+    p.add_argument("--op", required=True, choices=ops)
     p.add_argument("--d", type=int, default=None, help="alphabet size (default: largest label used)")
     p.add_argument("--N", type=int, default=None, help="truncation grade where one applies")
-    p.add_argument("--out", default=None, help="write to a file instead of stdout")
     p.add_argument("expr", nargs="+", help="expression(s) in the forest grammar")
     p.set_defaults(func=cmd_algebra)
 
-    p = sub.add_parser("lift", parents=[common], help="lift sampled data to a rough path")
+    p = sub.add_parser("lift", parents=[common, path], help="lift sampled data to a rough path")
     p.add_argument("input", nargs="?", default=None, help="CSV file, or - for stdin")
-    p.add_argument("--synth", choices=["rw", "linear", "sine"], default=None, help="generate the path instead")
-    p.add_argument("--steps", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", default=None, help="walk step size, e.g. 1/4")
-    p.add_argument("--d", type=int, default=1, help="components of the synthetic path")
     p.add_argument("--mode", choices=["canonical", "ito"], default="canonical")
-    p.add_argument("--gamma", default=None, help="Hölder exponent in (0,1)")
-    p.add_argument("--N", type=int, default=None, help="truncation level (default: from gamma, else 2)")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("convert", parents=[common], help="encode a branched driver geometrically")
     p.add_argument("input", nargs="?", default="-", help="rough-path JSON file, or - for stdin")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("solve", parents=[common], help="Euler-solve a driven system")
+    p = sub.add_parser("solve", parents=[common, path], help="Euler-solve a driven system")
     p.add_argument("--driver", default=None, help="rough-path JSON file, or - for stdin")
-    p.add_argument("--synth", choices=["rw", "linear", "sine"], default=None)
-    p.add_argument("--steps", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=int, default=None, help="run an ensemble and emit summary statistics")
-    p.add_argument("--step", default=None)
-    p.add_argument("--d", type=int, default=1)
     p.add_argument("--lift", choices=["canonical", "ito"], default="ito", help="lift for synthetic drivers")
-    p.add_argument("--gamma", default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument(
-        "--fields",
-        required=True,
-        help="driving fields, e.g. '1: y1^2 + y2, y1*y2; 2: y2^2, y1 + 1'",
-    )
+    p.add_argument("--fields", required=True, help="driving fields, e.g. '1: y1^2 + y2, y1*y2; 2: y2^2, y1 + 1'")
     p.add_argument("--xi", required=True, help="initial point, e.g. '1, 3/2'")
     p.add_argument("--side", choices=["branched", "geometric", "both"], default="branched")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument(
-        "--reference",
-        choices=["exp-ito"],
-        default=None,
-        help="ensemble comparison against xi*exp(X_T - [X]_T/2), for dY = Y dX",
+        "--reference", choices=["exp-ito"], help="ensemble comparison against xi*exp(X_T - [X]_T/2), for dY = Y dX"
     )
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", parents=[common], help="run invariant suites")
@@ -757,17 +722,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--steps", type=int, default=8)
-    p.add_argument(
-        "--mutate",
-        action="store_true",
-        help="corrupt one value first; the suites must catch it",
-    )
-    p.add_argument("--out", default=None)
+    p.add_argument("--mutate", action="store_true", help="corrupt one value first; the suites must catch it")
     p.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place a refusal becomes an exit code."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -778,7 +739,10 @@ def main(argv=None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)  # e names the line and column
         return BAD_INPUT
-    except (json.JSONDecodeError, OSError) as e:
+    except InputError as e:
+        print(f"{e.prefix}: {e}", file=sys.stderr)
+        return BAD_INPUT
+    except OSError as e:  # an --out file that cannot be written
         print(f"input error: {e}", file=sys.stderr)
         return BAD_INPUT
     except ConversionError as e:

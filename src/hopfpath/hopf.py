@@ -363,23 +363,12 @@ def is_group_like(g: HElem, N: int, eq=operator.eq) -> bool:
 def is_primitive(h: HElem, N: int) -> bool:
     """True iff h is supported on single trees.
 
-    Checked directly on the support and via the derivation identity
-    <h, h1 h2> = eps(h1) <h, h2> + <h, h1> eps(h2) on basis pairs of total
-    grade <= N.
+    That is the derivation identity <h, h1 h2> = eps(h1) <h, h2> +
+    <h, h1> eps(h2) on forests of grade <= N: neither the unit forest nor a
+    product of two non-unit forests is a single tree, so h pairs to 0 with
+    both.
     """
-    if not all(f.is_single_tree() for f in h.terms):
-        return False
-    # derivation identity; eps kills everything except the unit forest
-    if h.coeff(EMPTY_FOREST) != 0:
-        return False
-    for g1 in range(1, N):
-        for h1 in (f for f in enumerate_forests(N - g1, h.d) if f.grade == g1):
-            for h2 in enumerate_forests(N - g1, h.d):
-                if h2.is_unit():
-                    continue
-                if h.coeff(h1 * h2) != 0:
-                    return False
-    return True
+    return all(f.is_single_tree() for f in h.terms)
 
 
 def star_inverse(g: HElem, N: int) -> HElem:

@@ -438,7 +438,10 @@ def _euler(grid: Grid, mode: str, e: int, xi: Sequence, step_terms: Iterable) ->
         for key, w, F in terms:
             if mode == FLOAT:
                 if id(F) not in floats:
-                    floats[id(F)] = (F, F.to_float())
+                    try:
+                        floats[id(F)] = (F, F.to_float())
+                    except OverflowError:
+                        raise ValueError(f"the field of {key} has a coefficient too large for a float") from None
                 F = floats[id(F)][1]
             contrib = tuple(w * vi for vi in F.eval(y))
             if any(contrib):

@@ -299,6 +299,22 @@ def gamma_to_level(gamma) -> int:
 # -- lift constructors -----------------------------------------------------
 
 
+def _check_float_range(path: SampledPath, N: int) -> None:
+    """Refuse a float path too large to lift: the level-n terms of its lift
+    grow like V^n for V its l1 variation, and the Chen sums that compose
+    them add up to 2^n such terms, so (2V)^N must be a finite float."""
+    if path.mode != FLOAT:
+        return
+    V = sum(abs(b - a) for col in zip(*path.values) for a, b in zip(col, col[1:]))
+    try:
+        fits = math.isfinite((2 * V) ** N)
+    except OverflowError:
+        fits = False
+    if not fits:
+        V = math.inf if math.isnan(V) else V  # values past the float range give inf - inf
+        raise ValueError(f"the path varies by {V:.6g} in total, too much for a float lift at level {N}")
+
+
 def canonical_lift(path: SampledPath, N: int, gamma=None) -> GeometricRoughPath:
     """Iterated integrals of the piecewise-linear interpolation.
 
@@ -319,6 +335,7 @@ def canonical_lift(path: SampledPath, N: int, gamma=None) -> GeometricRoughPath:
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
+    _check_float_range(path, N)
     letters = tuple(t for t in path.basis if t.grade <= N)
     if not letters:
         raise ValueError("no basis letters within the truncation level")
@@ -377,6 +394,7 @@ def ito_lift(path: SampledPath, N: int, gamma=None) -> BranchedRoughPath:
         raise ValueError(f"need N >= 1, got {N}")
     if not path.has_label_basis():
         raise ValueError("ito_lift expects a plain label basis")
+    _check_float_range(path, N)
     d = path.d
     basis_forests = enumerate_forests(N, d)
     increments = []
@@ -495,12 +513,18 @@ def validate(X) -> dict:
     per = {}
     for s, t in itertools.combinations(range(M + 1), 2):
         inc = X.increment(s, t)
-        dt = float(X.grid.times[t] - X.grid.times[s])
+        try:
+            dt = float(X.grid.times[t] - X.grid.times[s])
+        except OverflowError:  # exact times past the float range
+            dt = math.inf
         for key, name, grade in names:
-            v = abs(float(inc.coeff(key)))
-            if v == 0.0:
-                continue
-            ratio = v / dt ** (gamma * grade)
+            try:
+                v = abs(float(inc.coeff(key)))
+                if v == 0.0:
+                    continue
+                ratio = v / dt ** (gamma * grade)
+            except (OverflowError, ZeroDivisionError):  # values or time steps past the float range
+                ratio = math.inf
             if ratio > per.get(name, 0.0):
                 per[name] = ratio
     report["holder"]["per_basis"] = per

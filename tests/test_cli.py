@@ -864,3 +864,91 @@ def test_verify_suite_outputs_are_pinned(capsys, tmp_path, monkeypatch):
         record = json.dumps([rc, out, err, text])
         got[name] = hashlib.sha256(record.encode()).hexdigest()[:16]
     assert got == _SUITE_DIGESTS
+
+
+# -- float flags and field labels -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--synth", "linear", "--steps", "2", "--fields", "1: y1", "--xi", "1e999"], "--xi '1e999'"),
+        (["solve", "--synth", "linear", "--steps", "2", "--fields", "1: y1", "--xi", "1, -1e999"], "--xi '-1e999'"),
+        (["lift", "--synth", "rw", "--steps", "2", "--step", "1e999"], "--step '1e999'"),
+        (["solve", "--synth", "linear", "--steps", "2", "--fields", "1: 1e999*y1", "--xi", "1"], "--fields '1e999*y1'"),
+        (["solve", "--synth", "rw", "--seeds", "2", "--fields", "1: y1, 2 - 1e999*y2", "--xi", "1, 1"], "--fields '2 - 1e999*y2'"),
+    ],
+    ids=["xi", "xi-second", "step", "fields", "fields-ensemble"],
+)
+def test_float_flags_too_large_for_a_float_are_refused(capsys, argv, message):
+    rc, out, err = run(capsys, "--float", *argv)
+    assert (rc, out, err) == (3, "", f"error: {message}: too large for a float\n")
+
+
+def test_float_flags_that_fit_are_taken(capsys):
+    rc, out, _ = run(capsys, "--float", "solve", "--synth", "linear", "--steps", "2", "--fields", "1: 1e300*y1", "--xi", "1e-999")
+    assert rc == 0 and out == "t,y_1\n0.0,0.0\n0.5,0.0\n1.0,0.0\n"
+    # exact mode takes the same values as rationals
+    rc, out, _ = run(capsys, "lift", "--synth", "rw", "--steps", "2", "--step", "1e999", "--N", "1")
+    assert rc == 0 and str(10**999) in out
+
+
+def test_float_tree_field_too_large_for_a_float_is_refused(capsys):
+    # the base field fits in a float; its grafted derivative field does not
+    argv = ["--float", "solve", "--synth", "rw", "--steps", "2", "--N", "3", "--side", "both"]
+    rc, out, err = run(capsys, *argv, "--fields", "1: 1e200*y1^2", "--xi", "1")
+    assert (rc, out) == (3, "")
+    assert err == "error: the field of [b_1]_1 has a coefficient too large for a float\n"
+
+
+@pytest.mark.parametrize(
+    "fields, label",
+    [("1: y1; 5: y1", 5), ("-1: y1; 1: y1", -1), ("0: y1", 0), ("2: y1", 2)],
+)
+@pytest.mark.parametrize("how", [["--synth", "linear"], ["--synth", "rw", "--seeds", "2"]], ids=["synth", "seeds"])
+def test_field_labels_outside_the_synthetic_alphabet_are_refused(capsys, how, fields, label):
+    rc, out, err = run(capsys, "solve", *how, "--steps", "2", f"--fields={fields}", "--xi", "1")
+    assert (rc, out, err) == (3, "", f"error: field label {label} is outside the driver's alphabet 1..1\n")
+
+
+def test_field_labels_follow_the_alphabet_of_d(capsys, tmp_path):
+    argv = ["solve", "--synth", "rw", "--steps", "2", "--fields", "3: y1", "--xi", "1", "--d"]
+    assert run(capsys, *argv, "3") == (3, "", "error: no vector field for label 1\n")
+    assert run(capsys, *argv, "2") == (3, "", "error: field label 3 is outside the driver's alphabet 1..2\n")
+    src = tmp_path / "ito.json"
+    src.write_text(_ito_json(capsys))  # d = 2
+    for side in ("branched", "both"):
+        rc, out, err = run(capsys, "solve", "--driver", str(src), "--side", side, "--fields", "1: y1; 2: y1; 3: y1", "--xi", "1")
+        assert (rc, out, err) == (3, "", "error: field label 3 is outside the driver's alphabet 1..2\n")
+
+
+def test_float_lift_past_the_float_range_is_refused(capsys, tmp_path):
+    rc, out, err = run(capsys, "--float", "lift", "--synth", "rw", "--steps", "3", "--step", "1e160")
+    assert (rc, out, err) == (3, "", "error: the path varies by 3e+160 in total, too much for a float lift at level 2\n")
+    f = tmp_path / "walk.csv"
+    f.write_text("t,b_1\n0,0\n1,1e300\n2,0\n3,1e300\n")
+    assert run(capsys, "--float", "lift", str(f))[:2] == (3, "")
+    argv = ["--float", "solve", "--synth", "rw", "--steps", "3", "--step", "1e160", "--fields", "1: y1", "--xi", "1"]
+    assert run(capsys, *argv)[:2] == run(capsys, *argv, "--seeds", "2")[:2] == (3, "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lift"], "give a CSV file or --synth, not both"),
+        (["lift", "walk.csv", "--synth", "rw"], "give a CSV file or --synth, not both"),
+        (["solve", "--fields", "1: y1", "--xi", "1"], "give exactly one of --driver or --synth"),
+        (["solve", "--driver", "x.json", "--synth", "rw", "--fields", "1: y1", "--xi", "1"], "give exactly one of --driver or --synth"),
+    ],
+)
+def test_usage_refusals_exit_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_solve_output_failure_is_one_line(capsys, tmp_path):
+    # the discrepancy line follows the trajectory, so a refused output is
+    # the only line on stderr
+    argv = ["solve", "--synth", "rw", "--steps", "2", "--side", "both", "--fields", "1: y1", "--xi", "1"]
+    rc, out, err = run(capsys, *argv, "--out", str(tmp_path / "no" / "such.csv"))
+    assert (rc, out) == (2, "") and err.count("\n") == 1 and err.startswith("input error: ")
+    assert run(capsys, *argv)[::2] == (0, "max per-step discrepancy: 0\n")

@@ -573,3 +573,28 @@ def test_homogeneous_norm_rejects_non_group_like():
 def test_counit():
     assert counit(HElem.unit(2)) == 1
     assert counit(single(1)) == 0
+
+
+def _primitive_by_derivation_identity(h, N):
+    """The derivation-identity sweep is_primitive ran before it became a
+    support test: <h, 1> = 0 and <h, h1 h2> = 0 for non-unit h1, h2."""
+    if not all(f.is_single_tree() for f in h.terms):
+        return False
+    if h.coeff(EMPTY_FOREST) != 0:
+        return False
+    for g1 in range(1, N):
+        for h1 in (f for f in enumerate_forests(N - g1, h.d) if f.grade == g1):
+            for h2 in enumerate_forests(N - g1, h.d):
+                if not h2.is_unit() and h.coeff(h1 * h2) != 0:
+                    return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 4), st.data())
+def test_is_primitive_is_the_derivation_identity(d, N, data):
+    basis = enumerate_forests(N, d)
+    support = data.draw(st.lists(st.sampled_from(basis), max_size=4))
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(support), max_size=len(support)))
+    h = HElem({f: Fraction(c) for f, c in zip(support, coeffs)}, d)
+    assert is_primitive(h, N) == _primitive_by_derivation_identity(h, N)

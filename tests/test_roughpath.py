@@ -552,3 +552,28 @@ def test_ibp_defect_identity_random(rows):
     X = ito_lift(p, 2)
     qv = sum(p.delta(k)[B1] * p.delta(k)[B2] for k in range(3))
     assert ibp_defect(X, 1, 2) == -qv
+
+
+@pytest.mark.parametrize("lift", [ito_lift, canonical_lift])
+def test_float_lift_refuses_a_path_past_the_float_range(lift):
+    def walk(h):
+        return SampledPath.over_labels([0.0, 0.5, 1.0, 1.5], [[0.0], [h], [2 * h], [h]], 1, FLOAT)
+
+    # (2V)^2 is 3.6e300: every Chen sum of the level-2 lift stays finite
+    assert validate(lift(walk(1e150), 2))["chen"]["status"] == "pass"
+    with pytest.raises(ValueError, match=r"^the path varies by 3e\+154 in total, too much for a float lift at level 2$"):
+        lift(walk(1e154), 2)
+    with pytest.raises(ValueError, match="varies by inf in total"):
+        lift(walk(float("inf")), 1)
+    # exact mode has no range to leave
+    exact = SampledPath.over_labels([0, 1, 2], [[0], [Q(10) ** 400], [0]], 1)
+    assert lift(exact, 3).increments[0].max_grade() == 3
+
+
+def test_holder_sweep_takes_exact_values_past_the_float_range():
+    # times 1e-999 apart and values 1e999 are exact, but not floats
+    path = SampledPath.over_labels([0, Q("1e-999"), 1, Q("1e999")], [[0], [1], [Q("1e999")], [0]], 1)
+    report = validate(ito_lift(path, 2))
+    assert report["character"]["status"] == report["chen"]["status"] == "pass"
+    assert report["holder"]["max"] == float("inf")
+    assert report["holder"]["per_basis"]["b_1"] == float("inf")
