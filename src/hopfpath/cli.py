@@ -390,8 +390,9 @@ def _solve(X, f: ButcherTable, xi, side: str):
     if not isinstance(X, BranchedRoughPath):
         raise ValueError("side both starts from a branched driver")
     result = encode(X, certify_result=False)
-    traj = solve_branched(X, f, xi)
+    # geometric first: it steps every grafted field, so one too large for a float is named
     other = solve_geometric(result.geometric, convert_rde(f, result), xi)
+    traj = solve_branched(X, f, xi)
     gaps = (abs(a - b) for ra, rb in zip(traj.values, other.values) for a, b in zip(ra, rb))
     return traj, max(gaps, default=0)
 
@@ -734,7 +735,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    # exact results print whole: the int-string limit (Python 3.11+) is off for this command only
+    saved = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
+        if saved is not None:
+            sys.set_int_max_str_digits(0)
         return args.func(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)  # e names the line and column
@@ -751,6 +756,9 @@ def main(argv=None) -> int:
     except (KeyError, TypeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return BAD_REQUEST
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

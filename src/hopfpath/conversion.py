@@ -1,16 +1,21 @@
 """Encoding a branched rough path as a geometric one over tree letters.
 
 The encoder walks up one grade at a time: the functionals of grade-(n+1)
-trees that the level-n geometric lift fails to reproduce become new scalar
-path components, and the canonical lift of the extended piecewise-linear
-path is rebuilt.  At the top the defining identity
+trees that the level-n geometric lift fails to reproduce, read off the
+adjacent increments, become new scalar path components, and the canonical
+lift of the extended piecewise-linear path is rebuilt.  One sweep of
+`certify` over every grid pair then checks the defining identity
 
     <X_st, h> = <Xbar_st, psi(h)>
 
-is certified exactly for every forest of grade <= N and every grid pair.
-The analytic construction behind this picks an arbitrary extension at each
-level; here the canonical lift of the interpolated path replaces it, which
-keeps everything rational and deterministic.
+for every forest h of grade <= N.  It is every level's check as well: for
+an extracted tree tau, with f_tau(s, t) = <X_st, tau> - <Xbar_st, psi(tau)
+without the tau letter> and F_tau the prefix sums of its adjacent values,
+<Xbar_st, psi(tau)> - <X_st, tau> = F_tau(t) - F_tau(s) - f_tau(s, t); on
+product forests it also catches increments that are not characters.  The
+analytic construction picks an arbitrary extension at each level; here the
+canonical lift of the interpolated path replaces it, which keeps
+everything rational and deterministic.
 
 `encode` returns a `ConversionResult`: `extended_path`, the sampled path
 with one component per tree letter; `geometric`, its canonical lift over
@@ -20,10 +25,8 @@ those letters; and `certificate`, the report of `certify` (or
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,7 +42,6 @@ from .roughpath import (
     canonical_lift,
     roughpath_obj,
 )
-from .scalars import numerators
 from .tensor import TensorElem, Word, is_tensor_group_like, pair_functional, word_context
 from .trees import Forest, Tree, enumerate_forests, enumerate_trees, leaf, trees_of_grade
 
@@ -48,67 +50,62 @@ class ConversionError(RuntimeError):
     """Internal consistency violated; indicates a broken input precondition."""
 
 
+def _running_sums(increments: list, mode: str) -> list:
+    """The values, from 0, of a scalar path with these adjacent increments."""
+    return list(itertools.accumulate(increments, initial=Fraction(0) if mode == RATIONAL else 0.0))
+
+
 def base_path_of(X: BranchedRoughPath) -> SampledPath:
     """Grade-1 components of a branched rough path, started at 0."""
-    zero = Fraction(0) if X.mode == RATIONAL else 0.0
     basis = tuple(leaf(i) for i in range(1, X.d + 1))
-    cols = [
-        list(itertools.accumulate([g.coeff(Forest((b,))) for g in X.increments], initial=zero))
-        for b in basis
-    ]
-    rows = [tuple(col[k] for col in cols) for k in range(len(X.grid))]
-    return SampledPath(X.grid, basis, rows, X.mode)
+    cols = [_running_sums([g.coeff(Forest((b,))) for g in X.increments], X.mode) for b in basis]
+    return SampledPath(X.grid, basis, list(zip(*cols)), X.mode)
+
+
+def _pairings(X: BranchedRoughPath, Xbar: GeometricRoughPath, level: int, forests: list, pairs):
+    """Per grid pair (s, t) in order: s, t, the denominator of the integer
+    numerators of Xbar_st (None when it is not exact), and for each forest h
+    the values <X_st, h> and <Xbar_st, psi(h)>, the latter over that
+    denominator.  Words of psi(h) over letters that Xbar lacks are left out:
+    for a partial lift, the tree letter of h itself."""
+    ctx = word_context(level, Xbar.d, Xbar.letter_bound)
+    images = [psi(HElem.from_forest(h, X.d), level).terms for h in forests]
+    images = [ctx.functional({w: c for w, c in img.items() if w in ctx.index}) for img in images]
+    for s, t in pairs:
+        branched = X.increment(s, t)
+        vec = ctx.vector(Xbar.increment(s, t).terms)
+        yield s, t, vec.den, [(branched.coeff(h), pair_functional(img, vec)) for h, img in zip(forests, images)]
 
 
 def extract_extended_path(X: BranchedRoughPath, partial: GeometricRoughPath, check_cocycle: bool = True) -> dict:
     """New components for trees one grade above the partial lift's letters.
 
-    For each tree tau of grade n+1 the adjacent increments are
-    delta Xbar^tau = <X, tau> - <partial, psi(tau) without the tau letter>;
-    additivity over all grid triples is verified exactly before returning.
+    For each tree tau of grade n+1 the adjacent increments are f_tau(k, k+1),
+    f_tau(s, t) = <X_st, tau> - <partial_st, psi(tau) without the tau letter>.
+    With check_cocycle, f_tau(s, t) must equal F_tau(t) - F_tau(s) on every
+    grid pair, F_tau the prefix sums of the adjacent values (additivity over
+    all triples); the first pair that fails raises ConversionError.
     """
     n = max(t.grade for t in partial.letters)
     M = X.grid.steps
-    ctx = word_context(n + 1, partial.d, partial.letter_bound)
-    # exact values are compared as integer numerators over one common
-    # denominator, float ones with the float tolerance
-    same = operator.eq if X.mode == RATIONAL else functools.partial(_close, mode=X.mode)
-    # the output only uses adjacent pairs; wider ones exist to feed the
-    # additivity check
-    if check_cocycle:
-        pairs = list(itertools.combinations(range(M + 1), 2))
-    else:
-        pairs = [(k, k + 1) for k in range(M)]
     taus = trees_of_grade(n + 1, X.d)
-    lowers = []
-    for tau in taus:
-        img = psi(HElem.from_tree(tau, X.d), n + 1)
-        lower = ctx.functional({w: c for w, c in img.terms.items() if w != Word((tau,))})
-        lowers.append((Forest((tau,)), lower))
+    pairs = itertools.combinations(range(M + 1), 2) if check_cocycle else zip(range(M), range(1, M + 1))
     values = [{} for _ in taus]
-    for s, t in pairs:
-        vec = None  # the partial increment over (s, t), shared by every tau
-        for (tree, lower), f in zip(lowers, values):
-            inc = partial.increment(s, t)  # a cache hit after the first tau
-            if vec is None:
-                vec = ctx.vector(inc.terms)
-            rhs = pair_functional(lower, vec)
-            if vec.den is not None:
-                rhs = Fraction(rhs, vec.den)
-            f[(s, t)] = X.increment(s, t).coeff(tree) - rhs
+    for s, t, den, row in _pairings(X, partial, n + 1, [Forest((tau,)) for tau in taus], pairs):
+        for f, (lhs, rhs) in zip(values, row):
+            f[(s, t)] = lhs - (rhs if den is None else Fraction(rhs, den))
     out = {}
     for tau, f in zip(taus, values):
-        if check_cocycle:
-            (vals,), _ = numerators(list(f.values()))
-            g = dict(zip(f, vals))
-            for s, u, t in itertools.combinations(range(M + 1), 3):
-                if not same(g[(s, t)], g[(s, u)] + g[(u, t)]):
-                    raise ConversionError(
-                        f"extracted component for {tau!r} is not additive "
-                        f"on triple ({s}, {u}, {t}); the partial lift does "
-                        f"not reproduce X below grade {n + 1}"
-                    )
         out[tau] = [f[(k, k + 1)] for k in range(M)]
+        if not check_cocycle:
+            continue
+        F = _running_sums(out[tau], X.mode)
+        for (s, t), v in f.items():
+            if not _close(v, F[t] - F[s], X.mode):
+                raise ConversionError(
+                    f"extracted component for {tau!r} is not additive on pair ({s}, {t}), {v} against "
+                    f"{F[t] - F[s]} over its steps: the partial lift does not reproduce X below grade {n + 1}"
+                )
     return out
 
 
@@ -143,8 +140,6 @@ def certify(X: BranchedRoughPath, Xbar: GeometricRoughPath) -> dict:
     ones with the float tolerance."""
     N, d, M = X.N, X.d, X.grid.steps
     basis = enumerate_forests(N, d)
-    ctx = word_context(N, Xbar.d, Xbar.letter_bound)
-    images = [ctx.functional(psi(HElem.from_forest(h, d), N).terms) for h in basis]
     exact = X.mode == RATIONAL
     cert = {
         "status": "pass",
@@ -152,24 +147,15 @@ def certify(X: BranchedRoughPath, Xbar: GeometricRoughPath) -> dict:
         "checked_pairs": 0,
         "witness": None,
     }
-
-    for s, t in itertools.combinations(range(M + 1), 2):
+    for s, t, den, row in _pairings(X, Xbar, N, basis, itertools.combinations(range(M + 1), 2)):
         cert["checked_pairs"] += 1
-        lhs_inc = X.increment(s, t)
-        vec = ctx.vector(Xbar.increment(s, t).terms)
-        den = vec.den
-        for h, img in zip(basis, images):
-            lhs = lhs_inc.coeff(h)
-            rhs = pair_functional(img, vec)
-            if exact and den is not None:
-                if lhs.numerator * den == rhs * lhs.denominator:
+        for h, (lhs, rhs) in zip(basis, row):
+            if den is not None:
+                if exact and lhs.numerator * den == rhs * lhs.denominator:
                     continue
                 rhs = Fraction(rhs, den)
-            else:
-                if den is not None:
-                    rhs = Fraction(rhs, den)
-                if _close(lhs, rhs, X.mode):
-                    continue
+            if _close(lhs, rhs, X.mode):
+                continue
             cert["status"] = "fail"
             cert["witness"] = {
                 "forest": repr(h),
@@ -191,21 +177,23 @@ def certify(X: BranchedRoughPath, Xbar: GeometricRoughPath) -> dict:
 def encode(X: BranchedRoughPath, certify_result: bool = True, check_cocycle: bool = True) -> ConversionResult:
     """Extend the underlying path tree by tree and lift it geometrically.
 
-    Levels run n = 1 .. N: each pass extracts the grade-(n+1) components and
-    rebuilds the canonical lift of the extended path, so the level-n values
-    never change once set (rebuilding is deterministic in the components).
+    Levels n = 1 .. N-1 each extract the grade-(n+1) components from adjacent
+    increments and rebuild the canonical lift of the extended path.  Then one
+    `certify` sweep checks the final lift: with certify_result it is the
+    certificate; otherwise, with check_cocycle, a failure raises
+    ConversionError naming the forest, the pair and both values.  With both
+    flags off nothing is swept.
     """
-    N = X.N
     ext = base_path_of(X)
-    for n in range(1, N):
-        partial = canonical_lift(ext, n + 1, X.gamma)
-        new = extract_extended_path(X, partial, check_cocycle)
-        zero = Fraction(0) if X.mode == RATIONAL else 0.0
-        cols = [list(itertools.accumulate(new[tau], initial=zero)) for tau in sorted(new)]
-        ext = ext.extend(sorted(new), cols)
-    geometric = canonical_lift(ext, N, X.gamma)
-    cert = certify(X, geometric) if certify_result else {"status": "skipped"}
-    return ConversionResult(ext, geometric, cert)
+    for n in range(1, X.N):
+        new = extract_extended_path(X, canonical_lift(ext, n + 1, X.gamma), check_cocycle=False)
+        taus = sorted(new)
+        ext = ext.extend(taus, [_running_sums(new[tau], X.mode) for tau in taus])
+    geometric = canonical_lift(ext, X.N, X.gamma)
+    cert = certify(X, geometric) if certify_result or check_cocycle else {"status": "skipped"}
+    if not certify_result and cert["status"] == "fail":
+        raise ConversionError(f"<X_st, h> != <Xbar_st, psi(h)> at {json.dumps(cert['witness'])}")
+    return ConversionResult(ext, geometric, cert if certify_result else {"status": "skipped"})
 
 
 def extend_alphabet(X1: BranchedRoughPath, new_components: SampledPath) -> BranchedRoughPath:
@@ -269,8 +257,7 @@ class SimplifiedDriver:
     def symmetric_path(self, k: int, l: int) -> list:
         if (k, l) not in self.pairs:
             raise KeyError(f"no symmetric component for pair ({k}, {l})")
-        zero = Fraction(0) if self.xhat.mode == RATIONAL else 0.0
-        return list(itertools.accumulate([row[(k, l)] for row in self.symmetric_increments], initial=zero))
+        return _running_sums([row[(k, l)] for row in self.symmetric_increments], self.xhat.mode)
 
     def covariation(self, k: int, l: int) -> list:
         """Discrete covariation sum of delta X^k delta X^l; for a left-point

@@ -448,6 +448,9 @@ def _euler(grid: Grid, mode: str, e: int, xi: Sequence, step_terms: Iterable) ->
                 breakdown[str(key)] = contrib
             delta = [a + b for a, b in zip(delta, contrib)]
         y = tuple(a + b for a, b in zip(y, delta))
+        if mode == FLOAT and not all(map(math.isfinite, y)):
+            i = [math.isfinite(v) for v in y].index(False)
+            raise ValueError(f"the float solve leaves the float range at step {len(values)}: y_{i + 1} = {y[i]}")
         values.append(y)
         breakdowns.append(breakdown)
     return Trajectory(grid, values, breakdowns, mode)

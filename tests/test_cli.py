@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end, driven in-process."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -930,6 +931,43 @@ def test_float_lift_past_the_float_range_is_refused(capsys, tmp_path):
     assert run(capsys, "--float", "lift", str(f))[:2] == (3, "")
     argv = ["--float", "solve", "--synth", "rw", "--steps", "3", "--step", "1e160", "--fields", "1: y1", "--xi", "1"]
     assert run(capsys, *argv)[:2] == run(capsys, *argv, "--seeds", "2")[:2] == (3, "")
+
+
+def test_float_solve_past_the_float_range_is_refused(capsys):
+    argv = ["--float", "solve", "--synth", "rw", "--steps", "2", "--N", "2", "--fields", "1: 1e200*y1^2", "--xi", "1e200"]
+    assert run(capsys, *argv) == (3, "", "error: the float solve leaves the float range at step 1: y_1 = -inf\n")
+
+
+needs_int_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+
+
+@needs_int_limit
+def test_exact_results_past_the_int_string_limit_print(capsys, tmp_path):
+    argv = ["solve", "--synth", "rw", "--steps", "3", "--d", "2", "--N", "2", "--side", "both"]
+    rc, out, err = run(capsys, *argv, "--fields", "1: y1^2 + y2, y1*y2; 2: y2^212, y1 + 1", "--xi", "1, 1/2")
+    assert rc == 0 and err == "max per-step discrepancy: 0\n"
+    assert max(len(cell) for cell in out.replace("\n", ",").split(",")) > 4300
+    argv = ["lift", "--synth", "rw", "--steps", "2", "--step", "1e5000", "--N", "1"]
+    for mode in ("canonical", "ito"):
+        rc, out, _ = run(capsys, *argv, "--mode", mode)
+        # str(10**5000) itself is refused in this process, which keeps the limit
+        assert rc == 0 and "1" + "0" * 5000 in out
+    src = tmp_path / "ito.json"
+    src.write_text(out)
+    rc, out, _ = run(capsys, "convert", str(src))
+    assert rc == 0 and "1" + "0" * 5000 in out
+
+
+@needs_int_limit
+def test_main_restores_the_int_string_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(5000)
+        for argv in (["lift", "--synth", "rw", "--steps", "2", "--N", "1"], ["lift", "--N", "0"]):
+            run(capsys, *argv)
+            assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 @pytest.mark.parametrize(

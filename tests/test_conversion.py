@@ -18,6 +18,7 @@ from hopfpath.hopf import HElem
 from hopfpath.morphisms import psi
 from hopfpath.roughpath import (
     BranchedRoughPath,
+    GeometricRoughPath,
     SampledPath,
     canonical_lift,
     embed_geometric,
@@ -195,6 +196,50 @@ def test_certify_failure_gives_witness(ito_n2, encoded_n2):
     assert w is not None
     assert set(w) == {"forest", "s", "t", "branched_value", "geometric_value"}
     assert w["branched_value"] != w["geometric_value"]
+
+
+def walk_path_d2(M):
+    times = [Q(k, M) for k in range(M + 1)]
+    rows = [[Q(k % 3, 2), Q(k * k % 5, 3)] for k in range(M + 1)]
+    return SampledPath.over_labels(times, rows, 2)
+
+
+def test_encode_composes_each_geometric_pair_at_most_once(monkeypatch):
+    # one certify sweep of the final lift composes M(M-1)/2 pairs; each
+    # level extracts its components from adjacent increments only
+    M = 5
+    X = ito_lift(walk_path_d2(M), 3)
+    calls = []
+    compose = GeometricRoughPath._compose
+    monkeypatch.setattr(GeometricRoughPath, "_compose", lambda self, a, b: calls.append(1) or compose(self, a, b))
+    for flags, want in (((), M * (M - 1) // 2), ((False,), M * (M - 1) // 2), ((False, False), 0)):
+        calls.clear()
+        encode(X, *flags)
+        assert len(calls) == want, flags
+
+
+@pytest.mark.parametrize("forest", [Forest((B1, B2)), Forest((B1, B1, B1))], ids=repr)
+def test_encode_checks_product_forests_once(forest):
+    # a changed product coefficient leaves the adjacent increment no
+    # character; b_1 b_1 b_1 at the top grade feeds no tree coefficient, so
+    # only the certificate on forests can see it
+    X = ito_lift(walk_path_d2(4), 3)
+    terms = dict(X.increments[1].terms)
+    assert forest in terms
+    terms[forest] += 1
+    increments = list(X.increments)
+    increments[1] = HElem(terms, 2)
+    bad = BranchedRoughPath(3, X.gamma, X.grid, increments, 2, X.mode)
+    cert = encode(bad).certificate
+    assert cert["status"] == "fail"
+    with pytest.raises(ConversionError) as err:
+        encode(bad, certify_result=False)
+    w = cert["witness"]
+    message = str(err.value)
+    assert "\n" not in message
+    for part in (w["forest"], w["s"], w["t"], w["branched_value"], w["geometric_value"]):
+        assert part in message
+    assert encode(bad, False, False).certificate == {"status": "skipped"}
 
 
 def test_gamma_caveat_flagged_for_integer_reciprocal():
