@@ -149,7 +149,10 @@ def _write_out(text: str, out) -> None:
 
 def _json_safe(obj):
     """Reports carry Fractions, tuples, and basis objects; flatten to JSON
-    types with rationals as strings."""
+    types with rationals as strings, and non-finite floats as the strings
+    "inf", "-inf" and "nan", which strict JSON has no number for."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, float, str)):
         return obj
     if isinstance(obj, Fraction):
@@ -161,8 +164,13 @@ def _json_safe(obj):
     return str(obj)
 
 
+def _json_text(obj) -> str:
+    """obj as strict (RFC 8259) JSON text, indented, keys sorted."""
+    return json.dumps(_json_safe(obj), indent=2, sort_keys=True, allow_nan=False)
+
+
 def _dump_report(report: dict, stream) -> None:
-    print(json.dumps(_json_safe(report), indent=2, sort_keys=True), file=stream)
+    print(_json_text(report), file=stream)
 
 
 def _float(v: Fraction, flag: str, text: str) -> float:
@@ -456,7 +464,7 @@ def _solve_ensemble(args, cfg: RunConfig, f: ButcherTable, xi) -> int:
         summary["rel_err"] = rels
         summary["mean_rel_err"] = sum(rels) / len(rels)
         summary["max_rel_err"] = max(rels)
-    _write_out(json.dumps(_json_safe(summary), indent=2, sort_keys=True), args.out)
+    _write_out(_json_text(summary), args.out)
     return OK
 
 
@@ -656,7 +664,7 @@ def cmd_verify(args) -> int:
         report["suites"][name] = res
         if res["status"] != "pass":
             report["status"] = "fail"
-    _write_out(json.dumps(_json_safe(report), indent=2, sort_keys=True), args.out)
+    _write_out(_json_text(report), args.out)
     return OK if report["status"] == "pass" else INVARIANT_FAILED
 
 

@@ -18,10 +18,13 @@ Truncation level N is always an explicit argument of dual-side operations.
 `convolve` runs on a forest context, built once per (N, d) by
 `forest_context`: the basis with integer positions, each basis forest's
 cut coproduct as position triples and, built on first use, its antipode as
-a position row, which the CLI's hopf suite checks.  The convolution loop
-runs on integer numerators over one common denominator when the operands
-are exact (see `scalars`), and on the coefficients unchanged, in the same
-term order, when they are floats.
+a position row, which the CLI's hopf suite checks.  `ForestContext.convolve`
+is the one convolution kernel: dense coefficient rows by position in,
+totals by position out.  `convolve` runs it on integer numerators over one
+common denominator when the operands are exact (see `scalars`), and on the
+coefficients unchanged, in the same term order, when they are floats, and
+wraps the non-zero totals with `Linear._trusted`.  The Chen check of
+`roughpath.validate` runs the same kernel on its own rows.
 """
 
 from __future__ import annotations
@@ -249,6 +252,25 @@ class ForestContext:
         self.antipodes: list = [None] * len(self.basis)
         ForestContext.live.add(self)
 
+    def convolve(self, fv: list, gv: list, zero) -> list:
+        """Convolution totals by basis position: for each basis forest h,
+        zero plus cnt * fv[a] * gv[b] over its cuts (a, b, cnt) in cut order,
+        a term with a zero factor skipped.  fv and gv are coefficient rows
+        by position."""
+        out = []
+        for cuts in self.cuts:
+            total = zero
+            for a, b, cnt in cuts:
+                ca = fv[a]
+                if not ca:
+                    continue
+                cb = gv[b]
+                if not cb:
+                    continue
+                total += cnt * ca * cb
+            out.append(total)
+        return out
+
     def antipode(self, i: int) -> tuple:
         """S(basis[i]) as ((position, integer coefficient), ...)."""
         row = self.antipodes[i]
@@ -286,21 +308,13 @@ def convolve(f: HElem, g: HElem, N: int) -> HElem:
     f._check(g)
     ctx = forest_context(N, f.d)
     (fv, gv), den = numerators(_dense(f, ctx), _dense(g, ctx))
-    zero = _ZERO if den is None else 0
-    out: dict = {}
-    for h, cuts in zip(ctx.basis, ctx.cuts):
-        total = zero
-        for a, b, cnt in cuts:
-            ca = fv[a]
-            if not ca:
-                continue
-            cb = gv[b]
-            if not cb:
-                continue
-            total += cnt * ca * cb
-        if total != 0:
-            out[h] = total if den is None else Fraction(total, den)
-    return HElem(out, f.d)
+    totals = ctx.convolve(fv, gv, _ZERO if den is None else 0)
+    basis = ctx.basis
+    if den is None:
+        terms = {basis[i]: c for i, c in enumerate(totals) if c != 0}
+    else:
+        terms = {basis[i]: Fraction(c, den) for i, c in enumerate(totals) if c}
+    return HElem._trusted(terms, f.d)
 
 
 def _vertex_addresses(t: Tree) -> list:

@@ -11,7 +11,9 @@ Coefficients are kept as given: sums start from the class's `_zero` for a
 missing key (`Fraction(0)`, or `0` for polynomials) and run in insertion
 order, self's keys first, so float sums round the same way every time and
 an int unit among floats still sums to a Fraction.  A coefficient equal to
-0 is dropped on construction.
+0 is dropped on construction.  `Linear._trusted` is the one way past that
+test: it wraps the output of a context's product kernel (`hopf.convolve`,
+`tensor.concat`), whose terms are already pruned and in range, as it is.
 
 The module also holds what the forest and word sides share beyond the
 container: the Kronecker pairing, the exp and log series over a truncated
@@ -51,6 +53,15 @@ class Linear:
     @classmethod
     def zero(cls, *ctx):
         return cls({}, *ctx)
+
+    @classmethod
+    def _trusted(cls, terms: dict, *ctx):
+        """An element over terms known to be non-zero and in range, such as
+        a product kernel's output; nothing is re-tested."""
+        x = cls.__new__(cls)
+        x.terms = terms
+        x.ctx = ctx
+        return x
 
     # -- queries -----------------------------------------------------------
 

@@ -17,10 +17,14 @@ series loops as the forest side's `exp_star` and `log_star`.
 Products run on a word context, built once per (N, d, n) by
 `word_context`: the basis with integer positions, other words numbered
 past it on first sight, and concat, shuffle and split rows filled on first
-use.  `concat` and the pairing of fixed integer functionals (the psi images
-the conversion certifies against) run on integer numerators over one
-common denominator when the coefficients are exact (see `scalars`), and on
-the coefficients unchanged, in the same term order, when they are floats.
+use.  `WordContext.concat` is the one concatenation kernel: sparse rows in
+insertion order in, a position -> total map out.  `concat` wraps its
+non-zero totals with `Linear._trusted`, and the Chen check of
+`roughpath.validate` runs it on its own rows.  `concat` and the pairing of
+fixed integer functionals (the psi images the conversion certifies
+against) run on integer numerators over one common denominator when the
+coefficients are exact (see `scalars`), and on the coefficients unchanged,
+in the same term order, when they are floats.
 `WordContext.shuffle` is the one shuffle of word maps: `shuffle` and the
 forest images in `morphisms` run through it.
 """
@@ -270,6 +274,24 @@ class WordContext:
             row = self.rows[i] = [index[w * v] for v in fits]
         return row
 
+    def concat(self, x: tuple, y: tuple, zero) -> dict:
+        """Concatenation totals by position, in the order first reached,
+        zeros kept: x and y are sparse rows (positions, coefficients) in
+        insertion order, and each pair of terms whose grades fit adds
+        c1 * c2 to zero, in x's then y's order."""
+        N, grades = self.N, self.grades
+        yi, yv = y
+        # fits[b]: the terms of y of grade <= b, still in y's order
+        fits = [[(j, c) for j, c in zip(yi, yv) if grades[j] <= b] for b in range(N + 1)]
+        out: dict = {}
+        get = out.get
+        for i, c1 in zip(*x):
+            row = self.row(i)
+            for j, c2 in fits[N - grades[i]]:
+                k = row[j]
+                out[k] = get(k, zero) + c1 * c2
+        return out
+
     def sparse(self, terms: dict) -> tuple:
         """(positions, coefficients) in insertion order; words outside the
         context are dropped."""
@@ -363,19 +385,10 @@ def concat(x: TensorElem, y: TensorElem, N: int) -> TensorElem:
     xi, xv = ctx.sparse(x.terms)
     yi, yv = ctx.sparse(y.terms)
     (xv, yv), den = numerators(xv, yv)
-    zero = _ZERO if den is None else 0
-    grades = ctx.grades
-    # fits[b]: the terms of y of grade <= b, still in y's order
-    fits = [[(j, c) for j, c in zip(yi, yv) if grades[j] <= b] for b in range(N + 1)]
-    out: dict = {}
-    for i, c1 in zip(xi, xv):
-        row = ctx.row(i)
-        for j, c2 in fits[N - grades[i]]:
-            k = row[j]
-            out[k] = out.get(k, zero) + c1 * c2
+    out = ctx.concat((xi, xv), (yi, yv), _ZERO if den is None else 0)
     basis = ctx.basis
     terms = {basis[k]: c if den is None else Fraction(c, den) for k, c in out.items() if c}
-    return TensorElem(terms, x.d, x.n)
+    return TensorElem._trusted(terms, x.d, x.n)
 
 
 def deconcat(x: TensorElem) -> WordPairElem:

@@ -958,6 +958,22 @@ def test_exact_results_past_the_int_string_limit_print(capsys, tmp_path):
     assert rc == 0 and "1" + "0" * 5000 in out
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_reports_past_the_float_range_are_strict_json(capsys):
+    # validate returns float('inf') there; the report writes it as a string
+    argv = ["lift", "--synth", "rw", "--steps", "2", "--step", "1e5000", "--N", "1"]
+    for mode in ("canonical", "ito"):
+        rc, _, err = run(capsys, *argv, "--mode", mode)
+        assert rc == 0
+        report = json.loads(err, parse_constant=_refuse_constant)
+        assert report["holder"]["max"] == "inf"
+        assert report["holder"]["per_basis"] == {"b_1": "inf"}
+        assert report["chen"] == {"checked_triples": 1, "status": "pass", "witness": None}
+
+
 @needs_int_limit
 def test_main_restores_the_int_string_limit(capsys):
     before = sys.get_int_max_str_digits()

@@ -17,6 +17,7 @@ import struct
 from fractions import Fraction as Q
 from random import Random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -177,6 +178,45 @@ def test_concat_matches_plain_reference(case):
     assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
     # the same products summed in the same order: equal bit for bit
     assert list(got.values()) == list(want.values())
+
+
+def _same_as_checked(got, want):
+    """got, from a kernel through the trusted constructor, is what the
+    checking constructor builds from its terms: the same class and context,
+    keys, insertion order, scalar types and values, nothing pruned."""
+    assert type(got) is type(want) and got.ctx == want.ctx
+    assert list(got.terms) == list(want.terms)
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+    assert list(got.terms.values()) == list(want.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(convolve_cases())
+@example((FLOATS, 2, _INT_UNIT_F, _INT_UNIT_F))
+def test_trusted_convolve_output_is_a_checked_forest_element(case):
+    _, N, f, g = case
+    got = convolve(f, g, N)
+    _same_as_checked(got, HElem(got.terms, f.d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(concat_cases())
+@example((FLOATS, 2, _INT_UNIT_W, _INT_UNIT_W))
+def test_trusted_concat_output_is_a_checked_word_element(case):
+    _, N, x, y = case
+    got = concat(x, y, N)
+    # TensorElem re-runs its label and letter-grade checks
+    _same_as_checked(got, TensorElem(got.terms, x.d, x.n))
+
+
+def test_hand_built_out_of_range_words_still_raise():
+    w = Word((leaf(1),))
+    x = TensorElem({Word(): Q(1), w: Q(1, 2)}, 1, 1)
+    assert concat(x, x, 3).terms[Word((leaf(1),) * 2)] == Q(1, 4)
+    with pytest.raises(ValueError, match="out of range"):
+        TensorElem({Word((leaf(2),)): Q(1)}, 1, 1)
+    with pytest.raises(ValueError, match="grade above bound"):
+        TensorElem({Word((Tree(1, (leaf(1),)),)): Q(1)}, 1, 1)
 
 
 @st.composite

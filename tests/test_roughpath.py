@@ -1,5 +1,8 @@
 """Lift constructors, increment composition, validation, serialization."""
 
+import functools
+import itertools
+import math
 from fractions import Fraction as Q
 from random import Random
 
@@ -11,6 +14,7 @@ from hopfpath.conversion import encode
 from hopfpath.hopf import HElem, convolve, is_group_like
 from hopfpath.roughpath import (
     FLOAT,
+    RATIONAL,
     BranchedRoughPath,
     GeometricRoughPath,
     Grid,
@@ -28,7 +32,7 @@ from hopfpath.roughpath import (
     roughpath_to_json,
     validate,
 )
-from hopfpath.tensor import EMPTY_WORD, TensorElem, Word, is_tensor_group_like, tensor_exp
+from hopfpath.tensor import EMPTY_WORD, TensorElem, Word, enumerate_words, is_tensor_group_like, tensor_exp
 from hopfpath.trees import EMPTY_FOREST, Forest, Tree, chain, enumerate_forests, enumerate_trees, leaf, tree_factorial
 
 from oracles import leftpoint_oracle, tree_factorial_oracle
@@ -577,3 +581,142 @@ def test_holder_sweep_takes_exact_values_past_the_float_range():
     assert report["character"]["status"] == report["chen"]["status"] == "pass"
     assert report["holder"]["max"] == float("inf")
     assert report["holder"]["per_basis"]["b_1"] == float("inf")
+
+
+# -- Chen on kernel rows against the element loop it replaced ----------------
+
+
+def _elems_close(a, b) -> bool:
+    keys = set(a.terms) | set(b.terms)
+    return all(_close(a.terms.get(k, 0), b.terms.get(k, 0), FLOAT) for k in keys)
+
+
+def chen_reference(X) -> dict:
+    """Chen as validate checked it on elements: per triple, X_st against
+    X._compose(X_su, X_ut), by terms == in rational mode and key by key
+    with _close in float mode."""
+    eq = (lambda a, b: a.terms == b.terms) if X.mode == RATIONAL else _elems_close
+    chen = {"status": "pass", "witness": None, "checked_triples": 0}
+    for s, u, t in itertools.combinations(range(X.grid.steps + 1), 3):
+        chen["checked_triples"] += 1
+        lhs = X.increment(s, t)
+        rhs = X._compose(X.increment(s, u), X.increment(u, t))
+        if not eq(lhs, rhs):
+            chen["status"] = "fail"
+            chen["witness"] = (s, u, t)
+            break
+    return chen
+
+
+def validate_reference(X) -> dict:
+    chen = chen_reference(X)
+    report = validate(X)
+    report["chen"] = chen
+    return report
+
+
+def _rational_walk(M, seed):
+    rng = Random(seed)
+    rows = [[Q(0), Q(0)]]
+    for _ in range(M):
+        rows.append([v + Q(rng.randint(-4, 4), rng.randint(1, 5)) for v in rows[-1]])
+    return SampledPath.over_labels([Q(k, M) for k in range(M + 1)], rows, 2)
+
+
+def _float_rows(M, seed):
+    rng = Random(seed)
+    rows = [[0.0, 0.0]]
+    for _ in range(M):
+        rows.append([v + rng.gauss(0.0, 0.3) for v in rows[-1]])
+    return [k / M for k in range(M + 1)], rows
+
+
+@functools.lru_cache(maxsize=None)
+def _chen_fixture(name):
+    """Each fixture once; callers take a fresh copy with an empty cache."""
+    if name == "ito_rational":
+        return ito_lift(_rational_walk(8, 1), 3)
+    if name == "encoded_letters":
+        return encode(ito_lift(_rational_walk(5, 2), 3)).geometric
+    if name == "ito_float":
+        return ito_lift(SampledPath.over_labels(*_float_rows(7, 3), 2, FLOAT), 3)
+    if name == "canonical_float":
+        return canonical_lift(SampledPath.over_labels(*_float_rows(7, 4), 2, FLOAT), 3)
+    # float data in a rational-mode path is compared with ==: float rounding
+    # breaks Chen, while dyadic steps, which sum and multiply exactly, keep it
+    times, rows = _float_rows(6, 5)
+    if name == "ito_dyadic_floats_rational_mode":
+        rows = [[round(v * 8) / 8 for v in row] for row in rows]
+    else:
+        assert name == "ito_float_data_rational_mode"
+    return ito_lift(SampledPath.over_labels(times, rows, 2), 3)
+
+
+CHEN_FIXTURES = [
+    "ito_rational",
+    "encoded_letters",
+    "ito_float",
+    "canonical_float",
+    "ito_dyadic_floats_rational_mode",
+    "ito_float_data_rational_mode",
+]
+
+
+@pytest.mark.parametrize("name", CHEN_FIXTURES)
+def test_chen_rows_match_the_element_loop(name):
+    X = _chen_fixture(name)
+    report = validate(coarsen(X, 1))
+    assert report == validate_reference(coarsen(X, 1))
+    if name != "ito_float_data_rational_mode":
+        M = X.grid.steps
+        assert report["chen"] == {"status": "pass", "witness": None, "checked_triples": math.comb(M + 1, 3)}
+    assert name != "encoded_letters" or X.letter_bound == 3
+
+
+def _corruption(rng, X):
+    """(pair, key, new coefficient) for one coefficient of a cached pair:
+    mostly a basis key of the kernel's context, sometimes a key one grade
+    past it, which no product reaches; shifts of every size, to zero, and
+    in rational mode sometimes by a float."""
+    M = X.grid.steps
+    s = rng.randrange(M - 1)
+    pair = (s, rng.randrange(s + 2, M + 1))
+    g = X.increment(*pair)
+    if isinstance(X, BranchedRoughPath):
+        keys = enumerate_forests(X.N, X.d)
+        past = F(*[B1] * (X.N + 1))
+    else:
+        keys = enumerate_words(X.N, X.d, X.letter_bound)
+        past = Word([B2] * (X.N + 1))
+    key = past if rng.random() < 0.1 else rng.choice(keys)
+    c = g.coeff(key)
+    kind = rng.choice(("tiny", "small", "large", "zero"))
+    if kind == "zero":
+        return pair, key, 0
+    if X.mode == FLOAT:
+        shift = {"tiny": 1e-13, "small": 1e-7, "large": 0.5}[kind]
+        return pair, key, c * (1 + shift) if c and rng.random() < 0.5 else c + shift
+    shift = {"tiny": Q(1, 2**40), "small": Q(rng.randint(1, 9), 7), "large": 0.25}[kind]
+    return pair, key, c + shift
+
+
+def _corrupted(X, pair, key, value):
+    Y = coarsen(X, 1)
+    for s in range(Y.grid.steps):
+        Y.increment(s, Y.grid.steps)  # caches every wider pair
+    g = Y._cache[pair]
+    Y._cache[pair] = type(g)({**g.terms, key: value}, *g.ctx)
+    return Y
+
+
+@pytest.mark.parametrize("name", CHEN_FIXTURES)
+def test_chen_rows_find_the_element_loop_witness_on_corrupted_caches(name):
+    X = _chen_fixture(name)
+    rng = Random(name)
+    seen = set()
+    for _ in range(30):
+        pair, key, value = _corruption(rng, X)
+        got = validate(_corrupted(X, pair, key, value))["chen"]
+        assert got == chen_reference(_corrupted(X, pair, key, value)), (pair, key, value)
+        seen.add(got["status"])
+    assert "fail" in seen
