@@ -492,9 +492,6 @@ def _suite_hopf(args, cfg: RunConfig) -> dict:
     res = {"N": N, "d": d, "status": "pass", "checked_forests": 0, "witnesses": []}
     ctx = forest_context(N, d)
     basis, cuts = ctx.basis, ctx.cuts
-    # (g, b) positions -> position of the product, or the product itself
-    # when the negative control's shift lifts it above the level
-    products: dict = {}
     # negative control: a constant shift cannot be a convolution inverse,
     # so the sweep must report it
     shift = ctx.index[Forest((leaf(1),))] if args.mutate else None
@@ -518,10 +515,7 @@ def _suite_hopf(args, cfg: RunConfig) -> dict:
             if shift is not None:
                 S[shift] = S.get(shift, 0) + 1
             for g, c2 in S.items():
-                k = products.get((g, b))
-                if k is None:
-                    f = basis[g] * basis[b]
-                    k = products[g, b] = ctx.index.get(f, f)
+                (k,) = ctx.product_row(g, b)  # past the basis when the shift lifts it above N
                 acc[k] = acc.get(k, 0) + c * c2
         if _nonzero(acc) != ({i: 1} if h.is_unit() else {}):
             _note_failure(res, "antipode convolution inverse", repr(h))

@@ -15,16 +15,14 @@ where every algebraic guarantee is stated; float coefficients are tolerated
 for large simulation grids.
 
 Truncation level N is always an explicit argument of dual-side operations.
-`convolve` runs on a forest context, built once per (N, d) by
-`forest_context`: the basis with integer positions, each basis forest's
-cut coproduct as position triples and, built on first use, its antipode as
-a position row, which the CLI's hopf suite checks.  `ForestContext.convolve`
-is the one convolution kernel: dense coefficient rows by position in,
-totals by position out.  `convolve` runs it on integer numerators over one
-common denominator when the operands are exact (see `scalars`), and on the
-coefficients unchanged, in the same term order, when they are floats, and
-wraps the non-zero totals with `Linear._trusted`.  The Chen check of
-`roughpath.validate` runs the same kernel on its own rows.
+`convolve` runs on a forest context (a `linear.Context`), built once per
+(N, d) by `forest_context`: the basis with integer positions and each basis
+forest's cut coproduct as position triples; antipode rows and the products
+of two forests (`product_row`, which `is_group_like` reads) are built on
+first use, and a forest outside the basis is numbered past it.  Its kernel
+`ForestContext.product` takes dense coefficient rows by position as
+operands and returns the totals by position; `convolve` runs it through
+`linear.context_product`.
 """
 
 from __future__ import annotations
@@ -36,8 +34,8 @@ from fractions import Fraction
 from typing import Mapping
 
 # pair is the forest side's name for the one Kronecker pairing
-from .linear import Linear, LinearPairs, context_field, exp_series, log_series, pair
-from .scalars import numerators
+from .linear import Context, Linear, LinearPairs, context_field, context_product, exp_series, is_character
+from .linear import log_series, pair
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -231,34 +229,38 @@ def antipode(x: HElem) -> HElem:
 # -- dual-side operations --------------------------------------------------
 
 
-class ForestContext:
+class ForestContext(Context):
     """Forests of grade <= N over labels 1..d with integer positions: the
-    basis in enumerate_forests order, each forest's position in it, per
-    basis forest its cut coproduct as (left, right, count) positions, in
-    _forest_coproduct order, and its antipode as a position row built on
+    basis in enumerate_forests order and, per basis forest, its cut
+    coproduct as (left, right, count) positions, in _forest_coproduct
+    order.  Its antipode rows and the products of two forests are built on
     first use."""
 
-    __slots__ = ("key", "basis", "index", "cuts", "antipodes", "__weakref__")
+    __slots__ = ("cuts", "antipodes", "products")
     live = weakref.WeakSet()  # every context not yet collected, for cache_sizes
 
     def __init__(self, N: int, d: int):
-        self.key = (N, d)
-        self.basis = enumerate_forests(N, d)
-        self.index = index = {f: i for i, f in enumerate(self.basis)}
-        self.cuts = tuple(
-            tuple((index[a], index[b], cnt) for a, b, cnt in _forest_coproduct(h))
-            for h in self.basis
-        )
-        self.antipodes: list = [None] * len(self.basis)
+        basis = enumerate_forests(N, d)
+        super().__init__((N, d), basis, basis)
+        index = self.index
+        self.cuts = tuple(tuple((index[a], index[b], cnt) for a, b, cnt in _forest_coproduct(h)) for h in basis)
+        self.antipodes: list = [None] * len(basis)
+        self.products: dict = {}
         ForestContext.live.add(self)
 
-    def convolve(self, fv: list, gv: list, zero) -> list:
+    def operand(self, pos: list, vals: list) -> list:
+        """The coefficient row by position, 0 where absent."""
+        row = [0] * len(self.basis)
+        for i, c in zip(pos, vals):
+            row[i] = c
+        return row
+
+    def product(self, fv: list, gv: list, zero) -> dict:
         """Convolution totals by basis position: for each basis forest h,
         zero plus cnt * fv[a] * gv[b] over its cuts (a, b, cnt) in cut order,
-        a term with a zero factor skipped.  fv and gv are coefficient rows
-        by position."""
-        out = []
-        for cuts in self.cuts:
+        a term with a zero factor skipped."""
+        out = {}
+        for h, cuts in enumerate(self.cuts):
             total = zero
             for a, b, cnt in cuts:
                 ca = fv[a]
@@ -268,34 +270,27 @@ class ForestContext:
                 if not cb:
                     continue
                 total += cnt * ca * cb
-            out.append(total)
+            out[h] = total
         return out
+
+    def product_row(self, i: int, j: int) -> tuple:
+        """(position of the product of forests i and j,), built on first use."""
+        row = self.products.get((i, j))
+        if row is None:
+            row = self.products[i, j] = (self.position(self.keys[i] * self.keys[j]),)
+        return row
 
     def antipode(self, i: int) -> tuple:
         """S(basis[i]) as ((position, integer coefficient), ...)."""
         row = self.antipodes[i]
         if row is None:
-            index = self.index
-            terms = _forest_antipode(self.basis[i])
-            row = self.antipodes[i] = tuple((index[f], c) for f, c in terms if c)
+            row = self.antipodes[i] = tuple((self.index[f], c) for f, c in _forest_antipode(self.basis[i]) if c)
         return row
 
 
 @functools.lru_cache(maxsize=None)
 def forest_context(N: int, d: int) -> ForestContext:
     return ForestContext(N, d)
-
-
-def _dense(x: HElem, ctx: ForestContext) -> list:
-    """Coefficients by basis position, 0 where absent; forests outside the
-    context are dropped."""
-    out = [0] * len(ctx.basis)
-    index = ctx.index
-    for f, c in x.terms.items():
-        i = index.get(f)
-        if i is not None:
-            out[i] = c
-    return out
 
 
 def convolve(f: HElem, g: HElem, N: int) -> HElem:
@@ -306,15 +301,7 @@ def convolve(f: HElem, g: HElem, N: int) -> HElem:
     if N < 0:
         raise ValueError(f"truncation level must be >= 0, got {N}")
     f._check(g)
-    ctx = forest_context(N, f.d)
-    (fv, gv), den = numerators(_dense(f, ctx), _dense(g, ctx))
-    totals = ctx.convolve(fv, gv, _ZERO if den is None else 0)
-    basis = ctx.basis
-    if den is None:
-        terms = {basis[i]: c for i, c in enumerate(totals) if c != 0}
-    else:
-        terms = {basis[i]: Fraction(c, den) for i, c in enumerate(totals) if c}
-    return HElem._trusted(terms, f.d)
+    return context_product(forest_context(N, f.d), f, g)
 
 
 def _vertex_addresses(t: Tree) -> list:
@@ -362,16 +349,7 @@ def log_star(g: HElem, N: int) -> HElem:
 def is_group_like(g: HElem, N: int, eq=operator.eq) -> bool:
     """Character test: <g,1> = 1 and <g, h1 h2> = <g,h1><g,h2> for all basis
     forests with grade(h1) + grade(h2) <= N, each equality judged by eq."""
-    if not eq(g.coeff(EMPTY_FOREST), 1):
-        return False
-    for g1 in range(1, N):
-        for h1 in (f for f in enumerate_forests(g1, g.d) if f.grade == g1):
-            for h2 in enumerate_forests(N - g1, g.d):
-                if h2.is_unit() or h2.sort_key() < h1.sort_key():
-                    continue
-                if not eq(g.coeff(h1 * h2), g.coeff(h1) * g.coeff(h2)):
-                    return False
-    return True
+    return is_character(g, forest_context(N, g.d), eq)
 
 
 def is_primitive(h: HElem, N: int) -> bool:

@@ -1,4 +1,5 @@
-"""Finite linear combinations over a basis of hashable keys.
+"""Finite linear combinations over a basis of hashable keys, and the
+integer-position contexts their products run on.
 
 `Linear` is the linear structure that the algebra containers share: forests
 (`hopf.HElem`), forest pairs (`hopf.PairElem`), words (`tensor.TensorElem`),
@@ -12,8 +13,15 @@ missing key (`Fraction(0)`, or `0` for polynomials) and run in insertion
 order, self's keys first, so float sums round the same way every time and
 an int unit among floats still sums to a Fraction.  A coefficient equal to
 0 is dropped on construction.  `Linear._trusted` is the one way past that
-test: it wraps the output of a context's product kernel (`hopf.convolve`,
-`tensor.concat`), whose terms are already pruned and in range, as it is.
+test: `context_product` wraps a product kernel's output, whose terms are
+already pruned and in range, with it.
+
+`Context` is what the forest and word sides (`hopf.ForestContext`,
+`tensor.WordContext`) answer alike, by integer position: the positions of
+the basis, an element's terms as a sparse row, that row as the operand of
+the product kernel, the product of two operands, and, for the character
+test, the product rows of two basis keys.  `context_product` is the one
+wrapper around the two kernels and `is_character` the one character test.
 
 The module also holds what the forest and word sides share beyond the
 container: the Kronecker pairing, the exp and log series over a truncated
@@ -22,8 +30,13 @@ product, and the canonical term printer.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
+
+from .scalars import numerators
+
+_ZERO = Fraction(0)
 
 
 def context_field(i: int, doc: str) -> property:
@@ -41,7 +54,7 @@ class Linear:
 
     __slots__ = ("terms", "ctx")
 
-    _zero = Fraction(0)
+    _zero = _ZERO
     _grade = operator.attrgetter("grade")
     _order = operator.methodcaller("sort_key")
     _show = repr
@@ -144,6 +157,80 @@ class LinearPairs(Linear):
         return self.terms.get((left, right), self._zero)
 
 
+class Context:
+    """A basis sorted by grade, with integer positions: `index` maps basis
+    keys to positions, `keys` and `lookup` number other keys (forests, or
+    the letter tuples of words) past the basis on first sight, and the
+    keys of grade <= g are the first `ends[g]`.  A subclass adds the kernel
+    `product(x, y, zero)`, a position -> total map over two operands made
+    by `operand(positions, values)`, and `product_row(i, j)`: the positions
+    basis[i] * basis[j] spreads over, one entry per unit of coefficient."""
+
+    __slots__ = ("key", "N", "basis", "index", "grades", "ends", "keys", "lookup", "__weakref__")
+
+    def __init__(self, key: tuple, basis: tuple, keys):
+        self.key = key
+        self.N = N = key[0]
+        self.basis = basis
+        self.index = {b: i for i, b in enumerate(basis)}
+        self.grades = [b.grade for b in basis]
+        self.ends = [sum(1 for g in self.grades if g <= b) for b in range(N + 1)]
+        self.keys = list(keys)
+        self.lookup = {k: i for i, k in enumerate(self.keys)}
+
+    def position(self, key) -> int:
+        """The position of key, one outside the basis numbered past it."""
+        i = self.lookup.get(key)
+        if i is None:
+            i = self.lookup[key] = len(self.keys)
+            self.keys.append(key)
+        return i
+
+    def sparse(self, terms: dict) -> tuple:
+        """(positions, coefficients) of terms in insertion order; keys
+        outside the basis are dropped."""
+        index = self.index
+        pos, vals = [], []
+        for k, c in terms.items():
+            i = index.get(k)
+            if i is not None:
+                pos.append(i)
+                vals.append(c)
+        return pos, vals
+
+
+def context_product(ctx: Context, x: Linear, y: Linear) -> Linear:
+    """x * y by ctx's kernel: on integer numerators over one denominator when
+    every coefficient is exact (see `scalars`), on the values unchanged
+    otherwise; the non-zero totals are wrapped by `Linear._trusted`."""
+    xi, xv = ctx.sparse(x.terms)
+    yi, yv = ctx.sparse(y.terms)
+    (xv, yv), den = numerators(xv, yv)
+    totals = ctx.product(ctx.operand(xi, xv), ctx.operand(yi, yv), _ZERO if den is None else 0)
+    basis = ctx.basis
+    terms = {basis[k]: c if den is None else Fraction(c, den) for k, c in totals.items() if c}
+    return type(x)._trusted(terms, *x.ctx)
+
+
+def is_character(g: Linear, ctx: Context, eq) -> bool:
+    """Character test over ctx's basis: <g, 1> = 1 and, for every pair of
+    non-unit basis keys i <= j whose grades sum to at most N, <g, b_i b_j> =
+    <g, b_i> <g, b_j>, each equality judged by eq.  <g, b_i b_j> adds g's
+    coefficient once per entry of ctx.product_row(i, j)."""
+    if not eq(g.coeff(ctx.basis[0]), 1):
+        return False
+    zero = g._zero
+    coeff = dict(zip(*ctx.sparse(g.terms))).get
+    N, grades, ends, row = ctx.N, ctx.grades, ctx.ends, ctx.product_row
+    for i in range(1, ends[N // 2]):  # the keys with 2 * grade <= N
+        ci = coeff(i, zero)
+        for j in range(i, ends[N - grades[i]]):
+            lhs = sum(filter(None, map(coeff, row(i, j))), zero)  # absent and zero terms skipped
+            if not eq(lhs, ci * coeff(j, zero)):
+                return False
+    return True
+
+
 def print_terms(x: Linear) -> str:
     """Terms in canonical order joined by " + ", each written "c * key" with
     a coefficient of one omitted; "0" for the zero combination."""
@@ -170,41 +257,31 @@ def pair(f: Linear, h: Linear):
     return total
 
 
-def exp_series(x: Linear, N: int, mul, unit_key, name: str):
-    """exp(x) = sum of x^k / k! over k <= N, powers taken by mul(a, b, N);
-    x must have no unit component.  Stops at the first zero power."""
+def _power_series(x: Linear, N: int, mul, acc: Linear, coeff) -> Linear:
+    """acc plus coeff(k) x^k over k <= N, powers taken by mul(a, b, N) and
+    summed in k order; stops at the first zero power."""
     if N < 0:
         raise ValueError(f"truncation level must be >= 0, got {N}")
-    if x.coeff(unit_key) != 0:
-        raise ValueError(f"{name} needs <h, 1> = 0")
-    cls = type(x)
-    acc = cls.unit(*x.ctx)
-    power = cls.unit(*x.ctx)
-    fact = 1
+    power = type(x).unit(*x.ctx)
     for k in range(1, N + 1):
         power = mul(power, x, N)
         if power.is_zero():
             break
-        fact *= k
-        acc = acc + power.scale(Fraction(1, fact))
+        acc = acc + power.scale(coeff(k))
     return acc
+
+
+def exp_series(x: Linear, N: int, mul, unit_key, name: str):
+    """exp(x) = sum of x^k / k! over k <= N; x must have no unit component."""
+    if N >= 0 and x.coeff(unit_key) != 0:  # a bad level is refused first, by _power_series
+        raise ValueError(f"{name} needs <h, 1> = 0")
+    return _power_series(x, N, mul, type(x).unit(*x.ctx), lambda k: Fraction(1, math.factorial(k)))
 
 
 def log_series(g: Linear, N: int, mul, unit_key, name: str):
-    """log(g) = sum of (-1)^(k+1) (g - 1)^k / k over k <= N, powers taken by
-    mul(a, b, N); g must have unit component 1.  Stops at the first zero
-    power."""
-    if N < 0:
-        raise ValueError(f"truncation level must be >= 0, got {N}")
-    if g.coeff(unit_key) != 1:
+    """log(g) = sum of (-1)^(k+1) (g - 1)^k / k over k <= N; g must have unit
+    component 1."""
+    if N >= 0 and g.coeff(unit_key) != 1:
         raise ValueError(f"{name} needs <g, 1> = 1")
-    cls = type(g)
-    u = g - cls.unit(*g.ctx)
-    acc = cls.zero(*g.ctx)
-    power = cls.unit(*g.ctx)
-    for k in range(1, N + 1):
-        power = mul(power, u, N)
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
-    return acc
+    u = g - type(g).unit(*g.ctx)
+    return _power_series(u, N, mul, type(g).zero(*g.ctx), lambda k: Fraction((-1) ** (k + 1), k))

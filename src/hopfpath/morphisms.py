@@ -89,7 +89,7 @@ def _phi_tree(t: Tree) -> Mapping:
     ctx = word_context(t.grade, t.max_label(), 1)
     root = (Tree(t.label),)
     acc = _fold(ctx, _phi_tree, {}, Forest(t.children))
-    return MappingProxyType({Word(ctx.letters[k] + root): _ZERO + v for k, v in acc.items()})
+    return MappingProxyType({Word(ctx.keys[k] + root): _ZERO + v for k, v in acc.items()})
 
 
 def phi_g(h: HElem) -> TensorElem:
@@ -114,7 +114,7 @@ def _psi_tree(t: Tree) -> Mapping:
             continue
         trunk = right.factors[:1]
         for k, v in _fold(ctx, _psi_tree, memo, left).items():
-            key = Word(ctx.letters[k] + trunk)
+            key = Word(ctx.keys[k] + trunk)
             out[key] = out.get(key, _ZERO) + cnt * v
     return MappingProxyType(out)
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .expr import parse_rational
-from .hopf import HElem, _attach_at, _forest_coproduct, _vertex_addresses
+from .hopf import HElem, _attach_at, _vertex_addresses, forest_context
 from .linear import Linear, context_field
 from .roughpath import FLOAT, RATIONAL, BranchedRoughPath, GeometricRoughPath, Grid, SampledPath, _grid_csv
 from .scalars import numerators
@@ -792,21 +792,21 @@ def consistency_report(Z: ControlledPath, X: BranchedRoughPath) -> dict:
     """
     if Z.grid != X.grid:
         raise ValueError("controlled path and driver must share the grid")
-    basis = enumerate_forests(Z.N - 1, Z.d)
-    action = {h: [] for h in basis}
-    for g in basis:
-        for (left, right, cnt) in _forest_coproduct(g):
-            if right in action:
-                action[right].append((g, left, cnt))
+    ctx = forest_context(Z.N - 1, Z.d)
+    basis = ctx.basis
+    action = [[] for _ in basis]  # per basis forest h, its cuts (g, left, count) of g in the basis
+    for g, cuts in zip(basis, ctx.cuts):
+        for a, b, cnt in cuts:
+            action[b].append((g, basis[a], cnt))
     M = X.grid.steps
     per = {repr(h): 0.0 for h in basis}
     pairs = []
     for s, t in itertools.combinations(range(M + 1), 2):
         inc = X.increment(s, t)
         residuals = {}
-        for h in basis:
+        for h, cuts in zip(basis, action):
             transported = (0,) * Z.e
-            for g, left, cnt in action[h]:
+            for g, left, cnt in cuts:
                 x = inc.coeff(left)
                 if x == 0:
                     continue

@@ -3,13 +3,17 @@
 A rough path is stored as one group-like increment per adjacent grid pair;
 increments over wider pairs are composed on demand (and cached), so the Chen
 relation is baked into the representation and `validate` re-checks it as a
-constructor consistency check, on every grid triple.  That check fetches
-each pair's increment once, as a row of integer numerators over one
-denominator when the path is exact, and runs the product kernel of
-`convolve`/`concat` on rows, building no element per triple.  Two lift
-constructors cover the two sides of the theory: `canonical_lift` takes
-exact iterated integrals of the piecewise linear interpolation, `ito_lift`
-realizes the left-point Riemann rule.
+constructor consistency check, on every grid triple.  Two lift constructors
+cover the two sides of the theory: `canonical_lift` takes exact iterated
+integrals of the piecewise linear interpolation, `ito_lift` realizes the
+left-point Riemann rule.
+
+The two path classes carry what differs between the sides (the `kind`, the
+element class and context tuple, the key parser, the Hölder keys and the
+`linear.Context` their products run on); the rest asks the path's context.
+The Chen check turns each pair's increment into one sparse row and one
+kernel operand, and runs the kernel of `convolve`/`concat` on operands,
+building no element per triple.
 
 On each interval the canonical increment is exp(sum_tau delta_tau e_tau),
 whose coefficient on a word of k letters is the product of their deltas
@@ -36,19 +40,12 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .expr import ParseError, parse_h, parse_rational, parse_tensor
-from .hopf import HElem, convolve, forest_context, is_group_like, pair
+from .hopf import HElem, convolve, forest_context, pair
+from .linear import is_character
 from .morphisms import iota_elem, phi_g
 from .scalars import numerators
-from .tensor import (
-    EMPTY_WORD,
-    TensorElem,
-    Word,
-    concat,
-    enumerate_words,
-    is_tensor_group_like,
-    word_context,
-)
-from .trees import EMPTY_FOREST, Forest, Tree, enumerate_forests, enumerate_trees, leaf
+from .tensor import TensorElem, Word, concat, word_context
+from .trees import EMPTY_FOREST, Forest, Tree, enumerate_forests, leaf
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -220,7 +217,14 @@ class SampledPath:
 
 
 class _RoughPathBase:
+    """A subclass names its side: `kind` as in reports and JSON, the element
+    class and `key_name` of its basis keys, `parse_key(text, *element_ctx)`,
+    `context_of(N, *element_ctx)` and the constructor arguments past mode
+    (`tree_fields`, tuples of trees kept in JSON under the same names)."""
+
     __slots__ = ("N", "gamma", "grid", "increments", "d", "mode", "_cache")
+
+    tree_fields: tuple = ()
 
     def __init__(self, N, gamma, grid, increments, d, mode):
         if len(increments) != grid.steps:
@@ -233,11 +237,17 @@ class _RoughPathBase:
         self.mode = mode
         self._cache = {}
 
-    def _compose(self, a, b):
-        raise NotImplementedError
+    @property
+    def element_ctx(self) -> tuple:
+        """The context tuple of the increments."""
+        return (self.d,)
+
+    def context(self):
+        """The context of the increments' basis at level N."""
+        return self.context_of(self.N, *self.element_ctx)
 
     def _unit(self):
-        raise NotImplementedError
+        return self.element.unit(*self.element_ctx)
 
     def increment(self, s_index: int, t_index: int):
         """Increment over grid pair (s, t), composed from adjacent steps."""
@@ -261,17 +271,32 @@ class _RoughPathBase:
 class BranchedRoughPath(_RoughPathBase):
     """Adjacent-pair functionals on forests of grade <= N."""
 
+    kind, key_name, element = "branched", "forest", HElem
+    context_of = staticmethod(forest_context)
+
+    @staticmethod
+    def parse_key(text: str, d: int) -> HElem:
+        return parse_h(text, d)  # read at call time, as a tracer rebinds it
+
     def _compose(self, a, b):
         return convolve(a, b, self.N)
 
-    def _unit(self):
-        return HElem.unit(self.d)
+    def holder_keys(self) -> list:
+        return [f for f in self.context().basis if f.is_single_tree()]
 
 
 class GeometricRoughPath(_RoughPathBase):
     """Adjacent-pair functionals on words of total grade <= N."""
 
     __slots__ = ("letters",)
+
+    kind, key_name, element = "geometric", "word", TensorElem
+    context_of = staticmethod(word_context)
+    tree_fields = ("letters",)
+
+    @staticmethod
+    def parse_key(text: str, d: int, n: int) -> TensorElem:
+        return parse_tensor(text, d, n)
 
     def __init__(self, N, gamma, grid, increments, d, mode, letters):
         super().__init__(N, gamma, grid, increments, d, mode)
@@ -281,22 +306,31 @@ class GeometricRoughPath(_RoughPathBase):
     def letter_bound(self) -> int:
         return max(t.grade for t in self.letters)
 
+    @property
+    def element_ctx(self) -> tuple:
+        return (self.d, self.letter_bound)
+
     def _compose(self, a, b):
         return concat(a, b, self.N)
 
-    def _unit(self):
-        return TensorElem.unit(self.d, self.letter_bound)
+    def holder_keys(self) -> list:
+        return [w for w in self.context().basis if not w.is_empty()]
 
 
 # -- level arithmetic ------------------------------------------------------
 
 
 def gamma_to_level(gamma) -> int:
-    """Largest N with N*gamma <= 1."""
+    """Largest N with N*gamma <= 1, with float products for a float gamma."""
     g = Fraction(gamma) if not isinstance(gamma, float) else gamma
     if not 0 < g < 1:
         raise ValueError(f"gamma must lie in (0,1), got {gamma}")
-    N = 1
+    if not isinstance(g, float):
+        return 1 // g
+    # 1 / g is rounded, so N * g may land on either side of 1
+    N = int(1 / g)
+    while N * g > 1:
+        N -= 1
     while (N + 1) * g <= 1:
         N += 1
     return N
@@ -452,9 +486,7 @@ def coarsen(X, stride: int):
         idx.append(X.grid.steps)
     times = [X.grid.times[i] for i in idx]
     incs = [X.increment(a, b) for a, b in zip(idx, idx[1:])]
-    if isinstance(X, GeometricRoughPath):
-        return GeometricRoughPath(X.N, X.gamma, Grid(times), incs, X.d, X.mode, X.letters)
-    return BranchedRoughPath(X.N, X.gamma, Grid(times), incs, X.d, X.mode)
+    return type(X)(X.N, X.gamma, Grid(times), incs, X.d, X.mode, *(getattr(X, f) for f in X.tree_fields))
 
 
 # -- validation ------------------------------------------------------------
@@ -466,14 +498,10 @@ def first_non_character(X) -> int | None:
 
     In float mode the unit coefficient must lie within 1e-9 of 1, absolute;
     the products are compared with the relative tolerance of _close."""
-    branched = isinstance(X, BranchedRoughPath)
-    is_character = is_group_like if branched else is_tensor_group_like
-    unit = EMPTY_FOREST if branched else EMPTY_WORD
     eq = operator.eq if X.mode == RATIONAL else functools.partial(_close, mode=FLOAT)
     for k, g in enumerate(X.increments):
-        if X.mode == FLOAT and abs(g.coeff(unit) - 1) > 1e-9:
-            return k
-        if not is_character(g, X.N, eq):
+        ctx = X.context_of(X.N, *g.ctx)
+        if (X.mode == FLOAT and abs(g.coeff(ctx.basis[0]) - 1) > 1e-9) or not is_character(g, ctx, eq):
             return k
     return None
 
@@ -484,16 +512,15 @@ def validate(X) -> dict:
 
     Chen's relation X_st = X_su * X_ut is checked on every grid triple in
     itertools.combinations order; the first failure is the witness.  Each
-    pair's X.increment(s, t) becomes one coefficient row of the product
-    kernel's context, and a triple runs that kernel on the rows of (s, u)
-    and (u, t), building no element.  Exact rows are integer numerators over
-    one denominator per pair, and a triple holds when total * den_st ==
-    num_st * den_su * den_ut at every position; otherwise the totals are,
-    bit for bit, what convolve/concat give, compared with == in rational
-    mode and with _close in float mode."""
-    branched = isinstance(X, BranchedRoughPath)
+    pair's X.increment(s, t) becomes one sparse row of the path's context
+    and one operand of its product kernel, and a triple runs that kernel on
+    the operands of (s, u) and (u, t), building no element.  Exact rows are
+    integer numerators over one denominator per pair, and a triple holds
+    when total * den_st == num_st * den_su * den_ut at every position;
+    otherwise the totals are, bit for bit, what convolve/concat give,
+    compared with _close in the path's mode."""
     report = {
-        "kind": "branched" if branched else "geometric",
+        "kind": X.kind,
         "character": {"status": "pass", "witness": None},
         "chen": {"status": "pass", "witness": None, "checked_triples": 0},
         "holder": {"gamma": float(X.gamma), "per_basis": {}, "max": 0.0},
@@ -505,16 +532,7 @@ def validate(X) -> dict:
     _check_chen(X, report["chen"])
 
     M = X.grid.steps
-    if branched:
-        names = [
-            (Forest((t,)), repr(t), t.grade) for t in enumerate_trees(X.N, X.d)
-        ]
-    else:
-        names = [
-            (w, repr(w), w.grade)
-            for w in enumerate_words(X.N, X.d, X.letter_bound)
-            if not w.is_empty()
-        ]
+    names = [(key, repr(key), key.grade) for key in X.holder_keys()]
     gamma = float(X.gamma)
     per = {}
     for s, t in itertools.combinations(range(M + 1), 2):
@@ -540,53 +558,34 @@ def validate(X) -> dict:
 
 def _check_chen(X, chen: dict) -> None:
     """The Chen sweep of `validate`, filling its "chen" section."""
-    branched = isinstance(X, BranchedRoughPath)
-    ctx = forest_context(X.N, X.d) if branched else word_context(X.N, X.d, X.letter_bound)
-    index, width = ctx.index, len(ctx.basis)
+    ctx = X.context()
     M = X.grid.steps
-    # per pair: its terms inside the context as (positions, values) in
-    # insertion order, and the values of those outside it, which no product
-    # reaches, so they are compared with 0
+    # per pair: its terms inside the context as a sparse row, and the values
+    # of those outside it, which no product reaches, so they are compared
+    # with 0
     rows, outside = {}, {}
     for key in itertools.combinations(range(M + 1), 2):
         terms = X.increment(*key).terms
-        rows[key] = ([index[k] for k in terms if k in index], [c for k, c in terms.items() if k in index])
-        outside[key] = [c for k, c in terms.items() if k not in index]
+        rows[key] = ctx.sparse(terms)
+        outside[key] = [c for k, c in terms.items() if k not in ctx.index]
     scaled = {key: numerators(vals) for key, (_, vals) in rows.items()} if X.mode == RATIONAL else {}
     exact = bool(scaled) and all(den is not None for _, den in scaled.values())
     if exact:
         rows = {key: (pos, scaled[key][0][0]) for key, (pos, _) in rows.items()}
         dens = {key: den for key, (_, den) in scaled.items()}
-
-    def dense(pos, vals) -> list:
-        out = [0] * width
-        for i, c in zip(pos, vals):
-            out[i] = c
-        return out
-
-    wants = {key: dense(*row) for key, row in rows.items()}
-    if branched:
-        operands, product = wants, ctx.convolve
-    else:
-        operands = rows
-
-        def product(x, y, zero):
-            out = ctx.concat(x, y, zero)
-            return dense(out, out.values())
-
+    operands = {key: ctx.operand(*row) for key, row in rows.items()}
+    wants = {key: dict(zip(*row)) for key, row in rows.items()}
     zero = 0 if exact else _ZERO
     for s, u, t in itertools.combinations(range(M + 1), 3):
         chen["checked_triples"] += 1
-        got = product(operands[s, u], operands[u, t], zero)
+        got = ctx.product(operands[s, u], operands[u, t], zero)
         want, extra = wants[s, t], outside[s, t]
-        if X.mode == FLOAT:
-            holds = all(map(_close, want, got, itertools.repeat(FLOAT)))
-            holds = holds and all(_close(c, 0, FLOAT) for c in extra)
-        elif exact:
+        if exact:
             p, q = dens[s, t], dens[s, u] * dens[u, t]
-            holds = not extra and [c * p for c in got] == [c * q for c in want]
+            holds = not extra and {k: c * p for k, c in got.items() if c} == {k: c * q for k, c in want.items()}
         else:
-            holds = not extra and got == want
+            holds = all(_close(got.get(k, 0), want.get(k, 0), X.mode) for k in got.keys() | want.keys())
+            holds = holds and all(_close(c, 0, X.mode) for c in extra)
         if not holds:
             chen["status"] = "fail"
             chen["witness"] = (s, u, t)
@@ -648,20 +647,17 @@ def _scalar_from_json(v, mode, where):
 
 
 def roughpath_obj(X) -> dict:
-    branched = isinstance(X, BranchedRoughPath)
     obj = {
-        "kind": "branched" if branched else "geometric",
+        "kind": X.kind,
         "level": X.N,
         "gamma": str(X.gamma),
         "d": X.d,
         "mode": X.mode,
         "times": [_scalar_to_json(t, X.mode) for t in X.grid.times],
-        "increments": [],
+        "increments": [{repr(key): _scalar_to_json(c, X.mode) for key, c in g.terms.items()} for g in X.increments],
     }
-    if not branched:
-        obj["letters"] = [repr(t) for t in X.letters]
-    for g in X.increments:
-        obj["increments"].append({repr(key): _scalar_to_json(c, X.mode) for key, c in g.terms.items()})
+    for field in X.tree_fields:
+        obj[field] = [repr(t) for t in getattr(X, field)]
     return obj
 
 
@@ -677,7 +673,7 @@ def _check_shape(obj) -> None:
     for field in ("mode", "kind", "level", "gamma", "d", "times", "increments"):
         if field not in obj:
             raise ValueError(f"{field}: missing")
-    for field, allowed in (("mode", (RATIONAL, FLOAT)), ("kind", ("branched", "geometric"))):
+    for field, allowed in (("mode", (RATIONAL, FLOAT)), ("kind", tuple(_KINDS))):
         if obj[field] not in allowed:
             raise ValueError(f'{field}: expected "{allowed[0]}" or "{allowed[1]}", got {json.dumps(obj[field])}')
     for field in ("level", "d"):
@@ -693,36 +689,39 @@ def _check_shape(obj) -> None:
     for k, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ValueError(f"increment {k}: expected an object, got {json.dumps(row)}")
-    letters = obj.get("letters")
-    names = isinstance(letters, list) and letters and all(isinstance(x, str) for x in letters)
-    if obj["kind"] == "geometric" and not names:
-        raise ValueError(f"letters: expected a non-empty list of tree names, got {json.dumps(letters)}")
+    for field in _KINDS[obj["kind"]].tree_fields:
+        names = obj.get(field)
+        if not (isinstance(names, list) and names and all(isinstance(x, str) for x in names)):
+            raise ValueError(f"{field}: expected a non-empty list of tree names, got {json.dumps(names)}")
+
+
+_KINDS = {cls.kind: cls for cls in (BranchedRoughPath, GeometricRoughPath)}
 
 
 def roughpath_from_obj(obj: dict):
+    """The rough path a JSON object holds.  The path is built first, so its
+    own parser reads the increment keys; a key above the level is refused."""
     _check_shape(obj)
+    cls = _KINDS[obj["kind"]]
     mode = obj["mode"]
     grid = Grid(_scalar_from_json(t, mode, f"time {i}") for i, t in enumerate(obj["times"]))
-    d = obj["d"]
     N = obj["level"]
     gamma = _scalar_from_json(obj["gamma"], RATIONAL, "gamma")
-    branched = obj["kind"] == "branched"
-    if not branched:
-        letters = tuple(_parse_basis_name(name) for name in obj["letters"])
-        n = max(t.grade for t in letters)
-    incs = []
+    fields = [tuple(_parse_basis_name(name) for name in obj[field]) for field in cls.tree_fields]
+    X = cls(N, gamma, grid, obj["increments"], obj["d"], mode, *fields)
+    ectx = X.element_ctx
     for k, row in enumerate(obj["increments"]):
         terms = {}
         for name, v in row.items():
-            x = parse_h(name, d) if branched else parse_tensor(name, d, n)
+            x = X.parse_key(name, *ectx)
             if len(x.terms) != 1 or next(iter(x.terms.values())) != 1:
-                raise ValueError(f"increment key {name!r} is not a basis {'forest' if branched else 'word'}")
+                raise ValueError(f"increment key {name!r} is not a basis {X.key_name}")
             (key,) = x.terms
+            if key.grade > N:
+                raise ValueError(f"increment {k}, {name}: grade {key.grade} above level {N}")
             terms[key] = _scalar_from_json(v, mode, f"increment {k}, {name}")
-        incs.append(HElem(terms, d) if branched else TensorElem(terms, d, n))
-    if branched:
-        return BranchedRoughPath(N, gamma, grid, incs, d, mode)
-    return GeometricRoughPath(N, gamma, grid, incs, d, mode, letters)
+        X.increments[k] = X.element(terms, *ectx)
+    return X
 
 
 def roughpath_from_json(text: str):

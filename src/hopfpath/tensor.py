@@ -14,19 +14,17 @@ containers; TensorElem adds its constructors and the check that every
 word's letters have labels <= d and grades <= n.  `tensor_exp` and `tensor_log` run the same
 series loops as the forest side's `exp_star` and `log_star`.
 
-Products run on a word context, built once per (N, d, n) by
-`word_context`: the basis with integer positions, other words numbered
-past it on first sight, and concat, shuffle and split rows filled on first
-use.  `WordContext.concat` is the one concatenation kernel: sparse rows in
-insertion order in, a position -> total map out.  `concat` wraps its
-non-zero totals with `Linear._trusted`, and the Chen check of
-`roughpath.validate` runs it on its own rows.  `concat` and the pairing of
-fixed integer functionals (the psi images the conversion certifies
-against) run on integer numerators over one common denominator when the
-coefficients are exact (see `scalars`), and on the coefficients unchanged,
-in the same term order, when they are floats.
-`WordContext.shuffle` is the one shuffle of word maps: `shuffle` and the
-forest images in `morphisms` run through it.
+Products run on a word context (a `linear.Context`), built once per
+(N, d, n) by `word_context`: the basis with integer positions, other words
+numbered past it by their letter tuples, and concat, shuffle and split rows
+filled on first use.  Its kernel `WordContext.product` takes sparse rows
+(positions, coefficients) in insertion order as operands and returns a
+position -> total map; `concat` runs it through `linear.context_product`.
+The shuffle rows are its `product_row`s, which `is_tensor_group_like`
+reads, and `WordContext.shuffle` is the one shuffle of word maps: `shuffle`
+and the forest images in `morphisms` run through it.  The pairing of fixed
+integer functionals (the psi images the conversion certifies against) runs
+on integer numerators like the kernels (see `scalars`).
 """
 
 from __future__ import annotations
@@ -37,7 +35,8 @@ import weakref
 from fractions import Fraction
 from typing import Iterable
 
-from .linear import Linear, LinearPairs, context_field, exp_series, log_series, pair
+from .linear import Context, Linear, LinearPairs, context_field, context_product, exp_series, is_character
+from .linear import log_series, pair
 from .scalars import numerators
 from .trees import Tree, enumerate_trees
 
@@ -196,42 +195,27 @@ def shuffle(x: TensorElem, y: TensorElem) -> TensorElem:
     return TensorElem({ctx.word(k): _ZERO + c for k, c in terms.items()}, x.d, x.n)
 
 
-class WordContext:
+class WordContext(Context):
     """Words of total grade <= N over tree letters of grade <= n and labels
-    1..d, with integer positions.  `position` numbers any other word past
-    the basis on first sight, such as the products of tree images of the
-    wrong grade; `word` gives any position back as a word."""
+    1..d, with integer positions.  Its keys are letter tuples: `position`
+    numbers any other word past the basis on first sight, such as the
+    products of tree images of the wrong grade; `word` gives any position
+    back as a word."""
 
-    __slots__ = ("key", "N", "basis", "index", "grades", "ends", "rows", "letters", "lookup",
-                 "shuffles", "splits", "__weakref__")
+    __slots__ = ("rows", "shuffles", "splits")
     live = weakref.WeakSet()  # every context not yet collected, for cache_sizes
 
     def __init__(self, N: int, d: int, n: int):
-        self.key = (N, d, n)
-        self.N = N
-        self.basis = enumerate_words(N, d, n)
-        self.index = {w: i for i, w in enumerate(self.basis)}
-        self.grades = [w.grade for w in self.basis]
-        # the basis is sorted by grade first, so the words of grade <= g
-        # are the first ends[g]
-        self.ends = [sum(1 for g in self.grades if g <= b) for b in range(N + 1)]
-        self.rows: list = [None] * len(self.basis)
-        self.letters = [w.letters for w in self.basis]
-        self.lookup = {letters: i for i, letters in enumerate(self.letters)}
+        basis = enumerate_words(N, d, n)
+        super().__init__((N, d, n), basis, (w.letters for w in basis))
+        self.rows: list = [None] * len(basis)
         self.shuffles: dict = {}
         self.splits: dict = {}
         WordContext.live.add(self)
 
-    def position(self, letters: tuple) -> int:
-        i = self.lookup.get(letters)
-        if i is None:
-            i = self.lookup[letters] = len(self.letters)
-            self.letters.append(letters)
-        return i
-
     def word(self, k: int) -> Word:
         """The word at position k; one past the basis is built afresh."""
-        return self.basis[k] if k < len(self.basis) else Word(self.letters[k])
+        return self.basis[k] if k < len(self.basis) else Word(self.keys[k])
 
     def shuffle(self, a: dict, b: dict) -> dict:
         """Shuffle of two word maps keyed by position, in a's then b's term
@@ -251,15 +235,17 @@ class WordContext:
         row = self.shuffles.get((i, j))
         if row is None:
             at = self.position
-            pairs = _shuffle_words(self.letters[i], self.letters[j])
+            pairs = _shuffle_words(self.keys[i], self.keys[j])
             row = self.shuffles[i, j] = tuple(at(w) for w, c in pairs for _ in range(c))
         return row
+
+    product_row = shuffle_row  # the algebra product the character test reads
 
     def split(self, i: int) -> tuple:
         """(prefix, suffix) positions of word i's splits, built on first use."""
         row = self.splits.get(i)
         if row is None:
-            w, at = self.letters[i], self.position
+            w, at = self.keys[i], self.position
             row = self.splits[i] = tuple((at(w[:k]), at(w[k:])) for k in range(len(w) + 1))
         return row
 
@@ -274,7 +260,12 @@ class WordContext:
             row = self.rows[i] = [index[w * v] for v in fits]
         return row
 
-    def concat(self, x: tuple, y: tuple, zero) -> dict:
+    @staticmethod
+    def operand(pos: list, vals: list) -> tuple:
+        """The sparse row itself."""
+        return pos, vals
+
+    def product(self, x: tuple, y: tuple, zero) -> dict:
         """Concatenation totals by position, in the order first reached,
         zeros kept: x and y are sparse rows (positions, coefficients) in
         insertion order, and each pair of terms whose grades fit adds
@@ -292,30 +283,11 @@ class WordContext:
                 out[k] = get(k, zero) + c1 * c2
         return out
 
-    def sparse(self, terms: dict) -> tuple:
-        """(positions, coefficients) in insertion order; words outside the
-        context are dropped."""
-        index = self.index
-        pos, vals = [], []
-        for w, c in terms.items():
-            i = index.get(w)
-            if i is not None:
-                pos.append(i)
-                vals.append(c)
-        return pos, vals
-
     def vector(self, terms: dict) -> "WordVector":
         """A word map, such as an increment's terms, ready for pairing."""
-        index = self.index
-        values = {}
-        for w, c in terms.items():
-            i = index.get(w)
-            if i is not None:
-                values[i] = c
-        (nums,), den = numerators(list(values.values()))
-        if den is not None:
-            values = dict(zip(values, nums))
-        return WordVector(values, den, len(terms))
+        pos, vals = self.sparse(terms)
+        (nums,), den = numerators(vals)
+        return WordVector(dict(zip(pos, vals if den is None else nums)), den, len(terms))
 
     def functional(self, terms: dict) -> "WordFunctional":
         """A word functional with integer coefficients, such as a psi image."""
@@ -381,14 +353,7 @@ def concat(x: TensorElem, y: TensorElem, N: int) -> TensorElem:
     x._check(y)
     if N < 0:
         raise ValueError(f"truncation level must be >= 0, got {N}")
-    ctx = word_context(N, x.d, x.n)
-    xi, xv = ctx.sparse(x.terms)
-    yi, yv = ctx.sparse(y.terms)
-    (xv, yv), den = numerators(xv, yv)
-    out = ctx.concat((xi, xv), (yi, yv), _ZERO if den is None else 0)
-    basis = ctx.basis
-    terms = {basis[k]: c if den is None else Fraction(c, den) for k, c in out.items() if c}
-    return TensorElem._trusted(terms, x.d, x.n)
+    return context_product(word_context(N, x.d, x.n), x, y)
 
 
 def deconcat(x: TensorElem) -> WordPairElem:
@@ -440,18 +405,4 @@ def enumerate_words(N: int, d: int, n: int = 1) -> tuple[Word, ...]:
 def is_tensor_group_like(g: TensorElem, N: int, eq=operator.eq) -> bool:
     """Shuffle-character test against all basis-word pairs of total grade <= N,
     each equality judged by eq."""
-    if not eq(g.coeff(EMPTY_WORD), 1):
-        return False
-    words = [w for w in enumerate_words(N, g.d, g.n) if not w.is_empty()]
-    for i, w1 in enumerate(words):
-        for w2 in words[i:]:
-            if w1.grade + w2.grade > N:
-                continue
-            lhs = _ZERO
-            for letters, cnt in _shuffle_words(w1.letters, w2.letters):
-                c = g.terms.get(Word(letters))
-                if c:
-                    lhs += cnt * c
-            if not eq(lhs, g.coeff(w1) * g.coeff(w2)):
-                return False
-    return True
+    return is_character(g, word_context(N, g.d, g.n), eq)

@@ -1,0 +1,101 @@
+"""Source hygiene of the package, checked with `ast`: nothing lingers.
+
+No linter ships with the project, so two checks stand in for one:
+
+- every module-level import of a `hopfpath` module is used in that module,
+  or is imported from it by another module, a test or the benchmark (a
+  re-export such as `hopf.pair`); the package `__init__` is the public
+  surface and re-exports by design, so it is not checked;
+- every top-level `_private` definition is referenced somewhere in `src/`,
+  `tests/` or `bench/` outside its own body.
+
+A helper left behind by a refactor fails one of them.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hopfpath"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+
+
+def _trees() -> dict:
+    return {path: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+
+
+def _bound_names(node) -> list:
+    """The names a module-level import statement binds."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [(a.asname or a.name).split(".")[0] for a in node.names]
+
+
+def _loaded_names(tree) -> set:
+    """Names read in tree, and attributes read off any name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def _exports(trees: dict) -> dict:
+    """Per hopfpath module, the names other files import from it or read
+    off it."""
+    modules = {path.stem for path in MODULES}
+    out = {m: set() for m in modules}
+    for path, tree in trees.items():
+        own = path.stem if path.parent == PACKAGE else None
+        aliases = {}
+        nodes = list(ast.walk(tree))
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom):
+                target = (node.module or "").lstrip(".").removeprefix("hopfpath").lstrip(".")
+                if target in modules and target != own:
+                    out[target].update(a.name for a in node.names)
+                elif not target:
+                    aliases.update({a.asname or a.name: a.name for a in node.names if a.name in modules})
+        for node in nodes:
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+                out[aliases[node.value.id]].add(node.attr)
+    return out
+
+
+def test_every_module_level_import_is_used_or_re_exported():
+    trees = _trees()
+    exports = _exports(trees)
+    unused = []
+    for path in MODULES:
+        tree = trees[path]
+        used = _loaded_names(tree) | exports[path.stem]
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name}: {name}" for name in _bound_names(node) if name not in used]
+    assert unused == []
+
+
+def test_every_private_top_level_definition_is_referenced():
+    trees = _trees()
+    loaded = {path: _loaded_names(tree) for path, tree in trees.items()}
+    unreferenced = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        body = trees[path].body
+        per_node = [_loaded_names(node) for node in body]
+        for k, node in enumerate(body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            # a function or class read only inside its own body is not referenced
+            own = set().union(*(found for j, found in enumerate(per_node) if j != k or isinstance(node, ast.Assign)))
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    if not any(name in (own if p == path else found) for p, found in loaded.items()):
+                        unreferenced.append(f"{path.name}: {name}")
+    assert unreferenced == []
