@@ -144,5 +144,5 @@ def cache_sizes() -> dict:
         out[f"tensor.word_context{ctx.key}.shuffle_rows"] = len(ctx.shuffles)
         out[f"tensor.word_context{ctx.key}.split_rows"] = len(ctx.splits)
     for ctx in list(_hopf.ForestContext.live):
-        out[f"hopf.forest_context{ctx.key}.antipode_rows"] = len(ctx.antipodes) - ctx.antipodes.count(None)
+        out[f"hopf.forest_context{ctx.key}.antipode_rows"] = len(ctx.antipodes)
     return dict(sorted(out.items()))

@@ -19,10 +19,12 @@ Truncation level N is always an explicit argument of dual-side operations.
 (N, d) by `forest_context`: the basis with integer positions and each basis
 forest's cut coproduct as position triples; antipode rows and the products
 of two forests (`product_row`, which `is_group_like` reads) are built on
-first use, and a forest outside the basis is numbered past it.  Its kernel
-`ForestContext.product` takes dense coefficient rows by position as
-operands and returns the totals by position; `convolve` runs it through
-`linear.context_product`.
+first use, and a forest outside the basis is numbered past it.  The
+context builds them on integer tree ids, in the term order of the cached
+forest-level maps (`_forest_coproduct`, `_forest_antipode`) that serve
+`coproduct` and `antipode`.  Its kernel `ForestContext.product` takes
+dense coefficient rows by position as operands and returns the totals by
+position; `convolve` runs it through `linear.context_product`.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .trees import (
     Forest,
     Tree,
     enumerate_forests,
+    enumerate_trees,
     trees_of_grade,
 )
 
@@ -233,20 +236,57 @@ class ForestContext(Context):
     """Forests of grade <= N over labels 1..d with integer positions: the
     basis in enumerate_forests order and, per basis forest, its cut
     coproduct as (left, right, count) positions, in _forest_coproduct
-    order.  Its antipode rows and the products of two forests are built on
-    first use."""
+    order.  `ids[i]` is basis[i] as the ascending tuple of its trees'
+    positions in enumerate_trees(N, d) and `by_ids` its inverse, so a product
+    is a sorted concatenation and a lookup.  The antipode rows and the
+    products of two basis forests are built on first use."""
 
-    __slots__ = ("cuts", "antipodes", "products")
+    __slots__ = ("trees", "ids", "by_ids", "cuts", "antipodes", "products")
     live = weakref.WeakSet()  # every context not yet collected, for cache_sizes
 
     def __init__(self, N: int, d: int):
         basis = enumerate_forests(N, d)
         super().__init__((N, d), basis, basis)
-        index = self.index
-        self.cuts = tuple(tuple((index[a], index[b], cnt) for a, b, cnt in _forest_coproduct(h)) for h in basis)
-        self.antipodes: list = [None] * len(basis)
+        self.trees = enumerate_trees(N, d) if N else ()
+        tree_id = {t: k for k, t in enumerate(self.trees)}
+        # factors are sorted like enumerate_trees, so the ids ascend
+        self.ids = [tuple(map(tree_id.__getitem__, f.factors)) for f in basis]
+        self.by_ids = {ids: i for i, ids in enumerate(self.ids)}
+        self.cuts = self._cut_rows(tree_id)
+        self.antipodes: list = []
         self.products: dict = {}
         ForestContext.live.add(self)
+
+    def _mul(self, i: int, j: int) -> int:
+        """The position of basis[i] * basis[j], a basis forest."""
+        if not i or not j:
+            return i or j
+        return self.by_ids[tuple(sorted(self.ids[i] + self.ids[j]))]
+
+    def _cut_rows(self, tree_id: dict) -> tuple:
+        """The cut rows in basis order, in _forest_coproduct's: a tree [f]_a
+        is t (x) 1, then l (x) [r]_a over the cuts (l, r) of f; a forest is
+        the row of its trees but the last times the last tree's row."""
+        ids, by_ids, mul = self.ids, self.by_ids, self._mul
+        # per tree id: its root label and the position of its child forest
+        parts = [(t.label, by_ids[tuple(map(tree_id.__getitem__, t.children))]) for t in self.trees]
+        grafted = {p: by_ids[k,] for k, p in enumerate(parts)}
+        rows: list = []
+        for i, f in enumerate(ids):
+            if not f:
+                rows.append(((0, 0, 1),))
+            elif len(f) == 1:
+                label, child = parts[f[0]]
+                rows.append(((i, 0, 1),) + tuple((a, grafted[label, b], c) for a, b, c in rows[child]))
+            else:
+                acc: dict = {}
+                last = rows[by_ids[f[-1:]]]
+                for a, b, c in rows[by_ids[f[:-1]]]:
+                    for ta, tb, tc in last:
+                        key = (mul(a, ta), mul(b, tb))
+                        acc[key] = acc.get(key, 0) + c * tc
+                rows.append(tuple((a, b, c) for (a, b), c in acc.items()))
+        return tuple(rows)
 
     def operand(self, pos: list, vals: list) -> list:
         """The coefficient row by position, 0 where absent."""
@@ -274,18 +314,51 @@ class ForestContext(Context):
         return out
 
     def product_row(self, i: int, j: int) -> tuple:
-        """(position of the product of forests i and j,), built on first use."""
+        """(position of basis[i] * basis[j],), built on first use, numbered
+        past the basis when outside it."""
         row = self.products.get((i, j))
         if row is None:
-            row = self.products[i, j] = (self.position(self.keys[i] * self.keys[j]),)
+            ids = tuple(sorted(self.ids[i] + self.ids[j]))
+            k = self.by_ids.get(ids)
+            if k is None:
+                k = self.position(Forest(map(self.trees.__getitem__, ids)))
+            row = self.products[i, j] = (k,)
         return row
 
     def antipode(self, i: int) -> tuple:
-        """S(basis[i]) as ((position, integer coefficient), ...)."""
-        row = self.antipodes[i]
-        if row is None:
-            row = self.antipodes[i] = tuple((self.index[f], c) for f, c in _forest_antipode(self.basis[i]) if c)
-        return row
+        """S(basis[i]) as ((position, integer coefficient), ...); every row
+        is built on the first call."""
+        if not self.antipodes:
+            self.antipodes = self._antipode_rows()
+        return self.antipodes[i]
+
+    def _antipode_rows(self) -> list:
+        """The antipode rows in basis order, in _forest_antipode's: S(t) =
+        -t - S(l) r over the cuts (l, r) of t with neither side 1; a forest
+        is the row of its trees but the last times the last tree's row.  No
+        coefficient is zero: a forest in S(h) has the sign (-1)^(its number
+        of trees), so nothing cancels."""
+        ids, by_ids, mul = self.ids, self.by_ids, self._mul
+        rows: list = []
+        for i, f in enumerate(ids):
+            if not f:
+                acc: dict = {0: 1}
+            elif len(f) == 1:
+                acc = {i: -1}
+                for a, b, c in self.cuts[i]:
+                    if a and b:
+                        for g, c1 in rows[a]:
+                            k = mul(g, b)
+                            acc[k] = acc.get(k, 0) - c * c1
+            else:
+                acc = {}
+                last = rows[by_ids[f[-1:]]]
+                for g, c in rows[by_ids[f[:-1]]]:
+                    for h, c2 in last:
+                        k = mul(g, h)
+                        acc[k] = acc.get(k, 0) + c * c2
+            rows.append(tuple(acc.items()))
+        return rows
 
 
 @functools.lru_cache(maxsize=None)
@@ -367,11 +440,13 @@ def star_inverse(g: HElem, N: int) -> HElem:
     """Inverse of a group-like functional: <g^-1, h> = <g, S(h)>."""
     if not is_group_like(g, N):
         raise ValueError("star_inverse needs a group-like functional")
+    ctx = forest_context(N, g.d)
+    row = ctx.operand(*ctx.sparse(g.terms))
     out: dict = {}
-    for h in enumerate_forests(N, g.d):
+    for i, h in enumerate(ctx.basis):
         total = _ZERO
-        for f, cnt in _forest_antipode(h):
-            c = g.terms.get(f)
+        for k, cnt in ctx.antipode(i):
+            c = row[k]
             if c:
                 total += cnt * c
         if total != 0:

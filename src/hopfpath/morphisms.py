@@ -24,14 +24,13 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .hopf import HElem, _forest_coproduct, _tree_coproduct
+from .hopf import HElem, _tree_coproduct, forest_context
 from .tensor import TensorElem, Word, WordContext, word_context
 from .trees import (
     EMPTY_FOREST,
     Forest,
     Tree,
     chain,
-    enumerate_forests,
     enumerate_trees,
     forests_of_grade,
 )
@@ -241,13 +240,14 @@ def verify_hopf_morphism(which: str, N: int, d: int, table: MorphismTable | None
     }
     ctx = word_context(N, d, table.letter_bound())
     image = functools.partial(_fold, ctx, table._tree_terms, {})
-    forests = enumerate_forests(N, d)
-    for h in forests:
+    fctx = forest_context(N, d)
+    forests = fctx.basis
+    for h, cuts in zip(forests, fctx.cuts):
         lhs = {key: c for i, c in image(h).items() for key in ctx.splits.get(i) or ctx.split(i)}
         rhs: dict = {}
-        for a, b, cnt in _forest_coproduct(h):
-            ib = image(b)
-            for i, ca in image(a).items():
+        for a, b, cnt in cuts:
+            ib = image(forests[b])
+            for i, ca in image(forests[a]).items():
                 c = cnt * ca
                 for j, cb in ib.items():
                     key = (i, j)

@@ -327,6 +327,8 @@ def gamma_to_level(gamma) -> int:
         raise ValueError(f"gamma must lie in (0,1), got {gamma}")
     if not isinstance(g, float):
         return 1 // g
+    if math.isinf(1 / g):
+        raise ValueError(f"gamma is too small for a float level: 1/gamma overflows, got {gamma}")
     # 1 / g is rounded, so N * g may land on either side of 1
     N = int(1 / g)
     while N * g > 1:

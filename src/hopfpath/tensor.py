@@ -18,8 +18,9 @@ Products run on a word context (a `linear.Context`), built once per
 (N, d, n) by `word_context`: the basis with integer positions, other words
 numbered past it by their letter tuples, and concat, shuffle and split rows
 filled on first use.  Its kernel `WordContext.product` takes sparse rows
-(positions, coefficients) in insertion order as operands and returns a
-position -> total map; `concat` runs it through `linear.context_product`.
+(positions, coefficients) in insertion order, with their per-grade buckets,
+as operands and returns a position -> total map; `concat` runs it through
+`linear.context_product`.
 The shuffle rows are its `product_row`s, which `is_tensor_group_like`
 reads, and `WordContext.shuffle` is the one shuffle of word maps: `shuffle`
 and the forest images in `morphisms` run through it.  The pairing of fixed
@@ -261,22 +262,27 @@ class WordContext(Context):
         return row
 
     @staticmethod
-    def operand(pos: list, vals: list) -> tuple:
-        """The sparse row itself."""
-        return pos, vals
+    def operand(pos: list, vals: list) -> list:
+        """[positions, coefficients, None]: the sparse row and a slot for
+        its per-grade buckets, which product fills the first time the row
+        is its right operand, so a left operand builds none."""
+        return [pos, vals, None]
 
-    def product(self, x: tuple, y: tuple, zero) -> dict:
+    def product(self, x, y, zero) -> dict:
         """Concatenation totals by position, in the order first reached,
-        zeros kept: x and y are sparse rows (positions, coefficients) in
-        insertion order, and each pair of terms whose grades fit adds
-        c1 * c2 to zero, in x's then y's order."""
+        zeros kept: x and y are operands, or bare sparse rows (positions,
+        coefficients) in insertion order, and each pair of terms whose
+        grades fit adds c1 * c2 to zero, in x's then y's order."""
         N, grades = self.N, self.grades
-        yi, yv = y
-        # fits[b]: the terms of y of grade <= b, still in y's order
-        fits = [[(j, c) for j, c in zip(yi, yv) if grades[j] <= b] for b in range(N + 1)]
+        if len(y) == 2:
+            y = [*y, None]
+        fits = y[2]
+        if fits is None:
+            # fits[b]: the terms of y of grade <= b, still in y's order
+            fits = y[2] = [[(j, c) for j, c in zip(y[0], y[1]) if grades[j] <= b] for b in range(N + 1)]
         out: dict = {}
         get = out.get
-        for i, c1 in zip(*x):
+        for i, c1 in zip(x[0], x[1]):
             row = self.row(i)
             for j, c2 in fits[N - grades[i]]:
                 k = row[j]

@@ -59,6 +59,12 @@ def test_gamma_outside_the_unit_interval_is_refused(gamma):
         gamma_to_level(gamma)
 
 
+@pytest.mark.parametrize("gamma", [1e-310, 5e-324])
+def test_float_gamma_whose_reciprocal_overflows_is_refused(gamma):
+    with pytest.raises(ValueError, match=f"gamma is too small.*got {gamma}"):
+        gamma_to_level(gamma)
+
+
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
