@@ -126,10 +126,11 @@ __version__ = "0.1.0"
 
 def cache_sizes() -> dict:
     """Entries held by every memoised (lru_cache) table of the package,
-    keyed 'module.function': the tree enumerations, the coproduct, antipode,
-    shuffle and morphism tables, and the forest and word contexts.  For each
-    live context it adds the rows its tables have filled, keyed by the call
-    that built it, e.g. 'tensor.word_context(3, 1, 3).shuffle_rows'.  The
+    keyed 'module.function': the tree enumerations, the shuffle and morphism
+    tables, and the forest and word contexts.  The cut and antipode rows
+    have no lru table of their own; they live in the forest contexts.  For
+    each live context it adds the rows its tables have filled, keyed by the
+    call that built it, e.g. 'tensor.word_context(3, 1, 3).shuffle_rows'.  The
     tables never evict, so the sizes show what a process has built.  Nothing
     is printed."""
     out = {}

@@ -5,7 +5,8 @@ forest pairs (H (x) H).  Both take their linear structure from
 `linear.Linear`, which the word, word-pair and polynomial containers share:
 sums, scaling, coefficients, equality, hashing and printing, with the
 Kronecker pairing and the exp/log series loops beside it.  HElem adds the
-alphabet check, its constructors and the forest product.
+alphabet size d (checked to be at least 1, not against the labels), its
+constructors and the forest product.
 
 The same container plays both roles: elements of the algebra H (product =
 forest concatenation, coproduct = cut sum) and, through the Kronecker
@@ -20,9 +21,10 @@ Truncation level N is always an explicit argument of dual-side operations.
 forest's cut coproduct as position triples; antipode rows and the products
 of two forests (`product_row`, which `is_group_like` reads) are built on
 first use, and a forest outside the basis is numbered past it.  The
-context builds them on integer tree ids, in the term order of the cached
-forest-level maps (`_forest_coproduct`, `_forest_antipode`) that serve
-`coproduct` and `antipode`.  Its kernel `ForestContext.product` takes
+context builds them on integer tree ids, and it is the one table of the
+cut coproduct and the antipode: `coproduct` and `antipode` read its rows
+on the context of their input's grade, as `morphisms.psi` and the verify
+suites do.  Its kernel `ForestContext.product` takes
 dense coefficient rows by position as operands and returns the totals by
 position; `convolve` runs it through `linear.context_product`.
 """
@@ -132,44 +134,21 @@ def product(x: HElem, y: HElem) -> HElem:
     return HElem(out, x.d)
 
 
-@functools.lru_cache(maxsize=None)
-def _tree_coproduct(t: Tree) -> tuple:
-    """Cut coproduct of a single tree as ((left forest, right forest, count), ...).
-
-    Recursion: for t = [f]_a with child forest f,
-    delta t = t (x) 1 + sum f^(1) (x) [f^(2)]_a over delta f,
-    where delta f multiplies the child coproducts.  The 1 (x) t term arises
-    from every child contributing its 1 (x) child part.
-    """
-    whole = Forest((t,))
-    out: dict = {(whole, EMPTY_FOREST): 1}
-    for left, right, cnt in _forest_coproduct(Forest(t.children)):
-        trunk = Forest((Tree(t.label, right.factors),))
-        key = (left, trunk)
-        out[key] = out.get(key, 0) + cnt
-    return tuple((a, b, c) for (a, b), c in out.items())
-
-
-@functools.lru_cache(maxsize=None)
-def _forest_coproduct(f: Forest) -> tuple:
-    """Multiplicative extension of the tree coproduct to a forest."""
-    acc: dict = {(EMPTY_FOREST, EMPTY_FOREST): 1}
-    for t in f.factors:
-        nxt: dict = {}
-        for (a, b), cnt in acc.items():
-            for ta, tb, tc in _tree_coproduct(t):
-                key = (a * ta, b * tb)
-                nxt[key] = nxt.get(key, 0) + cnt * tc
-        acc = nxt
-    return tuple((a, b, c) for (a, b), c in acc.items())
+def _context_of(x: HElem) -> ForestContext:
+    """The forest context whose basis holds every forest of x: grades up to
+    x's, labels up to d or up to x's largest label if that is larger."""
+    return forest_context(x.max_grade(), max([x.d, *(f.max_label() for f in x.terms)]))
 
 
 def coproduct(x: HElem) -> PairElem:
-    """The cut coproduct, extended linearly."""
+    """The cut coproduct, extended linearly: each forest's cut row, in
+    term order and then in the row's order."""
+    ctx = _context_of(x)
+    basis, index, cuts = ctx.basis, ctx.index, ctx.cuts
     out: dict = {}
     for f, c in x.terms.items():
-        for a, b, cnt in _forest_coproduct(f):
-            key = (a, b)
+        for a, b, cnt in cuts[index[f]]:
+            key = (basis[a], basis[b])
             out[key] = out.get(key, _ZERO) + c * cnt
     return PairElem(out, x.d)
 
@@ -184,48 +163,16 @@ def reduced_coproduct(x: HElem) -> PairElem:
     return PairElem(out, x.d)
 
 
-# -- antipode --------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _tree_antipode(t: Tree) -> tuple:
-    """S(t) as ((forest, integer coefficient), ...).
-
-    Graded recursion from the bialgebra axioms:
-    S(t) = -t - sum S(h1) * h2 over non-trivial cuts h1 (x) h2 of t.
-    """
-    out: dict = {Forest((t,)): -1}
-    whole = Forest((t,))
-    for left, right, cnt in _tree_coproduct(t):
-        if left == whole or right == whole or left.is_unit() or right.is_unit():
-            # skip t (x) 1 and 1 (x) t: only the reduced part enters
-            continue
-        s_left = _forest_antipode(left)
-        for f1, c1 in s_left:
-            k = f1 * right
-            out[k] = out.get(k, 0) - cnt * c1
-    return tuple(out.items())
-
-
-@functools.lru_cache(maxsize=None)
-def _forest_antipode(f: Forest) -> tuple:
-    """S on a forest basis element: algebra morphism, product of tree images."""
-    acc: dict = {EMPTY_FOREST: 1}
-    for t in f.factors:
-        nxt: dict = {}
-        for g, c in acc.items():
-            for h, c2 in _tree_antipode(t):
-                k = g * h
-                nxt[k] = nxt.get(k, 0) + c * c2
-        acc = nxt
-    return tuple(acc.items())
-
-
 def antipode(x: HElem) -> HElem:
+    """The antipode, extended linearly: each forest's antipode row, in term
+    order and then in the row's order."""
+    ctx = _context_of(x)
+    basis, index = ctx.basis, ctx.index
     out: dict = {}
     for f, c in x.terms.items():
-        for g, cnt in _forest_antipode(f):
-            out[g] = out.get(g, _ZERO) + c * cnt
+        for g, cnt in ctx.antipode(index[f]):
+            key = basis[g]
+            out[key] = out.get(key, _ZERO) + c * cnt
     return HElem(out, x.d)
 
 
@@ -235,8 +182,8 @@ def antipode(x: HElem) -> HElem:
 class ForestContext(Context):
     """Forests of grade <= N over labels 1..d with integer positions: the
     basis in enumerate_forests order and, per basis forest, its cut
-    coproduct as (left, right, count) positions, in _forest_coproduct
-    order.  `ids[i]` is basis[i] as the ascending tuple of its trees'
+    coproduct as (left, right, count) positions, in the order `_cut_rows`
+    states.  `ids[i]` is basis[i] as the ascending tuple of its trees'
     positions in enumerate_trees(N, d) and `by_ids` its inverse, so a product
     is a sorted concatenation and a lookup.  The antipode rows and the
     products of two basis forests are built on first use."""
@@ -264,7 +211,7 @@ class ForestContext(Context):
         return self.by_ids[tuple(sorted(self.ids[i] + self.ids[j]))]
 
     def _cut_rows(self, tree_id: dict) -> tuple:
-        """The cut rows in basis order, in _forest_coproduct's: a tree [f]_a
+        """The cut rows in basis order, each in cut order: a tree [f]_a
         is t (x) 1, then l (x) [r]_a over the cuts (l, r) of f; a forest is
         the row of its trees but the last times the last tree's row."""
         ids, by_ids, mul = self.ids, self.by_ids, self._mul
@@ -333,7 +280,7 @@ class ForestContext(Context):
         return self.antipodes[i]
 
     def _antipode_rows(self) -> list:
-        """The antipode rows in basis order, in _forest_antipode's: S(t) =
+        """The antipode rows in basis order, each in term order: S(t) =
         -t - S(l) r over the cuts (l, r) of t with neither side 1; a forest
         is the row of its trees but the last times the last tree's row.  No
         coefficient is zero: a forest in S(h) has the sign (-1)^(its number

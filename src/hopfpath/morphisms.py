@@ -13,8 +13,9 @@ A morphism is fixed by its tree images, and `_fold` is the one fold that
 extends it: a forest maps to the shuffle of its trees' images, as a map
 from word-context positions to coefficients (ints where integral), and a
 combination to the sum of its forests' images, in term order.  The cached
-`_phi_tree`/`_psi_tree` fold their subforests, and everything else folds
-over them or over a `MorphismTable` on a context sized by its input's grade.
+`_phi_tree`/`_psi_tree` fold their subforests, `_psi_tree` over the tree's
+cut row in the forest context, and everything else folds over them or over
+a `MorphismTable` on a context sized by its input's grade.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .hopf import HElem, _tree_coproduct, forest_context
+from .hopf import HElem, forest_context
 from .tensor import TensorElem, Word, WordContext, word_context
 from .trees import (
     EMPTY_FOREST,
@@ -103,16 +104,20 @@ def _psi_tree(t: Tree) -> Mapping:
 
     psi(t) = t (one-letter word) plus, for every nontrivial cut
     pruned (x) trunk with its multiplicity, psi(pruned) with the trunk
-    appended as a single letter.  The trunk of a tree cut is always a tree.
+    appended as a single letter, over the cut row of t in the forest
+    context of t's grade and labels, in its order.  The trunk of a tree cut
+    is always a tree.
     """
     ctx = word_context(t.grade, t.max_label(), t.grade)
+    fctx = forest_context(t.grade, t.max_label())
+    forests = fctx.basis
     memo: dict = {}
     out: dict = {Word((t,)): Fraction(1)}
-    for left, right, cnt in _tree_coproduct(t):
-        if left.is_unit() or right.is_unit():
+    for a, b, cnt in fctx.cuts[fctx.index[Forest((t,))]]:
+        if not a or not b:  # position 0 is the unit forest
             continue
-        trunk = right.factors[:1]
-        for k, v in _fold(ctx, _psi_tree, memo, left).items():
+        trunk = forests[b].factors
+        for k, v in _fold(ctx, _psi_tree, memo, forests[a]).items():
             key = Word(ctx.keys[k] + trunk)
             out[key] = out.get(key, _ZERO) + cnt * v
     return MappingProxyType(out)
@@ -225,7 +230,8 @@ def verify_hopf_morphism(which: str, N: int, d: int, table: MorphismTable | None
     Tree images are read from `table.cache` at check time, so edits to it
     count.  Each forest image is folded once, on the context of the table's
     level; the checks compare the folded maps, with shuffles and splits
-    from the context's tables.
+    from the word context's tables and cuts and products from the forest
+    context's rows.
     """
     if table is None:
         table = MorphismTable(which, N, d)
@@ -257,11 +263,12 @@ def verify_hopf_morphism(which: str, N: int, d: int, table: MorphismTable | None
             report["witness"] = f"coproduct morphism fails on {h!r}"
             return report
         report["checked_forests"] += 1
-    for h1 in forests[1:]:
-        for h2 in forests[1:]:  # the unit first, then by grade
+    for i, h1 in enumerate(forests[1:], 1):
+        for j, h2 in enumerate(forests[1:], 1):  # the unit first, then by grade
             if h1.grade + h2.grade > N:
                 break
-            if not _same(ctx.shuffle(image(h1), image(h2)), image(h1 * h2)):
+            (k,) = fctx.product_row(i, j)
+            if not _same(ctx.shuffle(image(h1), image(h2)), image(forests[k])):
                 report["status"] = "fail"
                 report["witness"] = f"product morphism fails on {h1!r}, {h2!r}"
                 return report

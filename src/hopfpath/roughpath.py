@@ -329,13 +329,17 @@ def gamma_to_level(gamma) -> int:
         return 1 // g
     if math.isinf(1 / g):
         raise ValueError(f"gamma is too small for a float level: 1/gamma overflows, got {gamma}")
-    # 1 / g is rounded, so N * g may land on either side of 1
-    N = int(1 / g)
-    while N * g > 1:
-        N -= 1
-    while (N + 1) * g <= 1:
-        N += 1
-    return N
+    # 1 / g is rounded, so N * g may land on either side of 1; from 2^53 on,
+    # float(N + 1) may equal float(N), so the steps could not stop
+    N = min(int(1 / g), 2**53 - 1)
+    while N < 2**53:
+        if N * g > 1:
+            N -= 1
+        elif (N + 1) * g <= 1:
+            N += 1
+        else:
+            return N
+    raise ValueError(f"gamma is too small for a float level: the level would reach 2^53, got {gamma}")
 
 
 # -- lift constructors -----------------------------------------------------

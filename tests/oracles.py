@@ -3,9 +3,14 @@
 Everything here is written against first definitions, not against the library
 internals: counting via the Euler transform of the fixed-point species
 equation, coproducts via explicit vertex-subset enumeration, tree factorials
-via per-vertex subtree sizes.  Keep this module free of imports from
-hopfpath internals beyond the basic Tree/Forest containers.
+via per-vertex subtree sizes.  The Forest recursions for the cut coproduct
+and the antipode that the library's forest context replaced are kept here
+too, as the term-order references of its rows.  Keep this module free of
+imports from hopfpath internals beyond the basic Tree/Forest containers.
 """
+
+import functools
+from fractions import Fraction
 
 from hopfpath.trees import EMPTY_FOREST, Forest, Tree
 
@@ -113,6 +118,99 @@ def forest_coproduct_oracle(f: Forest) -> dict:
                 nxt[key] = nxt.get(key, 0) + c1 * c2
         acc = nxt
     return acc
+
+
+# -- the cut coproduct and antipode by recursion --------------------------
+#
+# The Forest-level recursions the library ran before its forest context's
+# integer rows replaced them, kept verbatim: the context's cut and antipode
+# rows must equal these tuples element for element, order included.
+
+
+@functools.lru_cache(maxsize=None)
+def _tree_coproduct(t: Tree) -> tuple:
+    """Cut coproduct of a single tree as ((left forest, right forest, count), ...).
+
+    Recursion: for t = [f]_a with child forest f,
+    delta t = t (x) 1 + sum f^(1) (x) [f^(2)]_a over delta f,
+    where delta f multiplies the child coproducts.  The 1 (x) t term arises
+    from every child contributing its 1 (x) child part.
+    """
+    whole = Forest((t,))
+    out: dict = {(whole, EMPTY_FOREST): 1}
+    for left, right, cnt in _forest_coproduct(Forest(t.children)):
+        trunk = Forest((Tree(t.label, right.factors),))
+        key = (left, trunk)
+        out[key] = out.get(key, 0) + cnt
+    return tuple((a, b, c) for (a, b), c in out.items())
+
+
+@functools.lru_cache(maxsize=None)
+def _forest_coproduct(f: Forest) -> tuple:
+    """Multiplicative extension of the tree coproduct to a forest."""
+    acc: dict = {(EMPTY_FOREST, EMPTY_FOREST): 1}
+    for t in f.factors:
+        nxt: dict = {}
+        for (a, b), cnt in acc.items():
+            for ta, tb, tc in _tree_coproduct(t):
+                key = (a * ta, b * tb)
+                nxt[key] = nxt.get(key, 0) + cnt * tc
+        acc = nxt
+    return tuple((a, b, c) for (a, b), c in acc.items())
+
+
+@functools.lru_cache(maxsize=None)
+def _tree_antipode(t: Tree) -> tuple:
+    """S(t) as ((forest, integer coefficient), ...).
+
+    Graded recursion from the bialgebra axioms:
+    S(t) = -t - sum S(h1) * h2 over non-trivial cuts h1 (x) h2 of t.
+    """
+    out: dict = {Forest((t,)): -1}
+    whole = Forest((t,))
+    for left, right, cnt in _tree_coproduct(t):
+        if left == whole or right == whole or left.is_unit() or right.is_unit():
+            # skip t (x) 1 and 1 (x) t: only the reduced part enters
+            continue
+        s_left = _forest_antipode(left)
+        for f1, c1 in s_left:
+            k = f1 * right
+            out[k] = out.get(k, 0) - cnt * c1
+    return tuple(out.items())
+
+
+@functools.lru_cache(maxsize=None)
+def _forest_antipode(f: Forest) -> tuple:
+    """S on a forest basis element: algebra morphism, product of tree images."""
+    acc: dict = {EMPTY_FOREST: 1}
+    for t in f.factors:
+        nxt: dict = {}
+        for g, c in acc.items():
+            for h, c2 in _tree_antipode(t):
+                k = g * h
+                nxt[k] = nxt.get(k, 0) + c * c2
+        acc = nxt
+    return tuple(acc.items())
+
+
+def linear_coproduct(terms: dict) -> dict:
+    """The cut coproduct of {forest: coefficient} as {(left, right): total},
+    summed from Fraction(0) in term order, then in each forest's cut order."""
+    out: dict = {}
+    for f, c in terms.items():
+        for a, b, cnt in _forest_coproduct(f):
+            out[a, b] = out.get((a, b), Fraction(0)) + c * cnt
+    return out
+
+
+def linear_antipode(terms: dict) -> dict:
+    """The antipode of {forest: coefficient} as {forest: total}, summed
+    from Fraction(0) in term order, then in each forest's antipode order."""
+    out: dict = {}
+    for f, c in terms.items():
+        for g, cnt in _forest_antipode(f):
+            out[g] = out.get(g, Fraction(0)) + c * cnt
+    return out
 
 
 def rational_solve(rows, rhs):

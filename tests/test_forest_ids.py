@@ -2,13 +2,16 @@
 they replaced.
 
 `ForestContext` builds its cut rows, antipode rows and product rows from the
-positions of trees in `enumerate_trees(N, d)`, multiplying no `Forest`.  The
-forest-level maps stay as references: `_forest_coproduct` for the cuts,
-`_forest_antipode` for the antipode rows, `Forest.__mul__` for the products
-and the old `star_inverse` loop.  Tables must agree with them element for
-element, order included; `star_inverse` must give the same terms, order and
-scalar types in exact and in float mode.  The word side's operands keep
-their per-grade buckets, so `validate` builds them once per grid pair.
+positions of trees in `enumerate_trees(N, d)`, multiplying no `Forest`, and
+`coproduct`, `antipode`, `psi` and the morphism checks read those rows.  The
+forest-level recursions live on in `oracles` as references:
+`_forest_coproduct` for the cuts, `_forest_antipode` for the antipode rows;
+`Forest.__mul__` is the reference for the products, and the old
+`star_inverse` loop is written out here.  Tables must agree with them
+element for element, order included; `coproduct`, `antipode` and
+`star_inverse` must give the same terms, order and scalar types in exact and
+in float mode.  The word side's operands keep their per-grade buckets, so
+`validate` builds them once per grid pair.
 """
 
 import itertools
@@ -17,21 +20,19 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hopfpath import hopf
-from hopfpath.hopf import (
-    ForestContext,
-    HElem,
-    _forest_antipode,
-    _forest_coproduct,
-    exp_star,
-    forest_context,
-    star_inverse,
-)
+from hopfpath import hopf, morphisms, tensor
+from hopfpath.hopf import ForestContext, HElem, PairElem, antipode, coproduct, exp_star, forest_context, star_inverse
+from hopfpath.morphisms import psi, verify_hopf_morphism
 from hopfpath.roughpath import FLOAT, RATIONAL, SampledPath, canonical_lift, validate
 from hopfpath.tensor import WordContext
 from hopfpath.trees import EMPTY_FOREST, Forest, enumerate_forests, enumerate_trees
+from oracles import _forest_antipode, _forest_coproduct, linear_antipode, linear_coproduct
 
 SIZES = [(0, 1), (1, 3), (3, 2), (4, 3), (5, 2), (6, 1)]
+
+
+def items_with_types(x) -> list:
+    return [(k, c, type(c)) for k, c in x.terms.items()]
 
 
 @pytest.mark.parametrize("N, d", SIZES)
@@ -40,6 +41,9 @@ def test_cuts_are_the_forest_coproduct_in_its_order(N, d):
     index = ctx.index
     want = tuple(tuple((index[a], index[b], c) for a, b, c in _forest_coproduct(h)) for h in ctx.basis)
     assert ctx.cuts == want
+    for h in ctx.basis:  # the public map reads the rows of the context of h's grade
+        x = HElem.from_forest(h, d)
+        assert items_with_types(coproduct(x)) == items_with_types(PairElem(linear_coproduct(x.terms), d)), h
 
 
 @pytest.mark.parametrize("N, d", SIZES)
@@ -48,6 +52,22 @@ def test_antipode_rows_are_the_filtered_forest_antipode(N, d):
     index = ctx.index
     for i, h in enumerate(ctx.basis):
         assert ctx.antipode(i) == tuple((index[f], c) for f, c in _forest_antipode(h) if c), h
+        x = HElem.from_forest(h, d)
+        assert items_with_types(antipode(x)) == items_with_types(HElem(linear_antipode(x.terms), d)), h
+
+
+@pytest.mark.parametrize("N, d", SIZES)
+@pytest.mark.parametrize("scalar", [Q, lambda p, q: p / q])
+def test_coproduct_and_antipode_of_a_combination_match_the_recursions(N, d, scalar):
+    # every basis forest once, both signs, in an order that is not the basis
+    # order; an element whose labels pass its d (HElem does not refuse one)
+    # is read on a context wide enough to hold them
+    forests = list(enumerate_forests(N, d))
+    random.Random(N * 10 + d).shuffle(forests)
+    terms = {f: scalar((-1) ** k * (k + 1), 7) for k, f in enumerate(forests)}
+    for x in (HElem(terms, d), HElem(terms, max(d - 1, 1))):
+        assert items_with_types(coproduct(x)) == items_with_types(PairElem(linear_coproduct(terms), x.d))
+        assert items_with_types(antipode(x)) == items_with_types(HElem(linear_antipode(terms), x.d))
 
 
 @pytest.mark.parametrize("N, d", [(1, 3), (3, 2), (6, 1)])
@@ -93,10 +113,6 @@ def character(N: int, d: int, seed: int, unit, values) -> HElem:
     return HElem(terms, d)
 
 
-def items_with_types(x: HElem) -> list:
-    return [(k, c, type(c)) for k, c in x.terms.items()]
-
-
 EXACT_VALUES = (Q(1, 2), Q(-3, 4), Q(5, 3), Q(2), Q(-1, 7), Q(0))
 # dyadic floats with short mantissas: products of up to six stay exact, so
 # the float characters pass the exact character test
@@ -127,6 +143,22 @@ def test_building_the_forest_context_multiplies_no_forests(monkeypatch):
     assert calls == []
     assert ctx.basis[1] * ctx.basis[2] == ctx.keys[ctx.product_row(1, 2)[0]]
     assert calls == [1]  # the guard sees a Forest product
+
+
+def test_the_maps_on_the_forest_rows_multiply_no_forests(monkeypatch):
+    for mod in (hopf, morphisms, tensor):
+        for fn in vars(mod).values():
+            if getattr(fn, "__module__", None) == mod.__name__ and hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    calls = []
+    mul = Forest.__mul__
+    monkeypatch.setattr(Forest, "__mul__", lambda self, other: calls.append(1) or mul(self, other))
+    assert verify_hopf_morphism("psi", 5, 2)["status"] == "pass"
+    assert verify_hopf_morphism("phi_g", 5, 2)["status"] == "pass"
+    x = HElem({f: Q(k + 1, 3) for k, f in enumerate(enumerate_forests(5, 2)[::5])}, 2)
+    assert x.max_grade() == 5
+    coproduct(x), antipode(x), psi(x, 5)
+    assert calls == []
 
 
 def walk(M: int, mode: str) -> SampledPath:

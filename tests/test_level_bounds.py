@@ -53,6 +53,21 @@ def test_a_tiny_gamma_returns_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("gamma", [1e-300, 2**-60, 2**-53])
+def test_float_gamma_whose_level_reaches_2_to_the_53_is_refused_at_once(gamma):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"gamma is too small.*reach 2\\^53, got {gamma}"):
+        gamma_to_level(gamma)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_float_levels_just_below_2_to_the_53_are_read():
+    assert gamma_to_level(2**-52) == 2**52
+    for g in (1 / (2**53 - 5), 1 / (2**52 + 3)):
+        N = gamma_to_level(g)
+        assert N < 2**53 and N * g <= 1 < (N + 1) * g
+
+
 @pytest.mark.parametrize("gamma", [0, 1, Q(3, 2), -0.5, 1.0])
 def test_gamma_outside_the_unit_interval_is_refused(gamma):
     with pytest.raises(ValueError, match="gamma must lie in"):

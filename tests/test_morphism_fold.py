@@ -17,10 +17,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from hopfpath.hopf import HElem, _tree_coproduct
+from hopfpath.hopf import HElem
 from hopfpath.morphisms import MorphismTable, phi_g, phi_g_adjoint, psi, psi_adjoint
 from hopfpath.tensor import TensorElem, Word, enumerate_words, shuffle
 from hopfpath.trees import Forest, Tree, enumerate_forests, enumerate_trees, forests_of_grade
+from oracles import _tree_coproduct
 
 _ZERO = Q(0)
 _UNIT = {Word(): Q(1)}

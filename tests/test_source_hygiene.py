@@ -7,7 +7,8 @@ No linter ships with the project, so two checks stand in for one:
   re-export such as `hopf.pair`); the package `__init__` is the public
   surface and re-exports by design, so it is not checked;
 - every top-level `_private` definition is referenced somewhere in `src/`,
-  `tests/` or `bench/` outside its own body.
+  `tests/` or `bench/` outside its own body, and in fact from `src/`: a
+  helper that only tests or the benchmark reach belongs in `tests/`.
 
 A helper left behind by a refactor fails one of them.
 """
@@ -78,9 +79,11 @@ def test_every_module_level_import_is_used_or_re_exported():
     assert unused == []
 
 
-def test_every_private_top_level_definition_is_referenced():
+def _unreferenced(readers) -> list:
+    """The top-level `_private` definitions of the package that no file in
+    readers references outside their own body."""
     trees = _trees()
-    loaded = {path: _loaded_names(tree) for path, tree in trees.items()}
+    loaded = {path: _loaded_names(trees[path]) for path in readers}
     unreferenced = []
     for path in sorted(PACKAGE.glob("*.py")):
         body = trees[path].body
@@ -98,4 +101,13 @@ def test_every_private_top_level_definition_is_referenced():
                 if name.startswith("_") and not name.startswith("__"):
                     if not any(name in (own if p == path else found) for p, found in loaded.items()):
                         unreferenced.append(f"{path.name}: {name}")
-    assert unreferenced == []
+    return unreferenced
+
+
+def test_every_private_top_level_definition_is_referenced():
+    assert _unreferenced(SOURCES) == []
+
+
+def test_every_private_top_level_definition_is_used_by_the_package():
+    # a helper kept alive only as a test reference belongs in tests/
+    assert _unreferenced(sorted(PACKAGE.glob("*.py"))) == []
