@@ -19,7 +19,6 @@ from .conversion import (
     base_path_of,
     certify,
     encode,
-    extend_alphabet,
     simplify_n2,
 )
 from .expr import ParseError, parse_h, parse_tensor, print_h, print_tensor
@@ -38,7 +37,6 @@ from .hopf import (
     log_star,
     pair,
     product,
-    reduced_coproduct,
     star_inverse,
 )
 from .morphisms import (
@@ -53,7 +51,6 @@ from .morphisms import (
 )
 from .rde import (
     ButcherTable,
-    ControlledPath,
     LglResult,
     Poly,
     PolyVectorField,
@@ -62,15 +59,9 @@ from .rde import (
     butcher,
     butcher_h,
     check_lgl,
-    compose_controlled,
-    consistency_report,
-    constant_controlled,
     convert_rde,
-    integrate_controlled,
     parse_poly,
-    path_controlled,
     print_poly,
-    solution_controlled,
     solve_branched,
     solve_geometric,
     solve_simplified,
@@ -84,7 +75,6 @@ from .roughpath import (
     Grid,
     SampledPath,
     canonical_lift,
-    coarsen,
     embed_geometric,
     gamma_to_level,
     geometricity_report,
@@ -101,7 +91,6 @@ from .tensor import (
     concat,
     deconcat,
     enumerate_words,
-    pair_tensor,
     shuffle,
     tensor_exp,
     tensor_log,

@@ -196,47 +196,6 @@ def encode(X: BranchedRoughPath, certify_result: bool = True, check_cocycle: boo
     return ConversionResult(ext, geometric, cert if certify_result else {"status": "skipped"})
 
 
-def extend_alphabet(X1: BranchedRoughPath, new_components: SampledPath) -> BranchedRoughPath:
-    """Adjoin extra labels to a branched rough path.
-
-    Trees labelled entirely inside the old alphabet keep their values; any
-    tree that mentions a new label gets the left-point rule, so its adjacent
-    increments vanish beyond grade 1 and composition fills in the rest.
-    """
-    if new_components.grid != X1.grid:
-        raise ValueError("new components must share the grid")
-    if not new_components.has_label_basis():
-        raise ValueError("new components must use a plain label basis")
-    d1 = X1.d
-    new_labels = sorted(t.label for t in new_components.basis)
-    if new_labels != list(range(d1 + 1, d1 + 1 + len(new_labels))):
-        raise ValueError(
-            f"new labels must be contiguous above {d1}, got {new_labels}"
-        )
-    d2 = d1 + len(new_labels)
-    increments = []
-    for k in range(X1.grid.steps):
-        delta = new_components.delta(k)
-        by_label = {t.label: delta[t] for t in new_components.basis}
-        old = X1.increments[k]
-        terms = {}
-        for f in enumerate_forests(X1.N, d2):
-            v = 1
-            for t in f.factors:
-                if t.max_label() <= d1:
-                    v = v * old.coeff(Forest((t,)))
-                elif t.grade == 1:
-                    v = v * by_label[t.label]
-                else:
-                    v = 0
-                if v == 0:
-                    break
-            if v != 0 or f.is_unit():
-                terms[f] = v
-        increments.append(HElem(terms, d2))
-    return BranchedRoughPath(X1.N, X1.gamma, X1.grid, increments, d2, X1.mode)
-
-
 # -- the level-2 shortcut --------------------------------------------------
 
 

@@ -153,16 +153,6 @@ def coproduct(x: HElem) -> PairElem:
     return PairElem(out, x.d)
 
 
-def reduced_coproduct(x: HElem) -> PairElem:
-    """delta' x = delta x - 1 (x) x - x (x) 1."""
-    full = coproduct(x)
-    out = dict(full.terms)
-    for f, c in x.terms.items():
-        for key in ((EMPTY_FOREST, f), (f, EMPTY_FOREST)):
-            out[key] = out.get(key, _ZERO) - c
-    return PairElem(out, x.d)
-
-
 def antipode(x: HElem) -> HElem:
     """The antipode, extended linearly: each forest's antipode row, in term
     order and then in the row's order."""

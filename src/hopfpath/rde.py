@@ -22,16 +22,15 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .expr import parse_rational
-from .hopf import HElem, _attach_at, _vertex_addresses, forest_context
+from .hopf import HElem, _attach_at, _vertex_addresses
 from .linear import Linear, context_field
-from .roughpath import FLOAT, RATIONAL, BranchedRoughPath, GeometricRoughPath, Grid, SampledPath, _grid_csv
+from .roughpath import FLOAT, RATIONAL, BranchedRoughPath, GeometricRoughPath, Grid, _grid_csv
 from .scalars import numerators
 from .tensor import TensorElem, Word
 from .trees import (
     EMPTY_FOREST,
     Forest,
     Tree,
-    enumerate_forests,
     enumerate_trees,
     leaf,
     symmetry_factor,
@@ -628,230 +627,3 @@ def check_lgl(f: ButcherTable, lam, h, N: int) -> LglResult:
             lc, rc = (Fraction(d.get(mono, 0), den * D * Q) if exact else d.get(mono, Fraction(0)) for d in (got, want))
             return LglResult(False, {"component": a + 1, "monomial": mono, "lhs": lc, "rhs": rc})
     return LglResult(True)
-
-
-# -- controlled rough paths ------------------------------------------------
-
-
-class ControlledPath:
-    """Forest-indexed coefficient data at each grid time.
-
-    coeffs[k] maps forests of grade <= N-1 to R^e vectors; the unit forest
-    holds the state.
-    """
-
-    __slots__ = ("grid", "coeffs", "N", "d", "e", "mode")
-
-    def __init__(self, grid: Grid, coeffs: Sequence[Mapping], N: int, d: int, mode: str = RATIONAL):
-        coeffs = [dict(c) for c in coeffs]
-        if len(coeffs) != len(grid):
-            raise ValueError("one coefficient map per grid time required")
-        states = [c.get(EMPTY_FOREST) for c in coeffs]
-        if any(s is None for s in states):
-            raise ValueError("every time needs a state at the unit forest")
-        es = {len(s) for s in states}
-        if len(es) != 1:
-            raise ValueError("state dimension must be constant")
-        for c in coeffs:
-            for h in c:
-                if h.grade > N - 1:
-                    raise ValueError(f"coefficient forest {h!r} above grade {N - 1}")
-        self.grid = grid
-        self.coeffs = coeffs
-        self.N = N
-        self.d = d
-        self.e = es.pop()
-        self.mode = mode
-
-    def state(self, k: int) -> tuple:
-        return tuple(self.coeffs[k][EMPTY_FOREST])
-
-    def coeff(self, k: int, h: Forest) -> tuple:
-        got = self.coeffs[k].get(h)
-        return tuple(got) if got is not None else (0,) * self.e
-
-
-def constant_controlled(grid: Grid, value: Sequence, N: int, d: int, mode: str = RATIONAL) -> ControlledPath:
-    v = tuple(value)
-    return ControlledPath(grid, [{EMPTY_FOREST: v} for _ in range(len(grid))], N, d, mode)
-
-
-def path_controlled(path: SampledPath, N: int) -> ControlledPath:
-    """The canonical controlled view of the path itself: state X_t, unit
-    vectors on the single-vertex trees."""
-    if not path.has_label_basis():
-        raise ValueError("path_controlled expects a plain label basis")
-    d = path.d
-    coeffs = []
-    for row in path.values:
-        c = {EMPTY_FOREST: tuple(row)}
-        if N >= 2:
-            for t in path.basis:
-                c[Forest((t,))] = tuple(
-                    1 if i == t.label - 1 else 0 for i in range(len(row))
-                )
-        coeffs.append(c)
-    return ControlledPath(path.grid, coeffs, N, d, path.mode)
-
-
-def integrate_controlled(Z: ControlledPath, X: BranchedRoughPath, i: int) -> ControlledPath:
-    """Grid sewing of Ztilde_st = sum_h <h, Z_s> <X_st, [h]_i>.
-
-    The new state starts at 0 and accumulates the adjacent Ztilde values;
-    coefficients move up one grade under h -> [h]_i and vanish elsewhere.
-    """
-    if Z.grid != X.grid:
-        raise ValueError("controlled path and driver must share the grid")
-    if not 1 <= i <= X.d:
-        raise ValueError(f"component {i} outside 1..{X.d}")
-    N, d, e = X.N, X.d, Z.e
-    zero = (Fraction(0) if X.mode == RATIONAL else 0.0,) * e
-    states = [zero]
-    acc = zero
-    for k in range(X.grid.steps):
-        g = X.increments[k]
-        tilde = [0] * e
-        for h, vec in Z.coeffs[k].items():
-            c = g.coeff(Forest((Tree(i, h.factors),)))
-            if c == 0:
-                continue
-            tilde = [a + c * v for a, v in zip(tilde, vec)]
-        acc = tuple(a + b for a, b in zip(acc, tilde))
-        states.append(acc)
-    coeffs = []
-    for k in range(len(X.grid)):
-        c = {EMPTY_FOREST: states[k]}
-        for h, vec in Z.coeffs[k].items():
-            if h.grade <= N - 2:
-                c[Forest((Tree(i, h.factors),))] = tuple(vec)
-        coeffs.append(c)
-    return ControlledPath(X.grid, coeffs, N, d, X.mode)
-
-
-def compose_controlled(phi: PolyVectorField, Z: ControlledPath) -> ControlledPath:
-    """Push a controlled path through a polynomial map via its Taylor
-    expansion: coefficients sum 1/n! D^n phi over ordered factorizations."""
-    if phi.e != Z.e:
-        raise ValueError(f"map acts on dimension {phi.e}, path has {Z.e}")
-    if Z.mode == FLOAT:
-        phi = phi.to_float()
-    coeffs = []
-    for k in range(len(Z.grid)):
-        z = Z.state(k)
-        out = {EMPTY_FOREST: phi.eval(z)}
-        for h in _nonunit_forests(Z):
-            total = None
-            for n in range(1, Z.N):
-                inv = Fraction(1, math.factorial(n)) if Z.mode == RATIONAL else 1 / math.factorial(n)
-                for split in _ordered_splits(h.factors, n):
-                    vecs = [Z.coeff(k, part) for part in split]
-                    if any(all(v == 0 for v in vec) for vec in vecs):
-                        continue
-                    consts = [PolyVectorField([Poly.const(v, Z.e) for v in vec]) for vec in vecs]
-                    term = apply_derivative(phi, consts).eval(z)
-                    term = tuple(inv * v for v in term)
-                    total = term if total is None else tuple(a + b for a, b in zip(total, term))
-            if total is not None and any(total):
-                out[h] = total
-        coeffs.append(out)
-    return ControlledPath(Z.grid, coeffs, Z.N, Z.d, Z.mode)
-
-
-def _nonunit_forests(Z: ControlledPath):
-    return [h for h in enumerate_forests(Z.N - 1, Z.d) if not h.is_unit()]
-
-
-def _ordered_splits(factors: tuple, n: int):
-    """All ordered n-tuples of disjoint non-empty sub-multisets covering the
-    factors, without double-counting equal trees."""
-    m = len(factors)
-    if n > m:
-        return
-    if n == 1:
-        yield (Forest(factors),)
-        return
-    seen = set()
-    for mask in range(1, 1 << m):
-        if mask == (1 << m) - 1:
-            continue
-        first = tuple(factors[i] for i in range(m) if mask >> i & 1)
-        key = Forest(first)
-        if key in seen:
-            continue
-        seen.add(key)
-        rest = tuple(factors[i] for i in range(m) if not mask >> i & 1)
-        for tail in _ordered_splits(rest, n - 1):
-            yield (key,) + tail
-
-
-def consistency_report(Z: ControlledPath, X: BranchedRoughPath) -> dict:
-    """Residuals R^h_st = <h, Z_t> - <X_st * h, Z_s> over all grid pairs.
-
-    The transported term pairs the coproduct: <X * delta_h, g> picks the
-    terms of Delta(g) whose right factor is h.
-    """
-    if Z.grid != X.grid:
-        raise ValueError("controlled path and driver must share the grid")
-    ctx = forest_context(Z.N - 1, Z.d)
-    basis = ctx.basis
-    action = [[] for _ in basis]  # per basis forest h, its cuts (g, left, count) of g in the basis
-    for g, cuts in zip(basis, ctx.cuts):
-        for a, b, cnt in cuts:
-            action[b].append((g, basis[a], cnt))
-    M = X.grid.steps
-    per = {repr(h): 0.0 for h in basis}
-    pairs = []
-    for s, t in itertools.combinations(range(M + 1), 2):
-        inc = X.increment(s, t)
-        residuals = {}
-        for h, cuts in zip(basis, action):
-            transported = (0,) * Z.e
-            for g, left, cnt in cuts:
-                x = inc.coeff(left)
-                if x == 0:
-                    continue
-                vec = Z.coeffs[s].get(g)
-                if vec is None:
-                    continue
-                transported = tuple(
-                    a + cnt * x * v for a, v in zip(transported, vec)
-                )
-            actual = Z.coeff(t, h)
-            r = max(abs(float(a - b)) for a, b in zip(actual, transported))
-            name = repr(h)
-            residuals[name] = r
-            if r > per[name]:
-                per[name] = r
-        pairs.append(
-            {
-                "s": s,
-                "t": t,
-                "span": float(X.grid.times[t] - X.grid.times[s]),
-                "residuals": residuals,
-            }
-        )
-    return {
-        "per_forest": per,
-        "pairs": pairs,
-        "max": max(per.values(), default=0.0),
-    }
-
-
-def solution_controlled(traj: Trajectory, f: ButcherTable, N: int, d: int) -> ControlledPath:
-    """Controlled view of an RDE solution: the butcher_h coefficients
-    f_tau(Y_t)/sigma(tau) on single trees, zero on products."""
-    basis = enumerate_forests(N - 1, d)
-    coeffs = []
-    for y in traj.values:
-        c = {}
-        for h in basis:
-            if h.is_unit():
-                c[h] = tuple(y)
-            elif h.is_single_tree():
-                tau = h.factors[0]
-                w = Fraction(1, symmetry_factor(tau))
-                v = tuple(w * vi for vi in f.field(tau).eval(y))
-                if any(v):
-                    c[h] = v
-        coeffs.append(c)
-    return ControlledPath(traj.grid, coeffs, N, d, traj.mode)

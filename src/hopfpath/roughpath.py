@@ -36,6 +36,7 @@ import itertools
 import json
 import math
 import operator
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -321,25 +322,31 @@ class GeometricRoughPath(_RoughPathBase):
 
 
 def gamma_to_level(gamma) -> int:
-    """Largest N with N*gamma <= 1, with float products for a float gamma."""
+    """Largest N with N*gamma <= 1, with float products for a float gamma.
+    In either mode a gamma whose level would reach 2^53 is refused."""
     g = Fraction(gamma) if not isinstance(gamma, float) else gamma
     if not 0 < g < 1:
         raise ValueError(f"gamma must lie in (0,1), got {gamma}")
     if not isinstance(g, float):
-        return 1 // g
-    if math.isinf(1 / g):
+        if 1 // g < 2**53:
+            return 1 // g
+    elif math.isinf(1 / g):
         raise ValueError(f"gamma is too small for a float level: 1/gamma overflows, got {gamma}")
-    # 1 / g is rounded, so N * g may land on either side of 1; from 2^53 on,
-    # float(N + 1) may equal float(N), so the steps could not stop
-    N = min(int(1 / g), 2**53 - 1)
-    while N < 2**53:
-        if N * g > 1:
-            N -= 1
-        elif (N + 1) * g <= 1:
-            N += 1
-        else:
-            return N
-    raise ValueError(f"gamma is too small for a float level: the level would reach 2^53, got {gamma}")
+    else:
+        # 1 / g is rounded, so N * g may land on either side of 1; from 2^53
+        # on, float(N + 1) may equal float(N), so the steps could not stop
+        N = min(int(1 / g), 2**53 - 1)
+        while N < 2**53:
+            if N * g > 1:
+                N -= 1
+            elif (N + 1) * g <= 1:
+                N += 1
+            else:
+                return N
+    shown = str(g)
+    if len(shown) > 24:  # a long fraction, shown to six digits
+        shown = f"{Decimal(g.numerator) / Decimal(g.denominator):.6g}"
+    raise ValueError(f"gamma is too small: the level would reach 2^53, got {shown}")
 
 
 # -- lift constructors -----------------------------------------------------
@@ -481,18 +488,6 @@ def embed_geometric(Xbar: GeometricRoughPath) -> BranchedRoughPath:
                 terms[h] = v
         increments.append(HElem(terms, d))
     return BranchedRoughPath(Xbar.N, Xbar.gamma, Xbar.grid, increments, d, Xbar.mode)
-
-
-def coarsen(X, stride: int):
-    """Subsample the grid by a stride, composing the skipped increments."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    idx = list(range(0, X.grid.steps + 1, stride))
-    if idx[-1] != X.grid.steps:
-        idx.append(X.grid.steps)
-    times = [X.grid.times[i] for i in idx]
-    incs = [X.increment(a, b) for a, b in zip(idx, idx[1:])]
-    return type(X)(X.N, X.gamma, Grid(times), incs, X.d, X.mode, *(getattr(X, f) for f in X.tree_fields))
 
 
 # -- validation ------------------------------------------------------------

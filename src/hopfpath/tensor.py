@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .linear import Context, Linear, LinearPairs, context_field, context_product, exp_series, is_character
-from .linear import log_series, pair
+from .linear import log_series
 from .scalars import numerators
 from .trees import Tree, enumerate_trees
 
@@ -370,9 +370,6 @@ def deconcat(x: TensorElem) -> WordPairElem:
             key = (Word(w.letters[:k]), Word(w.letters[k:]))
             out[key] = out.get(key, _ZERO) + c
     return WordPairElem(out, x.d, x.n)
-
-
-pair_tensor = pair
 
 
 # -- exp / log -------------------------------------------------------------

@@ -10,7 +10,6 @@ from hopfpath.conversion import (
     base_path_of,
     certify,
     encode,
-    extend_alphabet,
     extract_extended_path,
     simplify_n2,
 )
@@ -26,9 +25,7 @@ from hopfpath.roughpath import (
     validate,
 )
 from hopfpath.tensor import Word, is_tensor_group_like
-from hopfpath.trees import Forest, Tree, enumerate_forests, leaf
-
-from oracles import leftpoint_oracle
+from hopfpath.trees import Forest, Tree, leaf
 
 B1, B2 = leaf(1), leaf(2)
 
@@ -268,99 +265,6 @@ def test_conversion_json(encoded_n2):
     import json
 
     json.loads(encoded_n2.to_json())
-
-
-# -- alphabet extension ----------------------------------------------------
-
-
-def test_extend_alphabet_matches_joint_ito_lift():
-    p = walk_path_d1()
-    X1 = ito_lift(p, 2, Q(2, 5))
-    newcol = SampledPath(
-        p.grid, (B2,), [[Q(0)], [Q(1, 3)], [Q(1)], [Q(1, 2)], [Q(3, 2)]]
-    )
-    X2 = extend_alphabet(X1, newcol)
-    joint_rows = [
-        [p.values[k][0], newcol.values[k][0]] for k in range(5)
-    ]
-    joint = ito_lift(SampledPath.over_labels(p.grid.times, joint_rows, 2), 2, Q(2, 5))
-    assert X2.d == 2
-    for a, b in zip(X2.increments, joint.increments):
-        assert a.terms == b.terms
-    rep = validate(X2)
-    assert rep["character"]["status"] == "pass" and rep["chen"]["status"] == "pass"
-
-
-def test_extend_alphabet_keeps_old_values():
-    p = two_step_path()
-    X1 = embed_geometric(canonical_lift(p, 2))
-    newcol = SampledPath(p.grid, (leaf(3),), [[Q(0)], [Q(1, 5)], [Q(1)]])
-    X2 = extend_alphabet(X1, newcol)
-    for s in range(3):
-        for t in range(s + 1, 3):
-            a, b = X1.increment(s, t), X2.increment(s, t)
-            for h in enumerate_forests(2, 2):
-                assert a.coeff(h) == b.coeff(h)
-
-
-def test_extend_alphabet_mixed_tree_left_point():
-    p = two_step_path()
-    X1 = embed_geometric(canonical_lift(p, 2))
-    newcol = SampledPath(p.grid, (leaf(3),), [[Q(0)], [Q(1, 5)], [Q(1)]])
-    X2 = extend_alphabet(X1, newcol)
-    # [b_1]_3 over the whole grid: sum of X^1 so far times the new increments
-    tau = Tree(3, (B1,))
-    expected = sum(
-        X1.increment(0, u).coeff(Forest((B1,))) * (newcol.values[u + 1][0] - newcol.values[u][0])
-        for u in range(2)
-    )
-    assert X2.increment(0, 2).coeff(Forest((tau,))) == expected
-    # new label as a leaf inside an old-root tree
-    tau2 = Tree(1, (leaf(3),))
-    expected2 = sum(
-        X2.increment(0, u).coeff(Forest((leaf(3),))) * (p.values[u + 1][0] - p.values[u][0])
-        for u in range(2)
-    )
-    assert X2.increment(0, 2).coeff(Forest((tau2,))) == expected2
-
-
-def test_extend_alphabet_leftpoint_everywhere_oracle():
-    p = walk_path_d1()
-    X1 = ito_lift(p, 3, Q(3, 10))
-    newcol = SampledPath(
-        p.grid, (B2,), [[Q(0)], [Q(-1, 2)], [Q(1, 4)], [Q(1)], [Q(1, 2)]]
-    )
-    X2 = extend_alphabet(X1, newcol)
-    rows = [[p.values[k][0], newcol.values[k][0]] for k in range(5)]
-    for s in range(5):
-        for t in range(s, 5):
-            inc = X2.increment(s, t)
-            for f in enumerate_forests(3, 2):
-                assert inc.coeff(f) == leftpoint_oracle(rows, f, s, t)
-
-
-def test_extend_alphabet_constant_component_vanishes():
-    p = two_step_path()
-    X1 = ito_lift(p, 2, Q(2, 5))
-    newcol = SampledPath(p.grid, (leaf(3),), [[Q(4)], [Q(4)], [Q(4)]])
-    X2 = extend_alphabet(X1, newcol)
-    full = X2.increment(0, 2)
-    for h in enumerate_forests(2, 3):
-        if any(t.max_label() == 3 for t in h.factors):
-            assert full.coeff(h) == 0
-
-
-def test_extend_alphabet_errors():
-    p = two_step_path()
-    X1 = ito_lift(p, 2)
-    other = SampledPath(
-        p.grid, (leaf(4),), [[Q(0)], [Q(1)], [Q(2)]]
-    )
-    with pytest.raises(ValueError):
-        extend_alphabet(X1, other)  # label 4 is not contiguous above 2
-    shifted = SampledPath.over_labels([Q(0), Q(1)], [[Q(0)], [Q(1)]], 1)
-    with pytest.raises(ValueError):
-        extend_alphabet(X1, shifted)  # different grid
 
 
 # -- level-2 simplification ------------------------------------------------

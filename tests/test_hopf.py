@@ -19,7 +19,6 @@ from hopfpath.hopf import (
     log_star,
     pair,
     product,
-    reduced_coproduct,
     star_inverse,
 )
 from hopfpath.trees import (
@@ -216,16 +215,6 @@ def test_grading_of_coproduct():
     for f in enumerate_forests(4, 2):
         for (a, b), _ in coproduct(HElem.from_forest(f, 2)).terms.items():
             assert a.grade + b.grade == f.grade
-
-
-def test_reduced_coproduct():
-    x = HElem.from_tree(B1_2, 2)
-    assert reduced_coproduct(x) == expected_pairs(2, (F(B1), F(B2), 1))
-    assert reduced_coproduct(single(1)).terms == {}
-    # reduced coproduct of the unit is -1 (x) 1 - 1 (x) 1 + 1 (x) 1 = -(1 (x) 1)
-    assert reduced_coproduct(HElem.unit(2)) == expected_pairs(
-        2, (EMPTY_FOREST, EMPTY_FOREST, -1)
-    )
 
 
 # -- antipode --------------------------------------------------------------

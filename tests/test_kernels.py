@@ -104,8 +104,8 @@ def _coefficient(draw, mode):
 def _terms(draw, basis, unit, mode, max_size):
     """Random sparse coefficients on a basis whose first element is the
     unit, which comes first when drawn.  Float elements may hold the unit as
-    Fraction(1), as increments do, or as the int 1, as extend_alphabet
-    writes it."""
+    Fraction(1), as increments do, or as the int 1, as a library caller may
+    write it."""
     terms = {}
     if draw(st.booleans()):
         c = _coefficient(draw, mode)

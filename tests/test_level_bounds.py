@@ -1,20 +1,27 @@
 """The truncation level: read from gamma in O(1), and enforced on load.
 
 `gamma_to_level` is checked against the loop it replaced, kept here as the
-reference.  A rough-path JSON file whose increments hold a key of grade
+reference; a gamma whose level would reach 2^53 is refused at once, exact
+or float.  A rough-path JSON file whose increments hold a key of grade
 above its `level` is refused with exit 2 and the key's location, on the
 branched and on the geometric side, where it used to be read and then
 dropped by every later step.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
 from hopfpath.cli import main
 from hopfpath.roughpath import gamma_to_level
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def gamma_to_level_reference(gamma) -> int:
@@ -48,6 +55,7 @@ def test_float_levels_match_the_loop():
 def test_a_tiny_gamma_returns_at_once():
     start = time.perf_counter()
     assert gamma_to_level(Q(1, 10**12)) == 10**12
+    assert gamma_to_level(Q(1, 2**53 - 1)) == 2**53 - 1  # the largest exact level read
     N = gamma_to_level(1e-12)  # the largest N with N * g <= 1 in float products
     assert N * 1e-12 <= 1 < (N + 1) * 1e-12
     assert time.perf_counter() - start < 1.0
@@ -66,6 +74,26 @@ def test_float_levels_just_below_2_to_the_53_are_read():
     for g in (1 / (2**53 - 5), 1 / (2**52 + 3)):
         N = gamma_to_level(g)
         assert N < 2**53 and N * g <= 1 < (N + 1) * g
+
+
+@pytest.mark.parametrize("gamma, shown", [(Q(1, 10**300), "1e-300"), (Q(1, 2**53), "1/9007199254740992")])
+def test_exact_gamma_whose_level_reaches_2_to_the_53_is_refused_at_once(gamma, shown):
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as refused:
+        gamma_to_level(gamma)
+    assert str(refused.value) == f"gamma is too small: the level would reach 2^53, got {shown}"
+    assert time.perf_counter() - start < 1.0
+
+
+def test_cli_refuses_an_exact_gamma_whose_level_reaches_2_to_the_53():
+    # in a child interpreter, so a level that is not refused times out
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfpath", "lift", "--synth", "rw", "--steps", "2", "--gamma", "1e-300"],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: gamma is too small: the level would reach 2^53, got 1e-300\n"
 
 
 @pytest.mark.parametrize("gamma", [0, 1, Q(3, 2), -0.5, 1.0])

@@ -1,5 +1,5 @@
 """Exact solvers on both sides of the encoding, the grafting identity, and
-controlled-path calculus."""
+the solution's one-step expansion."""
 
 import hashlib
 import itertools
@@ -15,7 +15,6 @@ from hopfpath.hopf import HElem
 from hopfpath.morphisms import psi_adjoint
 from hopfpath.rde import (
     ButcherTable,
-    ControlledPath,
     Poly,
     PolyVectorField,
     Trajectory,
@@ -24,16 +23,10 @@ from hopfpath.rde import (
     butcher,
     butcher_h,
     check_lgl,
-    compose_controlled,
-    consistency_report,
-    constant_controlled,
     convert_rde,
     geometric_F,
-    integrate_controlled,
     parse_poly,
-    path_controlled,
     print_poly,
-    solution_controlled,
     solve_branched,
     solve_geometric,
     solve_simplified,
@@ -62,7 +55,6 @@ from hopfpath.trees import (
 from oracles import (
     count_trees,
     exp_flow_oracle,
-    leftpoint_oracle,
     mixed_derivative_oracle,
 )
 
@@ -534,173 +526,24 @@ def test_lgl_grade_precondition():
         check_lgl(f, B1, graft([B1, B2], 1), 3)
 
 
-# -- controlled paths ------------------------------------------------------
-
-
-def test_controlled_path_validation(ito_d2_n2):
-    grid = ito_d2_n2.grid
-    with pytest.raises(ValueError):
-        ControlledPath(grid, [{} for _ in range(len(grid))], 2, 2)
-    deep = {EMPTY_FOREST: (Q(0),), Forest((graft([B1], 1),)): (Q(1),)}
-    with pytest.raises(ValueError):
-        ControlledPath(grid, [deep] * len(grid), 2, 2)
-
-
-def test_integrate_unit_gives_increments(ito_d2_n2):
-    path = walk_path_d2()
-    Z = constant_controlled(ito_d2_n2.grid, (Q(1),), 2, 2)
-    for i in (1, 2):
-        I = integrate_controlled(Z, ito_d2_n2, i)
-        for k in range(len(path.grid)):
-            assert I.state(k) == (path.values[k][i - 1] - path.values[0][i - 1],)
-        assert I.coeff(0, Forest((leaf(i),))) == (Q(1),)
-
-
-def test_integrate_polynomial_image_matches_taylor_sum(ito_d1_n3):
-    # per-step increment sum_m sum_beta d^beta F / m! <X, [b_beta...]_i>
-    path = walk_path_d1()
-    F = PolyVectorField.parse(["y1^3"])
-    Z = compose_controlled(F, path_controlled(path, 3))
-    I = integrate_controlled(Z, ito_d1_n3, 1)
-    for k in range(4):
-        g = ito_d1_n3.increments[k]
-        x = (path.values[k][0],)
-        want = F.components[0].eval(x) * g.coeff(Forest((B1,)))
-        want += mixed_derivative_oracle(
-            F.components[0].eval, x, ((Q(1),),)
-        ) * g.coeff(Forest((graft([B1], 1),)))
-        want += (
-            mixed_derivative_oracle(F.components[0].eval, x, ((Q(1),), (Q(1),)))
-            / 2
-        ) * g.coeff(Forest((graft([B1, B1], 1),)))
-        got = I.state(k + 1)[0] - I.state(k)[0]
-        assert got == want
-
-
-def test_integrate_twice_nests(ito_d2_n2):
-    # two steps of int (int dX^2) dX^1 unrolled by hand
-    path = walk_path_d2()
-    rows = path.values
-    grid2 = SampledPath.over_labels(
-        path.grid.times[:3], rows[:3], 2
-    )
-    X = ito_lift(grid2, 3, Q(3, 10))
-    Z0 = constant_controlled(X.grid, (Q(1),), 3, 2)
-    I1 = integrate_controlled(Z0, X, 2)
-    I2 = integrate_controlled(I1, X, 1)
-    t21 = graft([B2], 1)
-    want = Q(0)
-    for k in range(2):
-        inner = rows[k][1] - rows[0][1]
-        want += inner * (rows[k + 1][0] - rows[k][0])
-        want += leftpoint_oracle(rows, t21, k, k + 1)
-    assert I2.state(2) == (want,)
-    assert I2.coeff(0, Forest((t21,))) == (Q(1),)
-
-
-def test_integrate_errors(ito_d2_n2):
-    Z = constant_controlled(ito_d2_n2.grid, (Q(1),), 2, 2)
-    with pytest.raises(ValueError):
-        integrate_controlled(Z, ito_d2_n2, 3)
-    short = SampledPath.over_labels(
-        [Q(0), Q(1)], [[Q(0), Q(0)], [Q(1), Q(1)]], 2
-    )
-    with pytest.raises(ValueError):
-        integrate_controlled(Z, ito_lift(short, 2), 1)
-
-
-def test_compose_identity_and_linear():
-    path = walk_path_d2()
-    Z = path_controlled(path, 2)
-    same = compose_controlled(PolyVectorField.identity(2), Z)
-    for k in range(len(path.grid)):
-        assert same.state(k) == Z.state(k)
-        for h in (Forest((B1,)), Forest((B2,))):
-            assert same.coeff(k, h) == Z.coeff(k, h)
-    A = PolyVectorField.linear([[Q(2), Q(1)], [Q(0), Q(3)]])
-    lin = compose_controlled(A, Z)
-    for k in range(len(path.grid)):
-        assert lin.state(k) == A(Z.state(k))
-        for h in (Forest((B1,)), Forest((B2,))):
-            v = Z.coeff(k, h)
-            assert lin.coeff(k, h) == (2 * v[0] + v[1], 3 * v[1])
-
-
-def test_compose_square_coefficients():
-    # phi(z) = z^2: <b_a b_b> picks up 2 z <b_a b_b, Z> + D^2-terms with the
-    # multiplicity of distinct orderings
-    times = [Q(0), Q(1)]
-    z, a, b, c, p = Q(1, 3), Q(2), Q(5), Q(7, 2), Q(11)
-    coeffs = {
-        EMPTY_FOREST: (z,),
-        Forest((B1,)): (a,),
-        Forest((B2,)): (b,),
-        Forest((B1, B2)): (c,),
-        Forest((B1, B1)): (p,),
-    }
-    from hopfpath.roughpath import Grid
-
-    Z = ControlledPath(Grid(times), [coeffs, coeffs], 3, 2)
-    phi = PolyVectorField.parse(["y1^2"])
-    out = compose_controlled(phi, Z)
-    assert out.state(0) == (z * z,)
-    assert out.coeff(0, Forest((B1,))) == (2 * z * a,)
-    assert out.coeff(0, Forest((B1, B2))) == (2 * z * c + 2 * a * b,)
-    assert out.coeff(0, Forest((B1, B1))) == (2 * z * p + a * a,)
-
-
-def test_compose_square_coefficients_in_float_mode():
-    # the same data as test_compose_square_coefficients, with float entries
-    from hopfpath.roughpath import FLOAT, Grid
-
-    exact = {
-        EMPTY_FOREST: (Q(1, 3),),
-        Forest((B1,)): (Q(2),),
-        Forest((B2,)): (Q(5),),
-        Forest((B1, B2)): (Q(7, 2),),
-        Forest((B1, B1)): (Q(11),),
-    }
-    floats = {h: tuple(float(v) for v in vec) for h, vec in exact.items()}
-    phi = PolyVectorField.parse(["y1^2"])
-    want = compose_controlled(phi, ControlledPath(Grid([Q(0), Q(1)]), [exact, exact], 3, 2))
-    got = compose_controlled(phi, ControlledPath(Grid([0.0, 1.0]), [floats, floats], 3, 2, FLOAT))
-    for k in range(2):
-        assert set(got.coeffs[k]) == set(want.coeffs[k])
-        for h, vec in want.coeffs[k].items():
-            (w,), (g,) = vec, got.coeffs[k][h]
-            assert isinstance(g, float)
-            assert abs(g - w) <= 1e-12 * abs(w)
-
-
-def test_float_compose_of_a_constant_map_gives_float_states():
-    from hopfpath.roughpath import Grid
-
-    phi = PolyVectorField.parse(["1", "1/3 + y1"])
-    Z = compose_controlled(phi, constant_controlled(Grid([0.0, 1.0]), [0.5, 0.25], 2, 1, FLOAT))
-    assert [Z.state(k) for k in range(2)] == [(1.0, 1 / 3 + 0.5)] * 2
-    assert all(type(v) is float for k in range(2) for v in Z.state(k))
-
-
-def test_compose_dimension_error():
-    path = walk_path_d2()
-    Z = path_controlled(path, 2)
-    with pytest.raises(ValueError):
-        compose_controlled(PolyVectorField.parse(["y1"]), Z)
-
-
 # -- the solution as a controlled path -------------------------------------
 
 
 def test_solution_controlled_adjacent_residual_is_top_grade_tail(ito_d1_n3):
+    # the solution's coefficients: the state on the unit forest and
+    # f_tau(Y)/sigma(tau) on each single tree of grade <= N-1; transported
+    # over one step they leave exactly the grade-N terms of the Euler step
     f = ButcherTable.parse({1: ["y1^2 + 1"]})
     traj = solve_branched(ito_d1_n3, f, (Q(1, 3),))
-    Z = solution_controlled(traj, f, 3, 1)
     for k in range(4):
         g = ito_d1_n3.increments[k]
         y = traj.values[k]
+        coeffs = {EMPTY_FOREST: y[0]}
+        for t in enumerate_trees(2, 1):
+            coeffs[Forest((t,))] = Q(1, symmetry_factor(t)) * f.field(t).components[0].eval(y)
         transported = Q(0)
-        for h, vec in Z.coeffs[k].items():
-            transported += vec[0] * g.coeff(h)
+        for h, c in coeffs.items():
+            transported += c * g.coeff(h)
         tail = sum(
             (Q(1, symmetry_factor(t)) * butcher(f, t).components[0].eval(y))
             * g.coeff(Forest((t,)))
@@ -708,51 +551,6 @@ def test_solution_controlled_adjacent_residual_is_top_grade_tail(ito_d1_n3):
             if t.grade == 3
         )
         assert traj.values[k + 1][0] - transported == tail
-
-
-def test_consistency_residual_slopes_track_missing_grade():
-    # smooth driver: log residual vs log span fits slope N - |h|
-    M = 16
-    times = [k / M for k in range(M + 1)]
-    rows = [(math.sin(t),) for t in times]
-    path = SampledPath.over_labels(times, rows, 1, mode=FLOAT)
-    X = embed_geometric(canonical_lift(path, 3))
-    f = ButcherTable.parse({1: ["y1^2 + 1"]})
-    traj = solve_branched(X, f, (0.0,))
-    Z = solution_controlled(traj, f, 3, 1)
-    rep = consistency_report(Z, X)
-    fits: dict = {}
-    for rec in rep["pairs"]:
-        for name, r in rec["residuals"].items():
-            if r > 1e-13:
-                fits.setdefault(name, []).append(
-                    (math.log(rec["span"]), math.log(r))
-                )
-    expected = {"1": 3.0, "b_1": 2.0, "[b_1]_1": 1.0}
-    for name, want in expected.items():
-        pts = fits[name]
-        n = len(pts)
-        sx = sum(p[0] for p in pts)
-        sy = sum(p[1] for p in pts)
-        sxx = sum(p[0] ** 2 for p in pts)
-        sxy = sum(p[0] * p[1] for p in pts)
-        slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
-        assert abs(slope - want) <= 0.2, (name, slope)
-
-
-def test_consistency_report_shape(ito_d2_n2):
-    f = quad_table_2d()
-    traj = solve_branched(ito_d2_n2, f, (Q(1, 3), Q(1, 5)))
-    Z = solution_controlled(traj, f, 2, 2)
-    rep = consistency_report(Z, ito_d2_n2)
-    assert set(rep) == {"per_forest", "pairs", "max"}
-    assert len(rep["pairs"]) == 10
-    assert rep["max"] == max(rep["per_forest"].values())
-    short = SampledPath.over_labels(
-        [Q(0), Q(1)], [[Q(0), Q(0)], [Q(1), Q(1)]], 2
-    )
-    with pytest.raises(ValueError):
-        consistency_report(Z, ito_lift(short, 2))
 
 
 # -- level-2 shortcut ------------------------------------------------------

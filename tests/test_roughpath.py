@@ -21,7 +21,6 @@ from hopfpath.roughpath import (
     SampledPath,
     _close,
     canonical_lift,
-    coarsen,
     embed_geometric,
     first_non_character,
     gamma_to_level,
@@ -459,20 +458,6 @@ def test_wide_increment_on_fresh_long_path_is_left_fold():
     assert X.increment(5, 9) == convolve(X.increment(5, 8), X.increments[8], 2)
 
 
-def test_coarsen_composes_strides():
-    p = line_path(4, 2, [Q(1), Q(3)])
-    X = ito_lift(p, 2)
-    Y = coarsen(X, 2)
-    assert Y.grid.times == (Q(0), Q(1, 2), Q(1))
-    assert Y.increments[0] == X.increment(0, 2)
-    assert Y.increments[1] == X.increment(2, 4)
-    # uneven stride keeps the final time
-    Z = coarsen(X, 3)
-    assert Z.grid.times == (Q(0), Q(3, 4), Q(1))
-    with pytest.raises(ValueError):
-        coarsen(X, 0)
-
-
 # -- level arithmetic ------------------------------------------------------
 
 
@@ -662,11 +647,16 @@ CHEN_FIXTURES = [
 ]
 
 
+def _fresh(X):
+    """X rebuilt from its adjacent increments, with an empty pair cache."""
+    return type(X)(X.N, X.gamma, X.grid, X.increments, X.d, X.mode, *(getattr(X, f) for f in X.tree_fields))
+
+
 @pytest.mark.parametrize("name", CHEN_FIXTURES)
 def test_chen_rows_match_the_element_loop(name):
     X = _chen_fixture(name)
-    report = validate(coarsen(X, 1))
-    assert report == validate_reference(coarsen(X, 1))
+    report = validate(_fresh(X))
+    assert report == validate_reference(_fresh(X))
     if name != "ito_float_data_rational_mode":
         M = X.grid.steps
         assert report["chen"] == {"status": "pass", "witness": None, "checked_triples": math.comb(M + 1, 3)}
@@ -701,7 +691,7 @@ def _corruption(rng, X):
 
 
 def _corrupted(X, pair, key, value):
-    Y = coarsen(X, 1)
+    Y = _fresh(X)
     for s in range(Y.grid.steps):
         Y.increment(s, Y.grid.steps)  # caches every wider pair
     g = Y._cache[pair]

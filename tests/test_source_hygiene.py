@@ -1,6 +1,6 @@
 """Source hygiene of the package, checked with `ast`: nothing lingers.
 
-No linter ships with the project, so two checks stand in for one:
+No linter ships with the project, so three checks stand in for one:
 
 - every module-level import of a `hopfpath` module is used in that module,
   or is imported from it by another module, a test or the benchmark (a
@@ -8,9 +8,12 @@ No linter ships with the project, so two checks stand in for one:
   surface and re-exports by design, so it is not checked;
 - every top-level `_private` definition is referenced somewhere in `src/`,
   `tests/` or `bench/` outside its own body, and in fact from `src/`: a
-  helper that only tests or the benchmark reach belongs in `tests/`.
+  helper that only tests or the benchmark reach belongs in `tests/`;
+- no top-level assignment in the package binds a second name to one of
+  its functions or classes (`pair_tensor = pair`): one object, one name.
 
-A helper left behind by a refactor fails one of them.
+A helper left behind by a refactor, or an alias kept for old callers,
+fails one of them.
 """
 
 import ast
@@ -111,3 +114,25 @@ def test_every_private_top_level_definition_is_referenced():
 def test_every_private_top_level_definition_is_used_by_the_package():
     # a helper kept alive only as a test reference belongs in tests/
     assert _unreferenced(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_no_top_level_assignment_aliases_a_package_function_or_class():
+    trees = _trees()
+    package = sorted(PACKAGE.glob("*.py"))
+    defined = {
+        node.name
+        for path in package
+        for node in trees[path].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    aliases = []
+    for path in package:
+        for node in trees[path].body:
+            value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+            if isinstance(value, ast.Attribute):
+                name = value.attr
+            else:
+                name = value.id if isinstance(value, ast.Name) else None
+            if name in defined:
+                aliases.append(f"{path.name}: {ast.unparse(node)}")
+    assert aliases == []

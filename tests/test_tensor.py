@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfpath.linear import pair
 from hopfpath.tensor import (
     EMPTY_WORD,
     TensorElem,
@@ -12,7 +13,6 @@ from hopfpath.tensor import (
     deconcat,
     enumerate_words,
     is_tensor_group_like,
-    pair_tensor,
     shuffle,
     tensor_exp,
     tensor_log,
@@ -186,7 +186,7 @@ def test_concat_deconcat_duality():
             for v in words:
                 if u.grade + v.grade != word.grade:
                     continue
-                lhs = pair_tensor(
+                lhs = pair(
                     concat(TensorElem.from_word(u, 2), TensorElem.from_word(v, 2), 3),
                     TensorElem.from_word(word, 2),
                 )
