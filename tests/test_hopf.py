@@ -509,6 +509,29 @@ def test_bch_pinned():
     assert bch == want
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (single(1), single(2)),
+        (single(1) + single(2).scale(2), single(1).scale(Fraction(-1, 3)) + HElem.from_tree(B1_2, 2)),
+    ],
+    ids=["letters", "mixed-grades"],
+)
+def test_bch_third_order(a, b):
+    # every BCH term of degree four or more in (a, b) has grade above 3
+    N = 3
+    ab = lie_bracket(a, b, N)
+    want = (
+        a
+        + b
+        + ab.scale(Fraction(1, 2))
+        + lie_bracket(a, ab, N).scale(Fraction(1, 12))
+        - lie_bracket(b, ab, N).scale(Fraction(1, 12))
+    )
+    assert log_star(convolve(exp_star(a, N), exp_star(b, N), N), N) == want
+    assert not lie_bracket(a, ab, N).is_zero()
+
+
 # -- predicates ------------------------------------------------------------
 
 

@@ -13,7 +13,7 @@ from hopfpath.morphisms import (
     psi_adjoint,
     verify_hopf_morphism,
 )
-from hopfpath.tensor import EMPTY_WORD, TensorElem, Word, word_of_labels
+from hopfpath.tensor import EMPTY_WORD, TensorElem, Word, enumerate_words, word_of_labels
 from hopfpath.trees import (
     EMPTY_FOREST,
     Forest,
@@ -156,6 +156,16 @@ def test_phi_adjoint_consistency_with_image():
             assert pair(phi_g_adjoint(w, d=2), x) == c
     # a word absent from the image pairs to zero
     assert pair(phi_g_adjoint(word_of_labels([2, 2]), d=2), h_tree(graft([leaf(1)], 2), 2)) == 0
+
+
+@pytest.mark.parametrize("N, d", [(3, 1), (3, 2), (4, 1)])
+def test_psi_adjoint_consistency_with_image(N, d):
+    # <psi*(w), h> = <w, psi(h)> on every forest and every tree-letter word
+    images = {h: psi(HElem.from_forest(h, d), N) for h in enumerate_forests(N, d)}
+    for w in enumerate_words(N, d, N):
+        adj = psi_adjoint(w, N, d=d)
+        for h, img in images.items():
+            assert pair(adj, HElem.from_forest(h, d)) == img.coeff(w), (w, h)
 
 
 # -- verification ----------------------------------------------------------

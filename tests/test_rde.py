@@ -55,6 +55,7 @@ from hopfpath.trees import (
 from oracles import (
     count_trees,
     exp_flow_oracle,
+    leftpoint_oracle,
     mixed_derivative_oracle,
 )
 
@@ -317,6 +318,77 @@ def test_solve_branched_dimension_and_type_errors(ito_d2_n2):
     Xbar = canonical_lift(walk_path_d1(), 2)
     with pytest.raises(TypeError):
         solve_branched(Xbar, ButcherTable.parse({1: ["y1"]}), (Q(1),))
+
+
+SOLVER_DRIVERS = {
+    "ito": lambda: ito_lift(walk_path_d2(), 2, Q(2, 5)),
+    "canonical": lambda: embed_geometric(canonical_lift(walk_path_d2(), 2)),
+}
+
+
+@pytest.mark.parametrize("driver", list(SOLVER_DRIVERS))
+def test_solve_branched_of_unit_fields_returns_the_path_increments(driver):
+    # dY^i = dX^i: every tree above a leaf carries a derivative of a constant
+    path = walk_path_d2()
+    X = SOLVER_DRIVERS[driver]()
+    f = ButcherTable.parse({1: ["1", "0"], 2: ["0", "1"]})
+    traj = solve_branched(X, f, (Q(0), Q(0)))
+    for k in range(len(path.grid)):
+        assert traj.values[k] == tuple(path.values[k][i] - path.values[0][i] for i in range(2))
+    assert all(set(step) <= {"b_1", "b_2"} for step in traj.steps)
+
+
+@pytest.mark.parametrize("driver", ["ito", "canonical"])
+def test_solve_branched_integrates_a_polynomial_image_by_its_taylor_sum(driver):
+    # Y^1 = X, dY^2 = F(Y^1) dX: per step the increment of Y^2 is
+    # sum_m D^m F / m! <X, [b_1 ... b_1]_1> with m children
+    path = walk_path_d1()
+    X = ito_lift(path, 3, Q(3, 10)) if driver == "ito" else embed_geometric(canonical_lift(path, 3))
+    F = PolyVectorField.parse(["y1^3"]).components[0]
+    f = ButcherTable.parse({1: ["1", "y1^3"]})
+    traj = solve_branched(X, f, (path.values[0][0], Q(0)))
+    for k in range(4):
+        g = X.increments[k]
+        x = (path.values[k][0],)
+        assert traj.values[k][0] == x[0]
+        want = F.eval(x) * g.coeff(Forest((B1,)))
+        want += mixed_derivative_oracle(F.eval, x, ((Q(1),),)) * g.coeff(Forest((graft([B1], 1),)))
+        want += (mixed_derivative_oracle(F.eval, x, ((Q(1),), (Q(1),))) / 2) * g.coeff(
+            Forest((graft([B1, B1], 1),))
+        )
+        assert traj.values[k + 1][1] - traj.values[k][1] == want
+
+
+def test_solve_branched_nests_two_integrals_by_the_leftpoint_sum():
+    # Y^1 = int dX^2 and Y^2 = int Y^1 dX^1 over two steps, unrolled by hand
+    path = walk_path_d2()
+    rows = path.values
+    X = ito_lift(SampledPath.over_labels(path.grid.times[:3], rows[:3], 2), 3, Q(3, 10))
+    f = ButcherTable.parse({1: ["0", "y1"], 2: ["1", "0"]})
+    traj = solve_branched(X, f, (Q(0), Q(0)))
+    t21 = graft([B2], 1)
+    want = Q(0)
+    for k in range(2):
+        inner = rows[k][1] - rows[0][1]
+        want += inner * (rows[k + 1][0] - rows[k][0])
+        want += leftpoint_oracle(rows, t21, k, k + 1)
+    assert traj.values[2] == (rows[2][1] - rows[0][1], want)
+    assert want != 0
+
+
+def test_float_solve_branched_matches_the_exact_solver():
+    path = walk_path_d2()
+    floats = SampledPath.over_labels(
+        [float(t) for t in path.grid.times], [[float(v) for v in r] for r in path.values], 2, mode=FLOAT
+    )
+    f = quad_table_2d()
+    exact = solve_branched(ito_lift(path, 3, Q(3, 10)), f, (Q(1, 3), Q(1, 5)))
+    got = solve_branched(ito_lift(floats, 3, 0.3), f, (1 / 3, 1 / 5))
+    assert got.mode == FLOAT and exact.mode == RATIONAL
+    for want_k, got_k in zip(exact.values, got.values, strict=True):
+        for w, g in zip(want_k, got_k, strict=True):
+            assert isinstance(g, float)
+            assert abs(g - w) <= 1e-12 * max(1, abs(w))
 
 
 # -- geometric solver ------------------------------------------------------

@@ -315,6 +315,60 @@ def test_ito_lift_matches_leftpoint_oracle():
                 assert inc.coeff(f) == leftpoint_oracle(rows, f, s, t)
 
 
+@pytest.mark.parametrize("N, d", [(2, 3), (4, 1)])
+def test_ito_lift_matches_leftpoint_oracle_in_other_dimensions(N, d):
+    rng = Random(N * 10 + d)
+    times = [Q(k, 4) for k in range(5)]
+    rows = [[Q(0)] * d] + [[Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d)] for _ in range(4)]
+    X = ito_lift(SampledPath.over_labels(times, rows, d), N)
+    for s in range(5):
+        for t in range(s, 5):
+            inc = X.increment(s, t)
+            for f in enumerate_forests(N, d):
+                assert inc.coeff(f) == leftpoint_oracle(rows, f, s, t)
+
+
+JOINT_LIFTS = {
+    "canonical": lambda p, N: embed_geometric(canonical_lift(p, N)),
+    "ito": lambda p, N: ito_lift(p, N, Q(1, N)),
+}
+
+
+def three_component_path(third):
+    """two_step_path with a third component sampled as third."""
+    p = two_step_path()
+    rows = [list(r) + [c] for r, c in zip(p.values, third)]
+    return SampledPath.over_labels(p.grid.times, rows, 3)
+
+
+@pytest.mark.parametrize("lift", list(JOINT_LIFTS))
+def test_joint_lift_restricts_to_the_lift_of_its_first_components(lift):
+    # adding a component leaves every forest over the old labels unchanged
+    N = 3
+    X2 = JOINT_LIFTS[lift](two_step_path(), N)
+    X3 = JOINT_LIFTS[lift](three_component_path([Q(0), Q(1, 5), Q(1)]), N)
+    for s in range(3):
+        for t in range(s + 1, 3):
+            a, b = X2.increment(s, t), X3.increment(s, t)
+            for h in enumerate_forests(N, 2):
+                assert a.coeff(h) == b.coeff(h)
+            assert any(b.coeff(h) != 0 for h in enumerate_forests(N, 3) if h.max_label() == 3)
+
+
+@pytest.mark.parametrize("lift", list(JOINT_LIFTS))
+def test_joint_lift_vanishes_on_forests_that_use_a_constant_component(lift):
+    N = 3
+    X = JOINT_LIFTS[lift](three_component_path([Q(4)] * 3), N)
+    for s in range(3):
+        for t in range(s + 1, 3):
+            inc = X.increment(s, t)
+            for h in enumerate_forests(N, 3):
+                if h.max_label() == 3:
+                    assert inc.coeff(h) == 0
+                elif h.grade == 1:
+                    assert inc.coeff(h) != 0
+
+
 def test_ito_lift_character_and_chen_pass():
     report = validate(ito_lift(two_step_path(), 2))
     assert report["character"]["status"] == "pass"

@@ -216,6 +216,33 @@ def test_tensor_log_inverse():
     assert tensor_exp(tensor_log(g, 3), 3) == g
 
 
+def _commutator(x, y, N):
+    return concat(x, y, N) - concat(y, x, N)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (e(1), e(2)),
+        (e(1) + e(2).scale(2), e(1).scale(Fraction(-1, 3)) + e(2, 1) - e(1, 2)),
+    ],
+    ids=["letters", "mixed-grades"],
+)
+def test_tensor_log_of_a_product_of_exponentials_is_bch(a, b):
+    # every BCH term of degree four or more in (a, b) has grade above 3
+    N = 3
+    ab = _commutator(a, b, N)
+    want = (
+        a
+        + b
+        + ab.scale(Fraction(1, 2))
+        + _commutator(a, ab, N).scale(Fraction(1, 12))
+        - _commutator(b, ab, N).scale(Fraction(1, 12))
+    )
+    assert tensor_log(concat(tensor_exp(a, N), tensor_exp(b, N), N), N) == want
+    assert not _commutator(a, ab, N).is_zero()
+
+
 def test_tensor_exp_log_preconditions():
     with pytest.raises(ValueError):
         tensor_exp(TensorElem.unit(2), 2)
