@@ -7,108 +7,66 @@ realizes that on sampled data with an exact certificate, and the `rde`
 solvers reproduce one another across the encoding, including the left-point
 vs interpolated correction terms.  The `hopfpath` console script exposes all
 of it; see the module docstrings for the individual layers.
+
+Exports resolve on first use: `import hopfpath` loads none of its modules,
+and reading a name such as `hopfpath.psi` imports the module that defines
+it (here `morphisms`, with what that module needs) the first time.  So a
+process compiles only the layers it uses.
 """
 
+import importlib
 import sys
 
-from . import hopf as _hopf, tensor as _tensor
-from .conversion import (
-    ConversionError,
-    ConversionResult,
-    SimplifiedDriver,
-    base_path_of,
-    certify,
-    encode,
-    simplify_n2,
-)
-from .expr import ParseError, parse_h, parse_tensor, print_h, print_tensor
-from .hopf import (
-    HElem,
-    PairElem,
-    antipode,
-    convolve,
-    coproduct,
-    counit,
-    exp_star,
-    graft_product,
-    is_group_like,
-    is_primitive,
-    lie_bracket,
-    log_star,
-    pair,
-    product,
-    star_inverse,
-)
-from .morphisms import (
-    MorphismTable,
-    iota,
-    iota_elem,
-    phi_g,
-    phi_g_adjoint,
-    psi,
-    psi_adjoint,
-    verify_hopf_morphism,
-)
-from .rde import (
-    ButcherTable,
-    LglResult,
-    Poly,
-    PolyVectorField,
-    Trajectory,
-    apply_derivative,
-    butcher,
-    butcher_h,
-    check_lgl,
-    convert_rde,
-    parse_poly,
-    print_poly,
-    solve_branched,
-    solve_geometric,
-    solve_simplified,
-    sym_correction_fields,
-)
-from .roughpath import (
-    FLOAT,
-    RATIONAL,
-    BranchedRoughPath,
-    GeometricRoughPath,
-    Grid,
-    SampledPath,
-    canonical_lift,
-    embed_geometric,
-    gamma_to_level,
-    geometricity_report,
-    ibp_defect,
-    ito_lift,
-    roughpath_from_json,
-    roughpath_to_json,
-    validate,
-)
-from .tensor import (
-    TensorElem,
-    Word,
-    WordPairElem,
-    concat,
-    deconcat,
-    enumerate_words,
-    shuffle,
-    tensor_exp,
-    tensor_log,
-    word_of_labels,
-)
-from .trees import (
-    Forest,
-    Tree,
-    chain,
-    enumerate_forests,
-    enumerate_trees,
-    forests_of_grade,
-    graft,
-    leaf,
-    symmetry_factor,
-    tree_factorial,
-    trees_of_grade,
-)
+# defining module -> the public names the package takes from it; each is
+# imported on first access (PEP 562) and then kept in the package globals
+_EXPORTS = {
+    "conversion": (
+        "ConversionError", "ConversionResult", "SimplifiedDriver", "base_path_of", "certify", "encode",
+        "simplify_n2",
+    ),
+    "expr": ("ParseError", "parse_h", "parse_tensor", "print_h", "print_tensor"),
+    "hopf": (
+        "HElem", "PairElem", "antipode", "convolve", "coproduct", "counit", "exp_star", "graft_product",
+        "is_group_like", "is_primitive", "lie_bracket", "log_star", "pair", "product", "star_inverse",
+    ),
+    "morphisms": (
+        "MorphismTable", "iota", "iota_elem", "phi_g", "phi_g_adjoint", "psi", "psi_adjoint",
+        "verify_hopf_morphism",
+    ),
+    "rde": (
+        "ButcherTable", "LglResult", "Poly", "PolyVectorField", "Trajectory", "apply_derivative", "butcher",
+        "butcher_h", "check_lgl", "convert_rde", "parse_poly", "print_poly", "solve_branched",
+        "solve_geometric", "solve_simplified", "sym_correction_fields",
+    ),
+    "roughpath": (
+        "BranchedRoughPath", "GeometricRoughPath", "Grid", "SampledPath", "canonical_lift", "embed_geometric",
+        "gamma_to_level", "geometricity_report", "ibp_defect", "ito_lift", "roughpath_from_json",
+        "roughpath_to_json", "validate",
+    ),
+    "scalars": ("FLOAT", "RATIONAL"),
+    "tensor": (
+        "TensorElem", "Word", "WordPairElem", "concat", "deconcat", "enumerate_words", "shuffle", "tensor_exp",
+        "tensor_log", "word_of_labels",
+    ),
+    "trees": (
+        "Forest", "Tree", "chain", "enumerate_forests", "enumerate_trees", "forests_of_grade", "graft", "leaf",
+        "symmetry_factor", "tree_factorial", "trees_of_grade",
+    ),
+}
+
+
+def __getattr__(name):
+    for module, names in _EXPORTS.items():
+        if name in names:
+            value = getattr(importlib.import_module(f".{module}", __name__), name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *(name for names in _EXPORTS.values() for name in names)})
+
 
 __version__ = "0.1.0"
 
@@ -120,8 +78,11 @@ def cache_sizes() -> dict:
     have no lru table of their own; they live in the forest contexts.  For
     each live context it adds the rows its tables have filled, keyed by the
     call that built it, e.g. 'tensor.word_context(3, 1, 3).shuffle_rows'.  The
-    tables never evict, so the sizes show what a process has built.  Nothing
-    is printed."""
+    tables never evict, so the sizes show what a process has built.
+
+    Only the modules loaded so far are reported, and none is imported: a
+    module the process never imported has built nothing.  Nothing is
+    printed."""
     out = {}
     for name, mod in sorted(sys.modules.items()):
         if not name.startswith(__name__ + "."):
@@ -130,9 +91,11 @@ def cache_sizes() -> dict:
             info = getattr(fn, "cache_info", None)
             if info is not None and getattr(fn, "__module__", None) == name:
                 out[f"{name.rsplit('.', 1)[1]}.{attr}"] = info().currsize
-    for ctx in list(_tensor.WordContext.live):
+    tensor = sys.modules.get(f"{__name__}.tensor")
+    for ctx in list(tensor.WordContext.live) if tensor else ():
         out[f"tensor.word_context{ctx.key}.shuffle_rows"] = len(ctx.shuffles)
         out[f"tensor.word_context{ctx.key}.split_rows"] = len(ctx.splits)
-    for ctx in list(_hopf.ForestContext.live):
+    hopf = sys.modules.get(f"{__name__}.hopf")
+    for ctx in list(hopf.ForestContext.live) if hopf else ():
         out[f"hopf.forest_context{ctx.key}.antipode_rows"] = len(ctx.antipodes)
     return dict(sorted(out.items()))

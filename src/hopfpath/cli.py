@@ -18,65 +18,32 @@ Exit codes: 0 success, 1 invariant failure, 2 parse or input error,
 it cannot take, `ParseError` for an expression, `ValueError` for anything
 else it cannot honour.  `main` is the only place that maps a refusal to its
 exit code and the prefix of its one-line message.
+
+Each command imports the layers it runs inside its handler (or verify
+suite), so a process loads and compiles only those: `algebra --op exp`
+runs without the rough-path, conversion and RDE modules, and `verify
+--suite lgl` without the rough-path and conversion ones.  The handlers read
+each library name from its defining module at call time.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .conversion import ConversionError, encode
-from .expr import ParseError, parse_h, parse_rational, print_h, print_tensor
-from .hopf import (
-    HElem,
-    antipode,
-    convolve,
-    coproduct,
-    exp_star,
-    forest_context,
-    graft_product,
-    log_star,
-)
-from .linear import print_terms
-from .morphisms import MorphismTable, phi_g, psi, verify_hopf_morphism
-from .rde import (
-    ButcherTable,
-    Poly,
-    PolyVectorField,
-    butcher,
-    check_lgl,
-    convert_rde,
-    solve_branched,
-    solve_geometric,
-    tree_letter_fields,
-)
-from .roughpath import (
-    FLOAT,
-    RATIONAL,
-    BranchedRoughPath,
-    GeometricRoughPath,
-    SampledPath,
-    canonical_lift,
-    embed_geometric,
-    first_non_character,
-    gamma_to_level,
-    geometricity_report,
-    ibp_defect,
-    ito_lift,
-    roughpath_from_json,
-    roughpath_to_json,
-    validate,
-)
-from .tensor import TensorElem, Word
-from .trees import Forest, Tree, enumerate_trees, leaf
+from .scalars import FLOAT, RATIONAL, parse_rational
+
+if TYPE_CHECKING:
+    from .hopf import HElem
+    from .rde import ButcherTable
+    from .roughpath import GeometricRoughPath, SampledPath
+    from .trees import Tree
 
 OK = 0
 INVARIANT_FAILED = 1
@@ -85,14 +52,19 @@ BAD_REQUEST = 3
 CERTIFICATE_FAILED = 4
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """Settings shared by the path-handling subcommands, already resolved:
-    the level always agrees with gamma (largest N with N*gamma <= 1)."""
+    the level always agrees with gamma (largest N with N*gamma <= 1).
+    Immutable."""
 
-    mode: str
-    N: int
-    gamma: Fraction
+    __slots__ = ("mode", "N", "gamma")
+
+    def __init__(self, mode: str, N: int, gamma: Fraction):
+        for name, value in zip(self.__slots__, (mode, N, gamma)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RunConfig is immutable")
 
 
 class InputError(ValueError):
@@ -109,6 +81,8 @@ def _resolve_level(N, gamma_text):
     """Level and exponent from the optional flags; either determines the
     other, both together must agree."""
     if gamma_text is not None:
+        from .roughpath import gamma_to_level
+
         gamma = parse_rational(gamma_text)
         level = gamma_to_level(gamma)
         if N is not None and N != level:
@@ -166,6 +140,8 @@ def _json_safe(obj):
 
 def _json_text(obj) -> str:
     """obj as strict (RFC 8259) JSON text, indented, keys sorted."""
+    import json
+
     return json.dumps(_json_safe(obj), indent=2, sort_keys=True, allow_nan=False)
 
 
@@ -211,6 +187,10 @@ def _single_tree(x: HElem) -> Tree:
 
 
 def cmd_algebra(args) -> int:
+    from .expr import parse_h, print_h, print_tensor
+    from .hopf import antipode, convolve, coproduct, exp_star, graft_product, log_star
+    from .linear import print_terms
+
     need = 2 if args.op in ("star", "graft") else 1
     if len(args.expr) != need:
         raise ValueError(f"--op {args.op} takes {need} expression(s)")
@@ -229,8 +209,12 @@ def cmd_algebra(args) -> int:
     elif args.op == "log":
         out = print_h(log_star(x, args.N if args.N is not None else 3))
     elif args.op == "psi":
+        from .morphisms import psi
+
         out = print_tensor(psi(x, args.N if args.N is not None else 3))
     elif args.op == "phig":
+        from .morphisms import phi_g
+
         out = print_tensor(phi_g(x))
     else:
         out = print_h(graft_product(_single_tree(x), _single_tree(parsed[1]), d))
@@ -248,6 +232,8 @@ def _synth_path(kind: str, steps: int, seed: int, step_text, d: int, mode: str) 
     rational mode and 1/sqrt(steps) in float mode); linear gives component
     i the slope i; sine is float-only.
     """
+    from .roughpath import SampledPath
+
     if steps < 1:
         raise ValueError(f"need at least 1 step, got {steps}")
     if d < 1:
@@ -285,6 +271,8 @@ def _load(name: str, parse):
     """parse applied to the text of a file, or of stdin for "-", with
     universal newlines; a file that cannot be read or parsed is one
     InputError, and bytes that are not UTF-8 are named by offset."""
+    from pathlib import Path
+
     try:
         data = sys.stdin.buffer.read() if name == "-" else Path(name).read_bytes()
         try:
@@ -300,6 +288,8 @@ def _load(name: str, parse):
 def _driver(text: str):
     """A rough path read from JSON, refused unless every adjacent increment
     is a character: wider increments are composed from them unchecked."""
+    from .roughpath import first_non_character, roughpath_from_json
+
     X = roughpath_from_json(text)
     k = first_non_character(X)
     if k is not None:
@@ -309,6 +299,8 @@ def _driver(text: str):
 
 def _lift(path: SampledPath, kind: str, cfg: RunConfig):
     """The left-point (ito) or canonical lift at the configured level."""
+    from .roughpath import canonical_lift, ito_lift
+
     lift = ito_lift if kind == "ito" else canonical_lift
     return lift(path, cfg.N, cfg.gamma)
 
@@ -317,6 +309,8 @@ def _lift(path: SampledPath, kind: str, cfg: RunConfig):
 
 
 def cmd_lift(args) -> int:
+    from .roughpath import SampledPath, geometricity_report, roughpath_to_json, validate
+
     cfg = _config(args)
     if (args.input is None) == (args.synth is None):
         raise InputError("give a CSV file or --synth, not both", "error")
@@ -339,6 +333,9 @@ def cmd_lift(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    from .conversion import encode
+    from .roughpath import BranchedRoughPath
+
     _config(args)  # checks --threads
     X = _load(args.input, _driver)
     if not isinstance(X, BranchedRoughPath):
@@ -357,6 +354,8 @@ def cmd_convert(args) -> int:
 def _parse_fields(text: str, mode: str) -> ButcherTable:
     """'label: poly, poly; label: ...' with one polynomial per state
     component; in float mode every coefficient must fit in a float."""
+    from .rde import ButcherTable
+
     spec: dict = {}
     for block in text.split(";"):
         block = block.strip()
@@ -386,6 +385,9 @@ def _parse_fields(text: str, mode: str) -> ButcherTable:
 def _solve(X, f: ButcherTable, xi, side: str):
     """The trajectory on one side, and for side both the branched one with
     its max per-step discrepancy from the geometric solve of the encoding."""
+    from .rde import convert_rde, solve_branched, solve_geometric, tree_letter_fields
+    from .roughpath import BranchedRoughPath, GeometricRoughPath
+
     for label in f.base:
         if not 1 <= label <= X.d:
             raise ValueError(f"field label {label} is outside the driver's alphabet 1..{X.d}")
@@ -397,6 +399,8 @@ def _solve(X, f: ButcherTable, xi, side: str):
         return solve_geometric(X, tree_letter_fields(f, X.letters), xi), None
     if not isinstance(X, BranchedRoughPath):
         raise ValueError("side both starts from a branched driver")
+    from .conversion import encode
+
     result = encode(X, certify_result=False)
     # geometric first: it steps every grafted field, so one too large for a float is named
     other = solve_geometric(result.geometric, convert_rde(f, result), xi)
@@ -428,6 +432,8 @@ def cmd_solve(args) -> int:
 def _solve_ensemble(args, cfg: RunConfig, f: ButcherTable, xi) -> int:
     """Seed sweep over synthetic walks, with an optional closed-form
     comparison for the scalar equation dY = Y dX."""
+    from .trees import leaf
+
     if args.synth != "rw":
         raise ValueError("ensembles need --synth rw")
     if args.seeds < 1:
@@ -487,6 +493,9 @@ def _nonzero(terms: dict) -> dict:
 def _suite_hopf(args, cfg: RunConfig) -> dict:
     """Grading, coassociativity and the antipode identity on every basis
     forest, in integers over the forest context's cut and antipode rows."""
+    from .hopf import forest_context
+    from .trees import Forest, leaf
+
     N = args.N if args.N is not None else 4
     d = args.d
     res = {"N": N, "d": d, "status": "pass", "checked_forests": 0, "witnesses": []}
@@ -526,6 +535,8 @@ def _suite_hopf(args, cfg: RunConfig) -> dict:
 
 
 def _suite_morphisms(args, cfg: RunConfig) -> dict:
+    from .morphisms import MorphismTable, verify_hopf_morphism
+
     N = args.N if args.N is not None else 3
     d = args.d
     res = {"N": N, "d": d, "status": "pass", "reports": {}}
@@ -546,6 +557,9 @@ def _suite_morphisms(args, cfg: RunConfig) -> dict:
 def _tampered(X: GeometricRoughPath) -> GeometricRoughPath:
     """Bump one letter coefficient of the first adjacent increment; the
     result is no longer a shuffle character."""
+    from .roughpath import GeometricRoughPath
+    from .tensor import TensorElem, Word
+
     inc = X.increments[0]
     terms = dict(inc.terms)
     key = next(w for w in sorted(terms, key=Word.sort_key) if not w.is_empty())
@@ -556,6 +570,9 @@ def _tampered(X: GeometricRoughPath) -> GeometricRoughPath:
 
 
 def _suite_lifts(args, cfg: RunConfig) -> dict:
+    from .roughpath import canonical_lift, embed_geometric, geometricity_report, ibp_defect, ito_lift, validate
+    from .trees import leaf
+
     N = args.N if args.N is not None else 3
     d = args.d
     res = {"N": N, "d": d, "steps": args.steps, "seed": args.seed, "status": "pass", "checks": {}}
@@ -605,6 +622,9 @@ def _suite_lifts(args, cfg: RunConfig) -> dict:
 
 
 def _suite_lgl(args, cfg: RunConfig) -> dict:
+    from .rde import ButcherTable, Poly, PolyVectorField, butcher, check_lgl
+    from .trees import Tree, enumerate_trees, leaf
+
     N = args.N if args.N is not None else 4
     rng = random.Random(args.seed)
     # 1, y1, y2, y1^2, y1*y2, y2^2
@@ -730,6 +750,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _loaded(module: str, name: str):
+    """The exception class module.name if that module is loaded, else ():
+    nothing can have raised it, and `except ()` matches nothing, so main
+    catches a layer's refusals without importing the layer."""
+    mod = sys.modules.get(f"{__package__}.{module}")
+    return () if mod is None else getattr(mod, name)
+
+
 def main(argv=None) -> int:
     """Run one command; the only place a refusal becomes an exit code."""
     parser = _build_parser()
@@ -743,7 +771,7 @@ def main(argv=None) -> int:
         if saved is not None:
             sys.set_int_max_str_digits(0)
         return args.func(args)
-    except ParseError as e:
+    except _loaded("expr", "ParseError") as e:
         print(f"parse error: {e}", file=sys.stderr)  # e names the line and column
         return BAD_INPUT
     except InputError as e:
@@ -752,7 +780,7 @@ def main(argv=None) -> int:
     except OSError as e:  # an --out file that cannot be written
         print(f"input error: {e}", file=sys.stderr)
         return BAD_INPUT
-    except ConversionError as e:
+    except _loaded("conversion", "ConversionError") as e:
         print(f"certificate failure: {e}", file=sys.stderr)
         return CERTIFICATE_FAILED
     except (KeyError, TypeError, ValueError) as e:

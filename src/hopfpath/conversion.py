@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import print_tensor
@@ -109,11 +108,16 @@ def extract_extended_path(X: BranchedRoughPath, partial: GeometricRoughPath, che
     return out
 
 
-@dataclass
 class ConversionResult:
-    extended_path: SampledPath
-    geometric: GeometricRoughPath
-    certificate: dict
+    """What `encode` returns: the extended path, its canonical lift and the
+    certificate."""
+
+    __slots__ = ("extended_path", "geometric", "certificate")
+
+    def __init__(self, extended_path: SampledPath, geometric: GeometricRoughPath, certificate: dict):
+        self.extended_path = extended_path
+        self.geometric = geometric
+        self.certificate = certificate
 
     def to_obj(self) -> dict:
         d = self.geometric.d
@@ -199,7 +203,6 @@ def encode(X: BranchedRoughPath, certify_result: bool = True, check_cocycle: boo
 # -- the level-2 shortcut --------------------------------------------------
 
 
-@dataclass
 class SimplifiedDriver:
     """Level-2 driver with the cherry letters folded away.
 
@@ -209,9 +212,12 @@ class SimplifiedDriver:
     with the diagonal entries doubled.
     """
 
-    xhat: GeometricRoughPath
-    pairs: tuple
-    symmetric_increments: list
+    __slots__ = ("xhat", "pairs", "symmetric_increments")
+
+    def __init__(self, xhat: GeometricRoughPath, pairs: tuple, symmetric_increments: list):
+        self.xhat = xhat
+        self.pairs = pairs
+        self.symmetric_increments = symmetric_increments
 
     def symmetric_path(self, k: int, l: int) -> list:
         if (k, l) not in self.pairs:

@@ -10,6 +10,10 @@ coefficients against the driver's increment.
 `apply_derivative` (behind both recurrences) and `check_lgl` run on term
 dicts: on integer numerators over one denominator when every coefficient is
 a Fraction, else on the values as given, so float fields keep every bit.
+
+The rough-path classes of `roughpath` and the words of `tensor` are imported
+where the solvers use them, so the Butcher and derivative code runs
+without either layer.
 """
 
 from __future__ import annotations
@@ -19,14 +23,11 @@ import json
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .expr import parse_rational
 from .hopf import HElem, _attach_at, _vertex_addresses
 from .linear import Linear, context_field
-from .roughpath import FLOAT, RATIONAL, BranchedRoughPath, GeometricRoughPath, Grid, _grid_csv
-from .scalars import numerators
-from .tensor import TensorElem, Word
+from .scalars import FLOAT, RATIONAL, numerators, parse_rational
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -35,6 +36,10 @@ from .trees import (
     leaf,
     symmetry_factor,
 )
+
+if TYPE_CHECKING:  # the solvers import these where they run
+    from .roughpath import BranchedRoughPath, GeometricRoughPath, Grid
+    from .tensor import TensorElem, Word
 
 
 # -- polynomials -----------------------------------------------------------
@@ -139,9 +144,14 @@ class Poly(Linear):
     degree = Linear.max_grade
 
 
+# largest power parse_poly expands: yk^p costs p products, so a larger one
+# is refused before any of them
+MAX_POWER = 1024
+
+
 def parse_poly(text: str, nvars: int) -> Poly:
     """Grammar: terms joined by + or -, factors joined by *, a factor is a
-    rational or yk or yk^int."""
+    rational or yk or yk^int, with int at most MAX_POWER."""
     out = Poly.const(0, nvars)
     s = text.replace(" ", "")
     if not s:
@@ -171,6 +181,8 @@ def parse_poly(text: str, nvars: int) -> Poly:
                     p = int(exp) if exp else 1
                 except ValueError:
                     raise ValueError(f"bad factor {factor!r} in {text!r}") from None
+                if p > MAX_POWER:
+                    raise ValueError(f"power {p} in {factor!r} is above the bound {MAX_POWER}")
                 v = Poly.var(k, nvars)
                 for _ in range(p):
                     term = term * v
@@ -399,6 +411,8 @@ class Trajectory:
         return len(self.values[0])
 
     def to_csv(self) -> str:
+        from .roughpath import _grid_csv
+
         return _grid_csv(self.grid, [f"y_{i + 1}" for i in range(self.e)], self.values, self.mode)
 
     def to_obj(self) -> dict:
@@ -465,6 +479,8 @@ def _tree_terms(g: HElem, trees: Sequence, f: ButcherTable):
 def solve_branched(X: BranchedRoughPath, f: ButcherTable, xi: Sequence) -> Trajectory:
     """One Euler step per adjacent pair: the butcher_h extension of the
     increment, so each tree contributes (f_tau / sigma(tau)) <X, tau>."""
+    from .roughpath import BranchedRoughPath
+
     if not isinstance(X, BranchedRoughPath):
         raise TypeError("solve_branched needs a branched driver")
     trees = [(tau, Forest((tau,)), symmetry_factor(tau)) for tau in enumerate_trees(X.N, X.d)]
@@ -493,6 +509,8 @@ class WordFieldTable:
             return PolyVectorField.identity(self.e)
         got = self.cache.get(w)
         if got is None:
+            from .tensor import Word
+
             head = self.base.get(w.letters[0])
             if head is None:
                 raise ValueError(f"no vector field for letter {w.letters[0]!r}")
@@ -508,12 +526,14 @@ def geometric_F(letter_fields, w: Word) -> PolyVectorField:
 
 
 def _word_terms(g: TensorElem, table: WordFieldTable):
-    for w in sorted(g.terms, key=Word.sort_key):
+    for w in sorted(g.terms, key=g._order):
         if not w.is_empty():
             yield w, g.terms[w], table.field(w)
 
 
 def solve_geometric(Xbar: GeometricRoughPath, letter_fields, xi: Sequence) -> Trajectory:
+    from .roughpath import GeometricRoughPath
+
     if not isinstance(Xbar, GeometricRoughPath):
         raise TypeError("solve_geometric needs a geometric driver")
     table = letter_fields if isinstance(letter_fields, WordFieldTable) else WordFieldTable(letter_fields)

@@ -27,6 +27,10 @@ Exact rational scalars are the default; float mode exists for long grids and
 switches validation to tolerance comparisons.  `SampledPath.from_csv`
 refuses non-finite values, and `first_non_character` lets a loader refuse a
 rough path whose adjacent increments are not characters, in O(M).
+
+The text parsers of `expr` and the maps of `morphisms` are imported where
+the loader and the geometricity checks call them, at call time, so a lift
+that needs neither loads neither.
 """
 
 from __future__ import annotations
@@ -36,20 +40,15 @@ import itertools
 import json
 import math
 import operator
-from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .expr import ParseError, parse_h, parse_rational, parse_tensor
 from .hopf import HElem, convolve, forest_context, pair
 from .linear import is_character
-from .morphisms import iota_elem, phi_g
-from .scalars import numerators
+from .scalars import FLOAT, RATIONAL, numerators, parse_rational
 from .tensor import TensorElem, Word, concat, word_context
 from .trees import EMPTY_FOREST, Forest, Tree, enumerate_forests, leaf
 
-RATIONAL = "rational"
-FLOAT = "float"
 _ZERO = Fraction(0)
 
 
@@ -114,6 +113,8 @@ def _grid_csv(grid: Grid, names: Sequence[str], rows: Sequence[Sequence], mode: 
 
 
 def _parse_basis_name(name: str) -> Tree:
+    from .expr import ParseError, parse_h
+
     x = parse_h(name.strip(), 10**9)
     if len(x.terms) != 1:
         raise ParseError(f"basis name {name!r} is not a single tree", 1, 1)
@@ -277,7 +278,9 @@ class BranchedRoughPath(_RoughPathBase):
 
     @staticmethod
     def parse_key(text: str, d: int) -> HElem:
-        return parse_h(text, d)  # read at call time, as a tracer rebinds it
+        from .expr import parse_h  # read at call time, as a tracer rebinds it
+
+        return parse_h(text, d)
 
     def _compose(self, a, b):
         return convolve(a, b, self.N)
@@ -297,6 +300,8 @@ class GeometricRoughPath(_RoughPathBase):
 
     @staticmethod
     def parse_key(text: str, d: int, n: int) -> TensorElem:
+        from .expr import parse_tensor
+
         return parse_tensor(text, d, n)
 
     def __init__(self, N, gamma, grid, increments, d, mode, letters):
@@ -345,6 +350,8 @@ def gamma_to_level(gamma) -> int:
                 return N
     shown = str(g)
     if len(shown) > 24:  # a long fraction, shown to six digits
+        from decimal import Decimal
+
         shown = f"{Decimal(g.numerator) / Decimal(g.denominator):.6g}"
     raise ValueError(f"gamma is too small: the level would reach 2^53, got {shown}")
 
@@ -472,6 +479,8 @@ def ito_lift(path: SampledPath, N: int, gamma=None) -> BranchedRoughPath:
 def embed_geometric(Xbar: GeometricRoughPath) -> BranchedRoughPath:
     """Branched view of a geometric rough path over single-vertex letters:
     <X, h> = <Xbar, phi_g(h)>."""
+    from .morphisms import phi_g
+
     if not isinstance(Xbar, GeometricRoughPath):
         raise TypeError("embed_geometric needs a geometric rough path")
     if Xbar.letter_bound > 1:
@@ -596,6 +605,8 @@ def _check_chen(X, chen: dict) -> None:
 def geometricity_report(X: BranchedRoughPath) -> dict:
     """Shuffle test via the chain embedding: <X_st, h> = <X_st, iota phi_g(h)>
     for all forests of grade <= N, checked on every adjacent increment."""
+    from .morphisms import iota_elem, phi_g
+
     report = {"status": "pass", "witness": None, "defects": 0}
     basis = enumerate_forests(X.N, X.d)
     pulled = {h: iota_elem(phi_g(HElem.from_forest(h, X.d))) for h in basis}

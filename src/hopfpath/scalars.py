@@ -1,4 +1,9 @@
-"""Integer-numerator form of exact coefficient lists.
+"""Scalar modes, scalars read from text, and the integer-numerator form of
+exact coefficient lists.
+
+Every layer runs in one of two scalar modes: RATIONAL (exact `Fraction`s,
+the default and the oracle) or FLOAT.  `parse_rational` reads a scalar
+given from outside, such as a flag, a CSV cell or a polynomial coefficient.
 
 The compiled kernels (`hopf.convolve`, `tensor.concat` and the psi pairing
 of `conversion`) run one index loop per operation.  When every coefficient
@@ -12,6 +17,21 @@ keep their rounding bit for bit.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+
+RATIONAL = "rational"
+FLOAT = "float"
+
+
+def parse_rational(text) -> Fraction:
+    """A scalar from outside input, such as "3/4", "-2" or "0.5".
+
+    Anything Fraction cannot read, a zero denominator included, raises one
+    ValueError that names the value."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{text!r} is not a number") from None
 
 
 def numerators(*columns: list) -> tuple:

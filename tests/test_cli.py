@@ -652,6 +652,7 @@ def test_verify_all_with_mutation_fails_with_witness(capsys):
 
 def test_lgl_witness_details_belong_to_their_own_pair(capsys, monkeypatch):
     import hopfpath.cli as cli
+    import hopfpath.rde as rde
 
     results = {}
 
@@ -660,7 +661,7 @@ def test_lgl_witness_details_belong_to_their_own_pair(capsys, monkeypatch):
         results[f"lambda={lam!r} h={h!r}"] = r
         return r
 
-    monkeypatch.setattr(cli, "check_lgl", recording)
+    monkeypatch.setattr(rde, "check_lgl", recording)  # the suite reads it from rde at call time
     rc, out, _ = run(capsys, "verify", "--mutate", "--suite", "lgl", "--N", "4")
     assert rc == 1
     suite = json.loads(out)["suites"]["lgl"]

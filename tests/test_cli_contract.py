@@ -9,15 +9,22 @@ traceback: `main` returns instead of raising.
 
 The mutations keep the sizes that bound the work small: a JSON `level` of
 at most 4, alphabets of at most 3 labels, field degrees of at most 9, and
-`--gamma`/`--N` as given here.  A larger level, alphabet or degree is not
-refused; it runs for as long as it asks (see CHANGES.md).
+`--gamma`/`--N` as given here.  A larger level or alphabet is not refused;
+it runs for as long as it asks (see CHANGES.md).  A power above
+`rde.MAX_POWER` in a field is refused before it is expanded, which a
+fresh interpreter checks below.
 """
 
 import contextlib
 import copy
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -241,3 +248,18 @@ def test_float_flag_values(text, flag):
         check("--float", "solve", "--synth", "rw", "--steps", "3", "--N", "2", "--fields", "1: y1", f"--xi={text}")
     else:
         check("--float", "lift", "--synth", "rw", "--steps", "3", "--N", "2", f"--step={text}")
+
+
+# -- sizes past the bounds -------------------------------------------------
+
+
+def test_a_power_past_the_bound_is_refused_at_once():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    argv = ["solve", "--synth", "rw", "--steps", "2", "--fields", "1: y1^3000000", "--xi", "1"]
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "hopfpath", *argv], capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - t0
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: power 3000000 in 'y1^3000000' is above the bound 1024\n"
+    assert elapsed < 5

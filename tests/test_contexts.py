@@ -326,14 +326,15 @@ def test_sparse_rows_and_vectors_match_the_replaced_builders(case):
 
 def test_the_loader_calls_the_key_parsers_through_module_globals(monkeypatch, tmp_path):
     """bench/tracer.py rebinds parse_h by name in every module that imported
-    it, so the loader must look it up at call time."""
-    from hopfpath import roughpath
+    it, its defining module `expr` included, so the loader must look it up
+    there at call time."""
+    from hopfpath import expr
     from hopfpath.roughpath import SampledPath, canonical_lift, ito_lift, roughpath_from_json, roughpath_to_json
 
     path = SampledPath.over_labels([0, 1, 2], [[0], [1], [3]], 1)
     for name, X in (("parse_h", ito_lift(path, 2)), ("parse_tensor", canonical_lift(path, 2))):
         calls = []
-        monkeypatch.setattr(roughpath, name, lambda *a, real=getattr(roughpath, name), calls=calls: calls.append(a) or real(*a))
+        monkeypatch.setattr(expr, name, lambda *a, real=getattr(expr, name), calls=calls: calls.append(a) or real(*a))
         Y = roughpath_from_json(roughpath_to_json(X))
         assert len(calls) == sum(len(g.terms) for g in X.increments)
         assert roughpath_to_json(Y) == roughpath_to_json(X)

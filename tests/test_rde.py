@@ -14,6 +14,7 @@ from hopfpath.conversion import encode, simplify_n2
 from hopfpath.hopf import HElem
 from hopfpath.morphisms import psi_adjoint
 from hopfpath.rde import (
+    MAX_POWER,
     ButcherTable,
     Poly,
     PolyVectorField,
@@ -767,3 +768,12 @@ def test_one_step_error_halves_at_rate_n_plus_one():
             errs.append(abs(math.exp(float(dt)) - float(traj.values[-1][0])))
         ratio = errs[0] / errs[1]
         assert abs(ratio - 2 ** (N + 1)) <= 0.15 * 2 ** (N + 1), ratio
+
+
+def test_parse_poly_refuses_a_power_past_the_bound_before_expanding():
+    assert parse_poly(f"y1^{MAX_POWER}", 1) == Poly({(MAX_POWER,): Q(1)}, 1)
+    assert parse_poly("2*y2^212*y1", 2) == Poly({(1, 212): Q(2)}, 2)
+    with pytest.raises(ValueError, match=rf"^power {MAX_POWER + 1} in 'y1\^{MAX_POWER + 1}' is above the bound {MAX_POWER}$"):
+        parse_poly(f"y1 + 3*y1^{MAX_POWER + 1}", 1)
+    with pytest.raises(ValueError, match=r"^power 3000000 in 'y2\^3000000' is above the bound"):
+        PolyVectorField.parse(["y1", "y2^3000000"])

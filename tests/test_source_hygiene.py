@@ -3,9 +3,10 @@
 No linter ships with the project, so three checks stand in for one:
 
 - every module-level import of a `hopfpath` module is used in that module,
-  or is imported from it by another module, a test or the benchmark (a
-  re-export such as `hopf.pair`); the package `__init__` is the public
-  surface and re-exports by design, so it is not checked;
+  or is imported from it by another module, a test or the benchmark, or is
+  named by the package's export table (a re-export such as `hopf.pair`);
+  the package `__init__` is the public surface, so it is not checked, but
+  every entry of its table must name a module that binds that name;
 - every top-level `_private` definition is referenced somewhere in `src/`,
   `tests/` or `bench/` outside its own body, and in fact from `src/`: a
   helper that only tests or the benchmark reach belongs in `tests/`;
@@ -47,11 +48,22 @@ def _loaded_names(tree) -> set:
     return out
 
 
+def _export_table(trees: dict) -> dict:
+    """The package's lazy export table, read with `ast`: defining module ->
+    the public names `hopfpath.__getattr__` takes from it."""
+    for node in trees[PACKAGE / "__init__.py"].body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_EXPORTS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("no _EXPORTS table in hopfpath/__init__.py")
+
+
 def _exports(trees: dict) -> dict:
     """Per hopfpath module, the names other files import from it or read
-    off it."""
+    off it, and those the export table takes from it."""
     modules = {path.stem for path in MODULES}
     out = {m: set() for m in modules}
+    for module, names in _export_table(trees).items():
+        out[module].update(names)
     for path, tree in trees.items():
         own = path.stem if path.parent == PACKAGE else None
         aliases = {}
@@ -80,6 +92,39 @@ def test_every_module_level_import_is_used_or_re_exported():
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 unused += [f"{path.name}: {name}" for name in _bound_names(node) if name not in used]
     assert unused == []
+
+
+def _top_level_bindings(tree) -> set:
+    """The names a module binds at its top level: definitions, assignments
+    and imports."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Assign):
+            out.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            out.add(node.target.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.update(_bound_names(node))
+    return out
+
+
+def test_every_export_table_entry_names_a_module_that_binds_it():
+    trees = _trees()
+    table = _export_table(trees)
+    modules = {path.stem: path for path in MODULES}
+    missing = []
+    for module, names in table.items():
+        if module not in modules:
+            missing.append(f"no module {module}")
+            continue
+        bound = _top_level_bindings(trees[modules[module]])
+        missing += [f"{module}.{name}" for name in names if name not in bound]
+    assert missing == []
+    flat = [name for names in table.values() for name in names]
+    assert len(flat) == len(set(flat)), "a public name is taken from two modules"
+    assert not any(name.startswith("_") for name in flat)
 
 
 def _unreferenced(readers) -> list:

@@ -43,3 +43,33 @@ def test_tracer_counts_the_container_and_kernel_layers():
     assert report["counts"]["tensor.TensorElem.new"] > 0
     assert report["calls"]["hopf.convolve"] > 0
     assert report["calls"]["tensor.concat"] > 0
+
+
+HANDLER_SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+t = tracer.install()
+from hopfpath import cli
+codes = [cli.main(["algebra", "--op", "psi", "--N", "3", "--out", sys.argv[2], "b_1 + [b_2]_1"]),
+         cli.main(["verify", "--suite", "lgl", "--N", "3", "--out", sys.argv[2]])]
+summary = t.summary()
+print(json.dumps({"codes": codes, "calls": {k: v["calls"] for k, v in summary["spans"].items()}}))
+"""
+
+
+def test_tracer_sees_the_calls_of_handler_local_imports(tmp_path):
+    # the handlers import their layers when they run, after install() has
+    # rebound the names, and must still reach the wrapped functions
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", HANDLER_SCRIPT, str(ROOT / "bench"), str(tmp_path / "out.txt")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["codes"] == [0, 0]
+    for span in ("morphisms.psi", "expr.parse_h", "expr.print_tensor", "rde.check_lgl", "cli.main"):
+        assert report["calls"].get(span, 0) > 0, span
+    # one call per pair the suite checks: 2 leaves lambda times the 6 trees h
+    # of grade <= 2, plus the 4 trees lambda of grade 2 times the 2 leaves h
+    assert report["calls"]["rde.check_lgl"] == 20
