@@ -8,7 +8,11 @@ lift of the extended piecewise-linear path is rebuilt.  One sweep of
 
     <X_st, h> = <Xbar_st, psi(h)>
 
-for every forest h of grade <= N.  It is every level's check as well: for
+for every forest h of grade <= N.  The sweep reads each pair's increments
+as rows that `_RoughPathBase.pair_rows` folds forward from each start point
+on each path's context, integer numerators over one denominator when exact:
+each pair is composed once, O(M) rows are live, and no element is built or
+cached.  It is every level's check as well: for
 an extracted tree tau, with f_tau(s, t) = <X_st, tau> - <Xbar_st, psi(tau)
 without the tau letter> and F_tau the prefix sums of its adjacent values,
 <Xbar_st, psi(tau)> - <X_st, tau> = F_tau(t) - F_tau(s) - f_tau(s, t); on
@@ -41,8 +45,10 @@ from .roughpath import (
     canonical_lift,
     roughpath_obj,
 )
-from .tensor import TensorElem, Word, is_tensor_group_like, pair_functional, word_context
+from .tensor import TensorElem, Word, WordVector, is_tensor_group_like, pair_functional, word_context
 from .trees import Forest, Tree, enumerate_forests, enumerate_trees, leaf, trees_of_grade
+
+_ZERO = Fraction(0)
 
 
 class ConversionError(RuntimeError):
@@ -61,19 +67,48 @@ def base_path_of(X: BranchedRoughPath) -> SampledPath:
     return SampledPath(X.grid, basis, list(zip(*cols)), X.mode)
 
 
-def _pairings(X: BranchedRoughPath, Xbar: GeometricRoughPath, level: int, forests: list, pairs):
-    """Per grid pair (s, t) in order: s, t, the denominator of the integer
-    numerators of Xbar_st (None when it is not exact), and for each forest h
-    the values <X_st, h> and <Xbar_st, psi(h)>, the latter over that
-    denominator.  Words of psi(h) over letters that Xbar lacks are left out:
-    for a partial lift, the tree letter of h itself."""
+def _same_grid(X: BranchedRoughPath, Xbar: GeometricRoughPath) -> None:
+    """Refuse two paths on different grids.  The message names both grids
+    and, when their step counts agree, the first time at which they differ."""
+    a, b = X.grid, Xbar.grid
+    if a == b:
+        return
+    where = ""
+    if a.steps == b.steps:
+        k = next(k for k, (u, v) in enumerate(zip(a.times, b.times)) if u != v)
+        where = f"; time {k} is {a.times[k]} against {b.times[k]}"
+    raise ValueError(f"the branched path is on {a!r} and the geometric one on {b!r}{where}")
+
+
+def _pairings(X: BranchedRoughPath, Xbar: GeometricRoughPath, level: int, forests: list, every_pair: bool):
+    """Per grid pair (s, t), every pair in itertools.combinations order or
+    the adjacent ones only: s, t, two denominators, and for each forest h the
+    values <X_st, h> and <Xbar_st, psi(h)>, each an integer numerator over
+    its denominator, or the value itself where that is None.  Words of
+    psi(h) over letters that Xbar lacks are left out: for a partial lift,
+    the tree letter of h itself.
+
+    Adjacent pairs read the increments as given.  Every pair reads the rows
+    that `pair_rows` folds on each path's context, <X_st, h> straight from
+    X's row and Xbar's row as the vector the psi images are paired with."""
     ctx = word_context(level, Xbar.d, Xbar.letter_bound)
     images = [psi(HElem.from_forest(h, X.d), level).terms for h in forests]
     images = [ctx.functional({w: c for w, c in img.items() if w in ctx.index}) for img in images]
-    for s, t in pairs:
-        branched = X.increment(s, t)
-        vec = ctx.vector(Xbar.increment(s, t).terms)
-        yield s, t, vec.den, [(branched.coeff(h), pair_functional(img, vec)) for h, img in zip(forests, images)]
+    if not every_pair:
+        for k, (branched, geometric) in enumerate(zip(X.increments, Xbar.increments)):
+            vec = ctx.vector(geometric.terms)
+            yield k, k + 1, None, vec.den, [(branched.coeff(h), pair_functional(img, vec)) for h, img in zip(forests, images)]
+        return
+    where = [X.context().index.get(h) for h in forests]
+    own = Xbar.context()
+    # Xbar's own positions, renumbered in ctx when its level is not ctx's
+    at = None if own is ctx else [ctx.index.get(w) for w in own.basis]
+    for (s, t, lhs, lden, _), (_, _, rhs, rden, size) in zip(X.pair_rows(), Xbar.pair_rows()):
+        if at is not None:
+            rhs = {at[k]: c for k, c in rhs.items() if at[k] is not None}
+        vec = WordVector(rhs, rden, size)
+        zero = _ZERO if lden is None else 0
+        yield s, t, lden, rden, [(lhs.get(k, zero), pair_functional(img, vec)) for k, img in zip(where, images)]
 
 
 def extract_extended_path(X: BranchedRoughPath, partial: GeometricRoughPath, check_cocycle: bool = True) -> dict:
@@ -85,14 +120,14 @@ def extract_extended_path(X: BranchedRoughPath, partial: GeometricRoughPath, che
     grid pair, F_tau the prefix sums of the adjacent values (additivity over
     all triples); the first pair that fails raises ConversionError.
     """
+    _same_grid(X, partial)
     n = max(t.grade for t in partial.letters)
     M = X.grid.steps
     taus = trees_of_grade(n + 1, X.d)
-    pairs = itertools.combinations(range(M + 1), 2) if check_cocycle else zip(range(M), range(1, M + 1))
     values = [{} for _ in taus]
-    for s, t, den, row in _pairings(X, partial, n + 1, [Forest((tau,)) for tau in taus], pairs):
+    for s, t, lden, rden, row in _pairings(X, partial, n + 1, [Forest((tau,)) for tau in taus], check_cocycle):
         for f, (lhs, rhs) in zip(values, row):
-            f[(s, t)] = lhs - (rhs if den is None else Fraction(rhs, den))
+            f[(s, t)] = (lhs if lden is None else Fraction(lhs, lden)) - (rhs if rden is None else Fraction(rhs, rden))
     out = {}
     for tau, f in zip(taus, values):
         out[tau] = [f[(k, k + 1)] for k in range(M)]
@@ -138,26 +173,29 @@ class ConversionResult:
 
 def certify(X: BranchedRoughPath, Xbar: GeometricRoughPath) -> dict:
     """Check <X_st, h> = <Xbar_st, psi(h)> for all forests of grade <= N and
-    all grid pairs; first failure is recorded with a full witness.
+    all grid pairs; first failure is recorded with a full witness.  Paths on
+    different grids are refused with ValueError before any work.
 
-    Exact values are compared by cross-multiplying integer numerators, float
-    ones with the float tolerance."""
-    N, d, M = X.N, X.d, X.grid.steps
-    basis = enumerate_forests(N, d)
-    exact = X.mode == RATIONAL
+    Every pair is read from the rows `pair_rows` folds, <X_st, h> straight
+    from X's row and Xbar's row paired with the integer psi images.  Exact
+    values are compared by cross-multiplying integer numerators, the others
+    with `_close` in X's mode; a witness prints each value as a reduced
+    Fraction, or as the value itself when it is not exact."""
+    _same_grid(X, Xbar)
+    basis = enumerate_forests(X.N, X.d)
     cert = {
         "status": "pass",
         "checked_forests": len(basis),
         "checked_pairs": 0,
         "witness": None,
     }
-    for s, t, den, row in _pairings(X, Xbar, N, basis, itertools.combinations(range(M + 1), 2)):
+    for s, t, lden, rden, row in _pairings(X, Xbar, X.N, basis, True):
         cert["checked_pairs"] += 1
         for h, (lhs, rhs) in zip(basis, row):
-            if den is not None:
-                if exact and lhs.numerator * den == rhs * lhs.denominator:
-                    continue
-                rhs = Fraction(rhs, den)
+            if lden is not None and rden is not None and lhs * rden == rhs * lden:
+                continue
+            lhs = lhs if lden is None else Fraction(lhs, lden)
+            rhs = rhs if rden is None else Fraction(rhs, rden)
             if _close(lhs, rhs, X.mode):
                 continue
             cert["status"] = "fail"

@@ -3,7 +3,10 @@
 A rough path is stored as one group-like increment per adjacent grid pair;
 increments over wider pairs are composed on demand (and cached), so the Chen
 relation is baked into the representation and `validate` re-checks it as a
-constructor consistency check, on every grid triple.  Two lift constructors
+constructor consistency check, on every grid triple.  A sweep that reads
+every pair once, such as `conversion.certify`, takes them from `pair_rows`
+instead: context rows folded forward from each start point, with no element
+built and nothing cached.  Two lift constructors
 cover the two sides of the theory: `canonical_lift` takes exact iterated
 integrals of the piecewise linear interpolation, `ito_lift` realizes the
 left-point Riemann rule.
@@ -268,6 +271,55 @@ class _RoughPathBase:
             got = self._compose(got, self.increments[v - 1])
             cache[(s_index, v)] = got
         return got
+
+    def pair_rows(self):
+        """Every grid pair (s, t), s < t, in itertools.combinations order, as
+        (s, t, values, den, size): X_st as a map from positions of the
+        path's context to its non-zero coefficients, in the term order of
+        X.increment(s, t), as integer numerators over den when every value
+        is exact and unchanged with den None otherwise; size is the number
+        of terms of X.increment(s, t).
+
+        For each s the rows of (s, s+2), (s, s+3), ... are folded forward,
+        each by the context's product kernel on the row before it and the
+        adjacent row (t-1, t), which replaces it: every pair is composed
+        once, with O(M) rows live, no element is built and the increment
+        cache is not touched.  A step runs on integers when both rows are
+        exact, as `context_product` does, and is reduced by the gcd of den
+        and the numerators; otherwise it runs on the values, in the same
+        term order, so float rows are the increment's bit for bit, and a
+        row whose values all come out exact goes back to numerators."""
+        ctx = self.context()
+        product, operand = ctx.product, ctx.operand
+        # per step: its row, den, size, and its operands on numerators and on values
+        adjacent = []
+        for inc in self.increments:
+            pos, vals = ctx.sparse(inc.terms)
+            (nums,), den = numerators(vals)
+            exact = den is not None
+            row = dict(zip(pos, nums if exact else vals))
+            adjacent.append((row, den, len(inc.terms), operand(pos, nums) if exact else None, operand(pos, vals)))
+        for s, (vals, den, size, _, _) in enumerate(adjacent):
+            yield s, s + 1, vals, den, size
+            for t in range(s + 2, len(adjacent) + 1):
+                _, step_den, _, step_nums, step_vals = adjacent[t - 1]
+                if den is not None and step_den is not None:
+                    totals = product(operand(vals.keys(), vals.values()), step_nums, 0)
+                    vals = {k: c for k, c in totals.items() if c}
+                    den *= step_den
+                    common = math.gcd(den, *vals.values())
+                    if common > 1:
+                        den //= common
+                        vals = {k: c // common for k, c in vals.items()}
+                else:
+                    if den is not None:
+                        vals = {k: Fraction(c, den) for k, c in vals.items()}
+                    totals = product(operand(vals.keys(), vals.values()), step_vals, _ZERO)
+                    vals = {k: c for k, c in totals.items() if c}
+                    (nums,), den = numerators(list(vals.values()))
+                    if den is not None:
+                        vals = dict(zip(vals, nums))
+                yield s, t, vals, den, len(vals)
 
 
 class BranchedRoughPath(_RoughPathBase):

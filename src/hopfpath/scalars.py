@@ -11,7 +11,11 @@ of their operands is an `int` or a `Fraction`, the loop runs on integer
 numerators over one common denominator and divides once per output
 coefficient.  Otherwise (float mode) it runs on the values unchanged, in
 the same term order as the plain dict loop it replaced, so float results
-keep their rounding bit for bit.
+keep their rounding bit for bit.  The row fold of a rough path's pairs
+(`roughpath._RoughPathBase.pair_rows`, which `conversion.certify` sweeps)
+runs the same kernels but keeps exact rows as numerators from step to step,
+reduced by their gcd; `certify` compares them by cross-multiplying, and
+divides only for a witness.
 """
 
 from __future__ import annotations

@@ -6,7 +6,11 @@ equation, coproducts via explicit vertex-subset enumeration, tree factorials
 via per-vertex subtree sizes.  The Forest recursions for the cut coproduct
 and the antipode that the library's forest context replaced are kept here
 too, as the term-order references of its rows.  Keep this module free of
-imports from hopfpath internals beyond the basic Tree/Forest containers.
+imports from hopfpath internals beyond the basic Tree/Forest containers,
+with one exception: `certify_reference`, the element-based sweep of
+`conversion.certify` that the row fold replaced, kept verbatim as its
+reference.  It pins the sweep, not the maps, so it reads psi, the paths'
+increments and the pairing from the library, imported where it runs.
 """
 
 import functools
@@ -351,3 +355,72 @@ def leftpoint_oracle(rows, x, s: int, t: int):
             term = term * leftpoint_oracle(rows, child, s, k)
         total += term
     return total
+
+
+# -- the element-based certificate sweep -------------------------------------
+
+
+def _pairings_reference(X, Xbar, level: int, forests: list, pairs):
+    """Per grid pair (s, t) in order: s, t, the denominator of the integer
+    numerators of Xbar_st (None when it is not exact), and for each forest h
+    the values <X_st, h> and <Xbar_st, psi(h)>, the latter over that
+    denominator.  Words of psi(h) over letters that Xbar lacks are left out:
+    for a partial lift, the tree letter of h itself."""
+    from hopfpath.hopf import HElem
+    from hopfpath.morphisms import psi
+    from hopfpath.tensor import pair_functional, word_context
+
+    ctx = word_context(level, Xbar.d, Xbar.letter_bound)
+    images = [psi(HElem.from_forest(h, X.d), level).terms for h in forests]
+    images = [ctx.functional({w: c for w, c in img.items() if w in ctx.index}) for img in images]
+    for s, t in pairs:
+        branched = X.increment(s, t)
+        vec = ctx.vector(Xbar.increment(s, t).terms)
+        yield s, t, vec.den, [(branched.coeff(h), pair_functional(img, vec)) for h, img in zip(forests, images)]
+
+
+def certify_reference(X, Xbar) -> dict:
+    """Check <X_st, h> = <Xbar_st, psi(h)> for all forests of grade <= N and
+    all grid pairs; first failure is recorded with a full witness.
+
+    Exact values are compared by cross-multiplying integer numerators, float
+    ones with the float tolerance."""
+    import itertools
+
+    from hopfpath.roughpath import RATIONAL, _close
+    from hopfpath.trees import enumerate_forests
+
+    N, d, M = X.N, X.d, X.grid.steps
+    basis = enumerate_forests(N, d)
+    exact = X.mode == RATIONAL
+    cert = {
+        "status": "pass",
+        "checked_forests": len(basis),
+        "checked_pairs": 0,
+        "witness": None,
+    }
+    for s, t, den, row in _pairings_reference(X, Xbar, N, basis, itertools.combinations(range(M + 1), 2)):
+        cert["checked_pairs"] += 1
+        for h, (lhs, rhs) in zip(basis, row):
+            if den is not None:
+                if exact and lhs.numerator * den == rhs * lhs.denominator:
+                    continue
+                rhs = Fraction(rhs, den)
+            if _close(lhs, rhs, X.mode):
+                continue
+            cert["status"] = "fail"
+            cert["witness"] = {
+                "forest": repr(h),
+                "s": str(X.grid.times[s]),
+                "t": str(X.grid.times[t]),
+                "branched_value": str(lhs),
+                "geometric_value": str(rhs),
+            }
+            return cert
+    gamma = X.gamma
+    if not isinstance(gamma, float) and Fraction(gamma).numerator == 1:
+        cert["gamma_caveat"] = (
+            "1/gamma is an integer; the continuum extension theorem excludes "
+            "this case, the grid construction does not"
+        )
+    return cert

@@ -1,9 +1,11 @@
 """Branched-to-geometric encoding, its certificate, and the level-2 shortcut."""
 
+import re
 from fractions import Fraction as Q
 
 import pytest
 
+from hopfpath import conversion
 from hopfpath.conversion import (
     ConversionError,
     SimplifiedDriver,
@@ -17,14 +19,14 @@ from hopfpath.hopf import HElem
 from hopfpath.morphisms import psi
 from hopfpath.roughpath import (
     BranchedRoughPath,
-    GeometricRoughPath,
+    Grid,
     SampledPath,
     canonical_lift,
     embed_geometric,
     ito_lift,
     validate,
 )
-from hopfpath.tensor import Word, is_tensor_group_like
+from hopfpath.tensor import Word, WordContext, is_tensor_group_like
 from hopfpath.trees import Forest, Tree, leaf
 
 B1, B2 = leaf(1), leaf(2)
@@ -202,17 +204,45 @@ def walk_path_d2(M):
 
 
 def test_encode_composes_each_geometric_pair_at_most_once(monkeypatch):
-    # one certify sweep of the final lift composes M(M-1)/2 pairs; each
-    # level extracts its components from adjacent increments only
+    # one certify sweep of the final lift composes M(M-1)/2 pairs, each a
+    # row fold step on the word context's kernel; each level extracts its
+    # components from adjacent increments only, and no increment is cached
     M = 5
     X = ito_lift(walk_path_d2(M), 3)
     calls = []
-    compose = GeometricRoughPath._compose
-    monkeypatch.setattr(GeometricRoughPath, "_compose", lambda self, a, b: calls.append(1) or compose(self, a, b))
+    product = WordContext.product
+    monkeypatch.setattr(WordContext, "product", lambda self, x, y, zero: calls.append(1) or product(self, x, y, zero))
     for flags, want in (((), M * (M - 1) // 2), ((False,), M * (M - 1) // 2), ((False, False), 0)):
         calls.clear()
-        encode(X, *flags)
+        result = encode(X, *flags)
         assert len(calls) == want, flags
+        assert X._cache == {} and result.geometric._cache == {}, flags
+
+
+@pytest.mark.parametrize(
+    "steps, times, message",
+    [
+        (3, None, "on Grid(0..1, 3 steps) and the geometric one on Grid(0..1, 4 steps)"),
+        (6, None, "on Grid(0..1, 6 steps) and the geometric one on Grid(0..1, 4 steps)"),
+        (4, [Q(k, 8) for k in range(5)], "on Grid(0..1/2, 4 steps) and the geometric one on Grid(0..1, 4 steps); time 1 is 1/8 against 1/4"),
+    ],
+    ids=["fewer steps", "more steps", "other times"],
+)
+def test_certify_refuses_paths_on_different_grids(steps, times, message, monkeypatch):
+    # unchecked, these pass on 6 pairs, raise a bare IndexError, and pass
+    # on X's times alone
+    Y = ito_lift(walk_path_d2(4), 3)
+    Xbar = encode(Y, False, False).geometric
+    partial = canonical_lift(base_path_of(Y), 2)
+    path = walk_path_d2(steps)
+    if times is not None:
+        path = SampledPath(Grid(times), path.basis, path.values)
+    X = ito_lift(path, 3)
+    monkeypatch.setattr(conversion, "enumerate_forests", None)  # refused before any work
+    with pytest.raises(ValueError, match=re.escape("the branched path is " + message) + "$"):
+        certify(X, Xbar)
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        extract_extended_path(X, partial)
 
 
 @pytest.mark.parametrize("forest", [Forest((B1, B2)), Forest((B1, B1, B1))], ids=repr)

@@ -25,6 +25,8 @@ with tempfile.TemporaryDirectory() as tmp:
     lift = ["lift", "--synth", "rw", "--steps", "4", "--d", "2", "--N", "3", "--mode", "ito",
             "--step", "1/2", "--out", str(out / "lift.json")]
     codes = [cli.main(lift), cli.main(["convert", str(out / "lift.json"), "--out", str(out / "convert.json")])]
+    # convert composes no element, so concat is reached through a canonical lift's Chen check
+    codes.append(cli.main([*lift[:10], "canonical", *lift[11:]]))
 summary = t.summary()
 print(json.dumps({"codes": codes, "counts": summary["counts"],
                   "calls": {k: v["calls"] for k, v in summary["spans"].items()}}))
@@ -38,7 +40,7 @@ def test_tracer_counts_the_container_and_kernel_layers():
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["codes"] == [0, 0]
+    assert report["codes"] == [0, 0, 0]
     assert report["counts"]["hopf.HElem.new"] > 0
     assert report["counts"]["tensor.TensorElem.new"] > 0
     assert report["calls"]["hopf.convolve"] > 0
