@@ -45,7 +45,7 @@ from .roughpath import (
     canonical_lift,
     roughpath_obj,
 )
-from .tensor import TensorElem, Word, WordVector, is_tensor_group_like, pair_functional, word_context
+from .tensor import TensorElem, Word, WordFunctional, WordVector, is_tensor_group_like, pair_functional, word_context
 from .trees import Forest, Tree, enumerate_forests, enumerate_trees, leaf, trees_of_grade
 
 _ZERO = Fraction(0)
@@ -63,7 +63,7 @@ def _running_sums(increments: list, mode: str) -> list:
 def base_path_of(X: BranchedRoughPath) -> SampledPath:
     """Grade-1 components of a branched rough path, started at 0."""
     basis = tuple(leaf(i) for i in range(1, X.d + 1))
-    cols = [_running_sums([g.coeff(Forest((b,))) for g in X.increments], X.mode) for b in basis]
+    cols = [_running_sums([g.coeff(h) for g in X.increments], X.mode) for h in (Forest((b,)) for b in basis)]
     return SampledPath(X.grid, basis, list(zip(*cols)), X.mode)
 
 
@@ -88,16 +88,21 @@ def _pairings(X: BranchedRoughPath, Xbar: GeometricRoughPath, level: int, forest
     psi(h) over letters that Xbar lacks are left out: for a partial lift,
     the tree letter of h itself.
 
-    Adjacent pairs read the increments as given.  Every pair reads the rows
-    that `pair_rows` folds on each path's context, <X_st, h> straight from
-    X's row and Xbar's row as the vector the psi images are paired with."""
+    Adjacent pairs read the increments as given and pair the images' int
+    coefficients with floats too: int c * float v is float(c) * v, as for
+    the Fraction c.  Every pair reads the rows that `pair_rows` folds on
+    each path's context, <X_st, h> straight from X's row and Xbar's row as
+    the vector the psi images are paired with."""
     ctx = word_context(level, Xbar.d, Xbar.letter_bound)
     images = [psi(HElem.from_forest(h, X.d), level).terms for h in forests]
     images = [ctx.functional({w: c for w, c in img.items() if w in ctx.index}) for img in images]
     if not every_pair:
+        images = [WordFunctional(img.values, img.values, img.size) for img in images]
         for k, (branched, geometric) in enumerate(zip(X.increments, Xbar.increments)):
             vec = ctx.vector(geometric.terms)
-            yield k, k + 1, None, vec.den, [(branched.coeff(h), pair_functional(img, vec)) for h, img in zip(forests, images)]
+            rhs = [pair_functional(img, vec) for img in images]
+            get = branched.terms.get  # an absent <X_st, h>: 0 - float is Fraction(0) - float
+            yield k, k + 1, None, vec.den, [(get(h, 0 if type(v) is float else _ZERO), v) for h, v in zip(forests, rhs)]
         return
     where = [X.context().index.get(h) for h in forests]
     own = Xbar.context()
@@ -276,6 +281,10 @@ def simplify_n2(result: ConversionResult) -> SimplifiedDriver:
     new geometric rough path xhat (still a shuffle character, since the
     addition cancels in every e_i shuffle e_j), and the symmetric half is
     returned as scalar paths.
+
+    The cherry columns, flipped words and 1/2 (0.5 in float mode) are found
+    once, and each word's letter bound (`Word.bounds`) is kept on the word.
+    xhat's words are plain letters within d, so its increments are trusted.
     """
     Xbar = result.geometric
     if Xbar.N != 2:
@@ -283,32 +292,28 @@ def simplify_n2(result: ConversionResult) -> SimplifiedDriver:
     d = Xbar.d
     path = result.extended_path
     letters = tuple(leaf(i) for i in range(1, d + 1))
-    cherry = {(i, j): Tree(i, (leaf(j),)) for i in range(1, d + 1) for j in range(1, d + 1)}
+    cherries = [(i, j) for i in range(1, d + 1) for j in range(1, d + 1)]  # (i, j): [b_j]_i
+    cols = [path.basis.index(Tree(i, (leaf(j),))) for i, j in cherries]
+    flips = [((i, j), (j, i), Word((leaf(j), leaf(i)))) for i, j in cherries]
     pairs = tuple((k, l) for k in range(1, d + 1) for l in range(k, d + 1))
-    half = Fraction(1, 2)
+    half = Fraction(1, 2) if Xbar.mode == RATIONAL else 0.5
     word_incs = []
     sym_incs = []
-    for step, g in enumerate(Xbar.increments):
-        delta = path.delta(step)
-        terms = {}
-        for w, c in g.terms.items():
-            if all(t.grade == 1 for t in w.letters):
-                terms[w] = c
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                # <xhat, e_j (x) e_i> gains half the antisymmetric cherry part
-                corr = half * (delta[cherry[(i, j)]] - delta[cherry[(j, i)]])
-                if corr:
-                    w = Word((leaf(j), leaf(i)))
-                    terms[w] = terms.get(w, 0) + corr
-                    if terms[w] == 0:
-                        del terms[w]
-        word_incs.append(TensorElem(terms, d, 1))
-        sym_incs.append(
-            {(k, l): delta[cherry[(k, l)]] + delta[cherry[(l, k)]] for k, l in pairs}
-        )
+    for g, lo, hi in zip(Xbar.increments, path.values, path.values[1:]):
+        x = dict(zip(cherries, [hi[c] - lo[c] for c in cols]))
+        terms = {w: c for w, c in g.terms.items() if w.max_letter_grade() <= 1}
+        for a, b, w in flips:
+            # <xhat, e_j (x) e_i> gains half the antisymmetric cherry part
+            corr = half * (x[a] - x[b])
+            if corr:
+                terms[w] = terms.get(w, 0) + corr
+                if terms[w] == 0:
+                    del terms[w]
+        word_incs.append(TensorElem._trusted(terms, d, 1))
+        sym_incs.append({(k, l): x[(k, l)] + x[(l, k)] for k, l in pairs})
     xhat = GeometricRoughPath(2, Xbar.gamma, Xbar.grid, word_incs, d, Xbar.mode, letters)
-    for g in xhat.increments:
-        if Xbar.mode == RATIONAL and not is_tensor_group_like(g, 2):
-            raise ConversionError("antisymmetric correction broke the shuffle character")
+    if Xbar.mode == RATIONAL:
+        for g in xhat.increments:
+            if not is_tensor_group_like(g, 2):
+                raise ConversionError("antisymmetric correction broke the shuffle character")
     return SimplifiedDriver(xhat, pairs, sym_incs)

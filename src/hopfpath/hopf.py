@@ -5,8 +5,8 @@ forest pairs (H (x) H).  Both take their linear structure from
 `linear.Linear`, which the word, word-pair and polynomial containers share:
 sums, scaling, coefficients, equality, hashing and printing, with the
 Kronecker pairing and the exp/log series loops beside it.  HElem adds the
-alphabet size d (checked to be at least 1, not against the labels), its
-constructors and the forest product.
+alphabet size d (checked to be at least 1 and, on construction, against
+the labels of every forest), its constructors and the forest product.
 
 The same container plays both roles: elements of the algebra H (product =
 forest concatenation, coproduct = cut sum) and, through the Kronecker
@@ -63,6 +63,9 @@ class HElem(Linear):
         if d < 1:
             raise ValueError(f"alphabet size must be >= 1, got {d}")
         super().__init__(terms, d)
+        for f in self.terms:
+            if f.max_label() > d:
+                raise ValueError(f"forest label out of range 1..{d} in {f!r}")
 
     # -- constructors ------------------------------------------------------
 
@@ -136,8 +139,8 @@ def product(x: HElem, y: HElem) -> HElem:
 
 def _context_of(x: HElem) -> ForestContext:
     """The forest context whose basis holds every forest of x: grades up to
-    x's, labels up to d or up to x's largest label if that is larger."""
-    return forest_context(x.max_grade(), max([x.d, *(f.max_label() for f in x.terms)]))
+    x's, labels up to d."""
+    return forest_context(x.max_grade(), x.d)
 
 
 def coproduct(x: HElem) -> PairElem:

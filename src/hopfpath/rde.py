@@ -81,6 +81,27 @@ def _partial(memo: dict, beta: tuple) -> list:
     return got
 
 
+def _monomials(terms: dict) -> tuple:
+    """The terms as (coefficient, variable indices) pairs in term order, the
+    0-based index k listed e[k] times: a polynomial compiled for `_evaluate`."""
+    return tuple((c, tuple(k for k, p in enumerate(e) for _ in range(p))) for e, c in terms.items())
+
+
+def _evaluate(components, point) -> list:
+    """Each compiled polynomial at point: per term its coefficient times
+    each listed variable, left to right, the terms summed from 0 in order."""
+    out = []
+    for monos in components:
+        total = 0
+        for c, idx in monos:
+            v = c
+            for k in idx:
+                v = v * point[k]
+            total = total + v
+        out.append(total)
+    return out
+
+
 def _views(fields, exact: bool = True) -> tuple:
     """(views, exact): per field (q, memo), kept with it: memo[()] its terms on
     integer numerators over their lcm q, memo[beta] its partials (`_partial`);
@@ -132,14 +153,7 @@ class Poly(Linear):
         return Poly(_diff(self.terms, i - 1), self.nvars)
 
     def eval(self, point: Sequence):
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for x, p in zip(point, e):
-                for _ in range(p):
-                    v = v * x
-            total = total + v
-        return total
+        return _evaluate((_monomials(self.terms),), point)[0]
 
     degree = Linear.max_grade
 
@@ -270,7 +284,7 @@ class PolyVectorField:
         return PolyVectorField(tuple(p.scale(c) for p in self.components))
 
     def eval(self, point: Sequence) -> tuple:
-        return tuple(p.eval(point) for p in self.components)
+        return tuple(_evaluate([_monomials(p.terms) for p in self.components], point))
 
     __call__ = eval
 
@@ -438,27 +452,32 @@ def _euler(grid: Grid, mode: str, e: int, xi: Sequence, step_terms: Iterable) ->
     Each item of step_terms yields that step's (key, w, F) terms in
     summation order, which fixes the float rounding and the order of the
     breakdown; a term with a non-zero contribution is named str(key) there.
+    Each field is compiled once per solve (`_monomials`, of its float copy
+    in float mode) and each key named once.
     """
     if len(xi) != e:
         raise ValueError(f"initial state has dimension {len(xi)}, fields have {e}")
     y = tuple(xi)
     values = [y]
     breakdowns = []
-    floats: dict = {}  # id(F) -> (F, F.to_float()), so each field is converted once
+    compiled: dict = {}  # id(F) -> (F, its compiled components); F is held, so its id is not reused
+    names: dict = {}
     for terms in step_terms:
         delta = [0] * e
         breakdown = {}
         for key, w, F in terms:
-            if mode == FLOAT:
-                if id(F) not in floats:
+            got = compiled.get(id(F))
+            if got is None:
+                G = F
+                if mode == FLOAT:
                     try:
-                        floats[id(F)] = (F, F.to_float())
+                        G = F.to_float()
                     except OverflowError:
                         raise ValueError(f"the field of {key} has a coefficient too large for a float") from None
-                F = floats[id(F)][1]
-            contrib = tuple(w * vi for vi in F.eval(y))
+                got = compiled[id(F)] = (F, [_monomials(p.terms) for p in G.components])
+            contrib = tuple([w * v for v in _evaluate(got[1], y)])
             if any(contrib):
-                breakdown[str(key)] = contrib
+                breakdown[names.get(key) or names.setdefault(key, str(key))] = contrib
             delta = [a + b for a, b in zip(delta, contrib)]
         y = tuple(a + b for a, b in zip(y, delta))
         if mode == FLOAT and not all(map(math.isfinite, y)):

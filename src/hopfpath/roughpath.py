@@ -443,7 +443,8 @@ def canonical_lift(path: SampledPath, N: int, gamma=None) -> GeometricRoughPath:
     same left-to-right products and the same scale, which in float mode is
     float(Fraction(1, k!)), the number Fraction(1, k!) * x multiplies a
     float x by.  As in tensor_exp, a product that reaches 0 is not extended,
-    and a coefficient that rounds to 0 is dropped (by TensorElem).
+    and a coefficient that rounds to 0 is dropped.  The words come from the
+    word context, so the increments are built with `TensorElem._trusted`.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
@@ -486,9 +487,10 @@ def canonical_lift(path: SampledPath, N: int, gamma=None) -> GeometricRoughPath:
                     if w is None:
                         w = Word(letters[i] for i in key_j)
                         w = words[key_j] = ctx.basis[ctx.index[w]]
-                    terms[w] = scale * p
+                    if (c := scale * p) != 0:  # a float product can round to 0
+                        terms[w] = c
             level = deeper
-        increments.append(TensorElem(terms, d, n))
+        increments.append(TensorElem._trusted(terms, d, n))
     return GeometricRoughPath(
         N, gamma if gamma is not None else Fraction(1, N), path.grid, increments, d, path.mode, letters
     )
@@ -508,21 +510,22 @@ def ito_lift(path: SampledPath, N: int, gamma=None) -> BranchedRoughPath:
         raise ValueError("ito_lift expects a plain label basis")
     _check_float_range(path, N)
     d = path.d
-    basis_forests = enumerate_forests(N, d)
+    # non-unit forests of single vertices, each with its factors' value
+    # columns; a label the path lacks reads the 0 past the last column
+    column = {t.label: i for i, t in enumerate(path.basis)}
+    forests = [(f, [column.get(t.label, len(column)) for t in f]) for f in enumerate_forests(N, d) if 0 < len(f) == f.grade]
+    one = Fraction(1)
     increments = []
-    for k in range(path.grid.steps):
-        delta = path.delta(k)
-        by_label = {t.label: delta[t] for t in path.basis}
-        terms = {EMPTY_FOREST: Fraction(1)}
-        for f in basis_forests:
-            if f.is_unit() or any(t.grade > 1 for t in f.factors):
-                continue
+    for lo, hi in zip(path.values, path.values[1:]):
+        delta = [*map(operator.sub, hi, lo), 0]
+        terms = {EMPTY_FOREST: one}
+        for f, cols in forests:
             v = 1
-            for t in f.factors:
-                v = v * by_label.get(t.label, 0)
+            for i in cols:
+                v = v * delta[i]
             if v != 0:
                 terms[f] = v
-        increments.append(HElem(terms, d))
+        increments.append(HElem._trusted(terms, d))
     return BranchedRoughPath(
         N, gamma if gamma is not None else Fraction(1, N), path.grid, increments, d, path.mode
     )

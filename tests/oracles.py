@@ -7,10 +7,13 @@ via per-vertex subtree sizes.  The Forest recursions for the cut coproduct
 and the antipode that the library's forest context replaced are kept here
 too, as the term-order references of its rows.  Keep this module free of
 imports from hopfpath internals beyond the basic Tree/Forest containers,
-with one exception: `certify_reference`, the element-based sweep of
+with two exceptions.  `certify_reference` is the element-based sweep of
 `conversion.certify` that the row fold replaced, kept verbatim as its
 reference.  It pins the sweep, not the maps, so it reads psi, the paths'
-increments and the pairing from the library, imported where it runs.
+increments and the pairing from the library, imported where it runs.  The
+per-step loops of the lifts, `simplify_n2` and the Euler solvers, as they
+ran before their fixed work was hoisted out of the step, are kept the same
+way.
 """
 
 import functools
@@ -424,3 +427,209 @@ def certify_reference(X, Xbar) -> dict:
             "this case, the grid construction does not"
         )
     return cert
+
+
+# -- the per-step loops that the lifts and solvers replaced -----------------
+#
+# The Itô and canonical increments, the level-2 shortcut and the Euler loop
+# as they ran before their fixed work left the step loop: forests, words,
+# columns, names and Fraction constants found again at every step, each
+# element built by the checking constructor, and each field evaluated by the
+# generic polynomial loop.  Like `certify_reference` they pin a loop, not the
+# maps, so they read the library's containers and tables, imported where
+# they run.
+
+
+def ito_increments_reference(path, N: int) -> list:
+    """The adjacent increments of `roughpath.ito_lift`."""
+    from hopfpath.hopf import HElem
+    from hopfpath.trees import enumerate_forests
+
+    d = path.d
+    basis_forests = enumerate_forests(N, d)
+    increments = []
+    for k in range(path.grid.steps):
+        delta = path.delta(k)
+        by_label = {t.label: delta[t] for t in path.basis}
+        terms = {EMPTY_FOREST: Fraction(1)}
+        for f in basis_forests:
+            if f.is_unit() or any(t.grade > 1 for t in f.factors):
+                continue
+            v = 1
+            for t in f.factors:
+                v = v * by_label.get(t.label, 0)
+            if v != 0:
+                terms[f] = v
+        increments.append(HElem(terms, d))
+    return increments
+
+
+def canonical_increments_reference(path, N: int) -> list:
+    """The adjacent increments of `roughpath.canonical_lift`."""
+    from hopfpath.roughpath import FLOAT
+    from hopfpath.tensor import TensorElem, Word, word_context
+
+    letters = tuple(t for t in path.basis if t.grade <= N)
+    d = path.d
+    n = max(t.grade for t in letters)
+    columns = [(j, path.basis.index(t), t.grade) for j, t in enumerate(letters)]
+    scales = []
+    inv_fact = Fraction(1)
+    for m in range(1, N + 1):
+        inv_fact /= m
+        scales.append(float(inv_fact) if path.mode == FLOAT else inv_fact)
+    ctx = word_context(N, d, n)
+    words: dict = {}
+    one = Fraction(1)
+    increments = []
+    for k in range(path.grid.steps):
+        lo, hi = path.values[k], path.values[k + 1]
+        live = [(j, v, g) for j, i, g in columns if (v := hi[i] - lo[i]) != 0]
+        terms = {ctx.basis[0]: one}
+        level = [((), 0, None)]
+        for scale in scales:
+            deeper = []
+            for key, grade, prod in level:
+                for j, v, g in live:
+                    if grade + g > N:
+                        continue
+                    p = v if prod is None else prod * v
+                    if p == 0:
+                        continue
+                    key_j = key + (j,)
+                    deeper.append((key_j, grade + g, p))
+                    w = words.get(key_j)
+                    if w is None:
+                        w = Word(letters[i] for i in key_j)
+                        w = words[key_j] = ctx.basis[ctx.index[w]]
+                    terms[w] = scale * p
+            level = deeper
+        increments.append(TensorElem(terms, d, n))
+    return increments
+
+
+def simplify_reference(result) -> tuple:
+    """The xhat increments and the symmetric increments of
+    `conversion.simplify_n2`."""
+    from hopfpath.tensor import TensorElem, Word
+    from hopfpath.trees import leaf
+
+    Xbar = result.geometric
+    d = Xbar.d
+    path = result.extended_path
+    cherry = {(i, j): Tree(i, (leaf(j),)) for i in range(1, d + 1) for j in range(1, d + 1)}
+    pairs = tuple((k, l) for k in range(1, d + 1) for l in range(k, d + 1))
+    half = Fraction(1, 2)
+    word_incs = []
+    sym_incs = []
+    for step, g in enumerate(Xbar.increments):
+        delta = path.delta(step)
+        terms = {}
+        for w, c in g.terms.items():
+            if all(t.grade == 1 for t in w.letters):
+                terms[w] = c
+        for i in range(1, d + 1):
+            for j in range(1, d + 1):
+                corr = half * (delta[cherry[(i, j)]] - delta[cherry[(j, i)]])
+                if corr:
+                    w = Word((leaf(j), leaf(i)))
+                    terms[w] = terms.get(w, 0) + corr
+                    if terms[w] == 0:
+                        del terms[w]
+        word_incs.append(TensorElem(terms, d, 1))
+        sym_incs.append({(k, l): delta[cherry[(k, l)]] + delta[cherry[(l, k)]] for k, l in pairs})
+    return word_incs, sym_incs
+
+
+def poly_eval_reference(terms: dict, point):
+    """A polynomial's term dict at point: per term the coefficient times
+    each variable as often as its exponent says, the terms summed from 0."""
+    total = 0
+    for e, c in terms.items():
+        v = c
+        for x, p in zip(point, e):
+            for _ in range(p):
+                v = v * x
+        total = total + v
+    return total
+
+
+def euler_reference(grid, mode: str, e: int, xi, step_terms):
+    """`rde._euler` with each field converted once by id in float mode,
+    evaluated by `poly_eval_reference` and named with str(key) at every
+    step it contributes to."""
+    import math
+
+    from hopfpath.rde import Trajectory
+    from hopfpath.scalars import FLOAT
+
+    if len(xi) != e:
+        raise ValueError(f"initial state has dimension {len(xi)}, fields have {e}")
+    y = tuple(xi)
+    values = [y]
+    breakdowns = []
+    floats: dict = {}
+    for terms in step_terms:
+        delta = [0] * e
+        breakdown = {}
+        for key, w, F in terms:
+            if mode == FLOAT:
+                if id(F) not in floats:
+                    try:
+                        floats[id(F)] = (F, F.to_float())
+                    except OverflowError:
+                        raise ValueError(f"the field of {key} has a coefficient too large for a float") from None
+                F = floats[id(F)][1]
+            contrib = tuple(w * poly_eval_reference(p.terms, y) for p in F.components)
+            if any(contrib):
+                breakdown[str(key)] = contrib
+            delta = [a + b for a, b in zip(delta, contrib)]
+        y = tuple(a + b for a, b in zip(y, delta))
+        if mode == FLOAT and not all(map(math.isfinite, y)):
+            i = [math.isfinite(v) for v in y].index(False)
+            raise ValueError(f"the float solve leaves the float range at step {len(values)}: y_{i + 1} = {y[i]}")
+        values.append(y)
+        breakdowns.append(breakdown)
+    return Trajectory(grid, values, breakdowns, mode)
+
+
+def solve_branched_reference(X, f, xi):
+    from hopfpath.trees import enumerate_trees
+
+    trees = [(tau, Forest((tau,)), symmetry_factor(tau)) for tau in enumerate_trees(X.N, X.d)]
+
+    def terms(g):
+        for tau, h, sigma in trees:
+            c = g.coeff(h)
+            if c != 0:
+                yield tau, c / sigma, f.field(tau)
+
+    return euler_reference(X.grid, X.mode, f.e, xi, (terms(g) for g in X.increments))
+
+
+def _word_terms_reference(g, table):
+    for w in sorted(g.terms, key=g._order):
+        if not w.is_empty():
+            yield w, g.terms[w], table.field(w)
+
+
+def solve_geometric_reference(Xbar, table, xi):
+    steps = (_word_terms_reference(g, table) for g in Xbar.increments)
+    return euler_reference(Xbar.grid, Xbar.mode, table.e, xi, steps)
+
+
+def solve_simplified_reference(sd, f, xi):
+    from hopfpath.rde import WordFieldTable, sym_correction_fields
+    from hopfpath.trees import leaf
+
+    table = WordFieldTable({leaf(i): fi for i, fi in f.base.items()})
+    weights = sym_correction_fields(f, sd.pairs)
+
+    def terms(g, sym):
+        yield from _word_terms_reference(g, table)
+        for (k, l), c in sym.items():
+            if c != 0:
+                yield f"s_{k}{l}", c, weights[(k, l)]
+
+    steps = (terms(g, sym) for g, sym in zip(sd.xhat.increments, sd.symmetric_increments))
+    return euler_reference(sd.xhat.grid, sd.xhat.mode, f.e, xi, steps)

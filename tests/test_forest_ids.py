@@ -16,6 +16,7 @@ in float mode.  The word side's operands keep their per-grade buckets, so
 
 import itertools
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -60,14 +61,17 @@ def test_antipode_rows_are_the_filtered_forest_antipode(N, d):
 @pytest.mark.parametrize("scalar", [Q, lambda p, q: p / q])
 def test_coproduct_and_antipode_of_a_combination_match_the_recursions(N, d, scalar):
     # every basis forest once, both signs, in an order that is not the basis
-    # order; an element whose labels pass its d (HElem does not refuse one)
-    # is read on a context wide enough to hold them
+    # order; the same terms with a label past a smaller d are refused
     forests = list(enumerate_forests(N, d))
     random.Random(N * 10 + d).shuffle(forests)
     terms = {f: scalar((-1) ** k * (k + 1), 7) for k, f in enumerate(forests)}
-    for x in (HElem(terms, d), HElem(terms, max(d - 1, 1))):
-        assert items_with_types(coproduct(x)) == items_with_types(PairElem(linear_coproduct(terms), x.d))
-        assert items_with_types(antipode(x)) == items_with_types(HElem(linear_antipode(terms), x.d))
+    x = HElem(terms, d)
+    assert items_with_types(coproduct(x)) == items_with_types(PairElem(linear_coproduct(terms), x.d))
+    assert items_with_types(antipode(x)) == items_with_types(HElem(linear_antipode(terms), x.d))
+    if d > 1:
+        first = next(f for f in forests if f.max_label() == d)
+        with pytest.raises(ValueError, match=re.escape(f"forest label out of range 1..{d - 1} in {first!r}")):
+            HElem(terms, d - 1)
 
 
 @pytest.mark.parametrize("N, d", [(1, 3), (3, 2), (6, 1)])

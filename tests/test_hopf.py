@@ -66,6 +66,18 @@ def test_zero_coefficients_are_pruned():
     assert list(y.support()) == [F(B2)]
 
 
+def test_a_label_above_d_is_refused():
+    # once admitted, this x gave convolve(x, x, 2) == 1 and passed as group-like
+    with pytest.raises(ValueError, match=r"^forest label out of range 1\.\.1 in b_2$"):
+        HElem.unit(1) + HElem.from_tree(leaf(2), 1)
+    with pytest.raises(ValueError, match=r"^forest label out of range 1\.\.2 in b_1 \[b_3\]_2$"):
+        HElem({F(B1): 1, Forest((B1, graft([leaf(3)], 2))): Fraction(1, 2)}, 2)
+    # zero terms go first, so a zero coefficient on such a forest is dropped
+    assert HElem({F(leaf(3)): 0, F(B2): 1}, 2).terms == {F(B2): 1}
+    x = HElem.unit(2) + HElem.from_tree(leaf(2), 2)
+    assert convolve(x, x, 2).coeff(F(B2)) == 2 and not is_group_like(x, 2)
+
+
 def test_context_mismatch_raises():
     with pytest.raises(ValueError):
         helem(1, (F(B1), 1)) + helem(2, (F(B1), 1))
