@@ -9,10 +9,12 @@ lift of the extended piecewise-linear path is rebuilt.  One sweep of
     <X_st, h> = <Xbar_st, psi(h)>
 
 for every forest h of grade <= N.  The sweep reads each pair's increments
-as rows that `_RoughPathBase.pair_rows` folds forward from each start point
-on each path's context, integer numerators over one denominator when exact:
-each pair is composed once, O(M) rows are live, and no element is built or
-cached.  It is every level's check as well: for
+as the `linear.Row`s that `_RoughPathBase.pair_rows` folds forward from
+each start point on each path's context, and pairs the geometric ones with
+the rows of the psi images by `Row.pair`: each pair is composed once, O(M)
+rows are live, no element is built or cached, and exact values stay integer
+numerators over one denominator until a witness prints them.  It is every
+level's check as well: for
 an extracted tree tau, with f_tau(s, t) = <X_st, tau> - <Xbar_st, psi(tau)
 without the tau letter> and F_tau the prefix sums of its adjacent values,
 <Xbar_st, psi(tau)> - <X_st, tau> = F_tau(t) - F_tau(s) - f_tau(s, t); on
@@ -45,7 +47,7 @@ from .roughpath import (
     canonical_lift,
     roughpath_obj,
 )
-from .tensor import TensorElem, Word, WordFunctional, WordVector, is_tensor_group_like, pair_functional, word_context
+from .tensor import TensorElem, Word, is_tensor_group_like, word_context
 from .trees import Forest, Tree, enumerate_forests, enumerate_trees, leaf, trees_of_grade
 
 _ZERO = Fraction(0)
@@ -85,35 +87,30 @@ def _pairings(X: BranchedRoughPath, Xbar: GeometricRoughPath, level: int, forest
     the adjacent ones only: s, t, two denominators, and for each forest h the
     values <X_st, h> and <Xbar_st, psi(h)>, each an integer numerator over
     its denominator, or the value itself where that is None.  Words of
-    psi(h) over letters that Xbar lacks are left out: for a partial lift,
-    the tree letter of h itself.
+    psi(h) over letters that Xbar lacks, or above the level, are left out:
+    for a partial lift, the tree letter of h itself.
 
-    Adjacent pairs read the increments as given and pair the images' int
-    coefficients with floats too: int c * float v is float(c) * v, as for
-    the Fraction c.  Every pair reads the rows that `pair_rows` folds on
-    each path's context, <X_st, h> straight from X's row and Xbar's row as
-    the vector the psi images are paired with."""
-    ctx = word_context(level, Xbar.d, Xbar.letter_bound)
+    Xbar_st is a row of Xbar's context, paired by `Row.pair` with the row of
+    psi(h), which is over 1: psi's coefficients are integers.
+    Adjacent pairs read the increments as given; every pair reads the rows
+    that `pair_rows` folds on each path's context, <X_st, h> straight from
+    X's row."""
+    ctx, own = word_context(level, Xbar.d, Xbar.letter_bound), Xbar.context()
     images = [psi(HElem.from_forest(h, X.d), level).terms for h in forests]
-    images = [ctx.functional({w: c for w, c in img.items() if w in ctx.index}) for img in images]
+    images = [own.row_of({w: c for w, c in img.items() if w in ctx.index}) for img in images]
+    if any(img.den != 1 for img in images):
+        raise ValueError("the psi images need integer coefficients")
     if not every_pair:
-        images = [WordFunctional(img.values, img.values, img.size) for img in images]
         for k, (branched, geometric) in enumerate(zip(X.increments, Xbar.increments)):
-            vec = ctx.vector(geometric.terms)
-            rhs = [pair_functional(img, vec) for img in images]
+            vec = own.row_of(geometric.terms)
+            rhs = [img.pair(vec) for img in images]
             get = branched.terms.get  # an absent <X_st, h>: 0 - float is Fraction(0) - float
             yield k, k + 1, None, vec.den, [(get(h, 0 if type(v) is float else _ZERO), v) for h, v in zip(forests, rhs)]
         return
     where = [X.context().index.get(h) for h in forests]
-    own = Xbar.context()
-    # Xbar's own positions, renumbered in ctx when its level is not ctx's
-    at = None if own is ctx else [ctx.index.get(w) for w in own.basis]
-    for (s, t, lhs, lden, _), (_, _, rhs, rden, size) in zip(X.pair_rows(), Xbar.pair_rows()):
-        if at is not None:
-            rhs = {at[k]: c for k, c in rhs.items() if at[k] is not None}
-        vec = WordVector(rhs, rden, size)
-        zero = _ZERO if lden is None else 0
-        yield s, t, lden, rden, [(lhs.get(k, zero), pair_functional(img, vec)) for k, img in zip(where, images)]
+    for (s, t, lhs), (_, _, vec) in zip(X.pair_rows(), Xbar.pair_rows()):
+        get, zero = lhs.values.get, _ZERO if lhs.den is None else 0
+        yield s, t, lhs.den, vec.den, [(get(k, zero), img.pair(vec)) for k, img in zip(where, images)]
 
 
 def extract_extended_path(X: BranchedRoughPath, partial: GeometricRoughPath, check_cocycle: bool = True) -> dict:

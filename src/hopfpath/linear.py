@@ -20,8 +20,16 @@ already pruned and in range, with it.
 `tensor.WordContext`) answer alike, by integer position: the positions of
 the basis, an element's terms as a sparse row, that row as the operand of
 the product kernel, the product of two operands, and, for the character
-test, the product rows of two basis keys.  `context_product` is the one
-wrapper around the two kernels and `is_character` the one character test.
+test, the product rows of two basis keys.  `is_character` is the one
+character test.
+
+`Row` carries an element's terms through the kernels by context position:
+integer numerators over one reduced denominator when every value is exact
+(see `scalars`), the values as given otherwise.  `Context.row_of` makes one
+and `Context.times` is the one product of rows, on numerators or on the
+values in their term order, so float totals keep their rounding bit for
+bit.  `context_product` (`convolve`, `concat`), the Chen sweep, the pair
+fold of a rough path and the psi pairing (`Row.pair`) all run on rows.
 
 The module also holds what the forest and word sides share beyond the
 container: the Kronecker pairing, the exp and log series over a truncated
@@ -157,6 +165,49 @@ class LinearPairs(Linear):
         return self.terms.get((left, right), self._zero)
 
 
+class Row:
+    """Terms by context position, in insertion order: integer numerators
+    over den when every value is exact, with den > 0 and gcd(den,
+    *numerators) == 1, so one map has one exact row; the values as given
+    with den None otherwise.  size counts the terms of the map the row was
+    made from.  `Context.times` keeps the row's kernel operand in operand."""
+
+    __slots__ = ("values", "den", "size", "operand")
+
+    def __init__(self, values: dict, den: int | None, size: int):
+        self.values = values
+        self.den = den
+        self.size = size
+        self.operand = None
+
+    def scalars(self) -> dict:
+        """The values, numerators over a den above 1 as Fractions.  An int in
+        place of its Fraction gives the same sum from Fraction(0), and the
+        same float times a float."""
+        den = self.den
+        if den is None or den == 1:
+            return self.values
+        return {k: Fraction(c, den) for k, c in self.values.items()}
+
+    def pair(self, other: "Row"):
+        """<self, other>: an integer over self.den * other.den when both are
+        exact, a sum of their scalars otherwise.  The row of fewer terms (self
+        on a tie) is iterated, adding c * v per common position to 0."""
+        if self.den is None or other.den is None:
+            a, b = self.scalars(), other.scalars()
+        else:
+            a, b = self.values, other.values
+        if self.size > other.size:
+            a, b = b, a
+        get = b.get
+        total = 0
+        for i, c in a.items():
+            v = get(i)
+            if v is not None:
+                total += c * v
+        return total
+
+
 class Context:
     """A basis sorted by grade, with integer positions: `index` maps basis
     keys to positions, `keys` and `lookup` number other keys (forests, or
@@ -198,17 +249,48 @@ class Context:
                 vals.append(c)
         return pos, vals
 
+    def row_of(self, terms: dict) -> Row:
+        """terms as a row; keys outside the basis count only in its size.
+        Exact values go over their least common denominator, a reduced den."""
+        pos, vals = self.sparse(terms)
+        (nums,), den = numerators(vals)
+        return Row(dict(zip(pos, vals if den is None else nums)), den, len(terms))
+
+    def times(self, a: Row, b: Row) -> Row:
+        """The row of a * b by the kernel, zero totals dropped: on the
+        numerators when both rows are exact, then reduced by their gcd with
+        den; otherwise on the scalars in term order, so floats round as the
+        values do, and back to numerators when every total is exact."""
+        exact = a.den is not None and b.den is not None
+        totals = self.product(self._operand(a, exact), self._operand(b, exact), 0 if exact else _ZERO)
+        values = {k: c for k, c in totals.items() if c}
+        if not exact:
+            (nums,), den = numerators(list(values.values()))
+            return Row(values if den is None else dict(zip(values, nums)), den, len(values))
+        den = a.den * b.den
+        common = math.gcd(den, *values.values())
+        if common > 1:
+            den //= common
+            values = {k: c // common for k, c in values.items()}
+        return Row(values, den, len(values))
+
+    def _operand(self, row: Row, exact: bool):
+        """row's operand, kept on it; one on the scalars of an exact row over
+        a den above 1 is built afresh."""
+        if not exact and row.den not in (None, 1):
+            scalars = row.scalars()
+            return self.operand(scalars.keys(), scalars.values())
+        if row.operand is None:
+            row.operand = self.operand(row.values.keys(), row.values.values())
+        return row.operand
+
 
 def context_product(ctx: Context, x: Linear, y: Linear) -> Linear:
-    """x * y by ctx's kernel: on integer numerators over one denominator when
-    every coefficient is exact (see `scalars`), on the values unchanged
-    otherwise; the non-zero totals are wrapped by `Linear._trusted`."""
-    xi, xv = ctx.sparse(x.terms)
-    yi, yv = ctx.sparse(y.terms)
-    (xv, yv), den = numerators(xv, yv)
-    totals = ctx.product(ctx.operand(xi, xv), ctx.operand(yi, yv), _ZERO if den is None else 0)
-    basis = ctx.basis
-    terms = {basis[k]: c if den is None else Fraction(c, den) for k, c in totals.items() if c}
+    """x * y as `Context.times` of their rows, wrapped by `Linear._trusted`
+    with exact totals as Fractions."""
+    row = ctx.times(ctx.row_of(x.terms), ctx.row_of(y.terms))
+    basis, den = ctx.basis, row.den
+    terms = {basis[k]: c if den is None else Fraction(c, den) for k, c in row.values.items()}
     return type(x)._trusted(terms, *x.ctx)
 
 

@@ -5,18 +5,18 @@ increments over wider pairs are composed on demand (and cached), so the Chen
 relation is baked into the representation and `validate` re-checks it as a
 constructor consistency check, on every grid triple.  A sweep that reads
 every pair once, such as `conversion.certify`, takes them from `pair_rows`
-instead: context rows folded forward from each start point, with no element
-built and nothing cached.  Two lift constructors
-cover the two sides of the theory: `canonical_lift` takes exact iterated
-integrals of the piecewise linear interpolation, `ito_lift` realizes the
-left-point Riemann rule.
+instead: `linear.Row`s folded forward from each start point by
+`Context.times`, with no element built and nothing cached.  Two lift
+constructors cover the two sides of the theory: `canonical_lift` takes exact
+iterated integrals of the piecewise linear interpolation, `ito_lift`
+realizes the left-point Riemann rule.
 
 The two path classes carry what differs between the sides (the `kind`, the
 element class and context tuple, the key parser, the Hölder keys and the
 `linear.Context` their products run on); the rest asks the path's context.
-The Chen check turns each pair's increment into one sparse row and one
-kernel operand, and runs the kernel of `convolve`/`concat` on operands,
-building no element per triple.
+The Chen check turns each pair's increment into one row and multiplies rows
+by `Context.times`, the step of `convolve`/`concat`, building no element
+per triple.
 
 On each interval the canonical increment is exp(sum_tau delta_tau e_tau),
 whose coefficient on a word of k letters is the product of their deltas
@@ -48,11 +48,9 @@ from typing import Iterable, Sequence
 
 from .hopf import HElem, convolve, forest_context, pair
 from .linear import is_character
-from .scalars import FLOAT, RATIONAL, numerators, parse_rational
+from .scalars import FLOAT, RATIONAL, parse_rational
 from .tensor import TensorElem, Word, concat, word_context
 from .trees import EMPTY_FOREST, Forest, Tree, enumerate_forests, leaf
-
-_ZERO = Fraction(0)
 
 
 def _close(a, b, mode) -> bool:
@@ -274,52 +272,21 @@ class _RoughPathBase:
 
     def pair_rows(self):
         """Every grid pair (s, t), s < t, in itertools.combinations order, as
-        (s, t, values, den, size): X_st as a map from positions of the
-        path's context to its non-zero coefficients, in the term order of
-        X.increment(s, t), as integer numerators over den when every value
-        is exact and unchanged with den None otherwise; size is the number
-        of terms of X.increment(s, t).
+        (s, t, row): X_st as a `linear.Row` of the path's context, in the
+        term order of X.increment(s, t) and of its size.
 
         For each s the rows of (s, s+2), (s, s+3), ... are folded forward,
-        each by the context's product kernel on the row before it and the
-        adjacent row (t-1, t), which replaces it: every pair is composed
-        once, with O(M) rows live, no element is built and the increment
-        cache is not touched.  A step runs on integers when both rows are
-        exact, as `context_product` does, and is reduced by the gcd of den
-        and the numerators; otherwise it runs on the values, in the same
-        term order, so float rows are the increment's bit for bit, and a
-        row whose values all come out exact goes back to numerators."""
+        each by `Context.times` of the row before it and the adjacent row
+        (t-1, t), which replaces it: every pair is composed once, with O(M)
+        rows live, no element is built and the increment cache is not
+        touched."""
         ctx = self.context()
-        product, operand = ctx.product, ctx.operand
-        # per step: its row, den, size, and its operands on numerators and on values
-        adjacent = []
-        for inc in self.increments:
-            pos, vals = ctx.sparse(inc.terms)
-            (nums,), den = numerators(vals)
-            exact = den is not None
-            row = dict(zip(pos, nums if exact else vals))
-            adjacent.append((row, den, len(inc.terms), operand(pos, nums) if exact else None, operand(pos, vals)))
-        for s, (vals, den, size, _, _) in enumerate(adjacent):
-            yield s, s + 1, vals, den, size
+        adjacent = [ctx.row_of(inc.terms) for inc in self.increments]
+        for s, row in enumerate(adjacent):
+            yield s, s + 1, row
             for t in range(s + 2, len(adjacent) + 1):
-                _, step_den, _, step_nums, step_vals = adjacent[t - 1]
-                if den is not None and step_den is not None:
-                    totals = product(operand(vals.keys(), vals.values()), step_nums, 0)
-                    vals = {k: c for k, c in totals.items() if c}
-                    den *= step_den
-                    common = math.gcd(den, *vals.values())
-                    if common > 1:
-                        den //= common
-                        vals = {k: c // common for k, c in vals.items()}
-                else:
-                    if den is not None:
-                        vals = {k: Fraction(c, den) for k, c in vals.items()}
-                    totals = product(operand(vals.keys(), vals.values()), step_vals, _ZERO)
-                    vals = {k: c for k, c in totals.items() if c}
-                    (nums,), den = numerators(list(vals.values()))
-                    if den is not None:
-                        vals = dict(zip(vals, nums))
-                yield s, t, vals, den, len(vals)
+                row = ctx.times(row, adjacent[t - 1])
+                yield s, t, row
 
 
 class BranchedRoughPath(_RoughPathBase):
@@ -577,13 +544,11 @@ def validate(X) -> dict:
 
     Chen's relation X_st = X_su * X_ut is checked on every grid triple in
     itertools.combinations order; the first failure is the witness.  Each
-    pair's X.increment(s, t) becomes one sparse row of the path's context
-    and one operand of its product kernel, and a triple runs that kernel on
-    the operands of (s, u) and (u, t), building no element.  Exact rows are
-    integer numerators over one denominator per pair, and a triple holds
-    when total * den_st == num_st * den_su * den_ut at every position;
-    otherwise the totals are, bit for bit, what convolve/concat give,
-    compared with _close in the path's mode."""
+    pair's X.increment(s, t) becomes one row of the path's context, and a
+    triple is `Context.times` of the rows of (s, u) and (u, t), building no
+    element.  Exact rows are reduced, so an exact triple holds when its row
+    is the row of (s, t); otherwise the values are, bit for bit, what
+    convolve/concat give, compared with _close in the path's mode."""
     report = {
         "kind": X.kind,
         "character": {"status": "pass", "witness": None},
@@ -625,33 +590,22 @@ def _check_chen(X, chen: dict) -> None:
     """The Chen sweep of `validate`, filling its "chen" section."""
     ctx = X.context()
     M = X.grid.steps
-    # per pair: its terms inside the context as a sparse row, and the values
-    # of those outside it, which no product reaches, so they are compared
-    # with 0
+    # per pair: its terms inside the context as a row, and the values of
+    # those outside it, which no product reaches, so they are compared with 0
     rows, outside = {}, {}
     for key in itertools.combinations(range(M + 1), 2):
         terms = X.increment(*key).terms
-        rows[key] = ctx.sparse(terms)
+        rows[key] = ctx.row_of(terms)
         outside[key] = [c for k, c in terms.items() if k not in ctx.index]
-    scaled = {key: numerators(vals) for key, (_, vals) in rows.items()} if X.mode == RATIONAL else {}
-    exact = bool(scaled) and all(den is not None for _, den in scaled.values())
-    if exact:
-        rows = {key: (pos, scaled[key][0][0]) for key, (pos, _) in rows.items()}
-        dens = {key: den for key, (_, den) in scaled.items()}
-    operands = {key: ctx.operand(*row) for key, row in rows.items()}
-    wants = {key: dict(zip(*row)) for key, row in rows.items()}
-    zero = 0 if exact else _ZERO
     for s, u, t in itertools.combinations(range(M + 1), 3):
         chen["checked_triples"] += 1
-        got = ctx.product(operands[s, u], operands[u, t], zero)
-        want, extra = wants[s, t], outside[s, t]
-        if exact:
-            p, q = dens[s, t], dens[s, u] * dens[u, t]
-            holds = not extra and {k: c * p for k, c in got.items() if c} == {k: c * q for k, c in want.items()}
-        else:
-            holds = all(_close(got.get(k, 0), want.get(k, 0), X.mode) for k in got.keys() | want.keys())
-            holds = holds and all(_close(c, 0, X.mode) for c in extra)
-        if not holds:
+        got, want, extra = ctx.times(rows[s, u], rows[u, t]), rows[s, t], outside[s, t]
+        # exact rows are reduced, so equal maps have equal rows
+        if got.den is not None and (got.den, got.values) == (want.den, want.values) and not extra:
+            continue
+        a, b = got.scalars(), want.scalars()
+        pairs = [(a.get(k, 0), b.get(k, 0)) for k in a.keys() | b.keys()] + [(c, 0) for c in extra]
+        if not all(_close(x, y, X.mode) for x, y in pairs):
             chen["status"] = "fail"
             chen["witness"] = (s, u, t)
             return
@@ -765,17 +719,40 @@ def _check_shape(obj) -> None:
 _KINDS = {cls.kind: cls for cls in (BranchedRoughPath, GeometricRoughPath)}
 
 
+def _check_letters(letters: tuple, d: int, N: int) -> None:
+    """Refuse a letter list with a repeat, a label above d or a grade above
+    the level N, naming the letter."""
+    for k, t in enumerate(letters):
+        if t in letters[:k]:
+            raise ValueError(f"letters: {t!r} is listed twice")
+        if t.max_label() > d:
+            raise ValueError(f"letters: {t!r} has a label above d = {d}")
+        if t.grade > N:
+            raise ValueError(f"letters: {t!r} has grade {t.grade}, above level {N}")
+
+
 def roughpath_from_obj(obj: dict):
     """The rough path a JSON object holds.  The path is built first, so its
-    own parser reads the increment keys; a key above the level is refused."""
+    own parser reads the increment keys; a key above the level, or a word
+    over a letter the path does not list, is refused.  A gamma other than 1
+    is refused where `gamma_to_level` refuses it, but the level may lie below
+    the one gamma gives, as for a truncated path."""
     _check_shape(obj)
     cls = _KINDS[obj["kind"]]
     mode = obj["mode"]
     grid = Grid(_scalar_from_json(t, mode, f"time {i}") for i, t in enumerate(obj["times"]))
     N = obj["level"]
     gamma = _scalar_from_json(obj["gamma"], RATIONAL, "gamma")
+    if gamma != 1:  # 1 is 1/N, the default of a level-1 lift
+        try:
+            gamma_to_level(gamma)
+        except ValueError as e:
+            raise ValueError(f"gamma: {e}") from None
     fields = [tuple(_parse_basis_name(name) for name in obj[field]) for field in cls.tree_fields]
     X = cls(N, gamma, grid, obj["increments"], obj["d"], mode, *fields)
+    letters = getattr(X, "letters", ())
+    _check_letters(letters, X.d, N)
+    letters = set(letters)
     ectx = X.element_ctx
     for k, row in enumerate(obj["increments"]):
         terms = {}
@@ -786,6 +763,9 @@ def roughpath_from_obj(obj: dict):
             (key,) = x.terms
             if key.grade > N:
                 raise ValueError(f"increment {k}, {name}: grade {key.grade} above level {N}")
+            for t in getattr(key, "letters", ()):
+                if t not in letters:
+                    raise ValueError(f"increment {k}, {name}: letter {t!r} is not in letters")
             terms[key] = _scalar_from_json(v, mode, f"increment {k}, {name}")
         X.increments[k] = X.element(terms, *ectx)
     return X

@@ -5,17 +5,13 @@ Every layer runs in one of two scalar modes: RATIONAL (exact `Fraction`s,
 the default and the oracle) or FLOAT.  `parse_rational` reads a scalar
 given from outside, such as a flag, a CSV cell or a polynomial coefficient.
 
-The compiled kernels (`hopf.convolve`, `tensor.concat` and the psi pairing
-of `conversion`) run one index loop per operation.  When every coefficient
-of their operands is an `int` or a `Fraction`, the loop runs on integer
-numerators over one common denominator and divides once per output
-coefficient.  Otherwise (float mode) it runs on the values unchanged, in
-the same term order as the plain dict loop it replaced, so float results
-keep their rounding bit for bit.  The row fold of a rough path's pairs
-(`roughpath._RoughPathBase.pair_rows`, which `conversion.certify` sweeps)
-runs the same kernels but keeps exact rows as numerators from step to step,
-reduced by their gcd; `certify` compares them by cross-multiplying, and
-divides only for a witness.
+`numerators` writes lists of exact coefficients (`int`s and `Fraction`s) as
+integer numerators over their least common denominator, and leaves a list
+with a float in it as it is.  Two modules read it.  `linear.Row` carries an
+element's terms that way through the compiled kernels (`hopf.convolve`,
+`tensor.concat`, the Chen sweep, the pair fold that `conversion.certify`
+reads and the psi pairing), all by `linear.Context.times` and `Row.pair`;
+`rde`'s polynomial views do the same for the derivative rule.
 """
 
 from __future__ import annotations

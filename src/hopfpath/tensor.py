@@ -23,9 +23,9 @@ as operands and returns a position -> total map; `concat` runs it through
 `linear.context_product`.
 The shuffle rows are its `product_row`s, which `is_tensor_group_like`
 reads, and `WordContext.shuffle` is the one shuffle of word maps: `shuffle`
-and the forest images in `morphisms` run through it.  The pairing of fixed
-integer functionals (the psi images the conversion certifies against) runs
-on integer numerators like the kernels (see `scalars`).
+and the forest images in `morphisms` run through it.  Word maps ride
+through the kernel as `linear.Row`s, and the psi images the conversion
+certifies against are paired with them by `Row.pair`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from typing import Iterable
 
 from .linear import Context, Linear, LinearPairs, context_field, context_product, exp_series, is_character
 from .linear import log_series
-from .scalars import numerators
 from .trees import Tree, enumerate_trees
 
 _ZERO = Fraction(0)
@@ -289,69 +288,10 @@ class WordContext(Context):
                 out[k] = get(k, zero) + c1 * c2
         return out
 
-    def vector(self, terms: dict) -> "WordVector":
-        """A word map, such as an increment's terms, ready for pairing."""
-        pos, vals = self.sparse(terms)
-        (nums,), den = numerators(vals)
-        return WordVector(dict(zip(pos, vals if den is None else nums)), den, len(terms))
-
-    def functional(self, terms: dict) -> "WordFunctional":
-        """A word functional with integer coefficients, such as a psi image."""
-        pos, raw = self.sparse(terms)
-        (vals,), den = numerators(raw)
-        if den != 1:
-            raise ValueError("a prepared functional needs integer coefficients")
-        return WordFunctional(dict(zip(pos, vals)), dict(zip(pos, raw)), len(terms))
-
 
 @functools.lru_cache(maxsize=None)
 def word_context(N: int, d: int, n: int) -> WordContext:
     return WordContext(N, d, n)
-
-
-class WordVector:
-    """Coefficients of a word map by context position, in its insertion
-    order: integer numerators over den when exact, the values unchanged with
-    den None otherwise.  size counts every term of the map."""
-
-    __slots__ = ("values", "den", "size")
-
-    def __init__(self, values: dict, den: int | None, size: int):
-        self.values = values
-        self.den = den
-        self.size = size
-
-
-class WordFunctional:
-    """An integer word functional by context position: its coefficients as
-    ints, and as given, for pairing with exact and with float vectors."""
-
-    __slots__ = ("values", "raw", "size")
-
-    def __init__(self, values: dict, raw: dict, size: int):
-        self.values = values
-        self.raw = raw
-        self.size = size
-
-
-def pair_functional(f: WordFunctional, x: WordVector):
-    """<f, x>, over x.den when x is exact.
-
-    As in `pair`, the side with fewer terms is iterated in its order
-    (f on a tie) and each common term adds c * v, c from that side; against
-    a float vector f's coefficients enter as given, so sums round and carry
-    the scalar types of the plain dict pairing."""
-    a = f.values if x.den is not None else f.raw
-    b = x.values
-    if f.size > x.size:
-        a, b = b, a
-    get = b.get
-    total = 0
-    for i, c in a.items():
-        v = get(i)
-        if v is not None:
-            total += c * v
-    return total
 
 
 def concat(x: TensorElem, y: TensorElem, N: int) -> TensorElem:

@@ -368,18 +368,40 @@ def _pairings_reference(X, Xbar, level: int, forests: list, pairs):
     numerators of Xbar_st (None when it is not exact), and for each forest h
     the values <X_st, h> and <Xbar_st, psi(h)>, the latter over that
     denominator.  Words of psi(h) over letters that Xbar lacks are left out:
-    for a partial lift, the tree letter of h itself."""
+    for a partial lift, the tree letter of h itself.
+
+    The pairing is the word-keyed loop the context rows replaced: the side
+    with fewer terms (the image on a tie) is iterated in its order, and the
+    image's coefficients enter as ints against exact numerators and as the
+    Fractions psi gives against other values."""
     from hopfpath.hopf import HElem
     from hopfpath.morphisms import psi
-    from hopfpath.tensor import pair_functional, word_context
+    from hopfpath.scalars import numerators
+    from hopfpath.tensor import word_context
 
-    ctx = word_context(level, Xbar.d, Xbar.letter_bound)
+    index = word_context(level, Xbar.d, Xbar.letter_bound).index
     images = [psi(HElem.from_forest(h, X.d), level).terms for h in forests]
-    images = [ctx.functional({w: c for w, c in img.items() if w in ctx.index}) for img in images]
+    images = [{w: c for w, c in img.items() if w in index} for img in images]
     for s, t in pairs:
         branched = X.increment(s, t)
-        vec = ctx.vector(Xbar.increment(s, t).terms)
-        yield s, t, vec.den, [(branched.coeff(h), pair_functional(img, vec)) for h, img in zip(forests, images)]
+        terms = Xbar.increment(s, t).terms
+        values = {w: c for w, c in terms.items() if w in index}
+        (nums,), den = numerators(list(values.values()))
+        if den is not None:
+            values = dict(zip(values, nums))
+        rhs = []
+        for img in images:
+            a = img if den is None else {w: int(c) for w, c in img.items()}
+            b = values
+            if len(img) > len(terms):
+                a, b = b, a
+            total = 0
+            for w, c in a.items():
+                v = b.get(w)
+                if v is not None:
+                    total += c * v
+            rhs.append(total)
+        yield s, t, den, [(branched.coeff(h), v) for h, v in zip(forests, rhs)]
 
 
 def certify_reference(X, Xbar) -> dict:

@@ -522,6 +522,16 @@ def _geometric(letters):
         (_drop("mode"), "mode: missing"),
         (_geometric(None), "letters: expected a non-empty list of tree names, got null"),
         (_geometric([1]), "letters: expected a non-empty list of tree names, got [1]"),
+        # gamma is refused where --gamma is
+        (_set("gamma", "0"), "gamma: gamma must lie in (0,1), got 0"),
+        (_set("gamma", "-1"), "gamma: gamma must lie in (0,1), got -1"),
+        (_set("gamma", "7"), "gamma: gamma must lie in (0,1), got 7"),
+        (_set("gamma", "1.5"), "gamma: gamma must lie in (0,1), got 3/2"),
+        (_set("gamma", f"1/{2**53 + 1}"), f"gamma: gamma is too small: the level would reach 2^53, got 1/{2**53 + 1}"),
+        # the letters are read before any increment
+        (_geometric(["b_1", "b_2", "b_1"]), "letters: b_1 is listed twice"),
+        (_geometric(["b_1", "b_3"]), "letters: b_3 has a label above d = 2"),
+        (_geometric(["b_1", "[[b_1]_1]_1"]), "letters: [[b_1]_1]_1 has grade 3, above level 2"),
     ],
 )
 def test_json_driver_of_the_wrong_shape_is_refused(capsys, tmp_path, argv, edit, message):
@@ -532,6 +542,47 @@ def test_json_driver_of_the_wrong_shape_is_refused(capsys, tmp_path, argv, edit,
     assert rc == 2
     assert out == ""
     assert err == f"input error: {message}\n"
+
+
+def test_json_driver_keeps_a_level_below_gamma(capsys, tmp_path):
+    # a truncated path: level 2 where gamma = 3/10 gives 3
+    obj = json.loads(_ito_json(capsys))
+    obj["gamma"] = "3/10"
+    src = tmp_path / "driver.json"
+    src.write_text(json.dumps(obj))
+    rc, out, _ = run(capsys, "convert", str(src))
+    assert rc == 0
+    assert json.loads(out)["geometric"]["gamma"] == "3/10"
+
+
+def _without_letter(name):
+    def edit(obj):
+        obj["letters"].remove(name)
+        return obj
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "source, edit, message",
+    [
+        ("canonical", _without_letter("b_2"), "increment 0, b_1 (x) b_2: letter b_2 is not in letters"),
+        ("convert", _without_letter("[b_2]_1"), "increment 0, [b_2]_1: letter [b_2]_1 is not in letters"),
+    ],
+)
+def test_geometric_json_over_an_unlisted_letter_is_refused(capsys, tmp_path, source, edit, message):
+    if source == "canonical":
+        obj = json.loads(_ito_json(capsys, "--mode", "canonical"))
+    else:
+        ito = tmp_path / "ito.json"
+        ito.write_text(_ito_json(capsys))
+        rc, out, _ = run(capsys, "convert", str(ito))
+        assert rc == 0
+        obj = json.loads(out)["geometric"]
+    src = tmp_path / "driver.json"
+    src.write_text(json.dumps(edit(obj)))
+    rc, out, err = run(capsys, *_SOLVE_DRIVER, str(src), "--side", "geometric")
+    assert (rc, out, err) == (2, "", f"input error: {message}\n")
 
 
 def test_solve_refuses_a_repeated_field_label(capsys):

@@ -25,7 +25,7 @@ from hopfpath.hopf import HElem
 from hopfpath.morphisms import psi
 from hopfpath.roughpath import RATIONAL, SampledPath, _close, canonical_lift, ito_lift
 from hopfpath.scalars import numerators
-from hopfpath.tensor import Word, pair_functional, word_context
+from hopfpath.tensor import Word, word_context
 from hopfpath.trees import Forest, trees_of_grade
 
 
@@ -42,7 +42,7 @@ def extract_reference(X, partial, check_cocycle=True):
     lowers = []
     for tau in taus:
         img = psi(HElem.from_tree(tau, X.d), n + 1)
-        lower = ctx.functional({w: c for w, c in img.terms.items() if w != Word((tau,))})
+        lower = ctx.row_of({w: c for w, c in img.terms.items() if w != Word((tau,))})
         lowers.append((Forest((tau,)), lower))
     values = [{} for _ in taus]
     for s, t in pairs:
@@ -50,8 +50,8 @@ def extract_reference(X, partial, check_cocycle=True):
         for (tree, lower), f in zip(lowers, values):
             inc = partial.increment(s, t)
             if vec is None:
-                vec = ctx.vector(inc.terms)
-            rhs = pair_functional(lower, vec)
+                vec = ctx.row_of(inc.terms)
+            rhs = lower.pair(vec)
             if vec.den is not None:
                 rhs = Q(rhs, vec.den)
             f[(s, t)] = X.increment(s, t).coeff(tree) - rhs

@@ -8,10 +8,13 @@ references: the two character tests, the dense forest row builder with its
 convolve wrapper, and the sparse word row builder with its concat and
 vector wrappers.  Verdicts and products must agree with them exactly, in
 exact and in float mode: the same keys, insertion order, scalar types and
-values.
+values.  `Context.times`, the one product of rows, is checked against the
+same wrappers on exact, float and mixed rows, and its exact rows must be
+reduced.
 """
 
 import functools
+import math
 import operator
 from fractions import Fraction as Q
 
@@ -19,13 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfpath.hopf import ForestContext, HElem, convolve, exp_star, forest_context, is_group_like
+from hopfpath.linear import Row
 from hopfpath.roughpath import FLOAT, _close
 from hopfpath.scalars import numerators
 from hopfpath.tensor import (
     EMPTY_WORD,
     TensorElem,
     Word,
-    WordVector,
     _shuffle_words,
     concat,
     enumerate_words,
@@ -116,7 +119,7 @@ def concat_reference(x: TensorElem, y: TensorElem, N: int) -> TensorElem:
     return TensorElem._trusted(terms, x.d, x.n)
 
 
-def vector_reference(ctx, terms: dict) -> WordVector:
+def vector_reference(ctx, terms: dict) -> Row:
     values = {}
     for w, c in terms.items():
         i = ctx.index.get(w)
@@ -125,7 +128,7 @@ def vector_reference(ctx, terms: dict) -> WordVector:
     (nums,), den = numerators(list(values.values()))
     if den is not None:
         values = dict(zip(values, nums))
-    return WordVector(values, den, len(terms))
+    return Row(values, den, len(terms))
 
 
 def assert_same_terms(got: dict, want: dict):
@@ -316,12 +319,92 @@ def test_sparse_rows_and_vectors_match_the_replaced_builders(case):
     want_pos, want_vals = sparse_reference(x.terms, ctx)
     assert pos == want_pos
     assert [repr(c) for c in vals] == [repr(c) for c in want_vals]
-    got, want = ctx.vector(x.terms), vector_reference(ctx, x.terms)
+    got, want = ctx.row_of(x.terms), vector_reference(ctx, x.terms)
     assert (got.den, got.size) == (want.den, want.size)
     assert_same_terms(got.values, want.values)
     fctx = forest_context(N, 1)
     f = HElem({h: Q(i + 1, 2) for i, h in enumerate(enumerate_forests(N + 1, 1))}, 1)
     assert fctx.operand(*fctx.sparse(f.terms)) == dense_reference(f, fctx)
+
+
+# -- one product of rows ----------------------------------------------------------
+
+
+def row_terms(ctx, row: Row) -> dict:
+    """A row's terms by basis key, exact values as Fractions."""
+    den = row.den
+    return {ctx.basis[k]: c if den is None else Q(c, den) for k, c in row.values.items()}
+
+
+def assert_reduced(row: Row):
+    assert all(row.values.values())
+    if row.den is not None:
+        assert row.den > 0 and math.gcd(row.den, *row.values.values()) == 1
+        assert all(type(c) is int for c in row.values.values())
+
+
+@st.composite
+def row_cases(draw):
+    """A forest or word context and three elements, each drawn exact or
+    float on its own, so rows of both kinds meet in one product."""
+    N = draw(st.integers(0, 4))
+    d = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        ctx, wide, reference = forest_context(N, d), enumerate_forests(N + 1, d), convolve_reference
+        elements = [HElem(sparse_terms(draw, wide, draw(st.sampled_from((EXACT, FLOATS))), 14), d) for _ in range(3)]
+    else:
+        n = draw(st.integers(1, 3))
+        ctx, wide, reference = word_context(N, d, n), enumerate_words(N + 1, d, n), concat_reference
+        elements = [
+            TensorElem(sparse_terms(draw, wide, draw(st.sampled_from((EXACT, FLOATS))), 20), d, n) for _ in range(3)
+        ]
+    return N, ctx, reference, elements
+
+
+@settings(max_examples=120, deadline=None)
+@given(row_cases())
+def test_times_matches_the_replaced_wrappers(case):
+    N, ctx, reference, (x, y, z) = case
+    a, b, c = (ctx.row_of(e.terms) for e in (x, y, z))
+    for r, e in ((a, x), (b, y), (c, z)):
+        assert_reduced(r)
+        want = vector_reference(ctx, e.terms)
+        assert (r.den, r.size) == (want.den, want.size) and r.values == want.values
+    ab = ctx.times(a, b)
+    want = reference(x, y, N)
+    assert_reduced(ab)
+    assert ab.size == len(ab.values)
+    assert_same_terms(row_terms(ctx, ab), want.terms)
+    # a product row is an operand in turn, and b's kept operand is read again
+    for got, want in ((ctx.times(ab, c), reference(want, z, N)), (ctx.times(c, b), reference(z, y, N))):
+        assert_reduced(got)
+        assert_same_terms(row_terms(ctx, got), want.terms)
+
+
+def test_times_covers_exact_float_and_mixed_rows():
+    ctx = word_context(3, 1, 1)
+    e1, e11 = (Word(enumerate_trees(1, 1) * k) for k in (1, 2))
+    exact = ctx.row_of({EMPTY_WORD: Q(1), e1: Q(3, 4), e11: Q(9, 32)})
+    floats = ctx.row_of({EMPTY_WORD: Q(1), e1: 0.75, e11: 0.28125})
+    unit = ctx.row_of({EMPTY_WORD: Q(1)})
+    assert (exact.den, exact.values) == (32, {0: 32, 1: 24, 2: 9})
+    assert floats.den is None and unit.den == 1
+    # exact: numerators over 32 * 32, reduced by their gcd 16
+    got = ctx.times(exact, exact)
+    assert_reduced(got)
+    assert row_terms(ctx, got) == concat_reference(*(TensorElem(row_terms(ctx, exact), 1, 1),) * 2, 3).terms
+    assert got.den == 64
+    # mixed: on the scalars, in the same term order as the float product
+    for left, right in ((exact, floats), (floats, exact), (unit, floats), (floats, unit)):
+        got = ctx.times(left, right)
+        want = concat_reference(TensorElem(row_terms(ctx, left), 1, 1), TensorElem(row_terms(ctx, right), 1, 1), 3)
+        assert got.den is None
+        assert_same_terms(row_terms(ctx, got), want.terms)
+    # a float row whose float term falls past the level: the totals all
+    # come out exact, and go back to numerators
+    e111 = Word(enumerate_trees(1, 1) * 3)
+    got = ctx.times(ctx.row_of({EMPTY_WORD: Q(1), e111: 0.5}), ctx.row_of({e1: Q(2)}))
+    assert (got.den, got.values, got.size) == (1, {1: 2}, 1)
 
 
 def test_the_loader_calls_the_key_parsers_through_module_globals(monkeypatch, tmp_path):

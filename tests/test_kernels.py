@@ -36,7 +36,7 @@ from hopfpath.roughpath import (
     ito_lift,
     validate,
 )
-from hopfpath.tensor import TensorElem, Word, concat, enumerate_words, pair_functional, word_context
+from hopfpath.tensor import TensorElem, Word, concat, enumerate_words, word_context
 from hopfpath.trees import EMPTY_FOREST, Forest, Tree, enumerate_forests, leaf
 
 from oracles import forest_coproduct_oracle
@@ -244,15 +244,45 @@ def pairing_cases(draw):
 def test_psi_pairing_matches_plain_reference(case):
     mode, N, d, n, image, x = case
     ctx = word_context(N, d, n)
-    vec = ctx.vector(x.terms)
-    got = pair_functional(ctx.functional(image), vec)
+    vec = ctx.row_of(x.terms)
+    got = ctx.row_of(image).pair(vec)
     want = pair_reference(image, x.terms)
     if vec.den is None:
-        assert type(got) is type(want) and got == want
+        # the image enters with int coefficients: a float sum is the same
+        # float, an exact one the same value (an int where all products are)
+        assert got == want and isinstance(got, float) == isinstance(want, float)
+        assert not isinstance(want, float) or struct.pack("<d", got) == struct.pack("<d", want)
     else:
         assert Q(got, vec.den) == want
         # what a certificate witness prints
         assert str(Q(got, vec.den)) == str(want)
+
+
+@st.composite
+def float_pairing_cases(draw):
+    """An integer functional on words, its coefficients as Fractions, and a
+    float row: floats everywhere, or a Fraction or int unit among them."""
+    N = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 2))
+    words = enumerate_words(N, d, 1)
+    keys = draw(st.lists(st.sampled_from(words), max_size=30, unique=True))
+    f = {w: Q(draw(st.integers(-6, 6).filter(bool))) for w in keys}
+    x = _terms(draw, words, Word(), FLOATS, draw(st.sampled_from((2, 40))))
+    x[draw(st.sampled_from(words[1:]))] = draw(st.integers(1, 4000)) / 997  # one float at least
+    return N, d, f, TensorElem(x, d, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_pairing_cases())
+def test_int_coefficients_pair_with_a_float_row_as_their_fractions(case):
+    N, d, f, x = case
+    ctx = word_context(N, d, 1)
+    row, vec = ctx.row_of(f), ctx.row_of(x.terms)
+    assert row.den == 1 and all(type(c) is int for c in row.values.values()) and vec.den is None
+    got, want = row.pair(vec), pair_reference(f, x.terms)
+    assert got == want and isinstance(got, float) == isinstance(want, float)
+    if isinstance(want, float):
+        assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 def poly_product_reference(p: Poly, q: Poly) -> dict:

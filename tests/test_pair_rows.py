@@ -55,7 +55,8 @@ def test_pair_rows_are_the_increments(lift, mode):
     assert [(s, t) for s, t, *_ in rows] == list(itertools.combinations(range(M + 1), 2))
     index = X.context().index
     kinds = set()
-    for s, t, values, den, size in rows:
+    for s, t, row in rows:
+        values, den, size = row.values, row.den, row.size
         terms = X.increment(s, t).terms
         assert list(values) == [index[k] for k in terms], (s, t)
         assert size == len(terms)

@@ -181,3 +181,39 @@ def test_no_top_level_assignment_aliases_a_package_function_or_class():
             if name in defined:
                 aliases.append(f"{path.name}: {ast.unparse(node)}")
     assert aliases == []
+
+
+def _imports_numerators(tree) -> bool:
+    """Whether tree imports `numerators` from `scalars`, anywhere in it."""
+    return any(
+        isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[-1] == "scalars"
+        and any(a.name == "numerators" for a in node.names)
+        for node in ast.walk(tree)
+    )
+
+
+def _is_numerator_row(node: ast.ClassDef) -> bool:
+    """Whether a class holds a denominator: a `den` slot or attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and sub.attr == "den" and isinstance(sub.ctx, ast.Store):
+            return True
+        if isinstance(sub, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in sub.targets):
+            if any(isinstance(c, ast.Constant) and c.value == "den" for c in ast.walk(sub.value)):
+                return True
+    return False
+
+
+def test_exact_rows_are_carried_by_linear_alone():
+    # how exact values ride as integer numerators is decided in one place:
+    # linear's Row, with rde's polynomial views the one other reader
+    trees = _trees()
+    package = sorted(PACKAGE.glob("*.py"))
+    assert [p.stem for p in package if _imports_numerators(trees[p])] == ["linear", "rde"]
+    rows = [
+        f"{p.stem}.{node.name}"
+        for p in package
+        for node in ast.walk(trees[p])
+        if isinstance(node, ast.ClassDef) and _is_numerator_row(node)
+    ]
+    assert rows == ["linear.Row"]
