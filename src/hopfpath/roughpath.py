@@ -1,22 +1,20 @@
 """Grid-indexed branched and geometric rough paths.
 
-A rough path is stored as one group-like increment per adjacent grid pair;
-increments over wider pairs are composed on demand (and cached), so the Chen
-relation is baked into the representation and `validate` re-checks it as a
-constructor consistency check, on every grid triple.  A sweep that reads
-every pair once, such as `conversion.certify`, takes them from `pair_rows`
-instead: `linear.Row`s folded forward from each start point by
-`Context.times`, with no element built and nothing cached.  Two lift
-constructors cover the two sides of the theory: `canonical_lift` takes exact
-iterated integrals of the piecewise linear interpolation, `ito_lift`
-realizes the left-point Riemann rule.
+A rough path is stored as one group-like increment per adjacent grid pair,
+so the Chen relation is baked into the representation.  Wider pairs come
+from one place, `pair_rows`: `linear.Row`s folded forward from each start
+point by `Context.times`, every pair composed once, with no element built
+and nothing kept.  `validate` re-checks Chen on every grid triple and reads
+the Hölder diagnostic from those rows, and `conversion.certify` pairs them
+with the psi images.  `increment(s, t)` still composes one pair as an
+element, an uncached left fold, for callers that want a single pair.  Two
+lift constructors cover the two sides of the theory: `canonical_lift`
+takes exact iterated integrals of the piecewise linear interpolation,
+`ito_lift` realizes the left-point Riemann rule.
 
 The two path classes carry what differs between the sides (the `kind`, the
 element class and context tuple, the key parser, the Hölder keys and the
 `linear.Context` their products run on); the rest asks the path's context.
-The Chen check turns each pair's increment into one row and multiplies rows
-by `Context.times`, the step of `convolve`/`concat`, building no element
-per triple.
 
 On each interval the canonical increment is exp(sum_tau delta_tau e_tau),
 whose coefficient on a word of k letters is the product of their deltas
@@ -29,7 +27,9 @@ the terms in insertion order, so that order is part of the contract.
 Exact rational scalars are the default; float mode exists for long grids and
 switches validation to tolerance comparisons.  `SampledPath.from_csv`
 refuses non-finite values, and `first_non_character` lets a loader refuse a
-rough path whose adjacent increments are not characters, in O(M).
+rough path whose adjacent increments are not characters, in O(M); a key
+outside the level-N basis, which no composed pair can hold, counts as not
+one.
 
 The text parsers of `expr` and the maps of `morphisms` are imported where
 the loader and the geometricity checks call them, at call time, so a lift
@@ -225,7 +225,7 @@ class _RoughPathBase:
     `context_of(N, *element_ctx)` and the constructor arguments past mode
     (`tree_fields`, tuples of trees kept in JSON under the same names)."""
 
-    __slots__ = ("N", "gamma", "grid", "increments", "d", "mode", "_cache")
+    __slots__ = ("N", "gamma", "grid", "increments", "d", "mode")
 
     tree_fields: tuple = ()
 
@@ -238,7 +238,6 @@ class _RoughPathBase:
         self.increments = list(increments)
         self.d = d
         self.mode = mode
-        self._cache = {}
 
     @property
     def element_ctx(self) -> tuple:
@@ -253,22 +252,15 @@ class _RoughPathBase:
         return self.element.unit(*self.element_ctx)
 
     def increment(self, s_index: int, t_index: int):
-        """Increment over grid pair (s, t), composed from adjacent steps."""
+        """Increment over grid pair (s, t): the left fold of `_compose` over
+        the adjacent steps, nothing kept, so (s, s+1) is increments[s]
+        itself.  A sweep over many pairs reads `pair_rows` instead."""
         M = self.grid.steps
         if not 0 <= s_index <= t_index <= M:
             raise IndexError(f"need 0 <= {s_index} <= {t_index} <= {M}")
         if s_index == t_index:
             return self._unit()
-        # left fold from the widest pair (s, u) at hand, caching each (s, v)
-        cache = self._cache
-        u = t_index
-        while u > s_index + 1 and (s_index, u) not in cache:
-            u -= 1
-        got = self.increments[s_index] if u == s_index + 1 else cache[(s_index, u)]
-        for v in range(u + 1, t_index + 1):
-            got = self._compose(got, self.increments[v - 1])
-            cache[(s_index, v)] = got
-        return got
+        return functools.reduce(self._compose, self.increments[s_index + 1 : t_index], self.increments[s_index])
 
     def pair_rows(self):
         """Every grid pair (s, t), s < t, in itertools.combinations order, as
@@ -278,8 +270,9 @@ class _RoughPathBase:
         For each s the rows of (s, s+2), (s, s+3), ... are folded forward,
         each by `Context.times` of the row before it and the adjacent row
         (t-1, t), which replaces it: every pair is composed once, with O(M)
-        rows live, no element is built and the increment cache is not
-        touched."""
+        rows live and no element built.  This is the one composition of
+        wider pairs that the sweeps (`validate`, `conversion.certify`)
+        read."""
         ctx = self.context()
         adjacent = [ctx.row_of(inc.terms) for inc in self.increments]
         for s, row in enumerate(adjacent):
@@ -527,13 +520,19 @@ def embed_geometric(Xbar: GeometricRoughPath) -> BranchedRoughPath:
 def first_non_character(X) -> int | None:
     """Index of the first adjacent increment that is not a character (group
     -like, up to float tolerance in float mode), or None; O(M) in the grid.
+    An increment with a key outside the level-N basis is not one: no
+    composed pair holds such a key, so no other check would see it.
 
     In float mode the unit coefficient must lie within 1e-9 of 1, absolute;
     the products are compared with the relative tolerance of _close."""
     eq = operator.eq if X.mode == RATIONAL else functools.partial(_close, mode=FLOAT)
     for k, g in enumerate(X.increments):
         ctx = X.context_of(X.N, *g.ctx)
-        if (X.mode == FLOAT and abs(g.coeff(ctx.basis[0]) - 1) > 1e-9) or not is_character(g, ctx, eq):
+        if (
+            not g.terms.keys() <= ctx.index.keys()
+            or (X.mode == FLOAT and abs(g.coeff(ctx.basis[0]) - 1) > 1e-9)
+            or not is_character(g, ctx, eq)
+        ):
             return k
     return None
 
@@ -542,13 +541,12 @@ def validate(X) -> dict:
     """Character, Chen, and Hölder-diagnostic report; failures are reported,
     never raised.
 
-    Chen's relation X_st = X_su * X_ut is checked on every grid triple in
-    itertools.combinations order; the first failure is the witness.  Each
-    pair's X.increment(s, t) becomes one row of the path's context, and a
-    triple is `Context.times` of the rows of (s, u) and (u, t), building no
-    element.  Exact rows are reduced, so an exact triple holds when its row
-    is the row of (s, t); otherwise the values are, bit for bit, what
-    convolve/concat give, compared with _close in the path's mode."""
+    Chen and Hölder read one map (s, t) -> row, built from `X.pair_rows()`,
+    so no pair is composed as an element.  Chen's relation X_st = X_su * X_ut
+    is checked on every grid triple by `_check_chen`.  The Hölder diagnostic
+    is the largest |<X_st, key>| / |t - s|^(gamma * grade) per Hölder key
+    over all pairs, with a value or a time step past the float range giving
+    inf."""
     report = {
         "kind": X.kind,
         "character": {"status": "pass", "witness": None},
@@ -559,21 +557,23 @@ def validate(X) -> dict:
     if k is not None:
         report["character"]["status"] = "fail"
         report["character"]["witness"] = f"adjacent increment {k}"
-    _check_chen(X, report["chen"])
+    rows = {(s, t): row for s, t, row in X.pair_rows()}
+    _check_chen(X, rows, report["chen"])
 
-    M = X.grid.steps
-    names = [(key, repr(key), key.grade) for key in X.holder_keys()]
+    index = X.context().index
+    names = [(index[key], repr(key), key.grade) for key in X.holder_keys()]
     gamma = float(X.gamma)
+    times = X.grid.times
     per = {}
-    for s, t in itertools.combinations(range(M + 1), 2):
-        inc = X.increment(s, t)
+    for (s, t), row in rows.items():
+        values = row.scalars()
         try:
-            dt = float(X.grid.times[t] - X.grid.times[s])
+            dt = float(times[t] - times[s])
         except OverflowError:  # exact times past the float range
             dt = math.inf
-        for key, name, grade in names:
+        for i, name, grade in names:
             try:
-                v = abs(float(inc.coeff(key)))
+                v = abs(float(values.get(i, 0)))
                 if v == 0.0:
                     continue
                 ratio = v / dt ** (gamma * grade)
@@ -586,26 +586,21 @@ def validate(X) -> dict:
     return report
 
 
-def _check_chen(X, chen: dict) -> None:
-    """The Chen sweep of `validate`, filling its "chen" section."""
+def _check_chen(X, rows: dict, chen: dict) -> None:
+    """The Chen sweep of `validate`, filling its "chen" section from the
+    pair rows: per triple in itertools.combinations order, `Context.times`
+    of the rows of (s, u) and (u, t) against the row of (s, t), the first
+    failure the witness.  Exact rows are reduced, so an exact triple holds
+    when the two rows are equal; otherwise the values are, bit for bit, what
+    convolve/concat give, compared with _close in the path's mode."""
     ctx = X.context()
-    M = X.grid.steps
-    # per pair: its terms inside the context as a row, and the values of
-    # those outside it, which no product reaches, so they are compared with 0
-    rows, outside = {}, {}
-    for key in itertools.combinations(range(M + 1), 2):
-        terms = X.increment(*key).terms
-        rows[key] = ctx.row_of(terms)
-        outside[key] = [c for k, c in terms.items() if k not in ctx.index]
-    for s, u, t in itertools.combinations(range(M + 1), 3):
+    for s, u, t in itertools.combinations(range(X.grid.steps + 1), 3):
         chen["checked_triples"] += 1
-        got, want, extra = ctx.times(rows[s, u], rows[u, t]), rows[s, t], outside[s, t]
-        # exact rows are reduced, so equal maps have equal rows
-        if got.den is not None and (got.den, got.values) == (want.den, want.values) and not extra:
+        got, want = ctx.times(rows[s, u], rows[u, t]), rows[s, t]
+        if got.den is not None and (got.den, got.values) == (want.den, want.values):
             continue
         a, b = got.scalars(), want.scalars()
-        pairs = [(a.get(k, 0), b.get(k, 0)) for k in a.keys() | b.keys()] + [(c, 0) for c in extra]
-        if not all(_close(x, y, X.mode) for x, y in pairs):
+        if not all(_close(a.get(k, 0), b.get(k, 0), X.mode) for k in a.keys() | b.keys()):
             chen["status"] = "fail"
             chen["witness"] = (s, u, t)
             return

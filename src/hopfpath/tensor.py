@@ -17,10 +17,10 @@ series loops as the forest side's `exp_star` and `log_star`.
 Products run on a word context (a `linear.Context`), built once per
 (N, d, n) by `word_context`: the basis with integer positions, other words
 numbered past it by their letter tuples, and concat, shuffle and split rows
-filled on first use.  Its kernel `WordContext.product` takes sparse rows
-(positions, coefficients) in insertion order, with their per-grade buckets,
-as operands and returns a position -> total map; `concat` runs it through
-`linear.context_product`.
+filled on first use.  Its kernel `WordContext.product` takes two operands
+made by `WordContext.operand`, each a sparse row (positions, coefficients)
+in insertion order with a slot for its per-grade buckets, and returns a
+position -> total map; `concat` runs it through `linear.context_product`.
 The shuffle rows are its `product_row`s, which `is_tensor_group_like`
 reads, and `WordContext.shuffle` is the one shuffle of word maps: `shuffle`
 and the forest images in `morphisms` run through it.  Word maps ride
@@ -269,12 +269,9 @@ class WordContext(Context):
 
     def product(self, x, y, zero) -> dict:
         """Concatenation totals by position, in the order first reached,
-        zeros kept: x and y are operands, or bare sparse rows (positions,
-        coefficients) in insertion order, and each pair of terms whose
-        grades fit adds c1 * c2 to zero, in x's then y's order."""
+        zeros kept: x and y are operands made by `operand`, and each pair of
+        terms whose grades fit adds c1 * c2 to zero, in x's then y's order."""
         N, grades = self.N, self.grades
-        if len(y) == 2:
-            y = [*y, None]
         fits = y[2]
         if fits is None:
             # fits[b]: the terms of y of grade <= b, still in y's order

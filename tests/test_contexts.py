@@ -113,7 +113,7 @@ def concat_reference(x: TensorElem, y: TensorElem, N: int) -> TensorElem:
     xi, xv = sparse_reference(x.terms, ctx)
     yi, yv = sparse_reference(y.terms, ctx)
     (xv, yv), den = numerators(xv, yv)
-    out = ctx.product((xi, xv), (yi, yv), Q(0) if den is None else 0)
+    out = ctx.product(ctx.operand(xi, xv), ctx.operand(yi, yv), Q(0) if den is None else 0)
     basis = ctx.basis
     terms = {basis[k]: c if den is None else Q(c, den) for k, c in out.items() if c}
     return TensorElem._trusted(terms, x.d, x.n)

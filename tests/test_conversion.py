@@ -15,7 +15,7 @@ from hopfpath.conversion import (
     extract_extended_path,
     simplify_n2,
 )
-from hopfpath.hopf import HElem
+from hopfpath.hopf import HElem, convolve
 from hopfpath.morphisms import psi
 from hopfpath.roughpath import (
     BranchedRoughPath,
@@ -26,8 +26,10 @@ from hopfpath.roughpath import (
     ito_lift,
     validate,
 )
-from hopfpath.tensor import Word, WordContext, is_tensor_group_like
+from hopfpath.tensor import Word, WordContext, concat, is_tensor_group_like
 from hopfpath.trees import Forest, Tree, leaf
+
+from seams import count_calls
 
 B1, B2 = leaf(1), leaf(2)
 
@@ -206,17 +208,19 @@ def walk_path_d2(M):
 def test_encode_composes_each_geometric_pair_at_most_once(monkeypatch):
     # one certify sweep of the final lift composes M(M-1)/2 pairs, each a
     # row fold step on the word context's kernel; each level extracts its
-    # components from adjacent increments only, and no increment is cached
+    # components from adjacent increments only, and no pair is composed as
+    # an element
     M = 5
     X = ito_lift(walk_path_d2(M), 3)
     calls = []
     product = WordContext.product
     monkeypatch.setattr(WordContext, "product", lambda self, x, y, zero: calls.append(1) or product(self, x, y, zero))
+    elements = count_calls(monkeypatch, convolve, concat)
     for flags, want in (((), M * (M - 1) // 2), ((False,), M * (M - 1) // 2), ((False, False), 0)):
         calls.clear()
-        result = encode(X, *flags)
+        encode(X, *flags)
         assert len(calls) == want, flags
-        assert X._cache == {} and result.geometric._cache == {}, flags
+        assert elements == {"convolve": 0, "concat": 0}, flags
 
 
 @pytest.mark.parametrize(

@@ -196,8 +196,8 @@ def test_word_operands_give_the_old_kernel_totals(mode):
     zero = Q(0)
     for x, y in itertools.product(rows, repeat=2):
         want = [(k, c, type(c)) for k, c in concat_kernel_reference(ctx, x, y, zero).items()]
-        for got in (ctx.product(ctx.operand(*x), ctx.operand(*y), zero), ctx.product(x, y, zero)):
-            assert [(k, c, type(c)) for k, c in got.items()] == want
+        got = ctx.product(ctx.operand(*x), ctx.operand(*y), zero)
+        assert [(k, c, type(c)) for k, c in got.items()] == want
     # a right operand's buckets are built on its first product and kept;
     # the kernel reads them from the operand
     left, right = ctx.operand(*rows[-1]), ctx.operand(*rows[-1])

@@ -22,9 +22,13 @@ from random import Random
 import pytest
 
 from hopfpath.conversion import certify, encode
-from hopfpath.roughpath import RATIONAL, BranchedRoughPath, GeometricRoughPath, SampledPath, canonical_lift, ito_lift
+from hopfpath.hopf import convolve
+from hopfpath.roughpath import RATIONAL, BranchedRoughPath, GeometricRoughPath, SampledPath, _RoughPathBase
+from hopfpath.roughpath import canonical_lift, ito_lift
+from hopfpath.tensor import concat
 
 from oracles import certify_reference
+from seams import count_calls
 
 
 def _walk(seed, d, M, mode):
@@ -47,11 +51,12 @@ def _scalars(values) -> list:
 
 @pytest.mark.parametrize("mode", [RATIONAL, "float"])
 @pytest.mark.parametrize("lift", [ito_lift, canonical_lift], ids=["ito", "canonical"])
-def test_pair_rows_are_the_increments(lift, mode):
+def test_pair_rows_are_the_increments(lift, mode, monkeypatch):
     M = 6
     X = lift(_walk(5, 2, M, mode), 3)
+    calls = count_calls(monkeypatch, convolve, concat, (_RoughPathBase, "increment"))
     rows = list(X.pair_rows())
-    assert X._cache == {}
+    assert calls == {"convolve": 0, "concat": 0, "_RoughPathBase.increment": 0}
     assert [(s, t) for s, t, *_ in rows] == list(itertools.combinations(range(M + 1), 2))
     index = X.context().index
     kinds = set()
@@ -121,18 +126,18 @@ def _corruptions(X, Xbar, seed, count=30):
 
 @pytest.mark.parametrize("mode", [RATIONAL, "float"])
 @pytest.mark.parametrize("N, d", CASES)
-def test_certify_matches_the_element_sweep(N, d, mode):
+def test_certify_matches_the_element_sweep(N, d, mode, monkeypatch):
     X, Xbar = _fixture(N, d, mode)
     assert certify(X, Xbar) == certify_reference(X, Xbar)
     assert certify(X, Xbar)["status"] == "pass"
     failed = 0
     for side, k, key, kind, value in _corruptions(X, Xbar, N * 100 + d):
-        X._cache.clear()  # the element sweep fills both caches
-        Xbar._cache.clear()
         bad_X = _replaced(X, k, key, value) if side == "X" else X
         bad_Xbar = _replaced(Xbar, k, key, value) if side == "Xbar" else Xbar
-        got = certify(bad_X, bad_Xbar)
-        assert bad_X._cache == {} and bad_Xbar._cache == {}
+        with monkeypatch.context() as patch:
+            calls = count_calls(patch, convolve, concat)
+            got = certify(bad_X, bad_Xbar)
+        assert calls == {"convolve": 0, "concat": 0}
         if side == "X" and kind == "float":
             # the element sweep cross-multiplies lhs.numerator, which a float
             # lacks; the rows report the failure at the pair and forest where

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hopfpath.conversion import encode
 from hopfpath.hopf import HElem, convolve, is_group_like
+from hopfpath.linear import Context
 from hopfpath.roughpath import (
     FLOAT,
     RATIONAL,
@@ -20,6 +21,7 @@ from hopfpath.roughpath import (
     Grid,
     SampledPath,
     _close,
+    _RoughPathBase,
     canonical_lift,
     embed_geometric,
     first_non_character,
@@ -31,10 +33,11 @@ from hopfpath.roughpath import (
     roughpath_to_json,
     validate,
 )
-from hopfpath.tensor import EMPTY_WORD, TensorElem, Word, enumerate_words, is_tensor_group_like, tensor_exp
+from hopfpath.tensor import EMPTY_WORD, TensorElem, Word, concat, enumerate_words, is_tensor_group_like, tensor_exp
 from hopfpath.trees import EMPTY_FOREST, Forest, Tree, chain, enumerate_forests, enumerate_trees, leaf, tree_factorial
 
 from oracles import leftpoint_oracle, tree_factorial_oracle
+from seams import count_calls, planted
 
 B1, B2 = leaf(1), leaf(2)
 
@@ -441,10 +444,8 @@ def test_increment_endpoints_and_errors():
 
 def test_chen_corruption_is_detected():
     X = ito_lift(line_path(4, 1, [Q(1)]), 2)
-    X.increment(0, 4)  # populate the pair cache
-    good = X._cache[(0, 2)]
-    X._cache[(0, 2)] = good + HElem({F(Tree(1, (B1,))): Q(1, 7)}, 1)
-    report = validate(X)
+    bad = X.increment(0, 2) + HElem({F(Tree(1, (B1,))): Q(1, 7)}, 1)
+    report = validate(planted(X, (0, 2), bad))
     assert report["chen"]["status"] == "fail"
     assert report["chen"]["witness"] == (0, 1, 2)
 
@@ -457,6 +458,22 @@ def test_character_corruption_is_detected():
     report = validate(X)
     assert report["character"]["status"] == "fail"
     assert report["character"]["witness"] == "adjacent increment 1"
+
+
+@pytest.mark.parametrize("key", [F(B1, B1, B1), Word([B1] * 3)], ids=["forest", "word"])
+def test_adjacent_key_above_the_level_is_not_a_character(key):
+    """A key one grade past the level sits outside the context, so no
+    product and no composed pair reaches it; the character check refuses
+    it on the adjacent increment that holds it."""
+    lift = ito_lift if isinstance(key, Forest) else canonical_lift
+    X = lift(line_path(4, 1, [Q(1)]), 2)
+    assert first_non_character(X) is None
+    g = X.increments[1]
+    X.increments[1] = type(g)({**g.terms, key: Q(5)}, *g.ctx)
+    assert first_non_character(X) == 1
+    report = validate(X)
+    assert report["character"] == {"status": "fail", "witness": "adjacent increment 1"}
+    assert report["chen"]["status"] == "pass"
 
 
 @pytest.mark.parametrize("lift", [ito_lift, canonical_lift])
@@ -506,9 +523,6 @@ def test_wide_increment_on_fresh_long_path_is_left_fold():
     for g in X.increments[1:]:
         want = convolve(want, g, 2)
     assert X.increment(0, M).terms == want.terms
-    assert set(X._cache) == {(0, t) for t in range(2, M + 1)}
-    # a narrower pair is served from the cache, a wider start extends it
-    assert X.increment(0, 700) is X._cache[(0, 700)]
     assert X.increment(5, 9) == convolve(X.increment(5, 8), X.increments[8], 2)
 
 
@@ -622,7 +636,7 @@ def test_holder_sweep_takes_exact_values_past_the_float_range():
     assert report["holder"]["per_basis"]["b_1"] == float("inf")
 
 
-# -- Chen on kernel rows against the element loop it replaced ----------------
+# -- Chen and Hölder on pair rows against the element loops they replaced ----
 
 
 def _elems_close(a, b) -> bool:
@@ -630,16 +644,22 @@ def _elems_close(a, b) -> bool:
     return all(_close(a.terms.get(k, 0), b.terms.get(k, 0), FLOAT) for k in keys)
 
 
+def pair_increments(X) -> dict:
+    """X.increment(s, t) of every grid pair, each read once."""
+    return {(s, t): X.increment(s, t) for s, t in itertools.combinations(range(X.grid.steps + 1), 2)}
+
+
 def chen_reference(X) -> dict:
     """Chen as validate checked it on elements: per triple, X_st against
     X._compose(X_su, X_ut), by terms == in rational mode and key by key
     with _close in float mode."""
     eq = (lambda a, b: a.terms == b.terms) if X.mode == RATIONAL else _elems_close
+    increments = pair_increments(X)
     chen = {"status": "pass", "witness": None, "checked_triples": 0}
     for s, u, t in itertools.combinations(range(X.grid.steps + 1), 3):
         chen["checked_triples"] += 1
-        lhs = X.increment(s, t)
-        rhs = X._compose(X.increment(s, u), X.increment(u, t))
+        lhs = increments[s, t]
+        rhs = X._compose(increments[s, u], increments[u, t])
         if not eq(lhs, rhs):
             chen["status"] = "fail"
             chen["witness"] = (s, u, t)
@@ -647,11 +667,41 @@ def chen_reference(X) -> dict:
     return chen
 
 
+def holder_reference(X) -> dict:
+    """The Hölder section as validate computed it on elements, from
+    X.increment(s, t).coeff(key) per pair and Hölder key."""
+    increments = pair_increments(X)
+    M = X.grid.steps
+    names = [(key, repr(key), key.grade) for key in X.holder_keys()]
+    gamma = float(X.gamma)
+    per = {}
+    for s, t in itertools.combinations(range(M + 1), 2):
+        inc = increments[s, t]
+        try:
+            dt = float(X.grid.times[t] - X.grid.times[s])
+        except OverflowError:  # exact times past the float range
+            dt = math.inf
+        for key, name, grade in names:
+            try:
+                v = abs(float(inc.coeff(key)))
+                if v == 0.0:
+                    continue
+                ratio = v / dt ** (gamma * grade)
+            except (OverflowError, ZeroDivisionError):  # values or time steps past the float range
+                ratio = math.inf
+            if ratio > per.get(name, 0.0):
+                per[name] = ratio
+    return {"gamma": gamma, "per_basis": per, "max": max(per.values(), default=0.0)}
+
+
 def validate_reference(X) -> dict:
-    chen = chen_reference(X)
-    report = validate(X)
-    report["chen"] = chen
-    return report
+    k = first_non_character(X)
+    return {
+        "kind": X.kind,
+        "character": {"status": "pass", "witness": None} if k is None else {"status": "fail", "witness": f"adjacent increment {k}"},
+        "chen": chen_reference(X),
+        "holder": holder_reference(X),
+    }
 
 
 def _rational_walk(M, seed):
@@ -672,7 +722,7 @@ def _float_rows(M, seed):
 
 @functools.lru_cache(maxsize=None)
 def _chen_fixture(name):
-    """Each fixture once; callers take a fresh copy with an empty cache."""
+    """Each fixture once; no test changes the path it returns."""
     if name == "ito_rational":
         return ito_lift(_rational_walk(8, 1), 3)
     if name == "encoded_letters":
@@ -701,27 +751,43 @@ CHEN_FIXTURES = [
 ]
 
 
-def _fresh(X):
-    """X rebuilt from its adjacent increments, with an empty pair cache."""
-    return type(X)(X.N, X.gamma, X.grid, X.increments, X.d, X.mode, *(getattr(X, f) for f in X.tree_fields))
-
-
 @pytest.mark.parametrize("name", CHEN_FIXTURES)
 def test_chen_rows_match_the_element_loop(name):
     X = _chen_fixture(name)
-    report = validate(_fresh(X))
-    assert report == validate_reference(_fresh(X))
+    report = validate(X)
+    assert report == validate_reference(X)
     if name != "ito_float_data_rational_mode":
         M = X.grid.steps
         assert report["chen"] == {"status": "pass", "witness": None, "checked_triples": math.comb(M + 1, 3)}
     assert name != "encoded_letters" or X.letter_bound == 3
 
 
+def test_holder_rows_match_the_element_loop_past_the_float_range():
+    # exact times whose steps overflow or underflow a float, and values
+    # that overflow one: every inf branch of the sweep is taken
+    path = SampledPath.over_labels([0, Q("1e-999"), 1, Q("1e999")], [[0], [1], [Q("1e999")], [0]], 1)
+    for X in (ito_lift(path, 2), canonical_lift(path, 2)):
+        report = validate(X)
+        assert report == validate_reference(X)
+        assert report["holder"]["max"] == math.inf
+
+
+@pytest.mark.parametrize("lift", [ito_lift, canonical_lift], ids=["ito", "canonical"])
+def test_validate_reads_every_pair_from_the_row_fold(lift, monkeypatch):
+    # M=6: the fold composes the 15 pairs past the adjacent ones and Chen
+    # multiplies the rows of the 35 triples; no element is composed
+    X = lift(_rational_walk(6, 7), 3)
+    calls = count_calls(monkeypatch, convolve, concat, (Context, "times"), (_RoughPathBase, "increment"))
+    report = validate(X)
+    assert report["chen"] == {"status": "pass", "witness": None, "checked_triples": 35}
+    assert calls == {"convolve": 0, "concat": 0, "Context.times": 15 + 35, "_RoughPathBase.increment": 0}
+
+
 def _corruption(rng, X):
-    """(pair, key, new coefficient) for one coefficient of a cached pair:
+    """(pair, key, new coefficient) for one coefficient of a composed pair:
     mostly a basis key of the kernel's context, sometimes a key one grade
-    past it, which no product reaches; shifts of every size, to zero, and
-    in rational mode sometimes by a float."""
+    past it; shifts of every size, to zero, and in rational mode sometimes
+    by a float."""
     M = X.grid.steps
     s = rng.randrange(M - 1)
     pair = (s, rng.randrange(s + 2, M + 1))
@@ -744,13 +810,15 @@ def _corruption(rng, X):
     return pair, key, c + shift
 
 
-def _corrupted(X, pair, key, value):
-    Y = _fresh(X)
-    for s in range(Y.grid.steps):
-        Y.increment(s, Y.grid.steps)  # caches every wider pair
-    g = Y._cache[pair]
-    Y._cache[pair] = type(g)({**g.terms, key: value}, *g.ctx)
-    return Y
+def _with_term(g, key, value):
+    return type(g)({**g.terms, key: value}, *g.ctx)
+
+
+def _with_adjacent(X, k, element):
+    """X with adjacent increment k replaced by element."""
+    increments = list(X.increments)
+    increments[k] = element
+    return type(X)(X.N, X.gamma, X.grid, increments, X.d, X.mode, *(getattr(X, f) for f in X.tree_fields))
 
 
 @pytest.mark.parametrize("name", CHEN_FIXTURES)
@@ -760,7 +828,18 @@ def test_chen_rows_find_the_element_loop_witness_on_corrupted_caches(name):
     seen = set()
     for _ in range(30):
         pair, key, value = _corruption(rng, X)
-        got = validate(_corrupted(X, pair, key, value))["chen"]
-        assert got == chen_reference(_corrupted(X, pair, key, value)), (pair, key, value)
+        if key.grade > X.N:
+            # no composed pair holds a key past the level: planted on the
+            # pair's first adjacent increment, the character check refuses
+            # it unless the value is 0, which the element drops.  Float data
+            # in rational mode already fails there, at the first step.
+            s, base = pair[0], first_non_character(X)
+            Y = _with_adjacent(X, s, _with_term(X.increments[s], key, value))
+            want = base if value == 0 else min(s, math.inf if base is None else base)
+            assert first_non_character(Y) == want, (pair, key, value)
+            continue
+        Y = planted(X, pair, _with_term(X.increment(*pair), key, value))
+        got = validate(Y)["chen"]
+        assert got == chen_reference(Y), (pair, key, value)
         seen.add(got["status"])
     assert "fail" in seen

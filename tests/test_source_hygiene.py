@@ -1,6 +1,6 @@
 """Source hygiene of the package, checked with `ast`: nothing lingers.
 
-No linter ships with the project, so three checks stand in for one:
+No linter ships with the project, so four checks stand in for one:
 
 - every module-level import of a `hopfpath` module is used in that module,
   or is imported from it by another module, a test or the benchmark, or is
@@ -11,7 +11,9 @@ No linter ships with the project, so three checks stand in for one:
   `tests/` or `bench/` outside its own body, and in fact from `src/`: a
   helper that only tests or the benchmark reach belongs in `tests/`;
 - no top-level assignment in the package binds a second name to one of
-  its functions or classes (`pair_tensor = pair`): one object, one name.
+  its functions or classes (`pair_tensor = pair`): one object, one name;
+- every name in a package class's `__slots__` is read as an attribute
+  somewhere in the package: a slot nothing reads is state left behind.
 
 A helper left behind by a refactor, or an alias kept for old callers,
 fails one of them.
@@ -217,3 +219,32 @@ def test_exact_rows_are_carried_by_linear_alone():
         if isinstance(node, ast.ClassDef) and _is_numerator_row(node)
     ]
     assert rows == ["linear.Row"]
+
+
+def _slots(node: ast.ClassDef) -> list:
+    """The names a class body's `__slots__` assignment lists."""
+    out = []
+    for stmt in node.body:
+        if isinstance(stmt, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets):
+            out += [c.value for c in ast.walk(stmt.value) if isinstance(c, ast.Constant) and isinstance(c.value, str)]
+    return out
+
+
+def test_every_slot_is_read_by_the_package():
+    trees = _trees()
+    package = sorted(PACKAGE.glob("*.py"))
+    read = {
+        node.attr
+        for path in package
+        for node in ast.walk(trees[path])
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.stem}.{node.name}.{name}"
+        for path in package
+        for node in ast.walk(trees[path])
+        if isinstance(node, ast.ClassDef)
+        for name in _slots(node)
+        if not name.startswith("__") and name not in read
+    ]
+    assert unread == []

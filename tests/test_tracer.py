@@ -19,14 +19,17 @@ from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 import tracer
 t = tracer.install()
-from hopfpath import cli
+from hopfpath import cli, roughpath
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp)
     lift = ["lift", "--synth", "rw", "--steps", "4", "--d", "2", "--N", "3", "--mode", "ito",
             "--step", "1/2", "--out", str(out / "lift.json")]
     codes = [cli.main(lift), cli.main(["convert", str(out / "lift.json"), "--out", str(out / "convert.json")])]
-    # convert composes no element, so concat is reached through a canonical lift's Chen check
-    codes.append(cli.main([*lift[:10], "canonical", *lift[11:]]))
+# no CLI step composes a pair as an element, so convolve and concat are
+# reached through one wide increment on each side
+path = roughpath.SampledPath.over_labels([0, 1, 2], [[0, 0], [1, 2], [3, 1]], 2)
+for lift_path in (roughpath.ito_lift, roughpath.canonical_lift):
+    lift_path(path, 3).increment(0, 2)
 summary = t.summary()
 print(json.dumps({"codes": codes, "counts": summary["counts"],
                   "calls": {k: v["calls"] for k, v in summary["spans"].items()}}))
@@ -40,11 +43,11 @@ def test_tracer_counts_the_container_and_kernel_layers():
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["codes"] == [0, 0, 0]
+    assert report["codes"] == [0, 0]
     assert report["counts"]["hopf.HElem.new"] > 0
     assert report["counts"]["tensor.TensorElem.new"] > 0
-    assert report["calls"]["hopf.convolve"] > 0
-    assert report["calls"]["tensor.concat"] > 0
+    assert report["counts"]["roughpath.increment.calls"] == 2
+    assert report["calls"]["hopf.convolve"] == report["calls"]["tensor.concat"] == 1
 
 
 HANDLER_SCRIPT = """
