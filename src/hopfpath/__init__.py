@@ -77,8 +77,10 @@ def cache_sizes() -> dict:
     tables, and the forest and word contexts.  The cut and antipode rows
     have no lru table of their own; they live in the forest contexts.  For
     each live context it adds the rows its tables have filled, keyed by the
-    call that built it, e.g. 'tensor.word_context(3, 1, 3).shuffle_rows'.  The
-    tables never evict, so the sizes show what a process has built.
+    call that built it, e.g. 'tensor.word_context(3, 1, 3).shuffle_rows', and
+    the terms of its compiled kernel, 0 while it has none, e.g.
+    'hopf.forest_context(3, 2).kernel_terms'.  The tables never evict, so the
+    sizes show what a process has built.
 
     Only the modules loaded so far are reported, and none is imported: a
     module the process never imported has built nothing.  Nothing is
@@ -95,7 +97,9 @@ def cache_sizes() -> dict:
     for ctx in list(tensor.WordContext.live) if tensor else ():
         out[f"tensor.word_context{ctx.key}.shuffle_rows"] = len(ctx.shuffles)
         out[f"tensor.word_context{ctx.key}.split_rows"] = len(ctx.splits)
+        out[f"tensor.word_context{ctx.key}.kernel_terms"] = ctx.kernel_terms
     hopf = sys.modules.get(f"{__name__}.hopf")
     for ctx in list(hopf.ForestContext.live) if hopf else ():
         out[f"hopf.forest_context{ctx.key}.antipode_rows"] = len(ctx.antipodes)
+        out[f"hopf.forest_context{ctx.key}.kernel_terms"] = ctx.kernel_terms
     return dict(sorted(out.items()))

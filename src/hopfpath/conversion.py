@@ -11,9 +11,13 @@ lift of the extended piecewise-linear path is rebuilt.  One sweep of
 for every forest h of grade <= N.  The sweep reads each pair's increments
 as the `linear.Row`s that `_RoughPathBase.pair_rows` folds forward from
 each start point on each path's context, and pairs the geometric ones with
-the rows of the psi images by `Row.pair`: each pair is composed once, O(M)
-rows are live, no element is built or cached, and exact values stay integer
-numerators over one denominator until a witness prints them.  It is every
+the psi images: each pair is composed once, O(M) rows are live, no element
+is built or cached, and exact values stay integer numerators over one
+denominator until a witness prints them.  On an exact sweep that repays
+compiling them, the fold and the psi images run as straight-line functions
+generated from integer tables (`linear.Context.compiled`,
+`Context.linear_map`): the images give every forest's value from one call
+on the geometric row, in place of one `Row.pair` per image.  It is every
 level's check as well: for
 an extracted tree tau, with f_tau(s, t) = <X_st, tau> - <Xbar_st, psi(tau)
 without the tau letter> and F_tau the prefix sums of its adjacent values,
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 from .expr import print_tensor
@@ -94,7 +99,11 @@ def _pairings(X: BranchedRoughPath, Xbar: GeometricRoughPath, level: int, forest
     psi(h), which is over 1: psi's coefficients are integers.
     Adjacent pairs read the increments as given; every pair reads the rows
     that `pair_rows` folds on each path's context, <X_st, h> straight from
-    X's row."""
+    X's row.  There, in rational mode, when the C(M+1, 2) pairs repay
+    compiling it (`Context.linear_map`), the psi images are one generated
+    linear function of Xbar_st's dense numerators, which gives every
+    forest's value in one call; a row that is not exact, and every row
+    otherwise, is paired image by image."""
     ctx, own = word_context(level, Xbar.d, Xbar.letter_bound), Xbar.context()
     images = [psi(HElem.from_forest(h, X.d), level).terms for h in forests]
     images = [own.row_of({w: c for w, c in img.items() if w in ctx.index}) for img in images]
@@ -108,9 +117,15 @@ def _pairings(X: BranchedRoughPath, Xbar: GeometricRoughPath, level: int, forest
             yield k, k + 1, None, vec.den, [(get(h, 0 if type(v) is float else _ZERO), v) for h, v in zip(forests, rhs)]
         return
     where = [X.context().index.get(h) for h in forests]
+    pairs = math.comb(Xbar.grid.steps + 1, 2)
+    images_of = own.linear_map([img.values.items() for img in images], pairs) if Xbar.mode == RATIONAL else None
     for (s, t, lhs), (_, _, vec) in zip(X.pair_rows(), Xbar.pair_rows()):
         get, zero = lhs.values.get, _ZERO if lhs.den is None else 0
-        yield s, t, lhs.den, vec.den, [(get(k, zero), img.pair(vec)) for k, img in zip(where, images)]
+        if images_of is not None and vec.den is not None:
+            rhs = images_of(own.dense(vec))
+        else:
+            rhs = [img.pair(vec) for img in images]
+        yield s, t, lhs.den, vec.den, [(get(k, zero), v) for k, v in zip(where, rhs)]
 
 
 def extract_extended_path(X: BranchedRoughPath, partial: GeometricRoughPath, check_cocycle: bool = True) -> dict:

@@ -26,7 +26,9 @@ cut coproduct and the antipode: `coproduct` and `antipode` read its rows
 on the context of their input's grade, as `morphisms.psi` and the verify
 suites do.  Its kernel `ForestContext.product` takes
 dense coefficient rows by position as operands and returns the totals by
-position; `convolve` runs it through `linear.context_product`.
+position; `convolve` runs it through `linear.context_product`.  The cut
+rows are also the table (`ForestContext.table`) that a large exact sweep
+compiles into a straight-line kernel (`linear.Context.compiled`).
 """
 
 from __future__ import annotations
@@ -252,6 +254,10 @@ class ForestContext(Context):
                 total += cnt * ca * cb
             out[h] = total
         return out
+
+    def table(self) -> tuple:
+        """The cut rows: the loop kernel's table, and the compiled one's."""
+        return self.cuts
 
     def product_row(self, i: int, j: int) -> tuple:
         """(position of basis[i] * basis[j],), built on first use, numbered

@@ -26,10 +26,20 @@ character test.
 `Row` carries an element's terms through the kernels by context position:
 integer numerators over one reduced denominator when every value is exact
 (see `scalars`), the values as given otherwise.  `Context.row_of` makes one
-and `Context.times` is the one product of rows, on numerators or on the
-values in their term order, so float totals keep their rounding bit for
-bit.  `context_product` (`convolve`, `concat`), the Chen sweep, the pair
-fold of a rough path and the psi pairing (`Row.pair`) all run on rows.
+and `Context.times` is the product of rows on the context's loop kernel, on
+numerators or on the values in their term order, so float totals keep their
+rounding bit for bit.  `context_product` (`convolve`, `concat`), the Chen
+sweep, the pair fold of a rough path and the psi pairing (`Row.pair`) all
+run on rows.
+
+The exact all-pairs sweeps (the pair fold, Chen and the psi pairing) also
+run on straight-line functions that `_straight_line` generates from a
+context's integer tables and `compile`s: one `cnt * f[a] * g[b]` term per
+table entry, so a product costs no loop, no zero test and no dict.  Compiling
+costs a few microseconds per term, so a sweep asks for one
+(`Context.compiled`, `Context.linear_map`) with the number of products it is
+about to make, and gets None, and runs on the loop, unless they repay it.
+Single products and float rows always run on the loop kernel.
 
 The module also holds what the forest and word sides share beyond the
 container: the Kronecker pairing, the exp and log series over a truncated
@@ -45,6 +55,14 @@ from fractions import Fraction
 from .scalars import numerators
 
 _ZERO = Fraction(0)
+
+# A sweep compiles only if it is about to make at least this many products.
+# Compiling costs 6-13 us per table term, and one product or psi pairing on
+# the generated function saves 0.05-0.33 us per term over the loop (2-vCPU
+# VM, Python 3.11, forest contexts (3, 2) to (5, 2), word context (3, 2, 3),
+# psi maps N=3 to 5).  The largest break-even measured was 161 products,
+# on forest context (5, 2); this leaves room above it.
+_REPAID_AFTER = 200
 
 
 def context_field(i: int, doc: str) -> property:
@@ -170,15 +188,17 @@ class Row:
     over den when every value is exact, with den > 0 and gcd(den,
     *numerators) == 1, so one map has one exact row; the values as given
     with den None otherwise.  size counts the terms of the map the row was
-    made from.  `Context.times` keeps the row's kernel operand in operand."""
+    made from.  `Context.times` keeps the row's loop kernel operand in
+    operand, and `Context.dense` its numerators by basis position in dense."""
 
-    __slots__ = ("values", "den", "size", "operand")
+    __slots__ = ("values", "den", "size", "operand", "dense")
 
     def __init__(self, values: dict, den: int | None, size: int):
         self.values = values
         self.den = den
         self.size = size
         self.operand = None
+        self.dense = None
 
     def scalars(self) -> dict:
         """The values, numerators over a den above 1 as Fractions.  An int in
@@ -212,12 +232,19 @@ class Context:
     """A basis sorted by grade, with integer positions: `index` maps basis
     keys to positions, `keys` and `lookup` number other keys (forests, or
     the letter tuples of words) past the basis on first sight, and the
-    keys of grade <= g are the first `ends[g]`.  A subclass adds the kernel
-    `product(x, y, zero)`, a position -> total map over two operands made
-    by `operand(positions, values)`, and `product_row(i, j)`: the positions
-    basis[i] * basis[j] spreads over, one entry per unit of coefficient."""
+    keys of grade <= g are the first `ends[g]`.  A subclass adds the loop
+    kernel `product(x, y, zero)`, a position -> total map over two operands
+    made by `operand(positions, values)`; its integer table `table()`, per
+    basis position the (a, b, count) terms of the product's total there; and
+    `product_row(i, j)`: the positions basis[i] * basis[j] spreads over, one
+    entry per unit of coefficient.
 
-    __slots__ = ("key", "N", "basis", "index", "grades", "ends", "keys", "lookup", "__weakref__")
+    `kernel` is the table compiled by `compiled`, or None until a sweep asks
+    for it, and `kernel_terms` its number of terms."""
+
+    __slots__ = (
+        "key", "N", "basis", "index", "grades", "ends", "keys", "lookup", "kernel", "kernel_terms", "__weakref__",
+    )
 
     def __init__(self, key: tuple, basis: tuple, keys):
         self.key = key
@@ -228,6 +255,8 @@ class Context:
         self.ends = [sum(1 for g in self.grades if g <= b) for b in range(N + 1)]
         self.keys = list(keys)
         self.lookup = {k: i for i, k in enumerate(self.keys)}
+        self.kernel = None
+        self.kernel_terms = 0
 
     def position(self, key) -> int:
         """The position of key, one outside the basis numbered past it."""
@@ -274,6 +303,56 @@ class Context:
             values = {k: c // common for k, c in values.items()}
         return Row(values, den, len(values))
 
+    def compiled(self, products: int):
+        """The compiled kernel for a sweep about to make `products` exact
+        products when they repay compiling it, else None: built from
+        `table()` the first time and kept.  A smaller sweep gets None even
+        once it is built, so the path a sweep takes, and its rows' term
+        order, depend on its size alone.  The kernel maps two dense operands
+        (see `dense`) to the totals by basis position, a list; its terms are
+        summed in table order."""
+        if products < _REPAID_AFTER:
+            return None
+        if self.kernel is None:
+            table = self.table()
+            self.kernel = _straight_line(("f", "g"), table)
+            self.kernel_terms = sum(map(len, table))
+        return self.kernel
+
+    @staticmethod
+    def linear_map(rows: list, products: int):
+        """A compiled linear function of one dense operand (see `dense`) for
+        a sweep about to apply it `products` times, or None when they would
+        not repay compiling it: per entry of rows, a list of (position,
+        integer coefficient) terms, the function returns the sum of
+        coefficient * v[position] over them.  Nothing is kept."""
+        return _straight_line(("v",), rows) if products >= _REPAID_AFTER else None
+
+    def dense(self, row: Row) -> list:
+        """An exact row's numerators by basis position, 0 where absent, kept
+        on the row: the operand of the compiled functions."""
+        if row.dense is None:
+            out = [0] * len(self.basis)
+            for k, c in row.values.items():
+                out[k] = c
+            row.dense = out
+        return row.dense
+
+    def fold(self, a: Row, b: Row) -> Row:
+        """The row of a * b for two exact rows on the compiled kernel, which
+        `compiled` has built: the row `times` gives, its terms in basis order
+        and its dense operand kept."""
+        totals = self.kernel(self.dense(a), self.dense(b))
+        den = a.den * b.den
+        common = math.gcd(den, *totals)
+        if common > 1:
+            den //= common
+            totals = [c // common for c in totals]
+        values = {k: c for k, c in enumerate(totals) if c}
+        row = Row(values, den, len(values))
+        row.dense = totals
+        return row
+
     def _operand(self, row: Row, exact: bool):
         """row's operand, kept on it; one on the scalars of an exact row over
         a den above 1 is built afresh."""
@@ -283,6 +362,29 @@ class Context:
         if row.operand is None:
             row.operand = self.operand(row.values.keys(), row.values.values())
         return row.operand
+
+
+def _straight_line(params: tuple, rows) -> object:
+    """The one place the package compiles code: a function of params, the
+    names of dense operand lists, returning per entry of rows the sum, left
+    to right, of one term per (position, ..., count) tuple in it, count *
+    p[position] * ... over params in order, the count left out when it is 1
+    and an empty sum 0.  Every position and count must be an int, so the
+    source holds nothing but integers, the operand names, `*`, `+`, `-`,
+    brackets and commas past its `def` and `return`."""
+    index = operator.index
+    totals = []
+    for row in rows:
+        terms = []
+        for *positions, count in row:
+            factors = "*".join(f"{p}[{index(k)}]" for p, k in zip(params, positions, strict=True))
+            count = index(count)
+            terms.append(factors if count == 1 else f"{count}*{factors}")
+        totals.append(" + ".join(terms) or "0")
+    source = f"def kernel({', '.join(params)}):\n    return [{', '.join(totals)}]\n"
+    namespace: dict = {}
+    exec(compile(source, "<linear._straight_line>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def context_product(ctx: Context, x: Linear, y: Linear) -> Linear:

@@ -3,8 +3,8 @@
 A rough path is stored as one group-like increment per adjacent grid pair,
 so the Chen relation is baked into the representation.  Wider pairs come
 from one place, `pair_rows`: `linear.Row`s folded forward from each start
-point by `Context.times`, every pair composed once, with no element built
-and nothing kept.  `validate` re-checks Chen on every grid triple and reads
+point on the context's product kernel (compiled for a large exact sweep),
+every pair composed once, with no element built and nothing kept.  `validate` re-checks Chen on every grid triple and reads
 the Hölder diagnostic from those rows, and `conversion.certify` pairs them
 with the psi images.  `increment(s, t)` still composes one pair as an
 element, an uncached left fold, for callers that want a single pair.  Two
@@ -264,21 +264,28 @@ class _RoughPathBase:
 
     def pair_rows(self):
         """Every grid pair (s, t), s < t, in itertools.combinations order, as
-        (s, t, row): X_st as a `linear.Row` of the path's context, in the
-        term order of X.increment(s, t) and of its size.
+        (s, t, row): X_st as a `linear.Row` of the path's context.
 
         For each s the rows of (s, s+2), (s, s+3), ... are folded forward,
-        each by `Context.times` of the row before it and the adjacent row
-        (t-1, t), which replaces it: every pair is composed once, with O(M)
-        rows live and no element built.  This is the one composition of
+        each the product of the row before it and the adjacent row (t-1, t),
+        which replaces it: every pair is composed once, with O(M) rows live
+        and no element built.  When every adjacent row is exact and the
+        C(M, 2) folds repay compiling the context's kernel
+        (`Context.compiled`), each fold is a `Context.fold` on it, and a
+        row's terms come in basis-position order; otherwise each is
+        `Context.times` on the loop kernel, in the term order of
+        X.increment(s, t) and of its size.  This is the one composition of
         wider pairs that the sweeps (`validate`, `conversion.certify`)
         read."""
         ctx = self.context()
         adjacent = [ctx.row_of(inc.terms) for inc in self.increments]
+        M = len(adjacent)
+        exact = all(row.den is not None for row in adjacent)
+        times = ctx.fold if exact and ctx.compiled(M * (M - 1) // 2) else ctx.times
         for s, row in enumerate(adjacent):
             yield s, s + 1, row
-            for t in range(s + 2, len(adjacent) + 1):
-                row = ctx.times(row, adjacent[t - 1])
+            for t in range(s + 2, M + 1):
+                row = times(row, adjacent[t - 1])
                 yield s, t, row
 
 
@@ -566,14 +573,15 @@ def validate(X) -> dict:
     times = X.grid.times
     per = {}
     for (s, t), row in rows.items():
-        values = row.scalars()
+        get, den = row.values.get, row.den
         try:
             dt = float(times[t] - times[s])
         except OverflowError:  # exact times past the float range
             dt = math.inf
         for i, name, grade in names:
             try:
-                v = abs(float(values.get(i, 0)))
+                # an int over den divides to the float nearest the Fraction
+                v = abs(float(get(i, 0)) if den is None else get(i, 0) / den)
                 if v == 0.0:
                     continue
                 ratio = v / dt ** (gamma * grade)
@@ -588,19 +596,40 @@ def validate(X) -> dict:
 
 def _check_chen(X, rows: dict, chen: dict) -> None:
     """The Chen sweep of `validate`, filling its "chen" section from the
-    pair rows: per triple in itertools.combinations order, `Context.times`
-    of the rows of (s, u) and (u, t) against the row of (s, t), the first
-    failure the witness.  Exact rows are reduced, so an exact triple holds
-    when the two rows are equal; otherwise the values are, bit for bit, what
-    convolve/concat give, compared with _close in the path's mode."""
+    pair rows: per triple in itertools.combinations order, the product of
+    the rows of (s, u) and (u, t) against the row of (s, t), the first
+    failure the witness.
+
+    When every row is exact and the C(M+1, 3) triples repay compiling the
+    context's kernel (`Context.compiled`), its totals over a.den * b.den are
+    compared with the row of (s, t) by cross-multiplying the dense
+    numerators, tot * want.den == w * a.den * b.den, with no dict built and
+    no gcd taken.  The row of (s, t) is reduced, so its den divides a.den *
+    b.den whenever the two agree, and the test is tot == w * q with q the
+    quotient.  A triple that fails there, and every triple otherwise, is
+    judged on `Context.times`: exact rows are reduced, so an exact triple
+    holds when the two rows are equal; otherwise the values are, bit for
+    bit, what convolve/concat give, compared with _close in the path's
+    mode."""
     ctx = X.context()
+    exact = all(row.den is not None for row in rows.values())
+    kernel = ctx.compiled(math.comb(X.grid.steps + 1, 3)) if exact else None
+    if kernel is not None:
+        for row in rows.values():
+            ctx.dense(row)
+    mul, repeat = operator.mul, itertools.repeat
     for s, u, t in itertools.combinations(range(X.grid.steps + 1), 3):
         chen["checked_triples"] += 1
-        got, want = ctx.times(rows[s, u], rows[u, t]), rows[s, t]
+        a, b, want = rows[s, u], rows[u, t], rows[s, t]
+        if kernel is not None:
+            q, r = divmod(a.den * b.den, want.den)
+            if not r and kernel(a.dense, b.dense) == list(map(mul, want.dense, repeat(q))):
+                continue
+        got = ctx.times(a, b)
         if got.den is not None and (got.den, got.values) == (want.den, want.values):
             continue
-        a, b = got.scalars(), want.scalars()
-        if not all(_close(a.get(k, 0), b.get(k, 0), X.mode) for k in a.keys() | b.keys()):
+        x, y = got.scalars(), want.scalars()
+        if not all(_close(x.get(k, 0), y.get(k, 0), X.mode) for k in x.keys() | y.keys()):
             chen["status"] = "fail"
             chen["witness"] = (s, u, t)
             return

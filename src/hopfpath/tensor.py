@@ -249,6 +249,12 @@ class WordContext(Context):
             row = self.splits[i] = tuple((at(w[:k]), at(w[k:])) for k in range(len(w) + 1))
         return row
 
+    def table(self) -> list:
+        """Per basis word its splits as (prefix, suffix, 1): concatenation's
+        total on a word is the sum over its splits, the table the compiled
+        kernel is built from."""
+        return [[(a, b, 1) for a, b in self.split(i)] for i in range(len(self.basis))]
+
     def row(self, i: int) -> list:
         """Positions of basis[i] * basis[j] for every j whose grade fits,
         built on first use."""

@@ -11,12 +11,22 @@ references in the tests see the same single bad pair.
 `hopfpath` module that binds them, so a call through `roughpath.convolve`
 counts the same as one through `hopf.convolve`, and of methods, wrapped on
 their class.
+
+`sweeps(compiled)` runs the exact sweeps of a block on the functions
+`linear` compiles, or on the loop kernels alone, whatever their size and
+whatever kernels earlier tests left on the cached contexts, and counts the
+calls of the compiled functions.
 """
 
+import contextlib
+import math
 import sys
 from collections import Counter
 
+from hopfpath import linear
+from hopfpath.hopf import ForestContext
 from hopfpath.roughpath import BranchedRoughPath, GeometricRoughPath
+from hopfpath.tensor import WordContext
 
 
 def _planting(base):
@@ -74,3 +84,41 @@ def count_calls(monkeypatch, *targets) -> Counter:
                     if value is target:
                         monkeypatch.setattr(module, attr, counted)
     return counts
+
+
+@contextlib.contextmanager
+def sweeps(compiled: bool):
+    """Within the block every exact sweep compiles, however few products it
+    makes (compiled), or none does; every live context starts with no
+    kernel.  Yields a Counter of calls of the functions compiled in the
+    block, keyed "kernel(f, g)" for a product kernel and "kernel(v)" for a
+    psi map.  On exit every context has the kernel it had before, and one
+    made in the block has none."""
+    calls = Counter()
+    generate = linear._straight_line
+
+    def counting(params, rows):
+        fn, key = generate(params, rows), f"kernel({', '.join(params)})"
+
+        def counted(*operands):
+            calls[key] += 1
+            return fn(*operands)
+
+        return counted
+
+    def live():
+        return [*ForestContext.live, *WordContext.live]
+
+    saved = [(ctx, ctx.kernel, ctx.kernel_terms) for ctx in live()]
+    for ctx in live():
+        ctx.kernel, ctx.kernel_terms = None, 0
+    repaid = linear._REPAID_AFTER
+    linear._REPAID_AFTER, linear._straight_line = (0 if compiled else math.inf), counting
+    try:
+        yield calls
+    finally:
+        linear._REPAID_AFTER, linear._straight_line = repaid, generate
+        for ctx in live():
+            ctx.kernel, ctx.kernel_terms = None, 0
+        for ctx, kernel, terms in saved:
+            ctx.kernel, ctx.kernel_terms = kernel, terms

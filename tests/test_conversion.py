@@ -29,7 +29,7 @@ from hopfpath.roughpath import (
 from hopfpath.tensor import Word, WordContext, concat, is_tensor_group_like
 from hopfpath.trees import Forest, Tree, leaf
 
-from seams import count_calls
+from seams import count_calls, sweeps
 
 B1, B2 = leaf(1), leaf(2)
 
@@ -209,7 +209,8 @@ def test_encode_composes_each_geometric_pair_at_most_once(monkeypatch):
     # one certify sweep of the final lift composes M(M-1)/2 pairs, each a
     # row fold step on the word context's kernel; each level extracts its
     # components from adjacent increments only, and no pair is composed as
-    # an element
+    # an element.  Compiled, the folds of both paths run on their contexts'
+    # compiled kernels and the psi images are one call per grid pair
     M = 5
     X = ito_lift(walk_path_d2(M), 3)
     calls = []
@@ -218,8 +219,15 @@ def test_encode_composes_each_geometric_pair_at_most_once(monkeypatch):
     elements = count_calls(monkeypatch, convolve, concat)
     for flags, want in (((), M * (M - 1) // 2), ((False,), M * (M - 1) // 2), ((False, False), 0)):
         calls.clear()
-        encode(X, *flags)
-        assert len(calls) == want, flags
+        with sweeps(compiled=False) as compiled:
+            encode(X, *flags)
+        assert len(calls) == want and compiled == {}, flags
+        assert elements == {"convolve": 0, "concat": 0}, flags
+        calls.clear()
+        with sweeps(compiled=True) as compiled:
+            encode(X, *flags)
+        assert calls == [], flags
+        assert compiled == ({"kernel(f, g)": 2 * want, "kernel(v)": M * (M + 1) // 2} if want else {}), flags
         assert elements == {"convolve": 0, "concat": 0}, flags
 
 

@@ -25,9 +25,11 @@ from hopfpath import hopf, morphisms, tensor
 from hopfpath.hopf import ForestContext, HElem, PairElem, antipode, coproduct, exp_star, forest_context, star_inverse
 from hopfpath.morphisms import psi, verify_hopf_morphism
 from hopfpath.roughpath import FLOAT, RATIONAL, SampledPath, canonical_lift, validate
+from hopfpath.linear import Context
 from hopfpath.tensor import WordContext
 from hopfpath.trees import EMPTY_FOREST, Forest, enumerate_forests, enumerate_trees
 from oracles import _forest_antipode, _forest_coproduct, linear_antipode, linear_coproduct
+from seams import sweeps
 
 SIZES = [(0, 1), (1, 3), (3, 2), (4, 3), (5, 2), (6, 1)]
 
@@ -214,13 +216,27 @@ def test_word_operands_give_the_old_kernel_totals(mode):
 def test_chen_sweep_builds_each_word_operand_once(monkeypatch, mode):
     M = 6
     X = canonical_lift(walk(M, mode), 3)
-    for s, t in itertools.combinations(range(M + 1), 2):
-        X.increment(s, t)  # composed and cached now, so only the sweep counts below
     calls = []
     operand = WordContext.operand
     monkeypatch.setattr(WordContext, "operand", staticmethod(lambda *row: calls.append(1) or operand(*row)))
-    report = validate(X)
+    dense = Context.dense
+    built = []
+    monkeypatch.setattr(Context, "dense", lambda self, row: built.append(row.dense is None) or dense(self, row))
+    with sweeps(compiled=False):
+        report = validate(X)
     assert report["chen"]["status"] == "pass"
     assert report["chen"]["checked_triples"] == M * (M + 1) * (M - 1) // 6
-    # one per pair used as an operand, none per triple: (0, M) is never one
-    assert len(calls) == M * (M + 1) // 2 - 1
+    # on the loop kernel, one per pair used as an operand, none per triple:
+    # (0, M) is never one
+    assert len(calls) == M * (M + 1) // 2 - 1 and built == []
+    calls.clear()
+    with sweeps(compiled=True) as compiled:
+        assert validate(X) == report
+    if mode == FLOAT:
+        # float rows never compile: the same loop operands
+        assert len(calls) == M * (M + 1) // 2 - 1 and built == [] and compiled == {}
+        return
+    # compiled, the adjacent rows build their dense operands on first use and
+    # every folded row comes with its own, so none is built per triple
+    assert calls == [] and sum(built) == M
+    assert compiled == {"kernel(f, g)": M * (M - 1) // 2 + M * (M + 1) * (M - 1) // 6}

@@ -2,16 +2,18 @@
 
 `pair_rows` gives every grid pair's increment as a row of the path's
 context, folded forward from each start point.  Each row is checked against
-`increment(s, t).terms`: the same positions in the same order, the same
-number of terms, and the same values with the same scalar types (exact rows
-as `Fraction(num, den)`, reduced; float rows bit for bit).  The float walk
+`increment(s, t).terms`: the same positions in the same order (in basis
+order for a row folded on the compiled kernel), the same number of terms,
+and the same values with the same scalar types (exact rows as
+`Fraction(num, den)`, reduced; float rows bit for bit).  The float walk
 stands still for two steps, so some of its rows are exact and the fold
 crosses between the two kinds of step.
 
 `certify` reads those rows; `oracles.certify_reference` is the element-based
 sweep it replaced.  Both run on Ito lifts and their encodings, intact and
-with seeded one-coefficient corruptions of an adjacent increment on either
-side, and must give the same report, witness text included.
+with seeded one-coefficient corruptions of an adjacent increment or of a
+planted composed pair on either side, and must give the same report,
+witness text included, on the loop kernels and on the compiled ones.
 """
 
 import itertools
@@ -28,7 +30,7 @@ from hopfpath.roughpath import canonical_lift, ito_lift
 from hopfpath.tensor import concat
 
 from oracles import certify_reference
-from seams import count_calls
+from seams import count_calls, planted, sweeps
 
 
 def _walk(seed, d, M, mode):
@@ -49,20 +51,28 @@ def _scalars(values) -> list:
     return [(type(v), repr(v)) for v in values]
 
 
+@pytest.mark.parametrize("compiled", [False, True], ids=["loop", "compiled"])
 @pytest.mark.parametrize("mode", [RATIONAL, "float"])
 @pytest.mark.parametrize("lift", [ito_lift, canonical_lift], ids=["ito", "canonical"])
-def test_pair_rows_are_the_increments(lift, mode, monkeypatch):
+def test_pair_rows_are_the_increments(lift, mode, compiled, monkeypatch):
     M = 6
     X = lift(_walk(5, 2, M, mode), 3)
     calls = count_calls(monkeypatch, convolve, concat, (_RoughPathBase, "increment"))
-    rows = list(X.pair_rows())
+    with sweeps(compiled) as kernels:
+        rows = list(X.pair_rows())
     assert calls == {"convolve": 0, "concat": 0, "_RoughPathBase.increment": 0}
+    # the compiled kernel folds exact rows only
+    folded = compiled and mode == RATIONAL
+    assert kernels == ({"kernel(f, g)": M * (M - 1) // 2} if folded else {})
     assert [(s, t) for s, t, *_ in rows] == list(itertools.combinations(range(M + 1), 2))
     index = X.context().index
     kinds = set()
     for s, t, row in rows:
         values, den, size = row.values, row.den, row.size
         terms = X.increment(s, t).terms
+        if folded and t > s + 1:
+            # a row folded on the compiled kernel comes in basis order
+            terms = {k: terms[k] for k in sorted(terms, key=index.get)}
         assert list(values) == [index[k] for k in terms], (s, t)
         assert size == len(terms)
         if den is None:
@@ -124,17 +134,19 @@ def _corruptions(X, Xbar, seed, count=30):
     return out
 
 
+@pytest.mark.parametrize("compiled", [False, True], ids=["loop", "compiled"])
 @pytest.mark.parametrize("mode", [RATIONAL, "float"])
 @pytest.mark.parametrize("N, d", CASES)
-def test_certify_matches_the_element_sweep(N, d, mode, monkeypatch):
+def test_certify_matches_the_element_sweep(N, d, mode, compiled, monkeypatch):
     X, Xbar = _fixture(N, d, mode)
-    assert certify(X, Xbar) == certify_reference(X, Xbar)
-    assert certify(X, Xbar)["status"] == "pass"
+    with sweeps(compiled):
+        assert certify(X, Xbar) == certify_reference(X, Xbar)
+        assert certify(X, Xbar)["status"] == "pass"
     failed = 0
     for side, k, key, kind, value in _corruptions(X, Xbar, N * 100 + d):
         bad_X = _replaced(X, k, key, value) if side == "X" else X
         bad_Xbar = _replaced(Xbar, k, key, value) if side == "Xbar" else Xbar
-        with monkeypatch.context() as patch:
+        with monkeypatch.context() as patch, sweeps(compiled):
             calls = count_calls(patch, convolve, concat)
             got = certify(bad_X, bad_Xbar)
         assert calls == {"convolve": 0, "concat": 0}
@@ -165,3 +177,28 @@ def test_certify_matches_the_element_sweep_across_levels(mode):
         got = certify(X, Xbar)
         assert got == certify_reference(X, Xbar)
         assert got["status"] == ("pass" if X is X2 else "fail")
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["loop", "compiled"])
+@pytest.mark.parametrize("mode", [RATIONAL, "float"])
+def test_certify_finds_planted_pairs(mode, compiled):
+    # one composed pair's coefficient shifted on either side, through the
+    # test seam: the fold past it and every other pair stay the path's own
+    X, Xbar = _fixture(3, 2, mode)
+    rng = Random(mode)
+    exact = mode == RATIONAL
+    failed = 0
+    for i in range(12):
+        path = X if i % 2 else Xbar
+        s = rng.randrange(path.grid.steps - 1)
+        pair = (s, rng.randrange(s + 2, path.grid.steps + 1))
+        g = path.increment(*pair)
+        key = rng.choice(sorted(g.terms, key=lambda k: k.sort_key()))
+        shift = (Q(1, 10**15) if exact else 1e-13) if i % 3 == 0 else (Q(1, 7) if exact else 0.125)
+        bad = planted(path, pair, type(g)({**g.terms, key: g.terms[key] + shift}, *g.ctx))
+        bad_X, bad_Xbar = (bad, Xbar) if path is X else (X, bad)
+        with sweeps(compiled):
+            got = certify(bad_X, bad_Xbar)
+        assert got == certify_reference(bad_X, bad_Xbar), (i, pair, key)
+        failed += got["status"] == "fail"
+    assert failed >= 6

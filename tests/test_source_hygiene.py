@@ -1,6 +1,6 @@
 """Source hygiene of the package, checked with `ast`: nothing lingers.
 
-No linter ships with the project, so four checks stand in for one:
+No linter ships with the project, so these checks stand in for one:
 
 - every module-level import of a `hopfpath` module is used in that module,
   or is imported from it by another module, a test or the benchmark, or is
@@ -17,10 +17,26 @@ No linter ships with the project, so four checks stand in for one:
 
 A helper left behind by a refactor, or an alias kept for old callers,
 fails one of them.
+
+Two more guard the code the package generates: `linear._straight_line` is
+its one `compile`/`exec` site, and every source it writes, up to N=5, is a
+`def` over operand lists whose body is one list of sums of integer-weighted
+products of operand entries, nothing else.
 """
 
 import ast
+import re
 from pathlib import Path
+
+import pytest
+
+from hopfpath import linear
+from hopfpath.hopf import forest_context
+from hopfpath.roughpath import RATIONAL, SampledPath, ito_lift
+from hopfpath.conversion import encode
+from hopfpath.tensor import word_context
+
+from seams import sweeps
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hopfpath"
@@ -248,3 +264,76 @@ def test_every_slot_is_read_by_the_package():
         if not name.startswith("__") and name not in read
     ]
     assert unread == []
+
+
+_DYNAMIC = {"compile", "exec", "eval"}
+
+
+def _dynamic_code_sites(tree) -> list:
+    """(enclosing top-level definition, name) for every reference to the
+    builtins that run code made at run time, called or not.  A class body
+    that defines a method of the same name (`__call__ = eval`) reads its
+    own."""
+    out = []
+
+    def visit(node, top, own):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, top, {n.name for n in child.body if isinstance(n, ast.FunctionDef)})
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                visit(child, top, set())
+                continue
+            if isinstance(child, ast.Name) and child.id in _DYNAMIC and child.id not in own:
+                out.append((top, child.id))
+            elif isinstance(child, ast.Attribute) and child.attr in _DYNAMIC and getattr(child.value, "id", None) == "builtins":
+                out.append((top, child.attr))
+            visit(child, top, own)
+
+    for top in tree.body:
+        visit(ast.Module(body=[top], type_ignores=[]), getattr(top, "name", None), set())
+    return out
+
+
+def test_linear_straight_line_is_the_one_place_code_is_compiled():
+    trees = _trees()
+    sites = {path.stem: _dynamic_code_sites(trees[path]) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {stem: found for stem, found in sites.items() if found} == {
+        "linear": [("_straight_line", "exec"), ("_straight_line", "compile")]
+    }
+
+
+_TERM = r"(?:-?[0-9]+\*)?{operands}"
+_SOURCE = r"def kernel\({params}\):\n    return \[(?:{sum}(?:, {sum})*)?\]\n"
+
+
+def _source_pattern(params: str, operands: str):
+    term = _TERM.format(operands=operands)
+    total = rf"(?:{term}(?: \+ {term})*|0)"
+    return re.compile(_SOURCE.format(params=re.escape(params), sum=total))
+
+
+_PRODUCT = _source_pattern("f, g", r"f\[[0-9]+\]\*g\[[0-9]+\]")
+_LINEAR = _source_pattern("v", r"v\[[0-9]+\]")
+
+
+@pytest.mark.parametrize("N", range(6))
+def test_every_generated_source_is_integers_and_operand_entries(N, monkeypatch):
+    # every product kernel of the forest and word contexts of level N, and
+    # the psi maps of the certificate on an exact lift of level N
+    sources = []
+    builtin = compile
+    monkeypatch.setattr(linear, "compile", lambda source, *args: sources.append(source) or builtin(source, *args), raising=False)
+    with sweeps(compiled=True):
+        for d in (1, 2):
+            forest_context(N, d).compiled(0)
+            for n in range(1, N + 1):
+                word_context(N, d, n).compiled(0)
+        path = SampledPath.over_labels([0, 1, 2], [[0, 0], [1, -1], [3, 2]], 2, RATIONAL)
+        assert encode(ito_lift(path, max(N, 1))).certificate["status"] == "pass"
+    kernels = [src for src in sources if src.startswith("def kernel(f, g)")]
+    maps = [src for src in sources if src.startswith("def kernel(v)")]
+    assert len(kernels) >= 2 + 2 * N and len(maps) == 1
+    assert len(kernels) + len(maps) == len(sources)
+    assert all(_PRODUCT.fullmatch(src) for src in kernels)
+    assert all(_LINEAR.fullmatch(src) for src in maps)
