@@ -13,13 +13,12 @@ as the `linear.Row`s that `_RoughPathBase.pair_rows` folds forward from
 each start point on each path's context, and pairs the geometric ones with
 the psi images: each pair is composed once, O(M) rows are live, no element
 is built or cached, and exact values stay integer numerators over one
-denominator until a witness prints them.  On an exact sweep that repays
-compiling them, the fold and the psi images run as straight-line functions
-generated from integer tables (`linear.Context.compiled`,
-`Context.linear_map`): the images give every forest's value from one call
-on the geometric row, in place of one `Row.pair` per image.  It is every
-level's check as well: for
-an extracted tree tau, with f_tau(s, t) = <X_st, tau> - <Xbar_st, psi(tau)
+denominator until a witness prints them.  On exact rows the fold and the
+psi images run as straight-line functions generated from integer tables
+(`linear.Context.compiled`, `Context.linear_map`): the images give every
+forest's value from one call on the geometric row, in place of one
+`Row.pair` per image.  It is every level's check as well: for an extracted
+tree tau, with f_tau(s, t) = <X_st, tau> - <Xbar_st, psi(tau)
 without the tau letter> and F_tau the prefix sums of its adjacent values,
 <Xbar_st, psi(tau)> - <X_st, tau> = F_tau(t) - F_tau(s) - f_tau(s, t); on
 product forests it also catches increments that are not characters.  The
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from fractions import Fraction
 
 from .expr import print_tensor
@@ -99,11 +97,10 @@ def _pairings(X: BranchedRoughPath, Xbar: GeometricRoughPath, level: int, forest
     psi(h), which is over 1: psi's coefficients are integers.
     Adjacent pairs read the increments as given; every pair reads the rows
     that `pair_rows` folds on each path's context, <X_st, h> straight from
-    X's row.  There, in rational mode, when the C(M+1, 2) pairs repay
-    compiling it (`Context.linear_map`), the psi images are one generated
-    linear function of Xbar_st's dense numerators, which gives every
-    forest's value in one call; a row that is not exact, and every row
-    otherwise, is paired image by image."""
+    X's row.  There, in rational mode, the psi images are one generated
+    linear function (`Context.linear_map`) of Xbar_st's dense numerators,
+    which gives every forest's value in one call; a row that is not exact,
+    and every row in float mode, is paired image by image."""
     ctx, own = word_context(level, Xbar.d, Xbar.letter_bound), Xbar.context()
     images = [psi(HElem.from_forest(h, X.d), level).terms for h in forests]
     images = [own.row_of({w: c for w, c in img.items() if w in ctx.index}) for img in images]
@@ -117,8 +114,7 @@ def _pairings(X: BranchedRoughPath, Xbar: GeometricRoughPath, level: int, forest
             yield k, k + 1, None, vec.den, [(get(h, 0 if type(v) is float else _ZERO), v) for h, v in zip(forests, rhs)]
         return
     where = [X.context().index.get(h) for h in forests]
-    pairs = math.comb(Xbar.grid.steps + 1, 2)
-    images_of = own.linear_map([img.values.items() for img in images], pairs) if Xbar.mode == RATIONAL else None
+    images_of = own.linear_map([img.values.items() for img in images]) if Xbar.mode == RATIONAL else None
     for (s, t, lhs), (_, _, vec) in zip(X.pair_rows(), Xbar.pair_rows()):
         get, zero = lhs.values.get, _ZERO if lhs.den is None else 0
         if images_of is not None and vec.den is not None:

@@ -32,14 +32,14 @@ rounding bit for bit.  `context_product` (`convolve`, `concat`), the Chen
 sweep, the pair fold of a rough path and the psi pairing (`Row.pair`) all
 run on rows.
 
-The exact all-pairs sweeps (the pair fold, Chen and the psi pairing) also
-run on straight-line functions that `_straight_line` generates from a
-context's integer tables and `compile`s: one `cnt * f[a] * g[b]` term per
-table entry, so a product costs no loop, no zero test and no dict.  Compiling
-costs a few microseconds per term, so a sweep asks for one
-(`Context.compiled`, `Context.linear_map`) with the number of products it is
-about to make, and gets None, and runs on the loop, unless they repay it.
-Single products and float rows always run on the loop kernel.
+The exact all-pairs sweeps (the pair fold, Chen and the psi pairing) run
+on straight-line functions that `_straight_line` generates from a context's
+integer tables and `compile`s: one `cnt * f[a] * g[b]` term per table entry,
+so a product costs no loop, no zero test and no dict.  A context compiles
+its kernel once, the first time an exact sweep asks for it
+(`Context.compiled`); a psi map is compiled per sweep (`Context.linear_map`).
+Exactness alone picks the path: single products and sweeps with a float row
+run on the loop kernel.
 
 The module also holds what the forest and word sides share beyond the
 container: the Kronecker pairing, the exp and log series over a truncated
@@ -55,14 +55,6 @@ from fractions import Fraction
 from .scalars import numerators
 
 _ZERO = Fraction(0)
-
-# A sweep compiles only if it is about to make at least this many products.
-# Compiling costs 6-13 us per table term, and one product or psi pairing on
-# the generated function saves 0.05-0.33 us per term over the loop (2-vCPU
-# VM, Python 3.11, forest contexts (3, 2) to (5, 2), word context (3, 2, 3),
-# psi maps N=3 to 5).  The largest break-even measured was 161 products,
-# on forest context (5, 2); this leaves room above it.
-_REPAID_AFTER = 200
 
 
 def context_field(i: int, doc: str) -> property:
@@ -239,8 +231,8 @@ class Context:
     `product_row(i, j)`: the positions basis[i] * basis[j] spreads over, one
     entry per unit of coefficient.
 
-    `kernel` is the table compiled by `compiled`, or None until a sweep asks
-    for it, and `kernel_terms` its number of terms."""
+    `kernel` is the table compiled by `compiled`, or None until an exact
+    sweep asks for it, and `kernel_terms` its number of terms."""
 
     __slots__ = (
         "key", "N", "basis", "index", "grades", "ends", "keys", "lookup", "kernel", "kernel_terms", "__weakref__",
@@ -303,16 +295,10 @@ class Context:
             values = {k: c // common for k, c in values.items()}
         return Row(values, den, len(values))
 
-    def compiled(self, products: int):
-        """The compiled kernel for a sweep about to make `products` exact
-        products when they repay compiling it, else None: built from
-        `table()` the first time and kept.  A smaller sweep gets None even
-        once it is built, so the path a sweep takes, and its rows' term
-        order, depend on its size alone.  The kernel maps two dense operands
-        (see `dense`) to the totals by basis position, a list; its terms are
-        summed in table order."""
-        if products < _REPAID_AFTER:
-            return None
+    def compiled(self):
+        """The compiled kernel, built from `table()` the first time and kept.
+        It maps two dense operands (see `dense`) to the totals by basis
+        position, a list; its terms are summed in table order."""
         if self.kernel is None:
             table = self.table()
             self.kernel = _straight_line(("f", "g"), table)
@@ -320,13 +306,12 @@ class Context:
         return self.kernel
 
     @staticmethod
-    def linear_map(rows: list, products: int):
-        """A compiled linear function of one dense operand (see `dense`) for
-        a sweep about to apply it `products` times, or None when they would
-        not repay compiling it: per entry of rows, a list of (position,
-        integer coefficient) terms, the function returns the sum of
-        coefficient * v[position] over them.  Nothing is kept."""
-        return _straight_line(("v",), rows) if products >= _REPAID_AFTER else None
+    def linear_map(rows: list):
+        """A compiled linear function of one dense operand (see `dense`): per
+        entry of rows, a list of (position, integer coefficient) terms, the
+        function returns the sum of coefficient * v[position] over them.
+        Nothing is kept."""
+        return _straight_line(("v",), rows)
 
     def dense(self, row: Row) -> list:
         """An exact row's numerators by basis position, 0 where absent, kept
@@ -339,10 +324,10 @@ class Context:
         return row.dense
 
     def fold(self, a: Row, b: Row) -> Row:
-        """The row of a * b for two exact rows on the compiled kernel, which
-        `compiled` has built: the row `times` gives, its terms in basis order
-        and its dense operand kept."""
-        totals = self.kernel(self.dense(a), self.dense(b))
+        """The row of a * b for two exact rows on the compiled kernel, built
+        on first use: the row `times` gives, its terms in basis order and its
+        dense operand kept."""
+        totals = self.compiled()(self.dense(a), self.dense(b))
         den = a.den * b.den
         common = math.gcd(den, *totals)
         if common > 1:

@@ -3,9 +3,10 @@
 A rough path is stored as one group-like increment per adjacent grid pair,
 so the Chen relation is baked into the representation.  Wider pairs come
 from one place, `pair_rows`: `linear.Row`s folded forward from each start
-point on the context's product kernel (compiled for a large exact sweep),
-every pair composed once, with no element built and nothing kept.  `validate` re-checks Chen on every grid triple and reads
-the Hölder diagnostic from those rows, and `conversion.certify` pairs them
+point on the context's product kernel (its compiled one when every row is
+exact), every pair composed once, with no element built and nothing kept.
+`validate` re-checks Chen on every grid triple and reads the Hölder
+diagnostic from those rows, and `conversion.certify` pairs them
 with the psi images.  `increment(s, t)` still composes one pair as an
 element, an uncached left fold, for callers that want a single pair.  Two
 lift constructors cover the two sides of the theory: `canonical_lift`
@@ -269,10 +270,9 @@ class _RoughPathBase:
         For each s the rows of (s, s+2), (s, s+3), ... are folded forward,
         each the product of the row before it and the adjacent row (t-1, t),
         which replaces it: every pair is composed once, with O(M) rows live
-        and no element built.  When every adjacent row is exact and the
-        C(M, 2) folds repay compiling the context's kernel
-        (`Context.compiled`), each fold is a `Context.fold` on it, and a
-        row's terms come in basis-position order; otherwise each is
+        and no element built.  When every adjacent row is exact, each fold
+        is a `Context.fold` on the context's compiled kernel, and a row's
+        terms come in basis-position order; otherwise each is
         `Context.times` on the loop kernel, in the term order of
         X.increment(s, t) and of its size.  This is the one composition of
         wider pairs that the sweeps (`validate`, `conversion.certify`)
@@ -281,7 +281,7 @@ class _RoughPathBase:
         adjacent = [ctx.row_of(inc.terms) for inc in self.increments]
         M = len(adjacent)
         exact = all(row.den is not None for row in adjacent)
-        times = ctx.fold if exact and ctx.compiled(M * (M - 1) // 2) else ctx.times
+        times = ctx.fold if exact else ctx.times
         for s, row in enumerate(adjacent):
             yield s, s + 1, row
             for t in range(s + 2, M + 1):
@@ -600,20 +600,18 @@ def _check_chen(X, rows: dict, chen: dict) -> None:
     the rows of (s, u) and (u, t) against the row of (s, t), the first
     failure the witness.
 
-    When every row is exact and the C(M+1, 3) triples repay compiling the
-    context's kernel (`Context.compiled`), its totals over a.den * b.den are
-    compared with the row of (s, t) by cross-multiplying the dense
-    numerators, tot * want.den == w * a.den * b.den, with no dict built and
-    no gcd taken.  The row of (s, t) is reduced, so its den divides a.den *
-    b.den whenever the two agree, and the test is tot == w * q with q the
-    quotient.  A triple that fails there, and every triple otherwise, is
-    judged on `Context.times`: exact rows are reduced, so an exact triple
-    holds when the two rows are equal; otherwise the values are, bit for
-    bit, what convolve/concat give, compared with _close in the path's
-    mode."""
+    When every row is exact, the verdict is the context's compiled kernel
+    (`Context.compiled`): its totals over a.den * b.den are compared with
+    the row of (s, t) by cross-multiplying the dense numerators, tot *
+    want.den == w * a.den * b.den, with no dict built and no gcd taken.  The
+    row of (s, t) is reduced, so its den divides a.den * b.den whenever the
+    two agree, and the test is tot == w * q with q the quotient; a non-zero
+    remainder or a total that differs proves the rows differ.  Otherwise
+    each triple is judged on `Context.times`: two exact rows hold when they
+    are equal, and the values are, bit for bit, what convolve/concat give,
+    compared with _close in the path's mode."""
     ctx = X.context()
-    exact = all(row.den is not None for row in rows.values())
-    kernel = ctx.compiled(math.comb(X.grid.steps + 1, 3)) if exact else None
+    kernel = ctx.compiled() if all(row.den is not None for row in rows.values()) else None
     if kernel is not None:
         for row in rows.values():
             ctx.dense(row)
@@ -625,14 +623,16 @@ def _check_chen(X, rows: dict, chen: dict) -> None:
             q, r = divmod(a.den * b.den, want.den)
             if not r and kernel(a.dense, b.dense) == list(map(mul, want.dense, repeat(q))):
                 continue
-        got = ctx.times(a, b)
-        if got.den is not None and (got.den, got.values) == (want.den, want.values):
-            continue
-        x, y = got.scalars(), want.scalars()
-        if not all(_close(x.get(k, 0), y.get(k, 0), X.mode) for k in x.keys() | y.keys()):
-            chen["status"] = "fail"
-            chen["witness"] = (s, u, t)
-            return
+        else:
+            got = ctx.times(a, b)
+            if got.den is not None and (got.den, got.values) == (want.den, want.values):
+                continue
+            x, y = got.scalars(), want.scalars()
+            if all(_close(x.get(k, 0), y.get(k, 0), X.mode) for k in x.keys() | y.keys()):
+                continue
+        chen["status"] = "fail"
+        chen["witness"] = (s, u, t)
+        return
 
 
 def geometricity_report(X: BranchedRoughPath) -> dict:

@@ -12,14 +12,12 @@ references in the tests see the same single bad pair.
 counts the same as one through `hopf.convolve`, and of methods, wrapped on
 their class.
 
-`sweeps(compiled)` runs the exact sweeps of a block on the functions
-`linear` compiles, or on the loop kernels alone, whatever their size and
-whatever kernels earlier tests left on the cached contexts, and counts the
-calls of the compiled functions.
+`sweeps()` runs a block on contexts with no compiled kernel, whatever
+kernels earlier tests left on the cached contexts, and counts the calls of
+the functions `linear` compiles in it.
 """
 
 import contextlib
-import math
 import sys
 from collections import Counter
 
@@ -87,13 +85,12 @@ def count_calls(monkeypatch, *targets) -> Counter:
 
 
 @contextlib.contextmanager
-def sweeps(compiled: bool):
-    """Within the block every exact sweep compiles, however few products it
-    makes (compiled), or none does; every live context starts with no
-    kernel.  Yields a Counter of calls of the functions compiled in the
-    block, keyed "kernel(f, g)" for a product kernel and "kernel(v)" for a
-    psi map.  On exit every context has the kernel it had before, and one
-    made in the block has none."""
+def sweeps():
+    """Within the block every live context starts with no kernel.  Yields a
+    Counter of calls of the functions compiled in the block, keyed
+    "kernel(f, g)" for a product kernel and "kernel(v)" for a psi map.  On
+    exit every context has the kernel it had before, and one made in the
+    block has none."""
     calls = Counter()
     generate = linear._straight_line
 
@@ -112,12 +109,11 @@ def sweeps(compiled: bool):
     saved = [(ctx, ctx.kernel, ctx.kernel_terms) for ctx in live()]
     for ctx in live():
         ctx.kernel, ctx.kernel_terms = None, 0
-    repaid = linear._REPAID_AFTER
-    linear._REPAID_AFTER, linear._straight_line = (0 if compiled else math.inf), counting
+    linear._straight_line = counting
     try:
         yield calls
     finally:
-        linear._REPAID_AFTER, linear._straight_line = repaid, generate
+        linear._straight_line = generate
         for ctx in live():
             ctx.kernel, ctx.kernel_terms = None, 0
         for ctx, kernel, terms in saved:

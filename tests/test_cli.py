@@ -19,6 +19,7 @@ from hopfpath.roughpath import (
 )
 
 from oracles import tree_factorial_oracle
+from seams import sweeps
 
 
 def run(capsys, *argv):
@@ -764,6 +765,15 @@ def test_verify_lifts_defect_identity_checked(capsys):
     checks = report["suites"]["lifts"]["checks"]
     assert checks["defect_identity"]["status"] == "pass"
     assert checks["leftpoint_shuffle"]["defects"] > 0
+
+
+def test_verify_lifts_runs_its_sweeps_on_the_compiled_kernel(capsys):
+    # at its defaults (steps 8, N=3, d=2) each of the two exact lifts folds
+    # C(8, 2) = 28 pairs and checks C(9, 3) = 84 Chen triples
+    with sweeps() as calls:
+        rc, out, _ = run(capsys, "verify", "--suite", "lifts")
+    assert rc == 0 and json.loads(out)["suites"]["lifts"]["checks"]["leftpoint_validate"]["chen"]["checked_triples"] == 84
+    assert calls == {"kernel(f, g)": 2 * (28 + 84)}
 
 
 # -- plumbing --------------------------------------------------------------

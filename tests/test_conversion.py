@@ -207,10 +207,10 @@ def walk_path_d2(M):
 
 def test_encode_composes_each_geometric_pair_at_most_once(monkeypatch):
     # one certify sweep of the final lift composes M(M-1)/2 pairs, each a
-    # row fold step on the word context's kernel; each level extracts its
-    # components from adjacent increments only, and no pair is composed as
-    # an element.  Compiled, the folds of both paths run on their contexts'
-    # compiled kernels and the psi images are one call per grid pair
+    # row fold step on the compiled kernels of both paths' contexts, and
+    # the psi images are one call per grid pair; each level extracts its
+    # components from adjacent increments only, no pair is composed as an
+    # element, and the word context's loop kernel is never run
     M = 5
     X = ito_lift(walk_path_d2(M), 3)
     calls = []
@@ -218,13 +218,7 @@ def test_encode_composes_each_geometric_pair_at_most_once(monkeypatch):
     monkeypatch.setattr(WordContext, "product", lambda self, x, y, zero: calls.append(1) or product(self, x, y, zero))
     elements = count_calls(monkeypatch, convolve, concat)
     for flags, want in (((), M * (M - 1) // 2), ((False,), M * (M - 1) // 2), ((False, False), 0)):
-        calls.clear()
-        with sweeps(compiled=False) as compiled:
-            encode(X, *flags)
-        assert len(calls) == want and compiled == {}, flags
-        assert elements == {"convolve": 0, "concat": 0}, flags
-        calls.clear()
-        with sweeps(compiled=True) as compiled:
+        with sweeps() as compiled:
             encode(X, *flags)
         assert calls == [], flags
         assert compiled == ({"kernel(f, g)": 2 * want, "kernel(v)": M * (M + 1) // 2} if want else {}), flags

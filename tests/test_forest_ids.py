@@ -222,21 +222,17 @@ def test_chen_sweep_builds_each_word_operand_once(monkeypatch, mode):
     dense = Context.dense
     built = []
     monkeypatch.setattr(Context, "dense", lambda self, row: built.append(row.dense is None) or dense(self, row))
-    with sweeps(compiled=False):
+    with sweeps() as compiled:
         report = validate(X)
     assert report["chen"]["status"] == "pass"
     assert report["chen"]["checked_triples"] == M * (M + 1) * (M - 1) // 6
-    # on the loop kernel, one per pair used as an operand, none per triple:
-    # (0, M) is never one
-    assert len(calls) == M * (M + 1) // 2 - 1 and built == []
-    calls.clear()
-    with sweeps(compiled=True) as compiled:
-        assert validate(X) == report
     if mode == FLOAT:
-        # float rows never compile: the same loop operands
+        # float rows never compile: on the loop kernel, one operand per pair
+        # used as one, none per triple: (0, M) is never one
         assert len(calls) == M * (M + 1) // 2 - 1 and built == [] and compiled == {}
         return
-    # compiled, the adjacent rows build their dense operands on first use and
-    # every folded row comes with its own, so none is built per triple
+    # exact rows run on the compiled kernel: the adjacent rows build their
+    # dense operands on first use and every folded row comes with its own,
+    # so none is built per triple
     assert calls == [] and sum(built) == M
     assert compiled == {"kernel(f, g)": M * (M - 1) // 2 + M * (M + 1) * (M - 1) // 6}

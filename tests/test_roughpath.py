@@ -442,11 +442,10 @@ def test_increment_endpoints_and_errors():
     assert X.increment(0, 2) == convolve(X.increments[0], X.increments[1], 2)
 
 
-@pytest.mark.parametrize("compiled", [False, True], ids=["loop", "compiled"])
-def test_chen_corruption_is_detected(compiled):
+def test_chen_corruption_is_detected():
     X = ito_lift(line_path(4, 1, [Q(1)]), 2)
     bad = X.increment(0, 2) + HElem({F(Tree(1, (B1,))): Q(1, 7)}, 1)
-    with sweeps(compiled):
+    with sweeps():
         report = validate(planted(X, (0, 2), bad))
     assert report["chen"]["status"] == "fail"
     assert report["chen"]["witness"] == (0, 1, 2)
@@ -777,20 +776,14 @@ def test_holder_rows_match_the_element_loop_past_the_float_range():
 @pytest.mark.parametrize("lift", [ito_lift, canonical_lift], ids=["ito", "canonical"])
 def test_validate_reads_every_pair_from_the_row_fold(lift, monkeypatch):
     # M=6: the fold composes the 15 pairs past the adjacent ones and Chen
-    # multiplies the rows of the 35 triples; no element is composed.  On
-    # the loop kernel that is 15 + 35 `Context.times`; compiled, the same
-    # 15 + 35 products are calls of the compiled kernel, and none is a
-    # `Context.times`
+    # multiplies the rows of the 35 triples; no element is composed.  The
+    # rows are exact, so the 15 + 35 products are calls of the compiled
+    # kernel, and none is a `Context.times`
     X = lift(_rational_walk(6, 7), 3)
     calls = count_calls(monkeypatch, convolve, concat, (Context, "times"), (_RoughPathBase, "increment"))
-    with sweeps(compiled=False) as compiled:
+    with sweeps() as compiled:
         report = validate(X)
     assert report["chen"] == {"status": "pass", "witness": None, "checked_triples": 35}
-    assert calls == {"convolve": 0, "concat": 0, "Context.times": 15 + 35, "_RoughPathBase.increment": 0}
-    assert compiled == {}
-    calls.update({k: -v for k, v in calls.items()})
-    with sweeps(compiled=True) as compiled:
-        assert validate(X) == report
     assert calls == {"convolve": 0, "concat": 0, "Context.times": 0, "_RoughPathBase.increment": 0}
     assert compiled == {"kernel(f, g)": 15 + 35}
 
@@ -833,9 +826,8 @@ def _with_adjacent(X, k, element):
     return type(X)(X.N, X.gamma, X.grid, increments, X.d, X.mode, *(getattr(X, f) for f in X.tree_fields))
 
 
-@pytest.mark.parametrize("compiled", [False, True], ids=["loop", "compiled"])
 @pytest.mark.parametrize("name", CHEN_FIXTURES)
-def test_chen_rows_find_the_element_loop_witness_on_corrupted_caches(name, compiled):
+def test_chen_rows_find_the_element_loop_witness_on_corrupted_caches(name):
     X = _chen_fixture(name)
     rng = Random(name)
     seen = set()
@@ -852,7 +844,7 @@ def test_chen_rows_find_the_element_loop_witness_on_corrupted_caches(name, compi
             assert first_non_character(Y) == want, (pair, key, value)
             continue
         Y = planted(X, pair, _with_term(X.increment(*pair), key, value))
-        with sweeps(compiled):
+        with sweeps():
             got = validate(Y)["chen"]
         assert got == chen_reference(Y), (pair, key, value)
         seen.add(got["status"])

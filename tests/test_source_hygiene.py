@@ -324,11 +324,11 @@ def test_every_generated_source_is_integers_and_operand_entries(N, monkeypatch):
     sources = []
     builtin = compile
     monkeypatch.setattr(linear, "compile", lambda source, *args: sources.append(source) or builtin(source, *args), raising=False)
-    with sweeps(compiled=True):
+    with sweeps():
         for d in (1, 2):
-            forest_context(N, d).compiled(0)
+            forest_context(N, d).compiled()
             for n in range(1, N + 1):
-                word_context(N, d, n).compiled(0)
+                word_context(N, d, n).compiled()
         path = SampledPath.over_labels([0, 1, 2], [[0, 0], [1, -1], [3, 2]], 2, RATIONAL)
         assert encode(ito_lift(path, max(N, 1))).certificate["status"] == "pass"
     kernels = [src for src in sources if src.startswith("def kernel(f, g)")]

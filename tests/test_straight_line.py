@@ -1,28 +1,32 @@
 """The generated straight-line functions of `linear` against the loops they
 stand in for.
 
-An exact sweep that repays it runs its products on a context's compiled
-kernel (`Context.compiled`, `Context.fold`) and its psi pairings on one
-compiled linear map (`Context.linear_map`).  Here the compiled kernels give
-the loop kernels' totals on every basis pair and the rows of
-`Context.times` on random exact rows, the psi map gives `Row.pair` on every
+An exact sweep runs its products on a context's compiled kernel
+(`Context.compiled`, `Context.fold`), built once and kept, and its psi
+pairings on one compiled linear map (`Context.linear_map`).  Here the
+compiled kernels give the loop kernels' totals on every basis pair and the
+rows of `Context.times` on random exact rows, Chen's compiled verdict is
+`Context.times`' on random exact rows, the psi map gives `Row.pair` on every
 image, and single products, series and float rows compile nothing.  The
-corrupted sweeps of `test_roughpath` and `test_pair_rows` run on both
-paths.
+corrupted sweeps of `test_roughpath` and `test_pair_rows` run exact rows on
+the compiled kernels and float rows on the loop kernels.
 """
 
 import math
 from fractions import Fraction as Q
 from random import Random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfpath import hopf, linear, tensor
 from hopfpath.conversion import certify, encode
 from hopfpath.hopf import HElem, convolve, exp_star, forest_context, log_star
-from hopfpath.linear import Context
+from hopfpath.linear import Context, Row
 from hopfpath.morphisms import psi
-from hopfpath.roughpath import FLOAT, SampledPath, ito_lift, validate
+from hopfpath.roughpath import FLOAT, RATIONAL, SampledPath, _check_chen, ito_lift, validate
 from hopfpath.tensor import TensorElem, Word, concat, tensor_exp, word_context
 from hopfpath.trees import Forest, enumerate_forests, leaf
 
@@ -54,8 +58,8 @@ def test_compiled_kernel_gives_the_loop_totals_on_every_basis_pair(kind, key):
     assert max(sum(c for *_, c in row) for row in ctx.table()) < B
     right = [B**j for j in range(n)]
     loop_right = ctx.operand(range(n), right)
-    with sweeps(compiled=True):
-        kernel = ctx.compiled(0)
+    with sweeps():
+        kernel = ctx.compiled()
         for i in range(n):
             left = [0] * n
             left[i] = 1
@@ -83,8 +87,7 @@ def test_compiled_fold_gives_the_rows_of_times(kind, key):
     ctx = _context(kind, key)
     rng = Random(repr(key))
     dens = set()
-    with sweeps(compiled=True):
-        ctx.compiled(0)
+    with sweeps():
         for trial in range(8):
             a, b = _random_row(ctx, rng, trial % 2), _random_row(ctx, rng, trial % 4 == 1)
             dens |= {a.den, b.den}
@@ -105,8 +108,8 @@ def test_compiled_psi_map_gives_row_pair_on_every_image(N):
     images = [own.row_of(psi(HElem.from_forest(h, 2), N).terms) for h in enumerate_forests(N, 2)]
     assert all(img.den == 1 for img in images)
     rng = Random(N)
-    with sweeps(compiled=True) as calls:
-        images_of = own.linear_map([img.values.items() for img in images], 0)
+    with sweeps() as calls:
+        images_of = own.linear_map([img.values.items() for img in images])
         for trial in range(6):
             vec = _random_row(own, rng, trial % 2)
             assert images_of(own.dense(vec)) == [img.pair(vec) for img in images]
@@ -137,9 +140,7 @@ def _float_walk(M, seed):
 
 
 def test_float_sweeps_run_the_loop_kernel(monkeypatch):
-    # M=24 makes enough products to repay compiling, were the rows exact
     M = 24
-    assert math.comb(M, 2) >= linear._REPAID_AFTER
     X = ito_lift(_float_walk(M, 3), 3)
     Xbar = encode(X, False, False).geometric
     generated = []
@@ -151,16 +152,76 @@ def test_float_sweeps_run_the_loop_kernel(monkeypatch):
     assert calls == {"Context.times": math.comb(M, 2) + math.comb(M + 1, 3) + 2 * math.comb(M, 2), "Context.fold": 0}
 
 
-def test_an_exact_sweep_compiles_once_it_repays():
-    # below the threshold a sweep runs on the loop even when the kernel is
-    # built; at it, it compiles the kernel once and keeps it
+def test_fold_builds_the_kernel_on_a_fresh_context():
+    hopf.forest_context.cache_clear()
+    ctx = forest_context(3, 2)
+    assert ctx.kernel is None
+    rng = Random(7)
+    a, b = _random_row(ctx, rng, False), _random_row(ctx, rng, True)
+    got, want = ctx.fold(a, b), ctx.times(a, b)
+    assert (got.den, got.values, got.size) == (want.den, want.values, want.size)
+    assert ctx.kernel is not None and ctx.kernel_terms == 153
+
+
+def test_a_kernel_is_built_once_and_kept(monkeypatch):
     hopf.forest_context.cache_clear()
     tensor.word_context.cache_clear()
     ctx = forest_context(3, 2)
-    assert ctx.compiled(linear._REPAID_AFTER - 1) is None and ctx.kernel is None
-    kernel = ctx.compiled(linear._REPAID_AFTER)
-    assert kernel is not None and ctx.kernel_terms == sum(map(len, ctx.cuts)) == 153
-    assert ctx.compiled(10**6) is kernel
-    assert ctx.compiled(linear._REPAID_AFTER - 1) is None
-    assert ctx.linear_map([[(0, 1)]], linear._REPAID_AFTER - 1) is None
-    assert ctx.linear_map([[(0, 2), (1, -1)], []], linear._REPAID_AFTER)([5, 7]) == [3, 0]
+    generated = count_calls(monkeypatch, linear._straight_line)
+    kernel = ctx.compiled()
+    assert kernel is ctx.kernel and ctx.kernel_terms == sum(map(len, ctx.cuts)) == 153
+    assert ctx.compiled() is kernel
+    validate(ito_lift(_float_walk(4, 1), 3))  # float rows leave it as it is
+    assert ctx.kernel is kernel and generated == {"_straight_line": 1}
+    # a psi map is compiled per call, and nothing is kept
+    assert ctx.linear_map([[(0, 2), (1, -1)], []])([5, 7]) == [3, 0]
+    assert ctx.kernel is kernel and generated == {"_straight_line": 2}
+
+
+def _chen_holds(ctx: Context, a: Row, b: Row, want: Row) -> bool:
+    """`_check_chen`'s verdict on the one triple (0, 1, 2) with rows a, b
+    and want."""
+    X = SimpleNamespace(context=lambda: ctx, grid=SimpleNamespace(steps=2), mode=RATIONAL)
+    chen = {"status": "pass", "witness": None, "checked_triples": 0}
+    _check_chen(X, {(0, 1): a, (1, 2): b, (0, 2): want}, chen)
+    assert chen["checked_triples"] == 1
+    return chen["status"] == "pass"
+
+
+@st.composite
+def _chen_cases(draw):
+    """Exact rows a and b of a small context, and want: their product, the
+    product with one coefficient shifted, the product plus 1/p for a prime p
+    that does not divide a.den * b.den, or another random row."""
+    ctx = _context(*draw(st.sampled_from([("forest", (3, 2)), ("word", (3, 2, 3))])))
+    n = len(ctx.basis)
+    fraction = st.fractions(min_value=-4, max_value=4, max_denominator=12).filter(bool)
+
+    def row():
+        # mostly over low positions, where products stay below the level
+        positions = st.one_of(st.integers(0, 3), st.integers(0, n - 1))
+        return ctx.row_of({ctx.basis[k]: c for k, c in draw(st.dictionaries(positions, fraction, min_size=1)).items()})
+
+    a, b = row(), row()
+    product = ctx.times(a, b).scalars()
+    kind = draw(st.sampled_from(["product", "shifted", "foreign", "random"]))
+    if kind == "random":
+        return ctx, a, b, row()
+    if kind == "shifted":
+        k = draw(st.integers(0, n - 1))
+        product[k] = product.get(k, 0) + draw(fraction)
+    elif kind == "foreign":
+        p = next(p for p in (5, 7, 11, 13, 17) if (a.den * b.den) % p)
+        k = draw(st.integers(0, n - 1))
+        product[k] = product.get(k, 0) + Q(1, p)
+    return ctx, a, b, ctx.row_of({ctx.basis[k]: c for k, c in product.items() if c})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chen_cases())
+def test_chen_compiled_verdict_is_the_times_verdict(case):
+    # the exact Chen sweep judges on the compiled kernel alone; the verdict
+    # must be the loop kernel's: times(a, b) is the reduced row want
+    ctx, a, b, want = case
+    got = ctx.times(a, b)
+    assert _chen_holds(ctx, a, b, want) == ((got.den, got.values) == (want.den, want.values))
