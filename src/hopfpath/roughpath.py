@@ -609,9 +609,11 @@ def _check_chen(X, rows: dict, chen: dict) -> None:
     remainder or a total that differs proves the rows differ.  Otherwise
     each triple is judged on `Context.times`: two exact rows hold when they
     are equal, and the values are, bit for bit, what convolve/concat give,
-    compared with _close in the path's mode."""
+    compared with _close in the path's mode.  A grid of one step has no
+    triple, and compiles nothing."""
     ctx = X.context()
-    kernel = ctx.compiled() if all(row.den is not None for row in rows.values()) else None
+    exact = X.grid.steps > 1 and all(row.den is not None for row in rows.values())
+    kernel = ctx.compiled() if exact else None
     if kernel is not None:
         for row in rows.values():
             ctx.dense(row)

@@ -25,6 +25,7 @@ import pytest
 
 from hopfpath.conversion import certify, encode
 from hopfpath.hopf import convolve
+from hopfpath.linear import Row
 from hopfpath.roughpath import RATIONAL, BranchedRoughPath, GeometricRoughPath, SampledPath, _RoughPathBase
 from hopfpath.roughpath import canonical_lift, ito_lift
 from hopfpath.tensor import concat
@@ -175,6 +176,27 @@ def test_certify_matches_the_element_sweep_across_levels(mode):
         got = certify(X, Xbar)
         assert got == certify_reference(X, Xbar)
         assert got["status"] == ("pass" if X is X2 else "fail")
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, "float"])
+@pytest.mark.parametrize("N, d", CASES)
+def test_certify_pairs_on_the_kernel_its_rows_pick(N, d, mode, monkeypatch):
+    # exact rows: both folds run on their compiled kernels, and one call of
+    # the compiled psi map per grid pair gives every forest's value; in float
+    # mode every image is paired by Row.pair, and nothing is compiled
+    X, Xbar = _fixture(N, d, mode)
+    M = X.grid.steps
+    calls = count_calls(monkeypatch, (Row, "pair"))
+    with sweeps() as compiled:
+        cert = certify(X, Xbar)
+    pairs = math.comb(M + 1, 2)
+    assert (cert["status"], cert["checked_pairs"]) == ("pass", pairs)
+    if mode == RATIONAL:
+        assert compiled == {"kernel(f, g)": 2 * math.comb(M, 2), "kernel(v)": pairs}
+        assert calls == {"Row.pair": 0}
+    else:
+        assert compiled == {}
+        assert calls == {"Row.pair": pairs * cert["checked_forests"]}
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, "float"])

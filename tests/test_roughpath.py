@@ -788,6 +788,35 @@ def test_validate_reads_every_pair_from_the_row_fold(lift, monkeypatch):
     assert compiled == {"kernel(f, g)": 15 + 35}
 
 
+# float data makes float rows in rational mode too, dyadic or not
+EXACT_ROWS = {
+    "ito_rational": True,
+    "encoded_letters": True,
+    "ito_float": False,
+    "canonical_float": False,
+    "ito_dyadic_floats_rational_mode": False,
+    "ito_float_data_rational_mode": False,
+}
+
+
+@pytest.mark.parametrize("name", CHEN_FIXTURES)
+def test_validate_runs_the_kernel_its_rows_pick(name, monkeypatch):
+    # exactness alone picks the path, whatever the path's mode: the fold and
+    # the Chen triples of all-exact rows are calls of the compiled kernel,
+    # those of rows with a float among them are `Context.times`
+    X = _chen_fixture(name)
+    M = X.grid.steps
+    calls = count_calls(monkeypatch, (Context, "times"))
+    with sweeps() as compiled:
+        chen = validate(X)["chen"]
+    products = math.comb(M, 2) + chen["checked_triples"]
+    assert chen["checked_triples"] > 0
+    if EXACT_ROWS[name]:
+        assert (compiled, calls) == ({"kernel(f, g)": products}, {"Context.times": 0})
+    else:
+        assert (compiled, calls) == ({}, {"Context.times": products})
+
+
 def _corruption(rng, X):
     """(pair, key, new coefficient) for one coefficient of a composed pair:
     mostly a basis key of the kernel's context, sometimes a key one grade

@@ -6,8 +6,9 @@ An exact sweep runs its products on a context's compiled kernel
 pairings on one compiled linear map (`Context.linear_map`).  Here the
 compiled kernels give the loop kernels' totals on every basis pair and the
 rows of `Context.times` on random exact rows, Chen's compiled verdict is
-`Context.times`' on random exact rows, the psi map gives `Row.pair` on every
-image, and single products, series and float rows compile nothing.  The
+`Context.times`' on random exact rows of every context, the psi map gives
+`Row.pair` on every image, and single products, series, float rows and a
+grid of one step compile nothing.  The
 corrupted sweeps of `test_roughpath` and `test_pair_rows` run exact rows on
 the compiled kernels and float rows on the loop kernels.
 """
@@ -26,7 +27,7 @@ from hopfpath.conversion import certify, encode
 from hopfpath.hopf import HElem, convolve, exp_star, forest_context, log_star
 from hopfpath.linear import Context, Row
 from hopfpath.morphisms import psi
-from hopfpath.roughpath import FLOAT, RATIONAL, SampledPath, _check_chen, ito_lift, validate
+from hopfpath.roughpath import FLOAT, RATIONAL, SampledPath, _check_chen, canonical_lift, ito_lift, validate
 from hopfpath.tensor import TensorElem, Word, concat, tensor_exp, word_context
 from hopfpath.trees import Forest, enumerate_forests, leaf
 
@@ -186,6 +187,45 @@ def _chen_holds(ctx: Context, a: Row, b: Row, want: Row) -> bool:
     _check_chen(X, {(0, 1): a, (1, 2): b, (0, 2): want}, chen)
     assert chen["checked_triples"] == 1
     return chen["status"] == "pass"
+
+
+@pytest.mark.parametrize("kind, key", CONTEXTS, ids=[f"{k}{key}" for k, key in CONTEXTS])
+def test_chen_compiled_verdict_is_the_times_verdict_on_every_context(kind, key):
+    # every context of the table, on rows with 200-digit numerators too:
+    # want is the product, the product with one coefficient shifted, or the
+    # product plus 1/p for a prime p that does not divide a.den * b.den
+    ctx = _context(kind, key)
+    rng = Random(repr(key))
+    n = len(ctx.basis)
+    with sweeps():
+        for trial in range(6):
+            a, b = _random_row(ctx, rng, trial % 2), _random_row(ctx, rng, trial % 3 == 1)
+            product = ctx.times(a, b)
+            p = next(p for p in (5, 7, 11, 13, 17, 19, 23) if (a.den * b.den) % p)
+            for shift in (0, Q(rng.randint(1, 9), rng.randint(1, 4)), Q(1, p)):
+                terms, k = dict(product.scalars()), rng.randrange(n)
+                terms[k] = terms.get(k, 0) + shift
+                want = ctx.row_of({ctx.basis[j]: c for j, c in terms.items() if c})
+                holds = _chen_holds(ctx, a, b, want)
+                assert holds == (shift == 0) == ((product.den, product.values) == (want.den, want.values))
+
+
+def _one_step(lift):
+    path = SampledPath.over_labels([0, 1], [[Q(0), Q(0)], [Q(1, 3), Q(-2, 5)]], 2)
+    if lift == "encoded":
+        return encode(ito_lift(path, 3)).geometric
+    return {"ito": ito_lift, "canonical": canonical_lift}[lift](path, 3)
+
+
+@pytest.mark.parametrize("lift", ["ito", "canonical", "encoded"])
+def test_a_one_step_grid_compiles_nothing(lift):
+    # one step: no pair to fold and no triple for Chen, so no kernel is built
+    X = _one_step(lift)
+    with sweeps() as calls:
+        report = validate(X)
+        assert X.context().kernel is None
+    assert report["chen"] == {"status": "pass", "witness": None, "checked_triples": 0}
+    assert calls == {}
 
 
 @st.composite
