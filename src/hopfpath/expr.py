@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .hopf import HElem
-from .linear import print_terms
+from .linear import print_terms, summed
 from .tensor import EMPTY_WORD, TensorElem, Word
 from .trees import EMPTY_FOREST, Forest, Tree
 
@@ -178,22 +178,20 @@ class _Parser:
             return "zero"
         self.error("expected a monomial", tok)
 
-    def terms(self, monomial, unit) -> dict:
-        """expr := term (("+" | "-") term)* to the end of input, summed per
-        monomial; monomial() reads one and unit stands for "1"."""
-        out: dict = {}
+    def terms(self, monomial, unit):
+        """expr := term (("+" | "-") term)* to the end of input, as (monomial,
+        signed coefficient) pairs in input order, for `linear.summed`;
+        monomial() reads one, unit stands for "1" and "0" yields nothing."""
         sign = 1
         while True:
             coeff = self.rational_prefix()
             mono = monomial()
             if mono != "zero":
-                key = unit if mono == "unit" else mono
-                out[key] = out.get(key, Fraction(0)) + sign * coeff
+                yield unit if mono == "unit" else mono, sign * coeff
             if self.peek()[0] not in ("+", "-"):
                 break
             sign = 1 if self.next()[0] == "+" else -1
         self.expect("end")
-        return out
 
     # -- forest expressions ------------------------------------------------
 
@@ -206,7 +204,7 @@ class _Parser:
         return Forest(trees)
 
     def h_expr(self) -> HElem:
-        return HElem(self.terms(self.forest_monomial, EMPTY_FOREST), self.d)
+        return HElem(summed(HElem, self.terms(self.forest_monomial, EMPTY_FOREST)), self.d)
 
     # -- tensor expressions ------------------------------------------------
 
@@ -223,7 +221,7 @@ class _Parser:
         return w
 
     def tensor_expr(self, n: int) -> TensorElem:
-        return TensorElem(self.terms(lambda: self.word_monomial(n), EMPTY_WORD), self.d, n)
+        return TensorElem(summed(TensorElem, self.terms(lambda: self.word_monomial(n), EMPTY_WORD)), self.d, n)
 
 
 def parse_h(text: str, d: int) -> HElem:

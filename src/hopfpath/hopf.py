@@ -41,7 +41,7 @@ from typing import Mapping
 
 # pair is the forest side's name for the one Kronecker pairing
 from .linear import Context, Linear, LinearPairs, context_field, context_product, exp_series, is_character
-from .linear import log_series, pair
+from .linear import log_series, pair, summed
 from .trees import (
     EMPTY_FOREST,
     Forest,
@@ -99,30 +99,18 @@ class PairElem(LinearPairs):
 
     def componentwise_product(self, other: "PairElem") -> "PairElem":
         """(a (x) b) * (c (x) e) = ac (x) be, bilinearly."""
-        out: dict = {}
-        for (a, b), c1 in self.terms.items():
-            for (x, y), c2 in other.terms.items():
-                k = (a * x, b * y)
-                out[k] = out.get(k, _ZERO) + c1 * c2
-        return PairElem(out, self.d)
+        right = other.terms.items()
+        pairs = (((a * x, b * y), c1 * c2) for (a, b), c1 in self.terms.items() for (x, y), c2 in right)
+        return PairElem(summed(PairElem, pairs), self.d)
 
     def multiply_out(self) -> HElem:
         """Apply the product map M: a (x) b -> ab."""
-        out: dict = {}
-        for (a, b), c in self.terms.items():
-            k = a * b
-            out[k] = out.get(k, _ZERO) + c
-        return HElem(out, self.d)
+        return HElem(summed(HElem, ((a * b, c) for (a, b), c in self.terms.items())), self.d)
 
     def map_left(self, fn) -> "PairElem":
         """Apply an HElem-valued linear map to the left components."""
-        out: dict = {}
-        for (a, b), c in self.terms.items():
-            img = fn(a)
-            for f, c2 in img.terms.items():
-                k = (f, b)
-                out[k] = out.get(k, _ZERO) + c * c2
-        return PairElem(out, self.d)
+        pairs = (((f, b), c * c2) for (a, b), c in self.terms.items() for f, c2 in fn(a).terms.items())
+        return PairElem(summed(PairElem, pairs), self.d)
 
 
 # -- product and coproduct -------------------------------------------------
@@ -131,12 +119,8 @@ class PairElem(LinearPairs):
 def product(x: HElem, y: HElem) -> HElem:
     """Bilinear extension of forest concatenation; commutative."""
     x._check(y)
-    out: dict = {}
-    for f1, c1 in x.terms.items():
-        for f2, c2 in y.terms.items():
-            k = f1 * f2
-            out[k] = out.get(k, _ZERO) + c1 * c2
-    return HElem(out, x.d)
+    pairs = ((f1 * f2, c1 * c2) for f1, c1 in x.terms.items() for f2, c2 in y.terms.items())
+    return HElem(summed(HElem, pairs), x.d)
 
 
 def _context_of(x: HElem) -> ForestContext:
@@ -150,12 +134,8 @@ def coproduct(x: HElem) -> PairElem:
     term order and then in the row's order."""
     ctx = _context_of(x)
     basis, index, cuts = ctx.basis, ctx.index, ctx.cuts
-    out: dict = {}
-    for f, c in x.terms.items():
-        for a, b, cnt in cuts[index[f]]:
-            key = (basis[a], basis[b])
-            out[key] = out.get(key, _ZERO) + c * cnt
-    return PairElem(out, x.d)
+    pairs = (((basis[a], basis[b]), c * cnt) for f, c in x.terms.items() for a, b, cnt in cuts[index[f]])
+    return PairElem(summed(PairElem, pairs), x.d)
 
 
 def antipode(x: HElem) -> HElem:
@@ -163,12 +143,8 @@ def antipode(x: HElem) -> HElem:
     order and then in the row's order."""
     ctx = _context_of(x)
     basis, index = ctx.basis, ctx.index
-    out: dict = {}
-    for f, c in x.terms.items():
-        for g, cnt in ctx.antipode(index[f]):
-            key = basis[g]
-            out[key] = out.get(key, _ZERO) + c * cnt
-    return HElem(out, x.d)
+    pairs = ((basis[g], c * cnt) for f, c in x.terms.items() for g, cnt in ctx.antipode(index[f]))
+    return HElem(summed(HElem, pairs), x.d)
 
 
 # -- dual-side operations --------------------------------------------------
@@ -344,11 +320,8 @@ def graft_product(t1: Tree, t2: Tree, d: int | None = None) -> HElem:
     """Sum over the vertices of t2 of attaching t1 below that vertex."""
     if d is None:
         d = max(t1.max_label(), t2.max_label())
-    out: dict = {}
-    for a in _vertex_addresses(t2):
-        k = Forest((_attach_at(t2, {a: (t1,)}),))
-        out[k] = out.get(k, _ZERO) + 1
-    return HElem(out, d)
+    pairs = ((Forest((_attach_at(t2, {a: (t1,)}),)), 1) for a in _vertex_addresses(t2))
+    return HElem(summed(HElem, pairs), d)
 
 
 def lie_bracket(f: HElem, g: HElem, N: int) -> HElem:

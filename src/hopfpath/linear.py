@@ -8,13 +8,18 @@ element is a dict from basis keys to non-zero coefficients, together with a
 context tuple, e.g. (d,) for forests or (d, n) for words; elements combine
 only within one context.
 
-Coefficients are kept as given: sums start from the class's `_zero` for a
-missing key (`Fraction(0)`, or `0` for polynomials) and run in insertion
-order, self's keys first, so float sums round the same way every time and
-an int unit among floats still sums to a Fraction.  A coefficient equal to
-0 is dropped on construction.  `Linear._trusted` is the one way past that
-test: `context_product` wraps a product kernel's output, whose terms are
-already pruned and in range, with it.
+Coefficients are kept as given.  `summed` is the one home of the
+summation policy, and every builder that adds up terms per key runs
+through it (the forest product, coproduct and antipode, the morphism
+images, deconcatenation and parsed expressions): a missing key starts from
+the class's `_zero` (`Fraction(0)`, or `0` for polynomials) and keys keep
+their first-seen order, so float sums round the same way every time and an
+int unit among floats still sums to a Fraction.  `Linear.__add__` and
+`__sub__` add other's terms the same way onto self's values, which are
+kept as given.  A coefficient equal to 0 is dropped on construction.
+`Linear._trusted` is the one way past that test: `context_product` wraps a
+product kernel's output, whose terms are already pruned and in range, with
+it.
 
 `Context` is what the forest and word sides (`hopf.ForestContext`,
 `tensor.WordContext`) answer alike, by integer position: the positions of
@@ -175,6 +180,16 @@ class LinearPairs(Linear):
         return self.terms.get((left, right), self._zero)
 
 
+def summed(cls, pairs) -> dict:
+    """The (key, coefficient) pairs summed per key from cls._zero, keys in
+    first-seen order and zero totals kept: the terms of a cls element."""
+    out: dict = {}
+    get, zero = out.get, cls._zero
+    for k, c in pairs:
+        out[k] = get(k, zero) + c
+    return out
+
+
 class Row:
     """Terms by context position, in insertion order: integer numerators
     over den when every value is exact, with den > 0 and gcd(den,
@@ -193,22 +208,22 @@ class Row:
         self.dense = None
 
     def scalars(self) -> dict:
-        """The values, numerators over a den above 1 as Fractions.  An int in
-        place of its Fraction gives the same sum from Fraction(0), and the
-        same float times a float."""
+        """The values in a new dict, numerators over a den above 1 as
+        Fractions, so editing it leaves the row as it was.  An int in place
+        of its Fraction gives the same sum from Fraction(0), and the same
+        float times a float."""
         den = self.den
         if den is None or den == 1:
-            return self.values
+            return dict(self.values)
         return {k: Fraction(c, den) for k, c in self.values.items()}
 
     def pair(self, other: "Row"):
         """<self, other>: an integer over self.den * other.den when both are
-        exact, a sum of their scalars otherwise.  The row of fewer terms (self
-        on a tie) is iterated, adding c * v per common position to 0."""
-        if self.den is None or other.den is None:
-            a, b = self.scalars(), other.scalars()
-        else:
-            a, b = self.values, other.values
+        exact, a sum of their scalars otherwise, read in place where they
+        are the values.  The row of fewer terms (self on a tie) is iterated,
+        adding c * v per common position to 0."""
+        exact = self.den is not None and other.den is not None
+        a, b = (r.values if exact or r.den in (None, 1) else r.scalars() for r in (self, other))
         if self.size > other.size:
             a, b = b, a
         get = b.get
@@ -285,15 +300,10 @@ class Context:
         exact = a.den is not None and b.den is not None
         totals = self.product(self._operand(a, exact), self._operand(b, exact), 0 if exact else _ZERO)
         values = {k: c for k, c in totals.items() if c}
-        if not exact:
-            (nums,), den = numerators(list(values.values()))
-            return Row(values if den is None else dict(zip(values, nums)), den, len(values))
-        den = a.den * b.den
-        common = math.gcd(den, *values.values())
-        if common > 1:
-            den //= common
-            values = {k: c // common for k, c in values.items()}
-        return Row(values, den, len(values))
+        if exact:
+            return _lowest_terms(a.den * b.den, values)
+        (nums,), den = numerators(list(values.values()))
+        return Row(values if den is None else dict(zip(values, nums)), den, len(values))
 
     def compiled(self):
         """The compiled kernel, built from `table()` the first time and kept.
@@ -329,13 +339,9 @@ class Context:
         dense operand kept."""
         totals = self.compiled()(self.dense(a), self.dense(b))
         den = a.den * b.den
-        common = math.gcd(den, *totals)
-        if common > 1:
-            den //= common
-            totals = [c // common for c in totals]
-        values = {k: c for k, c in enumerate(totals) if c}
-        row = Row(values, den, len(values))
-        row.dense = totals
+        row = _lowest_terms(den, {k: c for k, c in enumerate(totals) if c})
+        common = den // row.den
+        row.dense = totals if common == 1 else [c // common for c in totals]
         return row
 
     def _operand(self, row: Row, exact: bool):
@@ -347,6 +353,16 @@ class Context:
         if row.operand is None:
             row.operand = self.operand(row.values.keys(), row.values.values())
         return row.operand
+
+
+def _lowest_terms(den: int, values: dict) -> Row:
+    """The exact row of the integer totals values over den, both divided by
+    their gcd: the one reduction of `Context.times` and `Context.fold`."""
+    common = math.gcd(den, *values.values())
+    if common > 1:
+        den //= common
+        values = {k: c // common for k, c in values.items()}
+    return Row(values, den, len(values))
 
 
 def _straight_line(params: tuple, rows) -> object:

@@ -21,11 +21,13 @@ a `MorphismTable` on a context sized by its input's grade.
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
 from .hopf import HElem, forest_context
+from .linear import summed
 from .tensor import TensorElem, Word, WordContext, word_context
 from .trees import (
     EMPTY_FOREST,
@@ -66,11 +68,8 @@ def _fold(ctx: WordContext, tree_image, memo: dict, f: Forest) -> dict:
 def _image(terms: dict, d: int, n: int, tree_image, ctx: WordContext) -> TensorElem:
     """The morphism fixed by tree_image on a combination of forests: forest
     images are summed in term order, then in each image's own order."""
-    memo: dict = {}
-    out: dict = {}
-    for f, c in terms.items():
-        for k, v in _fold(ctx, tree_image, memo, f).items():
-            out[k] = out.get(k, _ZERO) + c * v
+    fold = functools.partial(_fold, ctx, tree_image, {})
+    out = summed(TensorElem, ((k, c * v) for f, c in terms.items() for k, v in fold(f).items()))
     return TensorElem({ctx.word(k): v for k, v in out.items()}, d, n)
 
 
@@ -110,17 +109,11 @@ def _psi_tree(t: Tree) -> Mapping:
     """
     ctx = word_context(t.grade, t.max_label(), t.grade)
     fctx = forest_context(t.grade, t.max_label())
-    forests = fctx.basis
-    memo: dict = {}
-    out: dict = {Word((t,)): Fraction(1)}
-    for a, b, cnt in fctx.cuts[fctx.index[Forest((t,))]]:
-        if not a or not b:  # position 0 is the unit forest
-            continue
-        trunk = forests[b].factors
-        for k, v in _fold(ctx, _psi_tree, memo, forests[a]).items():
-            key = Word(ctx.keys[k] + trunk)
-            out[key] = out.get(key, _ZERO) + cnt * v
-    return MappingProxyType(out)
+    forests, fold = fctx.basis, functools.partial(_fold, ctx, _psi_tree, {})
+    row = fctx.cuts[fctx.index[Forest((t,))]]
+    cuts = ((fold(forests[a]), forests[b].factors, cnt) for a, b, cnt in row if a and b)  # 0 is the unit forest
+    pairs = ((Word(ctx.keys[k] + trunk), cnt * v) for img, trunk, cnt in cuts for k, v in img.items())
+    return MappingProxyType(summed(TensorElem, itertools.chain([(Word((t,)), 1)], pairs)))
 
 
 def psi(h: HElem, N: int) -> TensorElem:
@@ -168,11 +161,8 @@ def iota(w: Word) -> Tree:
 
 def iota_elem(x: TensorElem) -> HElem:
     """Linear extension of iota; the empty word maps to the empty forest."""
-    out: dict = {}
-    for w, c in x.terms.items():
-        f = EMPTY_FOREST if w.is_empty() else Forest((iota(w),))
-        out[f] = out.get(f, _ZERO) + c
-    return HElem(out, x.d)
+    pairs = ((EMPTY_FOREST if w.is_empty() else Forest((iota(w),)), c) for w, c in x.terms.items())
+    return HElem(summed(HElem, pairs), x.d)
 
 
 # -- morphism table and verification ---------------------------------------

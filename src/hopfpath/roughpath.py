@@ -23,7 +23,8 @@ over k!.  `canonical_lift` writes that closed form directly instead of
 summing the `tensor_exp` series, and its increments are bit-identical to
 `tensor_exp` of the grade-1 primitive in both scalar modes: same keys in the
 same order, same scalar types, same rounding.  Float sums downstream iterate
-the terms in insertion order, so that order is part of the contract.
+the terms in insertion order, so that order is part of the contract; the
+builders that sum terms keep it through `linear.summed`.
 
 Exact rational scalars are the default; float mode exists for long grids and
 switches validation to tolerance comparisons.  `SampledPath.from_csv`

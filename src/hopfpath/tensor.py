@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .linear import Context, Linear, LinearPairs, context_field, context_product, exp_series, is_character
-from .linear import log_series
+from .linear import log_series, summed
 from .trees import Tree, enumerate_trees
 
 _ZERO = Fraction(0)
@@ -307,12 +307,9 @@ def concat(x: TensorElem, y: TensorElem, N: int) -> TensorElem:
 
 def deconcat(x: TensorElem) -> WordPairElem:
     """All prefix/suffix splits of each word; letters are indivisible."""
-    out: dict = {}
-    for w, c in x.terms.items():
-        for k in range(len(w.letters) + 1):
-            key = (Word(w.letters[:k]), Word(w.letters[k:]))
-            out[key] = out.get(key, _ZERO) + c
-    return WordPairElem(out, x.d, x.n)
+    words = ((w.letters, c) for w, c in x.terms.items())
+    pairs = (((Word(u[:k]), Word(u[k:])), c) for u, c in words for k in range(len(u) + 1))
+    return WordPairElem(summed(WordPairElem, pairs), x.d, x.n)
 
 
 # -- exp / log -------------------------------------------------------------

@@ -13,7 +13,8 @@ reference.  It pins the sweep, not the maps, so it reads psi, the paths'
 increments and the pairing from the library, imported where it runs.  The
 per-step loops of the lifts, `simplify_n2` and the Euler solvers, as they
 ran before their fixed work was hoisted out of the step, are kept the same
-way.
+way, and so are the loops that summed container terms by hand before
+`linear.summed` (see "term sums by hand" below).
 """
 
 import functools
@@ -655,3 +656,161 @@ def solve_simplified_reference(sd, f, xi):
 
     steps = (terms(g, sym) for g, sym in zip(sd.xhat.increments, sd.symmetric_increments))
     return euler_reference(sd.xhat.grid, sd.xhat.mode, f.e, xi, steps)
+
+
+# -- term sums by hand -----------------------------------------------------
+#
+# The loops that the forest, word and morphism builders and the expression
+# parser ran before `linear.summed` took their summation over, kept
+# verbatim: each sums its terms into a dict from Fraction(0), in first-seen
+# key order, and returns that dict, which the builder then wrapped in its
+# container.  They read the library's context rows, `morphisms._fold`, the
+# grafting helpers and the parser, imported where they run.
+
+
+def product_reference(x, y) -> dict:
+    """`hopf.product`: forest concatenation, bilinearly."""
+    out: dict = {}
+    for f1, c1 in x.terms.items():
+        for f2, c2 in y.terms.items():
+            k = f1 * f2
+            out[k] = out.get(k, Fraction(0)) + c1 * c2
+    return out
+
+
+def coproduct_reference(x, ctx) -> dict:
+    """`hopf.coproduct` over ctx's cut rows."""
+    basis, index, cuts = ctx.basis, ctx.index, ctx.cuts
+    out: dict = {}
+    for f, c in x.terms.items():
+        for a, b, cnt in cuts[index[f]]:
+            key = (basis[a], basis[b])
+            out[key] = out.get(key, Fraction(0)) + c * cnt
+    return out
+
+
+def antipode_reference(x, ctx) -> dict:
+    """`hopf.antipode` over ctx's antipode rows."""
+    basis, index = ctx.basis, ctx.index
+    out: dict = {}
+    for f, c in x.terms.items():
+        for g, cnt in ctx.antipode(index[f]):
+            key = basis[g]
+            out[key] = out.get(key, Fraction(0)) + c * cnt
+    return out
+
+
+def graft_product_reference(t1: Tree, t2: Tree) -> dict:
+    """`hopf.graft_product`: t1 attached below each vertex of t2."""
+    from hopfpath.hopf import _attach_at, _vertex_addresses
+
+    out: dict = {}
+    for a in _vertex_addresses(t2):
+        k = Forest((_attach_at(t2, {a: (t1,)}),))
+        out[k] = out.get(k, Fraction(0)) + 1
+    return out
+
+
+def componentwise_product_reference(p, q) -> dict:
+    """`PairElem.componentwise_product`: (a (x) b) * (c (x) e) = ac (x) be."""
+    out: dict = {}
+    for (a, b), c1 in p.terms.items():
+        for (x, y), c2 in q.terms.items():
+            k = (a * x, b * y)
+            out[k] = out.get(k, Fraction(0)) + c1 * c2
+    return out
+
+
+def multiply_out_reference(p) -> dict:
+    """`PairElem.multiply_out`: a (x) b -> ab."""
+    out: dict = {}
+    for (a, b), c in p.terms.items():
+        k = a * b
+        out[k] = out.get(k, Fraction(0)) + c
+    return out
+
+
+def map_left_reference(p, fn) -> dict:
+    """`PairElem.map_left`: fn on the left components."""
+    out: dict = {}
+    for (a, b), c in p.terms.items():
+        img = fn(a)
+        for f, c2 in img.terms.items():
+            k = (f, b)
+            out[k] = out.get(k, Fraction(0)) + c * c2
+    return out
+
+
+def deconcat_reference(x) -> dict:
+    """`tensor.deconcat`: every prefix/suffix split of each word."""
+    from hopfpath.tensor import Word
+
+    out: dict = {}
+    for w, c in x.terms.items():
+        for k in range(len(w.letters) + 1):
+            key = (Word(w.letters[:k]), Word(w.letters[k:]))
+            out[key] = out.get(key, Fraction(0)) + c
+    return out
+
+
+def image_reference(terms: dict, tree_image, ctx) -> dict:
+    """`morphisms._image`: the forest images summed by word position, then
+    keyed by word."""
+    from hopfpath.morphisms import _fold
+
+    memo: dict = {}
+    out: dict = {}
+    for f, c in terms.items():
+        for k, v in _fold(ctx, tree_image, memo, f).items():
+            out[k] = out.get(k, Fraction(0)) + c * v
+    return {ctx.word(k): v for k, v in out.items()}
+
+
+def psi_tree_reference(t: Tree) -> dict:
+    """`morphisms._psi_tree`, its subforests folded from the library's."""
+    from hopfpath.hopf import forest_context
+    from hopfpath.morphisms import _fold, _psi_tree
+    from hopfpath.tensor import Word, word_context
+
+    ctx = word_context(t.grade, t.max_label(), t.grade)
+    fctx = forest_context(t.grade, t.max_label())
+    forests = fctx.basis
+    memo: dict = {}
+    out: dict = {Word((t,)): Fraction(1)}
+    for a, b, cnt in fctx.cuts[fctx.index[Forest((t,))]]:
+        if not a or not b:  # position 0 is the unit forest
+            continue
+        trunk = forests[b].factors
+        for k, v in _fold(ctx, _psi_tree, memo, forests[a]).items():
+            key = Word(ctx.keys[k] + trunk)
+            out[key] = out.get(key, Fraction(0)) + cnt * v
+    return out
+
+
+def iota_elem_reference(x) -> dict:
+    """`morphisms.iota_elem`: the chain tree of each word."""
+    from hopfpath.morphisms import iota
+
+    out: dict = {}
+    for w, c in x.terms.items():
+        f = EMPTY_FOREST if w.is_empty() else Forest((iota(w),))
+        out[f] = out.get(f, Fraction(0)) + c
+    return out
+
+
+def parser_terms_reference(parser, monomial, unit) -> dict:
+    """`expr._Parser.terms` on a fresh parser: the terms to the end of
+    input, summed per monomial."""
+    out: dict = {}
+    sign = 1
+    while True:
+        coeff = parser.rational_prefix()
+        mono = monomial()
+        if mono != "zero":
+            key = unit if mono == "unit" else mono
+            out[key] = out.get(key, Fraction(0)) + sign * coeff
+        if parser.peek()[0] not in ("+", "-"):
+            break
+        sign = 1 if parser.next()[0] == "+" else -1
+    parser.expect("end")
+    return out

@@ -11,8 +11,9 @@ from fractions import Fraction
 import pytest
 
 from hopfpath.hopf import HElem, PairElem
+from hopfpath.linear import summed
 from hopfpath.rde import Poly
-from hopfpath.tensor import EMPTY_WORD, TensorElem, Word, WordPairElem
+from hopfpath.tensor import EMPTY_WORD, TensorElem, Word, WordPairElem, word_context
 from hopfpath.trees import EMPTY_FOREST, Forest, Tree, leaf
 
 B1, B2 = leaf(1), leaf(2)
@@ -84,6 +85,29 @@ def test_container_contract(cls, keys, ctx, other_ctx, zero):
     assert a != cls(dict(a.terms), *other_ctx)
     assert a != a.scale(2)
     assert a != dict(a.terms)
+
+
+@pytest.mark.parametrize("cls, keys, ctx, other_ctx, zero", CONTAINERS)
+def test_summed_adds_per_key_from_the_class_zero_in_first_seen_order(cls, keys, ctx, other_ctx, zero):
+    a, b, c = keys
+    got = summed(cls, [(a, 1), (b, 0.5), (a, 2), (c, 0), (b, -0.5)])
+    assert list(got) == [a, b, c]  # zero totals kept: the container drops them
+    assert [(v, type(v)) for v in got.values()] == [(3, type(zero + 1)), (0.0, float), (0, type(zero))]
+
+
+def test_editing_a_rows_scalars_leaves_the_row_as_it_was():
+    # word context (3, 1, 3): a product row over den 1, and a float one,
+    # once handed out their own values
+    ctx = word_context(3, 1, 3)
+    rows = [ctx.row_of({EMPTY_WORD: c, W1: c}) for c in (1, Fraction(1, 2), 0.5)]
+    for a in rows:
+        row = ctx.times(a, a)
+        before = (row.den, dict(row.values))
+        scalars = row.scalars()
+        k = next(iter(scalars))
+        scalars[k] += 1
+        assert (row.den, row.values) == before
+        assert row.scalars()[k] == scalars[k] - 1
 
 
 def test_tensor_context_range_errors():

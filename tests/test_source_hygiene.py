@@ -18,6 +18,11 @@ No linter ships with the project, so these checks stand in for one:
 A helper left behind by a refactor, or an alias kept for old callers,
 fails one of them.
 
+One more keeps the summation policy in one place: no package module but
+`linear` sums coefficients by hand as `d[k] = d.get(k, zero) + ...` from a
+Fraction zero (`_ZERO`, a class's `_zero` or `Fraction(0)`); integer sums
+from 0, the context tables, stay allowed.
+
 Two more guard the code the package generates: `linear._straight_line` is
 its one `compile`/`exec` site, and every source it writes, up to N=5, is a
 `def` over operand lists whose body is one list of sums of integer-weighted
@@ -235,6 +240,55 @@ def test_exact_rows_are_carried_by_linear_alone():
         if isinstance(node, ast.ClassDef) and _is_numerator_row(node)
     ]
     assert rows == ["linear.Row"]
+
+
+def _is_fraction_zero(node) -> bool:
+    """Whether node is `_ZERO`, a `._zero`, or `Fraction(0)`/`Fraction()`."""
+    if isinstance(node, ast.Name):
+        return node.id == "_ZERO"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "_zero"
+    return isinstance(node, ast.Call) and ast.unparse(node) in ("Fraction(0)", "Fraction()")
+
+
+def _hand_sums(tree) -> list:
+    """The statements `d[k] = d.get(k, zero) + ...` (or `- ...`) in tree,
+    zero being the Fraction zero: a coefficient sum written out by hand.
+    An integer sum from 0 is not one."""
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+            continue
+        target, value = node.targets[0], node.value
+        if not (isinstance(target, ast.Subscript) and isinstance(value, ast.BinOp)):
+            continue
+        get = value.left
+        if (
+            isinstance(value.op, (ast.Add, ast.Sub))
+            and isinstance(get, ast.Call)
+            and isinstance(get.func, ast.Attribute)
+            and get.func.attr == "get"
+            and ast.dump(get.func.value) == ast.dump(target.value)
+            and len(get.args) == 2
+            and _is_fraction_zero(get.args[1])
+        ):
+            out.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return out
+
+
+def test_hand_sums_are_caught_and_integer_sums_are_not():
+    caught = "out[k] = out.get(k, _ZERO) + c\nacc[k, j] = acc.get((k, j), Fraction(0)) - c * v\nd[k] = d.get(k, cls._zero) + c"
+    assert len(_hand_sums(ast.parse(caught))) == 3
+    allowed = "acc[k] = acc.get(k, 0) + c\nout[k] = get(k, zero) + c\nout[k] = other.get(k, _ZERO) + c"
+    assert _hand_sums(ast.parse(allowed)) == []
+
+
+def test_coefficients_are_summed_by_linear_alone():
+    # the summation policy (Fraction(0) start, first-seen key order) lives in
+    # linear.summed; every other module sums container terms through it
+    trees = _trees()
+    found = {p.stem: _hand_sums(trees[p]) for p in sorted(PACKAGE.glob("*.py")) if p.stem != "linear"}
+    assert {stem: sums for stem, sums in found.items() if sums} == {}
 
 
 def _slots(node: ast.ClassDef) -> list:
