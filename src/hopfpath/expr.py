@@ -204,7 +204,7 @@ class _Parser:
         return Forest(trees)
 
     def h_expr(self) -> HElem:
-        return HElem(summed(HElem, self.terms(self.forest_monomial, EMPTY_FOREST)), self.d)
+        return HElem(summed(self.terms(self.forest_monomial, EMPTY_FOREST)), self.d)
 
     # -- tensor expressions ------------------------------------------------
 
@@ -221,7 +221,7 @@ class _Parser:
         return w
 
     def tensor_expr(self, n: int) -> TensorElem:
-        return TensorElem(summed(TensorElem, self.terms(lambda: self.word_monomial(n), EMPTY_WORD)), self.d, n)
+        return TensorElem(summed(self.terms(lambda: self.word_monomial(n), EMPTY_WORD)), self.d, n)
 
 
 def parse_h(text: str, d: int) -> HElem:

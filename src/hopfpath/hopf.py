@@ -101,16 +101,16 @@ class PairElem(LinearPairs):
         """(a (x) b) * (c (x) e) = ac (x) be, bilinearly."""
         right = other.terms.items()
         pairs = (((a * x, b * y), c1 * c2) for (a, b), c1 in self.terms.items() for (x, y), c2 in right)
-        return PairElem(summed(PairElem, pairs), self.d)
+        return PairElem(summed(pairs), self.d)
 
     def multiply_out(self) -> HElem:
         """Apply the product map M: a (x) b -> ab."""
-        return HElem(summed(HElem, ((a * b, c) for (a, b), c in self.terms.items())), self.d)
+        return HElem(summed((a * b, c) for (a, b), c in self.terms.items()), self.d)
 
     def map_left(self, fn) -> "PairElem":
         """Apply an HElem-valued linear map to the left components."""
         pairs = (((f, b), c * c2) for (a, b), c in self.terms.items() for f, c2 in fn(a).terms.items())
-        return PairElem(summed(PairElem, pairs), self.d)
+        return PairElem(summed(pairs), self.d)
 
 
 # -- product and coproduct -------------------------------------------------
@@ -120,7 +120,7 @@ def product(x: HElem, y: HElem) -> HElem:
     """Bilinear extension of forest concatenation; commutative."""
     x._check(y)
     pairs = ((f1 * f2, c1 * c2) for f1, c1 in x.terms.items() for f2, c2 in y.terms.items())
-    return HElem(summed(HElem, pairs), x.d)
+    return HElem(summed(pairs), x.d)
 
 
 def _context_of(x: HElem) -> ForestContext:
@@ -135,7 +135,7 @@ def coproduct(x: HElem) -> PairElem:
     ctx = _context_of(x)
     basis, index, cuts = ctx.basis, ctx.index, ctx.cuts
     pairs = (((basis[a], basis[b]), c * cnt) for f, c in x.terms.items() for a, b, cnt in cuts[index[f]])
-    return PairElem(summed(PairElem, pairs), x.d)
+    return PairElem(summed(pairs), x.d)
 
 
 def antipode(x: HElem) -> HElem:
@@ -144,7 +144,7 @@ def antipode(x: HElem) -> HElem:
     ctx = _context_of(x)
     basis, index = ctx.basis, ctx.index
     pairs = ((basis[g], c * cnt) for f, c in x.terms.items() for g, cnt in ctx.antipode(index[f]))
-    return HElem(summed(HElem, pairs), x.d)
+    return HElem(summed(pairs), x.d)
 
 
 # -- dual-side operations --------------------------------------------------
@@ -321,7 +321,7 @@ def graft_product(t1: Tree, t2: Tree, d: int | None = None) -> HElem:
     if d is None:
         d = max(t1.max_label(), t2.max_label())
     pairs = ((Forest((_attach_at(t2, {a: (t1,)}),)), 1) for a in _vertex_addresses(t2))
-    return HElem(summed(HElem, pairs), d)
+    return HElem(summed(pairs), d)
 
 
 def lie_bracket(f: HElem, g: HElem, N: int) -> HElem:

@@ -12,11 +12,11 @@ Coefficients are kept as given.  `summed` is the one home of the
 summation policy, and every builder that adds up terms per key runs
 through it (the forest product, coproduct and antipode, the morphism
 images, deconcatenation and parsed expressions): a missing key starts from
-the class's `_zero` (`Fraction(0)`, or `0` for polynomials) and keys keep
-their first-seen order, so float sums round the same way every time and an
-int unit among floats still sums to a Fraction.  `Linear.__add__` and
-`__sub__` add other's terms the same way onto self's values, which are
-kept as given.  A coefficient equal to 0 is dropped on construction.
+`Fraction(0)` and keys keep their first-seen order, so float sums round the
+same way every time and an int unit among floats still sums to a Fraction.
+`Linear.__add__` and `__sub__` add other's terms onto self's values, which
+are kept as given, from the class's `_zero` (`Fraction(0)`, or `0` for
+polynomials).  A coefficient equal to 0 is dropped on construction.
 `Linear._trusted` is the one way past that test: `context_product` wraps a
 product kernel's output, whose terms are already pruned and in range, with
 it.
@@ -180,13 +180,13 @@ class LinearPairs(Linear):
         return self.terms.get((left, right), self._zero)
 
 
-def summed(cls, pairs) -> dict:
-    """The (key, coefficient) pairs summed per key from cls._zero, keys in
-    first-seen order and zero totals kept: the terms of a cls element."""
+def summed(pairs) -> dict:
+    """The (key, coefficient) pairs summed per key from Fraction(0), keys in
+    first-seen order and zero totals kept: the terms of an element."""
     out: dict = {}
-    get, zero = out.get, cls._zero
+    get = out.get
     for k, c in pairs:
-        out[k] = get(k, zero) + c
+        out[k] = get(k, _ZERO) + c
     return out
 
 
@@ -217,13 +217,18 @@ class Row:
             return dict(self.values)
         return {k: Fraction(c, den) for k, c in self.values.items()}
 
+    def _read(self) -> dict:
+        """The scalars for reading only: the values themselves where they
+        are the scalars, `scalars()` otherwise."""
+        return self.values if self.den in (None, 1) else self.scalars()
+
     def pair(self, other: "Row"):
         """<self, other>: an integer over self.den * other.den when both are
         exact, a sum of their scalars otherwise, read in place where they
         are the values.  The row of fewer terms (self on a tie) is iterated,
         adding c * v per common position to 0."""
         exact = self.den is not None and other.den is not None
-        a, b = (r.values if exact or r.den in (None, 1) else r.scalars() for r in (self, other))
+        a, b = (self.values, other.values) if exact else (self._read(), other._read())
         if self.size > other.size:
             a, b = b, a
         get = b.get

@@ -21,7 +21,6 @@ a `MorphismTable` on a context sized by its input's grade.
 from __future__ import annotations
 
 import functools
-import itertools
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
@@ -69,7 +68,7 @@ def _image(terms: dict, d: int, n: int, tree_image, ctx: WordContext) -> TensorE
     """The morphism fixed by tree_image on a combination of forests: forest
     images are summed in term order, then in each image's own order."""
     fold = functools.partial(_fold, ctx, tree_image, {})
-    out = summed(TensorElem, ((k, c * v) for f, c in terms.items() for k, v in fold(f).items()))
+    out = summed((k, c * v) for f, c in terms.items() for k, v in fold(f).items())
     return TensorElem({ctx.word(k): v for k, v in out.items()}, d, n)
 
 
@@ -109,11 +108,16 @@ def _psi_tree(t: Tree) -> Mapping:
     """
     ctx = word_context(t.grade, t.max_label(), t.grade)
     fctx = forest_context(t.grade, t.max_label())
-    forests, fold = fctx.basis, functools.partial(_fold, ctx, _psi_tree, {})
-    row = fctx.cuts[fctx.index[Forest((t,))]]
-    cuts = ((fold(forests[a]), forests[b].factors, cnt) for a, b, cnt in row if a and b)  # 0 is the unit forest
-    pairs = ((Word(ctx.keys[k] + trunk), cnt * v) for img, trunk, cnt in cuts for k, v in img.items())
-    return MappingProxyType(summed(TensorElem, itertools.chain([(Word((t,)), 1)], pairs)))
+    forests, memo = fctx.basis, {}
+
+    def pairs():
+        yield Word((t,)), 1
+        for a, b, cnt in fctx.cuts[fctx.index[Forest((t,))]]:
+            if a and b:  # position 0 is the unit forest
+                for k, v in _fold(ctx, _psi_tree, memo, forests[a]).items():
+                    yield Word(ctx.keys[k] + forests[b].factors), cnt * v
+
+    return MappingProxyType(summed(pairs()))
 
 
 def psi(h: HElem, N: int) -> TensorElem:
@@ -162,7 +166,7 @@ def iota(w: Word) -> Tree:
 def iota_elem(x: TensorElem) -> HElem:
     """Linear extension of iota; the empty word maps to the empty forest."""
     pairs = ((EMPTY_FOREST if w.is_empty() else Forest((iota(w),)), c) for w, c in x.terms.items())
-    return HElem(summed(HElem, pairs), x.d)
+    return HElem(summed(pairs), x.d)
 
 
 # -- morphism table and verification ---------------------------------------

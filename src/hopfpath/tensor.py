@@ -309,7 +309,7 @@ def deconcat(x: TensorElem) -> WordPairElem:
     """All prefix/suffix splits of each word; letters are indivisible."""
     words = ((w.letters, c) for w, c in x.terms.items())
     pairs = (((Word(u[:k]), Word(u[k:])), c) for u, c in words for k in range(len(u) + 1))
-    return WordPairElem(summed(WordPairElem, pairs), x.d, x.n)
+    return WordPairElem(summed(pairs), x.d, x.n)
 
 
 # -- exp / log -------------------------------------------------------------

@@ -20,8 +20,9 @@ fails one of them.
 
 One more keeps the summation policy in one place: no package module but
 `linear` sums coefficients by hand as `d[k] = d.get(k, zero) + ...` from a
-Fraction zero (`_ZERO`, a class's `_zero` or `Fraction(0)`); integer sums
-from 0, the context tables, stay allowed.
+Fraction zero (`_ZERO`, a class's `_zero` or `Fraction(0)`), also with
+`d.get` or the zero first bound to a name; integer sums from 0, the context
+tables, stay allowed.
 
 Two more guard the code the package generates: `linear._straight_line` is
 its one `compile`/`exec` site, and every source it writes, up to N=5, is a
@@ -242,44 +243,106 @@ def test_exact_rows_are_carried_by_linear_alone():
     assert rows == ["linear.Row"]
 
 
-def _is_fraction_zero(node) -> bool:
-    """Whether node is `_ZERO`, a `._zero`, or `Fraction(0)`/`Fraction()`."""
+def _is_fraction_zero(node, zeros=()) -> bool:
+    """Whether node is `_ZERO`, a name in zeros, a `._zero`, or
+    `Fraction(0)`/`Fraction()`."""
     if isinstance(node, ast.Name):
-        return node.id == "_ZERO"
+        return node.id == "_ZERO" or node.id in zeros
     if isinstance(node, ast.Attribute):
         return node.attr == "_zero"
     return isinstance(node, ast.Call) and ast.unparse(node) in ("Fraction(0)", "Fraction()")
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(scope) -> tuple:
+    """(the single-target assignments of scope, the functions defined
+    directly in it), leaving out what those functions hold."""
+    assignments, scopes, todo = [], [], list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, _SCOPES):
+            scopes.append(node)
+            continue
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            assignments.append(node)
+        todo += ast.iter_child_nodes(node)
+    return assignments, scopes
+
+
+def _bindings(assignments, gets: dict, zeros: set) -> tuple:
+    """gets and zeros, as seen from an enclosing scope, with what the plain
+    and tuple assignments add: {name: dump of d} for each `name = d.get`,
+    and the names bound to a Fraction zero."""
+    gets, zeros = dict(gets), set(zeros)
+    for node in assignments:
+        target, value = node.targets[0], node.value
+        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple) and len(target.elts) == len(value.elts):
+            pairs = zip(target.elts, value.elts)
+        else:
+            pairs = [(target, value)]
+        for name, bound in pairs:
+            if not isinstance(name, ast.Name):
+                continue
+            if isinstance(bound, ast.Attribute) and bound.attr == "get":
+                gets[name.id] = ast.dump(bound.value)
+            elif _is_fraction_zero(bound):
+                zeros.add(name.id)
+    return gets, zeros
+
+
 def _hand_sums(tree) -> list:
     """The statements `d[k] = d.get(k, zero) + ...` (or `- ...`) in tree,
-    zero being the Fraction zero: a coefficient sum written out by hand.
-    An integer sum from 0 is not one."""
+    zero being the Fraction zero, also with `d.get` or the zero first bound
+    to a name in the same or an enclosing function: a coefficient sum
+    written out by hand.  An integer sum from 0 is not one."""
     out = []
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-            continue
-        target, value = node.targets[0], node.value
-        if not (isinstance(target, ast.Subscript) and isinstance(value, ast.BinOp)):
-            continue
-        get = value.left
-        if (
-            isinstance(value.op, (ast.Add, ast.Sub))
-            and isinstance(get, ast.Call)
-            and isinstance(get.func, ast.Attribute)
-            and get.func.attr == "get"
-            and ast.dump(get.func.value) == ast.dump(target.value)
-            and len(get.args) == 2
-            and _is_fraction_zero(get.args[1])
-        ):
-            out.append(f"line {node.lineno}: {ast.unparse(node)}")
-    return out
+
+    def visit(scope, gets, zeros):
+        assignments, scopes = _own_nodes(scope)
+        if isinstance(scope, _SCOPES):  # a parameter hides the outer name
+            params = {a.arg for a in ast.walk(scope.args) if isinstance(a, ast.arg)}
+            gets, zeros = {k: v for k, v in gets.items() if k not in params}, zeros - params
+        gets, zeros = _bindings(assignments, gets, zeros)
+        for node in assignments:
+            target, value = node.targets[0], node.value
+            if not (isinstance(target, ast.Subscript) and isinstance(value, ast.BinOp)):
+                continue
+            get, owner = value.left, ast.dump(target.value)
+            if not (isinstance(value.op, (ast.Add, ast.Sub)) and isinstance(get, ast.Call) and len(get.args) == 2):
+                continue
+            func = get.func
+            if (
+                isinstance(func, ast.Attribute) and func.attr == "get" and ast.dump(func.value) == owner
+                or isinstance(func, ast.Name) and gets.get(func.id) == owner
+            ) and _is_fraction_zero(get.args[1], zeros):
+                out.append((node.lineno, f"line {node.lineno}: {ast.unparse(node)}"))
+        for inner in scopes:
+            visit(inner, gets, zeros)
+
+    visit(tree, {}, set())
+    return [line for _, line in sorted(out)]
 
 
 def test_hand_sums_are_caught_and_integer_sums_are_not():
-    caught = "out[k] = out.get(k, _ZERO) + c\nacc[k, j] = acc.get((k, j), Fraction(0)) - c * v\nd[k] = d.get(k, cls._zero) + c"
-    assert len(_hand_sums(ast.parse(caught))) == 3
-    allowed = "acc[k] = acc.get(k, 0) + c\nout[k] = get(k, zero) + c\nout[k] = other.get(k, _ZERO) + c"
+    caught = (
+        "out[k] = out.get(k, _ZERO) + c\n"
+        "acc[k, j] = acc.get((k, j), Fraction(0)) - c * v\n"
+        "d[k] = d.get(k, cls._zero) + c\n"
+        "def f(out, pairs):\n"
+        "    get = out.get\n"
+        "    zero = _ZERO\n"
+        "    for k, c in pairs:\n"
+        "        out[k] = get(k, zero) + c\n"
+        "def g(out, pairs):\n"
+        "    get, zero = out.get, Fraction(0)\n"
+        "    def add():\n"
+        "        for k, c in pairs:\n"
+        "            out[k] = get(k, zero) + c\n"
+    )
+    assert len(_hand_sums(ast.parse(caught))) == 5
+    allowed = "acc[k] = acc.get(k, 0) + c"
     assert _hand_sums(ast.parse(allowed)) == []
 
 
