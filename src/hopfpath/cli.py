@@ -187,6 +187,8 @@ def _single_tree(x: HElem) -> Tree:
 
 
 def cmd_algebra(args) -> int:
+    if args.float:  # the algebra runs on the exact coefficients it parses
+        raise InputError("algebra takes exact coefficients only; --float does not apply to it")
     from .expr import parse_h, print_h, print_tensor
     from .hopf import antipode, convolve, coproduct, exp_star, graft_product, log_star
     from .linear import print_terms

@@ -40,6 +40,7 @@ from fractions import Fraction
 
 from .expr import print_tensor
 from .hopf import HElem
+from .linear import dot
 from .morphisms import psi
 from .roughpath import (
     RATIONAL,
@@ -93,25 +94,29 @@ def _pairings(X: BranchedRoughPath, Xbar: GeometricRoughPath, level: int, forest
     psi(h) over letters that Xbar lacks, or above the level, are left out:
     for a partial lift, the tree letter of h itself.
 
-    Xbar_st is a row of Xbar's context, paired by `Row.pair` with the row of
-    psi(h), which is over 1: psi's coefficients are integers.
-    Adjacent pairs read the increments as given; every pair reads the rows
-    that `pair_rows` folds on each path's context, <X_st, h> straight from
-    X's row.  There, in rational mode, the psi images are one generated
-    linear function (`Context.linear_map`) of Xbar_st's dense numerators,
-    which gives every forest's value in one call; a row that is not exact,
-    and every row in float mode, is paired image by image."""
+    The psi images are rows of Xbar's context over 1: psi's coefficients
+    are integers.  Adjacent pairs read the increments as given, both
+    denominators None: each image is paired with the increment's terms on
+    their words by `linear.dot`, iterating the side `Row.pair` would (the
+    image unless it has more terms), so float sums round as the row pairing
+    rounds them.  Every pair reads the rows that `pair_rows` folds on each
+    path's context, <X_st, h> straight from X's row.  There, in rational
+    mode, the psi images are one generated linear function
+    (`Context.linear_map`) of Xbar_st's dense numerators, which gives every
+    forest's value in one call; a row that is not exact, and every row in
+    float mode, is paired image by image with `Row.pair`."""
     ctx, own = word_context(level, Xbar.d, Xbar.letter_bound), Xbar.context()
     images = [psi(HElem.from_forest(h, X.d), level).terms for h in forests]
     images = [own.row_of({w: c for w, c in img.items() if w in ctx.index}) for img in images]
     if any(img.den != 1 for img in images):
         raise ValueError("the psi images need integer coefficients")
     if not every_pair:
+        by_word = [({own.basis[i]: c for i, c in img.values.items()}, img.size) for img in images]
         for k, (branched, geometric) in enumerate(zip(X.increments, Xbar.increments)):
-            vec = own.row_of(geometric.terms)
-            rhs = [img.pair(vec) for img in images]
+            terms, n = geometric.terms, len(geometric.terms)
+            rhs = [dot(terms, img) if size > n else dot(img, terms) for img, size in by_word]
             get = branched.terms.get  # an absent <X_st, h>: 0 - float is Fraction(0) - float
-            yield k, k + 1, None, vec.den, [(get(h, 0 if type(v) is float else _ZERO), v) for h, v in zip(forests, rhs)]
+            yield k, k + 1, None, None, [(get(h, 0 if type(v) is float else _ZERO), v) for h, v in zip(forests, rhs)]
         return
     where = [X.context().index.get(h) for h in forests]
     images_of = own.linear_map([img.values.items() for img in images]) if Xbar.mode == RATIONAL else None
@@ -290,9 +295,10 @@ def simplify_n2(result: ConversionResult) -> SimplifiedDriver:
     addition cancels in every e_i shuffle e_j), and the symmetric half is
     returned as scalar paths.
 
-    The cherry columns, flipped words and 1/2 (0.5 in float mode) are found
-    once, and each word's letter bound (`Word.bounds`) is kept on the word.
-    xhat's words are plain letters within d, so its increments are trusted.
+    The cherry columns, flipped words, 1/2 (0.5 in float mode) and the set
+    of plain-letter words of Xbar's context are found once; each increment
+    keeps the terms whose word is in that set.  xhat's words are plain
+    letters within d, so its increments are trusted.
     """
     Xbar = result.geometric
     if Xbar.N != 2:
@@ -305,11 +311,12 @@ def simplify_n2(result: ConversionResult) -> SimplifiedDriver:
     flips = [((i, j), (j, i), Word((leaf(j), leaf(i)))) for i, j in cherries]
     pairs = tuple((k, l) for k in range(1, d + 1) for l in range(k, d + 1))
     half = Fraction(1, 2) if Xbar.mode == RATIONAL else 0.5
+    plain = {w for w in Xbar.context().basis if w.max_letter_grade() <= 1}
     word_incs = []
     sym_incs = []
     for g, lo, hi in zip(Xbar.increments, path.values, path.values[1:]):
         x = dict(zip(cherries, [hi[c] - lo[c] for c in cols]))
-        terms = {w: c for w, c in g.terms.items() if w.max_letter_grade() <= 1}
+        terms = {w: c for w, c in g.terms.items() if w in plain}
         for a, b, w in flips:
             # <xhat, e_j (x) e_i> gains half the antisymmetric cherry part
             corr = half * (x[a] - x[b])

@@ -35,7 +35,8 @@ and `Context.times` is the product of rows on the context's loop kernel, on
 numerators or on the values in their term order, so float totals keep their
 rounding bit for bit.  `context_product` (`convolve`, `concat`), the Chen
 sweep, the pair fold of a rough path and the psi pairing (`Row.pair`) all
-run on rows.
+run on rows.  `dot` is the pairing loop itself, over any two maps; the
+adjacent psi pairing of `conversion` runs it on word keys, with no row.
 
 The exact all-pairs sweeps (the pair fold, Chen and the psi pairing) run
 on straight-line functions that `_straight_line` generates from a context's
@@ -229,15 +230,19 @@ class Row:
         adding c * v per common position to 0."""
         exact = self.den is not None and other.den is not None
         a, b = (self.values, other.values) if exact else (self._read(), other._read())
-        if self.size > other.size:
-            a, b = b, a
-        get = b.get
-        total = 0
-        for i, c in a.items():
-            v = get(i)
-            if v is not None:
-                total += c * v
-        return total
+        return dot(b, a) if self.size > other.size else dot(a, b)
+
+
+def dot(a: dict, b: dict):
+    """The sum from 0 of c * b[k] over the terms (k, c) of a whose key b
+    holds, in a's order."""
+    get = b.get
+    total = 0
+    for k, c in a.items():
+        v = get(k)
+        if v is not None:
+            total += c * v
+    return total
 
 
 class Context:

@@ -5,7 +5,11 @@ Vector fields are polynomial so every derivative identity in the calculus
 recurrence on the geometric side) is checkable as an exact symbolic
 equality rather than a numerical approximation.  Trajectories are grid
 Euler iterates: one step per adjacent pair, summing tree (or word)
-coefficients against the driver's increment.
+coefficients against the driver's increment.  Each solver fixes its terms
+once per solve, as `_euler`'s slots (the trees, the words of the
+increments, the symmetric components), and hands it per step only the
+weights aligned with them, so no key is named, sorted or looked up per
+step.
 
 `apply_derivative` (behind both recurrences) and `check_lgl` run on term
 dicts: on integer numerators over one denominator when every coefficient is
@@ -18,6 +22,7 @@ without either layer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -39,7 +44,7 @@ from .trees import (
 
 if TYPE_CHECKING:  # the solvers import these where they run
     from .roughpath import BranchedRoughPath, GeometricRoughPath, Grid
-    from .tensor import TensorElem, Word
+    from .tensor import Word
 
 
 # -- polynomials -----------------------------------------------------------
@@ -446,40 +451,39 @@ class Trajectory:
         return json.dumps(self.to_obj(), indent=2, sort_keys=True)
 
 
-def _euler(grid: Grid, mode: str, e: int, xi: Sequence, step_terms: Iterable) -> Trajectory:
+def _euler(grid: Grid, mode: str, e: int, xi: Sequence, slots: Sequence, step_weights: Iterable) -> Trajectory:
     """Euler iterates y <- y + sum_j w_j F_j(y), one step per adjacent pair.
 
-    Each item of step_terms yields that step's (key, w, F) terms in
-    summation order, which fixes the float rounding and the order of the
-    breakdown; a term with a non-zero contribution is named str(key) there.
-    Each field is compiled once per solve (`_monomials`, of its float copy
-    in float mode) and each key named once.
+    slots fixes the terms once per solve: (key, field) pairs in summation
+    order, field a function of no arguments that gives F_j.  Each item of
+    step_weights is one step's weights aligned with slots, None where the
+    term is absent.  The present terms are summed in slot order, which fixes
+    the float rounding and the order of the breakdown, where a term with a
+    non-zero contribution is named str(key).  A slot's name and compiled
+    field (`_monomials`, of its float copy in float mode) are resolved the
+    first time it gets a weight, so a slot that never does builds no field.
     """
     if len(xi) != e:
         raise ValueError(f"initial state has dimension {len(xi)}, fields have {e}")
     y = tuple(xi)
     values = [y]
     breakdowns = []
-    compiled: dict = {}  # id(F) -> (F, its compiled components); F is held, so its id is not reused
-    names: dict = {}
-    for terms in step_terms:
+    resolved: list = [None] * len(slots)  # per slot (name, compiled components) once it has a weight
+    for weights in step_weights:
         delta = [0] * e
         breakdown = {}
-        for key, w, F in terms:
-            got = compiled.get(id(F))
+        for i, w in enumerate(weights):
+            if w is None:
+                continue
+            got = resolved[i]
             if got is None:
-                G = F
-                if mode == FLOAT:
-                    try:
-                        G = F.to_float()
-                    except OverflowError:
-                        raise ValueError(f"the field of {key} has a coefficient too large for a float") from None
-                got = compiled[id(F)] = (F, [_monomials(p.terms) for p in G.components])
-            contrib = tuple([w * v for v in _evaluate(got[1], y)])
+                got = resolved[i] = _resolve(*slots[i], mode)
+            name, comps = got
+            contrib = tuple([w * v for v in _evaluate(comps, y)])
             if any(contrib):
-                breakdown[names.get(key) or names.setdefault(key, str(key))] = contrib
-            delta = [a + b for a, b in zip(delta, contrib)]
-        y = tuple(a + b for a, b in zip(y, delta))
+                breakdown[name] = contrib
+            delta = list(map(operator.add, delta, contrib))
+        y = tuple(map(operator.add, y, delta))
         if mode == FLOAT and not all(map(math.isfinite, y)):
             i = [math.isfinite(v) for v in y].index(False)
             raise ValueError(f"the float solve leaves the float range at step {len(values)}: y_{i + 1} = {y[i]}")
@@ -488,23 +492,33 @@ def _euler(grid: Grid, mode: str, e: int, xi: Sequence, step_terms: Iterable) ->
     return Trajectory(grid, values, breakdowns, mode)
 
 
-def _tree_terms(g: HElem, trees: Sequence, f: ButcherTable):
-    for tau, h, sigma in trees:
-        c = g.coeff(h)
-        if c != 0:
-            yield tau, c / sigma, f.field(tau)
+def _resolve(key, field, mode: str) -> tuple:
+    """(str(key), the compiled components of field()), of its float copy in
+    float mode."""
+    F = field()
+    if mode == FLOAT:
+        try:
+            F = F.to_float()
+        except OverflowError:
+            raise ValueError(f"the field of {key} has a coefficient too large for a float") from None
+    return str(key), [_monomials(p.terms) for p in F.components]
 
 
 def solve_branched(X: BranchedRoughPath, f: ButcherTable, xi: Sequence) -> Trajectory:
     """One Euler step per adjacent pair: the butcher_h extension of the
-    increment, so each tree contributes (f_tau / sigma(tau)) <X, tau>."""
+    increment, so each tree contributes (f_tau / sigma(tau)) <X, tau>.
+
+    The slots are the trees of grade <= N in `enumerate_trees` order; a
+    tree whose coefficient is 0 in a step gets no weight there."""
     from .roughpath import BranchedRoughPath
 
     if not isinstance(X, BranchedRoughPath):
         raise TypeError("solve_branched needs a branched driver")
-    trees = [(tau, Forest((tau,)), symmetry_factor(tau)) for tau in enumerate_trees(X.N, X.d)]
-    steps = (_tree_terms(g, trees, f) for g in X.increments)
-    return _euler(X.grid, X.mode, f.e, xi, steps)
+    trees = enumerate_trees(X.N, X.d)
+    slots = [(tau, functools.partial(f.field, tau)) for tau in trees]
+    keys = [(Forest((tau,)), symmetry_factor(tau)) for tau in trees]
+    steps = ([c / sigma if (c := g.terms.get(h, 0)) != 0 else None for h, sigma in keys] for g in X.increments)
+    return _euler(X.grid, X.mode, f.e, xi, slots, steps)
 
 
 # -- geometric side --------------------------------------------------------
@@ -544,20 +558,25 @@ def geometric_F(letter_fields, w: Word) -> PolyVectorField:
     return table.field(w)
 
 
-def _word_terms(g: TensorElem, table: WordFieldTable):
-    for w in sorted(g.terms, key=g._order):
-        if not w.is_empty():
-            yield w, g.terms[w], table.field(w)
+def _word_slots(increments: Sequence, table: WordFieldTable) -> tuple:
+    """(slots, steps) for `_euler`: the non-empty words of the increments,
+    sorted once by `_order`, each with its field, and per increment its
+    coefficients aligned with them, None where a word is absent.  A present
+    word keeps its coefficient, a 0 included."""
+    words = sorted((w for w in set().union(*[g.terms for g in increments]) if not w.is_empty()), key=Linear._order)
+    slots = [(w, functools.partial(table.field, w)) for w in words]
+    return slots, (list(map(g.terms.get, words)) for g in increments)
 
 
 def solve_geometric(Xbar: GeometricRoughPath, letter_fields, xi: Sequence) -> Trajectory:
+    """One Euler step per adjacent pair over the words of Xbar: each word w
+    contributes F_w <Xbar, w>, the words summed in `_order` (`_word_slots`)."""
     from .roughpath import GeometricRoughPath
 
     if not isinstance(Xbar, GeometricRoughPath):
         raise TypeError("solve_geometric needs a geometric driver")
     table = letter_fields if isinstance(letter_fields, WordFieldTable) else WordFieldTable(letter_fields)
-    steps = (_word_terms(g, table) for g in Xbar.increments)
-    return _euler(Xbar.grid, Xbar.mode, table.e, xi, steps)
+    return _euler(Xbar.grid, Xbar.mode, table.e, xi, *_word_slots(Xbar.increments, table))
 
 
 def tree_letter_fields(f: ButcherTable, letters: Iterable[Tree]) -> dict:
@@ -589,18 +608,20 @@ def sym_correction_fields(f: ButcherTable, pairs: Iterable[tuple]) -> dict:
 
 def solve_simplified(sd, f: ButcherTable, xi: Sequence) -> Trajectory:
     """Euler steps for the level-2 shortcut driver: plain-letter words of
-    xhat plus the symmetric scalar components with their paired weights."""
+    xhat plus the symmetric scalar components with their paired weights.
+
+    The slots are xhat's words (`_word_slots`), then one per pair (k, l)
+    of sd.pairs, named s_kl, which gets no weight in a step where its
+    component's increment is 0."""
     table = WordFieldTable({leaf(i): fi for i, fi in f.base.items()})
     weights = sym_correction_fields(f, sd.pairs)
-
-    def terms(g, sym):
-        yield from _word_terms(g, table)
-        for (k, l), c in sym.items():
-            if c != 0:
-                yield f"s_{k}{l}", c, weights[(k, l)]
-
-    steps = (terms(g, sym) for g, sym in zip(sd.xhat.increments, sd.symmetric_increments))
-    return _euler(sd.xhat.grid, sd.xhat.mode, f.e, xi, steps)
+    slots, word_steps = _word_slots(sd.xhat.increments, table)
+    slots += [(f"s_{k}{l}", functools.partial(weights.get, (k, l))) for k, l in sd.pairs]
+    steps = (
+        ws + [c if (c := sym[p]) != 0 else None for p in sd.pairs]
+        for ws, sym in zip(word_steps, sd.symmetric_increments)
+    )
+    return _euler(sd.xhat.grid, sd.xhat.mode, f.e, xi, slots, steps)
 
 
 # -- grafting identity verifier --------------------------------------------

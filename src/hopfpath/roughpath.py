@@ -131,10 +131,12 @@ class SampledPath:
     """Vector-valued samples on a grid, indexed by a tree basis.
 
     Plain d-dimensional data uses the single-vertex basis (b_1 .. b_d); the
-    conversion step extends the basis with higher-grade trees.
+    conversion step extends the basis with higher-grade trees.  The l1
+    variation that a float lift checks (`_check_float_range`) is kept in
+    `_variation` once found, and `extend` carries it over.
     """
 
-    __slots__ = ("grid", "basis", "values", "mode")
+    __slots__ = ("grid", "basis", "values", "mode", "_variation")
 
     def __init__(self, grid: Grid, basis: Sequence[Tree], values: Sequence[Sequence], mode: str = RATIONAL):
         if mode not in (RATIONAL, FLOAT):
@@ -151,6 +153,7 @@ class SampledPath:
         self.basis = basis
         self.values = vals
         self.mode = mode
+        self._variation = None
 
     @classmethod
     def over_labels(cls, times: Iterable, rows: Sequence[Sequence], d: int, mode: str = RATIONAL) -> "SampledPath":
@@ -176,11 +179,12 @@ class SampledPath:
         """Append components; new_columns[j][k] is the value of new_basis[j]
         at time k."""
         basis = self.basis + tuple(new_basis)
-        rows = [
-            tuple(self.values[k]) + tuple(col[k] for col in new_columns)
-            for k in range(len(self.grid))
-        ]
-        return SampledPath(self.grid, basis, rows, self.mode)
+        n = len(self.grid)
+        rows = [tuple(self.values[k]) + tuple(col[k] for col in new_columns) for k in range(n)]
+        out = SampledPath(self.grid, basis, rows, self.mode)
+        if self._variation is not None:
+            out._variation = _l1([col[:n] for col in new_columns], self._variation)
+        return out
 
     # -- CSV ---------------------------------------------------------------
 
@@ -379,13 +383,23 @@ def gamma_to_level(gamma) -> int:
 # -- lift constructors -----------------------------------------------------
 
 
+def _l1(columns, start=0):
+    """start plus the absolute differences of each column, summed column by
+    column in order: the l1 variation of a path from its columns, or of an
+    extended path from its base's and the new columns."""
+    return sum((abs(b - a) for col in columns for a, b in zip(col, col[1:])), start)
+
+
 def _check_float_range(path: SampledPath, N: int) -> None:
     """Refuse a float path too large to lift: the level-n terms of its lift
     grow like V^n for V its l1 variation, and the Chen sums that compose
-    them add up to 2^n such terms, so (2V)^N must be a finite float."""
+    them add up to 2^n such terms, so (2V)^N must be a finite float.  V is
+    found once per path and kept on it."""
     if path.mode != FLOAT:
         return
-    V = sum(abs(b - a) for col in zip(*path.values) for a, b in zip(col, col[1:]))
+    V = path._variation
+    if V is None:
+        V = path._variation = _l1(zip(*path.values))
     try:
         fits = math.isfinite((2 * V) ** N)
     except OverflowError:

@@ -233,6 +233,19 @@ def test_mutated_algebra_pair(a, b, op):
     check("algebra", "--d", "3", "--N", "3", "--op", op, a, b)
 
 
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_algebra_refuses_float_before_parsing(where):
+    # algebra computes on the exact coefficients it parses, so --float is
+    # refused, before or after the command name, ahead of the expression:
+    # this one would be a parse error
+    flags = ["--float", "algebra"] if where == "before" else ["algebra", "--float"]
+    rc, out, err = run(*flags, "--op", "psi", "--N", "3", "b_1 +")
+    assert (rc, out) == (2, "")
+    assert err == "input error: algebra takes exact coefficients only; --float does not apply to it\n"
+    assert run("algebra", "--op", "psi", "--N", "3", "b_1 +")[0] == 2
+    assert run("algebra", "--op", "psi", "--N", "3", "b_1")[:2] == (0, "b_1\n")
+
+
 # -- float flag values -----------------------------------------------------
 
 FLOAT_TEXTS = st.one_of(

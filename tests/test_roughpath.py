@@ -628,6 +628,30 @@ def test_float_lift_refuses_a_path_past_the_float_range(lift):
     assert lift(exact, 3).increments[0].max_grade() == 3
 
 
+def test_an_extended_path_carries_the_variation_of_its_base():
+    # the base's variation, found when it is lifted, continues over the new
+    # columns: the bits of one scan of every column, and the same outcome
+    def scanned(p):
+        return sum(abs(b - a) for col in zip(*p.values) for a, b in zip(col, col[1:]))
+
+    rng = Random(4)
+    rows = [[rng.uniform(-1, 1) for _ in range(2)] for _ in range(9)]
+    base = SampledPath.over_labels([k / 8 for k in range(9)], rows, 2, FLOAT)
+    canonical_lift(base, 2)
+    for h in (1.0, 1e154):
+        ext = base.extend([Tree(1, (leaf(2),))], [[h * rng.uniform(-1, 1) for _ in range(9)]])
+        fresh = SampledPath(ext.grid, ext.basis, ext.values, FLOAT)
+        outcomes = []
+        for p in (ext, fresh):
+            try:
+                outcomes.append(canonical_lift(p, 2).increments)
+            except ValueError as e:
+                outcomes.append(str(e))
+        assert ext._variation == fresh._variation == scanned(ext)
+        assert outcomes[0] == outcomes[1]
+    assert outcomes[0].startswith("the path varies by ")
+
+
 def test_holder_sweep_takes_exact_values_past_the_float_range():
     # times 1e-999 apart and values 1e999 are exact, but not floats
     path = SampledPath.over_labels([0, Q("1e-999"), 1, Q("1e999")], [[0], [1], [Q("1e999")], [0]], 1)

@@ -4,6 +4,7 @@ breakdowns, with the same keys in the same order, the same scalar types and
 the same float reprs; and in float mode no Fraction arithmetic per step."""
 
 import fractions
+import functools
 import hashlib
 import re
 import sys
@@ -13,20 +14,34 @@ from random import Random
 import pytest
 
 from hopfpath.conversion import base_path_of, encode, extract_extended_path, simplify_n2
+from hopfpath.hopf import HElem
+from hopfpath.linear import Context
 from hopfpath.rde import (
     ButcherTable,
     WordFieldTable,
+    _euler,
     convert_rde,
     solve_branched,
     solve_geometric,
     solve_simplified,
 )
-from hopfpath.roughpath import FLOAT, RATIONAL, SampledPath, canonical_lift, ito_lift
-from hopfpath.trees import Forest, trees_of_grade
+from hopfpath.roughpath import (
+    FLOAT,
+    RATIONAL,
+    BranchedRoughPath,
+    GeometricRoughPath,
+    Grid,
+    SampledPath,
+    canonical_lift,
+    ito_lift,
+)
+from hopfpath.tensor import TensorElem, Word
+from hopfpath.trees import Forest, leaf, trees_of_grade
 
 from oracles import (
     _pairings_reference,
     canonical_increments_reference,
+    euler_reference,
     ito_increments_reference,
     simplify_reference,
     solve_branched_reference,
@@ -193,6 +208,104 @@ def test_float_refusals_keep_their_messages():
     assert all(re.fullmatch(r"the float solve leaves the float range at step \d+: y_1 = (-?inf|nan)", m) for m in got)
 
 
+# -- the slot contract of _euler on hand-built steps ---------------------------
+
+
+def _reference_terms(slots, steps):
+    """The steps as the (key, w, F) terms `euler_reference` reads: the slots
+    with a weight, in slot order, each field built once, when first used."""
+    built = {}
+
+    def field(i):
+        if i not in built:
+            built[i] = slots[i][1]()
+        return built[i]
+
+    return ([(slots[i][0], w, field(i)) for i, w in enumerate(ws) if w is not None] for ws in steps)
+
+
+def _euler_both(slots, steps, mode, xi):
+    """`_euler` and `euler_reference` on the same slots and steps: both
+    trajectories, or both refusal messages."""
+    grid = Grid(range(len(steps) + 1))
+    out = []
+    for run in (lambda: _euler(grid, mode, len(xi), xi, slots, iter(steps)),
+                lambda: euler_reference(grid, mode, len(xi), xi, _reference_terms(slots, steps))):
+        try:
+            out.append(run())
+        except ValueError as e:
+            out.append(str(e))
+    return out
+
+
+def _slots(f: ButcherTable):
+    """A tree, a word, a named component, a tree with no base field and a
+    word whose letter has none: the last two raise if they are ever built,
+    so a solve that never weights them must not build them."""
+    table = WordFieldTable({leaf(1): f.base[1], leaf(2): f.base[2]})
+    w12, w3 = Word((leaf(1), leaf(2))), Word((leaf(3),))
+    return [
+        (leaf(2), functools.partial(f.field, leaf(2))),
+        (w12, functools.partial(table.field, w12)),
+        ("s_11", lambda: f.base[1]),
+        (leaf(3), functools.partial(f.field, leaf(3))),
+        (w3, functools.partial(table.field, w3)),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["float", "exact"])
+def test_euler_slots_match_the_per_step_loop(kind):
+    f = ButcherTable.parse(FIELDS["powers"])
+    exact = kind == "exact"
+    s = Q if exact else float
+    zero, negzero = (Q(0), Q(0)) if exact else (0.0, -0.0)
+    steps = [
+        [s(1) / 8, s(-1) / 4, s(1) / 2, None, None],  # every slot that can be built
+        [None, s(3) / 16, None, None, None],  # absent terms
+        [zero, negzero, s(1) / 32, None, None],  # present weights 0 and -0.0: built, not named
+        [None, None, None, None, None],  # nothing: an empty breakdown
+        [s(-1) / 8, None, s(1) / 4, None, None],
+    ]
+    xi = (Q(1), Q(-1, 2)) if exact else (0.5, -0.25)
+    got, want = _euler_both(_slots(f), steps, RATIONAL if exact else FLOAT, xi)
+    assert_same_trajectory(got, want)
+    # the breakdown names each non-zero contribution by str(key), in slot order
+    assert [list(step) for step in got.steps] == [
+        ["b_2", "b_1 (x) b_2", "s_11"], ["b_1 (x) b_2"], ["s_11"], [], ["b_2", "s_11"]
+    ]
+
+
+def test_euler_slot_refusals_keep_their_messages():
+    big = ButcherTable.parse({1: ["1e400*y1"], 2: ["y1"]})
+    slots = [(leaf(2), functools.partial(big.field, leaf(2))), (leaf(1), functools.partial(big.field, leaf(1)))]
+    got = _euler_both(slots, [[1.0, None], [0.5, 0.25]], FLOAT, (1.0,))
+    assert got == ["the field of b_1 has a coefficient too large for a float"] * 2
+    # y' = y^2 from 1e200 leaves the float range on the first step
+    square = ButcherTable.parse({1: ["y1^2"]})
+    slots = [(leaf(1), functools.partial(square.field, leaf(1)))]
+    got = _euler_both(slots, [[None], [1.0], [1.0]], FLOAT, (1e200,))
+    assert got == ["the float solve leaves the float range at step 2: y_1 = inf"] * 2
+
+
+def test_a_zero_coefficient_is_skipped_by_trees_and_stepped_by_words():
+    # a coefficient that is present but 0.0 or -0.0: the branched solver
+    # gives its tree no weight, so a tree with no field passes; the word
+    # solvers step its word, so a word over a letter with no field is refused
+    f = ButcherTable.parse(FIELDS["powers"])  # fields for labels 1 and 2 only
+    grid, xi = Grid([0.0, 0.5, 1.0]), (0.5, -0.25)
+    b1, b3 = Forest((leaf(1),)), Forest((leaf(3),))
+    incs = [HElem._trusted({b1: 0.25, b3: -0.0}, 3), HElem._trusted({b1: 0.5, b3: 0.0}, 3)]
+    X = BranchedRoughPath(1, 1.0, grid, incs, 3, FLOAT)
+    assert_same_trajectory(solve_branched(X, f, xi), solve_branched_reference(X, f, xi))
+    w1, w3 = Word((leaf(1),)), Word((leaf(3),))
+    incs = [TensorElem._trusted({w1: 0.25}, 3, 1), TensorElem._trusted({w3: -0.0, w1: 0.5}, 3, 1)]
+    Xbar = GeometricRoughPath(1, 1.0, grid, incs, 3, FLOAT, (leaf(1), leaf(3)))
+    table = WordFieldTable({leaf(1): f.base[1], leaf(2): f.base[2]})
+    for solve in (solve_geometric, solve_geometric_reference):
+        with pytest.raises(ValueError, match=r"^no vector field for letter b_3$"):
+            solve(Xbar, table, xi)
+
+
 def _digest(values) -> str:
     return hashlib.sha256(repr([list(v) for v in values]).encode()).hexdigest()
 
@@ -221,18 +334,14 @@ def test_criterion_09_identities_hold_on_twenty_seeds():
         assert _digest(branched.values) == _digest(simplified.values)
 
 
-def _fraction_calls(M: int) -> dict:
-    """Calls of Fraction.__new__ and of the operator fallbacks of the
-    fractions module (forward, reverse) while the criterion-09 pipeline runs
-    at M steps."""
-    targets = ("__new__", "forward", "reverse")
-    counts = dict.fromkeys(targets, 0)
-    source = fractions.__file__
+def _calls(M: int, name_of) -> dict:
+    """Calls per name while the criterion-09 pipeline runs at M steps:
+    name_of gives the name a code object is counted under, or None."""
+    counts: dict = {}
 
     def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code.co_name in counts and code.co_filename == source:
-            counts[code.co_name] += 1
+        if event == "call" and (name := name_of(frame.f_code)) is not None:
+            counts[name] = counts.get(name, 0) + 1
 
     sys.setprofile(profile)
     try:
@@ -242,7 +351,26 @@ def _fraction_calls(M: int) -> dict:
     return counts
 
 
+def _fraction_calls(M: int) -> dict:
+    """Calls of Fraction.__new__ and of the operator fallbacks of the
+    fractions module (forward, reverse) while the criterion-09 pipeline runs
+    at M steps."""
+    targets = ("__new__", "forward", "reverse")
+    source = fractions.__file__
+    calls = _calls(M, lambda code: code.co_name if code.co_name in targets and code.co_filename == source else None)
+    return {name: calls.get(name, 0) for name in targets}
+
+
 def test_float_pipeline_does_no_fraction_arithmetic_per_step():
     _criterion_09(1, 16)  # contexts, tables and psi images built once
     small, large = _fraction_calls(64), _fraction_calls(256)
     assert all(large[k] <= small[k] for k in small), (small, large)
+
+
+def test_float_pipeline_resolves_its_keys_once_per_solve():
+    # no context row, word sort key or letter-grade lookup per step: the
+    # slots, the psi images and the plain-word set are found once
+    counted = {f.__code__: f.__qualname__ for f in (Context.row_of, Word.sort_key, Word.max_letter_grade)}
+    _criterion_09(1, 16)
+    small, large = _calls(64, counted.get), _calls(256, counted.get)
+    assert all(large.get(k, 0) <= small.get(k, 0) for k in counted.values()), (small, large)
