@@ -13,10 +13,10 @@ as the `linear.Row`s that `_RoughPathBase.pair_rows` folds forward from
 each start point on each path's context, and pairs the geometric ones with
 the psi images: each pair is composed once, O(M) rows are live, no element
 is built or cached, and exact values stay integer numerators over one
-denominator until a witness prints them.  On exact rows the fold and the
-psi images run as straight-line functions generated from integer tables
-(`linear.Context.compiled`, `Context.linear_map`): the images give every
-forest's value from one call on the geometric row, in place of one
+denominator until a witness prints them.  In both scalar modes the fold
+and the psi images run as straight-line functions generated from integer
+tables (`linear.Context.compiled`, `Context.linear_map`): the images give
+every forest's value from one call on the geometric row, in place of one
 `Row.pair` per image.  It is every level's check as well: for an extracted
 tree tau, with f_tau(s, t) = <X_st, tau> - <Xbar_st, psi(tau)
 without the tau letter> and F_tau the prefix sums of its adjacent values,
@@ -100,11 +100,10 @@ def _pairings(X: BranchedRoughPath, Xbar: GeometricRoughPath, level: int, forest
     their words by `linear.dot`, iterating the side `Row.pair` would (the
     image unless it has more terms), so float sums round as the row pairing
     rounds them.  Every pair reads the rows that `pair_rows` folds on each
-    path's context, <X_st, h> straight from X's row.  There, in rational
-    mode, the psi images are one generated linear function
-    (`Context.linear_map`) of Xbar_st's dense numerators, which gives every
-    forest's value in one call; a row that is not exact, and every row in
-    float mode, is paired image by image with `Row.pair`."""
+    path's context, <X_st, h> straight from X's row.  There the psi images
+    are one generated linear function (`Context.linear_map`) of Xbar_st's
+    dense operand, its numerators or its scalars (`Context.dense`), which
+    gives every forest's value in one call."""
     ctx, own = word_context(level, Xbar.d, Xbar.letter_bound), Xbar.context()
     images = [psi(HElem.from_forest(h, X.d), level).terms for h in forests]
     images = [own.row_of({w: c for w, c in img.items() if w in ctx.index}) for img in images]
@@ -119,14 +118,10 @@ def _pairings(X: BranchedRoughPath, Xbar: GeometricRoughPath, level: int, forest
             yield k, k + 1, None, None, [(get(h, 0 if type(v) is float else _ZERO), v) for h, v in zip(forests, rhs)]
         return
     where = [X.context().index.get(h) for h in forests]
-    images_of = own.linear_map([img.values.items() for img in images]) if Xbar.mode == RATIONAL else None
+    images_of = own.linear_map([img.values.items() for img in images])
     for (s, t, lhs), (_, _, vec) in zip(X.pair_rows(), Xbar.pair_rows()):
         get, zero = lhs.values.get, _ZERO if lhs.den is None else 0
-        if images_of is not None and vec.den is not None:
-            rhs = images_of(own.dense(vec))
-        else:
-            rhs = [img.pair(vec) for img in images]
-        yield s, t, lhs.den, vec.den, [(get(k, zero), v) for k, v in zip(where, rhs)]
+        yield s, t, lhs.den, vec.den, [(get(k, zero), v) for k, v in zip(where, images_of(own.dense(vec)))]
 
 
 def extract_extended_path(X: BranchedRoughPath, partial: GeometricRoughPath, check_cocycle: bool = True) -> dict:

@@ -27,7 +27,7 @@ on the context of their input's grade, as `morphisms.psi` and the verify
 suites do.  Its kernel `ForestContext.product` takes
 dense coefficient rows by position as operands and returns the totals by
 position; `convolve` runs it through `linear.context_product`.  The cut
-rows are also the table (`ForestContext.table`) that an exact sweep
+rows are also the table (`ForestContext.table`) that a sweep
 compiles into a straight-line kernel (`linear.Context.compiled`).
 """
 

@@ -33,19 +33,20 @@ integer numerators over one reduced denominator when every value is exact
 (see `scalars`), the values as given otherwise.  `Context.row_of` makes one
 and `Context.times` is the product of rows on the context's loop kernel, on
 numerators or on the values in their term order, so float totals keep their
-rounding bit for bit.  `context_product` (`convolve`, `concat`), the Chen
-sweep, the pair fold of a rough path and the psi pairing (`Row.pair`) all
-run on rows.  `dot` is the pairing loop itself, over any two maps; the
-adjacent psi pairing of `conversion` runs it on word keys, with no row.
+rounding bit for bit.  Single products (`context_product`: `convolve`,
+`concat`) run there.  `Row.pair` pairs two rows, and `dot` is the pairing
+loop itself, over any two maps; the adjacent psi pairing of `conversion`
+runs it on word keys, with no row.
 
-The exact all-pairs sweeps (the pair fold, Chen and the psi pairing) run
-on straight-line functions that `_straight_line` generates from a context's
+The all-pairs sweeps (the pair fold, Chen and the psi pairing) run on
+straight-line functions that `_straight_line` generates from a context's
 integer tables and `compile`s: one `cnt * f[a] * g[b]` term per table entry,
 so a product costs no loop, no zero test and no dict.  A context compiles
-its kernel once, the first time an exact sweep asks for it
-(`Context.compiled`); a psi map is compiled per sweep (`Context.linear_map`).
-Exactness alone picks the path: single products and sweeps with a float row
-run on the loop kernel.
+its kernel once, the first time a sweep asks for it (`Context.compiled`); a
+psi map is compiled per sweep (`Context.linear_map`).  Both scalar modes
+run there, on an exact sweep's numerators or a float sweep's scalars
+(`Context.dense`), and a float total rounds as on the loop kernel (see
+`Context.fold`).  Single products stay on the loop kernel.
 
 The module also holds what the forest and word sides share beyond the
 container: the Kronecker pairing, the exp and log series over a truncated
@@ -196,16 +197,15 @@ class Row:
     over den when every value is exact, with den > 0 and gcd(den,
     *numerators) == 1, so one map has one exact row; the values as given
     with den None otherwise.  size counts the terms of the map the row was
-    made from.  `Context.times` keeps the row's loop kernel operand in
-    operand, and `Context.dense` its numerators by basis position in dense."""
+    made from.  `Context.dense` keeps the row's operand of the compiled
+    functions in dense."""
 
-    __slots__ = ("values", "den", "size", "operand", "dense")
+    __slots__ = ("values", "den", "size", "dense")
 
     def __init__(self, values: dict, den: int | None, size: int):
         self.values = values
         self.den = den
         self.size = size
-        self.operand = None
         self.dense = None
 
     def scalars(self) -> dict:
@@ -256,8 +256,8 @@ class Context:
     `product_row(i, j)`: the positions basis[i] * basis[j] spreads over, one
     entry per unit of coefficient.
 
-    `kernel` is the table compiled by `compiled`, or None until an exact
-    sweep asks for it, and `kernel_terms` its number of terms."""
+    `kernel` is the table compiled by `compiled`, or None until a sweep
+    asks for it, and `kernel_terms` its number of terms."""
 
     __slots__ = (
         "key", "N", "basis", "index", "grades", "ends", "keys", "lookup", "kernel", "kernel_terms", "__weakref__",
@@ -303,17 +303,17 @@ class Context:
         return Row(dict(zip(pos, vals if den is None else nums)), den, len(terms))
 
     def times(self, a: Row, b: Row) -> Row:
-        """The row of a * b by the kernel, zero totals dropped: on the
+        """The row of a * b by the loop kernel, zero totals dropped: on the
         numerators when both rows are exact, then reduced by their gcd with
-        den; otherwise on the scalars in term order, so floats round as the
-        values do, and back to numerators when every total is exact."""
+        den; otherwise on the scalars in term order from Fraction(0), so
+        floats round as the values do, and back to numerators when every
+        total is exact.  The operands are built per call."""
         exact = a.den is not None and b.den is not None
-        totals = self.product(self._operand(a, exact), self._operand(b, exact), 0 if exact else _ZERO)
+        x, y = (a.values, b.values) if exact else (a._read(), b._read())
+        left, right = self.operand(x.keys(), x.values()), self.operand(y.keys(), y.values())
+        totals = self.product(left, right, 0 if exact else _ZERO)
         values = {k: c for k, c in totals.items() if c}
-        if exact:
-            return _lowest_terms(a.den * b.den, values)
-        (nums,), den = numerators(list(values.values()))
-        return Row(values if den is None else dict(zip(values, nums)), den, len(values))
+        return _lowest_terms(a.den * b.den, values) if exact else _scalar_row(values)
 
     def compiled(self):
         """The compiled kernel, built from `table()` the first time and kept.
@@ -333,36 +333,43 @@ class Context:
         Nothing is kept."""
         return _straight_line(("v",), rows)
 
-    def dense(self, row: Row) -> list:
-        """An exact row's numerators by basis position, 0 where absent, kept
-        on the row: the operand of the compiled functions."""
-        if row.dense is None:
-            out = [0] * len(self.basis)
-            for k, c in row.values.items():
-                out[k] = c
+    def dense(self, row: Row, exact: bool = True) -> list:
+        """row by basis position, 0 where absent, as the compiled operand of
+        a product or sweep that is exact (every row exact) or not: numerators
+        in an exact one, else scalars, an integral exact value as an int.
+        Kept on the row, but for the scalars of an exact row over den > 1."""
+        fresh = not exact and row.den not in (None, 1)
+        if row.dense is not None and not fresh:
+            return row.dense
+        out = [0] * len(self.basis)
+        for k, c in (row.scalars() if fresh else row.values).items():
+            out[k] = c.numerator if getattr(c, "denominator", 0) == 1 else c
+        if not fresh:
             row.dense = out
-        return row.dense
+        return out
 
     def fold(self, a: Row, b: Row) -> Row:
-        """The row of a * b for two exact rows on the compiled kernel, built
-        on first use: the row `times` gives, its terms in basis order and its
-        dense operand kept."""
-        totals = self.compiled()(self.dense(a), self.dense(b))
+        """The row `times` gives, on the compiled kernel, built on first use,
+        in basis order, with a float row's integral exact values as ints.
+        Two exact rows multiply numerators, and the product keeps its dense
+        operand; otherwise both rows give their scalars (see `dense`).  The
+        sum runs in table order: the forest loop's, and the word loop's when
+        a lists each word's prefixes shortest first, as increments and
+        folded rows do.  Unlike the loops, it starts from no Fraction(0) and
+        skips no zero factor.  That changes only the sign of a zero total,
+        dropped, a total with a non-finite factor, and a total of exact
+        terms beside a float times an absent 0, which comes back a float; a
+        lift's rows, where a key's scalar type follows its labels, hold none."""
+        exact = a.den is not None and b.den is not None
+        totals = self.compiled()(self.dense(a, exact), self.dense(b, exact))
+        values = {k: c for k, c in enumerate(totals) if c}
+        if not exact:
+            return _scalar_row(values)
         den = a.den * b.den
-        row = _lowest_terms(den, {k: c for k, c in enumerate(totals) if c})
+        row = _lowest_terms(den, values)
         common = den // row.den
         row.dense = totals if common == 1 else [c // common for c in totals]
         return row
-
-    def _operand(self, row: Row, exact: bool):
-        """row's operand, kept on it; one on the scalars of an exact row over
-        a den above 1 is built afresh."""
-        if not exact and row.den not in (None, 1):
-            scalars = row.scalars()
-            return self.operand(scalars.keys(), scalars.values())
-        if row.operand is None:
-            row.operand = self.operand(row.values.keys(), row.values.values())
-        return row.operand
 
 
 def _lowest_terms(den: int, values: dict) -> Row:
@@ -373,6 +380,12 @@ def _lowest_terms(den: int, values: dict) -> Row:
         den //= common
         values = {k: c // common for k, c in values.items()}
     return Row(values, den, len(values))
+
+
+def _scalar_row(values: dict) -> Row:
+    """The row of a float product's totals, numerators when all are exact."""
+    (nums,), den = numerators(list(values.values()))
+    return Row(values if den is None else dict(zip(values, nums)), den, len(values))
 
 
 def _straight_line(params: tuple, rows) -> object:

@@ -3,8 +3,8 @@
 A rough path is stored as one group-like increment per adjacent grid pair,
 so the Chen relation is baked into the representation.  Wider pairs come
 from one place, `pair_rows`: `linear.Row`s folded forward from each start
-point on the context's product kernel (its compiled one when every row is
-exact), every pair composed once, with no element built and nothing kept.
+point on the context's compiled product kernel, in either scalar mode, every
+pair composed once, with no element built and nothing kept.
 `validate` re-checks Chen on every grid triple and reads the Hölder
 diagnostic from those rows, and `conversion.certify` pairs them
 with the psi images.  `increment(s, t)` still composes one pair as an
@@ -177,13 +177,16 @@ class SampledPath:
 
     def extend(self, new_basis: Sequence[Tree], new_columns: Sequence[Sequence]) -> "SampledPath":
         """Append components; new_columns[j][k] is the value of new_basis[j]
-        at time k."""
-        basis = self.basis + tuple(new_basis)
+        at time k.  A column must hold one value per grid time."""
+        new_basis = tuple(new_basis)
         n = len(self.grid)
+        for t, col in zip(new_basis, new_columns, strict=True):
+            if len(col) != n:
+                raise ValueError(f"column {t!r}: {len(col)} values for {n} grid times")
         rows = [tuple(self.values[k]) + tuple(col[k] for col in new_columns) for k in range(n)]
-        out = SampledPath(self.grid, basis, rows, self.mode)
+        out = SampledPath(self.grid, self.basis + new_basis, rows, self.mode)
         if self._variation is not None:
-            out._variation = _l1([col[:n] for col in new_columns], self._variation)
+            out._variation = _l1(new_columns, self._variation)
         return out
 
     # -- CSV ---------------------------------------------------------------
@@ -275,22 +278,17 @@ class _RoughPathBase:
         For each s the rows of (s, s+2), (s, s+3), ... are folded forward,
         each the product of the row before it and the adjacent row (t-1, t),
         which replaces it: every pair is composed once, with O(M) rows live
-        and no element built.  When every adjacent row is exact, each fold
-        is a `Context.fold` on the context's compiled kernel, and a row's
-        terms come in basis-position order; otherwise each is
-        `Context.times` on the loop kernel, in the term order of
-        X.increment(s, t) and of its size.  This is the one composition of
-        wider pairs that the sweeps (`validate`, `conversion.certify`)
-        read."""
+        and no element built.  Each fold is a `Context.fold` on the
+        context's compiled kernel, exact or float, so a folded row's terms
+        come in basis-position order, with the values of X.increment(s, t).
+        This is the one composition of wider pairs that the sweeps
+        (`validate`, `conversion.certify`) read."""
         ctx = self.context()
         adjacent = [ctx.row_of(inc.terms) for inc in self.increments]
-        M = len(adjacent)
-        exact = all(row.den is not None for row in adjacent)
-        times = ctx.fold if exact else ctx.times
         for s, row in enumerate(adjacent):
             yield s, s + 1, row
-            for t in range(s + 2, M + 1):
-                row = times(row, adjacent[t - 1])
+            for t in range(s + 2, len(adjacent) + 1):
+                row = ctx.fold(row, adjacent[t - 1])
                 yield s, t, row
 
 
@@ -612,41 +610,36 @@ def validate(X) -> dict:
 def _check_chen(X, rows: dict, chen: dict) -> None:
     """The Chen sweep of `validate`, filling its "chen" section from the
     pair rows: per triple in itertools.combinations order, the product of
-    the rows of (s, u) and (u, t) against the row of (s, t), the first
-    failure the witness.
+    the rows of (s, u) and (u, t) on the context's compiled kernel against
+    the row of (s, t), the first failure the witness.  A grid of one step
+    has no triple, and compiles nothing.
 
-    When every row is exact, the verdict is the context's compiled kernel
-    (`Context.compiled`): its totals over a.den * b.den are compared with
-    the row of (s, t) by cross-multiplying the dense numerators, tot *
-    want.den == w * a.den * b.den, with no dict built and no gcd taken.  The
-    row of (s, t) is reduced, so its den divides a.den * b.den whenever the
-    two agree, and the test is tot == w * q with q the quotient; a non-zero
-    remainder or a total that differs proves the rows differ.  Otherwise
-    each triple is judged on `Context.times`: two exact rows hold when they
-    are equal, and the values are, bit for bit, what convolve/concat give,
-    compared with _close in the path's mode.  A grid of one step has no
-    triple, and compiles nothing."""
+    When every row is exact, the kernel's totals over a.den * b.den are
+    compared with the row of (s, t) by cross-multiplying the dense
+    numerators, tot * want.den == w * a.den * b.den, with no dict built and
+    no gcd taken.  The row of (s, t) is reduced, so its den divides a.den *
+    b.den whenever the two agree, and the test is tot == w * q with q the
+    quotient; a non-zero remainder or a total that differs proves the rows
+    differ.  Otherwise the operands are the scalars (`Context.dense`), and
+    the totals, bit for bit those of convolve/concat, are compared with
+    (s, t)'s by _close in the path's mode."""
+    if X.grid.steps < 2:
+        return
     ctx = X.context()
-    exact = X.grid.steps > 1 and all(row.den is not None for row in rows.values())
-    kernel = ctx.compiled() if exact else None
-    if kernel is not None:
-        for row in rows.values():
-            ctx.dense(row)
+    kernel = ctx.compiled()
+    exact = all(row.den is not None for row in rows.values())
+    dense = {pair: ctx.dense(row, exact) for pair, row in rows.items()}
+    close = functools.partial(_close, mode=X.mode)
     mul, repeat = operator.mul, itertools.repeat
     for s, u, t in itertools.combinations(range(X.grid.steps + 1), 3):
         chen["checked_triples"] += 1
-        a, b, want = rows[s, u], rows[u, t], rows[s, t]
-        if kernel is not None:
-            q, r = divmod(a.den * b.den, want.den)
-            if not r and kernel(a.dense, b.dense) == list(map(mul, want.dense, repeat(q))):
+        got, want = kernel(dense[s, u], dense[u, t]), dense[s, t]
+        if exact:
+            q, r = divmod(rows[s, u].den * rows[u, t].den, rows[s, t].den)
+            if not r and got == list(map(mul, want, repeat(q))):
                 continue
-        else:
-            got = ctx.times(a, b)
-            if got.den is not None and (got.den, got.values) == (want.den, want.values):
-                continue
-            x, y = got._read(), want._read()
-            if all(_close(x.get(k, 0), y.get(k, 0), X.mode) for k in x.keys() | y.keys()):
-                continue
+        elif got == want or all(map(close, got, want)):
+            continue
         chen["status"] = "fail"
         chen["witness"] = (s, u, t)
         return

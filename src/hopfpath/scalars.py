@@ -11,7 +11,7 @@ with a float in it as it is.  Two modules read it.  `linear.Row` carries an
 element's terms that way through the product kernels (`hopf.convolve`,
 `tensor.concat`, the Chen sweep, the pair fold that `conversion.certify`
 reads and the psi pairing), by `linear.Context.times` and `Row.pair` or,
-in an exact sweep, by the functions `linear` compiles; `rde`'s
+in a sweep, by the functions `linear` compiles; `rde`'s
 polynomial views do the same for the derivative rule.
 """
 

@@ -19,13 +19,14 @@ Products run on a word context (a `linear.Context`), built once per
 numbered past it by their letter tuples, and concat, shuffle and split rows
 filled on first use.  Its kernel `WordContext.product` takes two operands
 made by `WordContext.operand`, each a sparse row (positions, coefficients)
-in insertion order with a slot for its per-grade buckets, and returns a
-position -> total map; `concat` runs it through `linear.context_product`.
+in insertion order, and returns a position -> total map; `concat` runs it
+through `linear.context_product`.
 The shuffle rows are its `product_row`s, which `is_tensor_group_like`
 reads, and `WordContext.shuffle` is the one shuffle of word maps: `shuffle`
 and the forest images in `morphisms` run through it.  Word maps ride
 through the kernel as `linear.Row`s, and the psi images the conversion
-certifies against are paired with them by `Row.pair`.
+certifies against are paired with them by one compiled linear map
+(`linear.Context.linear_map`).
 """
 
 from __future__ import annotations
@@ -267,21 +268,17 @@ class WordContext(Context):
         return row
 
     @staticmethod
-    def operand(pos: list, vals: list) -> list:
-        """[positions, coefficients, None]: the sparse row and a slot for
-        its per-grade buckets, which product fills the first time the row
-        is its right operand, so a left operand builds none."""
-        return [pos, vals, None]
+    def operand(pos: list, vals: list) -> tuple:
+        """(positions, coefficients): the sparse row."""
+        return pos, vals
 
     def product(self, x, y, zero) -> dict:
         """Concatenation totals by position, in the order first reached,
         zeros kept: x and y are operands made by `operand`, and each pair of
         terms whose grades fit adds c1 * c2 to zero, in x's then y's order."""
         N, grades = self.N, self.grades
-        fits = y[2]
-        if fits is None:
-            # fits[b]: the terms of y of grade <= b, still in y's order
-            fits = y[2] = [[(j, c) for j, c in zip(y[0], y[1]) if grades[j] <= b] for b in range(N + 1)]
+        # fits[b]: the terms of y of grade <= b, still in y's order
+        fits = [[(j, c) for j, c in zip(*y) if grades[j] <= b] for b in range(N + 1)]
         out: dict = {}
         get = out.get
         for i, c1 in zip(x[0], x[1]):

@@ -12,7 +12,8 @@ at most 4, alphabets of at most 3 labels, field degrees of at most 9, and
 `--gamma`/`--N` as given here.  A larger level or alphabet is not refused;
 it runs for as long as it asks (see CHANGES.md).  A power above
 `rde.MAX_POWER` in a field is refused before it is expanded, which a
-fresh interpreter checks below.
+fresh interpreter checks below.  `solve --side both` fails on a non-zero
+discrepancy only when its driver and its flags are both exact.
 """
 
 import contextlib
@@ -24,6 +25,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
@@ -244,6 +246,41 @@ def test_algebra_refuses_float_before_parsing(where):
     assert err == "input error: algebra takes exact coefficients only; --float does not apply to it\n"
     assert run("algebra", "--op", "psi", "--N", "3", "b_1 +")[0] == 2
     assert run("algebra", "--op", "psi", "--N", "3", "b_1")[:2] == (0, "b_1\n")
+
+
+# -- the solve verdict -----------------------------------------------------
+
+
+def _driver(workdir, *flags) -> Path:
+    """An 8-step Ito lift's JSON, float with --float, seed 0."""
+    rc, out, _ = run(*flags, "lift", "--synth", "rw", "--steps", "8", "--mode", "ito")
+    assert rc == 0
+    path = workdir / f"driver{''.join(flags)}.json"
+    path.write_text(out)
+    return path
+
+
+@pytest.mark.parametrize("flags", [[], ["--float"]], ids=["exact-flags", "float-flag"])
+def test_a_float_driver_is_not_judged_exactly(workdir, flags):
+    # this float driver's two solves differ in the last bit: only an exact
+    # driver run with exact flags must agree to the digit
+    argv = ["solve", "--driver", _driver(workdir, "--float"), "--side", "both", "--fields", "1: y1", "--xi", "1"]
+    rc, out, err = run(*flags, *argv)
+    assert (rc, err) == (0, "max per-step discrepancy: 1.1102230246251565e-16\n")
+    assert out
+
+
+@pytest.mark.parametrize("flags, code", [([], 1), (["--float"], 0)], ids=["exact-flags", "float-flag"])
+def test_an_exact_driver_is_judged_in_the_flags_mode(workdir, monkeypatch, flags, code):
+    # a discrepancy planted in the solve: an exact run fails on it, a float
+    # run of the same driver does not
+    from hopfpath import cli
+
+    solve = cli._solve
+    monkeypatch.setattr(cli, "_solve", lambda *args: (solve(*args)[0], Q(1, 2**60)))
+    argv = ["solve", "--driver", _driver(workdir), "--side", "both", "--fields", "1: y1", "--xi", "1"]
+    rc, _, err = run(*flags, *argv)
+    assert (rc, err) == (code, f"max per-step discrepancy: {Q(1, 2**60)}\n")
 
 
 # -- float flag values -----------------------------------------------------

@@ -375,7 +375,7 @@ def test_times_matches_the_replaced_wrappers(case):
     assert_reduced(ab)
     assert ab.size == len(ab.values)
     assert_same_terms(row_terms(ctx, ab), want.terms)
-    # a product row is an operand in turn, and b's kept operand is read again
+    # a product row is an operand in turn, and b is read again
     for got, want in ((ctx.times(ab, c), reference(want, z, N)), (ctx.times(c, b), reference(z, y, N))):
         assert_reduced(got)
         assert_same_terms(row_terms(ctx, got), want.terms)

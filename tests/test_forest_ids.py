@@ -10,8 +10,8 @@ forest-level recursions live on in `oracles` as references:
 `star_inverse` loop is written out here.  Tables must agree with them
 element for element, order included; `coproduct`, `antipode` and
 `star_inverse` must give the same terms, order and scalar types in exact and
-in float mode.  The word side's operands keep their per-grade buckets, so
-`validate` builds them once per grid pair.
+in float mode.  `validate` builds no loop operand of the word side, and each
+grid pair's dense operand once.
 """
 
 import itertools
@@ -200,16 +200,6 @@ def test_word_operands_give_the_old_kernel_totals(mode):
         want = [(k, c, type(c)) for k, c in concat_kernel_reference(ctx, x, y, zero).items()]
         got = ctx.product(ctx.operand(*x), ctx.operand(*y), zero)
         assert [(k, c, type(c)) for k, c in got.items()] == want
-    # a right operand's buckets are built on its first product and kept;
-    # the kernel reads them from the operand
-    left, right = ctx.operand(*rows[-1]), ctx.operand(*rows[-1])
-    ctx.product(left, right, zero)
-    fits = right[2]
-    assert left[2] is None and fits is not None
-    ctx.product(left, right, zero)
-    assert right[2] is fits
-    right[2] = [[]] * (ctx.N + 1)
-    assert ctx.product(left, right, zero) == {}
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
@@ -221,18 +211,14 @@ def test_chen_sweep_builds_each_word_operand_once(monkeypatch, mode):
     monkeypatch.setattr(WordContext, "operand", staticmethod(lambda *row: calls.append(1) or operand(*row)))
     dense = Context.dense
     built = []
-    monkeypatch.setattr(Context, "dense", lambda self, row: built.append(row.dense is None) or dense(self, row))
+    monkeypatch.setattr(Context, "dense", lambda self, row, *args: built.append(row.dense is None) or dense(self, row, *args))
     with sweeps() as compiled:
         report = validate(X)
     assert report["chen"]["status"] == "pass"
     assert report["chen"]["checked_triples"] == M * (M + 1) * (M - 1) // 6
-    if mode == FLOAT:
-        # float rows never compile: on the loop kernel, one operand per pair
-        # used as one, none per triple: (0, M) is never one
-        assert len(calls) == M * (M + 1) // 2 - 1 and built == [] and compiled == {}
-        return
-    # exact rows run on the compiled kernel: the adjacent rows build their
-    # dense operands on first use and every folded row comes with its own,
+    # both modes run on the compiled kernel and build no loop operand; the
+    # adjacent rows build their dense operands on first use, and an exact
+    # folded row comes with its own while a float one builds its own once,
     # so none is built per triple
-    assert calls == [] and sum(built) == M
+    assert calls == [] and sum(built) == (M if mode == RATIONAL else M * (M + 1) // 2)
     assert compiled == {"kernel(f, g)": M * (M - 1) // 2 + M * (M + 1) * (M - 1) // 6}

@@ -1,13 +1,13 @@
 """The row fold of `_RoughPathBase.pair_rows` and the certificate sweep on it.
 
 `pair_rows` gives every grid pair's increment as a row of the path's
-context, folded forward from each start point.  Each row is checked against
-`increment(s, t).terms`: the same positions in the same order (in basis
-order for an exact row, folded on the compiled kernel), the same number of terms,
-and the same values with the same scalar types (exact rows as
-`Fraction(num, den)`, reduced; float rows bit for bit).  The float walk
-stands still for two steps, so some of its rows are exact and the fold
-crosses between the two kinds of step.
+context, folded forward from each start point on the compiled kernel in
+either scalar mode.  Each row is checked against `increment(s, t).terms`:
+the same positions in the same order (basis order for a folded row), the
+same number of terms, and the same values with the same scalar types (exact
+rows as `Fraction(num, den)`, reduced; float rows bit for bit, with a folded
+row's unit the int 1).  The float walk stands still for two steps, so some
+of its rows are exact and the fold crosses between the two kinds of step.
 
 `certify` reads those rows; `oracles.certify_reference` is the element-based
 sweep it replaced.  Both run on Ito lifts and their encodings, intact and
@@ -61,18 +61,20 @@ def test_pair_rows_are_the_increments(lift, mode, monkeypatch):
     with sweeps() as kernels:
         rows = list(X.pair_rows())
     assert calls == {"convolve": 0, "concat": 0, "_RoughPathBase.increment": 0}
-    # the compiled kernel folds exact rows only
-    folded = mode == RATIONAL
-    assert kernels == ({"kernel(f, g)": M * (M - 1) // 2} if folded else {})
+    # the compiled kernel folds the rows of either scalar mode
+    assert kernels == {"kernel(f, g)": M * (M - 1) // 2}
     assert [(s, t) for s, t, *_ in rows] == list(itertools.combinations(range(M + 1), 2))
     index = X.context().index
     kinds = set()
     for s, t, row in rows:
         values, den, size = row.values, row.den, row.size
         terms = X.increment(s, t).terms
-        if folded and t > s + 1:
-            # a row folded on the compiled kernel comes in basis order
+        if t > s + 1:
+            # a folded row comes in basis order, and a float one holds its
+            # integral exact values, the unit, as ints
             terms = {k: terms[k] for k in sorted(terms, key=index.get)}
+            if den is None:
+                terms = {k: v.numerator if type(v) is Q and v.denominator == 1 else v for k, v in terms.items()}
         assert list(values) == [index[k] for k in terms], (s, t)
         assert size == len(terms)
         if den is None:
@@ -180,10 +182,10 @@ def test_certify_matches_the_element_sweep_across_levels(mode):
 
 @pytest.mark.parametrize("mode", [RATIONAL, "float"])
 @pytest.mark.parametrize("N, d", CASES)
-def test_certify_pairs_on_the_kernel_its_rows_pick(N, d, mode, monkeypatch):
-    # exact rows: both folds run on their compiled kernels, and one call of
-    # the compiled psi map per grid pair gives every forest's value; in float
-    # mode every image is paired by Row.pair, and nothing is compiled
+def test_certify_pairs_on_the_compiled_kernel_in_either_mode(N, d, mode, monkeypatch):
+    # exact or float rows: both folds run on their compiled kernels, and one
+    # call of the compiled psi map per grid pair gives every forest's value,
+    # with no image paired by Row.pair
     X, Xbar = _fixture(N, d, mode)
     M = X.grid.steps
     calls = count_calls(monkeypatch, (Row, "pair"))
@@ -191,12 +193,8 @@ def test_certify_pairs_on_the_kernel_its_rows_pick(N, d, mode, monkeypatch):
         cert = certify(X, Xbar)
     pairs = math.comb(M + 1, 2)
     assert (cert["status"], cert["checked_pairs"]) == ("pass", pairs)
-    if mode == RATIONAL:
-        assert compiled == {"kernel(f, g)": 2 * math.comb(M, 2), "kernel(v)": pairs}
-        assert calls == {"Row.pair": 0}
-    else:
-        assert compiled == {}
-        assert calls == {"Row.pair": pairs * cert["checked_forests"]}
+    assert compiled == {"kernel(f, g)": 2 * math.comb(M, 2), "kernel(v)": pairs}
+    assert calls == {"Row.pair": 0}
 
 
 @pytest.mark.parametrize("mode", [RATIONAL, "float"])

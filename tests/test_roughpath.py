@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction as Q
 from random import Random
 
@@ -96,6 +97,17 @@ def test_sampled_path_extend():
     assert q.basis == (B1, cherry)
     assert q.component(cherry) == (Q(0), Q(1, 8), Q(1, 2))
     assert not q.has_label_basis()
+
+
+@pytest.mark.parametrize("column", [[0.0, 1.0, 99.0], [0.0]], ids=["long", "short"])
+def test_sampled_path_extend_refuses_a_column_off_the_grid(column):
+    # a value past the grid was dropped, and a short column raised IndexError
+    p = SampledPath.over_labels([0.0, 1.0], [[0.0], [1.0]], 1, FLOAT)
+    cherry = Tree(1, (B1,))
+    with pytest.raises(ValueError, match=re.escape(f"column {cherry!r}: {len(column)} values for 2 grid times")):
+        p.extend([cherry], [column])
+    with pytest.raises(ValueError):
+        p.extend([cherry], [[0.0, 1.0], [0.0, 1.0]])  # more columns than trees
 
 
 def test_csv_round_trip():
@@ -812,7 +824,8 @@ def test_validate_reads_every_pair_from_the_row_fold(lift, monkeypatch):
     assert compiled == {"kernel(f, g)": 15 + 35}
 
 
-# float data makes float rows in rational mode too, dyadic or not
+# float data makes float rows in rational mode too, dyadic or not; the rows'
+# exactness picks the operands, numerators or scalars, not the kernel
 EXACT_ROWS = {
     "ito_rational": True,
     "encoded_letters": True,
@@ -824,21 +837,18 @@ EXACT_ROWS = {
 
 
 @pytest.mark.parametrize("name", CHEN_FIXTURES)
-def test_validate_runs_the_kernel_its_rows_pick(name, monkeypatch):
-    # exactness alone picks the path, whatever the path's mode: the fold and
-    # the Chen triples of all-exact rows are calls of the compiled kernel,
-    # those of rows with a float among them are `Context.times`
+def test_validate_runs_the_compiled_kernel_on_any_rows(name, monkeypatch):
+    # whatever the path's mode and its rows' exactness, the fold and the
+    # Chen triples are calls of the compiled kernel, none a `Context.times`
     X = _chen_fixture(name)
     M = X.grid.steps
+    assert all(row.den is not None for _, _, row in X.pair_rows()) == EXACT_ROWS[name]
     calls = count_calls(monkeypatch, (Context, "times"))
     with sweeps() as compiled:
         chen = validate(X)["chen"]
     products = math.comb(M, 2) + chen["checked_triples"]
     assert chen["checked_triples"] > 0
-    if EXACT_ROWS[name]:
-        assert (compiled, calls) == ({"kernel(f, g)": products}, {"Context.times": 0})
-    else:
-        assert (compiled, calls) == ({}, {"Context.times": products})
+    assert (compiled, calls) == ({"kernel(f, g)": products}, {"Context.times": 0})
 
 
 def _corruption(rng, X):

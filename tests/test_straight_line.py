@@ -1,18 +1,19 @@
 """The generated straight-line functions of `linear` against the loops they
 stand in for.
 
-An exact sweep runs its products on a context's compiled kernel
+A sweep, exact or float, runs its products on a context's compiled kernel
 (`Context.compiled`, `Context.fold`), built once and kept, and its psi
 pairings on one compiled linear map (`Context.linear_map`).  Here the
 compiled kernels give the loop kernels' totals on every basis pair and the
-rows of `Context.times` on random exact rows, Chen's compiled verdict is
-`Context.times`' on random exact rows of every context, the psi map gives
-`Row.pair` on every image, and single products, series, float rows and a
-grid of one step compile nothing.  The
-corrupted sweeps of `test_roughpath` and `test_pair_rows` run exact rows on
-the compiled kernels and float rows on the loop kernels.
+rows of `Context.times` on random exact rows, and on float rows bit for
+bit; Chen's compiled verdict is `Context.times`' on random exact rows of
+every context, the psi map gives `Row.pair` on every image, float ones
+included, and single products, series and a grid of one step compile
+nothing.  The corrupted sweeps of `test_roughpath` and `test_pair_rows` run
+both kinds of row on the compiled kernels.
 """
 
+import itertools
 import math
 from fractions import Fraction as Q
 from random import Random
@@ -27,7 +28,7 @@ from hopfpath.conversion import certify, encode
 from hopfpath.hopf import HElem, convolve, exp_star, forest_context, log_star
 from hopfpath.linear import Context, Row
 from hopfpath.morphisms import psi
-from hopfpath.roughpath import FLOAT, RATIONAL, SampledPath, _check_chen, canonical_lift, ito_lift, validate
+from hopfpath.roughpath import FLOAT, RATIONAL, SampledPath, _check_chen, _close, canonical_lift, ito_lift, validate
 from hopfpath.tensor import TensorElem, Word, concat, tensor_exp, word_context
 from hopfpath.trees import Forest, enumerate_forests, leaf
 
@@ -140,17 +141,19 @@ def _float_walk(M, seed):
     return SampledPath.over_labels([k / M for k in range(M + 1)], rows, 2, FLOAT)
 
 
-def test_float_sweeps_run_the_loop_kernel(monkeypatch):
+def test_float_sweeps_run_the_compiled_kernel(monkeypatch):
+    # the fold of validate and of both certify paths, Chen's triples and one
+    # psi map call per grid pair: no product of a float sweep is a times
     M = 24
     X = ito_lift(_float_walk(M, 3), 3)
     Xbar = encode(X, False, False).geometric
-    generated = []
-    monkeypatch.setattr(linear, "_straight_line", lambda *args: generated.append(args))
     calls = count_calls(monkeypatch, (Context, "times"), (Context, "fold"))
-    assert validate(X)["chen"]["status"] == "pass"
-    assert certify(X, Xbar)["status"] == "pass"
-    assert generated == []
-    assert calls == {"Context.times": math.comb(M, 2) + math.comb(M + 1, 3) + 2 * math.comb(M, 2), "Context.fold": 0}
+    with sweeps() as compiled:
+        assert validate(X)["chen"]["status"] == "pass"
+        assert certify(X, Xbar)["status"] == "pass"
+    folds = 3 * math.comb(M, 2)
+    assert calls == {"Context.times": 0, "Context.fold": folds}
+    assert compiled == {"kernel(f, g)": folds + math.comb(M + 1, 3), "kernel(v)": math.comb(M + 1, 2)}
 
 
 def test_fold_builds_the_kernel_on_a_fresh_context():
@@ -172,7 +175,7 @@ def test_a_kernel_is_built_once_and_kept(monkeypatch):
     kernel = ctx.compiled()
     assert kernel is ctx.kernel and ctx.kernel_terms == sum(map(len, ctx.cuts)) == 153
     assert ctx.compiled() is kernel
-    validate(ito_lift(_float_walk(4, 1), 3))  # float rows leave it as it is
+    validate(ito_lift(_float_walk(4, 1), 3))  # a float sweep runs on the same kernel
     assert ctx.kernel is kernel and generated == {"_straight_line": 1}
     # a psi map is compiled per call, and nothing is kept
     assert ctx.linear_map([[(0, 2), (1, -1)], []])([5, 7]) == [3, 0]
@@ -265,3 +268,121 @@ def test_chen_compiled_verdict_is_the_times_verdict(case):
     ctx, a, b, want = case
     got = ctx.times(a, b)
     assert _chen_holds(ctx, a, b, want) == ((got.den, got.values) == (want.den, want.values))
+
+
+# -- float rows: the compiled kernel against the loop kernel, bit for bit -----
+
+
+def _float_fixtures():
+    """Every float fixture of the sweep tests: the Chen fixtures with float
+    rows, the Ito and canonical lifts of the walk that stands still for two
+    steps, where exact and float rows mix, and the encoding of a float walk's
+    Ito lift, over tree letters."""
+    from test_pair_rows import _walk
+    from test_roughpath import _chen_fixture
+
+    names = ["ito_float", "canonical_float", "ito_dyadic_floats_rational_mode", "ito_float_data_rational_mode"]
+    paths = [_chen_fixture(name) for name in names]
+    paths += [lift(_walk(5, 2, 6, FLOAT), 3) for lift in (ito_lift, canonical_lift)]
+    paths.append(encode(ito_lift(_float_walk(6, 2), 3), False, False).geometric)
+    return paths
+
+
+def _assert_same_floats(got: dict, want: dict):
+    """The same keys and values, each value's float repr included."""
+    assert got.keys() == want.keys()
+    assert got == want
+    assert {k: repr(float(v)) for k, v in got.items()} == {k: repr(float(v)) for k, v in want.items()}
+
+
+def _same_rows(got: Row, want: Row):
+    assert got.den == want.den
+    _assert_same_floats(got.scalars(), want.scalars())
+
+
+def test_float_fixture_products_are_the_loop_kernels_bit_for_bit():
+    # every fold step and every Chen triple's product of every float fixture
+    mixed = 0
+    with sweeps():
+        for X in _float_fixtures():
+            ctx = X.context()
+            rows = {(s, t): row for s, t, row in X.pair_rows()}
+            mixed += len({row.den is None for row in rows.values()}) == 2
+            kernel = ctx.compiled()
+            for (s, t), row in rows.items():
+                if t > s + 1:
+                    _same_rows(row, ctx.times(rows[s, t - 1], rows[t - 1, t]))
+            for s, u, t in itertools.combinations(range(X.grid.steps + 1), 3):
+                a, b = rows[s, u], rows[u, t]
+                totals = kernel(ctx.dense(a, False), ctx.dense(b, False))
+                _assert_same_floats({k: c for k, c in enumerate(totals) if c}, ctx.times(a, b).scalars())
+    assert mixed == 2  # the standing-still walk's two lifts
+
+
+_SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.1e-308, 1e-300, 1e150)
+
+
+def _random_float_row(ctx: Context, rng: Random, unit, shuffled: bool) -> Row:
+    """A float row over a random half of the basis, in basis order unless
+    shuffled, with the unit given and values from normal floats, signed
+    zeros and subnormals."""
+    terms = {ctx.basis[0]: unit}
+    for key in ctx.basis[1:]:
+        if rng.random() < 0.5:
+            terms[key] = rng.choice(_SPECIAL) if rng.random() < 0.3 else rng.uniform(-2.0, 2.0)
+    keys = list(terms)
+    if shuffled:
+        rng.shuffle(keys)
+    return ctx.row_of({k: terms[k] for k in keys})
+
+
+@pytest.mark.parametrize("kind, key", CONTEXTS, ids=[f"{k}{key}" for k, key in CONTEXTS])
+def test_random_float_rows_fold_to_the_loop_kernels_rows_bit_for_bit(kind, key):
+    # the word loop sums in its left operand's term order, the compiled
+    # kernel in split order: they agree on rows in basis order; the forest
+    # loop sums in table order whatever the row's order
+    ctx = _context(kind, key)
+    rng = Random(repr(key))
+    with sweeps():
+        for trial in range(12):
+            unit = (1, Q(1), 1.0)[trial % 3]
+            shuffled = kind == "forest" and trial % 2 == 1
+            a, b = (_random_float_row(ctx, rng, unit, shuffled) for _ in range(2))
+            assert a.den is None and b.den is None
+            got = ctx.fold(a, b)
+            _same_rows(got, ctx.times(a, b))
+            assert list(got.values) == sorted(got.values)
+
+
+@pytest.mark.parametrize("kind, key", CONTEXTS, ids=[f"{k}{key}" for k, key in CONTEXTS])
+def test_a_float_row_folds_with_an_exact_rows_scalars(kind, key):
+    # beside a float row, an exact row over a den above 1 gives its scalars,
+    # built afresh and not kept.  A total of exact terms picks up the 0.0 of
+    # a float times an absent 0 and comes back a float, which a lift's rows
+    # never meet off the unit, so here the values agree within _close
+    ctx = _context(kind, key)
+    rng = Random(repr(key))
+    with sweeps():
+        for trial in range(4):
+            a, b = _random_float_row(ctx, rng, (1, Q(1))[trial % 2], False), _random_row(ctx, rng, False)
+            assert a.den is None and b.den > 1
+            for x, y in ((a, b), (b, a)):
+                got, want = ctx.fold(x, y).scalars(), ctx.times(x, y).scalars()
+                assert got.keys() == want.keys()
+                assert all(_close(got[k], want[k], FLOAT) for k in got)
+            assert b.dense is None
+
+
+def test_compiled_psi_map_gives_row_pair_on_float_images():
+    # the psi images of every forest against the encoded float path's rows
+    X = ito_lift(_float_walk(6, 2), 3)
+    Xbar = encode(X, False, False).geometric
+    own = Xbar.context()
+    images = [own.row_of(psi(HElem.from_forest(h, 2), 3).terms) for h in enumerate_forests(3, 2)]
+    images_of = own.linear_map([img.values.items() for img in images])
+    floats = 0
+    for _, _, vec in Xbar.pair_rows():
+        got, want = images_of(own.dense(vec)), [img.pair(vec) for img in images]
+        _assert_same_floats(dict(enumerate(got)), dict(enumerate(want)))
+        floats += vec.den is None
+    assert floats == math.comb(7, 2)
