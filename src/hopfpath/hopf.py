@@ -24,11 +24,10 @@ first use, and a forest outside the basis is numbered past it.  The
 context builds them on integer tree ids, and it is the one table of the
 cut coproduct and the antipode: `coproduct` and `antipode` read its rows
 on the context of their input's grade, as `morphisms.psi` and the verify
-suites do.  Its kernel `ForestContext.product` takes
-dense coefficient rows by position as operands and returns the totals by
-position; `convolve` runs it through `linear.context_product`.  The cut
-rows are also the table (`ForestContext.table`) that a sweep
-compiles into a straight-line kernel (`linear.Context.compiled`).
+suites do.  The cut rows are also the product's table
+(`ForestContext.table`): `convolve` runs the loop kernel that reads it,
+`linear.Context.times`, through `linear.context_product`, and a sweep
+compiles it into a straight-line kernel (`linear.Context.compiled`).
 """
 
 from __future__ import annotations
@@ -206,33 +205,9 @@ class ForestContext(Context):
                 rows.append(tuple((a, b, c) for (a, b), c in acc.items()))
         return tuple(rows)
 
-    def operand(self, pos: list, vals: list) -> list:
-        """The coefficient row by position, 0 where absent."""
-        row = [0] * len(self.basis)
-        for i, c in zip(pos, vals):
-            row[i] = c
-        return row
-
-    def product(self, fv: list, gv: list, zero) -> dict:
-        """Convolution totals by basis position: for each basis forest h,
-        zero plus cnt * fv[a] * gv[b] over its cuts (a, b, cnt) in cut order,
-        a term with a zero factor skipped."""
-        out = {}
-        for h, cuts in enumerate(self.cuts):
-            total = zero
-            for a, b, cnt in cuts:
-                ca = fv[a]
-                if not ca:
-                    continue
-                cb = gv[b]
-                if not cb:
-                    continue
-                total += cnt * ca * cb
-            out[h] = total
-        return out
-
     def table(self) -> tuple:
-        """The cut rows: the loop kernel's table, and the compiled one's."""
+        """The cut rows: convolution's total on a forest is the sum over its
+        cuts."""
         return self.cuts
 
     def product_row(self, i: int, j: int) -> tuple:
@@ -360,12 +335,12 @@ def star_inverse(g: HElem, N: int) -> HElem:
     if not is_group_like(g, N):
         raise ValueError("star_inverse needs a group-like functional")
     ctx = forest_context(N, g.d)
-    row = ctx.operand(*ctx.sparse(g.terms))
+    coeff = dict(zip(*ctx.sparse(g.terms))).get
     out: dict = {}
     for i, h in enumerate(ctx.basis):
         total = _ZERO
         for k, cnt in ctx.antipode(i):
-            c = row[k]
+            c = coeff(k)
             if c:
                 total += cnt * c
         if total != 0:

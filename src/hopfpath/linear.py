@@ -14,39 +14,39 @@ through it (the forest product, coproduct and antipode, the morphism
 images, deconcatenation and parsed expressions): a missing key starts from
 `Fraction(0)` and keys keep their first-seen order, so float sums round the
 same way every time and an int unit among floats still sums to a Fraction.
-`Linear.__add__` and `__sub__` add other's terms onto self's values, which
-are kept as given, from the class's `_zero` (`Fraction(0)`, or `0` for
-polynomials).  A coefficient equal to 0 is dropped on construction.
-`Linear._trusted` is the one way past that test: `context_product` wraps a
-product kernel's output, whose terms are already pruned and in range, with
-it.
+`Linear.__add__` adds other's terms onto self's values, which are kept as
+given, from the class's `_zero` (`Fraction(0)`, or `0` for polynomials),
+and `__sub__` adds the negation.  A coefficient equal to 0 is dropped on
+construction.  `Linear._trusted` is the one way past that test:
+`context_product` wraps a product kernel's output, whose terms are already
+pruned and in range, with it.
 
 `Context` is what the forest and word sides (`hopf.ForestContext`,
 `tensor.WordContext`) answer alike, by integer position: the positions of
-the basis, an element's terms as a sparse row, that row as the operand of
-the product kernel, the product of two operands, and, for the character
-test, the product rows of two basis keys.  `is_character` is the one
-character test.
+the basis, an element's terms as a sparse row, the product's integer
+table, and, for the character test, the product rows of two basis keys.
+`is_character` is the one character test.
 
 `Row` carries an element's terms through the kernels by context position:
 integer numerators over one reduced denominator when every value is exact
 (see `scalars`), the values as given otherwise.  `Context.row_of` makes one
-and `Context.times` is the product of rows on the context's loop kernel, on
-numerators or on the values in their term order, so float totals keep their
-rounding bit for bit.  Single products (`context_product`: `convolve`,
-`concat`) run there.  `Row.pair` pairs two rows, and `dot` is the pairing
-loop itself, over any two maps; the adjacent psi pairing of `conversion`
-runs it on word keys, with no row.
+and `Context.times` is the product of rows, the one loop kernel: it reads
+the context's `table()` entry by entry, on numerators or on the scalars,
+so float totals round in table order.  `convolve` runs there, through
+`context_product`; `tensor.concat` needs no table and is a plain loop over
+its words.  `Row.pair` pairs two rows, and `dot` is the pairing loop
+itself, over any two maps; the adjacent psi pairing of `conversion` runs it
+on word keys, with no row, and `pair` runs it on elements.
 
 The all-pairs sweeps (the pair fold, Chen and the psi pairing) run on
-straight-line functions that `_straight_line` generates from a context's
-integer tables and `compile`s: one `cnt * f[a] * g[b]` term per table entry,
-so a product costs no loop, no zero test and no dict.  A context compiles
-its kernel once, the first time a sweep asks for it (`Context.compiled`); a
+straight-line functions that `_straight_line` generates from the same
+tables and `compile`s: one `cnt * f[a] * g[b]` term per table entry, so a
+product costs no loop, no zero test and no dict.  A context compiles its
+kernel once, the first time a sweep asks for it (`Context.compiled`); a
 psi map is compiled per sweep (`Context.linear_map`).  Both scalar modes
 run there, on an exact sweep's numerators or a float sweep's scalars
-(`Context.dense`), and a float total rounds as on the loop kernel (see
-`Context.fold`).  Single products stay on the loop kernel.
+(`Context.dense`), and a float total rounds as in `times` (see
+`Context.fold`).  Single products stay on `times`.
 
 The module also holds what the forest and word sides share beyond the
 container: the Kronecker pairing, the exp and log series over a truncated
@@ -134,12 +134,7 @@ class Linear:
         return type(self)(out, *self.ctx)
 
     def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        zero = self._zero
-        for k, c in other.terms.items():
-            out[k] = out.get(k, zero) - c
-        return type(self)(out, *self.ctx)
+        return self + -other
 
     def __neg__(self):
         return type(self)({k: -c for k, c in self.terms.items()}, *self.ctx)
@@ -197,8 +192,8 @@ class Row:
     over den when every value is exact, with den > 0 and gcd(den,
     *numerators) == 1, so one map has one exact row; the values as given
     with den None otherwise.  size counts the terms of the map the row was
-    made from.  `Context.dense` keeps the row's operand of the compiled
-    functions in dense."""
+    made from.  `Context.dense` keeps the row's operand of `times` and of
+    the compiled functions in dense."""
 
     __slots__ = ("values", "den", "size", "dense")
 
@@ -249,12 +244,11 @@ class Context:
     """A basis sorted by grade, with integer positions: `index` maps basis
     keys to positions, `keys` and `lookup` number other keys (forests, or
     the letter tuples of words) past the basis on first sight, and the
-    keys of grade <= g are the first `ends[g]`.  A subclass adds the loop
-    kernel `product(x, y, zero)`, a position -> total map over two operands
-    made by `operand(positions, values)`; its integer table `table()`, per
-    basis position the (a, b, count) terms of the product's total there; and
-    `product_row(i, j)`: the positions basis[i] * basis[j] spreads over, one
-    entry per unit of coefficient.
+    keys of grade <= g are the first `ends[g]`.  A subclass supplies two
+    things: its integer table `table()`, per basis position the (a, b,
+    count) terms of the product's total there, which `times` reads and
+    `compiled` compiles; and `product_row(i, j)`: the positions basis[i] *
+    basis[j] spreads over, one entry per unit of coefficient.
 
     `kernel` is the table compiled by `compiled`, or None until a sweep
     asks for it, and `kernel_terms` its number of terms."""
@@ -303,16 +297,29 @@ class Context:
         return Row(dict(zip(pos, vals if den is None else nums)), den, len(terms))
 
     def times(self, a: Row, b: Row) -> Row:
-        """The row of a * b by the loop kernel, zero totals dropped: on the
-        numerators when both rows are exact, then reduced by their gcd with
-        den; otherwise on the scalars in term order from Fraction(0), so
-        floats round as the values do, and back to numerators when every
-        total is exact.  The operands are built per call."""
+        """The row of a * b, zero totals dropped: per basis position h, the
+        sum of cnt * f[i] * g[j] over table()[h] in table order, a term with
+        a zero factor skipped, on the operands f and g of `dense`.  Two
+        exact rows sum numerators from 0, reduced by their gcd with den;
+        otherwise the scalars sum from Fraction(0), so floats round in table
+        order and a total of exact terms stays exact, and the row goes back
+        to numerators when every total is exact."""
         exact = a.den is not None and b.den is not None
-        x, y = (a.values, b.values) if exact else (a._read(), b._read())
-        left, right = self.operand(x.keys(), x.values()), self.operand(y.keys(), y.values())
-        totals = self.product(left, right, 0 if exact else _ZERO)
-        values = {k: c for k, c in totals.items() if c}
+        f, g = self.dense(a, exact), self.dense(b, exact)
+        zero = 0 if exact else _ZERO
+        values = {}
+        for h, terms in enumerate(self.table()):
+            total = zero
+            for i, j, cnt in terms:
+                x = f[i]
+                if not x:
+                    continue
+                y = g[j]
+                if not y:
+                    continue
+                total += cnt * x * y
+            if total:
+                values[h] = total
         return _lowest_terms(a.den * b.den, values) if exact else _scalar_row(values)
 
     def compiled(self):
@@ -334,10 +341,11 @@ class Context:
         return _straight_line(("v",), rows)
 
     def dense(self, row: Row, exact: bool = True) -> list:
-        """row by basis position, 0 where absent, as the compiled operand of
-        a product or sweep that is exact (every row exact) or not: numerators
-        in an exact one, else scalars, an integral exact value as an int.
-        Kept on the row, but for the scalars of an exact row over den > 1."""
+        """row by basis position, 0 where absent, as the operand of `times`
+        or of the compiled functions in a product or sweep that is exact
+        (every row exact) or not: numerators in an exact one, else scalars,
+        an integral exact value as an int.  Kept on the row, but for the
+        scalars of an exact row over den > 1."""
         fresh = not exact and row.den not in (None, 1)
         if row.dense is not None and not fresh:
             return row.dense
@@ -350,12 +358,10 @@ class Context:
 
     def fold(self, a: Row, b: Row) -> Row:
         """The row `times` gives, on the compiled kernel, built on first use,
-        in basis order, with a float row's integral exact values as ints.
-        Two exact rows multiply numerators, and the product keeps its dense
-        operand; otherwise both rows give their scalars (see `dense`).  The
-        sum runs in table order: the forest loop's, and the word loop's when
-        a lists each word's prefixes shortest first, as increments and
-        folded rows do.  Unlike the loops, it starts from no Fraction(0) and
+        with a float row's integral exact values as ints.  Two exact rows
+        multiply numerators, and the product keeps its dense operand;
+        otherwise both rows give their scalars (see `dense`).  The sum runs
+        in table order, as in `times`, but starts from no Fraction(0) and
         skips no zero factor.  That changes only the sign of a zero total,
         dropped, a total with a non-finite factor, and a total of exact
         terms beside a float times an absent 0, which comes back a float; a
@@ -458,11 +464,7 @@ def pair(f: Linear, h: Linear):
     key, c from that side."""
     f._check(h)
     small, big = (f.terms, h.terms) if len(f.terms) <= len(h.terms) else (h.terms, f.terms)
-    total = Fraction(0)
-    for k, c in small.items():
-        if k in big:
-            total += c * big[k]
-    return total
+    return _ZERO + dot(small, big)
 
 
 def _power_series(x: Linear, N: int, mul, acc: Linear, coeff) -> Linear:

@@ -8,11 +8,11 @@ given from outside, such as a flag, a CSV cell or a polynomial coefficient.
 `numerators` writes lists of exact coefficients (`int`s and `Fraction`s) as
 integer numerators over their least common denominator, and leaves a list
 with a float in it as it is.  Two modules read it.  `linear.Row` carries an
-element's terms that way through the product kernels (`hopf.convolve`,
-`tensor.concat`, the Chen sweep, the pair fold that `conversion.certify`
-reads and the psi pairing), by `linear.Context.times` and `Row.pair` or,
-in a sweep, by the functions `linear` compiles; `rde`'s
-polynomial views do the same for the derivative rule.
+element's terms that way through the product kernels (`hopf.convolve`, the
+Chen sweep, the pair fold that `conversion.certify` reads and the psi
+pairing), by `linear.Context.times` and `Row.pair` or, in a sweep, by the
+functions `linear` compiles; `rde`'s polynomial views do the same for the
+derivative rule.
 """
 
 from __future__ import annotations

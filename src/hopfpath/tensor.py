@@ -14,13 +14,13 @@ containers; TensorElem adds its constructors and the check that every
 word's letters have labels <= d and grades <= n.  `tensor_exp` and `tensor_log` run the same
 series loops as the forest side's `exp_star` and `log_star`.
 
-Products run on a word context (a `linear.Context`), built once per
-(N, d, n) by `word_context`: the basis with integer positions, other words
-numbered past it by their letter tuples, and concat, shuffle and split rows
-filled on first use.  Its kernel `WordContext.product` takes two operands
-made by `WordContext.operand`, each a sparse row (positions, coefficients)
-in insertion order, and returns a position -> total map; `concat` runs it
-through `linear.context_product`.
+`concat` is a plain loop over the words of its two factors: concatenation
+needs only the keys.  The rows run on a word context (a `linear.Context`),
+built once per (N, d, n) by `word_context`: the basis with integer
+positions, other words numbered past it by their letter tuples, and
+shuffle and split rows filled on first use.  The splits of the basis words
+are its concatenation table (`WordContext.table`), which
+`linear.Context.times` reads and a sweep compiles.
 The shuffle rows are its `product_row`s, which `is_tensor_group_like`
 reads, and `WordContext.shuffle` is the one shuffle of word maps: `shuffle`
 and the forest images in `morphisms` run through it.  Word maps ride
@@ -37,7 +37,7 @@ import weakref
 from fractions import Fraction
 from typing import Iterable
 
-from .linear import Context, Linear, LinearPairs, context_field, context_product, exp_series, is_character
+from .linear import Context, Linear, LinearPairs, context_field, exp_series, is_character
 from .linear import log_series, summed
 from .trees import Tree, enumerate_trees
 
@@ -203,15 +203,15 @@ class WordContext(Context):
     products of tree images of the wrong grade; `word` gives any position
     back as a word."""
 
-    __slots__ = ("rows", "shuffles", "splits")
+    __slots__ = ("shuffles", "splits", "concats")
     live = weakref.WeakSet()  # every context not yet collected, for cache_sizes
 
     def __init__(self, N: int, d: int, n: int):
         basis = enumerate_words(N, d, n)
         super().__init__((N, d, n), basis, (w.letters for w in basis))
-        self.rows: list = [None] * len(basis)
         self.shuffles: dict = {}
         self.splits: dict = {}
+        self.concats: list | None = None
         WordContext.live.add(self)
 
     def word(self, k: int) -> Word:
@@ -251,42 +251,12 @@ class WordContext(Context):
         return row
 
     def table(self) -> list:
-        """Per basis word its splits as (prefix, suffix, 1): concatenation's
-        total on a word is the sum over its splits, the table the compiled
-        kernel is built from."""
-        return [[(a, b, 1) for a, b in self.split(i)] for i in range(len(self.basis))]
-
-    def row(self, i: int) -> list:
-        """Positions of basis[i] * basis[j] for every j whose grade fits,
-        built on first use."""
-        row = self.rows[i]
-        if row is None:
-            w = self.basis[i]
-            index = self.index
-            fits = self.basis[: self.ends[self.N - w.grade]]
-            row = self.rows[i] = [index[w * v] for v in fits]
-        return row
-
-    @staticmethod
-    def operand(pos: list, vals: list) -> tuple:
-        """(positions, coefficients): the sparse row."""
-        return pos, vals
-
-    def product(self, x, y, zero) -> dict:
-        """Concatenation totals by position, in the order first reached,
-        zeros kept: x and y are operands made by `operand`, and each pair of
-        terms whose grades fit adds c1 * c2 to zero, in x's then y's order."""
-        N, grades = self.N, self.grades
-        # fits[b]: the terms of y of grade <= b, still in y's order
-        fits = [[(j, c) for j, c in zip(*y) if grades[j] <= b] for b in range(N + 1)]
-        out: dict = {}
-        get = out.get
-        for i, c1 in zip(x[0], x[1]):
-            row = self.row(i)
-            for j, c2 in fits[N - grades[i]]:
-                k = row[j]
-                out[k] = get(k, zero) + c1 * c2
-        return out
+        """Per basis word its splits as (prefix, suffix, 1), shortest prefix
+        first: concatenation's total on a word is the sum over its splits.
+        Built on first use and kept."""
+        if self.concats is None:
+            self.concats = [[(a, b, 1) for a, b in self.split(i)] for i in range(len(self.basis))]
+        return self.concats
 
 
 @functools.lru_cache(maxsize=None)
@@ -295,11 +265,14 @@ def word_context(N: int, d: int, n: int) -> WordContext:
 
 
 def concat(x: TensorElem, y: TensorElem, N: int) -> TensorElem:
-    """Bilinear word concatenation, dropping words of total grade > N."""
+    """Bilinear word concatenation, dropping words of total grade > N: the
+    products in x's then y's term order, summed per word."""
     x._check(y)
     if N < 0:
         raise ValueError(f"truncation level must be >= 0, got {N}")
-    return context_product(word_context(N, x.d, x.n), x, y)
+    right = y.terms.items()
+    pairs = ((u * v, c1 * c2) for u, c1 in x.terms.items() for v, c2 in right if u.grade + v.grade <= N)
+    return TensorElem(summed(pairs), x.d, x.n)
 
 
 def deconcat(x: TensorElem) -> WordPairElem:

@@ -14,7 +14,9 @@ increments and the pairing from the library, imported where it runs.  The
 per-step loops of the lifts, `simplify_n2` and the Euler solvers, as they
 ran before their fixed work was hoisted out of the step, are kept the same
 way, and so are the loops that summed container terms by hand before
-`linear.summed` (see "term sums by hand" below).
+`linear.summed` (see "term sums by hand" below), and the pairing and
+difference loops of `linear` before `linear.dot` and `Linear.__add__` took
+them over.
 """
 
 import functools
@@ -814,3 +816,33 @@ def parser_terms_reference(parser, monomial, unit) -> dict:
         sign = 1 if parser.next()[0] == "+" else -1
     parser.expect("end")
     return out
+
+
+# -- the pairing and difference loops --------------------------------------
+#
+# `linear.pair` and `Linear.__sub__` as they accumulated by hand, before the
+# pairing ran through `linear.dot` and the difference through `__add__` of
+# the negation, kept verbatim.
+
+
+def kronecker_pair_reference(f, h):
+    """`linear.pair`: the side with fewer terms (f on a tie) iterated in its
+    order, adding c * v per common key to Fraction(0)."""
+    f._check(h)
+    small, big = (f.terms, h.terms) if len(f.terms) <= len(h.terms) else (h.terms, f.terms)
+    total = Fraction(0)
+    for k, c in small.items():
+        if k in big:
+            total += c * big[k]
+    return total
+
+
+def difference_reference(x, y):
+    """`Linear.__sub__`: y's terms taken off x's values, a missing key
+    starting from the class's zero."""
+    x._check(y)
+    out = dict(x.terms)
+    zero = x._zero
+    for k, c in y.terms.items():
+        out[k] = out.get(k, zero) - c
+    return type(x)(out, *x.ctx)

@@ -1,16 +1,18 @@
 """The forest and word contexts against the per-side code they replaced.
 
 Both sides now answer the same questions through one protocol: sparse rows
-by position, one product wrapper around the two kernels, and one character
-loop over basis pairs that reads the forest product table or the shuffle
-rows.  The loops and wrappers they replaced are written out here as
-references: the two character tests, the dense forest row builder with its
-convolve wrapper, and the sparse word row builder with its concat and
-vector wrappers.  Verdicts and products must agree with them exactly, in
-exact and in float mode: the same keys, insertion order, scalar types and
-values.  `Context.times`, the one product of rows, is checked against the
-same wrappers on exact, float and mixed rows, and its exact rows must be
-reduced.
+by position, one product of rows that reads the context's table, and one
+character loop over basis pairs that reads the forest product table or the
+shuffle rows.  The loops they replaced are written out here as references:
+the two character tests, the sparse word row builder with its vector
+wrapper and the forest loop kernel over the cut rows; the plain word loop
+that `concat` now is comes from `test_kernels`.  Verdicts and products must
+agree with them exactly, in exact and in float mode: the same keys,
+insertion order, scalar types and values.  `Context.times`, the one
+product of rows, is checked against the forest loop and, on words, against
+a plain loop in table order (per basis word, its splits shortest prefix
+first) on exact, float and mixed rows; its exact rows must be reduced, and
+equal the compiled `fold`'s.
 """
 
 import functools
@@ -37,6 +39,9 @@ from hopfpath.tensor import (
     word_context,
 )
 from hopfpath.trees import EMPTY_FOREST, Forest, enumerate_forests, enumerate_trees
+
+from seams import sweeps
+from test_kernels import concat_reference
 
 EXACT, FLOATS = "exact", "floats"
 FLOAT_EQ = functools.partial(_close, mode=FLOAT)
@@ -76,15 +81,6 @@ def is_tensor_group_like_reference(g: TensorElem, N: int, eq=operator.eq) -> boo
     return True
 
 
-def dense_reference(x: HElem, ctx) -> list:
-    out = [0] * len(ctx.basis)
-    for f, c in x.terms.items():
-        i = ctx.index.get(f)
-        if i is not None:
-            out[i] = c
-    return out
-
-
 def sparse_reference(terms: dict, ctx) -> tuple:
     pos, vals = [], []
     for w, c in terms.items():
@@ -96,27 +92,45 @@ def sparse_reference(terms: dict, ctx) -> tuple:
 
 
 def convolve_reference(f: HElem, g: HElem, N: int) -> HElem:
+    """The forest loop kernel over the cut rows: per basis forest, the sum
+    from Fraction(0) of cnt * <f, a> * <g, b> over its cuts (a, b, cnt) in
+    cut order, an absent factor skipped, zero totals dropped."""
     ctx = forest_context(N, f.d)
-    (fv, gv), den = numerators(dense_reference(f, ctx), dense_reference(g, ctx))
-    # the kernel's totals in position order, as the list the wrapper read
-    totals = list(ctx.product(fv, gv, Q(0) if den is None else 0).values())
-    basis = ctx.basis
-    if den is None:
-        terms = {basis[i]: c for i, c in enumerate(totals) if c != 0}
-    else:
-        terms = {basis[i]: Q(c, den) for i, c in enumerate(totals) if c}
-    return HElem._trusted(terms, f.d)
+    basis, out = ctx.basis, {}
+    for h, cuts in zip(basis, ctx.cuts):
+        total = Q(0)
+        for a, b, cnt in cuts:
+            ca = f.terms.get(basis[a])
+            if not ca:
+                continue
+            cb = g.terms.get(basis[b])
+            if not cb:
+                continue
+            total += cnt * ca * cb
+        if total != 0:
+            out[h] = total
+    return HElem._trusted(out, f.d)
 
 
-def concat_reference(x: TensorElem, y: TensorElem, N: int) -> TensorElem:
-    ctx = word_context(N, x.d, x.n)
-    xi, xv = sparse_reference(x.terms, ctx)
-    yi, yv = sparse_reference(y.terms, ctx)
-    (xv, yv), den = numerators(xv, yv)
-    out = ctx.product(ctx.operand(xi, xv), ctx.operand(yi, yv), Q(0) if den is None else 0)
-    basis = ctx.basis
-    terms = {basis[k]: c if den is None else Q(c, den) for k, c in out.items() if c}
-    return TensorElem._trusted(terms, x.d, x.n)
+def word_times_reference(x: TensorElem, y: TensorElem, N: int) -> TensorElem:
+    """Concatenation in table order, as `Context.times` runs it on a word
+    context: per basis word, the sum from Fraction(0) of <x, u> <y, v> over
+    its splits u v, shortest prefix first, an absent factor skipped, zero
+    totals dropped."""
+    out = {}
+    for w in enumerate_words(N, x.d, x.n):
+        total = Q(0)
+        for k in range(len(w) + 1):
+            cu = x.terms.get(Word(w.letters[:k]))
+            if not cu:
+                continue
+            cv = y.terms.get(Word(w.letters[k:]))
+            if not cv:
+                continue
+            total += cu * cv
+        if total != 0:
+            out[w] = total
+    return TensorElem._trusted(out, x.d, x.n)
 
 
 def vector_reference(ctx, terms: dict) -> Row:
@@ -294,7 +308,7 @@ def word_pairs(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(forest_pairs())
-def test_convolve_matches_the_dense_row_wrapper(case):
+def test_convolve_matches_the_cut_row_loop(case):
     _, N, f, g = case
     got, want = convolve(f, g, N), convolve_reference(f, g, N)
     assert type(got) is type(want) and got.ctx == want.ctx
@@ -303,11 +317,11 @@ def test_convolve_matches_the_dense_row_wrapper(case):
 
 @settings(max_examples=80, deadline=None)
 @given(word_pairs())
-def test_concat_matches_the_sparse_row_wrapper(case):
+def test_concat_matches_the_plain_word_loop(case):
     _, N, x, y = case
-    got, want = concat(x, y, N), concat_reference(x, y, N)
-    assert type(got) is type(want) and got.ctx == want.ctx
-    assert_same_terms(got.terms, want.terms)
+    got = concat(x, y, N)
+    assert type(got) is TensorElem and got.ctx == x.ctx
+    assert_same_terms(got.terms, concat_reference(x, y, N))
 
 
 @settings(max_examples=60, deadline=None)
@@ -322,9 +336,6 @@ def test_sparse_rows_and_vectors_match_the_replaced_builders(case):
     got, want = ctx.row_of(x.terms), vector_reference(ctx, x.terms)
     assert (got.den, got.size) == (want.den, want.size)
     assert_same_terms(got.values, want.values)
-    fctx = forest_context(N, 1)
-    f = HElem({h: Q(i + 1, 2) for i, h in enumerate(enumerate_forests(N + 1, 1))}, 1)
-    assert fctx.operand(*fctx.sparse(f.terms)) == dense_reference(f, fctx)
 
 
 # -- one product of rows ----------------------------------------------------------
@@ -354,11 +365,19 @@ def row_cases(draw):
         elements = [HElem(sparse_terms(draw, wide, draw(st.sampled_from((EXACT, FLOATS))), 14), d) for _ in range(3)]
     else:
         n = draw(st.integers(1, 3))
-        ctx, wide, reference = word_context(N, d, n), enumerate_words(N + 1, d, n), concat_reference
+        ctx, wide, reference = word_context(N, d, n), enumerate_words(N + 1, d, n), word_times_reference
         elements = [
             TensorElem(sparse_terms(draw, wide, draw(st.sampled_from((EXACT, FLOATS))), 20), d, n) for _ in range(3)
         ]
     return N, ctx, reference, elements
+
+
+def assert_times_is_fold(ctx, a: Row, b: Row, got: Row):
+    """got, the times of two exact rows, is their compiled fold."""
+    if a.den is not None and b.den is not None:
+        with sweeps():
+            want = ctx.fold(a, b)
+        assert (got.den, got.values, got.size) == (want.den, want.values, want.size)
 
 
 @settings(max_examples=120, deadline=None)
@@ -375,10 +394,13 @@ def test_times_matches_the_replaced_wrappers(case):
     assert_reduced(ab)
     assert ab.size == len(ab.values)
     assert_same_terms(row_terms(ctx, ab), want.terms)
+    assert_times_is_fold(ctx, a, b, ab)
     # a product row is an operand in turn, and b is read again
-    for got, want in ((ctx.times(ab, c), reference(want, z, N)), (ctx.times(c, b), reference(z, y, N))):
+    for (left, right), want in (((ab, c), reference(want, z, N)), ((c, b), reference(z, y, N))):
+        got = ctx.times(left, right)
         assert_reduced(got)
         assert_same_terms(row_terms(ctx, got), want.terms)
+        assert_times_is_fold(ctx, left, right, got)
 
 
 def test_times_covers_exact_float_and_mixed_rows():
@@ -392,12 +414,14 @@ def test_times_covers_exact_float_and_mixed_rows():
     # exact: numerators over 32 * 32, reduced by their gcd 16
     got = ctx.times(exact, exact)
     assert_reduced(got)
-    assert row_terms(ctx, got) == concat_reference(*(TensorElem(row_terms(ctx, exact), 1, 1),) * 2, 3).terms
+    x = TensorElem(row_terms(ctx, exact), 1, 1)
+    assert_same_terms(row_terms(ctx, got), word_times_reference(x, x, 3).terms)
     assert got.den == 64
-    # mixed: on the scalars, in the same term order as the float product
+    assert_times_is_fold(ctx, exact, exact, got)
+    # mixed: on the scalars, in table order
     for left, right in ((exact, floats), (floats, exact), (unit, floats), (floats, unit)):
         got = ctx.times(left, right)
-        want = concat_reference(TensorElem(row_terms(ctx, left), 1, 1), TensorElem(row_terms(ctx, right), 1, 1), 3)
+        want = word_times_reference(TensorElem(row_terms(ctx, left), 1, 1), TensorElem(row_terms(ctx, right), 1, 1), 3)
         assert got.den is None
         assert_same_terms(row_terms(ctx, got), want.terms)
     # a float row whose float term falls past the level: the totals all

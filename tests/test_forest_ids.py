@@ -10,8 +10,7 @@ forest-level recursions live on in `oracles` as references:
 `star_inverse` loop is written out here.  Tables must agree with them
 element for element, order included; `coproduct`, `antipode` and
 `star_inverse` must give the same terms, order and scalar types in exact and
-in float mode.  `validate` builds no loop operand of the word side, and each
-grid pair's dense operand once.
+in float mode.  `validate` builds each grid pair's dense operand once.
 """
 
 import itertools
@@ -26,7 +25,6 @@ from hopfpath.hopf import ForestContext, HElem, PairElem, antipode, coproduct, e
 from hopfpath.morphisms import psi, verify_hopf_morphism
 from hopfpath.roughpath import FLOAT, RATIONAL, SampledPath, canonical_lift, validate
 from hopfpath.linear import Context
-from hopfpath.tensor import WordContext
 from hopfpath.trees import EMPTY_FOREST, Forest, enumerate_forests, enumerate_trees
 from oracles import _forest_antipode, _forest_coproduct, linear_antipode, linear_coproduct
 from seams import sweeps
@@ -176,39 +174,10 @@ def walk(M: int, mode: str) -> SampledPath:
     return SampledPath.over_labels(times, rows, 2, mode)
 
 
-def concat_kernel_reference(ctx, x: tuple, y: tuple, zero) -> dict:
-    """The word kernel as it was, building y's buckets on every call."""
-    N, grades = ctx.N, ctx.grades
-    yi, yv = y
-    fits = [[(j, c) for j, c in zip(yi, yv) if grades[j] <= b] for b in range(N + 1)]
-    out: dict = {}
-    for i, c1 in zip(*x):
-        row = ctx.row(i)
-        for j, c2 in fits[N - grades[i]]:
-            k = row[j]
-            out[k] = out.get(k, zero) + c1 * c2
-    return out
-
-
-@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
-def test_word_operands_give_the_old_kernel_totals(mode):
-    X = canonical_lift(walk(4, mode), 3)
-    ctx = X.context()
-    rows = [ctx.sparse(X.increment(s, t).terms) for s, t in itertools.combinations(range(5), 2)]
-    zero = Q(0)
-    for x, y in itertools.product(rows, repeat=2):
-        want = [(k, c, type(c)) for k, c in concat_kernel_reference(ctx, x, y, zero).items()]
-        got = ctx.product(ctx.operand(*x), ctx.operand(*y), zero)
-        assert [(k, c, type(c)) for k, c in got.items()] == want
-
-
 @pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
 def test_chen_sweep_builds_each_word_operand_once(monkeypatch, mode):
     M = 6
     X = canonical_lift(walk(M, mode), 3)
-    calls = []
-    operand = WordContext.operand
-    monkeypatch.setattr(WordContext, "operand", staticmethod(lambda *row: calls.append(1) or operand(*row)))
     dense = Context.dense
     built = []
     monkeypatch.setattr(Context, "dense", lambda self, row, *args: built.append(row.dense is None) or dense(self, row, *args))
@@ -216,9 +185,8 @@ def test_chen_sweep_builds_each_word_operand_once(monkeypatch, mode):
         report = validate(X)
     assert report["chen"]["status"] == "pass"
     assert report["chen"]["checked_triples"] == M * (M + 1) * (M - 1) // 6
-    # both modes run on the compiled kernel and build no loop operand; the
-    # adjacent rows build their dense operands on first use, and an exact
-    # folded row comes with its own while a float one builds its own once,
-    # so none is built per triple
-    assert calls == [] and sum(built) == (M if mode == RATIONAL else M * (M + 1) // 2)
+    # both modes run on the compiled kernel; the adjacent rows build their
+    # dense operands on first use, and an exact folded row comes with its
+    # own while a float one builds its own once, so none is built per triple
+    assert sum(built) == (M if mode == RATIONAL else M * (M + 1) // 2)
     assert compiled == {"kernel(f, g)": M * (M - 1) // 2 + M * (M + 1) * (M - 1) // 6}

@@ -437,11 +437,15 @@ def test_cache_sizes_grow_with_new_contexts(capsys):
     f = HElem({EMPTY_FOREST: Q(1), Forest((leaf(1),)): Q(1, 2)}, 1)
     convolve(f, f, 2)
     x = TensorElem({Word(): Q(1), Word((leaf(1),)): Q(1, 3)}, 1, 1)
+    # concat is a plain word loop and builds no context; the character test
+    # reads the shuffle rows of one
     concat(x, x, 2)
+    assert hopfpath.cache_sizes()["tensor.word_context"] == 0
+    tensor.is_tensor_group_like(x, 2)
     after = hopfpath.cache_sizes()
     assert after["hopf.forest_context"] == 1 and after["tensor.word_context"] == 1
     assert all(after[k] >= v for k, v in before.items())
-    # a single product compiles nothing; an exact sweep of any size
+    # a single product or character test compiles nothing; an exact sweep of any size
     # compiles its context's kernel, reported by its term count
     assert after["hopf.forest_context(2, 1).kernel_terms"] == 0
     assert after["tensor.word_context(2, 1, 1).kernel_terms"] == 0

@@ -9,12 +9,16 @@ term order and scalar types, since later float sums round in that order.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfpath.hopf import HElem, PairElem
-from hopfpath.linear import summed
+from hopfpath.linear import pair, summed
 from hopfpath.rde import Poly
 from hopfpath.tensor import EMPTY_WORD, TensorElem, Word, WordPairElem, word_context
-from hopfpath.trees import EMPTY_FOREST, Forest, Tree, leaf
+from hopfpath.trees import EMPTY_FOREST, Forest, Tree, enumerate_forests, leaf
+
+import oracles
 
 B1, B2 = leaf(1), leaf(2)
 F1, F2, F12 = Forest((B1,)), Forest((B2,)), Forest((B1, B2))
@@ -141,3 +145,38 @@ def test_exp_and_log_refuse_a_negative_level(series, arg):
 
     with pytest.raises(ValueError, match=r"^truncation level must be >= 0, got -1$"):
         getattr(hopfpath, series)(arg(), -1)
+
+
+# ints, Fractions and floats, with the floats' edges: signed zeros (a
+# product of subnormals underflows to one), subnormals, huge values and
+# infinities
+_SCALARS = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(-4, 4, max_denominator=9),
+    st.floats(allow_nan=False),
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1e300, -1e300, float("inf"), float("-inf"))),
+)
+# a forest container, whose zero is Fraction(0), and a polynomial, whose is 0
+_BUILDERS = {
+    "HElem": (lambda terms: HElem(terms, 2), enumerate_forests(2, 2)),
+    "Poly": (lambda terms: Poly(terms, 2), [(i, j) for i in range(3) for j in range(3)]),
+}
+
+
+def _reprs(x) -> list:
+    return [(k, repr(c)) for k, c in x.terms.items()]
+
+
+@pytest.mark.parametrize("kind", list(_BUILDERS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_pair_and_difference_give_their_hand_written_loops_bit_for_bit(kind, data):
+    # pair runs linear.dot and __sub__ adds the negation; both must give the
+    # loops they replaced: the same keys in the same order, the same reprs
+    build, keys = _BUILDERS[kind]
+    x, y = (build(data.draw(st.dictionaries(st.sampled_from(keys), _SCALARS, max_size=len(keys)))) for _ in range(2))
+    for f, h in ((x, y), (y, x)):
+        assert repr(pair(f, h)) == repr(oracles.kronecker_pair_reference(f, h))
+        got, want = f - h, oracles.difference_reference(f, h)
+        assert type(got) is type(want) and got.ctx == want.ctx
+        assert _reprs(got) == _reprs(want)

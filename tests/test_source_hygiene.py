@@ -24,6 +24,11 @@ Fraction zero (`_ZERO`, a class's `_zero` or `Fraction(0)`), also with
 `d.get` or the zero first bound to a name; integer sums from 0, the context
 tables, stay allowed.
 
+One more keeps one loop kernel: in the package only `linear` calls a
+context's `.table()`, and no class but `linear.Context` defines `times`,
+`product` or `operand`, so neither side grows a loop kernel or an operand
+builder of its own again.
+
 Two more guard the code the package generates: `linear._straight_line` is
 its one `compile`/`exec` site, and every source it writes, up to N=5, is a
 `def` over operand lists whose body is one list of sums of integer-weighted
@@ -381,6 +386,43 @@ def test_every_slot_is_read_by_the_package():
         if not name.startswith("__") and name not in read
     ]
     assert unread == []
+
+
+_KERNEL_NAMES = {"times", "product", "operand"}
+
+
+def _class_names(node: ast.ClassDef) -> list:
+    """The names a class body defines or assigns."""
+    out = []
+    for stmt in node.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            out += [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    return out
+
+
+def test_one_loop_kernel_reads_the_product_table():
+    # a context supplies table() and product_row(); Context.times interprets
+    # the table and Context.compiled compiles it
+    trees = _trees()
+    package = sorted(PACKAGE.glob("*.py"))
+    readers = {
+        path.stem
+        for path in package
+        for node in ast.walk(trees[path])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "table"
+    }
+    assert readers == {"linear"}
+    kernels = [
+        f"{path.stem}.{node.name}.{name}"
+        for path in package
+        for node in ast.walk(trees[path])
+        if isinstance(node, ast.ClassDef)
+        for name in _class_names(node)
+        if name in _KERNEL_NAMES
+    ]
+    assert kernels == ["linear.Context.times"]
 
 
 _DYNAMIC = {"compile", "exec", "eval"}

@@ -4,12 +4,12 @@ stand in for.
 A sweep, exact or float, runs its products on a context's compiled kernel
 (`Context.compiled`, `Context.fold`), built once and kept, and its psi
 pairings on one compiled linear map (`Context.linear_map`).  Here the
-compiled kernels give the loop kernels' totals on every basis pair and the
-rows of `Context.times` on random exact rows, and on float rows bit for
-bit; Chen's compiled verdict is `Context.times`' on random exact rows of
-every context, the psi map gives `Row.pair` on every image, float ones
-included, and single products, series and a grid of one step compile
-nothing.  The corrupted sweeps of `test_roughpath` and `test_pair_rows` run
+compiled kernels give the totals of `Context.times`, the loop kernel that
+reads the same table, on every basis pair, and its rows on random exact
+rows, and on float rows bit for bit; Chen's compiled verdict is
+`Context.times`' on random exact rows of every context, the psi map gives
+`Row.pair` on every image, float ones included, and single products,
+series and a grid of one step compile nothing.  The corrupted sweeps of `test_roughpath` and `test_pair_rows` run
 both kinds of row on the compiled kernels.
 """
 
@@ -59,16 +59,16 @@ def test_compiled_kernel_gives_the_loop_totals_on_every_basis_pair(kind, key):
     B = 1 << 16
     assert max(sum(c for *_, c in row) for row in ctx.table()) < B
     right = [B**j for j in range(n)]
-    loop_right = ctx.operand(range(n), right)
+    loop_right = Row(dict(enumerate(right)), 1, n)
     with sweeps():
         kernel = ctx.compiled()
         for i in range(n):
             left = [0] * n
             left[i] = 1
             got = kernel(left, right)
-            want = ctx.product(ctx.operand([i], [1]), loop_right, 0)
+            want = ctx.times(Row({i: 1}, 1, 1), loop_right)
             assert len(got) == n
-            assert {k: c for k, c in enumerate(got) if c} == {k: c for k, c in want.items() if c}, i
+            assert {k: c for k, c in enumerate(got) if c} == want.values, i
 
 
 def _random_row(ctx: Context, rng: Random, big: bool):
@@ -338,15 +338,14 @@ def _random_float_row(ctx: Context, rng: Random, unit, shuffled: bool) -> Row:
 
 @pytest.mark.parametrize("kind, key", CONTEXTS, ids=[f"{k}{key}" for k, key in CONTEXTS])
 def test_random_float_rows_fold_to_the_loop_kernels_rows_bit_for_bit(kind, key):
-    # the word loop sums in its left operand's term order, the compiled
-    # kernel in split order: they agree on rows in basis order; the forest
-    # loop sums in table order whatever the row's order
+    # times and the compiled kernel both sum in table order, whatever the
+    # rows' term order
     ctx = _context(kind, key)
     rng = Random(repr(key))
     with sweeps():
         for trial in range(12):
             unit = (1, Q(1), 1.0)[trial % 3]
-            shuffled = kind == "forest" and trial % 2 == 1
+            shuffled = trial % 2 == 1
             a, b = (_random_float_row(ctx, rng, unit, shuffled) for _ in range(2))
             assert a.den is None and b.den is None
             got = ctx.fold(a, b)
