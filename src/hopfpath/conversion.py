@@ -2,9 +2,10 @@
 
 The encoder walks up one grade at a time: the functionals of grade-(n+1)
 trees that the level-n geometric lift fails to reproduce, read off the
-adjacent increments, become new scalar path components, and the canonical
-lift of the extended piecewise-linear path is rebuilt.  One sweep of
-`certify` over every grid pair then checks the defining identity
+adjacent increments alone, become new scalar path components, and the
+canonical lift of the extended piecewise-linear path is rebuilt.  No level
+checks anything.  One sweep of `certify` over every grid pair, the
+conversion's only all-pairs pass, then checks the defining identity
 
     <X_st, h> = <Xbar_st, psi(h)>
 
@@ -86,73 +87,43 @@ def _same_grid(X: BranchedRoughPath, Xbar: GeometricRoughPath) -> None:
     raise ValueError(f"the branched path is on {a!r} and the geometric one on {b!r}{where}")
 
 
-def _pairings(X: BranchedRoughPath, Xbar: GeometricRoughPath, level: int, forests: list, every_pair: bool):
-    """Per grid pair (s, t), every pair in itertools.combinations order or
-    the adjacent ones only: s, t, two denominators, and for each forest h the
-    values <X_st, h> and <Xbar_st, psi(h)>, each an integer numerator over
-    its denominator, or the value itself where that is None.  Words of
-    psi(h) over letters that Xbar lacks, or above the level, are left out:
-    for a partial lift, the tree letter of h itself.
-
-    The psi images are rows of Xbar's context over 1: psi's coefficients
-    are integers.  Adjacent pairs read the increments as given, both
-    denominators None: each image is paired with the increment's terms on
-    their words by `linear.dot`, iterating the side `Row.pair` would (the
-    image unless it has more terms), so float sums round as the row pairing
-    rounds them.  Every pair reads the rows that `pair_rows` folds on each
-    path's context, <X_st, h> straight from X's row.  There the psi images
-    are one generated linear function (`Context.linear_map`) of Xbar_st's
-    dense operand, its numerators or its scalars (`Context.dense`), which
-    gives every forest's value in one call."""
+def _psi_rows(X: BranchedRoughPath, Xbar: GeometricRoughPath, level: int, forests: list) -> list:
+    """psi(h) for each forest h as a row of Xbar's context over 1: psi's
+    coefficients are integers.  Words over letters that Xbar lacks, or
+    above the level, are left out: for a partial lift, the tree letter of h
+    itself."""
     ctx, own = word_context(level, Xbar.d, Xbar.letter_bound), Xbar.context()
     images = [psi(HElem.from_forest(h, X.d), level).terms for h in forests]
     images = [own.row_of({w: c for w, c in img.items() if w in ctx.index}) for img in images]
     if any(img.den != 1 for img in images):
         raise ValueError("the psi images need integer coefficients")
-    if not every_pair:
-        by_word = [({own.basis[i]: c for i, c in img.values.items()}, img.size) for img in images]
-        for k, (branched, geometric) in enumerate(zip(X.increments, Xbar.increments)):
-            terms, n = geometric.terms, len(geometric.terms)
-            rhs = [dot(terms, img) if size > n else dot(img, terms) for img, size in by_word]
-            get = branched.terms.get  # an absent <X_st, h>: 0 - float is Fraction(0) - float
-            yield k, k + 1, None, None, [(get(h, 0 if type(v) is float else _ZERO), v) for h, v in zip(forests, rhs)]
-        return
-    where = [X.context().index.get(h) for h in forests]
-    images_of = own.linear_map([img.values.items() for img in images])
-    for (s, t, lhs), (_, _, vec) in zip(X.pair_rows(), Xbar.pair_rows()):
-        get, zero = lhs.values.get, _ZERO if lhs.den is None else 0
-        yield s, t, lhs.den, vec.den, [(get(k, zero), v) for k, v in zip(where, images_of(own.dense(vec)))]
+    return images
 
 
-def extract_extended_path(X: BranchedRoughPath, partial: GeometricRoughPath, check_cocycle: bool = True) -> dict:
+def extract_extended_path(X: BranchedRoughPath, partial: GeometricRoughPath) -> dict:
     """New components for trees one grade above the partial lift's letters.
 
-    For each tree tau of grade n+1 the adjacent increments are f_tau(k, k+1),
-    f_tau(s, t) = <X_st, tau> - <partial_st, psi(tau) without the tau letter>.
-    With check_cocycle, f_tau(s, t) must equal F_tau(t) - F_tau(s) on every
-    grid pair, F_tau the prefix sums of the adjacent values (additivity over
-    all triples); the first pair that fails raises ConversionError.
+    For each tree tau of grade n+1 the value on step k is f_tau(k, k+1),
+    f_tau(s, t) = <X_st, tau> - <partial_st, psi(tau) without the tau letter>,
+    read from the adjacent increments alone.  Each image is paired with the
+    increment's terms on their words by `linear.dot`, iterating the side
+    `Row.pair` would (the image unless it has more terms), so float sums
+    round as the row pairing rounds them.  Nothing here checks the values:
+    `certify`'s sweep of the final lift does (see the module docstring).
     """
     _same_grid(X, partial)
     n = max(t.grade for t in partial.letters)
-    M = X.grid.steps
     taus = trees_of_grade(n + 1, X.d)
-    values = [{} for _ in taus]
-    for s, t, lden, rden, row in _pairings(X, partial, n + 1, [Forest((tau,)) for tau in taus], check_cocycle):
-        for f, (lhs, rhs) in zip(values, row):
-            f[(s, t)] = (lhs if lden is None else Fraction(lhs, lden)) - (rhs if rden is None else Fraction(rhs, rden))
-    out = {}
-    for tau, f in zip(taus, values):
-        out[tau] = [f[(k, k + 1)] for k in range(M)]
-        if not check_cocycle:
-            continue
-        F = _running_sums(out[tau], X.mode)
-        for (s, t), v in f.items():
-            if not _close(v, F[t] - F[s], X.mode):
-                raise ConversionError(
-                    f"extracted component for {tau!r} is not additive on pair ({s}, {t}), {v} against "
-                    f"{F[t] - F[s]} over its steps: the partial lift does not reproduce X below grade {n + 1}"
-                )
+    forests = [Forest((tau,)) for tau in taus]
+    basis = partial.context().basis
+    images = [({basis[i]: c for i, c in img.values.items()}, img.size) for img in _psi_rows(X, partial, n + 1, forests)]
+    out = {tau: [] for tau in taus}
+    for branched, geometric in zip(X.increments, partial.increments):
+        terms, size, get = geometric.terms, len(geometric.terms), branched.terms.get
+        for h, f, (img, n_img) in zip(forests, out.values(), images):
+            rhs = dot(terms, img) if n_img > size else dot(img, terms)
+            # an absent <X_st, h> reads 0, a Fraction unless rhs is a float
+            f.append(get(h, 0 if type(rhs) is float else _ZERO) - rhs)
     return out
 
 
@@ -190,7 +161,8 @@ def certify(X: BranchedRoughPath, Xbar: GeometricRoughPath) -> dict:
     different grids are refused with ValueError before any work.
 
     Every pair is read from the rows `pair_rows` folds, <X_st, h> straight
-    from X's row and Xbar's row paired with the integer psi images.  Exact
+    from X's row (an absent forest reads int 0 in both modes) and Xbar's row
+    paired with the integer psi images.  Exact
     values are compared by cross-multiplying integer numerators, the others
     with `_close` in X's mode; a witness prints each value as a reduced
     Fraction, or as the value itself when it is not exact."""
@@ -202,9 +174,14 @@ def certify(X: BranchedRoughPath, Xbar: GeometricRoughPath) -> dict:
         "checked_pairs": 0,
         "witness": None,
     }
-    for s, t, lden, rden, row in _pairings(X, Xbar, X.N, basis, True):
+    own = Xbar.context()
+    where = [X.context().index.get(h) for h in basis]
+    images_of = own.linear_map([img.values.items() for img in _psi_rows(X, Xbar, X.N, basis)])
+    for (s, t, row), (_, _, vec) in zip(X.pair_rows(), Xbar.pair_rows()):
         cert["checked_pairs"] += 1
-        for h, (lhs, rhs) in zip(basis, row):
+        get, lden, rden = row.values.get, row.den, vec.den
+        for h, k, rhs in zip(basis, where, images_of(own.dense(vec))):
+            lhs = get(k, 0)
             if lden is not None and rden is not None and lhs * rden == rhs * lden:
                 continue
             lhs = lhs if lden is None else Fraction(lhs, lden)
@@ -234,14 +211,14 @@ def encode(X: BranchedRoughPath, certify_result: bool = True, check_cocycle: boo
 
     Levels n = 1 .. N-1 each extract the grade-(n+1) components from adjacent
     increments and rebuild the canonical lift of the extended path.  Then one
-    `certify` sweep checks the final lift: with certify_result it is the
-    certificate; otherwise, with check_cocycle, a failure raises
-    ConversionError naming the forest, the pair and both values.  With both
-    flags off nothing is swept.
+    `certify` sweep checks the final lift, every level's check included: with
+    certify_result it is the certificate; otherwise, with check_cocycle,
+    `certify` still runs and a failure raises ConversionError naming the
+    forest, the pair and both values.  With both flags off nothing is swept.
     """
     ext = base_path_of(X)
     for n in range(1, X.N):
-        new = extract_extended_path(X, canonical_lift(ext, n + 1, X.gamma), check_cocycle=False)
+        new = extract_extended_path(X, canonical_lift(ext, n + 1, X.gamma))
         taus = sorted(new)
         ext = ext.extend(taus, [_running_sums(new[tau], X.mode) for tau in taus])
     geometric = canonical_lift(ext, X.N, X.gamma)

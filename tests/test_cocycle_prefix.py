@@ -1,69 +1,49 @@
-"""The prefix-sum cocycle check of `extract_extended_path` against the
-triple loop it replaced.
+"""`extract_extended_path` against the per-pair loop it replaced, and
+`certify` as the encoding's one check.
 
-`extract_extended_path(..., check_cocycle=True)` tests f(s, t) = F(t) - F(s)
-on every grid pair, F the prefix sums of the adjacent values; the loop it
-replaced tested f(s, t) = f(s, u) + f(u, t) on every grid triple.  That
-loop is written out here as the reference.  Both run on Ito lifts of random
-exact and float walks, with the correct partial lift of every level and
-with partial lifts over a path with one value changed: they must raise
-`ConversionError` on the same inputs, and otherwise return the same keys in
-the same order with the same scalar types and values (in float mode the
-same bits).
+The extraction reads adjacent increments only and checks nothing; the loop
+written out here as the reference builds each psi image as a row and pairs
+it with the partial lift's increment on every adjacent pair.  Both run on
+Ito lifts of random exact and float walks, with the correct partial lift of
+every level and with partial lifts over a path with one value changed: they
+must return the same keys in the same order with the same scalar types and
+values (in float mode the same bits).  Continuing the encoder's level loop
+from each path and certifying the level-N lift must pass for the correct
+path and fail for every changed one: `certify`'s sweep is every level's
+check.
 """
 
-import functools
 import itertools
-import operator
 from fractions import Fraction as Q
 from random import Random
 
 import pytest
 
-from hopfpath.conversion import ConversionError, base_path_of, extract_extended_path
+from hopfpath.conversion import base_path_of, certify, extract_extended_path
 from hopfpath.hopf import HElem
 from hopfpath.morphisms import psi
-from hopfpath.roughpath import RATIONAL, SampledPath, _close, canonical_lift, ito_lift
-from hopfpath.scalars import numerators
+from hopfpath.roughpath import RATIONAL, SampledPath, canonical_lift, ito_lift
 from hopfpath.tensor import Word, word_context
 from hopfpath.trees import Forest, trees_of_grade
 
 
-def extract_reference(X, partial, check_cocycle=True):
+def extract_reference(X, partial):
     n = max(t.grade for t in partial.letters)
-    M = X.grid.steps
     ctx = word_context(n + 1, partial.d, partial.letter_bound)
-    same = operator.eq if X.mode == RATIONAL else functools.partial(_close, mode=X.mode)
-    if check_cocycle:
-        pairs = list(itertools.combinations(range(M + 1), 2))
-    else:
-        pairs = [(k, k + 1) for k in range(M)]
     taus = trees_of_grade(n + 1, X.d)
     lowers = []
     for tau in taus:
         img = psi(HElem.from_tree(tau, X.d), n + 1)
         lower = ctx.row_of({w: c for w, c in img.terms.items() if w != Word((tau,))})
         lowers.append((Forest((tau,)), lower))
-    values = [{} for _ in taus]
-    for s, t in pairs:
-        vec = None
-        for (tree, lower), f in zip(lowers, values):
-            inc = partial.increment(s, t)
-            if vec is None:
-                vec = ctx.row_of(inc.terms)
+    out = {tau: [] for tau in taus}
+    for k in range(X.grid.steps):
+        vec = ctx.row_of(partial.increment(k, k + 1).terms)
+        for (tree, lower), f in zip(lowers, out.values()):
             rhs = lower.pair(vec)
             if vec.den is not None:
                 rhs = Q(rhs, vec.den)
-            f[(s, t)] = X.increment(s, t).coeff(tree) - rhs
-    out = {}
-    for tau, f in zip(taus, values):
-        if check_cocycle:
-            (vals,), _ = numerators(list(f.values()))
-            g = dict(zip(f, vals))
-            for s, u, t in itertools.combinations(range(M + 1), 3):
-                if not same(g[(s, t)], g[(s, u)] + g[(u, t)]):
-                    raise ConversionError(f"{tau!r} is not additive on ({s}, {u}, {t})")
-        out[tau] = [f[(k, k + 1)] for k in range(M)]
+            f.append(X.increment(k, k + 1).coeff(tree) - rhs)
     return out
 
 
@@ -78,12 +58,21 @@ def _walk(seed, d, M, mode):
     return SampledPath.over_labels(times, rows, d, mode)
 
 
-def _outcome(extract, X, partial, check_cocycle):
-    try:
-        out = extract(X, partial, check_cocycle)
-    except ConversionError:
-        return "raised"
+def _typed(out):
     return [(tau, [(type(v), repr(v)) for v in vals]) for tau, vals in out.items()]
+
+
+def _extended(path, new):
+    zero = Q(0) if path.mode == RATIONAL else 0.0
+    return path.extend(sorted(new), [list(itertools.accumulate(new[t], initial=zero)) for t in sorted(new)])
+
+
+def _certified(X, path, n):
+    """The status of `certify` on the level-N lift that `encode`'s level
+    loop reaches from path, whose letters stop at grade n."""
+    for m in range(n, X.N):
+        path = _extended(path, extract_extended_path(X, canonical_lift(path, m + 1, X.gamma)))
+    return certify(X, canonical_lift(path, X.N, X.gamma))["status"]
 
 
 def _changed(path, rng):
@@ -96,20 +85,15 @@ def _changed(path, rng):
 
 @pytest.mark.parametrize("mode", [RATIONAL, "float"])
 @pytest.mark.parametrize("seed, d, N, M", [(0, 1, 3, 5), (1, 2, 2, 6), (2, 2, 3, 4), (3, 1, 4, 4)])
-def test_prefix_check_matches_the_triple_loop(mode, seed, d, N, M):
+def test_extraction_matches_the_adjacent_loop_and_certify_judges_it(mode, seed, d, N, M):
     X = ito_lift(_walk(seed, d, M, mode), N)
     rng = Random(seed)
     ext = base_path_of(X)
-    raised = 0
     for n in range(1, N):
-        for path in (ext, _changed(ext, rng)):
+        changed = _changed(ext, rng)
+        for path in (ext, changed):
             partial = canonical_lift(path, n + 1)
-            for check in (True, False):
-                want = _outcome(extract_reference, X, partial, check)
-                assert _outcome(extract_extended_path, X, partial, check) == want
-                raised += want == "raised"
-        new = extract_reference(X, canonical_lift(ext, n + 1), False)
-        zero = Q(0) if mode == RATIONAL else 0.0
-        ext = ext.extend(sorted(new), [list(itertools.accumulate(new[t], initial=zero)) for t in sorted(new)])
-    # every changed path is caught, and no correct partial lift is refused
-    assert raised == N - 1
+            assert _typed(extract_extended_path(X, partial)) == _typed(extract_reference(X, partial))
+        # every changed path is caught, and no correct one is refused
+        assert (_certified(X, ext, n), _certified(X, changed, n)) == ("pass", "fail")
+        ext = _extended(ext, extract_reference(X, canonical_lift(ext, n + 1)))

@@ -22,6 +22,7 @@ from hopfpath.roughpath import (
     BranchedRoughPath,
     Grid,
     SampledPath,
+    _RoughPathBase,
     canonical_lift,
     embed_geometric,
     ito_lift,
@@ -84,15 +85,31 @@ def test_extracted_cherry_is_ito_minus_area(ito_n2):
             assert new[tau][k] == -Q(1, 2) * dk[leaf(j)] * dk[leaf(i)]
 
 
-def test_extraction_cocycle_violation_raises(ito_n2):
-    # a partial lift over the wrong level-1 path breaks the precondition
+def test_certify_fails_on_the_extension_of_a_wrong_path(ito_n2):
+    # a partial lift over the wrong level-1 path breaks the precondition:
+    # the extraction reads its adjacent increments regardless, and certify
+    # catches the lift of the extended path
     times = [Q(0), Q(1, 2), Q(1)]
     wrong = SampledPath.over_labels(
         times, [[Q(0), Q(0)], [Q(1), Q(0)], [Q(2), Q(1)]], 2
     )
-    partial = canonical_lift(wrong, 2)
-    with pytest.raises(ConversionError):
-        extract_extended_path(ito_n2, partial)
+    new = extract_extended_path(ito_n2, canonical_lift(wrong, 2, ito_n2.gamma))
+    taus = sorted(new)
+    ext = wrong.extend(taus, [[sum(new[tau][:k], Q(0)) for k in range(3)] for tau in taus])
+    cert = certify(ito_n2, canonical_lift(ext, 2, ito_n2.gamma))
+    assert cert["status"] == "fail"
+    assert [cert["witness"][f] for f in ("forest", "s", "t")] == ["b_1", "0", "1/2"]
+
+
+def test_extraction_reads_adjacent_increments_only(ito_n2, monkeypatch):
+    # no grid pair is folded: certify alone sweeps every pair
+    def refused(self):
+        raise AssertionError("pair_rows called")
+
+    partial = canonical_lift(base_path_of(ito_n2), 2)
+    monkeypatch.setattr(_RoughPathBase, "pair_rows", refused)
+    new = extract_extended_path(ito_n2, partial)
+    assert all(len(v) == 2 for v in new.values())
 
 
 def test_extraction_grade_one_components_are_increments(encoded_n2, ito_n2):
@@ -198,6 +215,25 @@ def test_certify_failure_gives_witness(ito_n2, encoded_n2):
     assert w is not None
     assert set(w) == {"forest", "s", "t", "branched_value", "geometric_value"}
     assert w["branched_value"] != w["geometric_value"]
+
+
+def test_float_certify_reads_an_absent_forest_as_zero():
+    # b_1 b_2 deleted from the first float increment: X's row for the pair
+    # (0, 1/4) lacks it, and the witness prints its value as 0
+    times = [k / 4 for k in range(5)]
+    rows = [[0.0, 0.0], [0.5, -0.25], [0.25, 0.5], [1.25, 0.75], [2.0, 1.0]]
+    X = ito_lift(SampledPath.over_labels(times, rows, 2, mode="float"), 2, 0.4)
+    Xbar = encode(X, False, False).geometric
+    h = Forest((B1, B2))
+    increments = list(X.increments)
+    increments[0] = HElem({k: v for k, v in increments[0].terms.items() if k != h}, 2)
+    bad = BranchedRoughPath(2, X.gamma, X.grid, increments, 2, X.mode)
+    assert certify(bad, Xbar) == {
+        "status": "fail",
+        "checked_forests": 10,
+        "checked_pairs": 1,
+        "witness": {"forest": "b_1 b_2", "s": "0.0", "t": "0.25", "branched_value": "0", "geometric_value": "-0.125"},
+    }
 
 
 def walk_path_d2(M):

@@ -124,7 +124,7 @@ def test_encoding_and_shortcut_match_the_per_step_loops(kind, d):
     X = ito_lift(path, 2)
     # the extraction pairs adjacent increments only
     partial = canonical_lift(base_path_of(X), 2)
-    got = extract_extended_path(X, partial, check_cocycle=False)
+    got = extract_extended_path(X, partial)
     forests = [Forest((tau,)) for tau in trees_of_grade(2, d)]
     pairs = [(k, k + 1) for k in range(X.grid.steps)]
     want = {tau: [] for tau in trees_of_grade(2, d)}
