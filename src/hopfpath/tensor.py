@@ -3,7 +3,9 @@
 Words of single-vertex letters recover the usual tensor algebra over R^d;
 allowing letters of higher grade gives the extended alphabet the conversion
 step needs.  A word is graded by the total grade of its letters, not by its
-length, and truncation always cuts by that total grade.
+length, and truncation always cuts by that total grade.  A `Word` is a
+`trees.Canonical` value, like a tree or a forest: keyed by (grade, length,
+letter keys), and unequal to the forest of the same trees.
 
 Shuffle and deconcatenation are Hopf-dual to concatenation; letters are
 indivisible, so deconcatenation splits between letters only.
@@ -39,42 +41,24 @@ from typing import Iterable
 
 from .linear import Context, Linear, LinearPairs, context_field, exp_series, is_character
 from .linear import log_series, summed
-from .trees import Tree, enumerate_trees
+from .trees import Canonical, Tree, enumerate_trees
 
 _ZERO = Fraction(0)
 
 
-class Word:
+class Word(Canonical):
     """Immutable word of tree letters; the empty word is the unit."""
 
-    __slots__ = ("letters", "grade", "_key", "_hash", "_max_label", "_max_letter_grade")
+    __slots__ = ("letters", "_max_label", "_max_letter_grade")
 
     def __init__(self, letters: Iterable[Tree] = ()):
         lets = tuple(letters)
         object.__setattr__(self, "letters", lets)
-        object.__setattr__(self, "grade", sum(t.grade for t in lets))
-        key = (self.grade, len(lets), tuple(t.sort_key() for t in lets))
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        self._seal((sum(t.grade for t in lets), len(lets), tuple(t._key for t in lets)))
         # both bounds are filled on first use: most words are hashed and
         # compared far more often than range-checked.  Two int slots, not a
         # tuple, keep the cached increments of a long grid small.
         object.__setattr__(self, "_max_label", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    def sort_key(self):
-        return self._key
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self._key == other._key
-
-    def __lt__(self, other):
-        return self._key < other._key
 
     def __len__(self):
         return len(self.letters)

@@ -9,6 +9,13 @@ are deterministic.
 The total order on trees is: grade first, then root label, then
 lexicographically on the (already sorted) child sequences.  Grade counts
 vertices.
+
+`Canonical` is the one implementation of these values' protocol: a key
+sealed once at construction, whose first entry is the grade, a hash cached
+from it, equality of key within one class, order by key, and no assignment
+after `__init__`.  `Tree`, `Forest` and `tensor.Word` all subclass it.  A
+forest and a word of the same trees share the key (grade, count, tree keys)
+and stay unequal, as values of two classes.
 """
 
 from __future__ import annotations
@@ -18,25 +25,20 @@ import itertools
 from typing import Iterable, Iterator
 
 
-class Tree:
-    """Immutable labelled rooted tree with canonically sorted children."""
+class Canonical:
+    """Immutable value known by its key: hashed, compared and ordered by the
+    key, and equal only to a value of its own class with the same key."""
 
-    __slots__ = ("label", "children", "grade", "_max_label", "_key", "_hash")
+    __slots__ = ("grade", "_key", "_hash")
 
-    def __init__(self, label: int, children: Iterable["Tree"] = ()):
-        if not isinstance(label, int) or label < 1:
-            raise ValueError(f"tree label must be a positive integer, got {label!r}")
-        kids = tuple(sorted(children, key=lambda t: t._key))
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "children", kids)
-        object.__setattr__(self, "grade", 1 + sum(c.grade for c in kids))
-        object.__setattr__(self, "_max_label", max([label] + [c._max_label for c in kids]))
-        key = (self.grade, label, tuple(c._key for c in kids))
+    def _seal(self, key: tuple) -> None:
+        """Set the key, its hash and the grade it starts with, once."""
+        object.__setattr__(self, "grade", key[0])
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
     def __setattr__(self, name, value):
-        raise AttributeError("Tree is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def sort_key(self):
         return self._key
@@ -45,7 +47,7 @@ class Tree:
         return self._hash
 
     def __eq__(self, other):
-        return isinstance(other, Tree) and self._key == other._key
+        return type(other) is type(self) and self._key == other._key
 
     def __lt__(self, other):
         return self._key < other._key
@@ -59,6 +61,21 @@ class Tree:
     def __ge__(self, other):
         return self._key >= other._key
 
+
+class Tree(Canonical):
+    """Immutable labelled rooted tree with canonically sorted children."""
+
+    __slots__ = ("label", "children", "_max_label")
+
+    def __init__(self, label: int, children: Iterable["Tree"] = ()):
+        if not isinstance(label, int) or label < 1:
+            raise ValueError(f"tree label must be a positive integer, got {label!r}")
+        kids = tuple(sorted(children, key=lambda t: t._key))
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "children", kids)
+        object.__setattr__(self, "_max_label", max([label] + [c._max_label for c in kids]))
+        self._seal((1 + sum(c.grade for c in kids), label, tuple(c._key for c in kids)))
+
     def __repr__(self):
         if not self.children:
             return f"b_{self.label}"
@@ -69,38 +86,17 @@ class Tree:
         return self._max_label
 
 
-class Forest:
+class Forest(Canonical):
     """Immutable multiset of trees; the empty forest is the unit."""
 
-    __slots__ = ("factors", "grade", "_key", "_hash")
+    __slots__ = ("factors",)
 
     def __init__(self, factors: Iterable[Tree] = ()):
         facs = tuple(sorted(factors, key=lambda t: t._key))
         object.__setattr__(self, "factors", facs)
-        object.__setattr__(self, "grade", sum(t.grade for t in facs))
         # fewer factors first within a grade, so single trees print before
         # products of the same grade
-        key = (self.grade, len(facs), tuple(t._key for t in facs))
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Forest is immutable")
-
-    def sort_key(self):
-        return self._key
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, Forest) and self._key == other._key
-
-    def __lt__(self, other):
-        return self._key < other._key
-
-    def __le__(self, other):
-        return self._key <= other._key
+        self._seal((sum(t.grade for t in facs), len(facs), tuple(t._key for t in facs)))
 
     def __iter__(self) -> Iterator[Tree]:
         return iter(self.factors)
@@ -145,15 +141,6 @@ def graft(children: Forest | Iterable[Tree], root: int) -> Tree:
     else:
         kids = children
     return Tree(root, kids)
-
-
-def compare(x: Tree, y: Tree) -> int:
-    """Total order on canonical trees: -1, 0 or 1."""
-    if x._key < y._key:
-        return -1
-    if x._key > y._key:
-        return 1
-    return 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -215,11 +202,6 @@ def enumerate_forests(n: int, d: int) -> tuple[Forest, ...]:
     for g in range(0, n + 1):
         out.extend(forests_of_grade(g, d))
     return tuple(out)
-
-
-def grade(x: Tree | Forest) -> int:
-    """Vertex count; additive over forest factors."""
-    return x.grade
 
 
 def chain(labels: Iterable[int]) -> Tree:

@@ -29,6 +29,11 @@ context's `.table()`, and no class but `linear.Context` defines `times`,
 `product` or `operand`, so neither side grows a loop kernel or an operand
 builder of its own again.
 
+One more keeps the canonical value protocol in one place: `Tree`,
+`Forest` and `tensor.Word` subclass `trees.Canonical` and define none of
+its methods (equality, hash, order, `sort_key`, the immutability guard),
+and only `Canonical._seal` sets a `_key` or a `_hash`.
+
 Two more guard the code the package generates: `linear._straight_line` is
 its one `compile`/`exec` site, and every source it writes, up to N=5, is a
 `def` over operand lists whose body is one list of sums of integer-weighted
@@ -423,6 +428,64 @@ def test_one_loop_kernel_reads_the_product_table():
         if name in _KERNEL_NAMES
     ]
     assert kernels == ["linear.Context.times"]
+
+
+_PROTOCOL = {"__eq__", "__hash__", "__setattr__", "sort_key", "__lt__", "__le__", "__gt__", "__ge__"}
+_VALUES = {"trees": ("Tree", "Forest"), "tensor": ("Word",)}
+
+
+def _key_writes(tree) -> list:
+    """The dotted class and function names around every statement in tree
+    that sets a `_key` or `_hash`: a `setattr`/`__setattr__` call naming
+    one, or an assignment to the attribute."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, where + (child.name,))
+                continue
+            func = getattr(child, "func", None)
+            if (
+                isinstance(child, ast.Call)
+                and (getattr(func, "id", None) == "setattr" or getattr(func, "attr", None) == "__setattr__")
+                and any(isinstance(a, ast.Constant) and a.value in ("_key", "_hash") for a in child.args)
+                or isinstance(child, ast.Attribute) and child.attr in ("_key", "_hash") and isinstance(child.ctx, ast.Store)
+            ):
+                out.append(".".join(where))
+            visit(child, where)
+
+    visit(tree, ())
+    return out
+
+
+def test_key_writes_are_caught_wherever_they_sit():
+    source = (
+        "class A:\n"
+        "    def __init__(self, k):\n"
+        "        object.__setattr__(self, '_key', k)\n"
+        "        self._hash = hash(k)\n"
+        "def f(x):\n"
+        "    setattr(x, '_hash', 0)\n"
+        "    return getattr(x, '_key'), x._key\n"
+    )
+    assert _key_writes(ast.parse(source)) == ["A.__init__", "A.__init__", "f"]
+
+
+def test_one_canonical_value_protocol():
+    trees = _trees()
+    classes = {
+        path.stem: {node.name: node for node in trees[path].body if isinstance(node, ast.ClassDef)}
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    for module, names in _VALUES.items():
+        for name in names:
+            node = classes[module][name]
+            assert [ast.unparse(b) for b in node.bases] == ["Canonical"], f"{module}.{name}"
+            assert set(_class_names(node)) & _PROTOCOL == set(), f"{module}.{name}"
+    assert _PROTOCOL <= set(_class_names(classes["trees"]["Canonical"]))
+    writes = {path.stem: _key_writes(trees[path]) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {stem: found for stem, found in writes.items() if found} == {"trees": ["Canonical._seal"] * 2}
 
 
 _DYNAMIC = {"compile", "exec", "eval"}

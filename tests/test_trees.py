@@ -1,16 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from hopfpath.tensor import Word
 from hopfpath.trees import (
     EMPTY_FOREST,
     Forest,
     Tree,
     chain,
-    compare,
     enumerate_forests,
     enumerate_trees,
     forests_of_grade,
-    grade,
     graft,
     leaf,
     symmetry_factor,
@@ -81,27 +80,42 @@ def test_forest_product_commutes(a, b):
 
 def test_immutability():
     t = leaf(1)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="^Tree is immutable$"):
         t.label = 2
     f = Forest((t,))
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="^Forest is immutable$"):
         f.factors = ()
+    w = Word((t,))
+    with pytest.raises(AttributeError, match="^Word is immutable$"):
+        w.letters = ()
+
+
+def test_forest_and_word_of_the_same_trees_share_a_key_and_stay_unequal():
+    a, b = leaf(1), graft([leaf(2)], 1)
+    f, w = Forest((a, b)), Word((a, b))
+    assert f.sort_key() == w.sort_key()
+    assert hash(f) == hash(w)
+    assert f != w and w != f
+    assert not f == w and not w == f
+    assert {f: "forest", w: "word"} == {Forest((b, a)): "forest", Word((a, b)): "word"}
+    assert len({f: 0, w: 1}) == 2
 
 
 def test_compare_is_total_on_enumeration():
     ts = enumerate_trees(4, 2)
     for i, a in enumerate(ts):
-        assert compare(a, a) == 0
+        assert a <= a and a >= a and not a < a and not a > a and not a != a
         for b in ts[i + 1:]:
-            assert compare(a, b) == -compare(b, a) != 0
+            assert a < b and a <= b and b > a and b >= a and a != b
+            assert not (b < a or b <= a or a > b or a >= b or a == b)
 
 
 def test_grade_bookkeeping():
     t = graft(Forest((leaf(1), leaf(2))), 3)
-    assert grade(t) == 3
+    assert t.grade == 3
     assert t.label == 3
-    assert grade(Forest((t, leaf(1)))) == 4
-    assert grade(EMPTY_FOREST) == 0
+    assert Forest((t, leaf(1))).grade == 4
+    assert EMPTY_FOREST.grade == 0
 
 
 def test_graft_sorts_children():
