@@ -12,10 +12,13 @@ concatenation into the convolution product.
 A morphism is fixed by its tree images, and `_fold` is the one fold that
 extends it: a forest maps to the shuffle of its trees' images, as a map
 from word-context positions to coefficients (ints where integral), and a
-combination to the sum of its forests' images, in term order.  The cached
-`_phi_tree`/`_psi_tree` fold their subforests, `_psi_tree` over the tree's
-cut row in the forest context, and everything else folds over them or over
-a `MorphismTable` on a context sized by its input's grade.
+combination to the sum of its forests' images, in term order.  The tree
+images are rows {position: int} of one table per (morphism, N, d),
+`_tree_rows`, which folds each tree's child forest (phi_g) or cut row
+(psi) of `forest_context(N, d)` on `word_context(N, d, n)`, in grade order.
+`psi`, `phi_g` and the adjoints read the table of their input's grade; a
+`MorphismTable` holds its level's images as `TensorElem`s and reads them
+back as rows when it folds.
 """
 
 from __future__ import annotations
@@ -23,19 +26,11 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping
 
 from .hopf import HElem, forest_context
 from .linear import summed
 from .tensor import TensorElem, Word, WordContext, word_context
-from .trees import (
-    EMPTY_FOREST,
-    Forest,
-    Tree,
-    chain,
-    enumerate_trees,
-    forests_of_grade,
-)
+from .trees import EMPTY_FOREST, Forest, Tree, chain, forests_of_grade
 
 _ZERO = Fraction(0)
 
@@ -45,79 +40,79 @@ def _exact(c):
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
-def _fold(ctx: WordContext, tree_image, memo: dict, f: Forest) -> dict:
+def _fold(ctx: WordContext, rows, memo: dict, f: Forest) -> dict:
     """f's image as {ctx position: coefficient}: the last tree's image
     shuffled onto the image of the others, each forest folded once per memo.
 
-    tree_image maps a tree to its image as a word map.  Zeros are kept: a
-    word one shuffle cancels keeps its place for the next."""
+    rows maps a tree to its image as a row on ctx.  Zeros are kept: a word
+    one shuffle cancels keeps its place for the next."""
     img = memo.get(f)
     if img is None:
         if len(f.factors) > 1:
-            rest = _fold(ctx, tree_image, memo, Forest(f.factors[:-1]))
-            img = ctx.shuffle(rest, _fold(ctx, tree_image, memo, Forest(f.factors[-1:])))
+            rest = _fold(ctx, rows, memo, Forest(f.factors[:-1]))
+            img = ctx.shuffle(rest, _fold(ctx, rows, memo, Forest(f.factors[-1:])))
         elif f.factors:
-            img = {ctx.position(w.letters): _exact(c) for w, c in tree_image(f.factors[0]).items()}
+            img = rows[f.factors[0]]
         else:
             img = {ctx.position(()): 1}
         memo[f] = img
     return img
 
 
-def _image(terms: dict, d: int, n: int, tree_image, ctx: WordContext) -> TensorElem:
-    """The morphism fixed by tree_image on a combination of forests: forest
-    images are summed in term order, then in each image's own order."""
-    fold = functools.partial(_fold, ctx, tree_image, {})
+def _letter_bound(which: str, N: int) -> int:
+    return 1 if which == "phi_g" else max(N, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _tree_rows(which: str, N: int, d: int) -> tuple:
+    """(ctx, rows): the images of the trees of grade <= N, labels <= d, in
+    grade order, as read-only rows {position: int} on ctx = word_context(N,
+    d, n), each folded from the rows of smaller trees.
+
+    phi_g(t) is the shuffle of t's children with the root letter appended.
+    psi(t) is t, the one-letter word, plus psi(pruned) with the trunk (a
+    tree) appended as a letter over the nontrivial cuts of t's cut row, in
+    its order and with its counts."""
+    ctx, fctx = word_context(N, d, _letter_bound(which, N)), forest_context(N, d)
+    forests, keys, at, rows = fctx.basis, ctx.keys, ctx.position, {}
+    fold = functools.partial(_fold, ctx, rows, {})
+    for k, t in enumerate(fctx.trees):
+        if which == "phi_g":
+            root = (Tree(t.label),)
+            row = {at(keys[i] + root): c for i, c in fold(Forest(t.children)).items()}
+        else:
+            row = {at((t,)): 1}
+            for a, b, cnt in fctx.cuts[fctx.by_ids[k,]]:
+                if a and b:  # position 0 is the unit forest
+                    trunk = forests[b].factors
+                    for i, c in fold(forests[a]).items():
+                        j = at(keys[i] + trunk)
+                        row[j] = row.get(j, 0) + cnt * c
+        rows[t] = MappingProxyType(row)
+    return ctx, MappingProxyType(rows)
+
+
+def _image(terms: dict, d: int, n: int, ctx: WordContext, rows) -> TensorElem:
+    """The morphism fixed by the tree rows on a combination of forests:
+    forest images are summed in term order, then in each image's own order."""
+    fold = functools.partial(_fold, ctx, rows, {})
     out = summed((k, c * v) for f, c in terms.items() for k, v in fold(f).items())
     return TensorElem({ctx.word(k): v for k, v in out.items()}, d, n)
 
 
-def _adjoint(w: Word, d: int, tree_image, ctx: WordContext) -> HElem:
+def _adjoint(w: Word, d: int, which: str) -> HElem:
     """<adjoint(w), h> = <w, image(h)> over forests h of the word's grade:
     the morphisms are graded, so no other forest can hit w."""
+    ctx, rows = _tree_rows(which, w.grade, d)
     memo, k = {}, ctx.position(w.letters)
-    images = {h: _fold(ctx, tree_image, memo, h).get(k) for h in forests_of_grade(w.grade, d)}
+    images = {h: _fold(ctx, rows, memo, h).get(k) for h in forests_of_grade(w.grade, d)}
     return HElem({h: _ZERO + c for h, c in images.items() if c}, d)
-
-
-@functools.lru_cache(maxsize=None)
-def _phi_tree(t: Tree) -> Mapping:
-    """phi_g(t) as a read-only word map: child shuffles with the root letter
-    appended, so a tree of grade n maps to words of n single-vertex letters."""
-    ctx = word_context(t.grade, t.max_label(), 1)
-    root = (Tree(t.label),)
-    acc = _fold(ctx, _phi_tree, {}, Forest(t.children))
-    return MappingProxyType({Word(ctx.keys[k] + root): _ZERO + v for k, v in acc.items()})
 
 
 def phi_g(h: HElem) -> TensorElem:
     """Morphism onto words of single-vertex letters: [h]_i appends e_i,
     products shuffle."""
-    return _image(h.terms, h.d, 1, _phi_tree, word_context(h.max_grade(), h.d, 1))
-
-
-@functools.lru_cache(maxsize=None)
-def _psi_tree(t: Tree) -> Mapping:
-    """psi(t) as a read-only word map.
-
-    psi(t) = t (one-letter word) plus, for every nontrivial cut
-    pruned (x) trunk with its multiplicity, psi(pruned) with the trunk
-    appended as a single letter, over the cut row of t in the forest
-    context of t's grade and labels, in its order.  The trunk of a tree cut
-    is always a tree.
-    """
-    ctx = word_context(t.grade, t.max_label(), t.grade)
-    fctx = forest_context(t.grade, t.max_label())
-    forests, memo = fctx.basis, {}
-
-    def pairs():
-        yield Word((t,)), 1
-        for a, b, cnt in fctx.cuts[fctx.index[Forest((t,))]]:
-            if a and b:  # position 0 is the unit forest
-                for k, v in _fold(ctx, _psi_tree, memo, forests[a]).items():
-                    yield Word(ctx.keys[k] + forests[b].factors), cnt * v
-
-    return MappingProxyType(summed(pairs()))
+    return _image(h.terms, h.d, 1, *_tree_rows("phi_g", h.max_grade(), h.d))
 
 
 def psi(h: HElem, N: int) -> TensorElem:
@@ -126,7 +121,7 @@ def psi(h: HElem, N: int) -> TensorElem:
     g = h.max_grade()
     if g > N:
         raise ValueError(f"grade {g} exceeds truncation level {N}")
-    return _image(h.terms, h.d, max(N, 1), _psi_tree, word_context(g, h.d, max(g, 1)))
+    return _image(h.terms, h.d, max(N, 1), *_tree_rows("psi", g, h.d))
 
 
 # -- adjoints --------------------------------------------------------------
@@ -138,7 +133,7 @@ def psi_adjoint(w: Word, N: int, d: int | None = None) -> HElem:
         d = max(w.max_label(), 1)
     if w.grade > N:
         return HElem.zero(d)
-    return _adjoint(w, d, _psi_tree, word_context(w.grade, d, max(w.grade, 1)))
+    return _adjoint(w, d, "psi")
 
 
 def phi_g_adjoint(w: Word, d: int | None = None) -> HElem:
@@ -147,7 +142,7 @@ def phi_g_adjoint(w: Word, d: int | None = None) -> HElem:
         raise ValueError("phi_g_adjoint needs single-vertex letters")
     if d is None:
         d = max(w.max_label(), 1)
-    return _adjoint(w, d, _phi_tree, word_context(w.grade, d, 1))
+    return _adjoint(w, d, "phi_g")
 
 
 # -- chain embedding -------------------------------------------------------
@@ -173,8 +168,11 @@ def iota_elem(x: TensorElem) -> HElem:
 
 
 class MorphismTable:
-    """Per-tree images of one morphism, built once for grade <= N, labels
-    <= d, then read-only."""
+    """Per-tree images of one morphism for grade <= N, labels <= d, in
+    `cache` as `TensorElem`s over the basis words of the table's context,
+    taken from `_tree_rows`.  They are read back as rows each time the
+    table folds, so edits to `cache` count; a tree outside the table is a
+    KeyError."""
 
     __slots__ = ("which", "N", "d", "cache")
 
@@ -185,28 +183,27 @@ class MorphismTable:
         self.N = N
         self.d = d
         n = self.letter_bound()
-        fn = _phi_tree if which == "phi_g" else _psi_tree
+        ctx, rows = _tree_rows(which, N, d)
+        word = ctx.word
         self.cache = {
-            t: TensorElem(dict(fn(t)), d, n) for t in enumerate_trees(N, d)
+            t: TensorElem._trusted({word(k): _ZERO + c for k, c in row.items()}, d, n) for t, row in rows.items()
         }
 
     def letter_bound(self) -> int:
-        return 1 if self.which == "phi_g" else max(self.N, 1)
+        return _letter_bound(self.which, self.N)
 
-    def _tree_terms(self, t: Tree) -> dict:
-        entry = self.cache.get(t)
-        if entry is None:
-            raise ValueError(f"tree {t!r} outside table level {self.N}")
-        return entry.terms
+    def rows(self, ctx: WordContext) -> dict:
+        """The images in `cache` as rows on ctx, read now."""
+        at = ctx.position
+        return {t: {at(w.letters): _exact(c) for w, c in img.terms.items()} for t, img in self.cache.items()}
 
     def image(self, f: Forest) -> TensorElem:
         """Morphism value on a basis forest: shuffle over the factors."""
         return self.image_elem(HElem.from_forest(f, self.d))
 
     def image_elem(self, x: HElem) -> TensorElem:
-        g = x.max_grade()
-        ctx = word_context(g, self.d, 1 if self.which == "phi_g" else max(g, 1))
-        return _image(x.terms, x.d, self.letter_bound(), self._tree_terms, ctx)
+        ctx = word_context(self.N, self.d, self.letter_bound())
+        return _image(x.terms, x.d, self.letter_bound(), ctx, self.rows(ctx))
 
 
 def _same(a: dict, b: dict) -> bool:
@@ -239,7 +236,7 @@ def verify_hopf_morphism(which: str, N: int, d: int, table: MorphismTable | None
         "witness": None,
     }
     ctx = word_context(N, d, table.letter_bound())
-    image = functools.partial(_fold, ctx, table._tree_terms, {})
+    image = functools.partial(_fold, ctx, table.rows(ctx), {})
     fctx = forest_context(N, d)
     forests = fctx.basis
     for h, cuts in zip(forests, fctx.cuts):

@@ -250,12 +250,13 @@ def word_context(N: int, d: int, n: int) -> WordContext:
 
 def concat(x: TensorElem, y: TensorElem, N: int) -> TensorElem:
     """Bilinear word concatenation, dropping words of total grade > N: the
-    products in x's then y's term order, summed per word."""
+    products in x's then y's term order, summed per word.  Each word u of x
+    walks only y's terms of grade <= N - u.grade, kept in y's order."""
     x._check(y)
     if N < 0:
         raise ValueError(f"truncation level must be >= 0, got {N}")
-    right = y.terms.items()
-    pairs = ((u * v, c1 * c2) for u, c1 in x.terms.items() for v, c2 in right if u.grade + v.grade <= N)
+    upto = [[(v, c2) for v, c2 in y.terms.items() if v.grade <= c] for c in range(N + 1)]
+    pairs = ((u * v, c1 * c2) for u, c1 in x.terms.items() if u.grade <= N for v, c2 in upto[N - u.grade])
     return TensorElem(summed(pairs), x.d, x.n)
 
 

@@ -14,9 +14,10 @@ increments and the pairing from the library, imported where it runs.  The
 per-step loops of the lifts, `simplify_n2` and the Euler solvers, as they
 ran before their fixed work was hoisted out of the step, are kept the same
 way, and so are the loops that summed container terms by hand before
-`linear.summed` (see "term sums by hand" below), and the pairing and
-difference loops of `linear` before `linear.dot` and `Linear.__add__` took
-them over.
+`linear.summed` (see "term sums by hand" below), the per-tree morphism
+folds and the maps on them before `morphisms._tree_rows` (see "the
+per-tree morphism folds"), and the pairing and difference loops of
+`linear` before `linear.dot` and `Linear.__add__` took them over.
 """
 
 import functools
@@ -667,7 +668,8 @@ def solve_simplified_reference(sd, f, xi):
 # verbatim: each sums its terms into a dict from Fraction(0), in first-seen
 # key order, and returns that dict, which the builder then wrapped in its
 # container.  They read the library's context rows, `morphisms._fold`, the
-# grafting helpers and the parser, imported where they run.
+# grafting helpers and the parser, imported where they run.  The per-tree
+# morphism images, summed the same way, are in their own section below.
 
 
 def product_reference(x, y) -> dict:
@@ -755,38 +757,17 @@ def deconcat_reference(x) -> dict:
     return out
 
 
-def image_reference(terms: dict, tree_image, ctx) -> dict:
-    """`morphisms._image`: the forest images summed by word position, then
-    keyed by word."""
+def image_reference(terms: dict, rows, ctx) -> dict:
+    """`morphisms._image`: the forest images folded from the tree rows,
+    summed by word position, then keyed by word."""
     from hopfpath.morphisms import _fold
 
     memo: dict = {}
     out: dict = {}
     for f, c in terms.items():
-        for k, v in _fold(ctx, tree_image, memo, f).items():
+        for k, v in _fold(ctx, rows, memo, f).items():
             out[k] = out.get(k, Fraction(0)) + c * v
     return {ctx.word(k): v for k, v in out.items()}
-
-
-def psi_tree_reference(t: Tree) -> dict:
-    """`morphisms._psi_tree`, its subforests folded from the library's."""
-    from hopfpath.hopf import forest_context
-    from hopfpath.morphisms import _fold, _psi_tree
-    from hopfpath.tensor import Word, word_context
-
-    ctx = word_context(t.grade, t.max_label(), t.grade)
-    fctx = forest_context(t.grade, t.max_label())
-    forests = fctx.basis
-    memo: dict = {}
-    out: dict = {Word((t,)): Fraction(1)}
-    for a, b, cnt in fctx.cuts[fctx.index[Forest((t,))]]:
-        if not a or not b:  # position 0 is the unit forest
-            continue
-        trunk = forests[b].factors
-        for k, v in _fold(ctx, _psi_tree, memo, forests[a]).items():
-            key = Word(ctx.keys[k] + trunk)
-            out[key] = out.get(key, Fraction(0)) + cnt * v
-    return out
 
 
 def iota_elem_reference(x) -> dict:
@@ -816,6 +797,112 @@ def parser_terms_reference(parser, monomial, unit) -> dict:
         sign = 1 if parser.next()[0] == "+" else -1
     parser.expect("end")
     return out
+
+
+# -- the per-tree morphism folds -------------------------------------------
+#
+# The per-tree caches that `morphisms._tree_rows` replaced, and the maps
+# that read them, as they ran: each tree's image folded on a word context
+# and a forest context sized by that tree's grade and largest label, as a
+# read-only map from `Word` to Fraction; a forest's image the shuffle of
+# its trees' images on word-context positions, an integral Fraction read
+# as an int.  They read the library's contexts, imported where they run.
+
+
+def _integral(c):
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def word_fold_reference(ctx, tree_image, memo: dict, f: Forest) -> dict:
+    """f's image as {ctx position: coefficient}, tree_image giving each
+    tree's image as a word map."""
+    img = memo.get(f)
+    if img is None:
+        if len(f.factors) > 1:
+            rest = word_fold_reference(ctx, tree_image, memo, Forest(f.factors[:-1]))
+            img = ctx.shuffle(rest, word_fold_reference(ctx, tree_image, memo, Forest(f.factors[-1:])))
+        elif f.factors:
+            img = {ctx.position(w.letters): _integral(c) for w, c in tree_image(f.factors[0]).items()}
+        else:
+            img = {ctx.position(()): 1}
+        memo[f] = img
+    return img
+
+
+@functools.lru_cache(maxsize=None)
+def phi_g_tree_reference(t: Tree):
+    """phi_g(t): the child forest's image with the root letter appended."""
+    from types import MappingProxyType
+
+    from hopfpath.tensor import Word, word_context
+
+    ctx = word_context(t.grade, t.max_label(), 1)
+    root = (Tree(t.label),)
+    acc = word_fold_reference(ctx, phi_g_tree_reference, {}, Forest(t.children))
+    return MappingProxyType({Word(ctx.keys[k] + root): Fraction(0) + v for k, v in acc.items()})
+
+
+@functools.lru_cache(maxsize=None)
+def psi_tree_reference(t: Tree):
+    """psi(t): t itself, then psi(pruned) with the trunk appended over the
+    nontrivial cuts of t's cut row, summed by hand."""
+    from types import MappingProxyType
+
+    from hopfpath.hopf import forest_context
+    from hopfpath.tensor import Word, word_context
+
+    ctx = word_context(t.grade, t.max_label(), t.grade)
+    fctx = forest_context(t.grade, t.max_label())
+    forests = fctx.basis
+    memo: dict = {}
+    out: dict = {Word((t,)): Fraction(1)}
+    for a, b, cnt in fctx.cuts[fctx.index[Forest((t,))]]:
+        if not a or not b:  # position 0 is the unit forest
+            continue
+        trunk = forests[b].factors
+        for k, v in word_fold_reference(ctx, psi_tree_reference, memo, forests[a]).items():
+            key = Word(ctx.keys[k] + trunk)
+            out[key] = out.get(key, Fraction(0)) + cnt * v
+    return MappingProxyType(out)
+
+
+TREE_REFERENCES = {"psi": psi_tree_reference, "phi_g": phi_g_tree_reference}
+
+
+def _reference_context(which: str, g: int, d: int):
+    from hopfpath.tensor import word_context
+
+    return word_context(g, d, 1 if which == "phi_g" else max(g, 1))
+
+
+def morphism_reference(which: str, h, n: int):
+    """`psi(h, N)` (n = max(N, 1)) or `phi_g(h)` (n = 1): the forest images
+    on the context of h's grade, summed by position in term order."""
+    from hopfpath.tensor import TensorElem
+
+    ctx = _reference_context(which, h.max_grade(), h.d)
+    memo: dict = {}
+    out: dict = {}
+    for f, c in h.terms.items():
+        for k, v in word_fold_reference(ctx, TREE_REFERENCES[which], memo, f).items():
+            out[k] = out.get(k, Fraction(0)) + c * v
+    return TensorElem({ctx.word(k): v for k, v in out.items()}, h.d, n)
+
+
+def morphism_adjoint_reference(which: str, w, d: int):
+    """`psi_adjoint`/`phi_g_adjoint` of a word of grade <= N: the coefficient
+    of w in the image of every forest of w's grade."""
+    from hopfpath.hopf import HElem
+    from hopfpath.trees import forests_of_grade
+
+    ctx = _reference_context(which, w.grade, d)
+    memo, k = {}, ctx.position(w.letters)
+    out = {}
+    for h in forests_of_grade(w.grade, d):
+        c = word_fold_reference(ctx, TREE_REFERENCES[which], memo, h).get(k)
+        if c:
+            out[h] = Fraction(0) + c
+    return HElem(out, d)
 
 
 # -- the pairing and difference loops --------------------------------------

@@ -1,8 +1,9 @@
-"""What a process imports: the package resolves its exports on first use and
-each command loads only the layers it runs.
+"""What a process imports and builds: the package resolves its exports on
+first use, each command loads only the layers it runs, and the morphisms
+suite builds only the contexts of its level.
 
-The import checks run in child interpreters, because the test process has
-long since imported every module.
+The checks run in child interpreters, because the test process has long
+since imported every module and filled its tables.
 """
 
 import importlib
@@ -69,6 +70,20 @@ def test_algebra_and_the_hopf_suite_load_no_path_layer(argv):
     assert got["result"] == 0
     assert {"roughpath", "rde", "conversion"}.isdisjoint(got["hopfpath"])
     assert got["stdlib"] == []
+
+
+def test_the_morphisms_suite_builds_the_contexts_of_its_level_only():
+    # the psi and phi_g tables share the forest context of the level, and
+    # each folds on the word context of its letter bound
+    code = (
+        "import hopfpath; from hopfpath import cli; "
+        "result = [cli.main(['verify', '--suite', 'morphisms', '--N', '5', '--d', '2']), hopfpath.cache_sizes()]"
+    )
+    rc, sizes = child(code)["result"]
+    assert rc == 0
+    assert (sizes["hopf.forest_context"], sizes["tensor.word_context"]) == (1, 2)
+    live = sorted(k.rsplit(".", 1)[0] for k in sizes if k.endswith(".kernel_terms"))
+    assert live == ["hopf.forest_context(5, 2)", "tensor.word_context(5, 2, 1)", "tensor.word_context(5, 2, 5)"]
 
 
 def test_the_lgl_suite_loads_no_rough_path_layer():

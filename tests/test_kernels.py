@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hopfpath
-from hopfpath import hopf, tensor
+from hopfpath import hopf, morphisms, tensor
 from hopfpath.conversion import certify, encode
 from hopfpath.hopf import HElem, convolve
 from hopfpath.morphisms import psi, verify_hopf_morphism
@@ -433,7 +433,7 @@ def test_cache_sizes_grow_with_new_contexts(capsys):
     tensor.word_context.cache_clear()
     before = hopfpath.cache_sizes()
     assert before["hopf.forest_context"] == 0 and before["tensor.word_context"] == 0
-    assert {"trees.trees_of_grade", "tensor._shuffle_words", "morphisms._psi_tree"} <= set(before)
+    assert {"trees.trees_of_grade", "tensor._shuffle_words", "morphisms._tree_rows"} <= set(before)
     f = HElem({EMPTY_FOREST: Q(1), Forest((leaf(1),)): Q(1, 2)}, 1)
     convolve(f, f, 2)
     x = TensorElem({Word(): Q(1), Word((leaf(1),)): Q(1, 3)}, 1, 1)
@@ -463,6 +463,7 @@ def test_cache_sizes_count_filled_context_rows(capsys):
 
     hopf.forest_context.cache_clear()
     tensor.word_context.cache_clear()
+    morphisms._tree_rows.cache_clear()  # its tables hold their contexts
     gc.collect()  # a context is reported until it is collected
     before = hopfpath.cache_sizes()
     assert not any(k.startswith(("tensor.word_context(", "hopf.forest_context(")) for k in before)

@@ -9,6 +9,11 @@ scalar types and values; the order counts because float pairings iterate
 images in insertion order.  The tables are also corrupted with negative,
 non-integral and above-level coefficients; mixed signs make intermediate
 shuffles cancel, which the positional fold must not let move a word.
+
+The table builder `morphisms._tree_rows` is also checked against the
+per-tree folds it replaced, kept in `oracles.py`: row by row, with the same
+positions in the same order and the same scalar types, and through `psi`,
+`phi_g` and both adjoints, against the maps that read the per-tree folds.
 """
 
 import functools
@@ -18,9 +23,10 @@ from fractions import Fraction as Q
 import pytest
 
 from hopfpath.hopf import HElem
-from hopfpath.morphisms import MorphismTable, phi_g, phi_g_adjoint, psi, psi_adjoint
+from hopfpath.morphisms import MorphismTable, _tree_rows, phi_g, phi_g_adjoint, psi, psi_adjoint
 from hopfpath.tensor import TensorElem, Word, enumerate_words, shuffle
 from hopfpath.trees import Forest, Tree, enumerate_forests, enumerate_trees, forests_of_grade
+import oracles
 from oracles import _tree_coproduct
 
 _ZERO = Q(0)
@@ -144,12 +150,17 @@ def test_phi_g_and_psi_of_combinations_match_the_word_fold(d, scalar):
 
 
 def test_the_cached_tree_images_match_the_word_fold():
-    from hopfpath.morphisms import _phi_tree, _psi_tree
-
-    for t in enumerate_trees(5, 2):
-        for got, want in ((_phi_tree(t), phi_tree_reference(t)), (_psi_tree(t), psi_tree_reference(t))):
+    # the table builder's rows, and the tables' TensorElems made from them
+    for which, want_of in (("phi_g", phi_tree_reference), ("psi", psi_tree_reference)):
+        ctx, rows = _tree_rows(which, 5, 2)
+        table = MorphismTable(which, 5, 2)
+        for t in enumerate_trees(5, 2):
+            want = want_of(t)
+            got = table.cache[t].terms
             assert list(got.items()) == list(want.items())
             assert all(type(c) is Q for c in got.values())
+            assert [(ctx.word(k), c) for k, c in rows[t].items()] == list(want.items())
+            assert all(type(c) is int for c in rows[t].values())
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -162,6 +173,56 @@ def test_the_adjoints_match_the_word_fold(d):
     w = Word((Tree(3), Tree(1)))
     assert_same_terms(psi_adjoint(w, 4, 2), adjoint_reference(w, 2, psi_tree_reference))
     assert_same_terms(phi_g_adjoint(w, 2), adjoint_reference(w, 2, phi_tree_reference))
+
+
+# -- the table builder against the per-tree folds it replaced --------------
+
+TABLE_LEVELS = [(N, d) for N in range(6) for d in (1, 2)] + [(N, 3) for N in range(5)]
+
+
+def assert_same_rows(got, want):
+    assert list(got.items()) == list(want.items())
+    assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+
+
+@pytest.mark.parametrize("N, d", TABLE_LEVELS)
+@pytest.mark.parametrize("which", ["psi", "phi_g"])
+def test_table_rows_are_the_per_tree_folds(which, N, d):
+    # each row as the old fold read the per-tree cache: by position on the
+    # table's context, an integral Fraction as an int
+    ctx, rows = _tree_rows(which, N, d)
+    assert list(rows) == list(enumerate_trees(N, d) if N else ())
+    for t, row in rows.items():
+        want = oracles.TREE_REFERENCES[which](t)
+        assert_same_rows(row, {ctx.position(w.letters): oracles._integral(c) for w, c in want.items()})
+        assert all(k < len(ctx.basis) for k in row)
+
+
+@pytest.mark.parametrize("N, d", [(4, 2), (3, 3)])
+def test_psi_and_phi_g_are_the_per_tree_folds(N, d):
+    forests = enumerate_forests(N, d)
+    for f in forests:
+        h = HElem.from_forest(f, d)
+        assert_same_terms(phi_g(h), oracles.morphism_reference("phi_g", h, 1))
+        for level in (N, N + 2):
+            assert_same_terms(psi(h, level), oracles.morphism_reference("psi", h, level))
+    for scalar in SCALARS.values():
+        x = combination(forests, d, scalar)
+        assert_same_terms(phi_g(x), oracles.morphism_reference("phi_g", x, 1))
+        assert_same_terms(psi(x, N), oracles.morphism_reference("psi", x, N))
+    zero = HElem.zero(d)
+    assert_same_terms(psi(zero, N), oracles.morphism_reference("psi", zero, N))
+
+
+@pytest.mark.parametrize("N, d", [(4, 2), (3, 3)])
+def test_the_adjoints_are_the_per_tree_folds(N, d):
+    for w in enumerate_words(N, d, N):
+        assert_same_terms(psi_adjoint(w, N, d), oracles.morphism_adjoint_reference("psi", w, d))
+        if w.max_letter_grade() <= 1:
+            assert_same_terms(phi_g_adjoint(w, d), oracles.morphism_adjoint_reference("phi_g", w, d))
+    w = Word((Tree(d + 1), Tree(1)))
+    assert_same_terms(psi_adjoint(w, N, d), oracles.morphism_adjoint_reference("psi", w, d))
+    assert_same_terms(phi_g_adjoint(w, d), oracles.morphism_adjoint_reference("phi_g", w, d))
 
 
 # -- morphism tables, intact and corrupted ---------------------------------

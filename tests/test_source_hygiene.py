@@ -34,6 +34,9 @@ One more keeps the canonical value protocol in one place: `Tree`,
 its methods (equality, hash, order, `sort_key`, the immutability guard),
 and only `Canonical._seal` sets a `_key` or a `_hash`.
 
+One more keeps one source of morphism tree images: `morphisms` has exactly
+one `functools` cache, on its table builder `_tree_rows`.
+
 Two more guard the code the package generates: `linear._straight_line` is
 its one `compile`/`exec` site, and every source it writes, up to N=5, is a
 `def` over operand lists whose body is one list of sums of integer-weighted
@@ -486,6 +489,43 @@ def test_one_canonical_value_protocol():
     assert _PROTOCOL <= set(_class_names(classes["trees"]["Canonical"]))
     writes = {path.stem: _key_writes(trees[path]) for path in sorted(PACKAGE.glob("*.py"))}
     assert {stem: found for stem, found in writes.items() if found} == {"trees": ["Canonical._seal"] * 2}
+
+
+def _memo_sites(tree) -> list:
+    """Per reference to a `functools` cache (`lru_cache` or `cache`, read off
+    `functools` or imported bare), the function it decorates, or None."""
+    def is_memo(node):
+        return (
+            isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+            and getattr(node.value, "id", None) == "functools"
+            or isinstance(node, ast.Name) and node.id == "lru_cache"
+            or isinstance(node, ast.alias) and node.name in ("lru_cache", "cache")
+        )
+
+    decorated = {
+        id(sub): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for dec in node.decorator_list
+        for sub in ast.walk(dec)
+    }
+    return [decorated.get(id(node)) for node in ast.walk(tree) if is_memo(node)]
+
+
+def test_memo_sites_are_caught_in_every_form():
+    source = (
+        "import functools\n"
+        "from functools import cache\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def f(x): return x\n"
+        "g = functools.cache(f)\n"
+    )
+    assert sorted(map(str, _memo_sites(ast.parse(source)))) == ["None", "None", "f"]
+
+
+def test_morphisms_has_one_cache_on_the_table_builder():
+    # tree images have one source: the table of (morphism, N, d)
+    assert _memo_sites(_trees()[PACKAGE / "morphisms.py"]) == ["_tree_rows"]
 
 
 _DYNAMIC = {"compile", "exec", "eval"}

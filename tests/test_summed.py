@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from hopfpath import hopf
 from hopfpath.expr import _Parser, parse_h, parse_tensor
 from hopfpath.hopf import HElem, PairElem, forest_context
-from hopfpath.morphisms import _phi_tree, _psi_tree, iota_elem, phi_g, psi
-from hopfpath.tensor import EMPTY_WORD, TensorElem, WordPairElem, deconcat, enumerate_words, word_context
+from hopfpath.morphisms import MorphismTable, _tree_rows, iota_elem, phi_g, psi
+from hopfpath.tensor import EMPTY_WORD, TensorElem, WordPairElem, deconcat, enumerate_words
 from hopfpath.trees import EMPTY_FOREST, enumerate_forests, enumerate_trees
 
 import oracles
@@ -136,20 +136,20 @@ def _deconcat(draw, mode):
 
 def _psi_image(draw, mode):
     h = _forests(draw, mode)
-    g = h.max_grade()
-    want = oracles.image_reference(h.terms, _psi_tree, word_context(g, h.d, max(g, 1)))
-    return psi(h, 3), TensorElem(want, h.d, 3)
+    ctx, rows = _tree_rows("psi", h.max_grade(), h.d)
+    return psi(h, 3), TensorElem(oracles.image_reference(h.terms, rows, ctx), h.d, 3)
 
 
 def _phi_g_image(draw, mode):
     h = _forests(draw, mode)
-    want = oracles.image_reference(h.terms, _phi_tree, word_context(h.max_grade(), h.d, 1))
-    return phi_g(h), TensorElem(want, h.d, 1)
+    ctx, rows = _tree_rows("phi_g", h.max_grade(), h.d)
+    return phi_g(h), TensorElem(oracles.image_reference(h.terms, rows, ctx), h.d, 1)
 
 
 def _psi_tree_map(draw, mode):
+    # the table's images, built from _tree_rows: Fractions keyed by word
     t = draw(st.sampled_from(enumerate_trees(4, D)))
-    return _psi_tree(t), oracles.psi_tree_reference(t)
+    return MorphismTable("psi", 4, D).cache[t], oracles.psi_tree_reference(t)
 
 
 def _iota_elem(draw, mode):
