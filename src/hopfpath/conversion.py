@@ -1,11 +1,11 @@
 """Encoding a branched rough path as a geometric one over tree letters.
 
-The encoder walks up one grade at a time: the functionals of grade-(n+1)
-trees that the level-n geometric lift fails to reproduce, read off the
-adjacent increments alone, become new scalar path components, and the
-canonical lift of the extended piecewise-linear path is rebuilt.  No level
-checks anything.  One sweep of `certify` over every grid pair, the
-conversion's only all-pairs pass, then checks the defining identity
+The encoder walks up one grade at a time: the functionals of grade-n trees
+that the level-n lift of the path so far fails to reproduce, read off the
+adjacent increments, become new path components; grade-N letters enter a
+level-N lift only as one-letter words, so the last lift gives the final one
+(`roughpath._lift_past_partial`).  Nothing is checked until one `certify`
+sweep over every grid pair, the only all-pairs pass, checks the identity
 
     <X_st, h> = <Xbar_st, psi(h)>
 
@@ -17,15 +17,15 @@ is built or cached, and exact values stay integer numerators over one
 denominator until a witness prints them.  In both scalar modes the fold
 and the psi images run as straight-line functions generated from integer
 tables (`linear.Context.compiled`, `Context.linear_map`): the images give
-every forest's value from one call on the geometric row, in place of one
-`Row.pair` per image.  It is every level's check as well: for an extracted
-tree tau, with f_tau(s, t) = <X_st, tau> - <Xbar_st, psi(tau)
-without the tau letter> and F_tau the prefix sums of its adjacent values,
-<Xbar_st, psi(tau)> - <X_st, tau> = F_tau(t) - F_tau(s) - f_tau(s, t); on
-product forests it also catches increments that are not characters.  The
-analytic construction picks an arbitrary extension at each level; here the
-canonical lift of the interpolated path replaces it, which keeps
-everything rational and deterministic.
+every forest's value from one call on the geometric row.  It is every
+level's check as well: for an extracted tree tau, with f_tau(s, t) =
+<X_st, tau> - <Xbar_st, psi(tau) without the tau letter> and F_tau the
+prefix sums of its adjacent values, <Xbar_st, psi(tau)> - <X_st, tau> =
+F_tau(t) - F_tau(s) - f_tau(s, t); on product forests it also catches
+increments that are not characters.  The analytic construction picks an
+arbitrary extension at each level; here the canonical lift of the
+interpolated path replaces it, which keeps everything rational and
+deterministic.
 
 `encode` returns a `ConversionResult`: `extended_path`, the sampled path
 with one component per tree letter; `geometric`, its canonical lift over
@@ -49,6 +49,7 @@ from .roughpath import (
     GeometricRoughPath,
     SampledPath,
     _close,
+    _lift_past_partial,
     canonical_lift,
     roughpath_obj,
 )
@@ -70,7 +71,7 @@ def _running_sums(increments: list, mode: str) -> list:
 def base_path_of(X: BranchedRoughPath) -> SampledPath:
     """Grade-1 components of a branched rough path, started at 0."""
     basis = tuple(leaf(i) for i in range(1, X.d + 1))
-    cols = [_running_sums([g.coeff(h) for g in X.increments], X.mode) for h in (Forest((b,)) for b in basis)]
+    cols = [_running_sums([g.terms.get(h, _ZERO) for g in X.increments], X.mode) for h in (Forest((b,)) for b in basis)]
     return SampledPath(X.grid, basis, list(zip(*cols)), X.mode)
 
 
@@ -106,9 +107,8 @@ def extract_extended_path(X: BranchedRoughPath, partial: GeometricRoughPath) -> 
     For each tree tau of grade n+1 the value on step k is f_tau(k, k+1),
     f_tau(s, t) = <X_st, tau> - <partial_st, psi(tau) without the tau letter>,
     read from the adjacent increments alone.  Each image is paired with the
-    increment's terms on their words by `linear.dot`, iterating the side
-    `Row.pair` would (the image unless it has more terms), so float sums
-    round as the row pairing rounds them.  Nothing here checks the values:
+    increment's terms on their words by `linear.dot`, iterating the image
+    unless it has more terms.  Nothing here checks the values:
     `certify`'s sweep of the final lift does (see the module docstring).
     """
     _same_grid(X, partial)
@@ -209,19 +209,20 @@ def certify(X: BranchedRoughPath, Xbar: GeometricRoughPath) -> dict:
 def encode(X: BranchedRoughPath, certify_result: bool = True, check_cocycle: bool = True) -> ConversionResult:
     """Extend the underlying path tree by tree and lift it geometrically.
 
-    Levels n = 1 .. N-1 each extract the grade-(n+1) components from adjacent
-    increments and rebuild the canonical lift of the extended path.  Then one
+    Levels n = 2 .. N each read the grade-n components off the level-n
+    lift's adjacent increments and lift the extended path once.  Then one
     `certify` sweep checks the final lift, every level's check included: with
     certify_result it is the certificate; otherwise, with check_cocycle,
     `certify` still runs and a failure raises ConversionError naming the
     forest, the pair and both values.  With both flags off nothing is swept.
     """
     ext = base_path_of(X)
-    for n in range(1, X.N):
-        new = extract_extended_path(X, canonical_lift(ext, n + 1, X.gamma))
+    geometric = canonical_lift(ext, min(X.N, 2), X.gamma)  # the level-2 lift, or at N=1 the final one
+    for n in range(2, X.N + 1):
+        new = extract_extended_path(X, geometric)
         taus = sorted(new)
         ext = ext.extend(taus, [_running_sums(new[tau], X.mode) for tau in taus])
-    geometric = canonical_lift(ext, X.N, X.gamma)
+        geometric = canonical_lift(ext, n + 1, X.gamma) if n < X.N else _lift_past_partial(geometric, ext)
     cert = certify(X, geometric) if certify_result or check_cocycle else {"status": "skipped"}
     if not certify_result and cert["status"] == "fail":
         raise ConversionError(f"<X_st, h> != <Xbar_st, psi(h)> at {json.dumps(cert['witness'])}")

@@ -34,9 +34,9 @@ and `Context.times` is the product of rows, the one loop kernel: it reads
 the context's `table()` entry by entry, on numerators or on the scalars,
 so float totals round in table order.  `convolve` runs there, through
 `context_product`; `tensor.concat` needs no table and is a plain loop over
-its words.  `Row.pair` pairs two rows, and `dot` is the pairing loop
-itself, over any two maps; the adjacent psi pairing of `conversion` runs it
-on word keys, with no row, and `pair` runs it on elements.
+its words.  `dot` is the pairing loop, over any two maps; the adjacent psi
+pairing of `conversion` runs it on word keys, with no row, and `pair` runs
+it on elements.
 
 The all-pairs sweeps (the pair fold, Chen and the psi pairing) run on
 straight-line functions that `_straight_line` generates from the same
@@ -212,20 +212,6 @@ class Row:
         if den is None or den == 1:
             return dict(self.values)
         return {k: Fraction(c, den) for k, c in self.values.items()}
-
-    def _read(self) -> dict:
-        """The scalars for reading only: the values themselves where they
-        are the scalars, `scalars()` otherwise."""
-        return self.values if self.den in (None, 1) else self.scalars()
-
-    def pair(self, other: "Row"):
-        """<self, other>: an integer over self.den * other.den when both are
-        exact, a sum of their scalars otherwise, read in place where they
-        are the values.  The row of fewer terms (self on a tie) is iterated,
-        adding c * v per common position to 0."""
-        exact = self.den is not None and other.den is not None
-        a, b = (self.values, other.values) if exact else (self._read(), other._read())
-        return dot(b, a) if self.size > other.size else dot(a, b)
 
 
 def dot(a: dict, b: dict):

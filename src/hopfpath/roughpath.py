@@ -17,14 +17,12 @@ The two path classes carry what differs between the sides (the `kind`, the
 element class and context tuple, the key parser, the Hölder keys and the
 `linear.Context` their products run on); the rest asks the path's context.
 
-On each interval the canonical increment is exp(sum_tau delta_tau e_tau),
-whose coefficient on a word of k letters is the product of their deltas
-over k!.  `canonical_lift` writes that closed form directly instead of
-summing the `tensor_exp` series, and its increments are bit-identical to
-`tensor_exp` of the grade-1 primitive in both scalar modes: same keys in the
-same order, same scalar types, same rounding.  Float sums downstream iterate
-the terms in insertion order, so that order is part of the contract; the
-builders that sum terms keep it through `linear.summed`.
+`canonical_lift` writes the canonical increment exp(sum_tau delta_tau e_tau)
+in closed form, bit for bit `tensor_exp` of the grade-1 primitive in both
+scalar modes, and `_lift_past_partial` adds letters of the top grade to such
+a lift as `canonical_lift` would.  Float sums downstream iterate the terms
+in insertion order, so that order is part of the contract; the builders
+that sum terms keep it through `linear.summed`.
 
 Exact rational scalars are the default; float mode exists for long grids and
 switches validation to tolerance comparisons.  `SampledPath.from_csv`
@@ -144,10 +142,10 @@ class SampledPath:
         basis = tuple(basis)
         if len(set(basis)) != len(basis) or not basis:
             raise ValueError("basis must be non-empty and duplicate-free")
-        vals = tuple(tuple(row) for row in values)
+        vals = tuple(map(tuple, values))
         if len(vals) != len(grid):
             raise ValueError("one value row per grid time required")
-        if any(len(row) != len(basis) for row in vals):
+        if set(map(len, vals)) != {len(basis)}:
             raise ValueError("row dimension must match the basis")
         self.grid = grid
         self.basis = basis
@@ -183,7 +181,7 @@ class SampledPath:
         for t, col in zip(new_basis, new_columns, strict=True):
             if len(col) != n:
                 raise ValueError(f"column {t!r}: {len(col)} values for {n} grid times")
-        rows = [tuple(self.values[k]) + tuple(col[k] for col in new_columns) for k in range(n)]
+        rows = map(operator.add, self.values, zip(*new_columns)) if new_columns else self.values
         out = SampledPath(self.grid, self.basis + new_basis, rows, self.mode)
         if self._variation is not None:
             out._variation = _l1(new_columns, self._variation)
@@ -385,7 +383,7 @@ def _l1(columns, start=0):
     """start plus the absolute differences of each column, summed column by
     column in order: the l1 variation of a path from its columns, or of an
     extended path from its base's and the new columns."""
-    return sum((abs(b - a) for col in columns for a, b in zip(col, col[1:])), start)
+    return sum(map(abs, itertools.chain.from_iterable(map(operator.sub, col[1:], col) for col in columns)), start)
 
 
 def _check_float_range(path: SampledPath, N: int) -> None:
@@ -474,6 +472,33 @@ def canonical_lift(path: SampledPath, N: int, gamma=None) -> GeometricRoughPath:
     return GeometricRoughPath(
         N, gamma if gamma is not None else Fraction(1, N), path.grid, increments, d, path.mode, letters
     )
+
+
+def _lift_past_partial(partial: GeometricRoughPath, path: SampledPath) -> GeometricRoughPath:
+    """canonical_lift(path, N, partial.gamma), for partial the level-N lift
+    of path's first columns and path's other columns trees of grade N.  A
+    grade-N letter enters a level-N lift only as a one-letter word, so each
+    increment is partial's on word_context(N, d, N)'s own words, with the
+    words of the grade-N letters that move, their delta times the m=1 scale,
+    right after the lower letters' one-letter words: canonical_lift's keys,
+    order, scalar types and float bits."""
+    N, d, k = partial.N, partial.d, len(partial.letters)
+    _check_float_range(path, N)
+    ctx = word_context(N, d, N)
+    moved = {w: (ctx.basis[ctx.index[w]], len(w) > 1) for w in partial.context().basis}
+    top = [(ctx.basis[ctx.index[Word((t,))]], i) for i, t in enumerate(path.basis[k:], k)]
+    scale, increments = 1.0 if path.mode == FLOAT else Fraction(1), []
+    for g, lo, hi in zip(partial.increments, path.values, path.values[1:]):
+        tops, terms = [(w, c) for w, i in top if (v := hi[i] - lo[i]) != 0 and (c := scale * v) != 0], {}
+        for w, c in g.terms.items():
+            w, longer = moved[w]
+            if longer and tops:  # the first word of two or more letters
+                terms.update(tops)
+                tops = None
+            terms[w] = c
+        terms.update(tops or ())
+        increments.append(TensorElem._trusted(terms, d, N))
+    return GeometricRoughPath(N, partial.gamma, path.grid, increments, d, path.mode, path.basis)
 
 
 def ito_lift(path: SampledPath, N: int, gamma=None) -> BranchedRoughPath:

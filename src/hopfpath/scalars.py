@@ -10,8 +10,8 @@ integer numerators over their least common denominator, and leaves a list
 with a float in it as it is.  Two modules read it.  `linear.Row` carries an
 element's terms that way through the product kernels (`hopf.convolve`, the
 Chen sweep, the pair fold that `conversion.certify` reads and the psi
-pairing), by `linear.Context.times` and `Row.pair` or, in a sweep, by the
-functions `linear` compiles; `rde`'s polynomial views do the same for the
+pairing), by `linear.Context.times` or, in a sweep, by the functions
+`linear` compiles; `rde`'s polynomial views do the same for the
 derivative rule.
 """
 

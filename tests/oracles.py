@@ -17,7 +17,9 @@ way, and so are the loops that summed container terms by hand before
 `linear.summed` (see "term sums by hand" below), the per-tree morphism
 folds and the maps on them before `morphisms._tree_rows` (see "the
 per-tree morphism folds"), and the pairing and difference loops of
-`linear` before `linear.dot` and `Linear.__add__` took them over.
+`linear` before `linear.dot` and `Linear.__add__` took them over.  So is
+the pairing of two `linear.Row`s, which left the package once only tests
+read it (see "the row pairing" below).
 """
 
 import functools
@@ -933,3 +935,38 @@ def difference_reference(x, y):
     for k, c in y.terms.items():
         out[k] = out.get(k, zero) - c
     return type(x)(out, *x.ctx)
+
+
+# -- the row pairing -------------------------------------------------------
+#
+# `Row.pair` and `Row._read` as they stood in `linear`, kept verbatim but for
+# `linear.dot`, written out here: the package pairs rows only in its
+# compiled sweeps, so the tests pin those sweeps and the adjacent psi
+# pairing against this.
+
+
+def _row_read_reference(row) -> dict:
+    """`Row._read`: the scalars for reading only, the values themselves
+    where they are the scalars, `scalars()` otherwise."""
+    return row.values if row.den in (None, 1) else row.scalars()
+
+
+def _dot_reference(a: dict, b: dict):
+    """`linear.dot`: the sum from 0 of c * b[k] over the terms of a whose
+    key b holds, in a's order."""
+    total = 0
+    for k, c in a.items():
+        v = b.get(k)
+        if v is not None:
+            total += c * v
+    return total
+
+
+def row_pair_reference(row, other):
+    """`Row.pair`: <row, other>, an integer over row.den * other.den when
+    both are exact, a sum of their scalars otherwise, read in place where
+    they are the values.  The row of fewer terms (row on a tie) is iterated,
+    adding c * v per common position to 0."""
+    exact = row.den is not None and other.den is not None
+    a, b = (row.values, other.values) if exact else (_row_read_reference(row), _row_read_reference(other))
+    return _dot_reference(b, a) if row.size > other.size else _dot_reference(a, b)

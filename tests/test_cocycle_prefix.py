@@ -22,9 +22,11 @@ import pytest
 from hopfpath.conversion import base_path_of, certify, extract_extended_path
 from hopfpath.hopf import HElem
 from hopfpath.morphisms import psi
-from hopfpath.roughpath import RATIONAL, SampledPath, canonical_lift, ito_lift
+from hopfpath.roughpath import RATIONAL, SampledPath, _lift_past_partial, canonical_lift, ito_lift
 from hopfpath.tensor import Word, word_context
 from hopfpath.trees import Forest, trees_of_grade
+
+from oracles import row_pair_reference
 
 
 def extract_reference(X, partial):
@@ -40,7 +42,7 @@ def extract_reference(X, partial):
     for k in range(X.grid.steps):
         vec = ctx.row_of(partial.increment(k, k + 1).terms)
         for (tree, lower), f in zip(lowers, out.values()):
-            rhs = lower.pair(vec)
+            rhs = row_pair_reference(lower, vec)
             if vec.den is not None:
                 rhs = Q(rhs, vec.den)
             f.append(X.increment(k, k + 1).coeff(tree) - rhs)
@@ -69,10 +71,12 @@ def _extended(path, new):
 
 def _certified(X, path, n):
     """The status of `certify` on the level-N lift that `encode`'s level
-    loop reaches from path, whose letters stop at grade n."""
+    loop reaches from path, whose letters stop at grade n < N: the last
+    level's lift with the grade-N letters added."""
     for m in range(n, X.N):
-        path = _extended(path, extract_extended_path(X, canonical_lift(path, m + 1, X.gamma)))
-    return certify(X, canonical_lift(path, X.N, X.gamma))["status"]
+        partial = canonical_lift(path, m + 1, X.gamma)
+        path = _extended(path, extract_extended_path(X, partial))
+    return certify(X, _lift_past_partial(partial, path))["status"]
 
 
 def _changed(path, rng):

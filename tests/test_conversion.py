@@ -1,6 +1,7 @@
 """Branched-to-geometric encoding, its certificate, and the level-2 shortcut."""
 
 import re
+import struct
 from fractions import Fraction as Q
 
 import pytest
@@ -19,16 +20,19 @@ from hopfpath.hopf import HElem, convolve
 from hopfpath.linear import Context
 from hopfpath.morphisms import psi
 from hopfpath.roughpath import (
+    FLOAT,
+    RATIONAL,
     BranchedRoughPath,
     Grid,
     SampledPath,
+    _lift_past_partial,
     _RoughPathBase,
     canonical_lift,
     embed_geometric,
     ito_lift,
     validate,
 )
-from hopfpath.tensor import Word, concat, is_tensor_group_like
+from hopfpath.tensor import Word, concat, is_tensor_group_like, word_context
 from hopfpath.trees import Forest, Tree, leaf
 
 from seams import count_calls, sweeps
@@ -116,6 +120,86 @@ def test_extraction_grade_one_components_are_increments(encoded_n2, ito_n2):
     ext = encoded_n2.extended_path
     assert ext.component(B1) == base_path_of(ito_n2).component(B1)
     assert ext.component(B2) == base_path_of(ito_n2).component(B2)
+
+
+def _stalling_walk(d, mode):
+    """A dyadic walk of 5 steps: one where nothing moves, one where only
+    b_d moves, so tree components vanish on whole steps or on some trees."""
+    one = Q(1) if mode == RATIONAL else 1.0
+    steps = [[1, -2], [0, 0], [0, 1], [3, -1], [-2, 2]]
+    rows = [[0 * one] * d]
+    for step in steps:
+        rows.append([v + one * dv / 4 for v, dv in zip(rows[-1], step[2 - d :])])
+    return SampledPath.over_labels([one * k / 5 for k in range(6)], rows, d, mode)
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_base_path_keeps_the_scalar_type_of_the_mode(mode):
+    # an absent letter on the standing step reads the Fraction zero, which
+    # a float running sum absorbs
+    path = _stalling_walk(2, mode)
+    X = ito_lift(path, 2)
+    assert Forest((B1,)) not in X.increments[1].terms
+    got = base_path_of(X)
+    assert got.values == path.values and got.basis == path.basis
+    assert {type(v) for row in got.values for v in row} == {Q if mode == RATIONAL else float}
+
+
+def _bits(c):
+    return type(c), struct.pack("<d", c) if type(c) is float else c
+
+
+def _same_lift(got, want):
+    """The same letters, level, gamma and increments: keys in the same
+    order, each the level-N word context's own word, with the same scalar
+    types and, for floats, the same bits."""
+    assert (got.letters, got.N, got.gamma, got.d, got.mode) == (want.letters, want.N, want.gamma, want.d, want.mode)
+    ctx = word_context(want.N, want.d, want.letter_bound)
+    assert len(got.increments) == len(want.increments)
+    for g, h in zip(got.increments, want.increments):
+        assert g.ctx == h.ctx
+        assert list(g.terms) == list(h.terms)
+        assert all(w is ctx.basis[ctx.index[w]] for w in g.terms)
+        assert [_bits(c) for c in g.terms.values()] == [_bits(c) for c in h.terms.values()]
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_final_lift_is_the_canonical_lift_of_the_extended_path(N, d, mode):
+    # the last level's lift with the grade-N letters added, against a
+    # fresh lift of the whole extended path
+    X = ito_lift(_stalling_walk(d, mode), N)
+    result = encode(X, False, False)
+    ext = result.extended_path
+    want = canonical_lift(ext, N, X.gamma)
+    _same_lift(result.geometric, want)
+    if N == 1:
+        return
+    lower = [t for t in ext.basis if t.grade < N]
+    low = SampledPath(ext.grid, lower, [row[: len(lower)] for row in ext.values], mode)
+    _same_lift(_lift_past_partial(canonical_lift(low, N, X.gamma), ext), want)
+    # a grade-N letter standing still on a step has no word there
+    tops = [Word((t,)) for t in ext.basis if t.grade == N]
+    absent = [sum(w not in g.terms for w in tops) for g in want.increments]
+    assert absent[1] == len(tops)
+    assert d == 1 or any(0 < a < len(tops) for a in absent)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_encode_lifts_each_level_once(N, monkeypatch):
+    # the last level's lift becomes the final one, so no lift repeats
+    levels = []
+
+    def counted(path, level, gamma=None):
+        levels.append(level)
+        return canonical_lift(path, level, gamma)
+
+    X = ito_lift(walk_path_d2(3), N)
+    monkeypatch.setattr(conversion, "canonical_lift", counted)
+    encode(X, False, False)
+    assert levels == (list(range(2, N + 1)) or [1])
+    assert len(levels) == max(N - 1, 1)
 
 
 # -- encode and certificate ------------------------------------------------

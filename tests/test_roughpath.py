@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import re
+import struct
 from fractions import Fraction as Q
 from random import Random
 
@@ -22,6 +23,7 @@ from hopfpath.roughpath import (
     Grid,
     SampledPath,
     _close,
+    _l1,
     _RoughPathBase,
     canonical_lift,
     embed_geometric,
@@ -108,6 +110,37 @@ def test_sampled_path_extend_refuses_a_column_off_the_grid(column):
         p.extend([cherry], [column])
     with pytest.raises(ValueError):
         p.extend([cherry], [[0.0, 1.0], [0.0, 1.0]])  # more columns than trees
+
+
+def test_sampled_path_extend_keeps_the_checks_of_a_fresh_path():
+    # each row is the base row followed by the new columns' values at its
+    # time; a short column anywhere, and a tree already in the basis or
+    # given twice, are refused before any row is built
+    p = SampledPath.over_labels([0.0, 0.5, 1.0], [[0.0, 1.0], [0.5, 0.0], [1.0, 2.0]], 2, FLOAT)
+    cherry, other = Tree(1, (B1,)), Tree(2, (B1,))
+    q = p.extend([cherry, other], [[0.0, 0.25, 0.5], [0.0, -1.0, 3.0]])
+    assert q.values == ((0.0, 1.0, 0.0, 0.0), (0.5, 0.0, 0.25, -1.0), (1.0, 2.0, 0.5, 3.0))
+    assert all(type(row) is tuple for row in q.values) and q.basis == (B1, B2, cherry, other)
+    for columns in ([[0.0] * 3, [0.0] * 2], [[0.0] * 2, [0.0] * 3]):
+        short = (cherry, other)[len(columns[0]) == 3]
+        with pytest.raises(ValueError, match=re.escape(f"column {short!r}: 2 values for 3 grid times") + "$"):
+            p.extend([cherry, other], columns)
+    for trees in ([B2], [cherry, cherry]):
+        with pytest.raises(ValueError, match="^basis must be non-empty and duplicate-free$"):
+            p.extend(trees, [[0.0] * 3] * len(trees))
+    assert p.extend([], []).values == p.values
+
+
+def test_extended_variation_has_the_bits_of_one_scan_of_every_column():
+    # the variation found on the base, carried over two extensions, is the
+    # float a scan of all columns in basis order sums
+    rng = Random(11)
+    rows = [[rng.uniform(-1, 1) for _ in range(2)] for _ in range(7)]
+    base = SampledPath.over_labels([k / 6 for k in range(7)], rows, 2, FLOAT)
+    canonical_lift(base, 1)
+    ext = base.extend([Tree(1, (B2,)), Tree(2, (B1,))], [[rng.uniform(-3, 3) for _ in range(7)] for _ in range(2)])
+    ext = ext.extend([chain([1, 1, 2])], [[rng.uniform(-9, 9) for _ in range(7)]])
+    assert struct.pack("<d", ext._variation) == struct.pack("<d", _l1(zip(*ext.values)))
 
 
 def test_csv_round_trip():

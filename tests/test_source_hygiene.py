@@ -29,6 +29,10 @@ context's `.table()`, and no class but `linear.Context` defines `times`,
 `product` or `operand`, so neither side grows a loop kernel or an operand
 builder of its own again.
 
+One more keeps rows unpaired outside the sweeps: no package class `Row`
+defines `pair` or `_read`, and no package module names `Row.pair`; the
+pairing that only tests read is `oracles.row_pair_reference`.
+
 One more keeps the canonical value protocol in one place: `Tree`,
 `Forest` and `tensor.Word` subclass `trees.Canonical` and define none of
 its methods (equality, hash, order, `sort_key`, the immutability guard),
@@ -431,6 +435,21 @@ def test_one_loop_kernel_reads_the_product_table():
         if name in _KERNEL_NAMES
     ]
     assert kernels == ["linear.Context.times"]
+
+
+def test_rows_have_no_pairing_in_the_package():
+    trees = _trees()
+    package = sorted(PACKAGE.glob("*.py"))
+    defined = [
+        f"{path.stem}.Row.{name}"
+        for path in package
+        for node in ast.walk(trees[path])
+        if isinstance(node, ast.ClassDef) and node.name == "Row"
+        for name in _class_names(node)
+        if name in ("pair", "_read")
+    ]
+    named = [path.stem for path in package if "Row.pair" in path.read_text()]
+    assert (defined, named) == ([], [])
 
 
 _PROTOCOL = {"__eq__", "__hash__", "__setattr__", "sort_key", "__lt__", "__le__", "__gt__", "__ge__"}

@@ -8,8 +8,9 @@ compiled kernels give the totals of `Context.times`, the loop kernel that
 reads the same table, on every basis pair, and its rows on random exact
 rows, and on float rows bit for bit; Chen's compiled verdict is
 `Context.times`' on random exact rows of every context, the psi map gives
-`Row.pair` on every image, float ones included, and single products,
-series and a grid of one step compile nothing.  The corrupted sweeps of `test_roughpath` and `test_pair_rows` run
+the row pairing of `oracles.row_pair_reference` on every image, float ones
+included, and single products, series and a grid of one step compile
+nothing.  The corrupted sweeps of `test_roughpath` and `test_pair_rows` run
 both kinds of row on the compiled kernels.
 """
 
@@ -32,6 +33,7 @@ from hopfpath.roughpath import FLOAT, RATIONAL, SampledPath, _check_chen, _close
 from hopfpath.tensor import TensorElem, Word, concat, tensor_exp, word_context
 from hopfpath.trees import Forest, enumerate_forests, leaf
 
+from oracles import row_pair_reference
 from seams import count_calls, sweeps
 
 CONTEXTS = [
@@ -114,7 +116,7 @@ def test_compiled_psi_map_gives_row_pair_on_every_image(N):
         images_of = own.linear_map([img.values.items() for img in images])
         for trial in range(6):
             vec = _random_row(own, rng, trial % 2)
-            assert images_of(own.dense(vec)) == [img.pair(vec) for img in images]
+            assert images_of(own.dense(vec)) == [row_pair_reference(img, vec) for img in images]
     assert calls == {"kernel(v)": 6}
 
 
@@ -381,7 +383,7 @@ def test_compiled_psi_map_gives_row_pair_on_float_images():
     images_of = own.linear_map([img.values.items() for img in images])
     floats = 0
     for _, _, vec in Xbar.pair_rows():
-        got, want = images_of(own.dense(vec)), [img.pair(vec) for img in images]
+        got, want = images_of(own.dense(vec)), [row_pair_reference(img, vec) for img in images]
         _assert_same_floats(dict(enumerate(got)), dict(enumerate(want)))
         floats += vec.den is None
     assert floats == math.comb(7, 2)
