@@ -29,8 +29,9 @@ deterministic.
 
 `encode` returns a `ConversionResult`: `extended_path`, the sampled path
 with one component per tree letter; `geometric`, its canonical lift over
-those letters; and `certificate`, the report of `certify` (or
-`{"status": "skipped"}`).  Its JSON form adds each tree's psi image.
+those letters; `certificate`, the report of `certify` (or `{"status":
+"skipped"}`); and at N = 2 `plain_lift`, the first level-2 lift, whose
+increments `simplify_n2` reuses.  Its JSON form adds each tree's psi image.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .roughpath import (
     roughpath_obj,
 )
 from .tensor import TensorElem, Word, is_tensor_group_like, word_context
-from .trees import Forest, Tree, enumerate_forests, enumerate_trees, leaf, trees_of_grade
+from .trees import Forest, Tree, enumerate_forests, enumerate_trees, forests_of_grade, leaf, trees_of_grade
 
 _ZERO = Fraction(0)
 
@@ -69,10 +70,11 @@ def _running_sums(increments: list, mode: str) -> list:
 
 
 def base_path_of(X: BranchedRoughPath) -> SampledPath:
-    """Grade-1 components of a branched rough path, started at 0."""
-    basis = tuple(leaf(i) for i in range(1, X.d + 1))
-    cols = [_running_sums([g.terms.get(h, _ZERO) for g in X.increments], X.mode) for h in (Forest((b,)) for b in basis)]
-    return SampledPath(X.grid, basis, list(zip(*cols)), X.mode)
+    """Grade-1 components of a branched rough path, started at 0, read with
+    the forests `ito_lift` stores as keys, so each lookup hits by identity."""
+    leaves = forests_of_grade(1, X.d)
+    cols = [_running_sums([g.terms.get(h, _ZERO) for g in X.increments], X.mode) for h in leaves]
+    return SampledPath(X.grid, tuple(h.factors[0] for h in leaves), list(zip(*cols)), X.mode)
 
 
 def _same_grid(X: BranchedRoughPath, Xbar: GeometricRoughPath) -> None:
@@ -128,26 +130,24 @@ def extract_extended_path(X: BranchedRoughPath, partial: GeometricRoughPath) -> 
 
 
 class ConversionResult:
-    """What `encode` returns: the extended path, its canonical lift and the
-    certificate."""
+    """What `encode` returns: the extended path, its canonical lift, the
+    certificate and, at N = 2, the level-2 lift of the plain letters that
+    `simplify_n2` starts from (else None; never in the JSON form)."""
 
-    __slots__ = ("extended_path", "geometric", "certificate")
+    __slots__ = ("extended_path", "geometric", "certificate", "plain_lift")
 
-    def __init__(self, extended_path: SampledPath, geometric: GeometricRoughPath, certificate: dict):
+    def __init__(self, extended_path: SampledPath, geometric: GeometricRoughPath, certificate: dict, plain_lift=None):
         self.extended_path = extended_path
         self.geometric = geometric
         self.certificate = certificate
+        self.plain_lift = plain_lift
 
     def to_obj(self) -> dict:
-        d = self.geometric.d
-        N = self.geometric.N
-        psi_map = {}
-        for tau in enumerate_trees(N, d):
-            psi_map[repr(tau)] = print_tensor(psi(HElem.from_tree(tau, d), N))
+        d, N = self.geometric.d, self.geometric.N
         return {
             "extended_path_csv": self.extended_path.to_csv(),
             "geometric": roughpath_obj(self.geometric),
-            "psi": psi_map,
+            "psi": {repr(tau): print_tensor(psi(HElem.from_tree(tau, d), N)) for tau in enumerate_trees(N, d)},
             "certificate": self.certificate,
         }
 
@@ -168,12 +168,7 @@ def certify(X: BranchedRoughPath, Xbar: GeometricRoughPath) -> dict:
     Fraction, or as the value itself when it is not exact."""
     _same_grid(X, Xbar)
     basis = enumerate_forests(X.N, X.d)
-    cert = {
-        "status": "pass",
-        "checked_forests": len(basis),
-        "checked_pairs": 0,
-        "witness": None,
-    }
+    cert = {"status": "pass", "checked_forests": len(basis), "checked_pairs": 0, "witness": None}
     own = Xbar.context()
     where = [X.context().index.get(h) for h in basis]
     images_of = own.linear_map([img.values.items() for img in _psi_rows(X, Xbar, X.N, basis)])
@@ -189,13 +184,9 @@ def certify(X: BranchedRoughPath, Xbar: GeometricRoughPath) -> dict:
             if _close(lhs, rhs, X.mode):
                 continue
             cert["status"] = "fail"
-            cert["witness"] = {
-                "forest": repr(h),
-                "s": str(X.grid.times[s]),
-                "t": str(X.grid.times[t]),
-                "branched_value": str(lhs),
-                "geometric_value": str(rhs),
-            }
+            times = X.grid.times
+            cert["witness"] = {"forest": repr(h), "s": str(times[s]), "t": str(times[t]),
+                               "branched_value": str(lhs), "geometric_value": str(rhs)}
             return cert
     gamma = X.gamma
     if not isinstance(gamma, float) and Fraction(gamma).numerator == 1:
@@ -217,7 +208,7 @@ def encode(X: BranchedRoughPath, certify_result: bool = True, check_cocycle: boo
     forest, the pair and both values.  With both flags off nothing is swept.
     """
     ext = base_path_of(X)
-    geometric = canonical_lift(ext, min(X.N, 2), X.gamma)  # the level-2 lift, or at N=1 the final one
+    geometric = plain = canonical_lift(ext, min(X.N, 2), X.gamma)  # the level-2 lift, or at N=1 the final one
     for n in range(2, X.N + 1):
         new = extract_extended_path(X, geometric)
         taus = sorted(new)
@@ -226,7 +217,8 @@ def encode(X: BranchedRoughPath, certify_result: bool = True, check_cocycle: boo
     cert = certify(X, geometric) if certify_result or check_cocycle else {"status": "skipped"}
     if not certify_result and cert["status"] == "fail":
         raise ConversionError(f"<X_st, h> != <Xbar_st, psi(h)> at {json.dumps(cert['witness'])}")
-    return ConversionResult(ext, geometric, cert if certify_result else {"status": "skipped"})
+    cert = cert if certify_result else {"status": "skipped"}
+    return ConversionResult(ext, geometric, cert, plain if X.N == 2 else None)
 
 
 # -- the level-2 shortcut --------------------------------------------------
@@ -268,9 +260,10 @@ def simplify_n2(result: ConversionResult) -> SimplifiedDriver:
     addition cancels in every e_i shuffle e_j), and the symmetric half is
     returned as scalar paths.
 
-    The cherry columns, flipped words, 1/2 (0.5 in float mode) and the set
-    of plain-letter words of Xbar's context are found once; each increment
-    keeps the terms whose word is in that set.  xhat's words are plain
+    xhat starts from `result.plain_lift`, Xbar's plain-letter words (for a
+    result without it, the plain columns are lifted again): a step with no
+    antisymmetric correction, every step at d = 1, keeps that increment
+    itself, another a copy with the corrections.  xhat's words are plain
     letters within d, so its increments are trusted.
     """
     Xbar = result.geometric
@@ -278,27 +271,33 @@ def simplify_n2(result: ConversionResult) -> SimplifiedDriver:
         raise ValueError(f"simplification applies at level 2 only, got {Xbar.N}")
     d = Xbar.d
     path = result.extended_path
-    letters = tuple(leaf(i) for i in range(1, d + 1))
-    cherries = [(i, j) for i in range(1, d + 1) for j in range(1, d + 1)]  # (i, j): [b_j]_i
-    cols = [path.basis.index(Tree(i, (leaf(j),))) for i, j in cherries]
-    flips = [((i, j), (j, i), Word((leaf(j), leaf(i)))) for i, j in cherries]
-    pairs = tuple((k, l) for k in range(1, d + 1) for l in range(k, d + 1))
+    labels = range(1, d + 1)
+    letters = tuple(map(leaf, labels))
+    plain = result.plain_lift
+    if plain is None:
+        base = SampledPath(path.grid, letters, zip(*map(path.component, letters)), path.mode)
+        plain = canonical_lift(base, 2, Xbar.gamma)
+    cols = {(i, j): path.basis.index(Tree(i, (leaf(j),))) for i, j in itertools.product(labels, repeat=2)}  # [b_j]_i
+    ctx = plain.context()
+    # the columns of [b_j]_i and [b_i]_j, and e_j (x) e_i; a diagonal cherry has no antisymmetric part
+    flips = [(a, cols[j, i], ctx.basis[ctx.index[Word((leaf(j), leaf(i)))]]) for (i, j), a in cols.items() if i != j]
+    pairs = tuple((k, l) for k in labels for l in range(k, d + 1))
+    sums = [((k, l), cols[k, l], cols[l, k]) for k, l in pairs]
     half = Fraction(1, 2) if Xbar.mode == RATIONAL else 0.5
-    plain = {w for w in Xbar.context().basis if w.max_letter_grade() <= 1}
     word_incs = []
     sym_incs = []
-    for g, lo, hi in zip(Xbar.increments, path.values, path.values[1:]):
-        x = dict(zip(cherries, [hi[c] - lo[c] for c in cols]))
-        terms = {w: c for w, c in g.terms.items() if w in plain}
+    for g, lo, hi in zip(plain.increments, path.values, path.values[1:]):
+        terms = None
         for a, b, w in flips:
             # <xhat, e_j (x) e_i> gains half the antisymmetric cherry part
-            corr = half * (x[a] - x[b])
+            corr = half * ((hi[a] - lo[a]) - (hi[b] - lo[b]))
             if corr:
+                terms = dict(g.terms) if terms is None else terms
                 terms[w] = terms.get(w, 0) + corr
                 if terms[w] == 0:
                     del terms[w]
-        word_incs.append(TensorElem._trusted(terms, d, 1))
-        sym_incs.append({(k, l): x[(k, l)] + x[(l, k)] for k, l in pairs})
+        word_incs.append(g if terms is None else TensorElem._trusted(terms, d, 1))
+        sym_incs.append({p: (hi[a] - lo[a]) + (hi[b] - lo[b]) for p, a, b in sums})
     xhat = GeometricRoughPath(2, Xbar.gamma, Xbar.grid, word_incs, d, Xbar.mode, letters)
     if Xbar.mode == RATIONAL:
         for g in xhat.increments:

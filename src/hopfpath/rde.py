@@ -37,7 +37,7 @@ from .trees import (
     EMPTY_FOREST,
     Forest,
     Tree,
-    enumerate_trees,
+    enumerate_forests,
     leaf,
     symmetry_factor,
 )
@@ -92,9 +92,10 @@ def _monomials(terms: dict) -> tuple:
     return tuple((c, tuple(k for k, p in enumerate(e) for _ in range(p))) for e, c in terms.items())
 
 
-def _evaluate(components, point) -> list:
-    """Each compiled polynomial at point: per term its coefficient times
-    each listed variable, left to right, the terms summed from 0 in order."""
+def _evaluate(components, point, w=1) -> tuple:
+    """w times each compiled polynomial at point: per term its coefficient
+    times each listed variable, left to right, the terms summed from 0 in
+    order, and w times that sum."""
     out = []
     for monos in components:
         total = 0
@@ -103,8 +104,8 @@ def _evaluate(components, point) -> list:
             for k in idx:
                 v = v * point[k]
             total = total + v
-        out.append(total)
-    return out
+        out.append(w * total)
+    return tuple(out)
 
 
 def _views(fields, exact: bool = True) -> tuple:
@@ -289,7 +290,7 @@ class PolyVectorField:
         return PolyVectorField(tuple(p.scale(c) for p in self.components))
 
     def eval(self, point: Sequence) -> tuple:
-        return tuple(_evaluate([_monomials(p.terms) for p in self.components], point))
+        return _evaluate([_monomials(p.terms) for p in self.components], point)
 
     __call__ = eval
 
@@ -457,11 +458,11 @@ def _euler(grid: Grid, mode: str, e: int, xi: Sequence, slots: Sequence, step_we
     slots fixes the terms once per solve: (key, field) pairs in summation
     order, field a function of no arguments that gives F_j.  Each item of
     step_weights is one step's weights aligned with slots, None where the
-    term is absent.  The present terms are summed in slot order, which fixes
-    the float rounding and the order of the breakdown, where a term with a
-    non-zero contribution is named str(key).  A slot's name and compiled
-    field (`_monomials`, of its float copy in float mode) are resolved the
-    first time it gets a weight, so a slot that never does builds no field.
+    term is absent.  Each present term's w F_j(y) comes from one `_evaluate`
+    call and is summed from 0 in slot order, which fixes the float rounding
+    and the breakdown's order; a non-zero one is named str(key).  A slot's
+    name and compiled field (`_monomials`, of its float copy in float mode)
+    are resolved when it first gets a weight, so an unused slot builds none.
     """
     if len(xi) != e:
         raise ValueError(f"initial state has dimension {len(xi)}, fields have {e}")
@@ -479,7 +480,7 @@ def _euler(grid: Grid, mode: str, e: int, xi: Sequence, slots: Sequence, step_we
             if got is None:
                 got = resolved[i] = _resolve(*slots[i], mode)
             name, comps = got
-            contrib = tuple([w * v for v in _evaluate(comps, y)])
+            contrib = _evaluate(comps, y, w)
             if any(contrib):
                 breakdown[name] = contrib
             delta = list(map(operator.add, delta, contrib))
@@ -508,15 +509,16 @@ def solve_branched(X: BranchedRoughPath, f: ButcherTable, xi: Sequence) -> Traje
     """One Euler step per adjacent pair: the butcher_h extension of the
     increment, so each tree contributes (f_tau / sigma(tau)) <X, tau>.
 
-    The slots are the trees of grade <= N in `enumerate_trees` order; a
-    tree whose coefficient is 0 in a step gets no weight there."""
+    The slots are the trees of grade <= N in `enumerate_trees` order, keyed
+    by the forests `ito_lift` stores, so lookups hit by identity; a tree
+    whose coefficient is 0 in a step gets no weight there."""
     from .roughpath import BranchedRoughPath
 
     if not isinstance(X, BranchedRoughPath):
         raise TypeError("solve_branched needs a branched driver")
-    trees = enumerate_trees(X.N, X.d)
-    slots = [(tau, functools.partial(f.field, tau)) for tau in trees]
-    keys = [(Forest((tau,)), symmetry_factor(tau)) for tau in trees]
+    forests = [h for h in enumerate_forests(X.N, X.d) if h.is_single_tree()]
+    slots = [(h.factors[0], functools.partial(f.field, h.factors[0])) for h in forests]
+    keys = [(h, symmetry_factor(h.factors[0])) for h in forests]
     steps = ([c / sigma if (c := g.terms.get(h, 0)) != 0 else None for h, sigma in keys] for g in X.increments)
     return _euler(X.grid, X.mode, f.e, xi, slots, steps)
 
@@ -595,14 +597,10 @@ def sym_correction_fields(f: ButcherTable, pairs: Iterable[tuple]) -> dict:
     """Weights for the symmetric components of the level-2 shortcut: half
     the symmetrized f_l . Df_k, with the diagonal halved once."""
     out = {}
-    half = Fraction(1, 2)
-    for (k, l) in pairs:
+    for k, l in pairs:
         fk, fl = f.base[k], f.base[l]
-        if k == l:
-            out[(k, l)] = apply_derivative(fk, (fk,)).scale(half)
-        else:
-            g = apply_derivative(fk, (fl,)) + apply_derivative(fl, (fk,))
-            out[(k, l)] = g.scale(half)
+        g = apply_derivative(fk, (fk,)) if k == l else apply_derivative(fk, (fl,)) + apply_derivative(fl, (fk,))
+        out[(k, l)] = g.scale(Fraction(1, 2))
     return out
 
 

@@ -792,10 +792,10 @@ def _check_letters(letters: tuple, d: int, N: int) -> None:
 
 def roughpath_from_obj(obj: dict):
     """The rough path a JSON object holds.  The path is built first, so its
-    own parser reads the increment keys; a key above the level, or a word
-    over a letter the path does not list, is refused.  A gamma other than 1
-    is refused where `gamma_to_level` refuses it, but the level may lie below
-    the one gamma gives, as for a truncated path."""
+    own parser reads each distinct increment key, once per load; a key above
+    the level, or a word over a letter the path does not list, is refused.
+    A gamma other than 1 is refused where `gamma_to_level` refuses it, but
+    the level may lie below the one gamma gives, as for a truncated path."""
     _check_shape(obj)
     cls = _KINDS[obj["kind"]]
     mode = obj["mode"]
@@ -811,20 +811,23 @@ def roughpath_from_obj(obj: dict):
     X = cls(N, gamma, grid, obj["increments"], obj["d"], mode, *fields)
     letters = getattr(X, "letters", ())
     _check_letters(letters, X.d, N)
-    letters = set(letters)
+    letters, keys = set(letters), {}  # name -> its checked key
     ectx = X.element_ctx
     for k, row in enumerate(obj["increments"]):
         terms = {}
         for name, v in row.items():
-            x = X.parse_key(name, *ectx)
-            if len(x.terms) != 1 or next(iter(x.terms.values())) != 1:
-                raise ValueError(f"increment key {name!r} is not a basis {X.key_name}")
-            (key,) = x.terms
-            if key.grade > N:
-                raise ValueError(f"increment {k}, {name}: grade {key.grade} above level {N}")
-            for t in getattr(key, "letters", ()):
-                if t not in letters:
-                    raise ValueError(f"increment {k}, {name}: letter {t!r} is not in letters")
+            key = keys.get(name)
+            if key is None:
+                x = X.parse_key(name, *ectx)
+                if len(x.terms) != 1 or next(iter(x.terms.values())) != 1:
+                    raise ValueError(f"increment key {name!r} is not a basis {X.key_name}")
+                (key,) = x.terms
+                if key.grade > N:
+                    raise ValueError(f"increment {k}, {name}: grade {key.grade} above level {N}")
+                for t in getattr(key, "letters", ()):
+                    if t not in letters:
+                        raise ValueError(f"increment {k}, {name}: letter {t!r} is not in letters")
+                keys[name] = key
             terms[key] = _scalar_from_json(v, mode, f"increment {k}, {name}")
         X.increments[k] = X.element(terms, *ectx)
     return X

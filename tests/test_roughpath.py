@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import math
 import re
 import struct
@@ -33,6 +34,7 @@ from hopfpath.roughpath import (
     ibp_defect,
     ito_lift,
     roughpath_from_json,
+    roughpath_from_obj,
     roughpath_to_json,
     validate,
 )
@@ -625,6 +627,50 @@ def test_json_round_trip_geometric():
     assert isinstance(Y, GeometricRoughPath)
     assert Y.letters == (B1, cherry)
     assert all(a.terms == b.terms for a, b in zip(X.increments, Y.increments))
+
+
+def _walk(steps: int, d: int, seed: int) -> SampledPath:
+    rng = Random(seed)
+    rows = [[Q(0)] * d]
+    for _ in range(steps):
+        rows.append([v + Q(rng.choice((-1, 1)), 4) for v in rows[-1]])
+    return SampledPath.over_labels([Q(k, steps) for k in range(steps + 1)], rows, d)
+
+
+@pytest.mark.parametrize("lift, parser", [(ito_lift, "parse_h"), (canonical_lift, "parse_tensor")])
+def test_json_load_parses_each_key_name_once(monkeypatch, lift, parser):
+    # the increments repeat a few names; the path's own parser, read at call
+    # time, sees each once per load, and every increment keeps its terms
+    from hopfpath import expr
+
+    X = lift(_walk(12, 2, 5), 3)
+    text = roughpath_to_json(X)
+    names = {name for row in json.loads(text)["increments"] for name in row}
+    assert sum(map(len, json.loads(text)["increments"])) > 2 * len(names)
+    calls = count_calls(monkeypatch, getattr(expr, parser))
+    Y = roughpath_from_json(text)
+    assert calls[parser] == len(names)
+    assert [a.terms for a in X.increments] == [b.terms for b in Y.increments]
+    roughpath_from_json(text)
+    assert calls[parser] == 2 * len(names)
+
+
+def test_json_load_refusals_name_the_first_bad_increment():
+    # a name is checked where it first appears; a value wherever it sits
+    base = json.loads(roughpath_to_json(ito_lift(_walk(4, 2, 6), 2)))
+    cases = [
+        (2, "b_1 b_1 b_1", "1", "increment 2, b_1 b_1 b_1: grade 3 above level 2"),
+        (1, "b_1 + b_2", "1", "increment key 'b_1 + b_2' is not a basis forest"),
+        (3, "b_1", "x", "increment 3, b_1: "),
+    ]
+    for k, name, value, message in cases:
+        obj = json.loads(json.dumps(base))
+        obj["increments"][k][name] = value
+        if k == 2:  # the same bad name later too: the first place is named
+            obj["increments"][3][name] = value
+        with pytest.raises(ValueError) as err:
+            roughpath_from_obj(obj)
+        assert str(err.value).startswith(message)
 
 
 # -- property tests --------------------------------------------------------

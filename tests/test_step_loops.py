@@ -6,6 +6,7 @@ the same float reprs; and in float mode no Fraction arithmetic per step."""
 import fractions
 import functools
 import hashlib
+import itertools
 import re
 import sys
 from fractions import Fraction as Q
@@ -13,13 +14,15 @@ from random import Random
 
 import pytest
 
-from hopfpath.conversion import base_path_of, encode, extract_extended_path, simplify_n2
+from hopfpath.conversion import ConversionResult, base_path_of, encode, extract_extended_path, simplify_n2
 from hopfpath.hopf import HElem
 from hopfpath.linear import Context
 from hopfpath.rde import (
     ButcherTable,
+    PolyVectorField,
     WordFieldTable,
     _euler,
+    _evaluate,
     convert_rde,
     solve_branched,
     solve_geometric,
@@ -36,13 +39,14 @@ from hopfpath.roughpath import (
     ito_lift,
 )
 from hopfpath.tensor import TensorElem, Word
-from hopfpath.trees import Forest, leaf, trees_of_grade
+from hopfpath.trees import Canonical, Forest, Tree, enumerate_forests, leaf, trees_of_grade
 
 from oracles import (
     _pairings_reference,
     canonical_increments_reference,
     euler_reference,
     ito_increments_reference,
+    poly_eval_reference,
     simplify_reference,
     solve_branched_reference,
     solve_geometric_reference,
@@ -141,6 +145,106 @@ def test_encoding_and_shortcut_match_the_per_step_loops(kind, d):
     assert_same_elements(sd.xhat.increments, word_incs)
     assert [list(row) for row in sd.symmetric_increments] == [list(row) for row in sym_incs]
     assert [typed(row.values()) for row in sd.symmetric_increments] == [typed(row.values()) for row in sym_incs]
+
+
+# -- the level-2 shortcut on drivers with area --------------------------------
+
+CANCEL = 5  # the step on which the area of labels 1 and 2 cancels <xhat, b_2 (x) b_1>
+
+
+def area_driver(d: int, kind: str, M: int = 8) -> BranchedRoughPath:
+    """A level-2 branched driver whose cherries carry, past the canonical
+    delta_i delta_j / 2, an antisymmetric area A and a symmetric part S:
+    <X, [b_j]_i> = delta_i delta_j / 2 + A_ij + S_ij.  Any tree values give a
+    character, so the driver need not come from a lift.  It stands still on
+    the STILL steps, and on step CANCEL A_12 = -delta_1 delta_2 / 2, which
+    removes b_2 (x) b_1 from xhat's increment.  Float values are dyadic, so
+    the cancellation is exact in every mode."""
+    rng = Random(30 + d)
+    exact = kind == "exact"
+    one = Q(1) if exact else 1.0
+    zero = one * 0
+
+    def draw(den):  # never 0, so every moving step has area
+        n = rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))
+        return Q(n, rng.randint(1, 5)) if exact else n / den
+
+    labels = range(1, d + 1)
+    incs = []
+    for k in range(M):
+        still = k in STILL
+        delta = {i: zero if still else draw(64) for i in labels}
+        if k == CANCEL:
+            delta = {i: one / 2 ** (i + 1) for i in labels}
+        area = {(i, j): zero if still else draw(4096) for i in labels for j in labels if i < j}
+        if k == CANCEL and d > 1:
+            area[(1, 2)] = -delta[1] * delta[2] / 2
+        area.update({(j, i): -a for (i, j), a in list(area.items())})
+        sym = {(i, j): zero if still else draw(4096) for i in labels for j in labels if i <= j}
+        terms = {Forest(()): Q(1)}
+        for f in enumerate_forests(2, d):
+            if 0 < len(f) == f.grade:
+                terms[f] = delta[f.factors[0].label] * (delta[f.factors[1].label] if len(f) == 2 else 1)
+        for i in labels:
+            for j in labels:
+                extra = area.get((i, j), 0) + sym[(min(i, j), max(i, j))]
+                terms[Forest((Tree(i, (leaf(j),)),))] = delta[i] * delta[j] / 2 + extra
+        incs.append(HElem(terms, d))
+    times = [Q(k, M) for k in range(M + 1)] if exact else [k / M for k in range(M + 1)]
+    return BranchedRoughPath(2, Q(1, 2), Grid(times), incs, d, RATIONAL if exact else FLOAT)
+
+
+def assert_same_shortcut(sd, want: tuple):
+    word_incs, sym_incs = want
+    assert_same_elements(sd.xhat.increments, word_incs)
+    assert [list(row) for row in sd.symmetric_increments] == [list(row) for row in sym_incs]
+    assert [typed(row.values()) for row in sd.symmetric_increments] == [typed(row.values()) for row in sym_incs]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", MODES)
+def test_shortcut_with_area_matches_the_per_step_loop(kind, d):
+    X = area_driver(d, "exact" if kind == "exact" else "float")
+    if kind == "mixed":  # floats in a rational-mode driver
+        X = BranchedRoughPath(2, X.gamma, X.grid, X.increments, d, RATIONAL)
+    result = encode(X, certify_result=False, check_cocycle=False)
+    sd = simplify_n2(result)
+    assert_same_shortcut(sd, simplify_reference(result))
+    plain, xhat = result.plain_lift.increments, sd.xhat.increments
+    assert all(len(xhat[k].terms) == 1 for k in STILL)  # the empty word alone
+    b21 = Word((leaf(2), leaf(1)))
+    if d > 1:
+        # the area moves words: a step with a correction gets its own element
+        assert b21 in plain[CANCEL].terms and b21 not in xhat[CANCEL].terms
+        assert all(xhat[k] is not plain[k] for k in range(len(xhat)) if k not in STILL)
+    # a step with no correction keeps the plain lift's increment itself
+    assert all(xhat[k] is plain[k] for k in range(len(xhat)) if d == 1 or k in STILL)
+
+
+@pytest.mark.parametrize("kind", MODES)
+def test_shortcut_at_d1_shares_the_plain_lift_increments(kind):
+    # no antisymmetric part at d = 1: xhat holds the level-2 lift's own
+    # increments, so the shortcut costs no second copy of them
+    result = encode(ito_lift(walk(3, 1, 16, kind), 2), certify_result=False, check_cocycle=False)
+    sd = simplify_n2(result)
+    assert len(sd.xhat.increments) == len(result.plain_lift.increments) == 16
+    assert all(a is b for a, b in zip(sd.xhat.increments, result.plain_lift.increments))
+    assert sd.xhat.increments[0].terms.keys() <= set(sd.xhat.context().basis)
+
+
+@pytest.mark.parametrize("kind", ["float", "exact"])
+def test_plain_lift_is_kept_at_level_two_only_and_stays_out_of_the_json(kind):
+    X = area_driver(2, kind)
+    result = encode(X)
+    assert result.plain_lift.N == 2 and result.plain_lift.letters == (leaf(1), leaf(2))
+    bare = ConversionResult(result.extended_path, result.geometric, result.certificate)
+    assert bare.plain_lift is None
+    assert bare.to_json() == result.to_json()
+    # without it the shortcut lifts the plain columns again, to the same driver
+    assert_same_shortcut(simplify_n2(bare), simplify_reference(result))
+    path = walk(4, 2, 6, kind)
+    assert encode(ito_lift(path, 1), certify_result=False).plain_lift is None
+    assert encode(ito_lift(path, 3), certify_result=False).plain_lift is None
 
 
 # e = 2 fields over labels 1 and 2: powers of several variables, constant
@@ -306,6 +410,62 @@ def test_a_zero_coefficient_is_skipped_by_trees_and_stepped_by_words():
             solve(Xbar, table, xi)
 
 
+def test_euler_keeps_signed_zeros_bit_for_bit():
+    # weights -0.0 and fields whose products are -0.0 at the state: each
+    # contribution is w times the field's sum from 0, added to a delta that
+    # starts from 0, as in the per-step loop; repr tells 0.0 from -0.0
+    f = ButcherTable.parse({1: ["-y1", "y2*y1"], 2: ["y1*y2", "-1*y2"]})
+    slots = [(leaf(1), functools.partial(f.field, leaf(1))), (leaf(2), functools.partial(f.field, leaf(2)))]
+    steps = [[-0.0, -0.0], [-0.0, None], [None, -0.0], [-0.0, 0.25], [0.5, -0.0], [None, 0.0], [0.25, None]]
+    for xi in [(-0.0, -0.0), (-0.0, 0.5), (0.0, -0.0)]:
+        got, want = _euler_both(slots, steps, FLOAT, xi)
+        assert_same_trajectory(got, want)
+    # from (-0.0, -0.0) each contribution of the first step is -0.0, named
+    # nowhere, and their sum from 0 moves the state to (0.0, 0.0)
+    got, _ = _euler_both(slots, steps, FLOAT, (-0.0, -0.0))
+    assert got.steps[0] == {} and typed(got.values[1]) == typed((0.0, 0.0))
+    comps = [((-1.0, (0,)),)]  # -y1, compiled
+    assert typed(_evaluate(comps, (0.0,))) == typed((0.0,))  # 0 + -0.0 is 0.0
+    assert typed(_evaluate(comps, (0.0,), -0.0)) == typed((-0.0,))  # the weight multiplies the sum
+    assert typed(_evaluate([(), ((2.0, ()),)], (1.0,), -1.0)) == typed((-0.0, -2.0))  # an empty sum is int 0
+    assert typed(_evaluate([()], (1.0,))) == typed((0,))
+
+
+def test_euler_leaves_a_present_zero_contribution_out_of_the_breakdown():
+    # a non-zero weight on a field that is 0 at the state is stepped, built
+    # and summed, but not named
+    f = ButcherTable.parse({1: ["y1", "0"], 2: ["1", "y1"]})
+    slots = [(leaf(1), functools.partial(f.field, leaf(1))), (leaf(2), functools.partial(f.field, leaf(2)))]
+    for kind in ("float", "exact"):
+        s = Q if kind == "exact" else float
+        xi = (s(0), s(0))
+        steps = [[s(1) / 2, None], [s(1) / 4, s(1) / 8], [s(1), None]]
+        got, want = _euler_both(slots, steps, RATIONAL if kind == "exact" else FLOAT, xi)
+        assert_same_trajectory(got, want)
+        assert [list(step) for step in got.steps] == [[], ["b_2"], ["b_1"]]
+
+
+def test_euler_refuses_a_second_component_that_leaves_the_float_range():
+    f = ButcherTable.parse({1: ["0", "y2^2"]})
+    slots = [(leaf(1), functools.partial(f.field, leaf(1)))]
+    got = _euler_both(slots, [[1.0], [1.0]], FLOAT, (1.0, 1e200))
+    assert got == ["the float solve leaves the float range at step 1: y_2 = inf"] * 2
+
+
+def test_poly_eval_keeps_values_and_types():
+    # the evaluation helper takes a weight; Poly.eval and PolyVectorField.eval
+    # give weight 1, which keeps every value and type of the plain sum
+    exact = PolyVectorField.parse(["y1^2*y2 - 1/3*y2", "0", "5/2"])
+    floats = exact.to_float()
+    points = [(Q(1, 2), Q(-3), Q(7)), (0.5, -3.0, 7.0), (0.5, -0.0, 1.0), (-0.0, 0.0, 2.0)]
+    for F, point in itertools.product((exact, floats), points):
+        want = tuple(poly_eval_reference(p.terms, point) for p in F.components)
+        got = F.eval(point)
+        assert type(got) is tuple and typed(got) == typed(want)
+        assert [typed([p.eval(point)]) for p in F.components] == [typed([v]) for v in want]
+    assert typed(exact.eval((Q(1), Q(1), Q(1)))) == typed((Q(2, 3), 0, Q(5, 2)))
+
+
 def _digest(values) -> str:
     return hashlib.sha256(repr([list(v) for v in values]).encode()).hexdigest()
 
@@ -367,9 +527,25 @@ def test_float_pipeline_does_no_fraction_arithmetic_per_step():
     assert all(large[k] <= small[k] for k in small), (small, large)
 
 
+def test_lift_keys_are_found_by_identity():
+    # base_path_of and solve_branched look up the forests ito_lift stores,
+    # so no lookup in the increments compares two keys
+    X = ito_lift(walk(2, 2, 32, "float"), 2)
+    f = ButcherTable.parse(FIELDS["powers"])
+    solve_branched(X, f, (0.5, -0.25))  # the fields, built and cached
+    eq, calls = Canonical.__eq__.__code__, []
+    sys.setprofile(lambda frame, event, arg: calls.append(1) if event == "call" and frame.f_code is eq else None)
+    try:
+        base_path_of(X)
+        solve_branched(X, f, (0.5, -0.25))
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+
+
 def test_float_pipeline_resolves_its_keys_once_per_solve():
     # no context row, word sort key or letter-grade lookup per step: the
-    # slots, the psi images and the plain-word set are found once
+    # slots and the psi images are found once
     counted = {f.__code__: f.__qualname__ for f in (Context.row_of, Word.sort_key, Word.max_letter_grade)}
     _criterion_09(1, 16)
     small, large = _calls(64, counted.get), _calls(256, counted.get)
