@@ -136,18 +136,22 @@ class ConversionResult:
 
     __slots__ = ("extended_path", "geometric", "certificate", "plain_lift")
 
-    def __init__(self, extended_path: SampledPath, geometric: GeometricRoughPath, certificate: dict, plain_lift=None):
+    def __init__(self, extended_path: SampledPath, geometric: GeometricRoughPath, certificate: dict, plain_lift):
         self.extended_path = extended_path
         self.geometric = geometric
         self.certificate = certificate
         self.plain_lift = plain_lift
 
     def to_obj(self) -> dict:
-        d, N = self.geometric.d, self.geometric.N
+        d = self.geometric.d
+        N = self.geometric.N
+        psi_map = {}
+        for tau in enumerate_trees(N, d):
+            psi_map[repr(tau)] = print_tensor(psi(HElem.from_tree(tau, d), N))
         return {
             "extended_path_csv": self.extended_path.to_csv(),
             "geometric": roughpath_obj(self.geometric),
-            "psi": {repr(tau): print_tensor(psi(HElem.from_tree(tau, d), N)) for tau in enumerate_trees(N, d)},
+            "psi": psi_map,
             "certificate": self.certificate,
         }
 
@@ -168,7 +172,12 @@ def certify(X: BranchedRoughPath, Xbar: GeometricRoughPath) -> dict:
     Fraction, or as the value itself when it is not exact."""
     _same_grid(X, Xbar)
     basis = enumerate_forests(X.N, X.d)
-    cert = {"status": "pass", "checked_forests": len(basis), "checked_pairs": 0, "witness": None}
+    cert = {
+        "status": "pass",
+        "checked_forests": len(basis),
+        "checked_pairs": 0,
+        "witness": None,
+    }
     own = Xbar.context()
     where = [X.context().index.get(h) for h in basis]
     images_of = own.linear_map([img.values.items() for img in _psi_rows(X, Xbar, X.N, basis)])
@@ -184,9 +193,13 @@ def certify(X: BranchedRoughPath, Xbar: GeometricRoughPath) -> dict:
             if _close(lhs, rhs, X.mode):
                 continue
             cert["status"] = "fail"
-            times = X.grid.times
-            cert["witness"] = {"forest": repr(h), "s": str(times[s]), "t": str(times[t]),
-                               "branched_value": str(lhs), "geometric_value": str(rhs)}
+            cert["witness"] = {
+                "forest": repr(h),
+                "s": str(X.grid.times[s]),
+                "t": str(X.grid.times[t]),
+                "branched_value": str(lhs),
+                "geometric_value": str(rhs),
+            }
             return cert
     gamma = X.gamma
     if not isinstance(gamma, float) and Fraction(gamma).numerator == 1:
@@ -260,11 +273,10 @@ def simplify_n2(result: ConversionResult) -> SimplifiedDriver:
     addition cancels in every e_i shuffle e_j), and the symmetric half is
     returned as scalar paths.
 
-    xhat starts from `result.plain_lift`, Xbar's plain-letter words (for a
-    result without it, the plain columns are lifted again): a step with no
-    antisymmetric correction, every step at d = 1, keeps that increment
-    itself, another a copy with the corrections.  xhat's words are plain
-    letters within d, so its increments are trusted.
+    xhat starts from `result.plain_lift`, Xbar's plain-letter words: a
+    step with no antisymmetric correction, every step at d = 1, keeps that
+    increment itself, another a copy with the corrections.  xhat's words
+    are plain letters within d, so its increments are trusted.
     """
     Xbar = result.geometric
     if Xbar.N != 2:
@@ -272,11 +284,7 @@ def simplify_n2(result: ConversionResult) -> SimplifiedDriver:
     d = Xbar.d
     path = result.extended_path
     labels = range(1, d + 1)
-    letters = tuple(map(leaf, labels))
     plain = result.plain_lift
-    if plain is None:
-        base = SampledPath(path.grid, letters, zip(*map(path.component, letters)), path.mode)
-        plain = canonical_lift(base, 2, Xbar.gamma)
     cols = {(i, j): path.basis.index(Tree(i, (leaf(j),))) for i, j in itertools.product(labels, repeat=2)}  # [b_j]_i
     ctx = plain.context()
     # the columns of [b_j]_i and [b_i]_j, and e_j (x) e_i; a diagonal cherry has no antisymmetric part
@@ -298,7 +306,7 @@ def simplify_n2(result: ConversionResult) -> SimplifiedDriver:
                     del terms[w]
         word_incs.append(g if terms is None else TensorElem._trusted(terms, d, 1))
         sym_incs.append({p: (hi[a] - lo[a]) + (hi[b] - lo[b]) for p, a, b in sums})
-    xhat = GeometricRoughPath(2, Xbar.gamma, Xbar.grid, word_incs, d, Xbar.mode, letters)
+    xhat = GeometricRoughPath(2, Xbar.gamma, Xbar.grid, word_incs, d, Xbar.mode, plain.letters)
     if Xbar.mode == RATIONAL:
         for g in xhat.increments:
             if not is_tensor_group_like(g, 2):

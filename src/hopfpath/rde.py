@@ -597,10 +597,14 @@ def sym_correction_fields(f: ButcherTable, pairs: Iterable[tuple]) -> dict:
     """Weights for the symmetric components of the level-2 shortcut: half
     the symmetrized f_l . Df_k, with the diagonal halved once."""
     out = {}
-    for k, l in pairs:
+    half = Fraction(1, 2)
+    for (k, l) in pairs:
         fk, fl = f.base[k], f.base[l]
-        g = apply_derivative(fk, (fk,)) if k == l else apply_derivative(fk, (fl,)) + apply_derivative(fl, (fk,))
-        out[(k, l)] = g.scale(Fraction(1, 2))
+        if k == l:
+            out[(k, l)] = apply_derivative(fk, (fk,)).scale(half)
+        else:
+            g = apply_derivative(fk, (fl,)) + apply_derivative(fl, (fk,))
+            out[(k, l)] = g.scale(half)
     return out
 
 
