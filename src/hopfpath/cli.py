@@ -549,7 +549,7 @@ def _suite_morphisms(args, cfg: RunConfig) -> dict:
             # negative control: doubling one tree image breaks the coproduct
             # compatibility against the untouched smaller trees
             t0 = max(table.cache)
-            table.cache[t0] = table.cache[t0] + table.cache[t0]
+            table.cache[t0] = {k: 2 * c for k, c in table.cache[t0].items()}
         rep = verify_hopf_morphism(which, N, d, table=table)
         res["reports"][which] = rep
         if rep["status"] != "pass":

@@ -17,9 +17,9 @@ same way every time and an int unit among floats still sums to a Fraction.
 `Linear.__add__` adds other's terms onto self's values, which are kept as
 given, from the class's `_zero` (`Fraction(0)`, or `0` for polynomials),
 and `__sub__` adds the negation.  A coefficient equal to 0 is dropped on
-construction.  `Linear._trusted` is the one way past that test:
-`context_product` wraps a product kernel's output, whose terms are already
-pruned and in range, with it.
+construction.  `Linear._trusted` is the one way past that test, for terms
+that are non-zero and in range by construction: a product kernel's output
+(`context_product`), the lifts' increments and `simplify_n2`'s.
 
 `Context` is what the forest and word sides (`hopf.ForestContext`,
 `tensor.WordContext`) answer alike, by integer position: the positions of

@@ -16,9 +16,9 @@ combination to the sum of its forests' images, in term order.  The tree
 images are rows {position: int} of one table per (morphism, N, d),
 `_tree_rows`, which folds each tree's child forest (phi_g) or cut row
 (psi) of `forest_context(N, d)` on `word_context(N, d, n)`, in grade order.
-`psi`, `phi_g` and the adjoints read the table of their input's grade; a
-`MorphismTable` holds its level's images as `TensorElem`s and reads them
-back as rows when it folds.
+`psi` and `phi_g` read the table of their input's grade and largest label,
+the adjoints the table of their word's grade; a `MorphismTable` holds its
+level's rows, and `_image` alone turns a folded image into a `TensorElem`.
 """
 
 from __future__ import annotations
@@ -33,11 +33,6 @@ from .tensor import TensorElem, Word, WordContext, word_context
 from .trees import EMPTY_FOREST, Forest, Tree, chain, forests_of_grade
 
 _ZERO = Fraction(0)
-
-
-def _exact(c):
-    """An integral Fraction as an int, anything else unchanged."""
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 def _fold(ctx: WordContext, rows, memo: dict, f: Forest) -> dict:
@@ -112,7 +107,8 @@ def _adjoint(w: Word, d: int, which: str) -> HElem:
 def phi_g(h: HElem) -> TensorElem:
     """Morphism onto words of single-vertex letters: [h]_i appends e_i,
     products shuffle."""
-    return _image(h.terms, h.d, 1, *_tree_rows("phi_g", h.max_grade(), h.d))
+    labels = max([1, *map(Forest.max_label, h.terms)])  # the image's words are over these
+    return _image(h.terms, h.d, 1, *_tree_rows("phi_g", h.max_grade(), labels))
 
 
 def psi(h: HElem, N: int) -> TensorElem:
@@ -121,7 +117,8 @@ def psi(h: HElem, N: int) -> TensorElem:
     g = h.max_grade()
     if g > N:
         raise ValueError(f"grade {g} exceeds truncation level {N}")
-    return _image(h.terms, h.d, max(N, 1), *_tree_rows("psi", g, h.d))
+    labels = max([1, *map(Forest.max_label, h.terms)])
+    return _image(h.terms, h.d, max(N, 1), *_tree_rows("psi", g, labels))
 
 
 # -- adjoints --------------------------------------------------------------
@@ -169,12 +166,12 @@ def iota_elem(x: TensorElem) -> HElem:
 
 class MorphismTable:
     """Per-tree images of one morphism for grade <= N, labels <= d, in
-    `cache` as `TensorElem`s over the basis words of the table's context,
-    taken from `_tree_rows`.  They are read back as rows each time the
-    table folds, so edits to `cache` count; a tree outside the table is a
-    KeyError."""
+    `cache` as the read-only rows {position: int} of `_tree_rows` on the
+    table's word context `ctx`.  The table folds `cache` as it stands, so
+    a tree's row replaced in it counts; a row cannot be edited in place,
+    and a tree outside the table is a KeyError."""
 
-    __slots__ = ("which", "N", "d", "cache")
+    __slots__ = ("which", "N", "d", "ctx", "cache")
 
     def __init__(self, which: str, N: int, d: int):
         if which not in ("phi_g", "psi"):
@@ -182,28 +179,18 @@ class MorphismTable:
         self.which = which
         self.N = N
         self.d = d
-        n = self.letter_bound()
-        ctx, rows = _tree_rows(which, N, d)
-        word = ctx.word
-        self.cache = {
-            t: TensorElem._trusted({word(k): _ZERO + c for k, c in row.items()}, d, n) for t, row in rows.items()
-        }
+        self.ctx, rows = _tree_rows(which, N, d)
+        self.cache = dict(rows)
 
     def letter_bound(self) -> int:
         return _letter_bound(self.which, self.N)
-
-    def rows(self, ctx: WordContext) -> dict:
-        """The images in `cache` as rows on ctx, read now."""
-        at = ctx.position
-        return {t: {at(w.letters): _exact(c) for w, c in img.terms.items()} for t, img in self.cache.items()}
 
     def image(self, f: Forest) -> TensorElem:
         """Morphism value on a basis forest: shuffle over the factors."""
         return self.image_elem(HElem.from_forest(f, self.d))
 
     def image_elem(self, x: HElem) -> TensorElem:
-        ctx = word_context(self.N, self.d, self.letter_bound())
-        return _image(x.terms, x.d, self.letter_bound(), ctx, self.rows(ctx))
+        return _image(x.terms, x.d, self.letter_bound(), self.ctx, self.cache)
 
 
 def _same(a: dict, b: dict) -> bool:
@@ -218,11 +205,11 @@ def verify_hopf_morphism(which: str, N: int, d: int, table: MorphismTable | None
     Coproduct check: deconcat(image(h)) = (image (x) image)(cut coproduct h).
     Returns a report with the first counterexample if any.
 
-    Tree images are read from `table.cache` at check time, so edits to it
-    count.  Each forest image is folded once, on the context of the table's
-    level; the checks compare the folded maps, with shuffles and splits
-    from the word context's tables and cuts and products from the forest
-    context's rows.
+    Tree images are the rows in `table.cache` at check time, so a row
+    replaced there counts.  Each forest image is folded once from them, on
+    the table's context `table.ctx`; the checks compare the folded maps,
+    with shuffles and splits from the word context's tables and cuts and
+    products from the forest context's rows.
     """
     if table is None:
         table = MorphismTable(which, N, d)
@@ -235,8 +222,8 @@ def verify_hopf_morphism(which: str, N: int, d: int, table: MorphismTable | None
         "checked_pairs": 0,
         "witness": None,
     }
-    ctx = word_context(N, d, table.letter_bound())
-    image = functools.partial(_fold, ctx, table.rows(ctx), {})
+    ctx = table.ctx
+    image = functools.partial(_fold, ctx, table.cache, {})
     fctx = forest_context(N, d)
     forests = fctx.basis
     for h, cuts in zip(forests, fctx.cuts):

@@ -15,6 +15,10 @@ their class.
 `sweeps()` runs a block on contexts with no compiled kernel, whatever
 kernels earlier tests left on the cached contexts, and counts the calls of
 the functions `linear` compiles in it.
+
+`word_row(table, terms)` is a word map as a row on a `MorphismTable`'s
+context, the form its `cache` holds, and `row_words(table, t)` reads tree
+t's row back as a word map, so a test can edit a tree image word by word.
 """
 
 import contextlib
@@ -118,3 +122,17 @@ def sweeps():
             ctx.kernel, ctx.kernel_terms = None, 0
         for ctx, kernel, terms in saved:
             ctx.kernel, ctx.kernel_terms = kernel, terms
+
+
+def word_row(table, terms: dict) -> dict:
+    """terms, a map from `Word` to coefficient, as a row {position: c} on
+    table.ctx, in terms' order; a word above the level is numbered past the
+    basis."""
+    at = table.ctx.position
+    return {at(w.letters): c for w, c in terms.items()}
+
+
+def row_words(table, t) -> dict:
+    """Tree t's row in table.cache as a map from `Word` to coefficient."""
+    word = table.ctx.word
+    return {word(k): c for k, c in table.cache[t].items()}

@@ -5,8 +5,9 @@ tables: forest images as position maps over a word context, cut and
 antipode rows over a forest context.  The plain `Fraction`/`TensorElem`
 loops they replaced are written out here as references, and both are run on
 corrupted morphism tables and on the hopf suite's negative control: the
-same status, witness and counts are required.  Some corruptions add words
-above the level, which the compiled check numbers past the context basis.
+same status, witness and counts are required.  A corruption edits a tree's
+row as a word map and puts it back with `seams.word_row`; some add words
+above the level, which the row numbers past the context basis.
 The references take their cut coproduct and antipode from the Forest
 recursions in `oracles`, not from `hopf.coproduct`/`hopf.antipode`: those
 read the rows under test.
@@ -21,9 +22,10 @@ import pytest
 from hopfpath.cli import _suite_hopf
 from hopfpath.hopf import HElem, PairElem, product
 from hopfpath.morphisms import MorphismTable, verify_hopf_morphism
-from hopfpath.tensor import TensorElem, Word, deconcat, shuffle
+from hopfpath.tensor import Word, deconcat, shuffle
 from hopfpath.trees import Tree, enumerate_forests, enumerate_trees, leaf
 from oracles import _forest_coproduct, linear_antipode, linear_coproduct
+from seams import row_words, word_row
 
 
 def verify_reference(which, N, d, table):
@@ -114,28 +116,29 @@ def hopf_suite_reference(N, d, mutate):
     return res
 
 
-def _scaled(img):
-    return img.scale(2)
+# each corruption takes a tree image as a word map and gives the corrupted one
 
 
-def _half_added(img):
-    terms = dict(img.terms)
+def _scaled(terms):
+    return {w: 2 * c for w, c in terms.items()}
+
+
+def _half_added(terms):
     w = next(iter(terms))
-    terms[w] += Fraction(1, 2)
-    return TensorElem(terms, img.d, img.n)
+    return {**terms, w: terms[w] + Fraction(1, 2)}
 
 
-def _word_dropped(img):
-    terms = dict(img.terms)
+def _word_dropped(terms):
+    terms = dict(terms)
     del terms[next(reversed(terms))]
-    return TensorElem(terms, img.d, img.n)
+    return terms
 
 
-def _word_added(img):
+def _word_added(terms):
     # the first word said twice: twice the tree's grade, so above the level
     # for the larger trees
-    w = next(iter(img.terms))
-    return img + TensorElem({Word(w.letters * 2): Fraction(1)}, img.d, img.n)
+    w = Word(next(iter(terms)).letters * 2)
+    return {**terms, w: terms.get(w, 0) + 1}
 
 
 CORRUPTIONS = {"scale": _scaled, "half": _half_added, "drop": _word_dropped, "add": _word_added}
@@ -149,7 +152,7 @@ def test_corrupted_tables_give_the_reference_report(which, N, d, how):
     seen = set()
     for t in enumerate_trees(N, d):
         table = MorphismTable(which, N, d)
-        table.cache[t] = CORRUPTIONS[how](table.cache[t])
+        table.cache[t] = word_row(table, CORRUPTIONS[how](row_words(table, t)))
         want = verify_reference(which, N, d, table)
         assert verify_hopf_morphism(which, N, d, table=table) == want, (t, how)
         seen.add(want["status"])
@@ -171,12 +174,12 @@ def test_a_morphism_of_mixed_grades_passes_as_in_the_reference(N, d):
     # above the level, which the compiled check numbers past the basis
     old, new = leaf(1), Tree(1, (leaf(1),))
     table = MorphismTable("psi", N, d)
-    for t, img in table.cache.items():
+    for t in table.cache:
         terms = {}
-        for w, c in img.terms.items():
+        for w, c in row_words(table, t).items():
             for letters in itertools.product(*[(x, new) if x == old else (x,) for x in w.letters]):
                 terms[Word(letters)] = terms.get(Word(letters), 0) + c
-        table.cache[t] = TensorElem(terms, d, N)
+        table.cache[t] = word_row(table, terms)
     got = verify_hopf_morphism("psi", N, d, table=table)
     assert got == verify_reference("psi", N, d, table)
     assert got["status"] == "pass"

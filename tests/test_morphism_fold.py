@@ -7,7 +7,8 @@ trees from the unit) is written out here as a reference, and both are
 compared term by term: the same keys in the same insertion order, the same
 scalar types and values; the order counts because float pairings iterate
 images in insertion order.  The tables are also corrupted with negative,
-non-integral and above-level coefficients; mixed signs make intermediate
+non-integral and above-level coefficients, each tree's row replaced by a
+word map made a row with `seams.word_row`; mixed signs make intermediate
 shuffles cancel, which the positional fold must not let move a word.
 
 The table builder `morphisms._tree_rows` is also checked against the
@@ -28,6 +29,7 @@ from hopfpath.tensor import TensorElem, Word, enumerate_words, shuffle
 from hopfpath.trees import Forest, Tree, enumerate_forests, enumerate_trees, forests_of_grade
 import oracles
 from oracles import _tree_coproduct
+from seams import row_words, word_row
 
 _ZERO = Q(0)
 _UNIT = {Word(): Q(1)}
@@ -108,7 +110,7 @@ def psi_tree_reference(t):
 
 
 def table_terms(table):
-    return lambda t: table.cache[t].terms
+    return functools.partial(row_words, table)
 
 
 # -- comparison ------------------------------------------------------------
@@ -150,16 +152,11 @@ def test_phi_g_and_psi_of_combinations_match_the_word_fold(d, scalar):
 
 
 def test_the_cached_tree_images_match_the_word_fold():
-    # the table builder's rows, and the tables' TensorElems made from them
+    # the table builder's rows, which the tables hold, read as word maps
     for which, want_of in (("phi_g", phi_tree_reference), ("psi", psi_tree_reference)):
         ctx, rows = _tree_rows(which, 5, 2)
-        table = MorphismTable(which, 5, 2)
         for t in enumerate_trees(5, 2):
-            want = want_of(t)
-            got = table.cache[t].terms
-            assert list(got.items()) == list(want.items())
-            assert all(type(c) is Q for c in got.values())
-            assert [(ctx.word(k), c) for k, c in rows[t].items()] == list(want.items())
+            assert [(ctx.word(k), c) for k, c in rows[t].items()] == list(want_of(t).items())
             assert all(type(c) is int for c in rows[t].values())
 
 
@@ -230,8 +227,8 @@ def test_the_adjoints_are_the_per_tree_folds(N, d):
 
 def _each(corrupt):
     def apply(table):
-        for t, img in table.cache.items():
-            table.cache[t] = TensorElem(corrupt(list(img.terms.items())), img.d, img.n)
+        for t in table.cache:
+            table.cache[t] = word_row(table, corrupt(list(row_words(table, t).items())))
     return apply
 
 
@@ -240,7 +237,7 @@ def _negated(terms):
 
 
 def _halved(terms):
-    return {w: c / 2 if k % 2 else c for k, (w, c) in enumerate(terms)}
+    return {w: Q(c, 2) if k % 2 else c for k, (w, c) in enumerate(terms)}
 
 
 def _above_level(terms):
@@ -254,9 +251,9 @@ def _crossed(table):
     # shuffle to words b_1 b_2 and b_2 b_1 that cancel, and the forests
     # with more leaves shuffle on from those zeros
     if table.d >= 2:
-        e1, e2 = (TensorElem({Word((Tree(i),)): Q(1)}, table.d, table.letter_bound()) for i in (1, 2))
-        table.cache[Tree(1)] = table.cache[Tree(1)] + e2
-        table.cache[Tree(2)] = table.cache[Tree(2)] - e1
+        e1, e2 = (Word((Tree(i),)) for i in (1, 2))
+        table.cache[Tree(1)] = word_row(table, {**row_words(table, Tree(1)), e2: 1})
+        table.cache[Tree(2)] = word_row(table, {**row_words(table, Tree(2)), e1: -1})
 
 
 CORRUPTIONS = {
@@ -296,7 +293,7 @@ def test_crossed_tables_cancel_inside_the_fold(which):
         acc = _UNIT
         for t in f.factors:
             zeros += sum(c == 0 for c in acc.values())
-            acc = shuffle_terms_reference(acc, table.cache[t].terms)
+            acc = shuffle_terms_reference(acc, row_words(table, t))
     assert zeros
 
 

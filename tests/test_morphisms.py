@@ -5,6 +5,7 @@ import pytest
 from hopfpath.hopf import HElem, convolve, pair
 from hopfpath.morphisms import (
     MorphismTable,
+    _tree_rows,
     iota,
     iota_elem,
     phi_g,
@@ -188,10 +189,45 @@ def test_verify_psi_passes():
 def test_verify_catches_corruption():
     table = MorphismTable("psi", 3, 1)
     cherry = graft([leaf(1), leaf(1)], 1)
-    table.cache[cherry] = table.cache[cherry].scale(2)
+    table.cache[cherry] = {k: 2 * c for k, c in table.cache[cherry].items()}
     report = verify_hopf_morphism("psi", 3, 1, table=table)
     assert report["status"] == "fail"
     assert report["witness"] is not None
+
+
+@pytest.mark.parametrize("which", ["psi", "phi_g"])
+def test_the_table_holds_the_builders_rows(which):
+    ctx, rows = _tree_rows(which, 4, 2)
+    table = MorphismTable(which, 4, 2)
+    assert table.ctx is ctx
+    assert list(table.cache) == list(enumerate_trees(4, 2))
+    for t in enumerate_trees(4, 2):
+        assert table.cache[t] == rows[t]
+        assert all(type(c) is int for c in table.cache[t].values())
+
+
+def test_a_table_row_cannot_be_edited_in_place():
+    table = MorphismTable("psi", 3, 1)
+    row = table.cache[max(table.cache)]
+    k = next(iter(row))
+    with pytest.raises(TypeError):
+        row[k] = 2
+    with pytest.raises(TypeError):
+        del row[k]
+
+
+@pytest.mark.parametrize("which", ["psi", "phi_g"])
+def test_replacing_a_row_changes_that_table_alone(which):
+    x = HElem({f: Fraction(k + 1, 5) for k, f in enumerate(enumerate_forests(3, 2))}, 2)
+    ctx, rows = _tree_rows(which, 3, 2)
+    before = ({t: dict(row) for t, row in rows.items()}, psi(x, 3), phi_g(x))
+    table = MorphismTable(which, 3, 2)
+    t = max(table.cache)
+    table.cache[t] = {k: 2 * c for k, c in table.cache[t].items()}
+    tree = Forest((t,))
+    assert table.image(tree) == MorphismTable(which, 3, 2).image(tree).scale(2)
+    assert _tree_rows(which, 3, 2)[1] is rows
+    assert ({t: dict(row) for t, row in rows.items()}, psi(x, 3), phi_g(x)) == before
 
 
 def test_verify_rejects_unknown_name():

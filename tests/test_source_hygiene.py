@@ -39,7 +39,9 @@ its methods (equality, hash, order, `sort_key`, the immutability guard),
 and only `Canonical._seal` sets a `_key` or a `_hash`.
 
 One more keeps one source of morphism tree images: `morphisms` has exactly
-one `functools` cache, on its table builder `_tree_rows`.
+one `functools` cache, on its table builder `_tree_rows`.  Another keeps
+those images rows: in `morphisms` only `_image` names `TensorElem` other
+than in an annotation, so no table or fold builds an element of its own.
 
 Two more guard the code the package generates: `linear._straight_line` is
 its one `compile`/`exec` site, and every source it writes, up to N=5, is a
@@ -545,6 +547,52 @@ def test_memo_sites_are_caught_in_every_form():
 def test_morphisms_has_one_cache_on_the_table_builder():
     # tree images have one source: the table of (morphism, N, d)
     assert _memo_sites(_trees()[PACKAGE / "morphisms.py"]) == ["_tree_rows"]
+
+
+def _value_sites(tree, name: str) -> list:
+    """The innermost enclosing function (None outside any) of every reference
+    to `name` as a value: a call, an attribute such as `name._trusted`, an
+    alias.  Annotations are not values."""
+    annotations = {
+        id(sub)
+        for node in ast.walk(tree)
+        for ann in (
+            [node.returns] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            else [node.annotation] if isinstance(node, (ast.arg, ast.AnnAssign))
+            else []
+        )
+        if ann is not None
+        for sub in ast.walk(ann)
+    }
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == name and id(child) not in annotations:
+                out.append(where)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where)
+
+    visit(tree, None)
+    return out
+
+
+def test_value_sites_are_caught_in_every_form():
+    source = (
+        "def f(x: T) -> T:\n"
+        "    y: T = T._trusted({}, 1)\n"
+        "    return T(x)\n"
+        "S = T\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        return (lambda: T.zero(1))()\n"
+    )
+    assert _value_sites(ast.parse(source), "T") == ["f", "f", None, "g"]
+
+
+def test_morphisms_builds_tensor_elements_in_image_alone():
+    # the tables and the folds hold rows {position: int}; a TensorElem is
+    # made once per psi, phi_g or table image, from the folded sum
+    assert _value_sites(_trees()[PACKAGE / "morphisms.py"], "TensorElem") == ["_image"]
 
 
 _DYNAMIC = {"compile", "exec", "eval"}

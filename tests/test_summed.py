@@ -22,7 +22,7 @@ from hopfpath.expr import _Parser, parse_h, parse_tensor
 from hopfpath.hopf import HElem, PairElem, forest_context
 from hopfpath.morphisms import MorphismTable, _tree_rows, iota_elem, phi_g, psi
 from hopfpath.tensor import EMPTY_WORD, TensorElem, WordPairElem, deconcat, enumerate_words
-from hopfpath.trees import EMPTY_FOREST, enumerate_forests, enumerate_trees
+from hopfpath.trees import EMPTY_FOREST, Forest, enumerate_forests, enumerate_trees
 
 import oracles
 from test_kernels import _INT_UNIT_F, _INT_UNIT_W
@@ -147,9 +147,10 @@ def _phi_g_image(draw, mode):
 
 
 def _psi_tree_map(draw, mode):
-    # the table's images, built from _tree_rows: Fractions keyed by word
+    # the table's image of one tree, folded from its row of _tree_rows:
+    # Fractions keyed by word
     t = draw(st.sampled_from(enumerate_trees(4, D)))
-    return MorphismTable("psi", 4, D).cache[t], oracles.psi_tree_reference(t)
+    return MorphismTable("psi", 4, D).image(Forest((t,))), oracles.psi_tree_reference(t)
 
 
 def _iota_elem(draw, mode):
