@@ -16,9 +16,9 @@ combination to the sum of its forests' images, in term order.  The tree
 images are rows {position: int} of one table per (morphism, N, d),
 `_tree_rows`, which folds each tree's child forest (phi_g) or cut row
 (psi) of `forest_context(N, d)` on `word_context(N, d, n)`, in grade order.
-`psi` and `phi_g` read the table of their input's grade and largest label,
-the adjoints the table of their word's grade; a `MorphismTable` holds its
-level's rows, and `_image` alone turns a folded image into a `TensorElem`.
+`psi`, `phi_g` and the adjoints read the table of their input's grade; a
+`MorphismTable` holds its level's rows, and `_image` alone turns a folded
+image into a `TensorElem`.
 """
 
 from __future__ import annotations
@@ -107,8 +107,7 @@ def _adjoint(w: Word, d: int, which: str) -> HElem:
 def phi_g(h: HElem) -> TensorElem:
     """Morphism onto words of single-vertex letters: [h]_i appends e_i,
     products shuffle."""
-    labels = max([1, *map(Forest.max_label, h.terms)])  # the image's words are over these
-    return _image(h.terms, h.d, 1, *_tree_rows("phi_g", h.max_grade(), labels))
+    return _image(h.terms, h.d, 1, *_tree_rows("phi_g", h.max_grade(), h.d))
 
 
 def psi(h: HElem, N: int) -> TensorElem:
@@ -117,8 +116,7 @@ def psi(h: HElem, N: int) -> TensorElem:
     g = h.max_grade()
     if g > N:
         raise ValueError(f"grade {g} exceeds truncation level {N}")
-    labels = max([1, *map(Forest.max_label, h.terms)])
-    return _image(h.terms, h.d, max(N, 1), *_tree_rows("psi", g, labels))
+    return _image(h.terms, h.d, max(N, 1), *_tree_rows("psi", g, h.d))
 
 
 # -- adjoints --------------------------------------------------------------
@@ -171,26 +169,22 @@ class MorphismTable:
     a tree's row replaced in it counts; a row cannot be edited in place,
     and a tree outside the table is a KeyError."""
 
-    __slots__ = ("which", "N", "d", "ctx", "cache")
+    __slots__ = ("N", "d", "ctx", "cache")
 
     def __init__(self, which: str, N: int, d: int):
         if which not in ("phi_g", "psi"):
             raise ValueError(f"unknown morphism {which!r}")
-        self.which = which
         self.N = N
         self.d = d
         self.ctx, rows = _tree_rows(which, N, d)
         self.cache = dict(rows)
-
-    def letter_bound(self) -> int:
-        return _letter_bound(self.which, self.N)
 
     def image(self, f: Forest) -> TensorElem:
         """Morphism value on a basis forest: shuffle over the factors."""
         return self.image_elem(HElem.from_forest(f, self.d))
 
     def image_elem(self, x: HElem) -> TensorElem:
-        return _image(x.terms, x.d, self.letter_bound(), self.ctx, self.cache)
+        return _image(x.terms, x.d, self.ctx.key[2], self.ctx, self.cache)
 
 
 def _same(a: dict, b: dict) -> bool:

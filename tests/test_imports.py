@@ -86,20 +86,6 @@ def test_the_morphisms_suite_builds_the_contexts_of_its_level_only():
     assert live == ["hopf.forest_context(5, 2)", "tensor.word_context(5, 2, 1)", "tensor.word_context(5, 2, 5)"]
 
 
-def test_psi_and_phi_g_read_the_table_of_their_inputs_labels():
-    # every word of a forest's image is over the forest's own labels, so a
-    # label-1 chain at d = 2 reads the label-1 table, not the d = 2 one
-    chain = "[[[[b_1]_1]_1]_1]_1"
-    for op in ("psi", "phig"):
-        argv = ["algebra", "--op", op, chain, "--N", "5", "--d", "2"]
-        code = f"import hopfpath; from hopfpath import cli; result = [cli.main({argv!r}), hopfpath.cache_sizes()]"
-        rc, sizes = child(code)["result"]
-        assert rc == 0
-        live = sorted(k.rsplit(".", 1)[0] for k in sizes if k.endswith(".kernel_terms"))
-        assert "hopf.forest_context(5, 2)" not in live
-        assert live == ["hopf.forest_context(5, 1)", f"tensor.word_context(5, 1, {5 if op == 'psi' else 1})"]
-
-
 def test_the_lgl_suite_loads_no_rough_path_layer():
     got = child("from hopfpath import cli; result = cli.main(['verify', '--suite', 'lgl', '--N', '3'])")
     assert got["result"] == 0

@@ -271,7 +271,7 @@ CORRUPTIONS = {
 def test_table_images_match_the_word_fold(which, N, d, how):
     table = MorphismTable(which, N, d)
     CORRUPTIONS[how](table)
-    n = table.letter_bound()
+    n = table.ctx.key[2]
     ref = table_terms(table)
     forests = enumerate_forests(N, d)
     for f in forests:
