@@ -3,9 +3,12 @@
 The encoder walks up one grade at a time: the functionals of grade-n trees
 that the level-n lift of the path so far fails to reproduce, read off the
 adjacent increments, become new path components; grade-N letters enter a
-level-N lift only as one-letter words, so the last lift gives the final one
-(`roughpath._lift_past_partial`).  Nothing is checked until one `certify`
-sweep over every grid pair, the only all-pairs pass, checks the identity
+level-N lift only as one-letter words, so the last level's lift gives the
+final one (`roughpath._lift_past_partial`), built on its first read: a
+caller that never reads it, such as `simplify_n2`, never pays for it.
+`encode` still checks at once that a float path fits a level-N lift.
+Nothing is checked until one `certify` sweep over every grid pair, the only
+all-pairs pass, checks the identity
 
     <X_st, h> = <Xbar_st, psi(h)>
 
@@ -29,9 +32,10 @@ deterministic.
 
 `encode` returns a `ConversionResult`: `extended_path`, the sampled path
 with one component per tree letter; `geometric`, its canonical lift over
-those letters; `certificate`, the report of `certify` (or `{"status":
-"skipped"}`); and at N = 2 `plain_lift`, the first level-2 lift, whose
-increments `simplify_n2` reuses.  Its JSON form adds each tree's psi image.
+those letters, built when first read (`certify` reads it when `encode`
+sweeps); `certificate`, the report of `certify` (or `{"status":
+"skipped"}`); and at N = 2 `plain_lift`, the first level-2 lift, the only
+lift `simplify_n2` reads.  Its JSON form adds each tree's psi image.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .roughpath import (
     BranchedRoughPath,
     GeometricRoughPath,
     SampledPath,
+    _check_float_range,
     _close,
     _lift_past_partial,
     canonical_lift,
@@ -132,15 +137,26 @@ def extract_extended_path(X: BranchedRoughPath, partial: GeometricRoughPath) -> 
 class ConversionResult:
     """What `encode` returns: the extended path, its canonical lift, the
     certificate and, at N = 2, the level-2 lift of the plain letters that
-    `simplify_n2` starts from (else None; never in the JSON form)."""
+    `simplify_n2` starts from (else None; never in the JSON form).
 
-    __slots__ = ("extended_path", "geometric", "certificate", "plain_lift")
+    `geometric` may be given as the final lift or, as `encode` gives it, as
+    the last level's lift, which lacks the extended path's grade-N letters:
+    then the first read of `geometric` builds the final lift from it
+    (`roughpath._lift_past_partial`), keeps it and drops the partial one."""
+
+    __slots__ = ("extended_path", "_geometric", "certificate", "plain_lift")
 
     def __init__(self, extended_path: SampledPath, geometric: GeometricRoughPath, certificate: dict, plain_lift):
         self.extended_path = extended_path
-        self.geometric = geometric
+        self._geometric = geometric
         self.certificate = certificate
         self.plain_lift = plain_lift
+
+    @property
+    def geometric(self) -> GeometricRoughPath:
+        if len(self._geometric.letters) < len(self.extended_path.basis):
+            self._geometric = _lift_past_partial(self._geometric, self.extended_path)
+        return self._geometric
 
     def to_obj(self) -> dict:
         d = self.geometric.d
@@ -214,11 +230,15 @@ def encode(X: BranchedRoughPath, certify_result: bool = True, check_cocycle: boo
     """Extend the underlying path tree by tree and lift it geometrically.
 
     Levels n = 2 .. N each read the grade-n components off the level-n
-    lift's adjacent increments and lift the extended path once.  Then one
+    lift's adjacent increments; levels below N lift the extended path once.
+    The final lift, the last level's lift with the grade-N letters added, is
+    built on the first read of the result's `geometric`, and not before; a
+    float path too large for it is refused here all the same.  Then one
     `certify` sweep checks the final lift, every level's check included: with
     certify_result it is the certificate; otherwise, with check_cocycle,
     `certify` still runs and a failure raises ConversionError naming the
-    forest, the pair and both values.  With both flags off nothing is swept.
+    forest, the pair and both values.  With both flags off nothing is swept,
+    and the final lift is left for its first reader.
     """
     ext = base_path_of(X)
     geometric = plain = canonical_lift(ext, min(X.N, 2), X.gamma)  # the level-2 lift, or at N=1 the final one
@@ -226,12 +246,17 @@ def encode(X: BranchedRoughPath, certify_result: bool = True, check_cocycle: boo
         new = extract_extended_path(X, geometric)
         taus = sorted(new)
         ext = ext.extend(taus, [_running_sums(new[tau], X.mode) for tau in taus])
-        geometric = canonical_lift(ext, n + 1, X.gamma) if n < X.N else _lift_past_partial(geometric, ext)
-    cert = certify(X, geometric) if certify_result or check_cocycle else {"status": "skipped"}
-    if not certify_result and cert["status"] == "fail":
-        raise ConversionError(f"<X_st, h> != <Xbar_st, psi(h)> at {json.dumps(cert['witness'])}")
-    cert = cert if certify_result else {"status": "skipped"}
-    return ConversionResult(ext, geometric, cert, plain if X.N == 2 else None)
+        if n < X.N:
+            geometric = canonical_lift(ext, n + 1, X.gamma)
+    _check_float_range(ext, X.N)
+    result = ConversionResult(ext, geometric, {"status": "skipped"}, plain if X.N == 2 else None)
+    if certify_result or check_cocycle:
+        cert = certify(X, result.geometric)
+        if certify_result:
+            result.certificate = cert
+        elif cert["status"] == "fail":
+            raise ConversionError(f"<X_st, h> != <Xbar_st, psi(h)> at {json.dumps(cert['witness'])}")
+    return result
 
 
 # -- the level-2 shortcut --------------------------------------------------
@@ -273,25 +298,27 @@ def simplify_n2(result: ConversionResult) -> SimplifiedDriver:
     addition cancels in every e_i shuffle e_j), and the symmetric half is
     returned as scalar paths.
 
-    xhat starts from `result.plain_lift`, Xbar's plain-letter words: a
-    step with no antisymmetric correction, every step at d = 1, keeps that
-    increment itself, another a copy with the corrections.  xhat's words
-    are plain letters within d, so its increments are trusted.
+    xhat starts from `result.plain_lift`, Xbar's plain-letter words, and
+    reads its d, gamma, grid and mode there; the final lift Xbar is never
+    read, so it is not built.  A step with no antisymmetric correction,
+    every step at d = 1, keeps that increment itself, another a copy with
+    the corrections.  xhat's words are plain letters within d, so its
+    increments are trusted.
     """
-    Xbar = result.geometric
-    if Xbar.N != 2:
-        raise ValueError(f"simplification applies at level 2 only, got {Xbar.N}")
-    d = Xbar.d
     path = result.extended_path
-    labels = range(1, d + 1)
+    N = max(t.grade for t in path.basis)  # the final lift's level, read without building it
+    if N != 2:
+        raise ValueError(f"simplification applies at level 2 only, got {N}")
     plain = result.plain_lift
+    d = plain.d
+    labels = range(1, d + 1)
     cols = {(i, j): path.basis.index(Tree(i, (leaf(j),))) for i, j in itertools.product(labels, repeat=2)}  # [b_j]_i
     ctx = plain.context()
     # the columns of [b_j]_i and [b_i]_j, and e_j (x) e_i; a diagonal cherry has no antisymmetric part
     flips = [(a, cols[j, i], ctx.basis[ctx.index[Word((leaf(j), leaf(i)))]]) for (i, j), a in cols.items() if i != j]
     pairs = tuple((k, l) for k in labels for l in range(k, d + 1))
     sums = [((k, l), cols[k, l], cols[l, k]) for k, l in pairs]
-    half = Fraction(1, 2) if Xbar.mode == RATIONAL else 0.5
+    half = Fraction(1, 2) if plain.mode == RATIONAL else 0.5
     word_incs = []
     sym_incs = []
     for g, lo, hi in zip(plain.increments, path.values, path.values[1:]):
@@ -306,8 +333,8 @@ def simplify_n2(result: ConversionResult) -> SimplifiedDriver:
                     del terms[w]
         word_incs.append(g if terms is None else TensorElem._trusted(terms, d, 1))
         sym_incs.append({p: (hi[a] - lo[a]) + (hi[b] - lo[b]) for p, a, b in sums})
-    xhat = GeometricRoughPath(2, Xbar.gamma, Xbar.grid, word_incs, d, Xbar.mode, plain.letters)
-    if Xbar.mode == RATIONAL:
+    xhat = GeometricRoughPath(2, plain.gamma, plain.grid, word_incs, d, plain.mode, plain.letters)
+    if plain.mode == RATIONAL:
         for g in xhat.increments:
             if not is_tensor_group_like(g, 2):
                 raise ConversionError("antisymmetric correction broke the shuffle character")

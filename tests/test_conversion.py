@@ -168,12 +168,15 @@ def _same_lift(got, want):
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_final_lift_is_the_canonical_lift_of_the_extended_path(N, d, mode):
     # the last level's lift with the grade-N letters added, against a
-    # fresh lift of the whole extended path
+    # fresh lift of the whole extended path: built inside encode for
+    # certify, or left to the first read when nothing is swept
     X = ito_lift(_stalling_walk(d, mode), N)
-    result = encode(X, False, False)
+    result, deferred = encode(X), encode(X, False, False)
     ext = result.extended_path
+    assert deferred.extended_path.values == ext.values and deferred.extended_path.basis == ext.basis
     want = canonical_lift(ext, N, X.gamma)
     _same_lift(result.geometric, want)
+    _same_lift(deferred.geometric, want)
     if N == 1:
         return
     lower = [t for t in ext.basis if t.grade < N]
@@ -200,6 +203,33 @@ def test_encode_lifts_each_level_once(N, monkeypatch):
     encode(X, False, False)
     assert levels == (list(range(2, N + 1)) or [1])
     assert len(levels) == max(N - 1, 1)
+
+
+@pytest.mark.parametrize("mode", [RATIONAL, FLOAT])
+def test_the_final_lift_is_built_once_and_only_when_read(mode, monkeypatch):
+    # the criterion-09 chain reads plain_lift and the extended path only
+    X = ito_lift(_stalling_walk(2, mode), 2)
+    built = count_calls(monkeypatch, _lift_past_partial)
+    result = encode(X, False, False)
+    sd = simplify_n2(result)
+    sd.symmetric_path(1, 2)
+    sd.covariation(1, 1)
+    assert built == {"_lift_past_partial": 0}
+    first = result.geometric
+    assert built == {"_lift_past_partial": 1}
+    assert result.geometric is first and built == {"_lift_past_partial": 1}
+    encode(X)
+    assert built == {"_lift_past_partial": 2}
+
+
+def test_encode_refuses_a_float_path_too_large_for_its_final_lift():
+    # the plain letter fits a level-2 lift, so ito_lift takes it; the
+    # cherry letter's column adds 1.5e200 of variation, which encode
+    # refuses itself, though nothing reads the final lift
+    path = SampledPath.over_labels([0.0, 1.0, 2.0, 3.0], [[0.0], [1e100], [2e100], [3e100]], 1, FLOAT)
+    X = ito_lift(path, 2)
+    with pytest.raises(ValueError, match=r"^the path varies by 1\.5e\+200 in total, too much for a float lift at level 2$"):
+        encode(X, False, False)
 
 
 # -- encode and certificate ------------------------------------------------
@@ -423,9 +453,13 @@ def test_conversion_json(encoded_n2):
 # -- level-2 simplification ------------------------------------------------
 
 
-def test_simplify_requires_level_two(encoded_d1_n3):
-    with pytest.raises(ValueError):
-        simplify_n2(encoded_d1_n3)
+@pytest.mark.parametrize("N", [1, 3])
+def test_simplify_requires_level_two(N, monkeypatch):
+    result = encode(ito_lift(walk_path_d2(3), N), False, False)
+    lifts = count_calls(monkeypatch, _lift_past_partial, canonical_lift)
+    with pytest.raises(ValueError, match=f"^simplification applies at level 2 only, got {N}$"):
+        simplify_n2(result)
+    assert lifts == {"_lift_past_partial": 0, "canonical_lift": 0}
 
 
 def test_simplify_symmetric_part_is_quadratic_covariation(encoded_n2):
