@@ -46,7 +46,9 @@ kernel once, the first time a sweep asks for it (`Context.compiled`); a
 psi map is compiled per sweep (`Context.linear_map`).  Both scalar modes
 run there, on an exact sweep's numerators or a float sweep's scalars
 (`Context.dense`), and a float total rounds as in `times` (see
-`Context.fold`).  Single products stay on `times`.
+`Context.fold`).  Single products stay on `times`.  The Euler steps of
+`rde._euler` are the generator's other shape, with the fields'
+coefficients and the slot names passed as operand lists.
 
 The module also holds what the forest and word sides share beyond the
 container: the Kronecker pairing, the exp and log series over a truncated
@@ -380,24 +382,51 @@ def _scalar_row(values: dict) -> Row:
     return Row(values if den is None else dict(zip(values, nums)), den, len(values))
 
 
-def _straight_line(params: tuple, rows) -> object:
-    """The one place the package compiles code: a function of params, the
-    names of dense operand lists, returning per entry of rows the sum, left
-    to right, of one term per (position, ..., count) tuple in it, count *
-    p[position] * ... over params in order, the count left out when it is 1
-    and an empty sum 0.  Every position and count must be an int, so the
-    source holds nothing but integers, the operand names, `*`, `+`, `-`,
-    brackets and commas past its `def` and `return`."""
+def _straight_line(params: tuple, rows, e: int | None = None) -> object:
+    """The one place the package compiles code.  Without e, a function of
+    params, the names of dense operand lists, returning per entry of rows
+    the sum, left to right, of one term per (position, ..., count) tuple in
+    it, count * p[position] * ... over params in order, the count left out
+    when it is 1 and an empty sum 0.  With e, one Euler step of `rde._euler`
+    in e components, a function of (c, n, y, w) = params, the coefficients,
+    slot names, state and weights: rows holds per slot None or per
+    component its terms (m, k, ...), c[m] * y[k] * ...  Per slot j whose
+    weight v = w[j] is not None, in order, it returns None if rows[j] is
+    None; else it adds each component's t = v * (0 + its terms) to a delta
+    from 0, and stores (t, ...) under n[j] in the breakdown when a t is
+    true.  It returns (y + delta, breakdown).  Every position, count and e
+    must be an int, so the source holds nothing but integers, the operand
+    names, fixed locals, keywords, operators, brackets and commas."""
     index = operator.index
-    totals = []
-    for row in rows:
-        terms = []
-        for *positions, count in row:
-            factors = "*".join(f"{p}[{index(k)}]" for p, k in zip(params, positions, strict=True))
-            count = index(count)
-            terms.append(factors if count == 1 else f"{count}*{factors}")
-        totals.append(" + ".join(terms) or "0")
-    source = f"def kernel({', '.join(params)}):\n    return [{', '.join(totals)}]\n"
+
+    def product(names, positions) -> str:
+        return "*".join(f"{p}[{index(k)}]" for p, k in zip(names, positions, strict=True))
+
+    if e is None:
+        totals = []
+        for row in rows:
+            terms = []
+            for *positions, count in row:
+                factors, count = product(params, positions), index(count)
+                terms.append(factors if count == 1 else f"{count}*{factors}")
+            totals.append(" + ".join(terms) or "0")
+        body = [f"return [{', '.join(totals)}]"]
+    else:
+        c, n, y, w = params
+        ds, ts = [f"d{a}" for a in range(index(e))], [f"t{a}" for a in range(index(e))]
+        body = ["b = {}", " = ".join(ds) + " = 0"]
+        for j, comps in enumerate(rows):
+            body.append(f"if (v := {w}[{j}]) is not None:")
+            if comps is None:
+                body.append("    return None")
+                continue
+            for t, terms in zip(ts, comps, strict=True):
+                total = " + ".join(["0"] + [product((c, *[y] * len(ks)), (m, *ks)) for m, *ks in terms])
+                body.append(f"    {t} = v * ({total})")
+            body += [f"    if {' or '.join(ts)}:", f"        b[{n}[{j}]] = ({', '.join(ts)},)"]
+            body += [f"    {d} += {t}" for d, t in zip(ds, ts)]
+        body.append(f"return ({', '.join(f'{y}[{a}] + {d}' for a, d in enumerate(ds))},), b")
+    source = f"def kernel({', '.join(params)}):\n" + "".join(f"    {line}\n" for line in body)
     namespace: dict = {}
     exec(compile(source, "<linear._straight_line>", "exec"), namespace)
     return namespace["kernel"]

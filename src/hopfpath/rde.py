@@ -8,8 +8,10 @@ Euler iterates: one step per adjacent pair, summing tree (or word)
 coefficients against the driver's increment.  Each solver fixes its terms
 once per solve, as `_euler`'s slots (the trees, the words of the
 increments, the symmetric components), and hands it per step only the
-weights aligned with them, so no key is named, sorted or looked up per
-step.
+weights aligned with them.  `_euler` compiles its resolved slots into one
+straight-line step (`linear._straight_line`), recompiled only when a slot
+first gets a weight after the first step, so a step names, sorts or looks
+up no key and loops over no slot, term or variable.
 
 `apply_derivative` (behind both recurrences) and `check_lgl` run on term
 dicts: on integer numerators over one denominator when every coefficient is
@@ -31,7 +33,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .hopf import HElem, _attach_at, _vertex_addresses
-from .linear import Linear, context_field
+from .linear import Linear, _straight_line, context_field
 from .scalars import FLOAT, RATIONAL, numerators, parse_rational
 from .trees import (
     EMPTY_FOREST,
@@ -88,14 +90,14 @@ def _partial(memo: dict, beta: tuple) -> list:
 
 def _monomials(terms: dict) -> tuple:
     """The terms as (coefficient, variable indices) pairs in term order, the
-    0-based index k listed e[k] times: a polynomial compiled for `_evaluate`."""
+    0-based index k listed e[k] times: a polynomial compiled for `_evaluate`
+    and for the Euler step (`_resolve`)."""
     return tuple((c, tuple(k for k, p in enumerate(e) for _ in range(p))) for e, c in terms.items())
 
 
-def _evaluate(components, point, w=1) -> tuple:
-    """w times each compiled polynomial at point: per term its coefficient
-    times each listed variable, left to right, the terms summed from 0 in
-    order, and w times that sum."""
+def _evaluate(components, point) -> tuple:
+    """Each compiled polynomial at point: per term its coefficient times each
+    listed variable, left to right, the terms summed from 0 in order."""
     out = []
     for monos in components:
         total = 0
@@ -104,7 +106,7 @@ def _evaluate(components, point, w=1) -> tuple:
             for k in idx:
                 v = v * point[k]
             total = total + v
-        out.append(w * total)
+        out.append(total)
     return tuple(out)
 
 
@@ -457,34 +459,32 @@ def _euler(grid: Grid, mode: str, e: int, xi: Sequence, slots: Sequence, step_we
 
     slots fixes the terms once per solve: (key, field) pairs in summation
     order, field a function of no arguments that gives F_j.  Each item of
-    step_weights is one step's weights aligned with slots, None where the
-    term is absent.  Each present term's w F_j(y) comes from one `_evaluate`
-    call and is summed from 0 in slot order, which fixes the float rounding
-    and the breakdown's order; a non-zero one is named str(key).  A slot's
-    name and compiled field (`_monomials`, of its float copy in float mode)
-    are resolved when it first gets a weight, so an unused slot builds none.
+    step_weights is a list of one step's weights aligned with slots, None
+    where the term is absent.  Each step is one call of a function compiled by
+    `_straight_line` from the resolved slots, their coefficients and names
+    passed as operands: each present term's w F_j(y) is w times F_j's terms
+    summed from 0, added to a delta from 0 in slot order, which fixes the
+    float rounding and the breakdown's order; a non-zero one is named
+    str(key).  A slot is resolved (`_resolve`) when it first gets a weight,
+    so an unused slot builds no field.  The function is compiled after the
+    first step's slots are resolved, and again only when a step weights an
+    unresolved slot, which it answers with None: the step's unresolved
+    slots are then resolved, in slot order, and the step runs again.
     """
     if len(xi) != e:
         raise ValueError(f"initial state has dimension {len(xi)}, fields have {e}")
     y = tuple(xi)
     values = [y]
     breakdowns = []
-    resolved: list = [None] * len(slots)  # per slot (name, compiled components) once it has a weight
+    names, rows, coeffs = [None] * len(slots), [None] * len(slots), []
+    step = None
     for weights in step_weights:
-        delta = [0] * e
-        breakdown = {}
-        for i, w in enumerate(weights):
-            if w is None:
-                continue
-            got = resolved[i]
-            if got is None:
-                got = resolved[i] = _resolve(*slots[i], mode)
-            name, comps = got
-            contrib = _evaluate(comps, y, w)
-            if any(contrib):
-                breakdown[name] = contrib
-            delta = list(map(operator.add, delta, contrib))
-        y = tuple(map(operator.add, y, delta))
+        while step is None or (got := step(y, weights)) is None:
+            for i, w in enumerate(weights):
+                if w is not None and rows[i] is None:
+                    names[i], rows[i] = _resolve(*slots[i], mode, coeffs)
+            step = functools.partial(_straight_line(("c", "n", "y", "w"), rows, e), coeffs, names)
+        y, breakdown = got
         if mode == FLOAT and not all(map(math.isfinite, y)):
             i = [math.isfinite(v) for v in y].index(False)
             raise ValueError(f"the float solve leaves the float range at step {len(values)}: y_{i + 1} = {y[i]}")
@@ -493,16 +493,21 @@ def _euler(grid: Grid, mode: str, e: int, xi: Sequence, slots: Sequence, step_we
     return Trajectory(grid, values, breakdowns, mode)
 
 
-def _resolve(key, field, mode: str) -> tuple:
-    """(str(key), the compiled components of field()), of its float copy in
-    float mode."""
+def _resolve(key, field, mode: str, coeffs: list) -> tuple:
+    """(str(key), field()'s rows for `_straight_line`'s step), of its float
+    copy in float mode; the coefficients of its `_monomials` are appended
+    to coeffs, at the positions the rows give."""
     F = field()
     if mode == FLOAT:
         try:
             F = F.to_float()
         except OverflowError:
             raise ValueError(f"the field of {key} has a coefficient too large for a float") from None
-    return str(key), [_monomials(p.terms) for p in F.components]
+    rows = []
+    for monos in (_monomials(p.terms) for p in F.components):
+        rows.append([(len(coeffs) + m, *idx) for m, (_, idx) in enumerate(monos)])
+        coeffs += [c for c, _ in monos]
+    return str(key), rows
 
 
 def solve_branched(X: BranchedRoughPath, f: ButcherTable, xi: Sequence) -> Trajectory:

@@ -43,22 +43,28 @@ one `functools` cache, on its table builder `_tree_rows`.  Another keeps
 those images rows: in `morphisms` only `_image` names `TensorElem` other
 than in an annotation, so no table or fold builds an element of its own.
 
-Two more guard the code the package generates: `linear._straight_line` is
-its one `compile`/`exec` site, and every source it writes, up to N=5, is a
-`def` over operand lists whose body is one list of sums of integer-weighted
-products of operand entries, nothing else.
+Three more guard the code the package generates: `linear._straight_line`
+is its one `compile`/`exec` site; every product kernel and psi map it
+writes, up to N=5, is a `def` over operand lists whose body is one list of
+sums of integer-weighted products of operand entries, nothing else; and
+every Euler step it writes for the branched, geometric and simplified
+solvers at N <= 3 and d <= 2, in both scalar modes, holds nothing but
+operand entries, integer indices and the step's fixed tokens, so no
+coefficient, key or name is written into its source.
 """
 
 import ast
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hopfpath import linear
 from hopfpath.hopf import forest_context
-from hopfpath.roughpath import RATIONAL, SampledPath, ito_lift
-from hopfpath.conversion import encode
+from hopfpath.roughpath import FLOAT, RATIONAL, SampledPath, ito_lift
+from hopfpath.conversion import encode, simplify_n2
+from hopfpath.rde import ButcherTable, WordFieldTable, convert_rde, solve_branched, solve_geometric, solve_simplified
 from hopfpath.tensor import word_context
 
 from seams import sweeps
@@ -666,3 +672,49 @@ def test_every_generated_source_is_integers_and_operand_entries(N, monkeypatch):
     assert len(kernels) + len(maps) == len(sources)
     assert all(_PRODUCT.fullmatch(src) for src in kernels)
     assert all(_LINEAR.fullmatch(src) for src in maps)
+
+
+_STEP = re.compile(
+    r"def kernel\(c, n, y, w\):\n"
+    r"    b = \{\}\n"
+    r"    d0(?: = d[0-9]+)* = 0\n"
+    r"(?:    if \(v := w\[[0-9]+\]\) is not None:\n"
+    r"(?:        return None\n"
+    r"|(?:        t[0-9]+ = v \* \(0(?: \+ c\[[0-9]+\](?:\*y\[[0-9]+\])*)*\)\n)+"
+    r"        if t0(?: or t[0-9]+)*:\n"
+    r"            b\[n\[[0-9]+\]\] = \(t0(?:, t[0-9]+)*,\)\n"
+    r"(?:        d[0-9]+ \+= t[0-9]+\n)+))*"
+    r"    return \(y\[0\] \+ d0(?:, y\[[0-9]+\] \+ d[0-9]+)*,\), b\n"
+)
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_every_euler_step_source_is_integers_and_operand_entries(kind, monkeypatch):
+    # the compiled step of every branched, geometric and simplified solve at
+    # N <= 3 and d <= 2: coefficients and names are operand entries c[m] and
+    # n[j], so no coefficient, key or name is written into the source
+    sources = []
+    builtin = compile
+    monkeypatch.setattr(linear, "compile", lambda source, *args: sources.append(source) or builtin(source, *args), raising=False)
+    f = ButcherTable.parse({1: ["y1^2*y2 - 1/3*y2", "y1*y2^3 + 2*y1"], 2: ["y2^2", "-1"]})
+    mode, xi = (RATIONAL, (Fraction(1, 2), Fraction(-1, 4))) if kind == "exact" else (FLOAT, (0.5, -0.25))
+    solves = 0
+    for N in (1, 2, 3):
+        for d in (1, 2):
+            rows = [[Fraction(k * (j + 1), 7) * (-1) ** k for j in range(d)] for k in range(4)]
+            rows = rows if kind == "exact" else [list(map(float, row)) for row in rows]
+            X = ito_lift(SampledPath.over_labels([0, 1, 2, 3], rows, d, mode), N)
+            result = encode(X, certify_result=False, check_cocycle=False)
+            solve_branched(X, f, xi)
+            solve_geometric(result.geometric, WordFieldTable(convert_rde(f, result)), xi)
+            solves += 2
+            if N == 2:
+                solve_simplified(simplify_n2(result), f, xi)
+                solves += 1
+    steps = [src for src in sources if src.startswith("def kernel(c, n, y, w)")]
+    assert len(steps) >= solves
+    assert all(_STEP.fullmatch(src) for src in steps)
+    assert all(_STEP.fullmatch(src) or _PRODUCT.fullmatch(src) or _LINEAR.fullmatch(src) for src in sources)
+    # a coefficient or a name written into the source does not pass
+    for entry, text in (("c[0]", "0.5"), ("n[0]", "'b_1'")):
+        assert not _STEP.fullmatch(steps[0].replace(entry, text))

@@ -16,9 +16,11 @@ import pytest
 
 from hopfpath.conversion import ConversionResult, base_path_of, encode, extract_extended_path, simplify_n2
 from hopfpath.hopf import HElem
+from hopfpath import linear
 from hopfpath.linear import Context
 from hopfpath.rde import (
     ButcherTable,
+    Poly,
     PolyVectorField,
     WordFieldTable,
     _euler,
@@ -388,6 +390,110 @@ def test_euler_slot_refusals_keep_their_messages():
     assert got == ["the float solve leaves the float range at step 2: y_1 = inf"] * 2
 
 
+def _step_sources(monkeypatch):
+    """A function giving the sources of the Euler steps that `linear` has
+    compiled since the call."""
+    sources, builtin = [], compile
+
+    def recording(source, *args):
+        sources.append(source)
+        return builtin(source, *args)
+
+    monkeypatch.setattr(linear, "compile", recording, raising=False)
+    return lambda: [src for src in sources if src.startswith("def kernel(c, n, y, w)")]
+
+
+def _first_weights(steps) -> set:
+    """The steps on which some slot gets its first weight, and step 0."""
+    first = {}
+    for k, ws in enumerate(steps):
+        for j, w in enumerate(ws):
+            if w is not None:
+                first.setdefault(j, k)
+    return {0, *first.values()}
+
+
+def test_euler_compiles_again_only_for_a_slot_that_first_gets_a_weight(monkeypatch):
+    f = ButcherTable.parse(FIELDS["powers"])
+    steps = [[0.125, -0.25, None, None, None]] * 3 + [[0.5, None, 0.25, None, None]] + [[None, 0.125, 0.5, None, None]] * 3
+    compiled = _step_sources(monkeypatch)
+    got, want = _euler_both(_slots(f), steps, FLOAT, (0.5, -0.25))
+    assert_same_trajectory(got, want)
+    assert len(compiled()) == 2 == len(_first_weights(steps))  # the third slot first gets a weight at step 3
+    assert "return None" in compiled()[0] and compiled()[1].count("return None") == 2
+
+
+def test_euler_builds_no_field_for_a_slot_that_gets_no_weight(monkeypatch):
+    # a field too large for a float and a word whose letter has no field:
+    # either refuses the solve when built, so a solve that never weights
+    # them passes, on one compiled step
+    big = ButcherTable.parse({1: ["1e400*y1"], 2: ["y1"]})
+    table = WordFieldTable({leaf(1): big.base[1], leaf(2): big.base[2]})
+    w3 = Word((leaf(3),))
+    slots = [
+        (leaf(2), functools.partial(big.field, leaf(2))),
+        (leaf(1), functools.partial(big.field, leaf(1))),
+        (w3, functools.partial(table.field, w3)),
+    ]
+    compiled = _step_sources(monkeypatch)
+    got, want = _euler_both(slots, [[0.5, None, None], [None, None, None], [0.25, None, None]], FLOAT, (1.0,))
+    assert_same_trajectory(got, want)
+    assert [list(step) for step in got.steps] == [["b_2"], [], ["b_2"]] and len(compiled()) == 1
+
+
+def _random_field(rng: Random, e: int) -> PolyVectorField:
+    """Identically 0 now and then, else per component 0 to 3 terms of
+    degree 0 to 3 in e variables with small rational coefficients."""
+    if rng.random() < 0.15:
+        return PolyVectorField.zero(e)
+    comps = []
+    for _ in range(e):
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            powers = [0] * e
+            for _ in range(rng.randint(0, 3)):
+                powers[rng.randrange(e)] += 1
+            terms[tuple(powers)] = Q(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2, 3, 4, 8)))
+        comps.append(Poly(terms, e))
+    return PolyVectorField(comps)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["float", "exact"])
+def test_euler_matches_the_per_step_loop_on_random_slots(kind, e, monkeypatch):
+    # 200 steps over six slots, the first weighted from step 0 and the rest
+    # from a random step on; each weight is None, a zero (0.0 or -0.0 in
+    # float mode) or not 0.  An exact state moves on 5 steps only, the only
+    # steps whose weights are not 0, so its numerators and denominators stay
+    # small.  Two slots share the name b_1: the second's entry replaces the
+    # first's value in its place.
+    rng, exact = Random(50 + 2 * e + (kind == "exact")), kind == "exact"
+    M = 200
+    keys = [leaf(1), "s_12", Word((leaf(1), leaf(2))), Tree(1, (leaf(2),)), "b_1", leaf(2)]
+    slots = [(key, lambda F=_random_field(rng, e): F) for key in keys]
+    start = [0] + [rng.randrange(1, M) for _ in keys[1:]]
+    moving = set(rng.sample(range(M), 5))
+
+    def weight(k):
+        r = rng.random()
+        if not (exact and k in moving):
+            if r < 0.3:
+                return None
+            if r < 0.45 or exact:
+                return Q(0) if exact else rng.choice((0.0, -0.0))
+        n = rng.choice((-1, 1)) * rng.randint(1, 16)
+        return Q(n, 1024) if exact else n / 1024
+
+    steps = [[weight(k) if k >= start[j] else None for j in range(len(keys))] for k in range(M)]
+    xi = tuple(Q(rng.choice((-3, -2, -1, 1, 2, 3)), 8) if exact else rng.choice((0.0, -0.0, 0.25, -0.5, 0.375)) for _ in range(e))
+    compiled = _step_sources(monkeypatch)
+    got, want = _euler_both(slots, steps, RATIONAL if exact else FLOAT, xi)
+    assert not isinstance(got, str), got
+    assert_same_trajectory(got, want)
+    assert len(compiled()) == len(_first_weights(steps)) > 1
+    assert sum(map(bool, got.steps)) >= (2 if exact else M // 5)
+
+
 def test_a_zero_coefficient_is_skipped_by_trees_and_stepped_by_words():
     # a coefficient that is present but 0.0 or -0.0: the branched solver
     # gives its tree no weight, so a tree with no field passes; the word
@@ -421,10 +527,16 @@ def test_euler_keeps_signed_zeros_bit_for_bit():
     # nowhere, and their sum from 0 moves the state to (0.0, 0.0)
     got, _ = _euler_both(slots, steps, FLOAT, (-0.0, -0.0))
     assert got.steps[0] == {} and typed(got.values[1]) == typed((0.0, 0.0))
-    comps = [((-1.0, (0,)),)]  # -y1, compiled
-    assert typed(_evaluate(comps, (0.0,))) == typed((0.0,))  # 0 + -0.0 is 0.0
-    assert typed(_evaluate(comps, (0.0,), -0.0)) == typed((-0.0,))  # the weight multiplies the sum
-    assert typed(_evaluate([(), ((2.0, ()),)], (1.0,), -1.0)) == typed((-0.0, -2.0))  # an empty sum is int 0
+    # on the compiled step: a second component that is not 0 gets the first
+    # one's signed zero named in the breakdown
+    g = ButcherTable.parse({1: ["-y1", "1"], 2: ["0", "2"]})
+    slots = [(leaf(1), functools.partial(g.field, leaf(1))), (leaf(2), functools.partial(g.field, leaf(2)))]
+    got, want = _euler_both(slots, [[1.0, None], [-1.0, None], [None, -1.0]], FLOAT, (0.0, 0.0))
+    assert_same_trajectory(got, want)
+    b1, b2 = got.steps[0]["b_1"], got.steps[1]["b_1"]
+    assert typed(b1) == typed((0.0, 1.0))  # 0 + -0.0 is 0.0
+    assert typed(b2) == typed((-0.0, -1.0))  # the weight multiplies the sum
+    assert typed(got.steps[2]["b_2"]) == typed((-0.0, -2.0))  # an empty sum is int 0
     assert typed(_evaluate([()], (1.0,))) == typed((0,))
 
 
@@ -450,8 +562,8 @@ def test_euler_refuses_a_second_component_that_leaves_the_float_range():
 
 
 def test_poly_eval_keeps_values_and_types():
-    # the evaluation helper takes a weight; Poly.eval and PolyVectorField.eval
-    # give weight 1, which keeps every value and type of the plain sum
+    # Poly.eval and PolyVectorField.eval keep every value and type of the
+    # plain sum from 0
     exact = PolyVectorField.parse(["y1^2*y2 - 1/3*y2", "0", "5/2"])
     floats = exact.to_float()
     points = [(Q(1, 2), Q(-3), Q(7)), (0.5, -3.0, 7.0), (0.5, -0.0, 1.0), (-0.0, 0.0, 2.0)]
@@ -547,3 +659,12 @@ def test_float_pipeline_resolves_its_keys_once_per_solve():
     _criterion_09(1, 16)
     small, large = _calls(64, counted.get), _calls(256, counted.get)
     assert all(large.get(k, 0) <= small.get(k, 0) for k in counted.values()), (small, large)
+
+
+@pytest.mark.parametrize("M", [64, 256])
+def test_criterion_09_compiles_one_step_per_solve(M, monkeypatch):
+    # every slot either solve weights is weighted on the first step, so the
+    # branched and the simplified solve compile one step each, at any M
+    compiled = _step_sources(monkeypatch)
+    _criterion_09(1, M)
+    assert len(compiled()) == 2
