@@ -1,47 +1,40 @@
 """Encoding a branched rough path as a geometric one over tree letters.
 
 The encoder walks up one grade at a time: the functionals of grade-n trees
-that the level-n lift of the path so far fails to reproduce, read off the
-adjacent increments, become new path components; grade-N letters enter a
-level-N lift only as one-letter words, so the last level's lift gives the
-final one (`roughpath._lift_past_partial`), built on its first read: a
-caller that never reads it, such as `simplify_n2`, never pays for it.
-`encode` still checks at once that a float path fits a level-N lift.
-Nothing is checked until one `certify` sweep over every grid pair, the only
-all-pairs pass, checks the identity
+that the level-n lift of the path so far fails to reproduce become new path
+components, read off the adjacent values: X's column of each tree minus
+the psi image rows times the lift's columns (`extract_extended_path`).
+Grade-N letters enter a level-N lift only as one-letter words, so the last
+level's lift gives the final one (`roughpath._lift_past_partial`), built on
+its first read: a caller that never reads it, such as `simplify_n2`, never
+pays for it.  `encode` still checks at once that a float path fits a
+level-N lift.  Nothing is checked until one `certify` sweep over every grid
+pair, the only all-pairs pass, checks the identity
 
     <X_st, h> = <Xbar_st, psi(h)>
 
-for every forest h of grade <= N.  The sweep reads each pair's increments
-as the `linear.Row`s that `_RoughPathBase.pair_rows` folds forward from
-each start point on each path's context, and pairs the geometric ones with
-the psi images: each pair is composed once, O(M) rows are live, no element
-is built or cached, and exact values stay integer numerators over one
-denominator until a witness prints them.  In both scalar modes the fold
-and the psi images run as straight-line functions generated from integer
-tables (`linear.Context.compiled`, `Context.linear_map`): the images give
-every forest's value from one call on the geometric row.  It is every
+for every forest h of grade <= N, on the `linear.Row`s that
+`_RoughPathBase.pair_rows` folds forward on each path's compiled kernel,
+with the psi images a compiled linear map of the geometric row: each pair
+is composed once, no element is built, and exact values stay integer
+numerators over one denominator until a witness prints them.  It is every
 level's check as well: for an extracted tree tau, with f_tau(s, t) =
 <X_st, tau> - <Xbar_st, psi(tau) without the tau letter> and F_tau the
 prefix sums of its adjacent values, <Xbar_st, psi(tau)> - <X_st, tau> =
 F_tau(t) - F_tau(s) - f_tau(s, t); on product forests it also catches
-increments that are not characters.  The analytic construction picks an
-arbitrary extension at each level; here the canonical lift of the
-interpolated path replaces it, which keeps everything rational and
-deterministic.
+increments that are not characters.  The canonical lift of the
+interpolated path replaces the analytic construction's arbitrary extension
+at each level, which keeps everything rational and deterministic.
 
-`encode` returns a `ConversionResult`: `extended_path`, the sampled path
-with one component per tree letter; `geometric`, its canonical lift over
-those letters, built when first read (`certify` reads it when `encode`
-sweeps); `certificate`, the report of `certify` (or `{"status":
-"skipped"}`); and at N = 2 `plain_lift`, the first level-2 lift, the only
-lift `simplify_n2` reads.  Its JSON form adds each tree's psi image.
+At level 2, `simplify_n2` folds the cherry letters away by column
+operations on the plain letters' lift, which `encode` keeps for it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 from fractions import Fraction
 
 from .expr import print_tensor
@@ -55,11 +48,12 @@ from .roughpath import (
     SampledPath,
     _check_float_range,
     _close,
+    _deltas,
     _lift_past_partial,
     canonical_lift,
     roughpath_obj,
 )
-from .tensor import TensorElem, Word, is_tensor_group_like, word_context
+from .tensor import Word, is_tensor_group_like, word_context
 from .trees import Forest, Tree, enumerate_forests, enumerate_trees, forests_of_grade, leaf, trees_of_grade
 
 _ZERO = Fraction(0)
@@ -75,11 +69,12 @@ def _running_sums(increments: list, mode: str) -> list:
 
 
 def base_path_of(X: BranchedRoughPath) -> SampledPath:
-    """Grade-1 components of a branched rough path, started at 0, read with
-    the forests `ito_lift` stores as keys, so each lookup hits by identity."""
-    leaves = forests_of_grade(1, X.d)
-    cols = [_running_sums([g.terms.get(h, _ZERO) for g in X.increments], X.mode) for h in leaves]
-    return SampledPath(X.grid, tuple(h.factors[0] for h in leaves), list(zip(*cols)), X.mode)
+    """Grade-1 components of a branched rough path, started at 0, read off
+    its grade-1 columns, an absent value as Fraction(0)."""
+    leaves, index = forests_of_grade(1, X.d), X.context().index
+    cols = [X.columns.get(index[h]) or [None] * X.grid.steps for h in leaves]
+    sums = [_running_sums([_ZERO if v is None else v for v in col], X.mode) for col in cols]
+    return SampledPath(X.grid, tuple(h.factors[0] for h in leaves), list(zip(*sums)), X.mode)
 
 
 def _same_grid(X: BranchedRoughPath, Xbar: GeometricRoughPath) -> None:
@@ -113,31 +108,40 @@ def extract_extended_path(X: BranchedRoughPath, partial: GeometricRoughPath) -> 
 
     For each tree tau of grade n+1 the value on step k is f_tau(k, k+1),
     f_tau(s, t) = <X_st, tau> - <partial_st, psi(tau) without the tau letter>,
-    read from the adjacent increments alone.  Each image is paired with the
-    increment's terms on their words by `linear.dot`, iterating the image
-    unless it has more terms.  Nothing here checks the values:
-    `certify`'s sweep of the final lift does (see the module docstring).
+    X's column of tau minus the image row times partial's columns, each
+    pairing summed from 0 in `linear.dot`'s order: over the image, unless it
+    has more terms than the step's present keys, then over those in
+    partial's key order.  Nothing here checks the values: `certify`'s sweep
+    of the final lift does (see the module docstring).
     """
     _same_grid(X, partial)
     n = max(t.grade for t in partial.letters)
     taus = trees_of_grade(n + 1, X.d)
-    forests = [Forest((tau,)) for tau in taus]
-    basis = partial.context().basis
-    images = [({basis[i]: c for i, c in img.values.items()}, img.size) for img in _psi_rows(X, partial, n + 1, forests)]
-    out = {tau: [] for tau in taus}
-    for branched, geometric in zip(X.increments, partial.increments):
-        terms, size, get = geometric.terms, len(geometric.terms), branched.terms.get
-        for h, f, (img, n_img) in zip(forests, out.values(), images):
-            rhs = dot(terms, img) if n_img > size else dot(img, terms)
-            # an absent <X_st, h> reads 0, a Fraction unless rhs is a float
-            f.append(get(h, 0 if type(rhs) is float else _ZERO) - rhs)
+    cols, M = partial.columns, X.grid.steps
+    images = _psi_rows(X, partial, n + 1, [Forest((tau,)) for tau in taus])
+    # the present keys per step; a one-term image sums alike in either order
+    big = any(img.size > 1 for img in images)
+    sizes = [sum(col[k] is not None for col in cols.values()) for k in range(M)] if big else ()
+    index, out = X.context().index, {}
+    for tau, img in zip(taus, images):
+        rhs = [0] * M
+        for p, c in img.values.items():
+            if (col := cols.get(p)) is not None:
+                rhs = [r if v is None else r + c * v for r, v in zip(rhs, col)]
+        for k, size in enumerate(sizes):
+            if img.size > size:
+                rhs[k] = dot({p: v for p, col in cols.items() if (v := col[k]) is not None}, img.values)
+        lhs = X.columns.get(index[Forest((tau,))]) or [None] * M
+        # an absent <X_st, tau> reads 0, a Fraction unless rhs is a float
+        out[tau] = [(x if x is not None else 0 if type(r) is float else _ZERO) - r for x, r in zip(lhs, rhs)]
     return out
 
 
 class ConversionResult:
     """What `encode` returns: the extended path, its canonical lift, the
-    certificate and, at N = 2, the level-2 lift of the plain letters that
-    `simplify_n2` starts from (else None; never in the JSON form).
+    certificate (or `{"status": "skipped"}`) and, at N = 2, the level-2 lift
+    of the plain letters that `simplify_n2` starts from (else None; never in
+    the JSON form, which adds each tree's psi image).
 
     `geometric` may be given as the final lift or, as `encode` gives it, as
     the last level's lift, which lacks the extended path's grade-N letters:
@@ -268,20 +272,26 @@ class SimplifiedDriver:
     xhat is a geometric rough path over the plain letters whose grade-2
     words absorb half the antisymmetric cherry part; the symmetric part
     survives as one scalar path per unordered label pair (k, l), k <= l,
-    with the diagonal entries doubled.
+    with the diagonal entries doubled: `symmetric` maps each pair to the
+    column of its adjacent increments.
     """
 
-    __slots__ = ("xhat", "pairs", "symmetric_increments")
+    __slots__ = ("xhat", "pairs", "symmetric")
 
-    def __init__(self, xhat: GeometricRoughPath, pairs: tuple, symmetric_increments: list):
+    def __init__(self, xhat: GeometricRoughPath, pairs: tuple, symmetric: dict):
         self.xhat = xhat
         self.pairs = pairs
-        self.symmetric_increments = symmetric_increments
+        self.symmetric = symmetric
+
+    @property
+    def symmetric_increments(self) -> list:
+        """Per step the map from each pair to its symmetric increment."""
+        return [dict(zip(self.pairs, row)) for row in zip(*map(self.symmetric.get, self.pairs))]
 
     def symmetric_path(self, k: int, l: int) -> list:
         if (k, l) not in self.pairs:
             raise KeyError(f"no symmetric component for pair ({k}, {l})")
-        return _running_sums([row[(k, l)] for row in self.symmetric_increments], self.xhat.mode)
+        return _running_sums(self.symmetric[k, l], self.xhat.mode)
 
     def covariation(self, k: int, l: int) -> list:
         """Discrete covariation sum of delta X^k delta X^l; for a left-point
@@ -300,42 +310,34 @@ def simplify_n2(result: ConversionResult) -> SimplifiedDriver:
 
     xhat starts from `result.plain_lift`, Xbar's plain-letter words, and
     reads its d, gamma, grid and mode there; the final lift Xbar is never
-    read, so it is not built.  A step with no antisymmetric correction,
-    every step at d = 1, keeps that increment itself, another a copy with
-    the corrections.  xhat's words are plain letters within d, so its
-    increments are trusted.
+    read, so it is not built.  xhat keeps each plain lift column whose word
+    no step corrects, and a corrected word gets a new column, a sum that
+    reaches 0 absent.  The columns come in position order, the plain lift's
+    key order, so a word that a step adds takes its place there, not last.
     """
     path = result.extended_path
     N = max(t.grade for t in path.basis)  # the final lift's level, read without building it
     if N != 2:
         raise ValueError(f"simplification applies at level 2 only, got {N}")
     plain = result.plain_lift
-    d = plain.d
-    labels = range(1, d + 1)
-    cols = {(i, j): path.basis.index(Tree(i, (leaf(j),))) for i, j in itertools.product(labels, repeat=2)}  # [b_j]_i
-    ctx = plain.context()
-    # the columns of [b_j]_i and [b_i]_j, and e_j (x) e_i; a diagonal cherry has no antisymmetric part
-    flips = [(a, cols[j, i], ctx.basis[ctx.index[Word((leaf(j), leaf(i)))]]) for (i, j), a in cols.items() if i != j]
-    pairs = tuple((k, l) for k in labels for l in range(k, d + 1))
-    sums = [((k, l), cols[k, l], cols[l, k]) for k, l in pairs]
+    d, labels = plain.d, range(1, plain.d + 1)
+    cherries = itertools.product(labels, repeat=2)
+    deltas = {(i, j): _deltas(path, path.basis.index(Tree(i, (leaf(j),)))) for i, j in cherries}  # of [b_j]_i
+    index, columns = plain.context().index, dict(plain.columns)
     half = Fraction(1, 2) if plain.mode == RATIONAL else 0.5
-    word_incs = []
-    sym_incs = []
-    for g, lo, hi in zip(plain.increments, path.values, path.values[1:]):
-        terms = None
-        for a, b, w in flips:
-            # <xhat, e_j (x) e_i> gains half the antisymmetric cherry part
-            corr = half * ((hi[a] - lo[a]) - (hi[b] - lo[b]))
-            if corr:
-                terms = dict(g.terms) if terms is None else terms
-                terms[w] = terms.get(w, 0) + corr
-                if terms[w] == 0:
-                    del terms[w]
-        word_incs.append(g if terms is None else TensorElem._trusted(terms, d, 1))
-        sym_incs.append({p: (hi[a] - lo[a]) + (hi[b] - lo[b]) for p, a, b in sums})
-    xhat = GeometricRoughPath(2, plain.gamma, plain.grid, word_incs, d, plain.mode, plain.letters)
+    for (i, j), a in deltas.items():
+        # <xhat, e_j (x) e_i> gains half the antisymmetric cherry part, none on the diagonal
+        corr = [half * (x - y) for x, y in zip(a, deltas[j, i])] if i != j else ()
+        if any(corr):
+            p = index[Word((leaf(j), leaf(i)))]
+            old = columns.get(p) or [None] * len(corr)
+            columns[p] = [v if not c else None if (t := (v or 0) + c) == 0 else t for v, c in zip(old, corr)]
+    columns = dict(sorted(columns.items()))
+    xhat = GeometricRoughPath(2, plain.gamma, plain.grid, None, d, plain.mode, plain.letters, columns=columns)
     if plain.mode == RATIONAL:
         for g in xhat.increments:
             if not is_tensor_group_like(g, 2):
                 raise ConversionError("antisymmetric correction broke the shuffle character")
-    return SimplifiedDriver(xhat, pairs, sym_incs)
+    pairs = tuple((k, l) for k in labels for l in range(k, d + 1))
+    symmetric = {(k, l): list(map(operator.add, deltas[k, l], deltas[l, k])) for k, l in pairs}
+    return SimplifiedDriver(xhat, pairs, symmetric)

@@ -19,7 +19,7 @@ given, from the class's `_zero` (`Fraction(0)`, or `0` for polynomials),
 and `__sub__` adds the negation.  A coefficient equal to 0 is dropped on
 construction.  `Linear._trusted` is the one way past that test, for terms
 that are non-zero and in range by construction: a product kernel's output
-(`context_product`), the lifts' increments and `simplify_n2`'s.
+(`context_product`) and the increments a rough path reads off its columns.
 
 `Context` is what the forest and word sides (`hopf.ForestContext`,
 `tensor.WordContext`) answer alike, by integer position: the positions of
@@ -34,9 +34,9 @@ and `Context.times` is the product of rows, the one loop kernel: it reads
 the context's `table()` entry by entry, on numerators or on the scalars,
 so float totals round in table order.  `convolve` runs there, through
 `context_product`; `tensor.concat` needs no table and is a plain loop over
-its words.  `dot` is the pairing loop, over any two maps; the adjacent psi
-pairing of `conversion` runs it on word keys, with no row, and `pair` runs
-it on elements.
+its words.  `dot` is the pairing loop, over any two maps: `pair` runs it on
+elements, and the adjacent psi pairing of `conversion` on positions where
+an image has more terms than a step's keys.
 
 The all-pairs sweeps (the pair fold, Chen and the psi pairing) run on
 straight-line functions that `_straight_line` generates from the same
@@ -308,7 +308,7 @@ class Context:
                 total += cnt * x * y
             if total:
                 values[h] = total
-        return _lowest_terms(a.den * b.den, values) if exact else _scalar_row(values)
+        return _lowest_terms(a.den * b.den, values) if exact else row_at(values)
 
     def compiled(self):
         """The compiled kernel, built from `table()` the first time and kept.
@@ -358,7 +358,7 @@ class Context:
         totals = self.compiled()(self.dense(a, exact), self.dense(b, exact))
         values = {k: c for k, c in enumerate(totals) if c}
         if not exact:
-            return _scalar_row(values)
+            return row_at(values)
         den = a.den * b.den
         row = _lowest_terms(den, values)
         common = den // row.den
@@ -376,10 +376,13 @@ def _lowest_terms(den: int, values: dict) -> Row:
     return Row(values, den, len(values))
 
 
-def _scalar_row(values: dict) -> Row:
-    """The row of a float product's totals, numerators when all are exact."""
+def row_at(values: dict, size: int | None = None) -> Row:
+    """The row of values by position, as given or, when all are exact, as
+    integer numerators over their least common denominator; size counts the
+    values unless given: a float product's totals, or a rough path's
+    adjacent values (`roughpath._RoughPathBase.pair_rows`)."""
     (nums,), den = numerators(list(values.values()))
-    return Row(values if den is None else dict(zip(values, nums)), den, len(values))
+    return Row(values if den is None else dict(zip(values, nums)), den, len(values) if size is None else size)
 
 
 def _straight_line(params: tuple, rows, e: int | None = None) -> object:

@@ -6,12 +6,12 @@ recurrence on the geometric side) is checkable as an exact symbolic
 equality rather than a numerical approximation.  Trajectories are grid
 Euler iterates: one step per adjacent pair, summing tree (or word)
 coefficients against the driver's increment.  Each solver fixes its terms
-once per solve, as `_euler`'s slots (the trees, the words of the
-increments, the symmetric components), and hands it per step only the
-weights aligned with them.  `_euler` compiles its resolved slots into one
-straight-line step (`linear._straight_line`), recompiled only when a slot
-first gets a weight after the first step, so a step names, sorts or looks
-up no key and loops over no slot, term or variable.
+once per solve, as `_euler`'s slots (the trees, the words of the driver,
+the symmetric components), and hands it per step the weights aligned with
+them: its slots' columns, zipped.  `_euler` compiles its resolved slots
+into one straight-line step (`linear._straight_line`), recompiled only when
+a slot first gets a weight after the first step, so a step names, sorts or
+looks up no key and loops over no slot, term or variable.
 
 `apply_derivative` (behind both recurrences) and `check_lgl` run on term
 dicts: on integer numerators over one denominator when every coefficient is
@@ -459,8 +459,8 @@ def _euler(grid: Grid, mode: str, e: int, xi: Sequence, slots: Sequence, step_we
 
     slots fixes the terms once per solve: (key, field) pairs in summation
     order, field a function of no arguments that gives F_j.  Each item of
-    step_weights is a list of one step's weights aligned with slots, None
-    where the term is absent.  Each step is one call of a function compiled by
+    step_weights holds one step's weights aligned with slots, None where the
+    term is absent.  Each step is one call of a function compiled by
     `_straight_line` from the resolved slots, their coefficients and names
     passed as operands: each present term's w F_j(y) is w times F_j's terms
     summed from 0, added to a delta from 0 in slot order, which fixes the
@@ -514,18 +514,20 @@ def solve_branched(X: BranchedRoughPath, f: ButcherTable, xi: Sequence) -> Traje
     """One Euler step per adjacent pair: the butcher_h extension of the
     increment, so each tree contributes (f_tau / sigma(tau)) <X, tau>.
 
-    The slots are the trees of grade <= N in `enumerate_trees` order, keyed
-    by the forests `ito_lift` stores, so lookups hit by identity; a tree
-    whose coefficient is 0 in a step gets no weight there."""
+    The slots are the trees of grade <= N in `enumerate_trees` order, each
+    weighted by its column of X over sigma(tau); a tree whose coefficient
+    is absent or 0 in a step gets no weight there."""
     from .roughpath import BranchedRoughPath
 
     if not isinstance(X, BranchedRoughPath):
         raise TypeError("solve_branched needs a branched driver")
     forests = [h for h in enumerate_forests(X.N, X.d) if h.is_single_tree()]
     slots = [(h.factors[0], functools.partial(f.field, h.factors[0])) for h in forests]
-    keys = [(h, symmetry_factor(h.factors[0])) for h in forests]
-    steps = ([c / sigma if (c := g.terms.get(h, 0)) != 0 else None for h, sigma in keys] for g in X.increments)
-    return _euler(X.grid, X.mode, f.e, xi, slots, steps)
+    index, cols = X.context().index, []
+    for h in forests:
+        col, sigma = X.columns.get(index[h]) or [None] * X.grid.steps, symmetry_factor(h.factors[0])
+        cols.append([c / sigma if c is not None and c != 0 else None for c in col])
+    return _euler(X.grid, X.mode, f.e, xi, slots, zip(*cols))
 
 
 # -- geometric side --------------------------------------------------------
@@ -565,25 +567,28 @@ def geometric_F(letter_fields, w: Word) -> PolyVectorField:
     return table.field(w)
 
 
-def _word_slots(increments: Sequence, table: WordFieldTable) -> tuple:
-    """(slots, steps) for `_euler`: the non-empty words of the increments,
-    sorted once by `_order`, each with its field, and per increment its
-    coefficients aligned with them, None where a word is absent.  A present
-    word keeps its coefficient, a 0 included."""
-    words = sorted((w for w in set().union(*[g.terms for g in increments]) if not w.is_empty()), key=Linear._order)
-    slots = [(w, functools.partial(table.field, w)) for w in words]
-    return slots, (list(map(g.terms.get, words)) for g in increments)
+def _word_slots(path: GeometricRoughPath, table: WordFieldTable) -> tuple:
+    """(slots, steps) for `_euler`: the non-empty words at the path's
+    positions that hold a value, sorted once by `_order`, each with its
+    field, and the steps of their columns, None where a word is absent.  A
+    present word keeps its coefficient, a 0 included."""
+    basis, cols = path.context().basis, path.columns
+    held = [p for p, col in cols.items() if not basis[p].is_empty() and any(v is not None for v in col)]
+    held.sort(key=lambda p: Linear._order(basis[p]))
+    steps = zip(*map(cols.get, held)) if held else itertools.repeat((), path.grid.steps)
+    return [(basis[p], functools.partial(table.field, basis[p])) for p in held], steps
 
 
 def solve_geometric(Xbar: GeometricRoughPath, letter_fields, xi: Sequence) -> Trajectory:
     """One Euler step per adjacent pair over the words of Xbar: each word w
-    contributes F_w <Xbar, w>, the words summed in `_order` (`_word_slots`)."""
+    contributes F_w <Xbar, w>, the words summed in `_order`, each weighted by
+    its column (`_word_slots`)."""
     from .roughpath import GeometricRoughPath
 
     if not isinstance(Xbar, GeometricRoughPath):
         raise TypeError("solve_geometric needs a geometric driver")
     table = letter_fields if isinstance(letter_fields, WordFieldTable) else WordFieldTable(letter_fields)
-    return _euler(Xbar.grid, Xbar.mode, table.e, xi, *_word_slots(Xbar.increments, table))
+    return _euler(Xbar.grid, Xbar.mode, table.e, xi, *_word_slots(Xbar, table))
 
 
 def tree_letter_fields(f: ButcherTable, letters: Iterable[Tree]) -> dict:
@@ -618,17 +623,14 @@ def solve_simplified(sd, f: ButcherTable, xi: Sequence) -> Trajectory:
     xhat plus the symmetric scalar components with their paired weights.
 
     The slots are xhat's words (`_word_slots`), then one per pair (k, l)
-    of sd.pairs, named s_kl, which gets no weight in a step where its
-    component's increment is 0."""
+    of sd.pairs, named s_kl, weighted by its symmetric column, with no
+    weight in a step where its increment is 0."""
     table = WordFieldTable({leaf(i): fi for i, fi in f.base.items()})
     weights = sym_correction_fields(f, sd.pairs)
-    slots, word_steps = _word_slots(sd.xhat.increments, table)
+    slots, steps = _word_slots(sd.xhat, table)
     slots += [(f"s_{k}{l}", functools.partial(weights.get, (k, l))) for k, l in sd.pairs]
-    steps = (
-        ws + [c if (c := sym[p]) != 0 else None for p in sd.pairs]
-        for ws, sym in zip(word_steps, sd.symmetric_increments)
-    )
-    return _euler(sd.xhat.grid, sd.xhat.mode, f.e, xi, slots, steps)
+    sym = zip(*[[c if c != 0 else None for c in sd.symmetric[p]] for p in sd.pairs])
+    return _euler(sd.xhat.grid, sd.xhat.mode, f.e, xi, slots, map(operator.add, steps, sym))
 
 
 # -- grafting identity verifier --------------------------------------------

@@ -1,39 +1,32 @@
 """Grid-indexed branched and geometric rough paths.
 
-A rough path is stored as one group-like increment per adjacent grid pair,
-so the Chen relation is baked into the representation.  Wider pairs come
-from one place, `pair_rows`: `linear.Row`s folded forward from each start
-point on the context's compiled product kernel, in either scalar mode, every
-pair composed once, with no element built and nothing kept.
-`validate` re-checks Chen on every grid triple and reads the Hölder
-diagnostic from those rows, and `conversion.certify` pairs them
-with the psi images.  `increment(s, t)` still composes one pair as an
-element, an uncached left fold, for callers that want a single pair.  Two
-lift constructors cover the two sides of the theory: `canonical_lift`
-takes exact iterated integrals of the piecewise linear interpolation,
-`ito_lift` realizes the left-point Riemann rule.
+A rough path stores one group-like increment per adjacent grid pair, so the
+Chen relation is baked into the representation, as columns by context
+position: per position the list of its M adjacent values, None where the
+key is absent.  The lifts write columns with no element built per step;
+`canonical_lift` takes exact iterated integrals of the piecewise linear
+interpolation, in closed form, bit for bit `tensor_exp` of the grade-1
+primitive in both scalar modes, `_lift_past_partial` adds letters of the
+top grade to such a lift as `canonical_lift` would, and `ito_lift` realizes
+the left-point Riemann rule.  Float sums downstream follow a path's key
+order, so that order is part of the contract.  Wider pairs come from one
+place, `pair_rows`: `linear.Row`s folded forward from each start point on
+the context's compiled product kernel, every pair composed once, nothing
+kept.  `validate` re-checks Chen on every grid triple and reads the Hölder
+diagnostic from those rows, and `conversion.certify` pairs them with the
+psi images.  `increment(s, t)` still composes one pair as an element.
 
 The two path classes carry what differs between the sides (the `kind`, the
 element class and context tuple, the key parser, the Hölder keys and the
 `linear.Context` their products run on); the rest asks the path's context.
-
-`canonical_lift` writes the canonical increment exp(sum_tau delta_tau e_tau)
-in closed form, bit for bit `tensor_exp` of the grade-1 primitive in both
-scalar modes, and `_lift_past_partial` adds letters of the top grade to such
-a lift as `canonical_lift` would.  Float sums downstream iterate the terms
-in insertion order, so that order is part of the contract; the builders
-that sum terms keep it through `linear.summed`.
 
 Exact rational scalars are the default; float mode exists for long grids and
 switches validation to tolerance comparisons.  `SampledPath.from_csv`
 refuses non-finite values, and `first_non_character` lets a loader refuse a
 rough path whose adjacent increments are not characters, in O(M); a key
 outside the level-N basis, which no composed pair can hold, counts as not
-one.
-
-The text parsers of `expr` and the maps of `morphisms` are imported where
-the loader and the geometricity checks call them, at call time, so a lift
-that needs neither loads neither.
+one.  The text parsers of `expr` and the maps of `morphisms` are imported
+where they are called, so a lift that needs neither loads neither.
 """
 
 from __future__ import annotations
@@ -47,10 +40,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .hopf import HElem, convolve, forest_context, pair
-from .linear import is_character
+from .linear import is_character, row_at
 from .scalars import FLOAT, RATIONAL, parse_rational
 from .tensor import TensorElem, Word, concat, word_context
-from .trees import EMPTY_FOREST, Forest, Tree, enumerate_forests, leaf
+from .trees import Forest, Tree, enumerate_forests, leaf
 
 
 def _close(a, b, mode) -> bool:
@@ -227,24 +220,53 @@ class SampledPath:
 
 
 class _RoughPathBase:
-    """A subclass names its side: `kind` as in reports and JSON, the element
+    """`columns` maps a context position to its column of M adjacent values,
+    None where the key is absent, so a present 0 stays present; the map's
+    order is the path's one key order, the order in which the keys were
+    inserted, and a position absent at every step may have none.  The lifts and
+    `conversion.simplify_n2` pass columns, and increments None.  A path
+    built from elements keeps them as its view and derives its columns once,
+    keys in first-seen order and, like `Context.row_of`, a key outside the
+    context skipped: the view keeps it, for `first_non_character` to flag.
+
+    A subclass names its side: `kind` as in reports and JSON, the element
     class and `key_name` of its basis keys, `parse_key(text, *element_ctx)`,
     `context_of(N, *element_ctx)` and the constructor arguments past mode
     (`tree_fields`, tuples of trees kept in JSON under the same names)."""
 
-    __slots__ = ("N", "gamma", "grid", "increments", "d", "mode")
+    __slots__ = ("N", "gamma", "grid", "d", "mode", "columns", "_increments")
 
     tree_fields: tuple = ()
 
-    def __init__(self, N, gamma, grid, increments, d, mode):
+    def __init__(self, N, gamma, grid, increments, d, mode, *fields, columns=None):
+        self.N, self.gamma, self.grid, self.d, self.mode = N, gamma, grid, d, mode
+        for name, trees in zip(self.tree_fields, fields, strict=True):
+            setattr(self, name, tuple(trees))
+        self.columns, self._increments = columns, None
+        if columns is not None:
+            return
+        self._increments = increments = tuple(increments)
         if len(increments) != grid.steps:
             raise ValueError("one increment per adjacent grid pair required")
-        self.N = N
-        self.gamma = gamma
-        self.grid = grid
-        self.increments = list(increments)
-        self.d = d
-        self.mode = mode
+        index, self.columns = self.context().index, {}
+        for s, g in enumerate(increments):
+            for key, c in g.terms.items():
+                if (p := index.get(key)) is not None:
+                    if (col := self.columns.get(p)) is None:
+                        col = self.columns[p] = [None] * grid.steps
+                    col[s] = c
+
+    @property
+    def increments(self) -> tuple:
+        """The adjacent increments as elements, read-only, built from the
+        columns on first read, keys in the key order."""
+        if self._increments is None:
+            basis, ectx, make = self.context().basis, self.element_ctx, self.element._trusted
+            cols = [(basis[p], col) for p, col in self.columns.items()]
+            self._increments = tuple(
+                make({key: v for key, col in cols if (v := col[s]) is not None}, *ectx) for s in range(self.grid.steps)
+            )
+        return self._increments
 
     @property
     def element_ctx(self) -> tuple:
@@ -273,16 +295,20 @@ class _RoughPathBase:
         """Every grid pair (s, t), s < t, in itertools.combinations order, as
         (s, t, row): X_st as a `linear.Row` of the path's context.
 
-        For each s the rows of (s, s+2), (s, s+3), ... are folded forward,
-        each the product of the row before it and the adjacent row (t-1, t),
-        which replaces it: every pair is composed once, with O(M) rows live
-        and no element built.  Each fold is a `Context.fold` on the
-        context's compiled kernel, exact or float, so a folded row's terms
-        come in basis-position order, with the values of X.increment(s, t).
-        This is the one composition of wider pairs that the sweeps
-        (`validate`, `conversion.certify`) read."""
-        ctx = self.context()
-        adjacent = [ctx.row_of(inc.terms) for inc in self.increments]
+        An adjacent row is read off the columns, in the key order, with the
+        values and size of `ctx.row_of(increments[s].terms)`.  For each s
+        the rows of (s, s+2), (s, s+3), ... are folded forward, each the
+        product of the row before it and the adjacent row (t-1, t), which
+        replaces it: every pair is composed once, O(M) rows live.  Each fold
+        is a `Context.fold` on the context's compiled kernel, exact or
+        float, so a folded row's terms come in basis-position order, with
+        the values of X.increment(s, t): the one composition of wider pairs
+        that the sweeps (`validate`, `conversion.certify`) read."""
+        ctx, cols, view = self.context(), list(self.columns.items()), self._increments
+        adjacent = []
+        for s in range(self.grid.steps):
+            values = {p: v for p, col in cols if (v := col[s]) is not None}
+            adjacent.append(row_at(values, len(values) if view is None else len(view[s].terms)))
         for s, row in enumerate(adjacent):
             yield s, s + 1, row
             for t in range(s + 2, len(adjacent) + 1):
@@ -323,10 +349,6 @@ class GeometricRoughPath(_RoughPathBase):
         from .expr import parse_tensor
 
         return parse_tensor(text, d, n)
-
-    def __init__(self, N, gamma, grid, increments, d, mode, letters):
-        super().__init__(N, gamma, grid, increments, d, mode)
-        self.letters = tuple(letters)
 
     @property
     def letter_bound(self) -> int:
@@ -405,24 +427,26 @@ def _check_float_range(path: SampledPath, N: int) -> None:
         raise ValueError(f"the path varies by {V:.6g} in total, too much for a float lift at level {N}")
 
 
+def _deltas(path: SampledPath, i: int) -> list:
+    """Component i's adjacent increments hi - lo, one per grid step."""
+    col = [row[i] for row in path.values]
+    return list(map(operator.sub, col[1:], col))
+
+
 def canonical_lift(path: SampledPath, N: int, gamma=None) -> GeometricRoughPath:
     """Iterated integrals of the piecewise-linear interpolation.
 
     Per interval the increment is exp(sum_tau delta_tau e_tau) truncated at
-    total grade N, exact and valid for tree letters too.  It is written in
-    closed form: the coefficient of a word of k letters is the product of
-    their deltas times 1/k!.  Words are built once per lift and shared by
-    all increments.
-
-    For a path whose values match its mode (Fractions or ints in rational
-    mode, floats in float mode) each increment equals tensor_exp of the
-    grade-1 primitive bit for bit: the same keys in the same insertion
-    order, the same scalar types (the empty word keeps Fraction(1)), the
-    same left-to-right products and the same scale, which in float mode is
-    float(Fraction(1, k!)), the number Fraction(1, k!) * x multiplies a
-    float x by.  As in tensor_exp, a product that reaches 0 is not extended,
-    and a coefficient that rounds to 0 is dropped.  The words come from the
-    word context, so the increments are built with `TensorElem._trusted`.
+    total grade N, exact and valid for tree letters too, in closed form: a
+    word of k letters has the product of their deltas times 1/k!, one column
+    per word, from its prefix's column of products.  For a path whose values
+    match its mode (Fractions or ints in rational mode, floats in float
+    mode) each increment is tensor_exp of the grade-1 primitive bit for bit:
+    the same keys in the same order (by number of letters, then by letter
+    index), the same scalar types (the empty word keeps Fraction(1)), the
+    same left-to-right products and the same scale, float(Fraction(1, k!))
+    in float mode.  As in tensor_exp, a product that reaches 0 is not
+    extended, and a coefficient that rounds to 0 is absent.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
@@ -432,73 +456,52 @@ def canonical_lift(path: SampledPath, N: int, gamma=None) -> GeometricRoughPath:
         raise ValueError("no basis letters within the truncation level")
     d = path.d
     n = max(t.grade for t in letters)
-    columns = [(j, path.basis.index(t), t.grade) for j, t in enumerate(letters)]
-    scales = []  # 1/m! for words of m = 1 .. N letters
-    inv_fact = Fraction(1)
-    for m in range(1, N + 1):
-        inv_fact /= m
-        scales.append(float(inv_fact) if path.mode == FLOAT else inv_fact)
-    # letter-index tuple -> Word, shared by every increment; the words are
-    # the word context's own, so the kernels find them by identity
-    ctx = word_context(N, d, n)
-    words: dict = {}
-    one = Fraction(1)
-    increments = []
-    for k in range(path.grid.steps):
-        lo, hi = path.values[k], path.values[k + 1]
-        live = [(j, v, g) for j, i, g in columns if (v := hi[i] - lo[i]) != 0]
-        terms = {ctx.basis[0]: one}  # the empty word
-        # words of m letters: (letter indices, total grade, product of deltas)
-        level = [((), 0, None)]
-        for scale in scales:
-            deeper = []
-            for key, grade, prod in level:
-                for j, v, g in live:
-                    if grade + g > N:
-                        continue
-                    p = v if prod is None else prod * v
-                    if p == 0:
-                        continue
-                    key_j = key + (j,)
-                    deeper.append((key_j, grade + g, p))
-                    w = words.get(key_j)
-                    if w is None:
-                        w = Word(letters[i] for i in key_j)
-                        w = words[key_j] = ctx.basis[ctx.index[w]]
-                    if (c := scale * p) != 0:  # a float product can round to 0
-                        terms[w] = c
-            level = deeper
-        increments.append(TensorElem._trusted(terms, d, n))
-    return GeometricRoughPath(
-        N, gamma if gamma is not None else Fraction(1, N), path.grid, increments, d, path.mode, letters
-    )
+    # per letter its grade and its deltas, None where it stands still
+    live = [(t.grade, [v if v != 0 else None for v in _deltas(path, path.basis.index(t))]) for t in letters]
+    scales = [Fraction(1, math.factorial(m)) for m in range(1, N + 1)]  # for words of m letters
+    scales = list(map(float, scales)) if path.mode == FLOAT else scales
+    index = word_context(N, d, n).index
+    columns = {0: [Fraction(1)] * path.grid.steps}  # the empty word
+    # words of m letters: (letter indices, total grade, column of products)
+    level = [((), 0, None)]
+    for scale in scales:
+        deeper = []
+        for key, grade, prods in level:
+            for j, (g, v) in enumerate(live):
+                if grade + g > N:
+                    continue
+                if prods is not None:
+                    v = [x if a is not None and b is not None and (x := a * b) != 0 else None for a, b in zip(prods, v)]
+                if all(p is None for p in v):
+                    continue
+                key_j = key + (j,)
+                deeper.append((key_j, grade + g, v))
+                # a float product can round to 0
+                col = [c if p is not None and (c := scale * p) != 0 else None for p in v]
+                columns[index[Word(letters[i] for i in key_j)]] = col
+        level = deeper
+    gamma = Fraction(1, N) if gamma is None else gamma
+    return GeometricRoughPath(N, gamma, path.grid, None, d, path.mode, letters, columns=columns)
 
 
 def _lift_past_partial(partial: GeometricRoughPath, path: SampledPath) -> GeometricRoughPath:
     """canonical_lift(path, N, partial.gamma), for partial the level-N lift
     of path's first columns and path's other columns trees of grade N.  A
-    grade-N letter enters a level-N lift only as a one-letter word, so each
-    increment is partial's on word_context(N, d, N)'s own words, with the
-    words of the grade-N letters that move, their delta times the m=1 scale,
-    right after the lower letters' one-letter words: canonical_lift's keys,
-    order, scalar types and float bits."""
+    grade-N letter enters a level-N lift only as a one-letter word, so the
+    lift is partial's own columns, moved to word_context(N, d, N), with each
+    grade-N letter's column, its delta times the m=1 scale, after the lower
+    one-letter words: canonical_lift's keys, order, types and float bits."""
     N, d, k = partial.N, partial.d, len(partial.letters)
     _check_float_range(path, N)
-    ctx = word_context(N, d, N)
-    moved = {w: (ctx.basis[ctx.index[w]], len(w) > 1) for w in partial.context().basis}
-    top = [(ctx.basis[ctx.index[Word((t,))]], i) for i, t in enumerate(path.basis[k:], k)]
-    scale, increments = 1.0 if path.mode == FLOAT else Fraction(1), []
-    for g, lo, hi in zip(partial.increments, path.values, path.values[1:]):
-        tops, terms = [(w, c) for w, i in top if (v := hi[i] - lo[i]) != 0 and (c := scale * v) != 0], {}
-        for w, c in g.terms.items():
-            w, longer = moved[w]
-            if longer and tops:  # the first word of two or more letters
-                terms.update(tops)
-                tops = None
-            terms[w] = c
-        terms.update(tops or ())
-        increments.append(TensorElem._trusted(terms, d, N))
-    return GeometricRoughPath(N, partial.gamma, path.grid, increments, d, path.mode, path.basis)
+    index, basis = word_context(N, d, N).index, partial.context().basis
+    scale = 1.0 if path.mode == FLOAT else Fraction(1)
+    tops = {
+        index[Word((t,))]: [c if v != 0 and (c := scale * v) != 0 else None for v in _deltas(path, i)]
+        for i, t in enumerate(path.basis[k:], k)
+    }
+    moved = [(len(basis[p]) > 1, index[basis[p]], col) for p, col in partial.columns.items()]
+    columns = {**{p: c for longer, p, c in moved if not longer}, **tops, **{p: c for longer, p, c in moved if longer}}
+    return GeometricRoughPath(N, partial.gamma, path.grid, None, d, path.mode, path.basis, columns=columns)
 
 
 def ito_lift(path: SampledPath, N: int, gamma=None) -> BranchedRoughPath:
@@ -507,33 +510,29 @@ def ito_lift(path: SampledPath, N: int, gamma=None) -> BranchedRoughPath:
     On a single adjacent interval the left-point sums for every tree of
     grade >= 2 are empty, so the adjacent increment is the character
     generated by the bare increments; composition over the grid then
-    reproduces the left-point recursion.
+    reproduces the left-point recursion.  Each forest of single vertices
+    gets the column of its factors' deltas multiplied from 1 left to right,
+    from its prefix forest's products; a product equal to 0 is absent.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     if not path.has_label_basis():
         raise ValueError("ito_lift expects a plain label basis")
     _check_float_range(path, N)
-    d = path.d
-    # non-unit forests of single vertices, each with its factors' value
-    # columns; a label the path lacks reads the 0 past the last column
+    d, M = path.d, path.grid.steps
+    # each label's deltas; a label the path lacks reads the 0s past the last
     column = {t.label: i for i, t in enumerate(path.basis)}
-    forests = [(f, [column.get(t.label, len(column)) for t in f]) for f in enumerate_forests(N, d) if 0 < len(f) == f.grade]
-    one = Fraction(1)
-    increments = []
-    for lo, hi in zip(path.values, path.values[1:]):
-        delta = [*map(operator.sub, hi, lo), 0]
-        terms = {EMPTY_FOREST: one}
-        for f, cols in forests:
-            v = 1
-            for i in cols:
-                v = v * delta[i]
-            if v != 0:
-                terms[f] = v
-        increments.append(HElem._trusted(terms, d))
-    return BranchedRoughPath(
-        N, gamma if gamma is not None else Fraction(1, N), path.grid, increments, d, path.mode
-    )
+    deltas = [_deltas(path, i) for i in range(len(column))] + [[0] * M]
+    # the forests' positions in forest_context(N, d), whose basis is this
+    # enumeration; a forest's prefix forest has a lower grade, so it comes first
+    columns, products = {0: [Fraction(1)] * M}, {(): [1] * M}
+    for p, f in enumerate(enumerate_forests(N, d)):
+        if 0 < len(f) == f.grade:
+            key = tuple(column.get(t.label, len(column)) for t in f)
+            prod = products[key] = list(map(operator.mul, products[key[:-1]], deltas[key[-1]]))
+            columns[p] = [v if v != 0 else None for v in prod]
+    gamma = Fraction(1, N) if gamma is None else gamma
+    return BranchedRoughPath(N, gamma, path.grid, None, d, path.mode, columns=columns)
 
 
 def embed_geometric(Xbar: GeometricRoughPath) -> BranchedRoughPath:
@@ -548,14 +547,7 @@ def embed_geometric(Xbar: GeometricRoughPath) -> BranchedRoughPath:
     d = Xbar.d
     basis = enumerate_forests(Xbar.N, d)
     images = {h: phi_g(HElem.from_forest(h, d)) for h in basis}
-    increments = []
-    for g in Xbar.increments:
-        terms = {}
-        for h, img in images.items():
-            v = pair(img, g)
-            if v != 0:
-                terms[h] = v
-        increments.append(HElem(terms, d))
+    increments = [HElem({h: pair(img, g) for h, img in images.items()}, d) for g in Xbar.increments]
     return BranchedRoughPath(Xbar.N, Xbar.gamma, Xbar.grid, increments, d, Xbar.mode)
 
 
@@ -791,16 +783,17 @@ def _check_letters(letters: tuple, d: int, N: int) -> None:
 
 
 def roughpath_from_obj(obj: dict):
-    """The rough path a JSON object holds.  The path is built first, so its
-    own parser reads each distinct increment key, once per load; a key above
-    the level, or a word over a letter the path does not list, is refused.
-    A gamma other than 1 is refused where `gamma_to_level` refuses it, but
-    the level may lie below the one gamma gives, as for a truncated path."""
+    """The rough path a JSON object holds.  Each distinct increment key is
+    parsed once per load, by the path class's own parser; a key above the
+    level, or a word over a letter the path does not list, is refused.  A
+    gamma other than 1 is refused where `gamma_to_level` refuses it, but the
+    level may lie below the one gamma gives, as for a truncated path.  The
+    path is built once, from the checked elements."""
     _check_shape(obj)
     cls = _KINDS[obj["kind"]]
     mode = obj["mode"]
     grid = Grid(_scalar_from_json(t, mode, f"time {i}") for i, t in enumerate(obj["times"]))
-    N = obj["level"]
+    N, d = obj["level"], obj["d"]
     gamma = _scalar_from_json(obj["gamma"], RATIONAL, "gamma")
     if gamma != 1:  # 1 is 1/N, the default of a level-1 lift
         try:
@@ -808,19 +801,19 @@ def roughpath_from_obj(obj: dict):
         except ValueError as e:
             raise ValueError(f"gamma: {e}") from None
     fields = [tuple(_parse_basis_name(name) for name in obj[field]) for field in cls.tree_fields]
-    X = cls(N, gamma, grid, obj["increments"], obj["d"], mode, *fields)
-    letters = getattr(X, "letters", ())
-    _check_letters(letters, X.d, N)
-    letters, keys = set(letters), {}  # name -> its checked key
-    ectx = X.element_ctx
+    letters = fields[0] if fields else ()
+    _check_letters(letters, d, N)
+    # the element context: d, and for a geometric path its letters' top grade
+    ectx = (d, *(max(t.grade for t in trees) for trees in fields))
+    letters, keys, increments = set(letters), {}, []  # keys: name -> its checked key
     for k, row in enumerate(obj["increments"]):
         terms = {}
         for name, v in row.items():
             key = keys.get(name)
             if key is None:
-                x = X.parse_key(name, *ectx)
+                x = cls.parse_key(name, *ectx)
                 if len(x.terms) != 1 or next(iter(x.terms.values())) != 1:
-                    raise ValueError(f"increment key {name!r} is not a basis {X.key_name}")
+                    raise ValueError(f"increment key {name!r} is not a basis {cls.key_name}")
                 (key,) = x.terms
                 if key.grade > N:
                     raise ValueError(f"increment {k}, {name}: grade {key.grade} above level {N}")
@@ -829,8 +822,8 @@ def roughpath_from_obj(obj: dict):
                         raise ValueError(f"increment {k}, {name}: letter {t!r} is not in letters")
                 keys[name] = key
             terms[key] = _scalar_from_json(v, mode, f"increment {k}, {name}")
-        X.increments[k] = X.element(terms, *ectx)
-    return X
+        increments.append(cls.element(terms, *ectx))
+    return cls(N, gamma, grid, increments, d, mode, *fields)
 
 
 def roughpath_from_json(text: str):

@@ -10,7 +10,7 @@ references in the tests see the same single bad pair.
 `count_calls` counts calls of functions, wrapped in every loaded
 `hopfpath` module that binds them, so a call through `roughpath.convolve`
 counts the same as one through `hopf.convolve`, and of methods, wrapped on
-their class.
+their class (a classmethod stays one).
 
 `sweeps()` runs a block on contexts with no compiled kernel, whatever
 kernels earlier tests left on the cached contexts, and counts the calls of
@@ -77,7 +77,11 @@ def count_calls(monkeypatch, *targets) -> Counter:
     for target in targets:
         if isinstance(target, tuple):
             cls, name = target
-            monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+            method = vars(cls).get(name)
+            if isinstance(method, classmethod):  # counted, and still bound to the class it is called on
+                monkeypatch.setattr(cls, name, classmethod(counting(method.__func__)))
+            else:
+                monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
             continue
         counted = counting(target)
         for name, module in list(sys.modules.items()):

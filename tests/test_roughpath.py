@@ -502,8 +502,7 @@ def test_character_corruption_is_detected():
     X = ito_lift(line_path(3, 1, [Q(1)]), 2)
     bad = dict(X.increments[1].terms)
     bad[F(B1, B1)] = Q(5)  # no longer the square of the level-1 value
-    X.increments[1] = HElem(bad, 1)
-    report = validate(X)
+    report = validate(_with_adjacent(X, 1, HElem(bad, 1)))
     assert report["character"]["status"] == "fail"
     assert report["character"]["witness"] == "adjacent increment 1"
 
@@ -517,7 +516,7 @@ def test_adjacent_key_above_the_level_is_not_a_character(key):
     X = lift(line_path(4, 1, [Q(1)]), 2)
     assert first_non_character(X) is None
     g = X.increments[1]
-    X.increments[1] = type(g)({**g.terms, key: Q(5)}, *g.ctx)
+    X = _with_adjacent(X, 1, type(g)({**g.terms, key: Q(5)}, *g.ctx))
     assert first_non_character(X) == 1
     report = validate(X)
     assert report["character"] == {"status": "fail", "witness": "adjacent increment 1"}
@@ -535,9 +534,9 @@ def test_float_character_unit_tolerance_is_absolute(lift, unit, refused):
     assert first_non_character(X) is None
     g = X.increments[2]
     if isinstance(X, BranchedRoughPath):
-        X.increments[2] = HElem({**g.terms, EMPTY_FOREST: unit}, g.d)
+        X = _with_adjacent(X, 2, HElem({**g.terms, EMPTY_FOREST: unit}, g.d))
     else:
-        X.increments[2] = TensorElem({**g.terms, EMPTY_WORD: unit}, g.d, g.n)
+        X = _with_adjacent(X, 2, TensorElem({**g.terms, EMPTY_WORD: unit}, g.d, g.n))
     assert first_non_character(X) == (2 if refused else None)
 
 
@@ -555,7 +554,7 @@ def test_float_increment_with_infinite_coefficient_is_not_a_character():
     X = ito_lift(SampledPath.over_labels([0.0, 0.5, 1.0], [[0.0], [0.5], [1.0]], 1, FLOAT), 2)
     assert first_non_character(X) is None
     g = X.increments[1]
-    X.increments[1] = HElem({**g.terms, F(B1): float("inf")}, 1)
+    X = _with_adjacent(X, 1, HElem({**g.terms, F(B1): float("inf")}, 1))
     assert first_non_character(X) == 1
 
 
